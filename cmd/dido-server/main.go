@@ -83,7 +83,7 @@ func main() {
 	wideMin := flag.Int("wide-min", 0, "pipeline: min GETs per batch for the wide batched index path (0 = default, negative = disable)")
 	steal := flag.Bool("steal", false, "pipeline: chunk-granular work stealing across stage groups (with -adapt the cost model gates it per plan)")
 	hotKeys := flag.Int("hot-keys", 0, "hot-key fast-path slots: sampled hot GETs served before the index probe (0 disables)")
-	ordered := flag.Bool("ordered", true, "maintain the MVCC ordered index beside the cuckoo table (enables SCAN; costs one tree upsert per write)")
+	ordered := flag.Bool("ordered", true, "maintain the ordered index beside the cuckoo table (enables SCAN; a write costs one in-place B-tree descent, and copies nodes only while a scan holds a snapshot)")
 
 	adminAddr := flag.String("admin", "", "HTTP observability address, e.g. :9090 (/metrics, /config, /trace, /slowlog, /debug/pprof; empty disables)")
 	slowQuery := flag.Duration("slow-query", 0, "record frames slower than this (0 disables the slow-query log)")

@@ -398,7 +398,7 @@ func (r *RESP) Encode(f *Frame, resps []proto.Response) [][]byte {
 
 // Deliver stages the frame's reply in connection order, dispatches the
 // connection's next queued frame, and flushes. The flush is synchronous
-// because the result gates the caller's reply-cache settlement, but it runs
+// because the result reports whether the reply was written, but it runs
 // after dispatch and outside the connection lock, so a stalled client pins
 // only this goroutine, not the connection's pipeline.
 func (r *RESP) Deliver(f *Frame, units [][]byte) bool {

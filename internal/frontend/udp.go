@@ -346,10 +346,13 @@ func AppendResponseFrames(dst [][]byte, reqID uint64, v2 bool, resps []proto.Res
 			bytes += rlen
 			end++
 		}
+		// Exact capacity: grown from nil, a 5 KB frame costs ten reallocations.
 		if v2 {
-			dst = append(dst, proto.EncodeResponseFrameV2(nil, reqID, start, resps[start:end]))
+			buf := make([]byte, 0, proto.ResponseHeaderLenV2+bytes)
+			dst = append(dst, proto.EncodeResponseFrameV2(buf, reqID, start, resps[start:end]))
 		} else {
-			dst = append(dst, proto.EncodeResponseFrame(nil, resps[start:end]))
+			buf := make([]byte, 0, proto.ResponseHeaderLen+bytes)
+			dst = append(dst, proto.EncodeResponseFrame(buf, resps[start:end]))
 		}
 		start = end
 		if start >= len(resps) {

@@ -1,77 +1,192 @@
-// Package ordered is the store's MVCC ordered index: a left-leaning
-// red-black tree (Sedgewick's 2-3 variant) mapping binary keys to uint64
-// payloads, written through path-copying so that every mutation publishes a
-// brand-new immutable root. Readers take a Snapshot — one atomic pointer
-// load — and iterate it without locks, without retries, and without ever
-// blocking a writer; writers serialize among themselves on a mutex and
-// never touch a node reachable from a published root.
+// Package ordered is the store's ordered index: a B-tree mapping binary keys
+// to uint64 payloads that is mutated in place under a writer mutex and copied
+// lazily, only where a snapshot might still be looking.
 //
-// The tree deliberately stores only a fixed-size payload (the store keeps a
-// slab location there, see internal/store), so a snapshot pins O(live keys)
-// node memory but zero value bytes: value reads go through the seqlock slab
-// at scan time and stay current, while the *key set* a scan walks is one
-// frozen version.
+// Every node carries the epoch it was created in, and the writer may change
+// only nodes of the current epoch. Snapshot hands out the current root and (if
+// the epoch owns any node) starts a new one, so from then on the writer copies
+// a node the first time it touches one, and owns the copy until the next
+// snapshot. Snapshot readers therefore never see a written node: they iterate
+// without locks or retries, never block a writer, and an old version is
+// reclaimed by the collector once the last Snapshot holding it is dropped. A
+// tree nobody snapshots never copies a node.
+//
+// What a snapshot freezes is the KEY SEQUENCE (and Len and Version). A payload
+// is a hint: overwriting a resident key is one atomic store into the existing
+// entry, shared nodes included, so a snapshot may read a payload newer than
+// itself — or, once the writer has copied that node, an outdated one. The
+// store keeps a slab location there and verifies it on every use (see
+// internal/store/scan.go), which is why it needs no more than that.
 package ordered
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
 
-// node is one immutable tree node. Once a node is reachable from a root
-// published by Tree.state it is never mutated again: writers clone every
-// node on the root-to-leaf path they change (and any node a rotation or
-// color flip touches) before writing to it.
+const (
+	maxItems = 31           // per node: fanout 32
+	minItems = maxItems / 2 // per node other than the root
+	// maxDepth bounds an iterator's stack: a tree of minimum fanout 16 and
+	// this depth holds 2^48 keys.
+	maxDepth = 12
+)
+
+// item is one entry in transit between nodes.
+type item struct {
+	key      []byte
+	pfx, val uint64
+}
+
+// node is one B-tree node; items live in interior nodes as well as leaves, as
+// three parallel arrays. vals comes first so that it is 64-bit aligned for
+// atomic access: snapshot readers load a payload while an overwrite may be
+// storing it. pfx holds each key's first eight bytes so that a search reads
+// key bytes — one cache miss each, they are separate allocations — only to
+// break a tie.
 type node struct {
-	key         []byte
-	val         uint64
-	red         bool
-	left, right *node
+	vals  [maxItems]uint64
+	pfx   [maxItems]uint64
+	keys  [maxItems][]byte // key bytes are immutable and shared between copies
+	kids  *[maxItems + 1]*node
+	n     int    // items in use; an interior node has n+1 kids
+	epoch uint64 // writable iff equal to Tree.epoch
 }
 
-func clone(n *node) *node {
-	c := *n
-	return &c
+// prefix returns key's first eight bytes, zero-padded, as a big-endian
+// integer: prefixes order the way their keys do, except that equal prefixes
+// decide nothing.
+func prefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var p uint64
+	for i, b := range key {
+		p |= uint64(b) << (56 - 8*i)
+	}
+	return p
 }
 
-func isRed(n *node) bool { return n != nil && n.red }
-
-// treeState is one published version: root, size and a monotonically
-// increasing version number, swapped in as a unit so a Snapshot's three
-// facts are always mutually consistent.
-type treeState struct {
-	root *node
-	len  int
-	ver  uint64
+// search returns the index of key (whose prefix is kp) in n, or the index of
+// the child, and the item slot, it would descend into.
+func (n *node) search(key []byte, kp uint64) (int, bool) {
+	lo, hi := 0, n.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		c := cmp.Compare(kp, n.pfx[m])
+		if c == 0 {
+			c = bytes.Compare(key, n.keys[m])
+		}
+		switch {
+		case c > 0:
+			lo = m + 1
+		case c < 0:
+			hi = m
+		default:
+			return m, true
+		}
+	}
+	return lo, false
 }
 
-var emptyState = &treeState{}
+// find returns the node and slot holding key beneath root, or nil.
+func find(root *node, key []byte) (*node, int) {
+	kp := prefix(key)
+	for n := root; n != nil; {
+		i, ok := n.search(key, kp)
+		if ok {
+			return n, i
+		}
+		if n.kids == nil {
+			break
+		}
+		n = n.kids[i]
+	}
+	return nil, 0
+}
 
-// Tree is the concurrent MVCC ordered index. The zero value is NOT ready;
-// use New.
+func (n *node) item(i int) item { return item{n.keys[i], n.pfx[i], n.vals[i]} }
+
+func (n *node) setItem(i int, it item) {
+	n.keys[i], n.pfx[i], n.vals[i] = it.key, it.pfx, it.val
+}
+
+func (n *node) insertItem(i int, it item) {
+	copy(n.keys[i+1:n.n+1], n.keys[i:n.n])
+	copy(n.pfx[i+1:n.n+1], n.pfx[i:n.n])
+	copy(n.vals[i+1:n.n+1], n.vals[i:n.n])
+	n.setItem(i, it)
+	n.n++
+}
+
+func (n *node) removeItem(i int) item {
+	it := n.item(i)
+	copy(n.keys[i:], n.keys[i+1:n.n])
+	copy(n.pfx[i:], n.pfx[i+1:n.n])
+	copy(n.vals[i:], n.vals[i+1:n.n])
+	n.n--
+	n.keys[n.n] = nil
+	return it
+}
+
+// appendItems copies src's items (and children) in behind n's own.
+func (n *node) appendItems(src *node, from int) {
+	copy(n.keys[n.n:], src.keys[from:src.n])
+	copy(n.pfx[n.n:], src.pfx[from:src.n])
+	copy(n.vals[n.n:], src.vals[from:src.n])
+	if src.kids != nil {
+		copy(n.kids[n.n:], src.kids[from:src.n+1])
+	}
+	n.n += src.n - from
+}
+
+// insertKid and removeKid fix up an interior node's children AFTER the
+// matching insertItem/removeItem changed n.n.
+func (n *node) insertKid(j int, c *node) {
+	copy(n.kids[j+1:n.n+1], n.kids[j:n.n])
+	n.kids[j] = c
+}
+
+func (n *node) removeKid(j int) {
+	copy(n.kids[j:], n.kids[j+1:n.n+2])
+	n.kids[n.n+1] = nil
+}
+
+// Tree is the concurrent ordered index. The zero value is an empty tree.
 type Tree struct {
-	mu    sync.Mutex // serializes writers
-	state atomic.Pointer[treeState]
+	mu    sync.Mutex // serializes writers and Snapshot
+	root  *node
+	epoch uint64
+	len   atomic.Int64
+	ver   atomic.Uint64
 }
 
 // New returns an empty tree.
-func New() *Tree {
-	t := &Tree{}
-	t.state.Store(emptyState)
-	return t
-}
+func New() *Tree { return &Tree{} }
 
 // Len returns the current number of keys.
-func (t *Tree) Len() int { return t.state.Load().len }
+func (t *Tree) Len() int { return int(t.len.Load()) }
 
-// Version returns the current version number; it increments on every
-// successful mutation (an overwriting Set increments it too).
-func (t *Tree) Version() uint64 { return t.state.Load().ver }
+// Version returns the number of key-set changes (inserts and deletes) so
+// far. Overwriting a resident key's payload is not a new version.
+func (t *Tree) Version() uint64 { return t.ver.Load() }
 
-// Get returns the payload stored under key in the current version.
+// Get returns the payload currently stored under key.
 func (t *Tree) Get(key []byte) (uint64, bool) {
-	return Snapshot{t.state.Load()}.Get(key)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return get(t.root, key)
+}
+
+func get(root *node, key []byte) (uint64, bool) {
+	n, i := find(root, key)
+	if n == nil {
+		return 0, false
+	}
+	return atomic.LoadUint64(&n.vals[i]), true
 }
 
 // Set inserts or overwrites key's payload. The key bytes are copied on
@@ -89,19 +204,6 @@ func (t *Tree) Delete(key []byte) bool {
 	return t.deleteLocked(key)
 }
 
-// DeleteIf removes key only if its current payload equals val, atomically
-// with respect to other writers. It reports whether a removal happened. This
-// is the tool for retiring a stale binding (e.g. an eviction victim's
-// location) without erasing a newer one a concurrent overwrite installed.
-func (t *Tree) DeleteIf(key []byte, val uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur, ok := (Snapshot{t.state.Load()}).Get(key); !ok || cur != val {
-		return false
-	}
-	return t.deleteLocked(key)
-}
-
 // Update reconciles key's binding against an authoritative source: resolve is
 // called UNDER the writer lock and must return the key's current payload
 // (ok=true) or report the key gone (ok=false); the tree then upserts or
@@ -110,7 +212,7 @@ func (t *Tree) DeleteIf(key []byte, val uint64) bool {
 // the freshest source state — callers that invoke Update after every source
 // mutation get eventual exact agreement, with no lost-update window that
 // separate read-then-Set/Delete calls would leave. resolve must not call back
-// into the tree's write API.
+// into the tree.
 func (t *Tree) Update(key []byte, resolve func() (uint64, bool)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -121,123 +223,222 @@ func (t *Tree) Update(key []byte, resolve func() (uint64, bool)) {
 	}
 }
 
-// setLocked is Set's body; the caller holds t.mu.
-func (t *Tree) setLocked(key []byte, val uint64) {
-	st := t.state.Load()
-	root, added := insert(st.root, key, val)
-	root.red = false
-	n := st.len
-	if added {
-		n++
+// Snapshot returns a view of the tree's current key sequence. It holds the
+// writer lock for O(1), and while no key has been inserted or deleted since
+// the previous call it costs the writer nothing afterwards either: the nodes
+// are all shared already. Holding a Snapshot pins the nodes of its version
+// (no value bytes) until it is dropped.
+func (t *Tree) Snapshot() Snapshot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Every key-set change makes the root writable first, so a root of an
+	// older epoch means no node of the current one exists.
+	if t.root != nil && t.root.epoch == t.epoch {
+		t.epoch++ // every existing node is now shared: copy before writing
 	}
-	t.state.Store(&treeState{root: root, len: n, ver: st.ver + 1})
+	return Snapshot{root: t.root, len: t.Len(), ver: t.Version()}
 }
 
-// deleteLocked is Delete's body; the caller holds t.mu.
+// ---- writer internals; the caller holds t.mu ----
+
+// writable returns n if the current epoch owns it, else a copy that it does.
+func (t *Tree) writable(n *node) *node {
+	if n.epoch == t.epoch {
+		return n
+	}
+	c := *n
+	c.epoch = t.epoch
+	if n.kids != nil {
+		kids := *n.kids
+		c.kids = &kids
+	}
+	return &c
+}
+
+// own makes p's i-th child writable; p must be.
+func (t *Tree) own(p *node, i int) *node {
+	c := t.writable(p.kids[i])
+	p.kids[i] = c
+	return c
+}
+
+// changed marks a key-set change about to happen: the current epoch is about
+// to own nodes, the root first.
+func (t *Tree) changed(delta int64) {
+	t.len.Add(delta)
+	t.ver.Add(1)
+	if t.root == nil {
+		t.root = &node{epoch: t.epoch}
+	} else {
+		t.root = t.writable(t.root)
+	}
+}
+
+func (t *Tree) setLocked(key []byte, val uint64) {
+	if n, i := find(t.root, key); n != nil {
+		atomic.StoreUint64(&n.vals[i], val)
+		return
+	}
+	t.changed(+1)
+	if t.root.n == maxItems {
+		t.root = &node{epoch: t.epoch, kids: &[maxItems + 1]*node{t.root}}
+		t.splitChild(t.root, 0)
+	}
+	// Descend splitting every full node on the way, so the leaf has room.
+	it := item{bytes.Clone(key), prefix(key), val}
+	n := t.root
+	for {
+		i, _ := n.search(key, it.pfx)
+		if n.kids == nil {
+			n.insertItem(i, it)
+			return
+		}
+		c := t.own(n, i)
+		if c.n == maxItems {
+			t.splitChild(n, i)
+			continue // the median moved up into n: look again
+		}
+		n = c
+	}
+}
+
+// splitChild splits p's full, writable i-th child around its median item,
+// which moves up into p.
+func (t *Tree) splitChild(p *node, i int) {
+	c := p.kids[i]
+	r := &node{epoch: t.epoch}
+	if c.kids != nil {
+		r.kids = new([maxItems + 1]*node)
+	}
+	r.appendItems(c, minItems+1)
+	p.insertItem(i, c.item(minItems))
+	p.insertKid(i+1, r)
+	clear(c.keys[minItems:])
+	if c.kids != nil {
+		clear(c.kids[minItems+1:])
+	}
+	c.n = minItems
+}
+
 func (t *Tree) deleteLocked(key []byte) bool {
-	st := t.state.Load()
-	if _, ok := (Snapshot{st}).Get(key); !ok {
+	if n, _ := find(t.root, key); n == nil {
 		return false
 	}
-	h := clone(st.root)
-	if !isRed(h.left) && !isRed(h.right) {
-		h.red = true
+	t.changed(-1)
+	t.remove(t.root, key, prefix(key), false)
+	if t.root.n == 0 {
+		if t.root.kids != nil {
+			t.root = t.root.kids[0]
+		} else {
+			t.root = nil
+		}
 	}
-	h = del(h, key)
-	if h != nil {
-		h.red = false
-	}
-	t.state.Store(&treeState{root: h, len: st.len - 1, ver: st.ver + 1})
 	return true
 }
 
-// Snapshot returns an immutable view of the tree's current version. Taking
-// one is a single atomic load; holding one pins that version's nodes (not
-// any value bytes) until the last reference is dropped.
-func (t *Tree) Snapshot() Snapshot { return Snapshot{t.state.Load()} }
+// remove deletes key — or, with max set, the largest item — from the subtree
+// of writable node n, which holds it, and returns the removed item. Every
+// node it descends into is first grown above minItems, so a removal never
+// has to propagate back up.
+func (t *Tree) remove(n *node, key []byte, kp uint64, max bool) item {
+	for {
+		i, found := n.n, false
+		if !max {
+			i, found = n.search(key, kp)
+		}
+		if n.kids == nil {
+			if max {
+				i--
+			}
+			return n.removeItem(i)
+		}
+		if n.kids[i].n <= minItems {
+			t.grow(n, i) // moves items around: look again
+			continue
+		}
+		c := t.own(n, i)
+		if found { // replace an interior item by its predecessor
+			it := n.item(i)
+			n.setItem(i, t.remove(c, nil, 0, true))
+			return it
+		}
+		n = c
+	}
+}
 
-// Snapshot is one frozen tree version. The zero value behaves as an empty
-// tree.
-type Snapshot struct{ st *treeState }
+// grow gives p's i-th child an item more than minItems: one rotated through
+// p from a sibling that can spare it, else by merging it with a sibling.
+func (t *Tree) grow(p *node, i int) {
+	switch {
+	case i > 0 && p.kids[i-1].n > minItems:
+		c, l := t.own(p, i), t.own(p, i-1)
+		c.insertItem(0, p.item(i-1))
+		p.setItem(i-1, l.removeItem(l.n-1))
+		if c.kids != nil {
+			c.insertKid(0, l.kids[l.n+1])
+			l.removeKid(l.n + 1)
+		}
+	case i < p.n && p.kids[i+1].n > minItems:
+		c, r := t.own(p, i), t.own(p, i+1)
+		c.insertItem(c.n, p.item(i))
+		p.setItem(i, r.removeItem(0))
+		if c.kids != nil {
+			c.insertKid(c.n, r.kids[0])
+			r.removeKid(0)
+		}
+	default:
+		if i == p.n {
+			i--
+		}
+		// Child i absorbs separator i and child i+1, which is only read.
+		l, r := t.own(p, i), p.kids[i+1]
+		l.insertItem(l.n, p.removeItem(i))
+		p.removeKid(i + 1)
+		l.appendItems(r, 0)
+	}
+}
+
+// ---- snapshots ----
+
+// Snapshot is one frozen key sequence of a tree (see the package comment for
+// what is frozen and what is not). The zero value is an empty tree.
+type Snapshot struct {
+	root *node
+	len  int
+	ver  uint64
+}
 
 // Len returns the snapshot's key count.
-func (s Snapshot) Len() int {
-	if s.st == nil {
-		return 0
-	}
-	return s.st.len
-}
+func (s Snapshot) Len() int { return s.len }
 
-// Version returns the snapshot's version number.
-func (s Snapshot) Version() uint64 {
-	if s.st == nil {
-		return 0
-	}
-	return s.st.ver
-}
+// Version returns the tree's Version when the snapshot was taken.
+func (s Snapshot) Version() uint64 { return s.ver }
 
-// Get returns the payload stored under key in this version.
-func (s Snapshot) Get(key []byte) (uint64, bool) {
-	if s.st == nil {
-		return 0, false
-	}
-	n := s.st.root
-	for n != nil {
-		switch cmp := bytes.Compare(key, n.key); {
-		case cmp < 0:
-			n = n.left
-		case cmp > 0:
-			n = n.right
-		default:
-			return n.val, true
-		}
-	}
-	return 0, false
-}
+// Get returns the payload stored under key, if the snapshot holds key.
+func (s Snapshot) Get(key []byte) (uint64, bool) { return get(s.root, key) }
 
 // Ascend calls fn for every key in [start, end) in ascending order, stopping
 // early when fn returns false. A nil/empty start means the smallest key; a
 // nil/empty end means no upper bound. The key slice passed to fn aliases the
-// node's own copy and must not be mutated.
+// tree's own copy and must not be mutated.
 func (s Snapshot) Ascend(start, end []byte, fn func(key []byte, val uint64) bool) {
-	if s.st == nil {
-		return
+	it := s.Iter(start, end)
+	for k, v, ok := it.Next(); ok && fn(k, v); k, v, ok = it.Next() {
 	}
-	if len(start) == 0 {
-		start = nil
-	}
-	if len(end) == 0 {
-		end = nil
-	}
-	ascend(s.st.root, start, end, fn)
 }
 
-func ascend(n *node, start, end []byte, fn func([]byte, uint64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if start != nil && bytes.Compare(n.key, start) < 0 {
-		// n and its whole left subtree sort below start.
-		return ascend(n.right, start, end, fn)
-	}
-	if end != nil && bytes.Compare(n.key, end) >= 0 {
-		// n and its whole right subtree sort at or above end.
-		return ascend(n.left, start, end, fn)
-	}
-	if !ascend(n.left, start, end, fn) {
-		return false
-	}
-	if !fn(n.key, n.val) {
-		return false
-	}
-	return ascend(n.right, start, end, fn)
-}
-
-// Iter is an explicit-stack in-order iterator over one snapshot, used by the
-// store's N-way shard merge (a callback can't be paused; this can). Not safe
-// for concurrent use; cheap to create per scan.
+// Iter is an in-order iterator over one snapshot, used by the store's N-way
+// shard merge (a callback can't be paused; this can). It allocates nothing
+// and is not safe for concurrent use.
 type Iter struct {
-	stack []*node
+	// stack[:depth] is the path to the next item: stack[depth-1] yields its
+	// item i next, every frame above it resumes at its item i once the
+	// subtree below is exhausted.
+	stack [maxDepth]struct {
+		n *node
+		i int
+	}
+	depth int
 	end   []byte
 }
 
@@ -248,175 +449,47 @@ func (s Snapshot) Iter(start, end []byte) Iter {
 	if len(end) > 0 {
 		it.end = end
 	}
-	if s.st == nil {
-		return it
-	}
-	if len(start) == 0 {
-		start = nil
-	}
-	n := s.st.root
-	for n != nil {
-		if start != nil && bytes.Compare(n.key, start) < 0 {
-			n = n.right
-		} else {
-			it.stack = append(it.stack, n)
-			n = n.left
+	sp := prefix(start)
+	for n := s.root; n != nil; {
+		i, found := n.search(start, sp)
+		it.push(n, i)
+		if found || n.kids == nil {
+			break
 		}
+		n = n.kids[i]
 	}
 	return it
 }
 
+func (it *Iter) push(n *node, i int) {
+	it.stack[it.depth].n, it.stack[it.depth].i = n, i
+	it.depth++
+}
+
 // Next returns the next key and payload, or ok=false when the range is
-// exhausted. The key slice aliases the snapshot's node and must not be
+// exhausted. The key slice aliases the tree's own copy and must not be
 // mutated.
 func (it *Iter) Next() (key []byte, val uint64, ok bool) {
-	if len(it.stack) == 0 {
-		return nil, 0, false
-	}
-	n := it.stack[len(it.stack)-1]
-	it.stack = it.stack[:len(it.stack)-1]
-	if it.end != nil && bytes.Compare(n.key, it.end) >= 0 {
-		// Everything still stacked is an in-order successor of n, hence
-		// also ≥ end: the iteration is over.
-		it.stack = it.stack[:0]
-		return nil, 0, false
-	}
-	for c := n.right; c != nil; c = c.left {
-		it.stack = append(it.stack, c)
-	}
-	return n.key, n.val, true
-}
-
-// ---- path-copying LLRB internals ----
-//
-// Ownership convention: every function below that mutates a node receives it
-// already cloned ("owned" by the in-progress write) — insert/del clone on
-// the way down, and rotations/color flips clone the children they touch.
-// Over-cloning an already-owned node is harmless, so helpers err on the side
-// of cloning.
-
-// insert returns the owned root of the subtree with key set, and whether the
-// key was newly added.
-func insert(h *node, key []byte, val uint64) (*node, bool) {
-	if h == nil {
-		return &node{key: append([]byte(nil), key...), val: val, red: true}, true
-	}
-	h = clone(h)
-	var added bool
-	switch cmp := bytes.Compare(key, h.key); {
-	case cmp < 0:
-		h.left, added = insert(h.left, key, val)
-	case cmp > 0:
-		h.right, added = insert(h.right, key, val)
-	default:
-		h.val = val
-	}
-	return fixUp(h), added
-}
-
-// del removes key from the subtree rooted at owned node h. The caller has
-// verified the key is present.
-func del(h *node, key []byte) *node {
-	if bytes.Compare(key, h.key) < 0 {
-		if !isRed(h.left) && !isRed(h.left.left) {
-			h = moveRedLeft(h)
+	for it.depth > 0 {
+		f := &it.stack[it.depth-1]
+		n, i := f.n, f.i
+		if i == n.n {
+			it.depth--
+			continue
 		}
-		h.left = del(clone(h.left), key)
-	} else {
-		if isRed(h.left) {
-			h = rotateRight(h)
+		if it.end != nil && bytes.Compare(n.keys[i], it.end) >= 0 {
+			it.depth = 0
+			break
 		}
-		if bytes.Equal(key, h.key) && h.right == nil {
-			return nil
-		}
-		if !isRed(h.right) && !isRed(h.right.left) {
-			h = moveRedRight(h)
-		}
-		if bytes.Equal(key, h.key) {
-			m := h.right
-			for m.left != nil {
-				m = m.left
+		f.i++
+		if n.kids != nil { // next up: the smallest key right of item i
+			c := n.kids[i+1]
+			for ; c.kids != nil; c = c.kids[0] {
+				it.push(c, 0)
 			}
-			// The successor's key slice is immutable and may be shared.
-			h.key, h.val = m.key, m.val
-			h.right = deleteMin(clone(h.right))
-		} else {
-			h.right = del(clone(h.right), key)
+			it.push(c, 0)
 		}
+		return n.keys[i], atomic.LoadUint64(&n.vals[i]), true
 	}
-	return fixUp(h)
-}
-
-// deleteMin removes the smallest key of the subtree rooted at owned node h.
-func deleteMin(h *node) *node {
-	if h.left == nil {
-		return nil
-	}
-	if !isRed(h.left) && !isRed(h.left.left) {
-		h = moveRedLeft(h)
-	}
-	h.left = deleteMin(clone(h.left))
-	return fixUp(h)
-}
-
-func rotateLeft(h *node) *node {
-	x := clone(h.right)
-	h.right = x.left
-	x.left = h
-	x.red = h.red
-	h.red = true
-	return x
-}
-
-func rotateRight(h *node) *node {
-	x := clone(h.left)
-	h.left = x.right
-	x.right = h
-	x.red = h.red
-	h.red = true
-	return x
-}
-
-func flipColors(h *node) {
-	h.red = !h.red
-	if h.left != nil {
-		h.left = clone(h.left)
-		h.left.red = !h.left.red
-	}
-	if h.right != nil {
-		h.right = clone(h.right)
-		h.right.red = !h.right.red
-	}
-}
-
-func moveRedLeft(h *node) *node {
-	flipColors(h)
-	if h.right != nil && isRed(h.right.left) {
-		h.right = rotateRight(clone(h.right))
-		h = rotateLeft(h)
-		flipColors(h)
-	}
-	return h
-}
-
-func moveRedRight(h *node) *node {
-	flipColors(h)
-	if h.left != nil && isRed(h.left.left) {
-		h = rotateRight(h)
-		flipColors(h)
-	}
-	return h
-}
-
-func fixUp(h *node) *node {
-	if isRed(h.right) && !isRed(h.left) {
-		h = rotateLeft(h)
-	}
-	if isRed(h.left) && isRed(h.left.left) {
-		h = rotateRight(h)
-	}
-	if isRed(h.left) && isRed(h.right) {
-		flipColors(h)
-	}
-	return h
+	return nil, 0, false
 }

@@ -2,52 +2,83 @@ package ordered
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// checkInvariants verifies the LLRB shape: BST order, no red right links, no
-// two consecutive red left links, uniform black height, black root.
-func checkInvariants(t *testing.T, s Snapshot) {
+var seedFlag = flag.Int64("ordered.seed", 0, "seed for the randomized tree tests (0 = from the clock)")
+
+// newRand returns the randomized tests' source and logs its seed, which a
+// failing run prints; -ordered.seed feeds it back.
+func newRand(t *testing.T) *rand.Rand {
+	seed := *seedFlag
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	t.Logf("reproduce with -ordered.seed=%d", seed)
+	return rand.New(rand.NewSource(seed))
+}
+
+// checkInvariants verifies the B-tree shape beneath root: keys strictly
+// ascending in order, every node but the root between minItems and maxItems
+// full, all leaves at one depth, no stale slots, and wantLen items in all.
+func checkInvariants(t *testing.T, root *node, wantLen int) {
 	t.Helper()
-	if s.st == nil || s.st.root == nil {
-		return
-	}
-	if s.st.root.red {
-		t.Fatalf("root is red")
-	}
 	var prev []byte
-	first := true
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		if n == nil {
-			return 1
+	items := 0
+	var walk func(n *node, isRoot bool) int
+	walk = func(n *node, isRoot bool) int {
+		if n.n > maxItems || n.n < 1 || (!isRoot && n.n < minItems) {
+			t.Fatalf("node fill %d outside bounds (root=%v)", n.n, isRoot)
 		}
-		if isRed(n.right) {
-			t.Fatalf("red right link at %q", n.key)
+		for _, k := range n.keys[n.n:] {
+			if k != nil {
+				t.Fatalf("stale key %q beyond n=%d", k, n.n)
+			}
 		}
-		if isRed(n) && isRed(n.left) {
-			t.Fatalf("two consecutive red links at %q", n.key)
+		depth := 0
+		for i := 0; i <= n.n; i++ {
+			if n.kids != nil {
+				if d := walk(n.kids[i], false); i > 0 && d != depth {
+					t.Fatalf("leaf depth differs under one node: %d vs %d", d, depth)
+				} else {
+					depth = d
+				}
+			}
+			if i < n.n {
+				if prev != nil && bytes.Compare(prev, n.keys[i]) >= 0 {
+					t.Fatalf("order violated: %q then %q", prev, n.keys[i])
+				}
+				prev = n.keys[i]
+				items++
+			}
 		}
-		lh := walk(n.left)
-		if !first && bytes.Compare(prev, n.key) >= 0 {
-			t.Fatalf("BST order violated: %q then %q", prev, n.key)
+		if n.kids != nil {
+			for _, c := range n.kids[n.n+1:] {
+				if c != nil {
+					t.Fatalf("stale child beyond n=%d", n.n)
+				}
+			}
 		}
-		prev, first = n.key, false
-		rh := walk(n.right)
-		if lh != rh {
-			t.Fatalf("black height mismatch at %q: %d vs %d", n.key, lh, rh)
-		}
-		if n.red {
-			return lh
-		}
-		return lh + 1
+		return depth + 1
 	}
-	walk(s.st.root)
+	if root != nil {
+		walk(root, true)
+	}
+	if items != wantLen {
+		t.Fatalf("tree holds %d items, want %d", items, wantLen)
+	}
+}
+
+func checkTree(t *testing.T, tr *Tree) {
+	t.Helper()
+	checkInvariants(t, tr.root, tr.Len())
 }
 
 func collect(s Snapshot, start, end []byte) (keys []string, vals []uint64) {
@@ -59,6 +90,15 @@ func collect(s Snapshot, start, end []byte) (keys []string, vals []uint64) {
 	return
 }
 
+func sortedKeys(m map[string]uint64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func TestTreeBasic(t *testing.T) {
 	tr := New()
 	if tr.Len() != 0 || tr.Version() != 0 {
@@ -67,259 +107,368 @@ func TestTreeBasic(t *testing.T) {
 	tr.Set([]byte("b"), 2)
 	tr.Set([]byte("a"), 1)
 	tr.Set([]byte("c"), 3)
-	if tr.Len() != 3 {
-		t.Fatalf("len=%d want 3", tr.Len())
+	if v, ok := tr.Get([]byte("b")); !ok || v != 2 || tr.Len() != 3 {
+		t.Fatalf("Get(b)=%d,%v len=%d", v, ok, tr.Len())
 	}
-	if v, ok := tr.Get([]byte("b")); !ok || v != 2 {
-		t.Fatalf("Get(b)=%d,%v", v, ok)
+	ver := tr.Version()
+	tr.Set([]byte("b"), 22) // overwrite: same key set, same version
+	if v, _ := tr.Get([]byte("b")); v != 22 || tr.Len() != 3 || tr.Version() != ver {
+		t.Fatalf("after overwrite: b=%d len=%d ver=%d (was %d)", v, tr.Len(), tr.Version(), ver)
 	}
-	tr.Set([]byte("b"), 22) // overwrite: len stable, version bumps
-	if tr.Len() != 3 {
-		t.Fatalf("len after overwrite=%d", tr.Len())
+	if !tr.Delete([]byte("a")) || tr.Delete([]byte("zzz")) {
+		t.Fatalf("Delete: present key reported absent or absent key present")
 	}
-	if v, _ := tr.Get([]byte("b")); v != 22 {
-		t.Fatalf("overwrite lost: %d", v)
-	}
-	if !tr.Delete([]byte("a")) {
-		t.Fatalf("Delete(a) reported absent")
-	}
-	if tr.Delete([]byte("zzz")) {
-		t.Fatalf("Delete of absent key reported present")
-	}
-	if _, ok := tr.Get([]byte("a")); ok {
-		t.Fatalf("deleted key still present")
+	if _, ok := tr.Get([]byte("a")); ok || tr.Version() != ver+1 {
+		t.Fatalf("deleted key still present, or version %d != %d", tr.Version(), ver+1)
 	}
 	keys, vals := collect(tr.Snapshot(), nil, nil)
 	if fmt.Sprint(keys) != "[b c]" || fmt.Sprint(vals) != "[22 3]" {
 		t.Fatalf("iteration got %v / %v", keys, vals)
 	}
-	checkInvariants(t, tr.Snapshot())
+	tr.Update([]byte("c"), func() (uint64, bool) { return 0, false })
+	tr.Update([]byte("d"), func() (uint64, bool) { return 4, true })
+	if keys, _ := collect(tr.Snapshot(), nil, nil); fmt.Sprint(keys) != "[b d]" {
+		t.Fatalf("after Update: %v", keys)
+	}
+	tr.Delete([]byte("b"))
+	tr.Delete([]byte("d"))
+	if tr.Len() != 0 || tr.root != nil {
+		t.Fatalf("emptied tree: len=%d root=%v", tr.Len(), tr.root)
+	}
 }
 
-func TestTreeDeleteIf(t *testing.T) {
+// TestPrefixTies orders keys whose inlined eight-byte prefixes say nothing or
+// too little: shorter than eight bytes, zero bytes where the padding would be,
+// and equal up to the eighth byte.
+func TestPrefixTies(t *testing.T) {
+	want := []string{"", "\x00", "\x00\x00", "\x00a", "a", "a\x00", "a\x00\x00", "a\x00b", "ab",
+		"abcdefg", "abcdefg\x00", "abcdefgh", "abcdefgh\x00", "abcdefgh\x00z", "abcdefgha", "abcdefghb", "abcdefgi"}
+	if !sort.StringsAreSorted(want) {
+		t.Fatal("the test's own list is out of order")
+	}
 	tr := New()
-	tr.Set([]byte("k"), 7)
-	if tr.DeleteIf([]byte("k"), 8) {
-		t.Fatal("DeleteIf removed a key whose payload differs")
+	for _, i := range rand.New(rand.NewSource(5)).Perm(len(want)) {
+		tr.Set([]byte(want[i]), uint64(i))
 	}
-	if v, ok := tr.Get([]byte("k")); !ok || v != 7 {
-		t.Fatalf("mismatched DeleteIf mutated the tree: %d,%v", v, ok)
+	if keys, _ := collect(tr.Snapshot(), nil, nil); fmt.Sprintf("%q", keys) != fmt.Sprintf("%q", want) {
+		t.Fatalf("order: got %q want %q", keys, want)
 	}
-	if tr.DeleteIf([]byte("absent"), 7) {
-		t.Fatal("DeleteIf removed an absent key")
-	}
-	if !tr.DeleteIf([]byte("k"), 7) {
-		t.Fatal("matching DeleteIf failed")
-	}
-	if _, ok := tr.Get([]byte("k")); ok || tr.Len() != 0 {
-		t.Fatal("matching DeleteIf left the key behind")
-	}
-	checkInvariants(t, tr.Snapshot())
-}
-
-func TestTreeKeyBufferReuse(t *testing.T) {
-	// Set must copy the key: the caller reuses its buffer.
-	tr := New()
-	buf := make([]byte, 4)
-	for i := 0; i < 10; i++ {
-		copy(buf, fmt.Sprintf("k%03d", i))
-		tr.Set(buf, uint64(i))
-	}
-	if tr.Len() != 10 {
-		t.Fatalf("len=%d want 10", tr.Len())
-	}
-	keys, _ := collect(tr.Snapshot(), nil, nil)
-	for i, k := range keys {
-		if want := fmt.Sprintf("k%03d", i); k != want {
-			t.Fatalf("key %d = %q want %q (aliased caller buffer?)", i, k, want)
+	for i, k := range want {
+		if v, ok := tr.Get([]byte(k)); !ok || v != uint64(i) {
+			t.Fatalf("Get(%q) = %d,%v want %d", k, v, ok, i)
+		}
+		if keys, _ := collect(tr.Snapshot(), []byte(k), nil); len(keys) != len(want)-i && k != "" {
+			t.Fatalf("scan from %q returned %d keys, want %d", k, len(keys), len(want)-i)
 		}
 	}
 }
 
+// TestTreeRandomOpsVsOracle runs random sets and deletes — with snapshots
+// taken along the way, so copied and owned nodes mix — against a map, checking
+// the shape invariants throughout and the full contents at the end, then
+// deletes every key so the tree loses its levels again. Every key goes in
+// through one reused buffer: Set must copy it.
 func TestTreeRandomOpsVsOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := newRand(t)
 	tr := New()
 	oracle := map[string]uint64{}
-	for op := 0; op < 20000; op++ {
-		k := []byte(fmt.Sprintf("key-%04d", rng.Intn(3000)))
+	var k []byte
+	for op := 0; op < 40000; op++ {
+		k = k[:0]
+		if n := rng.Intn(6000); n%2 == 0 { // half the keys tie on their first eight bytes
+			k = append(k, "the-same-prefix-"...)
+		}
+		k = fmt.Appendf(k, "key-%04d", rng.Intn(6000))
 		if rng.Intn(3) == 0 {
+			_, want := oracle[string(k)]
 			delete(oracle, string(k))
-			tr.Delete(k)
+			if got := tr.Delete(k); got != want {
+				t.Fatalf("Delete(%q)=%v want %v", k, got, want)
+			}
 		} else {
 			v := rng.Uint64()
 			oracle[string(k)] = v
 			tr.Set(k, v)
 		}
+		if op%500 == 0 {
+			tr.Snapshot()
+		}
 		if op%997 == 0 {
-			checkInvariants(t, tr.Snapshot())
+			checkTree(t, tr)
 		}
 	}
-	checkInvariants(t, tr.Snapshot())
-	if tr.Len() != len(oracle) {
-		t.Fatalf("len=%d oracle=%d", tr.Len(), len(oracle))
-	}
-	want := make([]string, 0, len(oracle))
-	for k := range oracle {
-		want = append(want, k)
-	}
-	sort.Strings(want)
+	checkTree(t, tr)
+	want := sortedKeys(oracle)
 	keys, vals := collect(tr.Snapshot(), nil, nil)
-	if len(keys) != len(want) {
-		t.Fatalf("iterated %d keys, oracle has %d", len(keys), len(want))
+	if len(keys) != len(want) || tr.Len() != len(want) {
+		t.Fatalf("iterated %d keys, len %d, oracle has %d", len(keys), tr.Len(), len(want))
 	}
 	for i, k := range keys {
-		if k != want[i] {
-			t.Fatalf("key %d = %q want %q", i, k, want[i])
+		if k != want[i] || vals[i] != oracle[k] {
+			t.Fatalf("entry %d = %q/%d want %q/%d", i, k, vals[i], want[i], oracle[want[i]])
 		}
-		if vals[i] != oracle[k] {
-			t.Fatalf("val[%q] = %d want %d", k, vals[i], oracle[k])
+		if v, ok := tr.Get([]byte(k)); !ok || v != vals[i] {
+			t.Fatalf("Get(%q) = %d,%v want %d", k, v, ok, vals[i])
 		}
+	}
+	rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	for i, k := range want {
+		if !tr.Delete([]byte(k)) {
+			t.Fatalf("Delete(%q) of a live key reported absent", k)
+		}
+		if i%97 == 0 {
+			checkTree(t, tr)
+		}
+	}
+	if tr.Len() != 0 || tr.root != nil {
+		t.Fatalf("emptied tree: len=%d root=%v", tr.Len(), tr.root)
 	}
 }
 
 func TestAscendBounds(t *testing.T) {
 	tr := New()
-	for i := 0; i < 100; i++ {
-		tr.Set([]byte(fmt.Sprintf("k%02d", i)), uint64(i))
+	for i := 0; i < 1000; i++ {
+		tr.Set([]byte(fmt.Sprintf("k%03d", i)), uint64(i))
 	}
 	s := tr.Snapshot()
-	keys, _ := collect(s, []byte("k10"), []byte("k20"))
-	if len(keys) != 10 || keys[0] != "k10" || keys[9] != "k19" {
-		t.Fatalf("bounded scan got %v", keys)
+	for _, c := range []struct{ start, end, want string }{
+		{"k100", "k110", "[k100 k101 k102 k103 k104 k105 k106 k107 k108 k109]"},
+		{"", "k003", "[k000 k001 k002]"},  // empty start: from the smallest key
+		{"k997", "", "[k997 k998 k999]"},  // empty end: unbounded
+		{"k100a", "k103", "[k101 k102]"},  // start between keys: next key up
+		{"k500", "k500", "[]"},            // empty range
+		{"k5", "k4", "[]"},                // inverted range
+		{"zzz", "", "[]"},                 // past every key
+		{"k031", "k033", "[k031 k032]"},   // start on an interior-node item
+		{"k0305", "k0325", "[k031 k032]"}, // and just around one
+		{"k99", "k999\x00", "[k990 k991 k992 k993 k994 k995 k996 k997 k998 k999]"},
+	} {
+		if keys, _ := collect(s, []byte(c.start), []byte(c.end)); fmt.Sprint(keys) != c.want {
+			t.Errorf("[%q,%q) got %v want %s", c.start, c.end, keys, c.want)
+		}
 	}
-	// start inclusive, end exclusive, empty bounds unbounded
-	if keys, _ := collect(s, nil, []byte("k03")); fmt.Sprint(keys) != "[k00 k01 k02]" {
-		t.Fatalf("end-bounded scan got %v", keys)
-	}
-	if keys, _ := collect(s, []byte("k97"), nil); fmt.Sprint(keys) != "[k97 k98 k99]" {
-		t.Fatalf("start-bounded scan got %v", keys)
-	}
-	// start between keys: begins at the next key up
-	if keys, _ := collect(s, []byte("k10a"), []byte("k13")); fmt.Sprint(keys) != "[k11 k12]" {
-		t.Fatalf("between-keys start got %v", keys)
-	}
-	// early stop via callback
 	n := 0
 	s.Ascend(nil, nil, func(k []byte, v uint64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
 	}
-	// empty range
-	if keys, _ := collect(s, []byte("k50"), []byte("k50")); len(keys) != 0 {
-		t.Fatalf("empty range got %v", keys)
-	}
 }
 
 func TestIterMatchesAscend(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := newRand(t)
 	tr := New()
-	for i := 0; i < 500; i++ {
-		tr.Set([]byte(fmt.Sprintf("%05d", rng.Intn(2000))), uint64(i))
+	oracle := map[string]uint64{}
+	for i := 0; i < 5000; i++ {
+		k := fmt.Sprintf("%05d", rng.Intn(20000))
+		oracle[k] = uint64(i)
+		tr.Set([]byte(k), uint64(i))
 	}
+	all := sortedKeys(oracle)
 	s := tr.Snapshot()
-	bounds := [][2][]byte{
-		{nil, nil},
-		{[]byte("00500"), []byte("01500")},
-		{[]byte("01999"), nil},
-		{nil, []byte("00001")},
-		{[]byte("abc"), nil}, // past every key
-	}
-	for _, b := range bounds {
-		wantK, wantV := collect(s, b[0], b[1])
-		it := s.Iter(b[0], b[1])
-		var gotK []string
-		var gotV []uint64
-		for {
-			k, v, ok := it.Next()
-			if !ok {
-				break
+	for round := 0; round < 200; round++ {
+		var start, end []byte
+		if round > 0 { // round 0 is the unbounded scan
+			start = []byte(fmt.Sprintf("%05d", rng.Intn(21000)))
+			end = []byte(fmt.Sprintf("%05d", rng.Intn(21000)))
+			if rng.Intn(4) == 0 {
+				end = nil
 			}
-			gotK = append(gotK, string(k))
-			gotV = append(gotV, v)
 		}
-		if fmt.Sprint(gotK) != fmt.Sprint(wantK) || fmt.Sprint(gotV) != fmt.Sprint(wantV) {
-			t.Fatalf("Iter(%q,%q) = %v, Ascend = %v", b[0], b[1], gotK, wantK)
+		lo := sort.SearchStrings(all, string(start))
+		hi := len(all)
+		if end != nil {
+			hi = max(lo, sort.SearchStrings(all, string(end)))
+		}
+		want := fmt.Sprint(all[lo:hi])
+		if keys, _ := collect(s, start, end); fmt.Sprint(keys) != want {
+			t.Fatalf("Ascend(%q,%q) = %v, want %v", start, end, keys, want)
+		}
+		var got []string
+		it := s.Iter(start, end)
+		for k, v, ok := it.Next(); ok; k, v, ok = it.Next() {
+			if v != oracle[string(k)] {
+				t.Fatalf("Iter payload of %q = %d want %d", k, v, oracle[string(k)])
+			}
+			got = append(got, string(k))
+		}
+		if fmt.Sprint(got) != want {
+			t.Fatalf("Iter(%q,%q) = %v, want %v", start, end, got, want)
+		}
+		if _, _, ok := it.Next(); ok {
+			t.Fatalf("exhausted Iter yielded again")
 		}
 	}
 }
 
-// TestSnapshotIsolation pins the MVCC contract this package exists for: a
-// snapshot is ONE frozen version. Iterating it during and after heavy
-// concurrent churn — including deleting every key it contains — must yield
-// byte-identical results every pass. An in-place (non-COW) tree fails this
-// immediately: concurrent rotations tear the in-order walk.
+// frozenNode is a deep copy of what a snapshot can reach through one node.
+type frozenNode struct {
+	n    *node
+	keys []string
+	kids []*node
+}
+
+func freeze(n *node, out []frozenNode) []frozenNode {
+	if n == nil {
+		return out
+	}
+	f := frozenNode{n: n}
+	for _, k := range n.keys[:n.n] {
+		f.keys = append(f.keys, string(k))
+	}
+	if n.kids != nil {
+		f.kids = append(f.kids, n.kids[:n.n+1]...)
+	}
+	out = append(out, f)
+	for _, c := range f.kids {
+		out = freeze(c, out)
+	}
+	return out
+}
+
+// TestNoWriteReachesSharedNode is the copy-on-write rule itself: after a
+// snapshot, no amount of churn may change the item count, a key or a child
+// pointer of any node the snapshot can reach (payloads are exempt: an
+// overwrite stores into a shared node by design).
+func TestNoWriteReachesSharedNode(t *testing.T) {
+	rng := newRand(t)
+	tr := New()
+	for i := 0; i < 20000; i++ {
+		tr.Set([]byte(fmt.Sprintf("k%06d", rng.Intn(40000))), uint64(i))
+	}
+	snap := tr.Snapshot()
+	before := freeze(snap.root, nil)
+	for i := 0; i < 60000; i++ {
+		k := []byte(fmt.Sprintf("k%06d", rng.Intn(40000)))
+		if rng.Intn(2) == 0 {
+			tr.Delete(k)
+		} else {
+			tr.Set(k, uint64(i))
+		}
+	}
+	checkTree(t, tr)
+	for _, f := range before {
+		if f.n.n != len(f.keys) {
+			t.Fatalf("shared node resized: %d -> %d items", len(f.keys), f.n.n)
+		}
+		for i, k := range f.keys {
+			if string(f.n.keys[i]) != k {
+				t.Fatalf("shared node key %d rewritten: %q -> %q", i, k, f.n.keys[i])
+			}
+		}
+		for i, c := range f.kids {
+			if f.n.kids[i] != c {
+				t.Fatalf("shared node child %d repointed", i)
+			}
+		}
+	}
+	checkInvariants(t, snap.root, snap.Len())
+}
+
+// TestSnapshotsOfDifferentAges keeps several snapshots outstanding while the
+// key set churns; each must keep replaying exactly the key sequence, Len and
+// Version it was taken at, however many versions behind it is.
+func TestSnapshotsOfDifferentAges(t *testing.T) {
+	rng := newRand(t)
+	tr := New()
+	oracle := map[string]uint64{}
+	type aged struct {
+		snap Snapshot
+		keys []string
+		ver  uint64
+	}
+	var held []aged
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 1500; i++ {
+			k := fmt.Sprintf("k%05d", rng.Intn(8000))
+			if rng.Intn(5) < 2 {
+				delete(oracle, k)
+				tr.Delete([]byte(k))
+			} else {
+				oracle[k] = uint64(i)
+				tr.Set([]byte(k), uint64(i))
+			}
+		}
+		s := tr.Snapshot()
+		if e := tr.epoch; tr.Snapshot() != s || tr.epoch != e {
+			t.Fatalf("round %d: a second snapshot of an unchanged tree differs or retired another epoch", round)
+		}
+		held = append(held, aged{s, sortedKeys(oracle), tr.Version()})
+		if len(held) > 6 {
+			held = held[rng.Intn(3):] // drop some of the oldest
+		}
+		for _, a := range held {
+			keys, _ := collect(a.snap, nil, nil)
+			if fmt.Sprint(keys) != fmt.Sprint(a.keys) || a.snap.Len() != len(a.keys) || a.snap.Version() != a.ver {
+				t.Fatalf("round %d: snapshot of version %d drifted: %d keys (Len %d, Version %d), want %d",
+					round, a.ver, len(keys), a.snap.Len(), a.snap.Version(), len(a.keys))
+			}
+		}
+		checkTree(t, tr)
+	}
+}
+
+// TestSnapshotIsolation pins the snapshot contract under a concurrent writer
+// (run with -race): the key sequence, Len and Version of a snapshot are
+// frozen — through overwrites, inserts between its keys and the deletion of
+// every key it holds — while each key's payload may move, but only forward
+// along the writer's increasing sequence.
 func TestSnapshotIsolation(t *testing.T) {
 	tr := New()
-	const n = 2000
+	const n = 4000
 	for i := 0; i < n; i++ {
-		tr.Set([]byte(fmt.Sprintf("k%05d", i)), uint64(i))
+		tr.Set([]byte(fmt.Sprintf("k%05d", i)), 0)
 	}
 	snap := tr.Snapshot()
 	wantVer := snap.Version()
-	k0, v0 := collect(snap, nil, nil)
+	k0, last := collect(snap, nil, nil)
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // churn: overwrite, insert, and delete every original key
-		defer wg.Done()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < n; i++ {
 			// Overwrite only keys not yet deleted (index ≥ i), so the final
 			// live state is exactly the "new" keys.
-			tr.Set([]byte(fmt.Sprintf("k%05d", i+rng.Intn(n-i))), rng.Uint64())
-			tr.Set([]byte(fmt.Sprintf("new%05d", i)), uint64(i))
+			tr.Set([]byte(fmt.Sprintf("k%05d", i+rng.Intn(n-i))), uint64(i+1))
+			tr.Set([]byte(fmt.Sprintf("k%05d.new", i)), uint64(i+1))
 			tr.Delete([]byte(fmt.Sprintf("k%05d", i)))
 		}
-		close(stop)
 	}()
-
-	for pass := 0; ; pass++ {
-		k, v := collect(snap, nil, nil)
-		if len(k) != n {
-			t.Errorf("pass %d: snapshot shrank to %d keys", pass, len(k))
-			break
-		}
-		for i := range k {
-			if k[i] != k0[i] || v[i] != v0[i] {
-				t.Errorf("pass %d: entry %d changed: %q/%d vs %q/%d",
-					pass, i, k[i], v[i], k0[i], v0[i])
-				break
-			}
-		}
-		if snap.Version() != wantVer {
-			t.Errorf("snapshot version moved: %d -> %d", wantVer, snap.Version())
-		}
+	for finished := false; !finished; {
 		select {
-		case <-stop:
-			wg.Wait()
-			// One final pass after all churn: every original key still there.
-			k, _ := collect(snap, nil, nil)
-			if len(k) != n {
-				t.Fatalf("final pass: %d keys, want %d", len(k), n)
-			}
-			// And the live tree moved on: the original keys are gone.
-			if tr.Len() != n {
-				t.Fatalf("live len=%d want %d (new keys only)", tr.Len(), n)
-			}
-			if _, ok := tr.Get([]byte("k00000")); ok {
-				t.Fatalf("live tree still has deleted key")
-			}
-			checkInvariants(t, tr.Snapshot())
-			return
+		case <-done:
+			finished = true // one more pass after all churn
 		default:
 		}
+		k, v := collect(snap, nil, nil)
+		if len(k) != n || snap.Len() != n || snap.Version() != wantVer {
+			t.Fatalf("snapshot moved: %d keys, Len %d, Version %d (want %d, %d)", len(k), snap.Len(), snap.Version(), n, wantVer)
+		}
+		for i := range k {
+			if k[i] != k0[i] {
+				t.Fatalf("entry %d changed key: %q -> %q", i, k0[i], k[i])
+			}
+			if v[i] < last[i] {
+				t.Fatalf("payload of %q went backwards: %d -> %d", k[i], last[i], v[i])
+			}
+		}
+		last = v
 	}
-	wg.Wait()
+	if tr.Len() != n {
+		t.Fatalf("live len=%d want %d (new keys only)", tr.Len(), n)
+	}
+	if _, ok := tr.Get([]byte("k00000")); ok {
+		t.Fatalf("live tree still has deleted key")
+	}
+	checkTree(t, tr)
 }
 
 // TestConcurrentReadersWriters hammers the tree from several writers and
 // snapshot readers at once (run under -race): readers must always observe a
-// sorted, duplicate-free key sequence whose payloads obey the per-key
-// monotonic write protocol.
+// sorted, duplicate-free key sequence of exactly Len keys.
 func TestConcurrentReadersWriters(t *testing.T) {
 	tr := New()
-	const keys = 512
+	const keys = 2048
 	var stop atomic.Bool
 	var writers, readers sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -327,14 +476,11 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		go func(seed int64) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(seed))
-			var gen uint64
-			for !stop.Load() {
+			for gen := uint64(1); !stop.Load(); gen++ {
 				k := []byte(fmt.Sprintf("k%04d", rng.Intn(keys)))
-				switch rng.Intn(4) {
-				case 0:
+				if rng.Intn(4) == 0 {
 					tr.Delete(k)
-				default:
-					gen++
+				} else {
 					tr.Set(k, gen)
 				}
 			}
@@ -366,19 +512,68 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	readers.Wait()
 	stop.Store(true)
 	writers.Wait()
-	checkInvariants(t, tr.Snapshot())
+	checkTree(t, tr)
 }
 
-func BenchmarkTreeSet(b *testing.B) {
-	tr := New()
-	keys := make([][]byte, 4096)
+// benchKeys returns 2^20 shuffled 16-byte keys: hashed ids, which differ
+// within their first eight bytes, or, with shared set, ids behind one
+// eight-byte prefix, which the nodes' inlined prefixes cannot tell apart.
+func benchKeys(shared bool) [][]byte {
+	keys := make([][]byte, 1<<20)
 	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key-%08d", i))
+		if keys[i] = fmt.Appendf(nil, "%08x-userkey", uint32(i)*2654435761); shared {
+			keys[i] = fmt.Appendf(nil, "userkey-%08d", i)
+		}
 	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys
+}
+
+// benchOp times op on a tree holding every key, once per key shape.
+func benchOp(b *testing.B, op func(tr *Tree, key []byte, i int)) {
+	for _, shared := range []bool{false, true} {
+		b.Run(fmt.Sprintf("sharedprefix=%v", shared), func(b *testing.B) {
+			keys := benchKeys(shared)
+			tr := New()
+			for i, k := range keys {
+				tr.Set(k, uint64(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(tr, keys[i%len(keys)], i)
+			}
+		})
+	}
+}
+
+// BenchmarkTreeSet builds a tree nobody snapshots from nothing, key by key.
+func BenchmarkTreeSet(b *testing.B) {
+	keys := benchKeys(false)
+	var tr *Tree
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%len(keys) == 0 {
+			tr = New()
+		}
 		tr.Set(keys[i%len(keys)], uint64(i))
 	}
+}
+
+func BenchmarkTreeOverwrite(b *testing.B) {
+	benchOp(b, func(tr *Tree, k []byte, i int) { tr.Set(k, uint64(i)) })
+}
+
+// One op is a delete plus the insert that puts the key back.
+func BenchmarkTreeDelete(b *testing.B) {
+	benchOp(b, func(tr *Tree, k []byte, i int) { tr.Delete(k); tr.Set(k, uint64(i)) })
+}
+
+// The lazy copy at its most expensive: a snapshot before every delete+insert
+// pair, so each pair copies both its root-to-leaf paths.
+func BenchmarkTreeInsertAfterSnapshot(b *testing.B) {
+	benchOp(b, func(tr *Tree, k []byte, i int) { tr.Snapshot(); tr.Delete(k); tr.Set(k, uint64(i)) })
 }
 
 func BenchmarkSnapshotAscend(b *testing.B) {
@@ -387,6 +582,7 @@ func BenchmarkSnapshotAscend(b *testing.B) {
 		tr.Set([]byte(fmt.Sprintf("key-%08d", i)), uint64(i))
 	}
 	s := tr.Snapshot()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0

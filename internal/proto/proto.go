@@ -119,6 +119,14 @@ const headerLenV2 = 18
 // uint16 offset + uint32 crc.
 const respHeaderLenV2 = 20
 
+// ResponseHeaderLen and ResponseHeaderLenV2 are the bytes a response frame of
+// each version carries ahead of its first response, for callers that size the
+// encoders' dst exactly.
+const (
+	ResponseHeaderLen   = headerLen
+	ResponseHeaderLenV2 = respHeaderLenV2
+)
+
 // queryHeaderLen is op + keyLen + valLen.
 const queryHeaderLen = 7
 

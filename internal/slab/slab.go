@@ -587,7 +587,15 @@ func (a *Allocator) AccessCount(h Handle) (count, stamp uint32, ok bool) {
 
 // Free releases h back to its class's free list. Freeing a dead handle is a
 // no-op (the object may have been concurrently evicted).
-func (a *Allocator) Free(h Handle) {
+func (a *Allocator) Free(h Handle) { a.free(h, nil, false) }
+
+// FreeIfMatch is Free for a handle that was read from an index a while ago:
+// it releases h only if the chunk still stores key. An eviction may have
+// recycled the chunk for another object since the caller looked h up, and a
+// plain Free would kill that live object behind its owner's back.
+func (a *Allocator) FreeIfMatch(h Handle, key []byte) { a.free(h, key, true) }
+
+func (a *Allocator) free(h Handle, key []byte, match bool) {
 	if h == NoHandle {
 		return
 	}
@@ -601,8 +609,12 @@ func (a *Allocator) Free(h Handle) {
 	if idx >= uint64(len(c.meta)) || !c.meta[idx].live {
 		return
 	}
+	w := c.lockedWords(idx)
+	if match && (int(c.meta[idx].keyLen) != len(key) || !chunkBytesEqual(w, headerBytes, key)) {
+		return
+	}
 	c.lruRemove(int32(idx))
-	c.lockedWords(idx)[0].Add(1) // even → odd: kill in-flight readers
+	w[0].Add(1) // even → odd: kill in-flight readers
 	c.meta[idx].live = false
 	c.live--
 	c.free = append(c.free, idx)

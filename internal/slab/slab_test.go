@@ -158,6 +158,27 @@ func TestFreeThenReuseNoEviction(t *testing.T) {
 	}
 }
 
+// TestFreeIfMatchSparesARecycledChunk: a handle looked up before an eviction
+// recycled its chunk names somebody else's live object by the time it is
+// freed; FreeIfMatch must leave that object alone, and free its own.
+func TestFreeIfMatchSparesARecycledChunk(t *testing.T) {
+	cfg := Config{TotalBytes: 1024, SlabBytes: 1024, MinChunk: 1024, MaxChunk: 1024, Growth: 2}
+	a := NewAllocator(cfg) // one chunk: the second Alloc evicts the first
+	stale, _, _ := a.Alloc([]byte("old"), []byte("v"), 1)
+	h, ev, err := a.Alloc([]byte("new"), []byte("w"), 1)
+	if err != nil || ev == nil || h != stale {
+		t.Fatalf("second alloc: h=%v ev=%v err=%v, want the first chunk recycled", h, ev, err)
+	}
+	a.FreeIfMatch(stale, []byte("old"))
+	if !a.MatchKey(h, []byte("new")) {
+		t.Fatal("FreeIfMatch with the evicted key killed the chunk's new object")
+	}
+	a.FreeIfMatch(h, []byte("new"))
+	if a.MatchKey(h, []byte("new")) || a.StatsSnapshot().LiveObjects != 0 {
+		t.Fatal("FreeIfMatch with the resident key freed nothing")
+	}
+}
+
 func TestTouchAccessCounterSampling(t *testing.T) {
 	a := NewAllocator(smallConfig())
 	h, _, _ := a.Alloc([]byte("k"), []byte("v"), 10)

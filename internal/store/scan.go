@@ -1,27 +1,32 @@
-// scan.go implements the MVCC ordered index beside the cuckoo table and the
-// range-scan read path on top of it.
+// scan.go implements the range-scan read path over the ordered index kept
+// beside the cuckoo table.
 //
-// Each shard optionally carries a copy-on-write LLRB (internal/ordered) that
-// the write path keeps in sync with the cuckoo index: a SET upserts the key
-// with its global location, a DELETE (and an eviction victim's retirement)
-// removes it. The tree stores locations, not values, so it costs ~one node
-// per live object regardless of value size and never pins value memory.
+// Each shard optionally carries a B-tree (internal/ordered) that the write
+// path keeps in sync with the cuckoo index: a SET of a new key inserts it with
+// its global location, a SET of a resident key stores the new location into
+// the existing entry, a DELETE (and an eviction victim's retirement) removes
+// it. The tree stores locations, not values, so it costs ~40 bytes per live
+// object regardless of value size and never pins value memory. It is written
+// in place; only nodes a scan's snapshot can still reach are copied first.
 //
-// Scans are MVCC: a Scanner captures every shard's tree snapshot once (one
-// atomic load per shard) and merges them in key order. Writers never block —
-// they publish new tree roots while the scan walks the old ones. The
-// consistency contract is:
+// A Scanner captures every shard's tree snapshot once (O(1) under the tree's
+// writer lock, and the same snapshot as last time while the shard's key set
+// has not changed) and merges them in key order; writers never wait for a
+// scan to finish. The consistency contract is:
 //
 //   - The KEY SET a scan iterates is a point-in-time snapshot per shard
 //     (cross-shard atomicity is not promised — a scan spanning shards may see
 //     shard A slightly older than shard B, like any sharded store).
 //
-//   - VALUES are read live through the slab's per-chunk seqlock, so a scan
-//     never returns torn bytes and never touches reclaimed memory. If the
-//     snapshot's location was recycled by an eviction or overwrite, the scan
-//     falls back to an authoritative point lookup; a key deleted since the
-//     snapshot is skipped. A scan may therefore observe a value NEWER than
-//     its snapshot, but never an older, torn, or foreign one.
+//   - A snapshot entry's LOCATION is a hint, and VALUES are read live: the
+//     location may be newer than the snapshot (an overwrite stores into the
+//     shared entry) or older (the writer has since copied that node), so every
+//     read is verified against the key through the slab's per-chunk seqlock —
+//     a scan never returns torn bytes and never touches reclaimed memory. If
+//     the location was recycled by an eviction or overwrite, the scan falls
+//     back to an authoritative point lookup; a key deleted since the snapshot
+//     is skipped. A scan may therefore observe a value NEWER than its
+//     snapshot, but never an older, torn, or foreign one.
 package store
 
 import (
@@ -42,10 +47,10 @@ type scanHead struct {
 	loc uint64
 }
 
-// Scanner pins one MVCC snapshot of every shard's ordered index and serves
-// any number of range scans from it — the pipeline's batched range merge
-// creates one Scanner per batch so every SCAN in the batch reads the same
-// key-set version. A Scanner is cheap (N atomic loads); it is not safe for
+// Scanner pins one snapshot of every shard's ordered index and serves any
+// number of range scans from it — the pipeline's batched range merge creates
+// one Scanner per batch so every SCAN in the batch reads the same key-set
+// version. A Scanner is cheap (N brief lock holds); it is not safe for
 // concurrent use. Scratch buffers are reused across calls.
 type Scanner struct {
 	s      *Store

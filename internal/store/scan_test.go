@@ -113,7 +113,7 @@ func TestScanDisabled(t *testing.T) {
 	}
 }
 
-// TestScanSnapshotIsolation is the MVCC pin: a Scanner captured before a wave
+// TestScanSnapshotIsolation is the snapshot pin: a Scanner captured before a wave
 // of writes keeps serving the captured KEY SET — keys inserted later never
 // appear, keys deleted later are skipped (not replaced by garbage), and
 // surviving keys read fresh values. This fails on any implementation that
@@ -369,6 +369,21 @@ func TestScanEvictionSafety(t *testing.T) {
 	s.Range(func(k, v []byte) bool { distinct[string(k)] = true; return true })
 	if st2 := s.StatsSnapshot(); st2.OrderedKeys != len(distinct) {
 		t.Fatalf("ordered index has %d keys, arena has %d distinct live keys", st2.OrderedKeys, len(distinct))
+	}
+	// And the same keys, each bound to its current location: overwrites store
+	// into tree entries in place, so a scan of the quiescent store must find
+	// every key through the cuckoo index and never need the fallback lookup.
+	n, _ := s.Scan(nil, nil, 0, func(k, v []byte) bool {
+		if _, ok := s.Get(k); !ok || !distinct[string(k)] {
+			t.Errorf("ordered index holds %q, which the cuckoo index or arena does not", k)
+		}
+		return true
+	})
+	if n != len(distinct) {
+		t.Fatalf("quiescent scan returned %d keys, want %d", n, len(distinct))
+	}
+	if fb := s.StatsSnapshot().ScanFallbacks - st.ScanFallbacks; fb != 0 {
+		t.Fatalf("quiescent scan of %d keys fell back %d times: tree locations are stale", n, fb)
 	}
 }
 

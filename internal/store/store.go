@@ -87,9 +87,11 @@ type Config struct {
 	// probe (see hotkeys.go). 0 disables the table entirely — the read paths
 	// then run exactly as before.
 	HotKeys int
-	// Ordered maintains a per-shard copy-on-write ordered index (an LLRB over
-	// key → location) beside the cuckoo table, enabling MVCC range scans (see
-	// scan.go). Writes pay one tree upsert/delete; point reads are unaffected.
+	// Ordered maintains a per-shard ordered index (a lazily copied B-tree
+	// over key → location) beside the cuckoo table, enabling snapshot range
+	// scans (see scan.go). A write that changes the key set pays one in-place
+	// tree insert or delete, an overwrite one descent and an atomic store;
+	// point reads are unaffected.
 	Ordered bool
 }
 
@@ -326,14 +328,18 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 	if !sh.idx.Insert(key, locOf(si, h)) {
 		// Index full: undo the allocation and report no memory. The old
 		// object (if any) is still indexed — the SET failed cleanly.
-		sh.alloc.Free(h)
+		sh.alloc.FreeIfMatch(h, key)
 		return inserts, deletes, slab.ErrNoMemory
 	}
 	inserts++
 	if hadOld {
-		// Retire the overwritten object only now that the new one is live.
+		// Retire the overwritten object only now that the new one is live —
+		// unless an eviction recycled its chunk since lookupLoc (the evictor
+		// may not have removed the entry yet, so Delete can still succeed):
+		// the chunk then holds another writer's live object, which a blind
+		// Free would kill after its owner had indexed it.
 		if sh.idx.Delete(key, oldLoc) {
-			sh.alloc.Free(handleOf(oldLoc))
+			sh.alloc.FreeIfMatch(handleOf(oldLoc), key)
 			deletes++
 		}
 	}
@@ -356,7 +362,10 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 // pushing a value observed earlier) means racing writers can interleave in
 // any order and the tree still converges to the cuckoo state — including the
 // nasty cases where racing overwrites leave short-lived duplicate index
-// entries. No-op on stores without Config.Ordered.
+// entries. For a key the tree already holds (every overwrite) that is one
+// descent and one atomic store of the new location: no node is copied and
+// concurrent scans keep their snapshot. No-op on stores without
+// Config.Ordered.
 func (s *Store) syncOrdered(sh *shard, hv uint64, key []byte) {
 	if sh.tree == nil {
 		return
@@ -378,7 +387,7 @@ func (s *Store) Delete(key []byte) bool {
 	if !sh.idx.Delete(key, loc) {
 		return false
 	}
-	sh.alloc.Free(handleOf(loc))
+	sh.alloc.FreeIfMatch(handleOf(loc), key)
 	s.syncOrdered(sh, hv, key)
 	s.hotInvalidate(hv, key)
 	return true
@@ -509,7 +518,7 @@ func (s *Store) IndexDelete(key []byte, loc cuckoo.Location) bool {
 	if !sh.idx.Delete(key, loc) {
 		return false
 	}
-	sh.alloc.Free(handleOf(loc))
+	sh.alloc.FreeIfMatch(handleOf(loc), key)
 	hv := cuckoo.Hash(key, s.seed)
 	s.syncOrdered(sh, hv, key)
 	if s.hot != nil {

@@ -3,18 +3,30 @@
 # concurrency pass over the store/slab read path, a benchmark smoke, and a
 # short protocol-parser fuzz smoke.
 #
-# Usage: scripts/check.sh [fuzztime]
+# Usage: scripts/check.sh [fuzztime] [base]
 #   fuzztime  per-target fuzz duration (default 10s; "0" skips fuzzing)
+#   base      commit the benchmark must be unchanged since (default: the
+#             merge base with main, which on main itself is HEAD)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FUZZTIME="${1:-10s}"
+BASE="${2:-$(git merge-base HEAD main 2>/dev/null || echo HEAD)}"
 
 echo "== go vet =="
 go vet ./...
 
 echo "== go build =="
 go build ./...
+
+# benchmark/ is a nested module: the root `go build ./...` and `go test ./...`
+# never see it, so API drift against it would go unnoticed until the gate runs
+# it. Vet, build and unit-test it here (no sockets, no server). A change that
+# claims a gain must also leave it byte for byte as its base has it (a change
+# to the benchmark is its own PR, and passes its own HEAD as base).
+echo "== benchmark module (nested: vet, build, test; unchanged since $BASE) =="
+(cd benchmark && go vet ./... && go build -o /dev/null ./... && go test ./...) # -o: one main package, a bare build would drop its binary there
+git diff --exit-code "$BASE" -- benchmark BENCHMARK.json
 
 # The simulation figure suite (internal/bench) legitimately needs >10min
 # under the race detector on small machines; raise the per-package timeout.
@@ -71,18 +83,22 @@ echo "== durability (-race, -count=1) =="
 go test -count=1 -race -timeout 900s ./internal/wal ./internal/snapshot ./internal/faults
 go test -count=1 -race -timeout 900s -run 'TestDurable|TestCrash' .
 
-# The MVCC ordered index + range-scan path: the COW LLRB's snapshot/writer
-# concurrency, the store's write-path tree reconciliation (resolve-under-lock
-# against the cuckoo index, incl. eviction-victim retirement), the
-# scan-vs-model equivalence and torn/reclaimed-value suites over the seqlock
-# slab, and the root-package scan e2e + chaos pins — snapshot isolation is
-# exactly the kind of guarantee only the race detector keeps honest, so
-# un-cached and race-enabled every pass.
-echo "== ordered index + scan path (-race, -count=1) =="
-go test -count=1 -race -timeout 900s ./internal/ordered
+# The ordered index + range-scan path: the lazy-COW B-tree's snapshot/writer
+# concurrency (in-place writes must never reach a node a snapshot shares:
+# shape invariants after seeded random ops, several snapshots of different
+# ages, the shared-node deep compare — a failure prints -ordered.seed), the
+# store's write-path tree reconciliation (resolve-under-lock against the
+# cuckoo index, incl. eviction-victim retirement and the key-checked free),
+# the scan-vs-model equivalence and torn/reclaimed-value suites over the
+# seqlock slab, the index-equals-cuckoo key-set check after eviction churn,
+# and the root-package scan e2e + chaos pins — snapshot isolation is exactly
+# the kind of guarantee only the race detector keeps honest, so un-cached and
+# race-enabled every pass, the in-place tree ten times over.
+echo "== ordered index (-race, -count=10) + scan path (-race, -count=1) =="
+go test -count=10 -race -timeout 900s ./internal/ordered
 go test -count=1 -race -timeout 900s \
-    -run 'Scan|Ordered|SnapshotIsolation' \
-    ./internal/store ./internal/pipeline ./internal/task .
+    -run 'Scan|Ordered|SnapshotIsolation|FreeIfMatch' \
+    ./internal/store ./internal/slab ./internal/pipeline ./internal/task .
 
 # The transport front ends: RESP parser/framer unit + fuzz corpus, command-run
 # sealing, per-connection ordered dispatch, reply sequencing, and the

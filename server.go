@@ -302,14 +302,16 @@ func (s *Server) ServeRESP(addr string) error {
 // while the original frame is still executing is dropped — admitting it
 // would re-execute the SET before the reply cache is populated, reopening
 // the at-most-once hole. The client simply retries again and is then
-// answered from the cache.
+// answered from the cache. Every path fills the cache BEFORE it sends the
+// reply, so a client that has its answer can never have a retry dropped as
+// still executing.
 func (s *Server) Admit(f *frontend.Frame) bool {
 	if f.AKey != "" && f.ReqID != 0 && s.replies != nil {
 		frames, state := s.replies.begin(f.AKey, f.ReqID)
 		switch state {
 		case replyCached:
+			s.replayed.Inc() // before the send, like the fill: a client holding the replay sees it counted
 			f.R.Deliver(f, frames)
-			s.replayed.Inc()
 			f.R.Release(f)
 			return false
 		case replyInFlight:
@@ -374,21 +376,27 @@ func (s *Server) Draining() bool { return s.closed.Load() }
 
 // finishDirect answers a query-less admitted frame without touching the
 // execution paths: encode (the frame may still carry protocol-level replies,
-// e.g. RESP PING), deliver, settle dedupe state, release.
+// e.g. RESP PING), settle dedupe state, deliver, release.
 func (s *Server) finishDirect(f *frontend.Frame) {
 	units := f.R.Encode(f, nil)
-	ok := f.R.Deliver(f, units)
-	if f.Tracked {
-		if ok {
-			s.replies.finish(f.AKey, f.ReqID, units)
-		} else {
-			s.replies.abort(f.AKey, f.ReqID)
-		}
-		f.Tracked = false
-	}
+	s.cacheReply(f, units)
+	f.R.Deliver(f, units)
 	<-s.tokens
 	s.wg.Done()
 	f.R.Release(f)
+}
+
+// cacheReply records a tracked frame's computed reply and clears its
+// in-flight marker. Every serving path calls it BEFORE sending: the client
+// may retry the instant it has the reply, and that retry must find the cache
+// filled (and be replayed), not the marker (and be dropped for a full client
+// timeout). Whether the send then succeeds does not matter — a lost reply is
+// exactly what the replay exists for.
+func (s *Server) cacheReply(f *frontend.Frame, units [][]byte) {
+	if f.Tracked {
+		s.replies.finish(f.AKey, f.ReqID, units)
+		f.Tracked = false
+	}
 }
 
 // executeFrame processes one admitted frame in its own goroutine (the
@@ -398,9 +406,9 @@ func (s *Server) executeFrame(f *frontend.Frame) {
 	defer func() { <-s.tokens }()
 	defer f.R.Release(f)
 	if f.Tracked {
-		// Clear the in-flight marker on every exit path (panic, failed
-		// commit, failed send); a successful delivery clears it atomically
-		// with the reply-cache fill, making this a no-op.
+		// Clear the in-flight marker on every exit path that computed no
+		// reply (panic, failed commit); cacheReply clears it atomically with
+		// the reply-cache fill, making this a no-op.
 		defer s.replies.abort(f.AKey, f.ReqID)
 	}
 	sc := s.scratch.Get().(*frameScratch)
@@ -429,10 +437,8 @@ func (s *Server) executeFrame(f *frontend.Frame) {
 			return
 		}
 	}
-	ok := f.R.Deliver(f, units)
-	if f.Tracked && ok && s.replies != nil {
-		s.replies.finish(f.AKey, f.ReqID, units)
-	}
+	s.cacheReply(f, units)
+	f.R.Deliver(f, units)
 	sc.resps = resps[:0]
 	if sl := s.opts.SlowLog; sl != nil && len(f.Queries) > 0 {
 		sl.Observe(time.Since(f.Start), len(f.Queries), uint8(f.Queries[0].Op), f.Queries[0].Key)

@@ -2,10 +2,12 @@ package dido
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/frontend"
 	"repro/internal/proto"
 )
 
@@ -202,4 +204,91 @@ func (b *panicOnceBackend) Set(key, value []byte) error {
 		panic("injected")
 	}
 	return b.inner.Set(key, value)
+}
+
+// retryingResponder is a frontend whose client resends its request the
+// instant the reply reaches the socket: the first Deliver re-admits a
+// duplicate of the frame before it returns — the retry that used to land
+// between the send and the reply-cache fill.
+type retryingResponder struct {
+	srv *Server
+
+	mu      sync.Mutex
+	sent    [][][]byte // units of every Deliver, in order
+	retried bool
+	done    chan struct{} // closed by the original frame's Release
+}
+
+func (r *retryingResponder) Encode(f *frontend.Frame, resps []proto.Response) [][]byte {
+	return frontend.AppendResponseFrames(nil, f.ReqID, true, resps)
+}
+
+func (r *retryingResponder) Deliver(f *frontend.Frame, units [][]byte) bool {
+	r.mu.Lock()
+	r.sent = append(r.sent, units)
+	first := !r.retried
+	r.retried = true
+	r.mu.Unlock()
+	if first {
+		dup := &frontend.Frame{AKey: f.AKey, ReqID: f.ReqID, R: r, Ctx: "dup"}
+		if r.srv.Admit(dup) {
+			r.srv.Cancel(dup) // admitted for a second execution: the counters below catch it
+		}
+	}
+	return true
+}
+
+func (r *retryingResponder) DeliverBatch(fs []*frontend.Frame) {
+	for _, f := range fs {
+		r.Deliver(f, f.Units)
+	}
+}
+func (r *retryingResponder) Busy(*frontend.Frame)         {}
+func (r *retryingResponder) Fail(*frontend.Frame, string) {}
+func (r *retryingResponder) Release(f *frontend.Frame) {
+	if f.Ctx == nil {
+		close(r.done)
+	}
+}
+
+// TestRetryBetweenSendAndCacheFillIsReplayed forces the interleaving behind
+// the tier-1 flake on every serving path: a retry that arrives while the
+// original reply is being sent must be replayed from the cache (filled before
+// the send), not classified in-flight and dropped.
+func TestRetryBetweenSendAndCacheFillIsReplayed(t *testing.T) {
+	set := []Query{{Op: OpSet, Key: []byte("k"), Value: []byte("v")}}
+	for _, c := range []struct {
+		name    string
+		opts    ServerOptions
+		queries []Query
+	}{
+		{"per-frame", ServerOptions{}, set},
+		{"pipelined", ServerOptions{Pipeline: &PipelineOptions{}}, set},
+		{"query-less", ServerOptions{}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := NewServerOpts(NewStore(StoreConfig{MemoryBytes: 4 << 20}), c.opts)
+			defer srv.Close()
+			r := &retryingResponder{srv: srv, done: make(chan struct{})}
+			f := &frontend.Frame{AKey: "client", ReqID: 42, Queries: c.queries, R: r}
+			if !srv.Admit(f) {
+				t.Fatal("original frame not admitted")
+			}
+			srv.Submit(f)
+			select {
+			case <-r.done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("original frame never completed")
+			}
+			if ss := srv.Stats(); ss.Replayed != 1 || ss.DupDropped != 0 || ss.Malformed != 0 {
+				t.Fatalf("retry during the send: replayed=%d dup-dropped=%d re-admitted=%d, want 1/0/0",
+					ss.Replayed, ss.DupDropped, ss.Malformed)
+			}
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if len(r.sent) != 2 || !reflect.DeepEqual(r.sent[0], r.sent[1]) {
+				t.Fatalf("%d deliveries, want the reply and its identical replay", len(r.sent))
+			}
+		})
+	}
 }

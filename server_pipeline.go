@@ -203,9 +203,10 @@ func (s *Server) submitPipelined(f *frontend.Frame) {
 }
 
 // pipelineBatchDone is the SD task for one completed batch: it encodes every
-// healthy frame's responses, delivers the batch through each responder's
-// batched path (sendmmsg for UDP, one coalesced write per connection for
-// RESP), fills the reply cache, and releases each frame's token and wg slot.
+// healthy frame's responses, fills the reply cache (before the send, see
+// cacheReply), delivers the batch through each responder's batched path
+// (sendmmsg for UDP, one coalesced write per connection for RESP), and
+// releases each frame's token and wg slot.
 // A poisoned frame (lf.Err) or one whose WAL commit failed gets Fail instead
 // of an ack: the datagram client's retry is re-admitted, the stream client
 // sees in-band errors (its reply ordering must not skip a frame).
@@ -241,6 +242,7 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 		if f.Units == nil { // already encoded by the LG task on durable servers
 			f.Units = f.R.Encode(f, lf.Resps)
 		}
+		s.cacheReply(f, f.Units)
 		fs = append(fs, f)
 		if first == nil {
 			first = f.R
@@ -279,13 +281,8 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 		if slog != nil && !bad && len(f.Queries) > 0 {
 			slog.Observe(time.Since(f.Start), len(f.Queries), uint8(f.Queries[0].Op), f.Queries[0].Key)
 		}
-		if f.Tracked {
-			if bad {
-				// Clear the in-flight marker so the retry is re-admitted.
-				s.replies.abort(f.AKey, f.ReqID)
-			} else {
-				s.replies.finish(f.AKey, f.ReqID, f.Units)
-			}
+		if f.Tracked { // bad: clear the in-flight marker so the retry is re-admitted
+			s.replies.abort(f.AKey, f.ReqID)
 			f.Tracked = false
 		}
 		<-s.tokens

@@ -27,10 +27,11 @@ type StoreConfig struct {
 	// hundred to a few thousand slots under Zipf-skewed read traffic; 0
 	// (default) disables it with zero read-path overhead.
 	HotKeys int
-	// Ordered maintains an MVCC ordered index (a copy-on-write LLRB per
-	// shard) beside the cuckoo table, enabling Scan. Writes pay one tree
-	// upsert each; scans never block writers. False (default) keeps the
-	// point-op-only store with zero overhead.
+	// Ordered maintains an ordered index (a lazily copied B-tree per shard)
+	// beside the cuckoo table, enabling Scan. Writes pay one in-place tree
+	// descent each, plus an insert or delete when the key set changes;
+	// scans never block writers. False (default) keeps the point-op-only
+	// store with zero overhead.
 	Ordered bool
 }
 
@@ -91,7 +92,7 @@ func (s *Store) Ordered() bool { return s.inner.Ordered() }
 // smallest key; a nil/empty end means unbounded; limit <= 0 means unlimited.
 // It returns the number of entries visited and whether the store is ordered
 // (ok=false means the scan did not run — build the store with
-// StoreConfig.Ordered). The key set iterated is a per-shard MVCC snapshot
+// StoreConfig.Ordered). The key set iterated is a per-shard snapshot
 // taken at the call; values are read live through the slab seqlock, so a
 // scan never observes torn or reclaimed bytes (see internal/store/scan.go
 // for the full contract). The slices passed to fn are reused; fn must copy
