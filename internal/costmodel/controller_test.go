@@ -1,6 +1,9 @@
 package costmodel
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/store"
 	"repro/internal/task"
+	"repro/internal/zipf"
 )
 
 func newTestController() *Controller {
@@ -140,16 +144,151 @@ func TestControllerTraceRecordsEveryDecision(t *testing.T) {
 	}
 }
 
+// windowBatches is how many measuredBatch (1024-query) batches fill one
+// adaptation window.
+const windowBatches = windowQueries / 1024
+
+// TestControllerWorkloadShiftReplans shifts the measured GET ratio 0.95 →
+// 0.50 at a window boundary: exactly one replan, inside the first window of
+// the new mix, and none after it while the mix holds. A shift that lands
+// mid-window replans at most twice: on the blended window and on the first
+// clean one.
 func TestControllerWorkloadShiftReplans(t *testing.T) {
 	c := newTestController()
 	c.NextConfig(nil)
-	c.NextConfig(measuredBatch(0.95))
+	c.NextConfig(measuredBatch(0.95)) // the first batch plans
+	for i := 0; i < 3*windowBatches; i++ {
+		c.NextConfig(measuredBatch(0.95))
+	}
 	base := c.Replans()
-	// >10% move on the GET ratio must re-trigger the planner (the paper's
-	// adaptation threshold).
-	c.NextConfig(measuredBatch(0.50))
+	for i := 0; i < windowBatches; i++ {
+		c.NextConfig(measuredBatch(0.50))
+	}
 	if c.Replans() != base+1 {
-		t.Fatalf("Replans = %d after workload shift, want %d", c.Replans(), base+1)
+		t.Fatalf("Replans = %d after one window of the new mix, want %d", c.Replans(), base+1)
+	}
+	for i := 0; i < 3*windowBatches; i++ {
+		c.NextConfig(measuredBatch(0.50))
+	}
+	if c.Replans() != base+1 {
+		t.Fatalf("Replans = %d while the new mix held, want %d", c.Replans(), base+1)
+	}
+
+	base = c.Replans()
+	for i := 0; i < windowBatches/2; i++ {
+		c.NextConfig(measuredBatch(0.50))
+	}
+	for i := 0; i < 4*windowBatches; i++ {
+		c.NextConfig(measuredBatch(0.95))
+	}
+	if got := c.Replans() - base; got < 1 || got > 2 {
+		t.Fatalf("mid-window shift replanned %d times, want 1 or 2", got)
+	}
+}
+
+// TestControllerNoisyBatchesNoReplan feeds 64-query batches of a 50/50 mix
+// whose measured GET ratio carries binomial noise (σ ≈ 12 % of the ratio,
+// enough to fire the 10 % rule batch by batch): after the first window the
+// pooled profile must never replan.
+func TestControllerNoisyBatchesNoReplan(t *testing.T) {
+	c := newTestController()
+	c.NextConfig(nil)
+	rng := rand.New(rand.NewSource(7))
+	noisy := 0
+	batch := func() *pipeline.Batch {
+		gets := 0
+		for q := 0; q < 64; q++ {
+			gets += rng.Intn(2)
+		}
+		b := measuredBatch(float64(gets) / 64)
+		b.Profile.N = 64
+		if math.Abs(b.Profile.GetRatio-0.5) > 0.05 {
+			noisy++
+		}
+		return b
+	}
+	perWindow := windowQueries / 64
+	for i := 0; i < 1+perWindow; i++ {
+		c.NextConfig(batch())
+	}
+	base := c.Replans()
+	for i := 0; i < 10*perWindow; i++ {
+		c.NextConfig(batch())
+	}
+	if c.Replans() != base {
+		t.Fatalf("noisy batches replanned %d times after the first window", c.Replans()-base)
+	}
+	if noisy < perWindow {
+		t.Fatalf("only %d batches strayed > 10%% from the mix: the fixture lost its noise", noisy)
+	}
+}
+
+// TestControllerSkewedToUniformShift drives real GETs into the profiler's
+// store, Zipf(0.99) with a 95 % GET profile, then uniform with 50 %: the
+// shift moves both the measured GET ratio and the store-sampled skew, and
+// exactly one replan lands inside the first window of the new mix.
+func TestControllerSkewedToUniformShift(t *testing.T) {
+	pl := NewPlanner(apu.KaveriPlatform(), 333*time.Microsecond)
+	st := store.New(store.Config{MemoryBytes: 4 << 20, IndexEntries: 10000, Seed: 1})
+	const pop = 5000
+	keys := make([][]byte, pop)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%08d", i))
+		if _, _, err := st.Set(keys[i], make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewController(pl, profiler.New(st), pipeline.DefaultLiveConfig(), nil)
+	c.NextConfig(nil)
+	zg := zipf.NewGenerator(pop, 0.99, 1)
+	rng := rand.New(rand.NewSource(1))
+	run := func(batches int, skewed bool) {
+		for i := 0; i < batches; i++ {
+			ratio := 0.50
+			for q := 0; q < 32; q++ { // a sample of the batch's GETs: keeps a window well inside windowMaxAge under -race
+				k := rng.Intn(pop)
+				if skewed {
+					k = int(zg.Next() - 1)
+				}
+				st.Get(keys[k])
+			}
+			if skewed {
+				ratio = 0.95
+			}
+			c.NextConfig(measuredBatch(ratio))
+		}
+	}
+	run(1, true) // the first batch plans
+	run(4*windowBatches, true)
+	skewedEst, base := c.Profiler.Skew(), c.Replans()
+	run(windowBatches, false)
+	if c.Replans() != base+1 {
+		t.Fatalf("Replans = %d after one window of the uniform mix, want %d", c.Replans(), base+1)
+	}
+	t.Logf("skew estimate %.3f → %.3f", skewedEst, c.Profiler.Skew())
+	if c.Profiler.Skew() >= skewedEst {
+		t.Fatalf("skew estimate %v did not fall from %v on uniform traffic", c.Profiler.Skew(), skewedEst)
+	}
+}
+
+// TestControllerPlannerError checks the window's planner-error figure: the
+// mean of |predicted − realized| / realized Tmax over its batches, published
+// when the window closes.
+func TestControllerPlannerError(t *testing.T) {
+	c := newTestController()
+	c.NextConfig(nil)
+	c.NextConfig(measuredBatch(0.95)) // plans; no prediction existed yet
+	if c.PlannerError() != 0 {
+		t.Fatalf("PlannerError = %v before any window closed, want 0", c.PlannerError())
+	}
+	pred := c.lastPred.Tmax
+	for i := 0; i < windowBatches; i++ {
+		b := measuredBatch(0.95)
+		b.Times.Tmax = 2 * pred
+		c.NextConfig(b)
+	}
+	if got := c.PlannerError(); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("PlannerError = %v with every batch at twice the prediction, want 0.5", got)
 	}
 }
 

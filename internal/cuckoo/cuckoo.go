@@ -54,6 +54,10 @@ type Table struct {
 	// muts advances on every successful Insert or Delete; readers use it to
 	// detect overwrites that raced their search (see Version).
 	muts atomic.Uint64
+	// entries is the occupied-slot count, kept beside muts: +1 per
+	// successful Insert, −1 per successful Delete. Kicks move an entry
+	// without changing it, so Len is O(1).
+	entries atomic.Int64
 
 	// Operation statistics, used by the cost model to estimate per-operation
 	// memory accesses at runtime (paper §IV-B measures the average number of
@@ -209,12 +213,14 @@ func (t *Table) Insert(key []byte, loc Location) bool {
 	for attempt := 0; attempt < 4; attempt++ {
 		if t.tryPlace(b1, sig, loc) || t.tryPlace(b2, sig, loc) {
 			t.muts.Add(1)
+			t.entries.Add(1)
 			return true
 		}
 		moved, ok := t.bfsInsert(b1, b2, sig, loc)
 		touched += moved
 		if ok {
 			t.muts.Add(1)
+			t.entries.Add(1)
 			return true
 		}
 	}
@@ -327,11 +333,13 @@ func (t *Table) Delete(key []byte, loc Location) bool {
 	want := pack(sig, loc)
 	if t.clearEntry(b1, want) {
 		t.muts.Add(1)
+		t.entries.Add(-1)
 		return true
 	}
 	b2 := t.altBucket(b1, sig)
 	if b2 != b1 && t.clearEntry(b2, want) {
 		t.muts.Add(1)
+		t.entries.Add(-1)
 		return true
 	}
 	return false
@@ -356,18 +364,10 @@ func (t *Table) clearEntry(b uint64, want uint64) bool {
 	return false
 }
 
-// Len counts occupied slots (O(buckets); intended for tests and stats).
-func (t *Table) Len() int {
-	var n int
-	for i := range t.buckets {
-		for j := range t.buckets[i].slots {
-			if t.buckets[i].slots[j].Load() != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+// Len returns the number of entries: O(1), read from the count the write
+// path keeps. Under concurrent writers it may run ahead of or behind a slot
+// scan by the in-flight mutations.
+func (t *Table) Len() int { return int(t.entries.Load()) }
 
 // LoadFactor returns Len()/Capacity().
 func (t *Table) LoadFactor() float64 {

@@ -3,6 +3,7 @@ package cuckoo
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -354,4 +355,97 @@ func BenchmarkSearch(b *testing.B) {
 		buf, _ = tbl.Search(key(i%100000+1), buf[:0])
 	}
 	_ = fmt.Sprint(len(buf))
+}
+
+// slotCount is the brute-force occupancy Len used to compute by scanning
+// every slot; the O(1) counter must agree with it at quiescence.
+func slotCount(t *Table) int {
+	var n int
+	for i := range t.buckets {
+		for j := range t.buckets[i].slots {
+			if t.buckets[i].slots[j].Load() != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestLenMatchesSlotScanUnderChurn drives a small, nearly full table through
+// seeded random inserts and deletes, so displacement (kicks) and failed
+// inserts both happen, and checks Len against a slot scan throughout.
+func TestLenMatchesSlotScanUnderChurn(t *testing.T) {
+	const seed = 20261015
+	rng := rand.New(rand.NewSource(seed))
+	tbl := New(64, 5) // 512 slots
+	live := map[int]bool{}
+	failed := 0
+	for op := 0; op < 8000; op++ {
+		id := rng.Intn(1000) + 1 // ~800 live at equilibrium: inserts fail near full
+		if live[id] && rng.Intn(4) == 0 {
+			if !tbl.Delete(key(id), Location(id)) {
+				t.Fatalf("seed %d op %d: delete %d failed", seed, op, id)
+			}
+			delete(live, id)
+		} else if !live[id] {
+			if tbl.Insert(key(id), Location(id)) {
+				live[id] = true
+			} else {
+				failed++
+			}
+		}
+		if op%97 == 0 {
+			if got, want := tbl.Len(), slotCount(tbl); got != want || got != len(live) {
+				t.Fatalf("seed %d op %d: Len %d, slot scan %d, live %d", seed, op, got, want, len(live))
+			}
+		}
+	}
+	st := tbl.StatsSnapshot()
+	if st.Kicks == 0 || failed == 0 {
+		t.Fatalf("churn exercised kicks=%d failed inserts=%d; want both > 0", st.Kicks, failed)
+	}
+	if got, want := tbl.Len(), slotCount(tbl); got != want {
+		t.Fatalf("final Len %d, slot scan %d", got, want)
+	}
+}
+
+// TestLenMatchesSlotScanConcurrent has writers insert and delete disjoint
+// key ranges at once (kicks race deletes across ranges), then compares Len
+// with a slot scan and with the writers' own tally.
+func TestLenMatchesSlotScanConcurrent(t *testing.T) {
+	tbl := New(128, 17) // 1024 slots, ~800 live keys: kicks and failed inserts
+	const workers = 4
+	const perWorker = 400
+	var wg sync.WaitGroup
+	kept := make([]int, workers)
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			live := map[int]bool{}
+			for op := 0; op < 5000; op++ {
+				id := w*perWorker + rng.Intn(perWorker) + 1
+				if live[id] {
+					if !tbl.Delete(key(id), Location(id)) {
+						t.Errorf("delete %d failed", id)
+						return
+					}
+					delete(live, id)
+				} else if tbl.Insert(key(id), Location(id)) {
+					live[id] = true
+				}
+			}
+			kept[w] = len(live)
+		}()
+	}
+	wg.Wait()
+	want := 0
+	for _, k := range kept {
+		want += k
+	}
+	if got, scan := tbl.Len(), slotCount(tbl); got != scan || got != want {
+		t.Fatalf("Len %d, slot scan %d, writers kept %d", got, scan, want)
+	}
 }

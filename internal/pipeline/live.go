@@ -127,8 +127,8 @@ const (
 )
 
 // liveMetricsRefresh bounds how often buildProfile polls LiveStoreMetrics:
-// the store's population count is an index scan, far too expensive per batch,
-// and adaptation only reacts at workload-shift timescales anyway.
+// the poll takes every slab class lock to sum evictions, which is not worth
+// paying per batch when adaptation reacts at workload-shift timescales.
 const liveMetricsRefresh = 20 * time.Millisecond
 
 // DefaultLiveConfig is the pipeline shape the live runner starts with when
@@ -356,9 +356,8 @@ type LiveRunner struct {
 	closed  bool
 
 	provMu sync.Mutex // serializes provider calls across stage-3 workers
-	// LiveMetrics cache (under provMu): polling the store is O(index size)
-	// — a population scan — so buildProfile refreshes it at most every
-	// liveMetricsRefresh and reuses the cached values in between.
+	// LiveMetrics cache (under provMu): buildProfile refreshes it at most
+	// every liveMetricsRefresh and reuses the cached values in between.
 	lastEvic         uint64 // cumulative eviction count at the last poll
 	metricsAt        time.Time
 	setsSinceMetrics int

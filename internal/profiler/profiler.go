@@ -23,8 +23,11 @@ const ChangeThreshold = 0.10
 // the pipeline should be re-planned.
 type Profiler struct {
 	store *store.Store
-	// SampleBatches is how many batches pass between skewness samplings.
+	// SampleBatches is how many observations pass between skewness samplings.
 	SampleBatches int
+	// SkewWeight is the weight a new skewness sample gets against the
+	// running estimate (New: 0.5).
+	SkewWeight float64
 
 	// base is the profile the current plan was derived from.
 	base    task.Profile
@@ -36,7 +39,7 @@ type Profiler struct {
 
 // New returns a profiler over s.
 func New(s *store.Store) *Profiler {
-	return &Profiler{store: s, SampleBatches: 8}
+	return &Profiler{store: s, SampleBatches: 8, SkewWeight: 0.5}
 }
 
 // Skew returns the latest skewness estimate.
@@ -96,7 +99,7 @@ func (p *Profiler) sampleSkew() {
 	for i, c := range counts {
 		freqs[i] = float64(c)
 	}
-	live := uint64(p.store.StatsSnapshot().LiveObjects)
+	live := uint64(p.store.Len())
 	if live < 16 {
 		return
 	}
@@ -105,7 +108,7 @@ func (p *Profiler) sampleSkew() {
 	if p.skew == 0 {
 		p.skew = est
 	} else {
-		p.skew = 0.5*p.skew + 0.5*est
+		p.skew = (1-p.SkewWeight)*p.skew + p.SkewWeight*est
 	}
 	// Snap near-YCSB estimates to suppress drift in steady state.
 	if math.Abs(p.skew) < 0.05 {

@@ -21,20 +21,28 @@ package store
 //     IndexInsert, IndexDelete — first applies the index mutation (which
 //     bumps the shard's index version) and then clears the key's slot.
 //
-//   - Readers promote with publish-then-recheck. A sampled hit publishes its
-//     entry, then proves no writer raced the promotion: the shard's index
-//     version must equal the version captured before the verified copy, AND
-//     the key must still resolve to the same slab handle. Either check
-//     failing, the reader clears its own entry.
+//   - Readers promote with publish-then-recheck. A sampled hit publishes a
+//     not-yet-servable entry (ready false: lookup skips it), then proves no
+//     writer raced the promotion: the shard's index version must equal the
+//     version captured before the verified copy, AND the key must still
+//     resolve to the same slab handle. Only when both hold does it CAS a
+//     servable copy over its own entry; either check failing, it clears it.
+//     Publishing a servable entry first would let a reader serve it in the
+//     window before the recheck rejects it.
+//
+//   - Writers invalidate until the slot no longer holds the key. A single
+//     Load+CAS can lose to a promoter swapping in its servable copy between
+//     the two, which would leave that copy standing after the write
+//     completed; retrying the CAS clears whichever entry is there.
 //
 // Why both recheck halves are needed: a promotion that raced a writer either
-// published before the writer's invalidate (the writer clears it) or after
-// (the writer's index mutation is then visible to the recheck). The handle
-// re-lookup catches values copied from stale candidates collected by an
-// earlier pipeline stage (the overwrite predates the version capture); the
-// version check catches handle reuse — free + realloc + reinsert of the same
-// handle for the same key cannot happen without an index mutation in the
-// recheck window. Values in the arena are written once per allocation, so
+// published before the writer's invalidate (the writer clears it, so the
+// promoter's ready CAS fails) or after (the writer's index mutation is then
+// visible to the recheck). The handle re-lookup catches values copied from
+// stale candidates collected by an earlier pipeline stage (the overwrite
+// predates the version capture); the version check catches handle reuse —
+// free + realloc + reinsert of the same handle for the same key cannot
+// happen without an index mutation in the recheck window. Values in the arena are written once per allocation, so
 // "key still maps to handle h" plus "val is a validated copy of h" proves val
 // is current.
 //
@@ -71,11 +79,12 @@ const hotMaxValue = 1024
 // object's LRU access counts and the allocator would evict the hottest
 // objects as cold.
 type hotEntry struct {
-	hv  uint64
-	h   slab.Handle
-	si  int
-	key []byte
-	val []byte
+	hv    uint64
+	h     slab.Handle
+	si    int
+	key   []byte
+	val   []byte
+	ready bool // servable: false while its promotion's recheck runs
 }
 
 // hotTable is the direct-mapped slot array. Slots is a power of two; a key
@@ -103,20 +112,23 @@ func newHotTable(slots int) *hotTable {
 // key compare — this is the per-GET fast-path cost.
 func (t *hotTable) lookup(hv uint64, key []byte) *hotEntry {
 	e := t.slots[hv&t.mask].Load()
-	if e == nil || e.hv != hv || !bytes.Equal(e.key, key) {
+	if e == nil || !e.ready || e.hv != hv || !bytes.Equal(e.key, key) {
 		return nil
 	}
 	return e
 }
 
-// invalidate clears key's slot if it currently caches key. The CAS only
-// removes the loaded entry: a concurrent re-promotion that replaced it is
-// protected by its own publish-then-recheck, which runs after this caller's
-// index mutation and therefore observes it.
+// invalidate clears key's slot, ready or not, retrying until the slot no
+// longer holds key: a promoter's ready CAS may replace the loaded entry
+// between this Load and CAS. A promotion published after the caller's index
+// mutation is caught by its own recheck instead.
 func (t *hotTable) invalidate(hv uint64, key []byte) {
 	slot := &t.slots[hv&t.mask]
-	if e := slot.Load(); e != nil && e.hv == hv && bytes.Equal(e.key, key) {
-		slot.CompareAndSwap(e, nil)
+	for {
+		e := slot.Load()
+		if e == nil || e.hv != hv || !bytes.Equal(e.key, key) || slot.CompareAndSwap(e, nil) {
+			return
+		}
 	}
 }
 
@@ -166,7 +178,11 @@ func (s *Store) maybePromote(si int, sh *shard, hv uint64, key, val []byte, h sl
 	}
 	if loc, ok := sh.lookupLoc(hv, key); !ok || handleOf(loc) != h {
 		slot.CompareAndSwap(e, nil)
+		return
 	}
+	servable := *e
+	servable.ready = true
+	slot.CompareAndSwap(e, &servable)
 }
 
 // hotInvalidate is the writer-side hook: clear key's entry after the index

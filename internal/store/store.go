@@ -559,6 +559,16 @@ func (s *Store) AdvanceSampleInterval(limit int) []uint32 {
 	return counts
 }
 
+// Len returns the number of live index entries across shards, the live-object
+// count, in O(1) per shard.
+func (s *Store) Len() int {
+	var n int
+	for _, sh := range s.shards {
+		n += sh.idx.Len()
+	}
+	return n
+}
+
 // Index exposes the first shard's cuckoo table (read-mostly: stats,
 // capacity). With the default single shard this is the whole index.
 func (s *Store) Index() *cuckoo.Table { return s.shards[0].idx }

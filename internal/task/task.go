@@ -147,6 +147,42 @@ type Profile struct {
 	ScanRatio, ScanEntries, ScanEntryBytes float64
 }
 
+// Merge pools q into p, weighted by query count: N becomes p.N + q.N and
+// every rate or size field the query-weighted mean of the two. Population is
+// a level, not a rate, so it takes q's (the newer) value.
+func (p Profile) Merge(q Profile) Profile {
+	n := p.N + q.N
+	if n <= 0 {
+		return q
+	}
+	w := float64(q.N) / float64(n)
+	mix := func(a, b float64) float64 { return a + (b-a)*w }
+	return Profile{
+		N:                 n,
+		GetRatio:          mix(p.GetRatio, q.GetRatio),
+		KeySize:           mix(p.KeySize, q.KeySize),
+		ValueSize:         mix(p.ValueSize, q.ValueSize),
+		Skew:              mix(p.Skew, q.Skew),
+		Population:        q.Population,
+		EvictionRate:      mix(p.EvictionRate, q.EvictionRate),
+		AvgInsertBuckets:  mix(p.AvgInsertBuckets, q.AvgInsertBuckets),
+		SearchProbes:      mix(p.SearchProbes, q.SearchProbes),
+		WireQueryBytes:    mix(p.WireQueryBytes, q.WireQueryBytes),
+		RVInstr:           mix(p.RVInstr, q.RVInstr),
+		SDInstr:           mix(p.SDInstr, q.SDInstr),
+		RVUnitNanos:       mix(p.RVUnitNanos, q.RVUnitNanos),
+		SDUnitNanos:       mix(p.SDUnitNanos, q.SDUnitNanos),
+		CacheHitPortion:   mix(p.CacheHitPortion, q.CacheHitPortion),
+		LGRecordsPerQuery: mix(p.LGRecordsPerQuery, q.LGRecordsPerQuery),
+		LGSeqBytes:        mix(p.LGSeqBytes, q.LGSeqBytes),
+		LGUnitNanos:       mix(p.LGUnitNanos, q.LGUnitNanos),
+		HotHitPortion:     mix(p.HotHitPortion, q.HotHitPortion),
+		ScanRatio:         mix(p.ScanRatio, q.ScanRatio),
+		ScanEntries:       mix(p.ScanEntries, q.ScanEntries),
+		ScanEntryBytes:    mix(p.ScanEntryBytes, q.ScanEntryBytes),
+	}
+}
+
 // Coverage returns the fraction of the batch a task applies to: index
 // updates apply to SETs (and their evictions), object reads to GETs, the
 // packet path to everything.

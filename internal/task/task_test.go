@@ -2,6 +2,7 @@ package task
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -290,5 +291,35 @@ func TestRVSDUseProfiledUnitCosts(t *testing.T) {
 	sd := ForTask(SD, p, Placement{})
 	if rv.Instr != p.RVInstr || sd.Instr != p.SDInstr {
 		t.Fatal("RV/SD must use the profiled unit costs (§IV-B)")
+	}
+}
+
+// TestProfileMergeWeighsEveryField pools a 1-query profile of all-ones into a
+// 3-query profile of all-fours: every float field must come out at the
+// query-weighted 3.25, so a field added to Profile but not to Merge fails.
+func TestProfileMergeWeighsEveryField(t *testing.T) {
+	fill := func(n int, f float64) Profile {
+		var p Profile
+		v := reflect.ValueOf(&p).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Kind() == reflect.Float64 {
+				v.Field(i).SetFloat(f)
+			}
+		}
+		p.N, p.Population = n, uint64(n)
+		return p
+	}
+	m := fill(1, 1).Merge(fill(3, 4))
+	v := reflect.ValueOf(m)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 && math.Abs(f.Float()-3.25) > 1e-12 {
+			t.Errorf("%s = %v, want 3.25", v.Type().Field(i).Name, f.Float())
+		}
+	}
+	if m.N != 4 || m.Population != 3 {
+		t.Fatalf("N = %d, Population = %d; want 4 and the newer 3", m.N, m.Population)
+	}
+	if got := (Profile{}).Merge(Profile{GetRatio: 0.5}); got.GetRatio != 0.5 {
+		t.Fatalf("merging two empty profiles lost the newer one: %+v", got)
 	}
 }

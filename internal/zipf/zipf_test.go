@@ -1,7 +1,9 @@
 package zipf
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +231,121 @@ func TestEstimateZipfSDegenerate(t *testing.T) {
 	}
 	if got := EstimateZipfS([]float64{3, 3, 3, 3}, 100); got != 0 {
 		t.Fatalf("uniform freqs → %v, want 0", got)
+	}
+}
+
+// oracleEstimateZipfS is the forward model EstimateZipfS used before it went
+// O(1): at every bisection step it materialises the top-k normalised Zipf
+// frequencies and runs SampleSkewness over them. Kept as the reference the
+// power-sum model is checked against.
+func oracleEstimateZipfS(freqs []float64, nObjects uint64) float64 {
+	if len(freqs) < 3 || nObjects < 3 {
+		return 0
+	}
+	observed := SampleSkewness(freqs)
+	if observed <= 0 {
+		return 0
+	}
+	k := uint64(len(freqs))
+	if k > nObjects {
+		k = nObjects
+	}
+	model := func(s float64) float64 {
+		h := HarmonicGeneralized(nObjects, s)
+		fs := make([]float64, k)
+		total := float64(len(freqs))
+		for i := uint64(0); i < k; i++ {
+			fs[i] = math.Pow(float64(i+1), -s) / h * total
+		}
+		return SampleSkewness(fs)
+	}
+	lo, hi := 0.0, 1.5
+	if observed >= model(hi) {
+		return hi
+	}
+	for iter := 0; iter < 40; iter++ {
+		mid := (lo + hi) / 2
+		if model(mid) < observed {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+var skewGridK = []uint64{16, 33, 100, 256, 1024, 4096}
+
+// TestRankSkewnessMatchesSampleSkewness checks the O(1) forward model
+// against SampleSkewness over the explicit frequencies it replaces.
+func TestRankSkewnessMatchesSampleSkewness(t *testing.T) {
+	worst := 0.0
+	for _, k := range skewGridK {
+		for s := 0.05; s <= 1.5+1e-9; s += 0.05 {
+			fs := make([]float64, k)
+			for i := range fs {
+				fs[i] = math.Pow(float64(i+1), -s)
+			}
+			want, got := SampleSkewness(fs), rankSkewness(k, s)
+			rel := math.Abs(got-want) / want
+			if rel > 1e-8 {
+				t.Errorf("k=%d s=%.2f: rankSkewness %.12g, SampleSkewness %.12g (rel %.2e)", k, s, got, want, rel)
+			}
+			worst = math.Max(worst, rel)
+		}
+	}
+	t.Logf("max relative difference %.2e", worst)
+}
+
+// TestEstimateZipfSMatchesOracle runs the estimator and the pre-O(1) oracle
+// on Zipf(s) top-k frequencies over a (k, s, n) grid, including n < k.
+func TestEstimateZipfSMatchesOracle(t *testing.T) {
+	for _, n := range []uint64{1000, 250_000, 10_000_000} {
+		for _, k := range skewGridK {
+			for _, s := range []float64{0.1, 0.4, 0.7, 0.99, 1.3} {
+				freqs := make([]float64, k)
+				h := HarmonicGeneralized(n, s)
+				for i := range freqs {
+					freqs[i] = math.Pow(float64(i+1), -s) / h * 1e6
+				}
+				got, want := EstimateZipfS(freqs, n), oracleEstimateZipfS(freqs, n)
+				if math.Abs(got-want) > 1e-6 {
+					t.Errorf("n=%d k=%d s=%.2f: EstimateZipfS %.9f, oracle %.9f", n, k, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateZipfSBelowFloor pins what the floor does: an observed skewness
+// under the model's value at s → 0 (here Poisson-ish counts of a uniform
+// workload) estimates as 0, as the oracle does.
+func TestEstimateZipfSBelowFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	freqs := make([]float64, 4096)
+	for i := range freqs {
+		freqs[i] = float64(1 + rng.Intn(3))
+	}
+	got, want := EstimateZipfS(freqs, 250_000), oracleEstimateZipfS(freqs, 250_000)
+	if got > 1e-9 || want > 1e-9 {
+		t.Fatalf("uniform-like counts: EstimateZipfS %v, oracle %v; want both ≈ 0", got, want)
+	}
+}
+
+var sinkS float64
+
+// BenchmarkEstimateZipfS estimates from the profiler's 4096-sample cap at two
+// population sizes; ns/op must not grow with n.
+func BenchmarkEstimateZipfS(b *testing.B) {
+	for _, n := range []uint64{250_000, 10_000_000} {
+		freqs := make([]float64, 4096)
+		for i := range freqs {
+			freqs[i] = Frequency(n, uint64(i+1), 0.99) * 1e6
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkS = EstimateZipfS(freqs, n)
+			}
+		})
 	}
 }

@@ -65,6 +65,9 @@ echo "== steal + hot-key path (-race, -count=1) =="
 go test -count=1 -race -timeout 900s \
     -run 'LiveSteal|LiveIdleSeal|LiveTrySealIdle|ControllerSteal|HotKey|WorkStealing' \
     ./internal/pipeline ./internal/costmodel ./internal/store
+# The staleness hammer once failed a few runs in a hundred (a promotion
+# servable before its recheck; an invalidate losing one CAS race): repeat it.
+go test -count=200 -timeout 900s -run TestHotKeyNeverServesStale ./internal/store
 
 # The wide batched index path: cross-check SearchBatch/GetBatch against the
 # scalar search under concurrent churn (the amortized version-check fallback),
@@ -119,6 +122,14 @@ echo "== ingestion queues (-race, -count=1) =="
 go test -count=1 -race -timeout 900s -run 'ReusePort|ListenUDPQueues|ListenTCPQueues|MaxQueues' ./internal/udpbatch
 go test -count=1 -race -timeout 900s -run 'Queue' ./internal/frontend
 go test -count=1 -race -timeout 900s -run 'MultiQueue|SizeReaders|RVReaders' . ./internal/costmodel
+
+# The simulated system's figures (EXPERIMENTS.md) must not move unless a
+# change means them to: every output line of the quick suite except its
+# wall-clock "(figN took …)" lines is pinned. Regenerate the golden file only
+# for a deliberate change to the simulator, and say so in the change.
+echo "== simulator figures (dido-bench -quick all vs testdata golden) =="
+go run ./cmd/dido-bench -quick all | grep -v -E '^\([a-z0-9-]+ took [^)]*\)$' \
+    | diff -u testdata/dido-bench-quick.golden -
 
 # Benchmark smoke: one iteration each, just proving the benchmarks still
 # compile and run (allocation regressions show up in the full bench runs).

@@ -97,6 +97,7 @@ func (s *Server) CollectMetrics(w *obs.MetricsWriter) {
 	w.Gauge("dido_pipeline_batch_target", "Currently installed batch-size target in queries.", float64(ps.Target))
 	if s.pipe.ctrl != nil {
 		w.Counter("dido_pipeline_replans_total", "Times online adaptation installed a re-planned config.", s.pipe.ctrl.Replans())
+		w.Gauge("dido_planner_error_ratio", "Mean |predicted - realized| / realized batch Tmax over the last closed adaptation window.", s.pipe.ctrl.PlannerError())
 	}
 	// Per-stage wall-time distribution as a summary: each stage's quantiles,
 	// sum and count come from one consistent histogram snapshot.

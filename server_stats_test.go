@@ -241,6 +241,7 @@ func TestCollectMetricsNames(t *testing.T) {
 		"dido_pipeline_steal_batches_total", "dido_pipeline_stolen_chunks_total",
 		"dido_pipeline_stolen_queries_total",
 		"dido_pipeline_batch_target", "dido_pipeline_replans_total",
+		"dido_planner_error_ratio",
 		`dido_pipeline_stage_micros{stage="1",quantile="0.5"}`,
 		`dido_pipeline_stage_micros{stage="3",quantile="0.999"}`,
 		"dido_store_gets_total", "dido_store_sets_total", "dido_store_deletes_total",
