@@ -6,7 +6,7 @@
 //
 //   - Store: a real, embeddable, concurrent in-memory key-value store built
 //     on the paper's substrate (cuckoo-hash index with short signatures,
-//     slab arena with LRU eviction). Serve makes it a UDP server speaking
+//     slab arena with CLOCK eviction). Serve makes it a UDP server speaking
 //     the batched binary protocol; Client talks to one.
 //
 //   - Sim: the full DIDO system — eight-task pipeline, workload profiler,

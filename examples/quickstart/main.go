@@ -24,8 +24,8 @@ func main() {
 		fmt.Println("user:2 deleted")
 	}
 
-	// Fill past the arena budget: the store evicts LRU objects per size
-	// class instead of failing (the paper's MM task, §II-B).
+	// Fill past the arena budget: the store evicts per size class, by CLOCK,
+	// instead of failing (the paper's MM task, §II-B).
 	val := make([]byte, 1024)
 	for i := 0; i < 8192; i++ {
 		must(st.Set(fmt.Appendf(nil, "bulk:%05d", i), val))

@@ -1,13 +1,15 @@
 // Package slab implements the memory manager of the key-value store (the MM
 // task of the DIDO pipeline): a slab-class allocator over a bounded arena
-// with per-class LRU eviction, in the style of memcached and Mega-KV.
+// with per-class CLOCK eviction, in the style of memcached, Mega-KV and
+// MemC3.
 //
 // Objects live in fixed-size chunks grouped into classes of geometrically
 // increasing chunk size. When the arena budget is exhausted and a class has
-// no free chunk, the least-recently-used object of that class is evicted and
-// its chunk reused — this is exactly the behaviour behind the paper's
-// observation (§II-C2) that a SET under memory pressure generates one Insert
-// *and* one Delete index operation (for the new and the evicted object).
+// no free chunk, the class's CLOCK hand picks a victim — an object not
+// referenced since the hand last passed it — and its chunk is reused. This
+// is exactly the behaviour behind the paper's observation (§II-C2) that a SET
+// under memory pressure generates one Insert *and* one Delete index operation
+// (for the new and the evicted object).
 //
 // Reads are lock-free and safe against concurrent eviction: every chunk
 // carries a seqlock version word (odd while dead or being written, even while
@@ -19,7 +21,12 @@
 //
 // Each object header carries an access counter and a sampling timestamp; the
 // workload profiler uses them to estimate key-popularity skewness at runtime
-// (paper §IV-B) without maintaining global frequency tables.
+// (paper §IV-B) without maintaining global frequency tables. The same header
+// word holds the CLOCK reference bit, so a GET hit (Touch) is one lock-free
+// CAS on the cache line the read has just loaded. Strict LRU instead needs
+// the class lock and a list relink on every hit, writing three randomly
+// placed metadata lines; profiled, that was the largest single cost of a GET
+// (DESIGN.md §6), and it buys no measurable hit ratio over CLOCK.
 package slab
 
 import (
@@ -88,15 +95,33 @@ func DefaultConfig(totalBytes int64) Config {
 //
 //	word 0: seqlock version — odd: dead or being written, even: live+stable
 //	word 1: keyLen (16 bits) | valLen<<16 (32 bits)
-//	word 2+: key bytes then value bytes, packed little-endian
+//	word 2: use — stamp<<32 | access<<1 | ref
+//	word 3+: key bytes then value bytes, packed little-endian
 //
-// The access counter and timestamp live in the metadata array, not the arena,
-// so the hot read path never invalidates reader cache lines.
+// The use word sits beside the version and lengths on the chunk's first cache
+// line, which every read of the object has just loaded, so Touch costs no
+// extra miss. It is the only word written without the class lock (by Touch's
+// CAS; the hand clears ref by CAS too). writeObject rewrites it while the
+// version is odd, so nothing a Touch wrote survives into the chunk's next
+// occupant; a Touch racing that rewrite can at worst count one access, and
+// set ref, for the new occupant.
 const (
-	headerBytes = 16
+	headerBytes = 24
 	headerWords = headerBytes / 8
 	lenWord     = 1
+	useWord     = 2
+
+	refBit     = 1
+	accessMask = 1<<31 - 1
 )
+
+func packUse(stamp, access uint32, ref uint64) uint64 {
+	return uint64(stamp)<<32 | uint64(access&accessMask)<<1 | ref
+}
+
+func unpackUse(u uint64) (stamp, access uint32) {
+	return uint32(u >> 32), uint32(u>>1) & accessMask
+}
 
 // ErrTooLarge is returned when key+value exceed the largest chunk class.
 var ErrTooLarge = errors.New("slab: object exceeds maximum chunk size")
@@ -114,25 +139,18 @@ type Evicted struct {
 	Handle Handle
 }
 
-type chunkMeta struct {
-	prev, next int32
-	keyLen     uint16
-	valLen     uint32
-	access     uint32
-	stamp      uint32
-	live       bool
-}
-
+// class is one chunk size. Under mu the version parity of every chunk is
+// stable (only mutators, which hold mu, flip it): even chunks are live, odd
+// ones are on the free list.
 type class struct {
 	mu        sync.Mutex
-	chunkSize int // bytes; always a multiple of 8
-	perSlab   int // chunks per slab
-	meta      []chunkMeta
+	chunkSize int      // bytes; always a multiple of 8
+	perSlab   int      // chunks per slab
 	free      []uint64 // free chunk indices
-	lruHead   int32    // most recently used; -1 when empty
-	lruTail   int32    // least recently used
+	hand      uint64   // CLOCK hand: the next chunk index eviction examines
 	live      int
 	evictions uint64
+	evictScan uint64 // chunks the hand examined
 
 	// arena is the snapshot of this class's slabs that lock-free readers
 	// navigate. The outer slice is copied on growth and republished
@@ -142,9 +160,10 @@ type class struct {
 	arena atomic.Pointer[[][]atomic.Uint64]
 }
 
-// Allocator is a slab allocator with per-class LRU eviction. Mutations take a
-// per-class lock; reads (Object, ReadInto, MatchKey, ReadIfMatch) are
-// lock-free seqlock copies. It is safe for concurrent use.
+// Allocator is a slab allocator with per-class CLOCK eviction. Alloc and Free
+// take a per-class lock; reads (Object, ReadInto, MatchKey, ReadIfMatch,
+// AccessCount) are lock-free seqlock copies and Touch is one lock-free CAS.
+// It is safe for concurrent use.
 type Allocator struct {
 	cfg     Config
 	classes []*class
@@ -165,7 +184,7 @@ func NewAllocator(cfg Config) *Allocator {
 	a := &Allocator{cfg: cfg}
 	maxChunk := roundUp8(cfg.MaxChunk)
 	for size := roundUp8(cfg.MinChunk); ; {
-		c := &class{chunkSize: size, perSlab: cfg.SlabBytes / size, lruHead: -1, lruTail: -1}
+		c := &class{chunkSize: size, perSlab: cfg.SlabBytes / size}
 		a.classes = append(a.classes, c)
 		if size >= maxChunk {
 			break
@@ -250,7 +269,7 @@ func (a *Allocator) snapshot(h Handle) (*class, []atomic.Uint64, bool) {
 // Alloc allocates a chunk for an object with the given key and value sizes
 // and writes the object into it. If the allocation evicted a live object, the
 // returned Evicted describes it. now is the profiler's sampling timestamp for
-// the new object's metadata.
+// the new object's header.
 func (a *Allocator) Alloc(key, value []byte, now uint32) (Handle, *Evicted, error) {
 	total := headerBytes + len(key) + len(value)
 	ci, err := a.classFor(total)
@@ -266,42 +285,50 @@ func (a *Allocator) Alloc(key, value []byte, now uint32) (Handle, *Evicted, erro
 		return NoHandle, nil, err
 	}
 	c.writeObject(idx, key, value, now)
-	c.lruPushFront(idx)
 	c.live++
 	return makeHandle(ci, idx), ev, nil
 }
 
 // obtainChunk returns a free chunk index in class c, growing the class or
-// evicting the LRU object as needed. The returned chunk's version word is
+// evicting a CLOCK victim as needed. The returned chunk's version word is
 // odd (dead), so concurrent readers already reject it. Caller holds c.mu.
 func (a *Allocator) obtainChunk(ci int, c *class) (uint64, *Evicted, error) {
-	if n := len(c.free); n > 0 {
-		idx := c.free[n-1]
-		c.free = c.free[:n-1]
-		return idx, nil, nil
-	}
-	if a.tryGrow(c) {
+	if len(c.free) > 0 || a.tryGrow(c) {
 		n := len(c.free)
 		idx := c.free[n-1]
 		c.free = c.free[:n-1]
 		return idx, nil, nil
 	}
-	// Evict the least recently used object of this class.
-	victim := c.lruTail
-	if victim < 0 {
+	if c.live == 0 {
 		return 0, nil, ErrNoMemory
 	}
-	idx := uint64(victim)
-	m := &c.meta[idx]
-	w := c.lockedWords(idx)
-	evKey := appendChunkBytes(make([]byte, 0, m.keyLen), w, headerBytes, int(m.keyLen))
-	ev := &Evicted{Key: evKey, Handle: makeHandle(ci, idx)}
-	c.lruRemove(int32(idx))
-	w[0].Add(1) // even → odd: readers see the object die before its bytes churn
-	m.live = false
-	c.live--
-	c.evictions++
-	return idx, ev, nil
+	// The hand gives every referenced object a second chance: it clears ref
+	// and moves on. A Touch racing the clear may win, which only grants one
+	// more pass. After two revolutions the next live chunk is taken, so the
+	// walk is bounded however hard the class is being read.
+	arena := *c.arena.Load()
+	n := uint64(len(arena)) * uint64(c.perSlab)
+	for step := uint64(0); ; step++ {
+		idx := c.hand
+		if c.hand++; c.hand == n {
+			c.hand = 0
+		}
+		c.evictScan++
+		w := c.chunkWords(arena, idx)
+		if w[0].Load()&1 != 0 {
+			continue // dead: a free chunk is never a victim
+		}
+		if u := w[useWord].Load(); u&refBit != 0 && step < 2*n {
+			w[useWord].CompareAndSwap(u, u&^refBit)
+			continue
+		}
+		kl, _, _ := loadLens(w, c.chunkSize)
+		ev := &Evicted{Key: appendChunkBytes(make([]byte, 0, kl), w, headerBytes, kl), Handle: makeHandle(ci, idx)}
+		w[0].Add(1) // even → odd: readers see the object die before its bytes churn
+		c.live--
+		c.evictions++
+		return idx, ev, nil
+	}
 }
 
 // tryGrow adds one slab to class c if the arena budget allows. Caller holds
@@ -334,12 +361,6 @@ func (a *Allocator) tryGrow(c *class) bool {
 	for i := c.perSlab - 1; i >= 0; i-- {
 		c.free = append(c.free, base+uint64(i))
 	}
-	metaGrown := make([]chunkMeta, int(base)+c.perSlab)
-	copy(metaGrown, c.meta)
-	for i := len(c.meta); i < len(metaGrown); i++ {
-		metaGrown[i] = chunkMeta{prev: -1, next: -1}
-	}
-	c.meta = metaGrown
 	return true
 }
 
@@ -349,17 +370,12 @@ func (c *class) writeObject(idx uint64, key, value []byte, now uint32) {
 	w := c.lockedWords(idx)
 	seq := w[0].Load() // odd: readers reject the chunk while we write
 	w[lenWord].Store(uint64(uint16(len(key))) | uint64(uint32(len(value)))<<16)
+	w[useWord].Store(packUse(now, 1, 0))
 	storeChunkBytes(w, key, value)
 	w[0].Store(seq + 1) // odd → even: object becomes visible
-	m := &c.meta[idx]
-	m.keyLen = uint16(len(key))
-	m.valLen = uint32(len(value))
-	m.access = 1
-	m.stamp = now
-	m.live = true
 }
 
-// storeChunkBytes packs key then value into the data words (word 2+),
+// storeChunkBytes packs key then value into the data words (word 3+),
 // little-endian, via atomic stores so concurrent seqlock readers never race.
 func storeChunkBytes(w []atomic.Uint64, key, value []byte) {
 	wi := headerWords
@@ -538,51 +554,47 @@ func (a *Allocator) ReadIfMatch(h Handle, key, dst []byte) ([]byte, bool) {
 	}
 }
 
-// Touch marks h as accessed at sampling timestamp now: it bumps the object to
-// the front of its class LRU and updates the access counter per the paper's
-// sampling scheme — reset to 1 when a new sampling interval begins, else
-// incremented.
+// Touch marks h as accessed at sampling timestamp now: it sets the object's
+// CLOCK reference bit and updates the access counter per the paper's sampling
+// scheme — reset to 1 when a new sampling interval begins, else incremented.
+// It is lock-free: one CAS on the use word, not retried, since losing a race
+// to another Touch or to the hand costs at most one sample count and one
+// reference, never a corrupt header.
 func (a *Allocator) Touch(h Handle, now uint32) {
-	if h == NoHandle {
+	_, w, ok := a.snapshot(h)
+	if !ok || w[0].Load()&1 != 0 {
 		return
 	}
-	ci, idx := h.split()
-	if ci >= len(a.classes) {
-		return
+	u := w[useWord].Load()
+	access := uint32(1)
+	if stamp, n := unpackUse(u); stamp == now && n < accessMask {
+		access = n + 1
 	}
-	c := a.classes[ci]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if idx >= uint64(len(c.meta)) || !c.meta[idx].live {
-		return
-	}
-	m := &c.meta[idx]
-	if m.stamp != now {
-		m.stamp = now
-		m.access = 1
-	} else {
-		m.access++
-	}
-	c.lruRemove(int32(idx))
-	c.lruPushFront(idx)
+	w[useWord].CompareAndSwap(u, packUse(now, access, refBit))
 }
 
-// AccessCount returns the access counter and sampling timestamp of h.
+// AccessCount returns the access counter and sampling timestamp of h, or
+// ok=false if h is not live. It is a lock-free seqlock read.
 func (a *Allocator) AccessCount(h Handle) (count, stamp uint32, ok bool) {
-	if h == NoHandle {
+	_, w, ok := a.snapshot(h)
+	if !ok {
 		return 0, 0, false
 	}
-	ci, idx := h.split()
-	if ci >= len(a.classes) {
-		return 0, 0, false
+	return loadUse(w)
+}
+
+// loadUse reads the use word of a live chunk under seqlock validation.
+func loadUse(w []atomic.Uint64) (count, stamp uint32, ok bool) {
+	for {
+		s1 := w[0].Load()
+		if s1&1 != 0 {
+			return 0, 0, false
+		}
+		stamp, count = unpackUse(w[useWord].Load())
+		if w[0].Load() == s1 {
+			return count, stamp, true
+		}
 	}
-	c := a.classes[ci]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if idx >= uint64(len(c.meta)) || !c.meta[idx].live {
-		return 0, 0, false
-	}
-	return c.meta[idx].access, c.meta[idx].stamp, true
 }
 
 // Free releases h back to its class's free list. Freeing a dead handle is a
@@ -606,16 +618,16 @@ func (a *Allocator) free(h Handle, key []byte, match bool) {
 	c := a.classes[ci]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if idx >= uint64(len(c.meta)) || !c.meta[idx].live {
-		return
-	}
 	w := c.lockedWords(idx)
-	if match && (int(c.meta[idx].keyLen) != len(key) || !chunkBytesEqual(w, headerBytes, key)) {
+	if w == nil || w[0].Load()&1 != 0 {
 		return
 	}
-	c.lruRemove(int32(idx))
+	if match {
+		if kl, _, _ := loadLens(w, c.chunkSize); kl != len(key) || !chunkBytesEqual(w, headerBytes, key) {
+			return
+		}
+	}
 	w[0].Add(1) // even → odd: kill in-flight readers
-	c.meta[idx].live = false
 	c.live--
 	c.free = append(c.free, idx)
 }
@@ -623,22 +635,25 @@ func (a *Allocator) free(h Handle, key []byte, match bool) {
 // CollectAccessCounts returns the access counters of up to limit live objects
 // whose sampling timestamp equals stamp — i.e. the objects touched during the
 // current sampling interval. The workload profiler feeds these frequencies to
-// the skewness estimator (paper §IV-B). limit <= 0 means no limit.
+// the skewness estimator (paper §IV-B). limit <= 0 means no limit. The walk
+// is lock-free, like Range.
 func (a *Allocator) CollectAccessCounts(stamp uint32, limit int) []uint32 {
 	var out []uint32
 	for _, c := range a.classes {
-		c.mu.Lock()
-		for i := range c.meta {
-			m := &c.meta[i]
-			if m.live && m.stamp == stamp {
-				out = append(out, m.access)
+		p := c.arena.Load()
+		if p == nil {
+			continue
+		}
+		arena := *p
+		nChunks := uint64(len(arena)) * uint64(c.perSlab)
+		for idx := uint64(0); idx < nChunks; idx++ {
+			if n, s, ok := loadUse(c.chunkWords(arena, idx)); ok && s == stamp {
+				out = append(out, n)
 				if limit > 0 && len(out) >= limit {
-					c.mu.Unlock()
 					return out
 				}
 			}
 		}
-		c.mu.Unlock()
 	}
 	return out
 }
@@ -649,6 +664,9 @@ type Stats struct {
 	ArenaBytes     int64
 	AllocatedBytes int64
 	Evictions      uint64
+	// EvictScan counts chunks the CLOCK hand examined; EvictScan/Evictions
+	// is the hand's attempts per useful outcome.
+	EvictScan uint64
 }
 
 // Range iterates every live object in the arena, calling fn(key, value) for
@@ -704,37 +722,8 @@ func (a *Allocator) StatsSnapshot() Stats {
 		c.mu.Lock()
 		s.LiveObjects += c.live
 		s.Evictions += c.evictions
+		s.EvictScan += c.evictScan
 		c.mu.Unlock()
 	}
 	return s
-}
-
-// lru list operations; caller holds the class lock.
-
-func (c *class) lruPushFront(idx uint64) {
-	m := &c.meta[idx]
-	m.prev = -1
-	m.next = c.lruHead
-	if c.lruHead >= 0 {
-		c.meta[c.lruHead].prev = int32(idx)
-	}
-	c.lruHead = int32(idx)
-	if c.lruTail < 0 {
-		c.lruTail = int32(idx)
-	}
-}
-
-func (c *class) lruRemove(idx int32) {
-	m := &c.meta[idx]
-	if m.prev >= 0 {
-		c.meta[m.prev].next = m.next
-	} else if c.lruHead == idx {
-		c.lruHead = m.next
-	}
-	if m.next >= 0 {
-		c.meta[m.next].prev = m.prev
-	} else if c.lruTail == idx {
-		c.lruTail = m.prev
-	}
-	m.prev, m.next = -1, -1
 }

@@ -97,52 +97,6 @@ func TestTooLarge(t *testing.T) {
 	}
 }
 
-func TestEvictionLRUOrder(t *testing.T) {
-	cfg := Config{
-		TotalBytes: 32 << 10, // exactly one slab
-		SlabBytes:  32 << 10,
-		MinChunk:   1024,
-		MaxChunk:   1024,
-		Growth:     2,
-	}
-	a := NewAllocator(cfg) // 32 chunks of 1KB, single class
-	var handles []Handle
-	for i := 0; i < 32; i++ {
-		h, ev, err := a.Alloc([]byte(fmt.Sprintf("key-%02d", i)), make([]byte, 500), 1)
-		if err != nil || ev != nil {
-			t.Fatalf("alloc %d: ev=%v err=%v", i, ev, err)
-		}
-		handles = append(handles, h)
-	}
-	// Touch key-00 so key-01 becomes LRU.
-	a.Touch(handles[0], 2)
-	h, ev, err := a.Alloc([]byte("key-new"), make([]byte, 500), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev == nil {
-		t.Fatal("expected an eviction at capacity")
-	}
-	if string(ev.Key) != "key-01" {
-		t.Fatalf("evicted %q, want key-01 (LRU)", ev.Key)
-	}
-	if ev.Handle != handles[1] {
-		t.Fatal("evicted handle mismatch")
-	}
-	// The evicted chunk was reused for the new object.
-	if h != handles[1] {
-		t.Fatalf("new handle %v should reuse evicted chunk %v", h, handles[1])
-	}
-	k, _, ok := a.Object(h)
-	if !ok || string(k) != "key-new" {
-		t.Fatalf("reused chunk holds %q", k)
-	}
-	st := a.StatsSnapshot()
-	if st.Evictions != 1 || st.LiveObjects != 32 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestFreeThenReuseNoEviction(t *testing.T) {
 	cfg := Config{TotalBytes: 32 << 10, SlabBytes: 32 << 10, MinChunk: 1024, MaxChunk: 1024, Growth: 2}
 	a := NewAllocator(cfg)

@@ -75,9 +75,9 @@ const hotMaxValue = 1024
 
 // hotEntry is an immutable hot-key snapshot. key and val are private copies;
 // h is the slab handle the value was copied from, kept so hot hits can still
-// Touch the object — otherwise serving from the side table would starve the
-// object's LRU access counts and the allocator would evict the hottest
-// objects as cold.
+// Touch the object — otherwise serving from the side table would leave the
+// object's CLOCK reference bit and access counter unset and the allocator
+// would evict the hottest objects as cold.
 type hotEntry struct {
 	hv    uint64
 	h     slab.Handle
@@ -140,7 +140,7 @@ func (t *hotTable) sample() bool {
 // ---- Store-side integration ----
 
 // hotServe checks the fast path for key. On a hit the cached value is
-// appended to dst and the object is touched for LRU accounting. The caller
+// appended to dst and the object is touched for CLOCK accounting. The caller
 // owns the get/hit counters (the batch paths add hits in bulk).
 func (s *Store) hotServe(hv uint64, key, dst []byte) ([]byte, bool) {
 	e := s.hot.lookup(hv, key)

@@ -451,7 +451,7 @@ func (s *Store) KeyCompare(loc cuckoo.Location, key []byte) bool {
 }
 
 // ReadValue performs the RD task: it returns a copy of the value bytes at
-// loc and touches the object for LRU/sampling. Unlike earlier revisions the
+// loc and touches the object for CLOCK/sampling. Unlike earlier revisions the
 // returned slice never aliases the arena — it stays valid after eviction.
 func (s *Store) ReadValue(loc cuckoo.Location) ([]byte, bool) {
 	v, ok := s.ReadValueInto(loc, nil)
@@ -582,6 +582,7 @@ type Stats struct {
 	Gets, Sets, Deletes    uint64
 	Hits, Misses           uint64
 	Evictions              uint64
+	EvictScan              uint64 // chunks the slab CLOCK hands examined to find victims
 	HotHits                uint64 // GETs served by the hot-key fast path
 	Scans                  uint64 // range scans started
 	ScanEntries            uint64 // entries returned across all scans
@@ -629,6 +630,7 @@ func (s *Store) StatsSnapshot() Stats {
 		is := sh.idx.StatsSnapshot()
 		as := sh.alloc.StatsSnapshot()
 		st.LiveObjects += as.LiveObjects
+		st.EvictScan += as.EvictScan
 		if sh.tree != nil {
 			st.OrderedKeys += sh.tree.Len()
 		}

@@ -40,6 +40,10 @@ go test -race -shuffle=on -timeout 1800s ./...
 # TestConcurrentEvictionStress).
 echo "== store/slab concurrency (-race, -count=1) =="
 go test -count=1 -race -timeout 900s ./internal/store ./internal/slab
+# The CLOCK use word is the one header word written without the class lock
+# (Touch's CAS against the hand's ref clear and writeObject's rewrite):
+# repeat its tests so a rare interleaving gets many chances to show.
+go test -race -count=20 -timeout 900s -run 'Clock|Touch|Evict|AccessCount' ./internal/slab
 
 # The live batched pipeline (stage workers, online reconfiguration, batched
 # UDP send/recv) is the other concurrency-heavy surface; run it un-cached

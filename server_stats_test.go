@@ -246,7 +246,7 @@ func TestCollectMetricsNames(t *testing.T) {
 		`dido_pipeline_stage_micros{stage="3",quantile="0.999"}`,
 		"dido_store_gets_total", "dido_store_sets_total", "dido_store_deletes_total",
 		"dido_store_hits_total", "dido_store_misses_total", "dido_store_evictions_total",
-		"dido_store_hot_hits_total",
+		"dido_store_evict_scan_total", "dido_store_hot_hits_total",
 		"dido_scan_requests_total", "dido_scan_entries_total",
 		"dido_scan_bytes_total", "dido_scan_fallbacks_total",
 		"dido_store_live_objects", "dido_store_ordered_keys",

@@ -36,7 +36,7 @@ type StoreConfig struct {
 }
 
 // Store is a concurrent in-memory key-value store: a cuckoo-hash index over
-// a slab arena with per-class LRU eviction. All methods are safe for
+// a slab arena with per-class CLOCK eviction. All methods are safe for
 // concurrent use. Values returned by Get are copies.
 type Store struct {
 	inner *store.Store
@@ -114,6 +114,7 @@ type StoreStats struct {
 	Gets, Sets, Deletes uint64
 	Hits, Misses        uint64
 	Evictions           uint64
+	EvictScan           uint64 // chunks the eviction CLOCK hand examined
 	HotHits             uint64 // GETs served by the hot-key fast path
 	// Range-scan counters (all zero unless StoreConfig.Ordered).
 	Scans           uint64 // SCAN operations executed
@@ -136,6 +137,7 @@ func (s *Store) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_store_hits_total", "GETs that found the key.", st.Hits)
 	w.Counter("dido_store_misses_total", "GETs that missed.", st.Misses)
 	w.Counter("dido_store_evictions_total", "Objects evicted to fit new SETs.", st.Evictions)
+	w.Counter("dido_store_evict_scan_total", "Chunks the eviction CLOCK hand examined, victims included; over evictions_total, chunks examined per eviction.", st.EvictScan)
 	w.Counter("dido_store_hot_hits_total", "GETs served by the hot-key fast path before the index probe.", st.HotHits)
 	w.Counter("dido_scan_requests_total", "SCAN operations executed.", st.Scans)
 	w.Counter("dido_scan_entries_total", "Entries returned across all SCANs.", st.ScanEntries)
@@ -156,6 +158,7 @@ func (s *Store) Stats() StoreStats {
 		Hits:            st.Hits,
 		Misses:          st.Misses,
 		Evictions:       st.Evictions,
+		EvictScan:       st.EvictScan,
 		HotHits:         st.HotHits,
 		Scans:           st.Scans,
 		ScanEntries:     st.ScanEntries,
