@@ -81,23 +81,40 @@ func BenchmarkFig21FluctuationCycles(b *testing.B) {
 // benchmarkServe measures end-to-end UDP serving throughput over loopback:
 // concurrent clients each driving 64-query frames (95% GET) against a
 // prefilled store. One iteration = one frame round-trip. The entry points
-// below A/B the per-frame path against the batched pipeline, and each path
-// with and without the durability tier (walSync "" disables it; otherwise it
-// names the -wal-sync policy: "batch" or "interval").
-// serveBenchConfig selects the variant of the saturation A/B: execution path,
-// attached observability/durability tiers, and the ingestion tier's shape
-// (netQueues REUSEPORT queues; adapt swaps the static stage provider for the
-// online planner, which also sizes the effective reader count at startup).
+// below run the pipeline with and without the durability tier (walSync ""
+// disables it; otherwise it names the -wal-sync policy: "batch" or
+// "interval").
+// serveBenchConfig selects the variant: attached observability/durability
+// tiers, and the ingestion tier's shape (netQueues REUSEPORT queues; adapt
+// swaps the static stage provider for the online planner, which also sizes
+// the effective reader count at startup).
 type serveBenchConfig struct {
-	pipelined bool
 	observed  bool
 	walSync   string
 	netQueues int
 	adapt     bool
 }
 
+// staticBenchPipeline is the pipeline shape for the non-adaptive serving
+// benchmarks on this CPU-only host: the single CPU stage (the same config
+// the online planner converges to in TestPipelinedAdaptReplans). The
+// cost-model driven placement across real CPU/GPU stages is evaluated by
+// the simulated experiments (fig11..fig16); its planner prices a Kaveri APU,
+// which a loopback benchmark cannot measure.
+func staticBenchPipeline() *dido.PipelineOptions {
+	return &dido.PipelineOptions{
+		BatchInterval: 100 * time.Microsecond,
+		Provider: &pipeline.StaticProvider{
+			Config:   pipeline.Config{GPUDepth: 0},
+			Interval: 100 * time.Microsecond,
+			MinBatch: pipeline.DefaultLiveMinBatch,
+			MaxBatch: pipeline.DefaultLiveMaxBatch,
+		},
+	}
+}
+
 func benchmarkServe(b *testing.B, cfg serveBenchConfig) {
-	pipelined, observed, walSync := cfg.pipelined, cfg.observed, cfg.walSync
+	observed, walSync := cfg.observed, cfg.walSync
 	const (
 		keys       = 8 << 10
 		frameQs    = 64
@@ -114,29 +131,12 @@ func benchmarkServe(b *testing.B, cfg serveBenchConfig) {
 			b.Fatal(err)
 		}
 	}
-	opts := dido.ServerOptions{NetQueues: cfg.netQueues}
+	opts := dido.ServerOptions{NetQueues: cfg.netQueues, Pipeline: staticBenchPipeline()}
 	if cfg.adapt {
-		// The real deployment shape for the multi-queue A/B: -adapt prices
+		// The real deployment shape for the multi-queue rows: -adapt prices
 		// RV/PP parallelism in the cost model and sizes the effective reader
 		// count at startup (a 1-CPU host gates extra queues off entirely).
 		opts.Pipeline = &dido.PipelineOptions{BatchInterval: 100 * time.Microsecond, Adapt: true}
-	} else if pipelined {
-		// The A/B isolates batched stage execution against per-frame
-		// goroutines, so the pipeline gets the shape appropriate for this
-		// CPU-only host: the single CPU stage (the same config the online
-		// planner converges to in TestPipelinedAdaptReplans). The cost-model
-		// driven placement across real CPU/GPU stages is evaluated by the
-		// simulated experiments (fig11..fig16); its planner prices a Kaveri
-		// APU, which a loopback benchmark on this machine cannot measure.
-		opts.Pipeline = &dido.PipelineOptions{
-			BatchInterval: 100 * time.Microsecond,
-			Provider: &pipeline.StaticProvider{
-				Config:   pipeline.Config{GPUDepth: 0},
-				Interval: 100 * time.Microsecond,
-				MinBatch: pipeline.DefaultLiveMinBatch,
-				MaxBatch: pipeline.DefaultLiveMaxBatch,
-			},
-		}
 	}
 	// The observed variant prices the observability layer in the hot path:
 	// slow-query checks on every completed frame plus a live admin endpoint
@@ -217,10 +217,9 @@ func benchmarkServe(b *testing.B, cfg serveBenchConfig) {
 
 	// Many client goroutines per core so the server is saturated and batches
 	// actually fill (~10 frames each): the pipeline's win is amortizing
-	// per-frame dispatch and send/recv syscalls across frames in flight,
-	// which needs enough concurrent senders to keep a queue at the socket.
-	// With only a few in-flight frames both paths measure the same — batching
-	// pays off under load, which is the regime the paper targets.
+	// dispatch and send/recv syscalls across frames in flight, which needs
+	// enough concurrent senders to keep a queue at the socket — batching pays
+	// off under load, which is the regime the paper targets.
 	b.SetParallelism(32)
 	var cursor atomic.Int64
 	var failed atomic.Int64
@@ -267,7 +266,7 @@ func benchmarkServe(b *testing.B, cfg serveBenchConfig) {
 	if n := failed.Load(); n > 0 {
 		b.Logf("%d of %d frames failed their retry budget (busy/timeout)", n, b.N)
 	}
-	if ps, ok := srv.PipelineStats(); ok && ps.Batches > 0 {
+	if ps := srv.PipelineStats(); ps.Batches > 0 {
 		b.ReportMetric(float64(ps.Queries)/float64(ps.Batches), "q/batch")
 		replans, _ := srv.PipelineReplans()
 		b.Logf("pipeline config: %v (reconfigs=%d replans=%d target=%d)",
@@ -307,7 +306,7 @@ func reportQueueSpread(b *testing.B, srv *dido.Server, name string, requested in
 	b.Logf("%s queue spread: %d queues, frames min=%d max=%d", name, len(qs), qmin, qmax)
 }
 
-// benchmarkServeSkew measures the pipelined path at saturation under a
+// benchmarkServeSkew measures the pipeline at saturation under a
 // configurable key-popularity distribution, A/B-ing the PR's two skew
 // responses: chunk-granular work stealing (-steal) and the hot-key fast path
 // (-hot-keys). skew is the Zipf exponent (0 = uniform, 0.99 = YCSB/paper
@@ -407,16 +406,12 @@ func benchmarkServeSkew(b *testing.B, skew float64, stealMode string, hotKeys in
 	b.StopTimer()
 	served := float64(b.N) - float64(failed.Load())
 	b.ReportMetric(served*frameQs/b.Elapsed().Seconds()/1000, "kqops")
-	if sq, ok := srv.PipelineStageQuantiles(0.99); ok {
-		tmax := 0.0
-		for si := range sq {
-			if sq[si][0] > tmax {
-				tmax = sq[si][0]
-			}
-		}
-		b.ReportMetric(tmax, "tmax_p99_us")
+	tmax := 0.0
+	for _, q := range srv.PipelineStageQuantiles(0.99) {
+		tmax = max(tmax, q[0])
 	}
-	if ps, ok := srv.PipelineStats(); ok && ps.Batches > 0 {
+	b.ReportMetric(tmax, "tmax_p99_us")
+	if ps := srv.PipelineStats(); ps.Batches > 0 {
 		b.Logf("pipeline config: %v  batches=%d q/batch=%.0f steal[batches=%d chunks=%d queries=%d]",
 			ps.Config, ps.Batches, float64(ps.Queries)/float64(ps.Batches),
 			ps.StealBatches, ps.StolenChunks, ps.StolenQueries)
@@ -449,8 +444,7 @@ func BenchmarkServeUniformAdaptSteal(b *testing.B) {
 	benchmarkServeSkew(b, 0, "adapt", 0)
 }
 
-func BenchmarkServePerFrame(b *testing.B)  { benchmarkServe(b, serveBenchConfig{}) }
-func BenchmarkServePipelined(b *testing.B) { benchmarkServe(b, serveBenchConfig{pipelined: true}) }
+func BenchmarkServePipelined(b *testing.B) { benchmarkServe(b, serveBenchConfig{}) }
 
 // The Q4 variants shard ingestion across 4 SO_REUSEPORT queues (each with its
 // own reader, sender and address cache). RunParallel's per-goroutine clients
@@ -459,23 +453,20 @@ func BenchmarkServePipelined(b *testing.B) { benchmarkServe(b, serveBenchConfig{
 // the deployment shape: the online planner prices RV/PP parallelism and sizes
 // the effective reader count at startup, so on a 1-CPU host queues_effective
 // reports the controller gating the extra readers off.
-func BenchmarkServePerFrameQ4(b *testing.B) { benchmarkServe(b, serveBenchConfig{netQueues: 4}) }
-func BenchmarkServePipelinedQ4(b *testing.B) {
-	benchmarkServe(b, serveBenchConfig{pipelined: true, netQueues: 4})
-}
+func BenchmarkServePipelinedQ4(b *testing.B) { benchmarkServe(b, serveBenchConfig{netQueues: 4}) }
 func BenchmarkServePipelinedAdaptQ4(b *testing.B) {
-	benchmarkServe(b, serveBenchConfig{pipelined: true, netQueues: 4, adapt: true})
+	benchmarkServe(b, serveBenchConfig{netQueues: 4, adapt: true})
 }
 
 // benchmarkServeScan prices the range-scan path at saturation: the same
 // loopback harness as the point-op A/B, but against an ordered store with a
 // zipf-skewed point-read/scan mix — 1 in 8 queries is a bounded 16-entry
 // SCAN starting at a zipf-sampled key, the rest are zipf GETs with the usual
-// 5% SETs (which now also pay the ordered-index upsert). The per-frame vs
-// pipelined pair shows what batched range merges (one MVCC snapshot set per
-// batch, task.SC) buy over per-frame scanning; entries/scan confirms scans
-// did real merge work rather than degenerating to point reads.
-func benchmarkServeScan(b *testing.B, pipelined bool) {
+// 5% SETs (which now also pay the ordered-index upsert). Scans run as
+// batched range merges (one MVCC snapshot set per batch, task.SC);
+// entries/scan confirms they did real merge work rather than degenerating
+// to point reads.
+func BenchmarkServeScanPipelined(b *testing.B) {
 	const (
 		keys       = 8 << 10
 		frameQs    = 64
@@ -491,19 +482,7 @@ func benchmarkServeScan(b *testing.B, pipelined bool) {
 			b.Fatal(err)
 		}
 	}
-	opts := dido.ServerOptions{}
-	if pipelined {
-		opts.Pipeline = &dido.PipelineOptions{
-			BatchInterval: 100 * time.Microsecond,
-			Provider: &pipeline.StaticProvider{
-				Config:   pipeline.Config{GPUDepth: 0},
-				Interval: 100 * time.Microsecond,
-				MinBatch: pipeline.DefaultLiveMinBatch,
-				MaxBatch: pipeline.DefaultLiveMaxBatch,
-			},
-		}
-	}
-	srv := dido.NewServerOpts(st, opts)
+	srv := dido.NewServerOpts(st, dido.ServerOptions{Pipeline: staticBenchPipeline()})
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve("127.0.0.1:0") }()
 	for srv.Addr() == nil {
@@ -558,16 +537,13 @@ func benchmarkServeScan(b *testing.B, pipelined bool) {
 	if ss := st.Stats(); ss.Scans > 0 {
 		b.ReportMetric(float64(ss.ScanEntries)/float64(ss.Scans), "entries/scan")
 	}
-	if ps, ok := srv.PipelineStats(); ok && ps.Batches > 0 {
+	if ps := srv.PipelineStats(); ps.Batches > 0 {
 		b.ReportMetric(float64(ps.Queries)/float64(ps.Batches), "q/batch")
 	}
 	if n := failed.Load(); n > 0 {
 		b.Logf("%d of %d frames failed their retry budget (busy/timeout)", n, b.N)
 	}
 }
-
-func BenchmarkServeScanPerFrame(b *testing.B)  { benchmarkServeScan(b, false) }
-func BenchmarkServeScanPipelined(b *testing.B) { benchmarkServeScan(b, true) }
 
 // benchmarkServeRESP is the UDP A/B's TCP/RESP counterpart: the same store,
 // key space, value size and 5%-SET mix driven through the RESP front end with
@@ -576,7 +552,7 @@ func BenchmarkServeScanPipelined(b *testing.B) { benchmarkServeScan(b, true) }
 // sequential-semantics contract: command runs seal at read↔write boundaries,
 // so a 64-command batch with interleaved SETs fragments into ~7 frames where
 // the binary protocol carries it as 1 (see bench_results.txt).
-func benchmarkServeRESP(b *testing.B, pipelined bool, netQueues int) {
+func benchmarkServeRESP(b *testing.B, netQueues int) {
 	const (
 		keys       = 8 << 10
 		frameQs    = 64
@@ -591,19 +567,7 @@ func benchmarkServeRESP(b *testing.B, pipelined bool, netQueues int) {
 			b.Fatal(err)
 		}
 	}
-	opts := dido.ServerOptions{NetQueues: netQueues}
-	if pipelined {
-		opts.Pipeline = &dido.PipelineOptions{
-			BatchInterval: 100 * time.Microsecond,
-			Provider: &pipeline.StaticProvider{
-				Config:   pipeline.Config{GPUDepth: 0},
-				Interval: 100 * time.Microsecond,
-				MinBatch: pipeline.DefaultLiveMinBatch,
-				MaxBatch: pipeline.DefaultLiveMaxBatch,
-			},
-		}
-	}
-	srv := dido.NewServerOpts(st, opts)
+	srv := dido.NewServerOpts(st, dido.ServerOptions{NetQueues: netQueues, Pipeline: staticBenchPipeline()})
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ServeRESP("127.0.0.1:0") }()
 	for srv.RESPAddr() == nil {
@@ -661,25 +625,24 @@ func benchmarkServeRESP(b *testing.B, pipelined bool, netQueues int) {
 	if n := busyQueries.Load(); n > 0 {
 		b.Logf("%d of %d queries shed with -BUSY", n, int64(b.N)*frameQs)
 	}
-	if ps, ok := srv.PipelineStats(); ok && ps.Batches > 0 {
+	if ps := srv.PipelineStats(); ps.Batches > 0 {
 		b.ReportMetric(float64(ps.Queries)/float64(ps.Batches), "q/batch")
 	}
 	reportQueueSpread(b, srv, "resp", netQueues)
 }
 
-func BenchmarkServeRESPPerFrame(b *testing.B)  { benchmarkServeRESP(b, false, 1) }
-func BenchmarkServeRESPPipelined(b *testing.B) { benchmarkServeRESP(b, true, 1) }
+func BenchmarkServeRESPPipelined(b *testing.B) { benchmarkServeRESP(b, 1) }
 
 // BenchmarkServeRESPPipelinedQ4 shards the RESP accept path across 4
 // REUSEPORT listeners sharing one ConnGate; each per-goroutine client is its
 // own TCP connection, so the kernel spreads accepts across the listeners.
-func BenchmarkServeRESPPipelinedQ4(b *testing.B) { benchmarkServeRESP(b, true, 4) }
+func BenchmarkServeRESPPipelinedQ4(b *testing.B) { benchmarkServeRESP(b, 4) }
 
 // BenchmarkServePipelinedObserved is BenchmarkServePipelined with the full
 // observability layer attached: slow-query log on every frame completion and
 // an admin endpoint scraped every 50ms during the run.
 func BenchmarkServePipelinedObserved(b *testing.B) {
-	benchmarkServe(b, serveBenchConfig{pipelined: true, observed: true})
+	benchmarkServe(b, serveBenchConfig{observed: true})
 }
 
 // The Durable variants attach the durability tier with -wal-sync batch (the
@@ -688,15 +651,9 @@ func BenchmarkServePipelinedObserved(b *testing.B) {
 // frames share one fsync. The Interval variants relax the ack-time fsync to a
 // 10ms background sync (acked writes can lose up to one interval on power
 // loss, not on process crash).
-func BenchmarkServePerFrameDurable(b *testing.B) {
+func BenchmarkServePipelinedDurable(b *testing.B) {
 	benchmarkServe(b, serveBenchConfig{walSync: "batch"})
 }
-func BenchmarkServePipelinedDurable(b *testing.B) {
-	benchmarkServe(b, serveBenchConfig{pipelined: true, walSync: "batch"})
-}
-func BenchmarkServePerFrameDurableInterval(b *testing.B) {
-	benchmarkServe(b, serveBenchConfig{walSync: "interval"})
-}
 func BenchmarkServePipelinedDurableInterval(b *testing.B) {
-	benchmarkServe(b, serveBenchConfig{pipelined: true, walSync: "interval"})
+	benchmarkServe(b, serveBenchConfig{walSync: "interval"})
 }

@@ -1,21 +1,20 @@
 // Command dido-server runs the real (non-simulated) in-memory key-value
 // store as a UDP server speaking the batched binary protocol.
 //
+// Admitted frames are served through the batched task-granular pipeline
+// (DIDO's staged execution); -adapt closes the paper's adaptation loop,
+// re-planning the pipeline online from measured per-batch profiles.
+//
 // The server sheds load with StatusBusy when more than -max-inflight frames
 // are in flight, deduplicates retried frames by request ID, and survives
 // malformed or poisoned frames. The -fault-* flags put a deterministic fault
 // injector in front of the socket (drop / duplicate / reorder / corrupt /
 // delay, both directions) for chaos testing.
 //
-// With -pipeline on, admitted frames are served through the batched
-// task-granular pipeline (DIDO's staged execution) instead of a goroutine per
-// frame; -adapt additionally closes the paper's adaptation loop, re-planning
-// the pipeline online from measured per-batch profiles.
-//
 // Usage:
 //
 //	dido-server -addr 127.0.0.1:11311 -mem 268435456
-//	dido-server -pipeline on -adapt -batch-interval 500us
+//	dido-server -adapt -batch-interval 500us
 //	dido-server -fault-drop 0.1 -fault-dup 0.05 -fault-reorder 0.1
 package main
 
@@ -66,7 +65,7 @@ func waitForBind(name string, addr func() net.Addr, served <-chan struct{}) net.
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11311", "UDP listen address (binary batched protocol)")
 	respAddr := flag.String("resp", "", "optional TCP listen address for the RESP2 (Redis) protocol")
-	textAddr := flag.String("text", "", "optional TCP listen address for the memcached ASCII protocol")
+	textAddr := flag.String("text", "", "optional TCP listen address for the memcached ASCII protocol (not with -wal)")
 	mem := flag.Int64("mem", 256<<20, "key-value arena bytes")
 	shards := flag.Int("shards", 0, "store shards (power of two, 0 = 1; divides the arena budget)")
 	statsEvery := flag.Duration("stats-interval", 10*time.Second, "stats print interval (0 disables)")
@@ -77,11 +76,10 @@ func main() {
 	respInflight := flag.Int("resp-conn-inflight", 0, "per-RESP-connection in-flight command-batch cap before shedding with -BUSY (0 = default)")
 	netQueues := flag.Int("net-queues", 1, "SO_REUSEPORT ingestion queues per frontend (UDP sockets / RESP listeners; clamped to 1 without kernel support, sized down by -adapt when extra readers cannot pay)")
 
-	pipelineMode := flag.String("pipeline", "off", "serving path: off = goroutine per frame, on = batched task-granular pipeline")
-	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "pipeline: max wait before a partial batch executes")
-	adapt := flag.Bool("adapt", false, "pipeline: online reconfiguration from measured per-batch profiles")
-	wideMin := flag.Int("wide-min", 0, "pipeline: min GETs per batch for the wide batched index path (0 = default, negative = disable)")
-	steal := flag.Bool("steal", false, "pipeline: chunk-granular work stealing across stage groups (with -adapt the cost model gates it per plan)")
+	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "max wait before a partial batch executes")
+	adapt := flag.Bool("adapt", false, "online pipeline reconfiguration from measured per-batch profiles")
+	wideMin := flag.Int("wide-min", 0, "min GETs per batch for the wide batched index path (0 = default, negative = disable)")
+	steal := flag.Bool("steal", false, "chunk-granular work stealing across stage groups (with -adapt the cost model gates it per plan)")
 	hotKeys := flag.Int("hot-keys", 0, "hot-key fast-path slots: sampled hot GETs served before the index probe (0 disables)")
 	ordered := flag.Bool("ordered", true, "maintain the ordered index beside the cuckoo table (enables SCAN; a write costs one in-place B-tree descent, and copies nodes only while a scan holds a snapshot)")
 
@@ -112,6 +110,11 @@ func main() {
 	faultConnCorrupt := flag.Float64("fault-conn-corrupt", 0, "inject: stream read corruption rate [0,1]")
 	faultConnShort := flag.Float64("fault-conn-short", 0, "inject: stream short-read (torn command) rate [0,1]")
 	flag.Parse()
+	if *textAddr != "" && *walDir != "" {
+		// The text frontend writes to the store directly, outside the core:
+		// its SETs would be acked with no WAL record and lost on a crash.
+		log.Fatal("-text cannot be combined with -wal: text-protocol writes bypass the write-ahead log")
+	}
 
 	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Shards: *shards, HotKeys: *hotKeys, Ordered: *ordered})
 	opts := dido.ServerOptions{
@@ -174,16 +177,10 @@ func main() {
 		opts.SlowLog = slowLog
 	}
 	var trace *obs.TraceRing
-	switch *pipelineMode {
-	case "on":
-		if *adminAddr != "" && *adapt {
-			trace = obs.NewTraceRing(0)
-		}
-		opts.Pipeline = &dido.PipelineOptions{BatchInterval: *batchInterval, Adapt: *adapt, WideMinGets: *wideMin, Steal: *steal, Trace: trace}
-	case "off":
-	default:
-		log.Fatalf("-pipeline must be on or off, got %q", *pipelineMode)
+	if *adminAddr != "" && *adapt {
+		trace = obs.NewTraceRing(0)
 	}
+	opts.Pipeline = &dido.PipelineOptions{BatchInterval: *batchInterval, Adapt: *adapt, WideMinGets: *wideMin, Steal: *steal, Trace: trace}
 
 	profile := faults.Profile{
 		Drop:    *faultDrop,
@@ -229,8 +226,8 @@ func main() {
 		}
 	}()
 	// Wait for bind so the printed address is real.
-	log.Printf("dido-server listening on %s (arena %d MB, max-inflight %d, pipeline=%s adapt=%v)",
-		waitForBind("udp", srv.Addr, udpServed), *mem>>20, *maxInflight, *pipelineMode, *adapt)
+	log.Printf("dido-server listening on %s (arena %d MB, max-inflight %d, adapt=%v)",
+		waitForBind("udp", srv.Addr, udpServed), *mem>>20, *maxInflight, *adapt)
 	if *netQueues > 1 {
 		log.Printf("ingestion queues: requested %d, effective %d (SO_REUSEPORT sharded readers)",
 			*netQueues, srv.NetQueues())
@@ -320,22 +317,20 @@ func main() {
 						ds.WAL.Records, ds.WAL.Bytes, ds.WAL.Syncs,
 						ds.WAL.WriteErrs+ds.WAL.SyncErrs, ds.DroppedAcks, ds.Snapshots.Snapshots)
 				}
-				if ps, ok := srv.PipelineStats(); ok {
-					line += fmt.Sprintf(" | pipe batches=%d wide=%d target=%d reconfigs=%d shed=%d panics=%d",
-						ps.Batches, ps.WideBatches, ps.Target, ps.Reconfigs, ps.SubmitShed, ps.Panics)
-					if *steal {
-						line += fmt.Sprintf(" steal[batches=%d chunks=%d queries=%d]",
-							ps.StealBatches, ps.StolenChunks, ps.StolenQueries)
-					}
-					if replans, ok := srv.PipelineReplans(); ok {
-						line += fmt.Sprintf(" replans=%d", replans)
-					}
-					if sq, ok := srv.PipelineStageQuantiles(0.5, 0.99, 0.999); ok {
-						for si := range sq {
-							line += fmt.Sprintf(" s%d[p50=%.0fus p99=%.0fus p999=%.0fus]",
-								si+1, sq[si][0], sq[si][1], sq[si][2])
-						}
-					}
+				ps := srv.PipelineStats()
+				line += fmt.Sprintf(" | pipe batches=%d wide=%d target=%d reconfigs=%d shed=%d panics=%d",
+					ps.Batches, ps.WideBatches, ps.Target, ps.Reconfigs, ps.SubmitShed, ps.Panics)
+				if *steal {
+					line += fmt.Sprintf(" steal[batches=%d chunks=%d queries=%d]",
+						ps.StealBatches, ps.StolenChunks, ps.StolenQueries)
+				}
+				if replans, ok := srv.PipelineReplans(); ok {
+					line += fmt.Sprintf(" replans=%d", replans)
+				}
+				sq := srv.PipelineStageQuantiles(0.5, 0.99, 0.999)
+				for si := range sq {
+					line += fmt.Sprintf(" s%d[p50=%.0fus p99=%.0fus p999=%.0fus]",
+						si+1, sq[si][0], sq[si][1], sq[si][2])
 				}
 				log.Print(line)
 			}

@@ -99,6 +99,9 @@ func TestServerClientOverUDP(t *testing.T) {
 	if err != nil || !existed {
 		t.Fatalf("delete = %v %v", existed, err)
 	}
+	if _, ok := st.Get([]byte("alpha")); ok {
+		t.Fatal("DELETE alpha not applied")
+	}
 	existed, _ = c.Delete([]byte("alpha"))
 	if existed {
 		t.Fatal("double delete reported existing")
@@ -121,8 +124,32 @@ func TestServerClientOverUDP(t *testing.T) {
 			t.Fatalf("response %d status %d", i, r.Status)
 		}
 	}
-	if srv.Served() != 105 { // 5 single queries + 100 batched
+	// Read-only frame: every value written above, plus a miss.
+	var gets []Query
+	for i := 0; i < 50; i++ {
+		gets = append(gets, Query{Op: OpGet, Key: []byte(fmt.Sprintf("k%d", i))})
+	}
+	gets = append(gets, Query{Op: OpGet, Key: []byte("missing")})
+	resps, err = c.Do(gets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if resps[i].Status != StatusOK || string(resps[i].Value) != "v" {
+			t.Fatalf("GET k%d = %d %q, want OK \"v\"", i, resps[i].Status, resps[i].Value)
+		}
+	}
+	if resps[50].Status != StatusNotFound {
+		t.Fatalf("GET missing = %+v, want NotFound", resps[50])
+	}
+	if srv.Served() != 156 { // 5 single queries + 100 mixed + 51 reads
 		t.Fatalf("served = %d", srv.Served())
+	}
+	if ps := srv.PipelineStats(); ps.Batches == 0 || ps.Queries == 0 {
+		t.Fatalf("pipeline idle: %+v — frames did not go through the batched path", ps)
+	}
+	if ss := srv.Stats(); ss.Frames == 0 {
+		t.Fatalf("frame counter idle: %+v", ss)
 	}
 
 	srv.Close()

@@ -1,14 +1,14 @@
 // Package frontend is the server's transport layer: each Frontend owns one
 // listening socket, its wire framing, and response delivery, and feeds parsed
 // frames to a protocol-independent Core that owns admission, at-most-once
-// dedupe, durability commit-before-ack, and per-frame vs pipelined execution.
+// dedupe, durability commit-before-ack, and execution on the batched
+// pipeline.
 //
 // The split follows the paper's reading of RV/PP (receive/parse) as pipeline
 // tasks rather than server plumbing: a frontend is exactly the RV/PP producer
 // plus the SD (send) consumer for one protocol, and everything between those
-// tasks is shared. The UDP binary protocol, the RESP2 TCP protocol and the
-// memcached text protocol are three implementations over one core instead of
-// three servers.
+// tasks is shared. The UDP binary protocol and the RESP2 TCP protocol are two
+// implementations over one core instead of two servers.
 //
 // Contract (DESIGN.md §5.15): for every Frame a frontend hands to
 // Core.Admit/Submit, the core calls exactly one terminal delivery on the
@@ -52,9 +52,9 @@ type Frame struct {
 	// ParseNanos is the frontend's measured RV/PP cost, feeding the pipeline's
 	// adaptation profile when the core asked for measurement.
 	ParseNanos int64
-	// Units holds the encoded response units once Encode ran (the pipelined
-	// path encodes before batched delivery; the reply cache retains them, so
-	// they are freshly allocated and never pooled).
+	// Units holds the encoded response units once Encode ran (the pipeline
+	// encodes before batched delivery; the reply cache retains them, so they
+	// are freshly allocated and never pooled).
 	Units [][]byte
 	// R is the responder that delivers this frame's outcome — always the
 	// frame's owning frontend.
@@ -77,9 +77,9 @@ func (f *Frame) reset() {
 
 // Responder is the delivery half of a frontend: how the core answers a frame.
 // Exactly one of Deliver, Busy or Fail runs per frame, then exactly one
-// Release. All methods must be safe for concurrent use across frames (the
-// per-frame path answers from many goroutines, the pipelined path from
-// concurrent batch completions).
+// Release. All methods must be safe for concurrent use across frames: the
+// core answers from concurrent batch completions, and from the frontend's
+// own reader goroutines for replays, sheds and query-less frames.
 type Responder interface {
 	// Encode renders resps into the frame's wire units. The returned slices
 	// are freshly allocated: the core's reply cache and WAL REPLY records
@@ -116,8 +116,8 @@ type Core interface {
 	// caller should parse and Submit the frame; false when the core already
 	// answered and released it (replayed, duplicate-dropped, or shed).
 	Admit(f *Frame) bool
-	// Submit executes an admitted, parsed frame on the configured serving
-	// path. The core releases the frame when done.
+	// Submit executes an admitted, parsed frame on the pipeline. The core
+	// releases the frame when done.
 	Submit(f *Frame)
 	// Cancel aborts an admitted frame whose payload failed to parse: the core
 	// counts the malformed drop, returns the admission slot, and releases the

@@ -18,10 +18,6 @@ type UDPOptions struct {
 	// WrapConn wraps each listening socket before serving — the fault
 	// injector's hook. With multiple queues it runs once per queue socket.
 	WrapConn func(net.PacketConn) net.PacketConn
-	// Batched drains bursts of datagrams per kernel crossing (recvmmsg where
-	// available); set when the core serves the pipelined path, mirroring the
-	// batched response sends.
-	Batched bool
 	// Dedupe computes the frame's reply-cache address key (v2 frames with a
 	// request ID); set when the core has a reply cache.
 	Dedupe bool
@@ -174,14 +170,11 @@ func (u *UDP) Run(core Core) error {
 	return nil
 }
 
-// runQueue is one queue's read/admit/dispatch loop.
+// runQueue is one queue's read/admit/dispatch loop. It drains bursts of
+// datagrams per kernel crossing (recvmmsg where available, mirroring the
+// batched response sends) before running per-datagram admission.
 func (u *UDP) runQueue(core Core, q *udpQueue) error {
-	var err error
-	if u.opts.Batched {
-		err = u.runQueueBatched(core, q)
-	} else {
-		err = u.runQueueLoop(core, q)
-	}
+	err := u.readQueue(core, q)
 	if err != nil {
 		u.failed.Store(true)
 		u.kick() // unblock sibling readers so Run can return the error
@@ -189,25 +182,7 @@ func (u *UDP) runQueue(core Core, q *udpQueue) error {
 	return err
 }
 
-func (u *UDP) runQueueLoop(core Core, q *udpQueue) error {
-	for {
-		buf := u.bufs.Get().([]byte)
-		n, raddr, err := q.pc.ReadFrom(buf)
-		if err != nil {
-			u.bufs.Put(buf) //nolint:staticcheck // fixed-size buffer
-			if done, serr := u.readErr(core, err); done {
-				return serr
-			}
-			continue
-		}
-		u.handleDatagram(core, q, buf, n, raddr)
-	}
-}
-
-// runQueueBatched is the pipelined-path variant: it drains bursts of
-// datagrams per kernel crossing (recvmmsg where available) before running
-// the same per-datagram admission — per-reader frame batching.
-func (u *UDP) runQueueBatched(core Core, q *udpQueue) error {
+func (u *UDP) readQueue(core Core, q *udpQueue) error {
 	rcv := udpbatch.NewReceiver(q.pc)
 	const burst = 16
 	bufs := make([][]byte, burst)

@@ -48,8 +48,7 @@ type LiveScanner interface {
 // RangeScanner is an optional LiveStore extension: stores with an ordered
 // index (store.Config.Ordered) expose MVCC range scans and the SC pipeline
 // task executes against them. NewScanner must return nil when the ordered
-// index is disabled — SCAN queries then answer StatusError, exactly like the
-// per-frame path.
+// index is disabled — SCAN queries then answer StatusError.
 type RangeScanner interface {
 	NewScanner() LiveScanner
 }
@@ -103,8 +102,7 @@ type LiveFrame struct {
 	// the batch's value arena and are only valid inside the Done callback.
 	Resps []proto.Response
 	// Err reports that this frame's execution died (a stage panicked on one
-	// of its queries): Resps is empty and the client is answered by retry,
-	// exactly like a poisoned frame on the per-frame path.
+	// of its queries): Resps is empty and the client is answered by retry.
 	Err bool
 	// ParseNanos carries the submitter's measured RV+PP cost (socket read
 	// and frame parse) so the profile's RV/SD unit costs are measured, not
@@ -481,7 +479,7 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 // Submit hands a parsed frame to the pipeline. It reports false when the
 // runner is closed or saturated (every stage-1 slot already holds a sealed
 // batch); the caller sheds the frame upstream (StatusBusy), which keeps
-// admission latency bounded exactly like the per-frame path's token pool.
+// admission latency bounded.
 func (r *LiveRunner) Submit(f *LiveFrame) bool {
 	r.mu.Lock()
 	if r.closed {
@@ -723,8 +721,7 @@ func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 
 // eachFrame applies fn to every healthy frame, containing panics per frame:
 // a panicking frame is marked Err and skipped by later stages, so one
-// poisoned query cannot take down its batchmates — the same blast radius as
-// the per-frame path, just reached through the staged executor.
+// poisoned query cannot take down its batchmates.
 func (r *LiveRunner) eachFrame(b *liveBatch, fn func(fi int, f *LiveFrame)) {
 	r.eachFrameRange(b, 0, len(b.frames), fn)
 }

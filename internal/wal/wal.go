@@ -4,9 +4,8 @@
 // log; commits are redo-after-apply (the serving path logs an operation after
 // executing it and acks only once the record is durable per the sync policy).
 //
-// The log is fed from the WR stage of both serving paths: the per-frame path
-// commits one frame's records at a time, the batched pipeline commits a whole
-// batch in one Commit call (the LG task). Group commit falls out of the sync
+// The log is fed by the batched pipeline's LG task, which commits a whole
+// batch's records in one Commit call. Group commit falls out of the sync
 // protocol: concurrent committers pile up behind one leader's fsync and
 // return as soon as the synced offset covers their bytes.
 package wal

@@ -83,9 +83,9 @@ go test -count=1 -race -timeout 900s \
 
 # The durability tier: group-commit WAL, snapshot/truncate, disk fault
 # injection, and the kill -9 crash-recovery e2e (re-exec + SIGKILL mid-load,
-# then verify every acked SET survived). Commit-before-ack runs concurrently
-# with serving on both paths, so all of it goes under the race detector,
-# un-cached every pass.
+# then verify every acked SET survived the pipeline's LG group commit).
+# Commit-before-ack runs concurrently with serving, so all of it goes under
+# the race detector, un-cached every pass.
 echo "== durability (-race, -count=1) =="
 go test -count=1 -race -timeout 900s ./internal/wal ./internal/snapshot ./internal/faults
 go test -count=1 -race -timeout 900s -run 'TestDurable|TestCrash' .
@@ -147,19 +147,19 @@ go test -run='^$' -bench=. -benchtime=1x ./internal/store ./internal/slab ./inte
 echo "== batched-search bench smoke =="
 go test -run='^$' -bench='BenchmarkSearchBatch' -benchtime=8x ./internal/store
 
-# End-to-end smoke of the real binaries on the batched pipeline path: a
-# dido-server with -pipeline on -adapt and the admin endpoint serving a short
-# dido-loadgen run must finish with zero errors, and the loadgen's
-# -scrape-assert mode audits the admin surface (monotonic counters, valid
-# /config and /trace JSON) as part of the same run.
-echo "== pipelined server/loadgen smoke (admin scrape asserted) =="
+# End-to-end smoke of the real binaries: a dido-server with -adapt and the
+# admin endpoint serving a short dido-loadgen run must finish with zero
+# errors, and the loadgen's -scrape-assert mode audits the admin surface
+# (monotonic counters, valid /config and /trace JSON) as part of the same
+# run.
+echo "== adaptive server/loadgen smoke (admin scrape asserted) =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'kill "$SERVER_PID" 2>/dev/null || true; wait "$SERVER_PID" 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
 go build -o "$SMOKE_DIR/dido-server" ./cmd/dido-server
 go build -o "$SMOKE_DIR/dido-loadgen" ./cmd/dido-loadgen
 SMOKE_ADDR="127.0.0.1:13311"
 SMOKE_ADMIN="127.0.0.1:13390"
-"$SMOKE_DIR/dido-server" -addr "$SMOKE_ADDR" -pipeline on -adapt -net-queues 4 -stats-interval 0 \
+"$SMOKE_DIR/dido-server" -addr "$SMOKE_ADDR" -adapt -net-queues 4 -stats-interval 0 \
     -admin "$SMOKE_ADMIN" -slow-query 1ms &
 SERVER_PID=$!
 sleep 0.3

@@ -24,8 +24,8 @@ type Backend interface {
 }
 
 // GetIntoBackend is an optional Backend extension. When the backend provides
-// it (as *Store does), the server serves GETs by appending values into a
-// pooled per-frame buffer instead of allocating a copy per query.
+// it (as *Store does), the pipeline serves GETs by appending values into its
+// batch value arena instead of allocating a copy per query.
 type GetIntoBackend interface {
 	GetInto(key, dst []byte) ([]byte, bool)
 }
@@ -67,18 +67,16 @@ type ServerOptions struct {
 	// WrapStreamConn, when set, wraps each accepted RESP connection — the
 	// stream-side fault injector hook (stalls, corruption, torn reads).
 	WrapStreamConn func(net.Conn) net.Conn
-	// Pipeline, when non-nil, serves admitted frames through the batched
-	// task-granular pipeline (see server_pipeline.go) instead of one
-	// goroutine per frame. Admission, dedupe and at-most-once semantics are
-	// identical on both paths.
+	// Pipeline tunes the batched task-granular pipeline every admitted frame
+	// executes on (see server_pipeline.go). Nil means default PipelineOptions.
 	Pipeline *PipelineOptions
 	// SlowLog, when non-nil, records frames whose admission→response latency
-	// exceeds its threshold, on both serving paths. The below-threshold cost
-	// is one clock read and an atomic compare per frame (see internal/obs).
+	// exceeds its threshold. The below-threshold cost is one clock read and an
+	// atomic compare per frame (see internal/obs).
 	SlowLog *obs.SlowLog
 	// Durability, when non-nil with a Dir, attaches the durability tier:
 	// startup recovery from snapshot + WAL, write-ahead logging of every
-	// acknowledged write on both serving paths, and periodic snapshots that
+	// acknowledged write (the pipeline's LG task), and periodic snapshots that
 	// truncate the log (see server_durability.go). Opening it can fail (disk
 	// errors, corrupt snapshot) — use NewServerDurable to observe the error.
 	Durability *DurabilityOptions
@@ -102,22 +100,26 @@ const (
 
 // Server is the protocol-independent core of the key-value server: admission
 // (frame tokens and the connection gate), at-most-once dedupe through the
-// reply cache, durability commit-before-ack, and per-frame vs pipelined
-// execution. Transports are frontends (internal/frontend): the batched UDP
-// binary protocol (Serve), TCP/RESP2 (ServeRESP), and the memcached text
-// protocol (TextServer) all feed this one core. Server implements
-// frontend.Core; see the frontend package for the delivery contract.
+// reply cache, durability commit-before-ack, and execution on the batched
+// task-granular pipeline. Transports are frontends (internal/frontend): the
+// batched UDP binary protocol (Serve) and TCP/RESP2 (ServeRESP) feed this one
+// core. Server implements frontend.Core; see the frontend package for the
+// delivery contract.
 //
-// The serving path is hardened for lossy networks and overload: frames are
-// processed by a bounded pool (excess load is shed with StatusBusy), v2
-// request IDs deduplicate retried frames through a reply cache, a poisoned
-// frame cannot kill a serve loop (per-frame recover), and Close drains
-// in-flight frames before sockets are torn down.
+// Every admitted frame that carries queries executes on the pipeline, whose
+// configuration travels with each batch. Ordering contract: inside a batch,
+// writes run before reads, so a GET observes every SET or DELETE batched
+// with it — including ones later in its own frame. RESP keeps Redis order by
+// sealing a new frame at every switch between reads and writes.
+//
+// The serving path is hardened for lossy networks and overload: admission is
+// bounded (excess load is shed with StatusBusy), v2 request IDs deduplicate
+// retried frames through a reply cache, a poisoned frame cannot kill a serve
+// loop (the pipeline contains panics per frame), and Close drains in-flight
+// frames before sockets are torn down.
 type Server struct {
-	store   Backend
-	getInto GetIntoBackend // non-nil when store implements the fast GET path
-	scan    ScanBackend    // non-nil when store implements range scans
-	opts    ServerOptions
+	store Backend
+	opts  ServerOptions
 
 	mu        sync.Mutex
 	fes       []frontend.Frontend    // registered, running frontends
@@ -133,13 +135,12 @@ type Server struct {
 	// any frontend listens.
 	netQueues int
 
-	pipe *serverPipeline // non-nil when opts.Pipeline is set
-	dur  *durability     // non-nil when opts.Durability is set
+	pipe *serverPipeline
+	dur  *durability // non-nil when opts.Durability is set
 
 	tokens  chan struct{}
 	wg      sync.WaitGroup
 	replies *replyCache
-	scratch sync.Pool // *frameScratch: per-frame response/value reuse
 
 	served     stats.Counter
 	frames     stats.Counter
@@ -148,14 +149,6 @@ type Server struct {
 	dupDropped stats.Counter
 	malformed  stats.Counter
 	panics     stats.Counter
-}
-
-// frameScratch holds the per-frame slices that are pooled across frames so
-// the steady-state GET path performs no allocations: the response set and a
-// flat arena the backend appends values into.
-type frameScratch struct {
-	resps []proto.Response
-	vals  []byte
 }
 
 // NewServer returns a server over b with default options.
@@ -199,19 +192,12 @@ func newServer(b Backend, opts ServerOptions) (*Server, error) {
 		tokens: make(chan struct{}, opts.MaxInFlight),
 		gate:   frontend.NewGate(opts.MaxConns),
 	}
-	if gi, ok := b.(GetIntoBackend); ok {
-		s.getInto = gi
-	}
-	if sb, ok := b.(ScanBackend); ok {
-		s.scan = sb
-	}
 	if cacheSize > 0 {
 		s.replies = newReplyCache(cacheSize)
 	}
 	// Clamp the queue request to the platform before initPipeline: the
 	// adaptive path re-sizes it with the cost model from there.
 	s.netQueues = udpbatch.MaxQueues(opts.NetQueues)
-	s.scratch.New = func() any { return &frameScratch{} }
 	// Durability opens before the pipeline: recovery must finish before any
 	// frame can execute, and initPipeline arms its LG hook only when s.dur
 	// is already set.
@@ -222,9 +208,11 @@ func newServer(b Backend, opts ServerOptions) (*Server, error) {
 		}
 		s.dur = dur
 	}
-	if opts.Pipeline != nil {
-		s.initPipeline(opts.Pipeline)
+	po := opts.Pipeline
+	if po == nil {
+		po = &PipelineOptions{}
 	}
+	s.initPipeline(po)
 	return s, nil
 }
 
@@ -250,9 +238,8 @@ func (s *Server) register(fe frontend.Frontend) bool {
 func (s *Server) Serve(addr string) error {
 	fe := frontend.NewUDP(frontend.UDPOptions{
 		WrapConn:     s.opts.WrapConn,
-		Batched:      s.pipe != nil,
 		Dedupe:       s.replies != nil,
-		MeasureParse: s.pipe != nil && s.pipe.measureParse,
+		MeasureParse: s.pipe.measureParse,
 		StampStart:   s.opts.SlowLog != nil,
 		Queues:       s.netQueues,
 	})
@@ -269,15 +256,15 @@ func (s *Server) Serve(addr string) error {
 }
 
 // ServeRESP listens on addr (e.g. "127.0.0.1:6379") for RESP2 over TCP and
-// serves it through the same core — same admission, durability and serving
-// paths as the UDP frontend. It blocks; run it in a goroutine (concurrently
+// serves it through the same core — same admission, durability and pipeline
+// as the UDP frontend. It blocks; run it in a goroutine (concurrently
 // with Serve when both protocols are wanted).
 func (s *Server) ServeRESP(addr string) error {
 	fe := frontend.NewRESP(frontend.RESPOptions{
 		Gate:            s.gate,
 		MaxConnInFlight: s.opts.RESPConnInFlight,
 		WrapConn:        s.opts.WrapStreamConn,
-		MeasureParse:    s.pipe != nil && s.pipe.measureParse,
+		MeasureParse:    s.pipe.measureParse,
 		StampStart:      s.opts.SlowLog != nil,
 		Listeners:       s.netQueues,
 	})
@@ -340,7 +327,7 @@ func (s *Server) Admit(f *frontend.Frame) bool {
 	return true
 }
 
-// Submit executes an admitted, parsed frame on the configured serving path.
+// Submit executes an admitted, parsed frame on the pipeline.
 func (s *Server) Submit(f *frontend.Frame) {
 	s.frames.Inc()
 	if len(f.Queries) == 0 {
@@ -349,11 +336,7 @@ func (s *Server) Submit(f *frontend.Frame) {
 		s.finishDirect(f)
 		return
 	}
-	if s.pipe != nil {
-		s.submitPipelined(f)
-		return
-	}
-	go s.executeFrame(f)
+	s.submitPipelined(f)
 }
 
 // Cancel aborts an admitted frame whose payload failed to parse.
@@ -375,7 +358,7 @@ func (s *Server) Malformed() { s.malformed.Inc() }
 func (s *Server) Draining() bool { return s.closed.Load() }
 
 // finishDirect answers a query-less admitted frame without touching the
-// execution paths: encode (the frame may still carry protocol-level replies,
+// pipeline: encode (the frame may still carry protocol-level replies,
 // e.g. RESP PING), settle dedupe state, deliver, release.
 func (s *Server) finishDirect(f *frontend.Frame) {
 	units := f.R.Encode(f, nil)
@@ -387,7 +370,7 @@ func (s *Server) finishDirect(f *frontend.Frame) {
 }
 
 // cacheReply records a tracked frame's computed reply and clears its
-// in-flight marker. Every serving path calls it BEFORE sending: the client
+// in-flight marker. Every completion path calls it BEFORE sending: the client
 // may retry the instant it has the reply, and that retry must find the cache
 // filled (and be replayed), not the marker (and be dropped for a full client
 // timeout). Whether the send then succeeds does not matter — a lost reply is
@@ -396,129 +379,6 @@ func (s *Server) cacheReply(f *frontend.Frame, units [][]byte) {
 	if f.Tracked {
 		s.replies.finish(f.AKey, f.ReqID, units)
 		f.Tracked = false
-	}
-}
-
-// executeFrame processes one admitted frame in its own goroutine (the
-// unpipelined serving path).
-func (s *Server) executeFrame(f *frontend.Frame) {
-	defer s.wg.Done()
-	defer func() { <-s.tokens }()
-	defer f.R.Release(f)
-	if f.Tracked {
-		// Clear the in-flight marker on every exit path that computed no
-		// reply (panic, failed commit); cacheReply clears it atomically with
-		// the reply-cache fill, making this a no-op.
-		defer s.replies.abort(f.AKey, f.ReqID)
-	}
-	sc := s.scratch.Get().(*frameScratch)
-	defer s.scratch.Put(sc)
-	// One poisoned frame must not kill a serve loop: the datagram client
-	// times out and retries, the stream client gets in-band errors; everyone
-	// else is unaffected.
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			f.R.Fail(f, "internal error")
-		}
-	}()
-	resps := s.process(f.Queries, sc)
-	units := f.R.Encode(f, resps)
-	if s.dur != nil {
-		// Redo-after-apply: the writes already executed; their records must
-		// be durable before the ack. The response units are encoded first so
-		// the REPLY record binds the exact reply the client will see.
-		if !s.dur.commitFrame(f.Queries, resps, f.AKey, f.ReqID, f.Tracked, units) {
-			// Commit failed: drop the ack (the deferred abort clears the
-			// in-flight marker) so the client retries instead of trusting a
-			// write that never reached disk.
-			sc.resps = resps[:0]
-			f.R.Fail(f, "wal commit failed")
-			return
-		}
-	}
-	s.cacheReply(f, units)
-	f.R.Deliver(f, units)
-	sc.resps = resps[:0]
-	if sl := s.opts.SlowLog; sl != nil && len(f.Queries) > 0 {
-		sl.Observe(time.Since(f.Start), len(f.Queries), uint8(f.Queries[0].Op), f.Queries[0].Key)
-	}
-}
-
-// process executes one frame's queries, reusing sc's pooled response slice
-// and value arena. Values are appended into sc.vals and responses reference
-// subslices of it; if an append grows the arena, earlier responses keep
-// pointing into the previous backing array, which remains intact — so the
-// references stay valid for the lifetime of the frame.
-func (s *Server) process(queries []proto.Query, sc *frameScratch) []proto.Response {
-	resps := sc.resps[:0]
-	sc.vals = sc.vals[:0]
-	for _, q := range queries {
-		switch q.Op {
-		case proto.OpGet:
-			if s.getInto != nil {
-				mark := len(sc.vals)
-				if out, ok := s.getInto.GetInto(q.Key, sc.vals); ok {
-					sc.vals = out
-					v := sc.vals[mark:len(sc.vals):len(sc.vals)]
-					resps = append(resps, proto.Response{Status: proto.StatusOK, Value: v})
-				} else {
-					resps = append(resps, proto.Response{Status: proto.StatusNotFound})
-				}
-			} else if v, ok := s.store.Get(q.Key); ok {
-				resps = append(resps, proto.Response{Status: proto.StatusOK, Value: v})
-			} else {
-				resps = append(resps, proto.Response{Status: proto.StatusNotFound})
-			}
-		case proto.OpSet:
-			if err := s.store.Set(q.Key, q.Value); err != nil {
-				resps = append(resps, proto.Response{Status: proto.StatusError})
-			} else {
-				resps = append(resps, proto.Response{Status: proto.StatusOK})
-			}
-		case proto.OpDelete:
-			if s.store.Delete(q.Key) {
-				resps = append(resps, proto.Response{Status: proto.StatusOK})
-			} else {
-				resps = append(resps, proto.Response{Status: proto.StatusNotFound})
-			}
-		case proto.OpScan:
-			resps = append(resps, s.scanResponse(q, sc))
-		}
-		s.served.Inc()
-	}
-	return resps
-}
-
-// scanResponse executes one SCAN query on the per-frame path, building the
-// result block in the frame's pooled value arena. SCANs on a backend without
-// range scans (or with the ordered index disabled), and SCANs with a
-// malformed argument, answer StatusError.
-func (s *Server) scanResponse(q proto.Query, sc *frameScratch) proto.Response {
-	if s.scan == nil {
-		return proto.Response{Status: proto.StatusError}
-	}
-	limit, end, err := proto.ParseScanArg(q.Value)
-	if err != nil {
-		return proto.Response{Status: proto.StatusError}
-	}
-	blockStart := len(sc.vals)
-	dst, mark := proto.BeginScanResult(sc.vals)
-	entries := 0
-	if _, ok := s.scan.Scan(q.Key, end, limit, func(k, v []byte) bool {
-		dst = proto.AppendScanEntry(dst, k, v)
-		entries++
-		return len(dst)-blockStart < proto.MaxScanResultBytes
-	}); !ok {
-		// Ordered index disabled: sc.vals was never reassigned, so the
-		// speculative header is simply never published.
-		return proto.Response{Status: proto.StatusError}
-	}
-	proto.FinishScanResult(dst, mark, entries)
-	sc.vals = dst
-	return proto.Response{
-		Status: proto.StatusOK,
-		Value:  sc.vals[blockStart:len(sc.vals):len(sc.vals)],
 	}
 }
 
@@ -646,9 +506,7 @@ func (s *Server) Close() error {
 	// The pipeline runner shuts down after the drain: wg.Wait needs the
 	// runner still executing. Its Close is idempotent — it also runs when
 	// Serve was never called.
-	if s.pipe != nil {
-		s.pipe.runner.Close()
-	}
+	s.pipe.runner.Close()
 	for _, fe := range fes {
 		fe.Shutdown()
 	}

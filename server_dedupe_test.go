@@ -252,9 +252,10 @@ func (r *retryingResponder) Release(f *frontend.Frame) {
 }
 
 // TestRetryBetweenSendAndCacheFillIsReplayed forces the interleaving behind
-// the tier-1 flake on every serving path: a retry that arrives while the
-// original reply is being sent must be replayed from the cache (filled before
-// the send), not classified in-flight and dropped.
+// the tier-1 flake on both completion paths — a pipeline batch (in either
+// batch shape) and a query-less frame answered inline: a retry that arrives
+// while the original reply is being sent must be replayed from the cache
+// (filled before the send), not classified in-flight and dropped.
 func TestRetryBetweenSendAndCacheFillIsReplayed(t *testing.T) {
 	set := []Query{{Op: OpSet, Key: []byte("k"), Value: []byte("v")}}
 	for _, c := range []struct {
@@ -262,8 +263,8 @@ func TestRetryBetweenSendAndCacheFillIsReplayed(t *testing.T) {
 		opts    ServerOptions
 		queries []Query
 	}{
-		{"per-frame", ServerOptions{}, set},
-		{"pipelined", ServerOptions{Pipeline: &PipelineOptions{}}, set},
+		{"per-frame", ServerOptions{Pipeline: &PipelineOptions{MaxBatch: 1}}, set},
+		{"pipelined", ServerOptions{}, set},
 		{"query-less", ServerOptions{}, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {

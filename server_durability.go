@@ -17,10 +17,10 @@ import (
 
 // This file is the durability tier's server wiring (DESIGN.md §5.13): startup
 // recovery (snapshot + WAL replay, including the at-most-once reply cache),
-// the WAL hooks on both serving paths, and the periodic snapshotter that
-// truncates the log. Logging is redo-after-apply: an operation is executed
-// first, its record appended after, and the client acked only once the record
-// is durable per the sync policy — so every acked SET/DELETE survives kill -9,
+// the pipeline's LG task, and the periodic snapshotter that truncates the
+// log. Logging is redo-after-apply: an operation is executed first, its
+// record appended after, and the client acked only once the record is
+// durable per the sync policy — so every acked SET/DELETE survives kill -9,
 // and a lost ack at worst makes the client retry an idempotent operation.
 
 // RangeBackend is the optional Backend extension snapshots need: a walk over
@@ -213,7 +213,7 @@ func (d *durability) putBuf(b []byte) {
 // REPLY record binding the encoded response frames to (addr, reqID), so a
 // retry after a crash replays the reply instead of re-executing. Returns the
 // extended buffer and the number of records appended. resps[i] answers
-// queries[i] on both serving paths.
+// queries[i].
 func appendFrameRecords(dst []byte, queries []proto.Query, resps []proto.Response, akey string, reqID uint64, tracked bool, respFrames [][]byte) ([]byte, int) {
 	n := 0
 	writes := 0
@@ -237,23 +237,6 @@ func appendFrameRecords(dst []byte, queries []proto.Query, resps []proto.Respons
 		n++
 	}
 	return dst, n
-}
-
-// commitFrame logs one per-frame-path frame: encode its records, group-commit
-// them, and report whether the frame may be acked. GET-only frames produce no
-// records and are always ackable.
-func (d *durability) commitFrame(queries []proto.Query, resps []proto.Response, akey string, reqID uint64, tracked bool, respFrames [][]byte) bool {
-	buf := d.getBuf()
-	buf, n := appendFrameRecords(buf, queries, resps, akey, reqID, tracked, respFrames)
-	ok := true
-	if n > 0 {
-		if err := d.log.Commit(buf, n); err != nil {
-			d.walDrops.Inc()
-			ok = false
-		}
-	}
-	d.putBuf(buf)
-	return ok
 }
 
 // pipelineLogBatch is the pipeline's LG task: it encodes the whole batch's

@@ -18,76 +18,68 @@ import (
 
 // durableOpts returns ServerOptions with the durability tier on dir, batch
 // (group-commit) sync, and no periodic snapshotter unless asked.
-func durableOpts(dir string, pipelined bool) ServerOptions {
-	opts := ServerOptions{Durability: &DurabilityOptions{Dir: dir, Sync: wal.SyncBatch}}
-	if pipelined {
-		opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-	}
-	return opts
+func durableOpts(dir string) ServerOptions {
+	return ServerOptions{Durability: &DurabilityOptions{Dir: dir, Sync: wal.SyncBatch}}
 }
 
 // TestDurableServerRecoversAckedSets drives acked SETs and DELETEs through a
 // durable server, closes it, and recovers into a fresh store: every acked SET
-// must be readable and every acked DELETE gone, on both serving paths.
+// must be readable and every acked DELETE gone.
 func TestDurableServerRecoversAckedSets(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		if pipelined {
-			name = "pipelined"
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		dir := t.TempDir()
+		st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
+		opts := durableOpts(dir)
+		opts.Pipeline = po
+		srv, err := NewServerDurable(st, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-			srv, err := NewServerDurable(st, durableOpts(dir, pipelined))
-			if err != nil {
-				t.Fatal(err)
+		addr, errc := startServer(t, srv)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const keys = 300
+		for i := 0; i < keys; i++ {
+			if err := c.Set(keyN(i), valN(i)); err != nil {
+				t.Fatalf("set %d: %v", i, err)
 			}
-			addr, errc := startServer(t, srv)
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
+		}
+		for i := 0; i < keys; i += 10 {
+			if _, err := c.Delete(keyN(i)); err != nil {
+				t.Fatalf("delete %d: %v", i, err)
 			}
-			const keys = 300
-			for i := 0; i < keys; i++ {
-				if err := c.Set(keyN(i), valN(i)); err != nil {
-					t.Fatalf("set %d: %v", i, err)
-				}
-			}
-			for i := 0; i < keys; i += 10 {
-				if _, err := c.Delete(keyN(i)); err != nil {
-					t.Fatalf("delete %d: %v", i, err)
-				}
-			}
-			c.Close()
-			srv.Close()
-			waitServe(t, errc)
+		}
+		c.Close()
+		srv.Close()
+		waitServe(t, errc)
 
-			// Recover into a brand-new store; recovery runs inside the
-			// constructor, no Serve needed.
-			st2 := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-			srv2, err := NewServerDurable(st2, durableOpts(dir, false))
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			defer srv2.Close()
-			ds, ok := srv2.DurabilityStats()
-			if !ok || ds.RecoveredWALRecords == 0 {
-				t.Fatalf("recovery replayed nothing: %+v ok=%v", ds, ok)
-			}
-			for i := 0; i < keys; i++ {
-				v, found := st2.Get(keyN(i))
-				if i%10 == 0 {
-					if found {
-						t.Fatalf("deleted key %d resurrected", i)
-					}
-					continue
+		// Recover into a brand-new store; recovery runs inside the
+		// constructor, no Serve needed.
+		st2 := NewStore(StoreConfig{MemoryBytes: 16 << 20})
+		srv2, err := NewServerDurable(st2, durableOpts(dir))
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		defer srv2.Close()
+		ds, ok := srv2.DurabilityStats()
+		if !ok || ds.RecoveredWALRecords == 0 {
+			t.Fatalf("recovery replayed nothing: %+v ok=%v", ds, ok)
+		}
+		for i := 0; i < keys; i++ {
+			v, found := st2.Get(keyN(i))
+			if i%10 == 0 {
+				if found {
+					t.Fatalf("deleted key %d resurrected", i)
 				}
-				if !found || string(v) != string(valN(i)) {
-					t.Fatalf("acked key %d lost after recovery (found=%v)", i, found)
-				}
+				continue
 			}
-		})
-	}
+			if !found || string(v) != string(valN(i)) {
+				t.Fatalf("acked key %d lost after recovery (found=%v)", i, found)
+			}
+		}
+	})
 }
 
 // TestDurableServerSnapshotTruncatesWAL pins the snapshot/truncate protocol
@@ -97,7 +89,7 @@ func TestDurableServerRecoversAckedSets(t *testing.T) {
 func TestDurableServerSnapshotTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-	srv, err := NewServerDurable(st, durableOpts(dir, false))
+	srv, err := NewServerDurable(st, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +131,7 @@ func TestDurableServerSnapshotTruncatesWAL(t *testing.T) {
 	waitServe(t, errc)
 
 	st2 := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-	srv2, err := NewServerDurable(st2, durableOpts(dir, false))
+	srv2, err := NewServerDurable(st2, durableOpts(dir))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -195,54 +187,49 @@ func (a *accountingFile) counts() (written, synced int64) {
 // TestDurableCloseFsyncsTail is the graceful-drain regression test: with the
 // sync policy off (nothing fsyncs during serving), Server.Close must still
 // flush and fsync the WAL tail before returning — the bytes written and the
-// bytes durable must match the moment Close returns, on both serving paths.
+// bytes durable must match the moment Close returns.
 func TestDurableCloseFsyncsTail(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		if pipelined {
-			name = "pipelined"
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		acct := &accountingFile{}
+		opts := durableOpts(t.TempDir())
+		opts.Pipeline = po
+		opts.Durability.Sync = wal.SyncOff
+		opts.Durability.OpenFile = func(path string) (wal.File, error) {
+			f, err := wal.DefaultOpenFile(path)
+			if err != nil {
+				return nil, err
+			}
+			acct.f = f
+			return acct, nil
 		}
-		t.Run(name, func(t *testing.T) {
-			acct := &accountingFile{}
-			opts := durableOpts(t.TempDir(), pipelined)
-			opts.Durability.Sync = wal.SyncOff
-			opts.Durability.OpenFile = func(path string) (wal.File, error) {
-				f, err := wal.DefaultOpenFile(path)
-				if err != nil {
-					return nil, err
-				}
-				acct.f = f
-				return acct, nil
-			}
-			st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-			srv, err := NewServerDurable(st, opts)
-			if err != nil {
+		st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
+		srv, err := NewServerDurable(st, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, errc := startServer(t, srv)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			if err := c.Set(keyN(i), valN(i)); err != nil {
 				t.Fatal(err)
 			}
-			addr, errc := startServer(t, srv)
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 64; i++ {
-				if err := c.Set(keyN(i), valN(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			c.Close()
-			if err := srv.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			written, synced := acct.counts()
-			if written == 0 {
-				t.Fatal("no WAL bytes written despite acked SETs")
-			}
-			if synced != written {
-				t.Fatalf("Close returned with %d of %d WAL bytes durable — tail not fsynced", synced, written)
-			}
-			waitServe(t, errc)
-		})
-	}
+		}
+		c.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		written, synced := acct.counts()
+		if written == 0 {
+			t.Fatal("no WAL bytes written despite acked SETs")
+		}
+		if synced != written {
+			t.Fatalf("Close returned with %d of %d WAL bytes durable — tail not fsynced", synced, written)
+		}
+		waitServe(t, errc)
+	})
 }
 
 // rawDo sends one encoded frame over conn and collects responses until count
@@ -298,7 +285,7 @@ func rawDo(t *testing.T, conn *net.UDPConn, frame []byte, id uint64, count int) 
 func TestDurableServerAtMostOnceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-	srv, err := NewServerDurable(st, durableOpts(dir, false))
+	srv, err := NewServerDurable(st, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +315,7 @@ func TestDurableServerAtMostOnceAcrossRestart(t *testing.T) {
 	// Restart on the same port; the client socket (and so its address, the
 	// reply-cache key) is unchanged.
 	st2 := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-	srv2, err := NewServerDurable(st2, durableOpts(dir, false))
+	srv2, err := NewServerDurable(st2, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +375,7 @@ func TestDurableServerRecoversTornTail(t *testing.T) {
 	f.Close()
 
 	st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-	srv, err := NewServerDurable(st, durableOpts(dir, false))
+	srv, err := NewServerDurable(st, durableOpts(dir))
 	if err != nil {
 		t.Fatalf("recovery refused a torn tail: %v", err)
 	}
@@ -416,7 +403,7 @@ func TestDurableServerRecoversTornTail(t *testing.T) {
 	waitServe(t, errc)
 
 	st2 := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-	srv2, err := NewServerDurable(st2, durableOpts(dir, false))
+	srv2, err := NewServerDurable(st2, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +421,7 @@ func TestDurableServerRecoversTornTail(t *testing.T) {
 func TestCollectMetricsNamesDurable(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-	srv, err := NewServerDurable(st, durableOpts(dir, false))
+	srv, err := NewServerDurable(st, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +474,7 @@ func (failSetBackend) Set(key, value []byte) error { return errors.New("arena fu
 func TestRecoveryCountsDroppedApplies(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-	srv, err := NewServerDurable(st, durableOpts(dir, false))
+	srv, err := NewServerDurable(st, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +495,7 @@ func TestRecoveryCountsDroppedApplies(t *testing.T) {
 
 	// A healthy recovery drops nothing.
 	st2 := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-	srv2, err := NewServerDurable(st2, durableOpts(dir, false))
+	srv2, err := NewServerDurable(st2, durableOpts(dir))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -518,7 +505,7 @@ func TestRecoveryCountsDroppedApplies(t *testing.T) {
 	srv2.Close()
 
 	// A backend that rejects Sets must report every dropped application.
-	srv3, err := NewServerDurable(failSetBackend{NewStore(StoreConfig{MemoryBytes: 8 << 20})}, durableOpts(dir, false))
+	srv3, err := NewServerDurable(failSetBackend{NewStore(StoreConfig{MemoryBytes: 8 << 20})}, durableOpts(dir))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

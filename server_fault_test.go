@@ -61,7 +61,8 @@ func TestCloseBeforeServe(t *testing.T) {
 	}
 }
 
-// panicBackend poisons one key to prove per-frame recovery.
+// panicBackend poisons one key to prove the pipeline contains a panic to
+// its frame.
 type panicBackend struct {
 	inner Backend
 }
@@ -109,11 +110,12 @@ func TestServeLoopSurvivesPanickedFrame(t *testing.T) {
 // directions), every request completes with zero client-visible errors — all
 // loss absorbed by retry — and responses are matched to requests by ID (a
 // mismatched or stale response would corrupt the per-key values checked
-// below, and duplicate execution would be visible in the served counters).
+// below, and every acknowledged SET must have executed exactly once).
 func TestChaosRetryAbsorbsFaults(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
+	cb := &countingBackend{inner: st}
 	var injector *faults.Conn
-	srv := NewServerOpts(st, ServerOptions{
+	srv := NewServerOpts(cb, ServerOptions{
 		WrapConn: func(pc net.PacketConn) net.PacketConn {
 			injector = faults.Wrap(pc, faults.Symmetric(1234, faults.Profile{
 				Drop:    0.10,
@@ -140,6 +142,7 @@ func TestChaosRetryAbsorbsFaults(t *testing.T) {
 
 	const rounds = 40
 	const batch = 8
+	totalSets := 0
 	for r := 0; r < rounds; r++ {
 		var sets []Query
 		for i := 0; i < batch; i++ {
@@ -158,6 +161,7 @@ func TestChaosRetryAbsorbsFaults(t *testing.T) {
 				t.Fatalf("round %d SET %d status %d", r, i, resp.Status)
 			}
 		}
+		totalSets += batch
 		var gets []Query
 		for i := 0; i < batch; i++ {
 			gets = append(gets, Query{Op: OpGet, Key: sets[i].Key})
@@ -175,6 +179,11 @@ func TestChaosRetryAbsorbsFaults(t *testing.T) {
 		}
 	}
 
+	// At-most-once: despite duplicated and retried frames, each distinct
+	// acknowledged SET ran exactly once.
+	if n := cb.setCount(); n != totalSets {
+		t.Fatalf("backend executed %d SETs for %d distinct acknowledged SETs", n, totalSets)
+	}
 	fs := injector.Stats()
 	if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
 		t.Fatalf("injector idle: %+v", fs)
@@ -184,8 +193,8 @@ func TestChaosRetryAbsorbsFaults(t *testing.T) {
 		t.Fatal("no retries under 10%% drop — faults not exercised")
 	}
 	ss := srv.Stats()
-	t.Logf("chaos: faults=%+v client=%+v server={served:%d frames:%d replayed:%d malformed:%d}",
-		fs, cs, ss.Served, ss.Frames, ss.Replayed, ss.Malformed)
+	t.Logf("chaos: faults=%+v client=%+v server={served:%d frames:%d replayed:%d dup-dropped:%d malformed:%d} pipe=%+v",
+		fs, cs, ss.Served, ss.Frames, ss.Replayed, ss.DupDropped, ss.Malformed, srv.PipelineStats())
 	srv.Close()
 	waitServe(t, errc)
 }

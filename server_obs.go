@@ -81,9 +81,6 @@ func (s *Server) CollectMetrics(w *obs.MetricsWriter) {
 	if s.dur != nil {
 		s.collectDurabilityMetrics(w)
 	}
-	if s.pipe == nil {
-		return
-	}
 	ps := s.pipe.runner.Stats()
 	w.Counter("dido_pipeline_batches_total", "Batches completed by the live pipeline.", ps.Batches)
 	w.Counter("dido_pipeline_queries_total", "Queries served through the pipeline.", ps.Queries)
@@ -136,10 +133,8 @@ func (s *Server) collectDurabilityMetrics(w *obs.MetricsWriter) {
 // it stands now, including the pipeline config adaptation may have installed
 // since startup.
 type ServerConfigView struct {
-	// Path is "per-frame" or "pipelined".
-	Path           string `json:"path"`
-	MaxInFlight    int    `json:"max_inflight"`
-	ReplyCacheSize int    `json:"reply_cache_size"`
+	MaxInFlight    int `json:"max_inflight"`
+	ReplyCacheSize int `json:"reply_cache_size"`
 	// NetQueues is the effective ingestion queue count the frontends shard
 	// across; NetQueuesRequested appears only when the platform or the cost
 	// model gated the count below what was configured.
@@ -147,8 +142,8 @@ type ServerConfigView struct {
 	NetQueuesRequested int `json:"net_queues_requested,omitempty"`
 	// SlowQueryThresholdMicros is present when a slow-query log is attached.
 	SlowQueryThresholdMicros float64 `json:"slow_query_threshold_micros,omitempty"`
-	// Pipeline is present on the pipelined path.
-	Pipeline *PipelineConfigView `json:"pipeline,omitempty"`
+	// Pipeline is the pipeline's currently installed plan.
+	Pipeline PipelineConfigView `json:"pipeline"`
 	// Durability is present when the durability tier is attached.
 	Durability *DurabilityConfigView `json:"durability,omitempty"`
 }
@@ -191,7 +186,6 @@ type PipelineConfigView struct {
 // follows online reconfiguration.
 func (s *Server) ConfigView() ServerConfigView {
 	v := ServerConfigView{
-		Path:           "per-frame",
 		MaxInFlight:    s.opts.MaxInFlight,
 		ReplyCacheSize: s.opts.ReplyCacheSize,
 		NetQueues:      s.netQueues,
@@ -218,12 +212,8 @@ func (s *Server) ConfigView() ServerConfigView {
 		}
 		v.Durability = dv
 	}
-	if s.pipe == nil {
-		return v
-	}
-	v.Path = "pipelined"
 	ps := s.pipe.runner.Stats()
-	pv := &PipelineConfigView{
+	v.Pipeline = PipelineConfigView{
 		Config:       ps.Config.String(),
 		GPUDepth:     ps.Config.GPUDepth,
 		CPUCoresPre:  ps.Config.CPUCoresPre,
@@ -234,8 +224,7 @@ func (s *Server) ConfigView() ServerConfigView {
 		Adapt:        s.pipe.ctrl != nil,
 	}
 	if s.pipe.ctrl != nil {
-		pv.Replans = s.pipe.ctrl.Replans()
+		v.Pipeline.Replans = s.pipe.ctrl.Replans()
 	}
-	v.Pipeline = pv
 	return v
 }

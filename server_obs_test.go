@@ -31,8 +31,7 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestAdminUnderChaos is the observability end-to-end: a pipelined adaptive
-// server with the fault injector active and the full admin surface attached.
+// TestAdminUnderChaos is the observability end-to-end: an adaptive server with the fault injector active and the full admin surface attached.
 // While lossy traffic runs, /metrics, /config and /trace must respond;
 // counters must be monotonic between scrapes; and after the dust settles the
 // trace ring must have recorded exactly one decision per completed batch,
@@ -116,8 +115,8 @@ func TestAdminUnderChaos(t *testing.T) {
 	if err := json.Unmarshal([]byte(cfgBody), &cfg); err != nil {
 		t.Fatalf("/config not JSON: %v\n%s", err, cfgBody)
 	}
-	if cfg.Path != "pipelined" || cfg.Pipeline == nil || !cfg.Pipeline.Adapt {
-		t.Fatalf("/config = %+v, want pipelined+adapt", cfg)
+	if !cfg.Pipeline.Adapt || cfg.Pipeline.Config == "" {
+		t.Fatalf("/config = %+v, want an adaptive pipeline plan", cfg)
 	}
 	if code, _ := httpGet(t, base+"/trace"); code != http.StatusOK {
 		t.Fatalf("/trace status %d mid-chaos", code)
@@ -159,9 +158,9 @@ func TestAdminUnderChaos(t *testing.T) {
 	// Drain, then audit the decision trace against the batch count.
 	srv.Close()
 	waitServe(t, errc)
-	ps, ok := srv.PipelineStats()
-	if !ok || ps.Batches == 0 {
-		t.Fatalf("pipeline stats = %+v, %v", ps, ok)
+	ps := srv.PipelineStats()
+	if ps.Batches == 0 {
+		t.Fatalf("pipeline stats = %+v", ps)
 	}
 	if got := ring.Total(); got != ps.Batches {
 		t.Fatalf("trace recorded %d decisions for %d batches — the ring must capture every controller decision", got, ps.Batches)
@@ -216,51 +215,42 @@ func TestAdminUnderChaos(t *testing.T) {
 	}
 }
 
-// TestSlowLogOnServingPaths pins that both serving paths feed the slow-query
-// log: with a zero threshold every completed frame must be observed.
+// TestSlowLogOnServingPaths pins that the pipeline's completion path feeds
+// the slow-query log: with a zero threshold every completed frame must be
+// observed.
 func TestSlowLogOnServingPaths(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		if pipelined {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-			slow := obs.NewSlowLog(0, 16, 1)
-			opts := ServerOptions{SlowLog: slow}
-			if pipelined {
-				opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-			}
-			srv := NewServerOpts(st, opts)
-			addr, errc := startServer(t, srv)
-			defer srv.Close()
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
+		slow := obs.NewSlowLog(0, 16, 1)
+		srv := NewServerOpts(st, ServerOptions{SlowLog: slow, Pipeline: po})
+		addr, errc := startServer(t, srv)
+		defer srv.Close()
 
-			c, err := Dial(addr)
-			if err != nil {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		const frames = 20
+		for i := 0; i < frames; i++ {
+			if err := c.Set([]byte(fmt.Sprintf("sl%d", i)), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			const frames = 20
-			for i := 0; i < frames; i++ {
-				if err := c.Set([]byte(fmt.Sprintf("sl%d", i)), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			srv.Close()
-			waitServe(t, errc)
+		}
+		srv.Close()
+		waitServe(t, errc)
 
-			if got := slow.Seen(); got != frames {
-				t.Fatalf("slow log saw %d frames, want %d", got, frames)
-			}
-			e := slow.Snapshot()[0]
-			if e.Latency <= 0 || e.Queries != 1 || e.Op != uint8(OpSet) {
-				t.Fatalf("entry = %+v", e)
-			}
-			if !strings.HasPrefix(string(e.Key()), "sl") {
-				t.Fatalf("key = %q", e.Key())
-			}
-		})
-	}
+		if got := slow.Seen(); got != frames {
+			t.Fatalf("slow log saw %d frames, want %d", got, frames)
+		}
+		e := slow.Snapshot()[0]
+		if e.Latency <= 0 || e.Queries != 1 || e.Op != uint8(OpSet) {
+			t.Fatalf("entry = %+v", e)
+		}
+		if !strings.HasPrefix(string(e.Key()), "sl") {
+			t.Fatalf("key = %q", e.Key())
+		}
+	})
 }
 
 // TestSlowLogThresholdFilters: with an unreachable threshold nothing is

@@ -16,22 +16,20 @@ import (
 )
 
 // This file routes admitted frames — from any frontend — through the
-// task-granular live pipeline (internal/pipeline.LiveRunner) instead of one
-// goroutine per frame: the frontend readers perform RV/PP (parse) and the
-// core submits, stage worker groups execute IN/KC+RD/WR batched under each
-// batch's sealed config, and the SD callback encodes and delivers responses
-// through each frame's Responder and releases the frame's admission token.
-// Dedupe, shedding and at-most-once semantics are exactly the per-frame
-// path's: a frame passes the same reply-cache begin / token gate before it
-// ever reaches the pipeline, and its in-flight marker is cleared only when
-// its responses were sent (or it was poisoned and the client must retry).
+// task-granular live pipeline (internal/pipeline.LiveRunner): the frontend
+// readers perform RV/PP (parse) and the core submits, stage worker groups
+// execute IN/KC+RD/WR batched under each batch's sealed config, and the SD
+// callback encodes and delivers responses through each frame's Responder and
+// releases the frame's admission token. A frame passes the reply-cache begin
+// / token gate before it ever reaches the pipeline, and its in-flight marker
+// is cleared only when its responses were sent (or it was poisoned and the
+// client must retry).
 
-// PipelineOptions configures the server's batched pipeline serving path.
+// PipelineOptions configures the server's batched pipeline. The zero value
+// gives the defaults.
 //
-// Ordering contract: within one batch the pipeline executes all index writes
-// before all reads (the paper's staged semantics), so a GET observes any SET
-// or DELETE batched with it — including ones later in the same frame. The
-// per-frame path executes a frame's queries in program order instead.
+// Within one batch the pipeline executes all index writes before all reads
+// (the paper's staged semantics; see Server for the ordering contract).
 // Clients that need read-then-write ordering for the same key put the
 // operations in separate requests.
 type PipelineOptions struct {
@@ -100,9 +98,9 @@ func (sl *liveSlot) reset() {
 	sl.walRecords, sl.walFailed = false, false
 }
 
-// initPipeline wires the live runner into s; called from NewServerOpts when
-// opts.Pipeline is set. The runner's workers start here — a pipelined server
-// must be Closed even if Serve is never called.
+// initPipeline wires the live runner into s; called from every server
+// constructor. The runner's workers start here — a server must be Closed
+// even if Serve is never called.
 func (s *Server) initPipeline(po *PipelineOptions) {
 	interval := po.BatchInterval
 	if interval <= 0 {
@@ -214,8 +212,7 @@ func (s *Server) submitPipelined(f *frontend.Frame) {
 // Reply caching here does not depend on send success: the batched sender is
 // best-effort (UDP gives no per-datagram delivery signal), so a computed
 // reply is always cached and a retry whose response was dropped is answered
-// by replay instead of re-execution — the same at-most-once outcome as the
-// per-frame path.
+// by replay instead of re-execution.
 func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 	var (
 		fs    []*frontend.Frame
@@ -408,28 +405,19 @@ func (l backendLive) NewScanner() pipeline.LiveScanner {
 // LivePipelineStats re-exports the live runner's counter snapshot.
 type LivePipelineStats = pipeline.LiveStats
 
-// PipelineStats returns the live pipeline's counters; ok is false when the
-// server runs the per-frame path.
-func (s *Server) PipelineStats() (LivePipelineStats, bool) {
-	if s.pipe == nil {
-		return LivePipelineStats{}, false
-	}
-	return s.pipe.runner.Stats(), true
-}
+// PipelineStats returns the live pipeline's counters.
+func (s *Server) PipelineStats() LivePipelineStats { return s.pipe.runner.Stats() }
 
 // PipelineStageQuantiles returns, per pipeline stage, the given quantiles of
 // per-batch stage wall time in microseconds.
-func (s *Server) PipelineStageQuantiles(qs ...float64) ([3][]float64, bool) {
-	if s.pipe == nil {
-		return [3][]float64{}, false
-	}
-	return s.pipe.runner.StageQuantiles(qs...), true
+func (s *Server) PipelineStageQuantiles(qs ...float64) [3][]float64 {
+	return s.pipe.runner.StageQuantiles(qs...)
 }
 
 // PipelineReplans returns how many times online adaptation installed a
-// re-planned config; ok is false unless the server is pipelined with Adapt.
+// re-planned config; ok is false unless the server runs with Adapt.
 func (s *Server) PipelineReplans() (uint64, bool) {
-	if s.pipe == nil || s.pipe.ctrl == nil {
+	if s.pipe.ctrl == nil {
 		return 0, false
 	}
 	return s.pipe.ctrl.Replans(), true

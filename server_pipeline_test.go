@@ -9,11 +9,35 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/frontend"
 	"repro/internal/proto"
 )
 
-// pipelinedServer builds a server with the batched pipeline path enabled and
-// a batch interval short enough for request/response tests.
+// batchShapes are the two batch shapes the end-to-end suites run the serving
+// pipeline under. "per-frame" caps a batch at one query, so every frame is
+// sealed into a batch of its own; "pipelined" lets frames share a batch
+// within a short batch interval.
+var batchShapes = []struct {
+	name string
+	opts PipelineOptions
+}{
+	{"per-frame", PipelineOptions{MaxBatch: 1}},
+	{"pipelined", PipelineOptions{BatchInterval: 200 * time.Microsecond}},
+}
+
+// forEachBatchShape runs fn as one subtest per batch shape, named after it,
+// with a fresh copy of that shape's options.
+func forEachBatchShape(t *testing.T, fn func(t *testing.T, po *PipelineOptions)) {
+	t.Helper()
+	for _, bs := range batchShapes {
+		po := bs.opts
+		t.Run(bs.name, func(t *testing.T) { fn(t, &po) })
+	}
+}
+
+// pipelinedServer builds a server with explicit pipeline options — a batch
+// interval short enough for request/response tests — where the default
+// server tests leave ServerOptions.Pipeline nil.
 func pipelinedServer(b Backend, opts ServerOptions) *Server {
 	if opts.Pipeline == nil {
 		opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
@@ -21,8 +45,8 @@ func pipelinedServer(b Backend, opts ServerOptions) *Server {
 	return NewServerOpts(b, opts)
 }
 
-// TestPipelinedServeBasic drives mixed operations through the pipelined path
-// against a real store and checks the answers match the per-frame contract.
+// TestPipelinedServeBasic drives mixed operations through a server with
+// explicit pipeline options against a real store.
 func TestPipelinedServeBasic(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
 	srv := pipelinedServer(st, ServerOptions{})
@@ -59,9 +83,6 @@ func TestPipelinedServeBasic(t *testing.T) {
 	if resps[20].Status != StatusNotFound {
 		t.Fatalf("GET missing = %+v, want NotFound", resps[20])
 	}
-	// Writes and reads of the same key are split across requests: within one
-	// batch the pipeline executes index writes before reads (§III-B batched
-	// semantics), so same-frame read-then-delete order is not preserved.
 	resps, err = c.Do([]Query{{Op: OpDelete, Key: []byte("k0")}})
 	if err != nil {
 		t.Fatal(err)
@@ -73,24 +94,19 @@ func TestPipelinedServeBasic(t *testing.T) {
 		t.Fatal("DELETE k0 not applied")
 	}
 
-	ps, ok := srv.PipelineStats()
-	if !ok {
-		t.Fatal("PipelineStats reports the pipeline off")
-	}
-	if ps.Batches == 0 || ps.Queries == 0 {
+	if ps := srv.PipelineStats(); ps.Batches == 0 || ps.Queries == 0 {
 		t.Fatalf("pipeline idle: %+v — frames did not go through the batched path", ps)
 	}
 	if ss := srv.Stats(); ss.Served == 0 || ss.Frames == 0 {
-		t.Fatalf("server counters idle on the pipelined path: %+v", ss)
+		t.Fatalf("server counters idle: %+v", ss)
 	}
 	srv.Close()
 	waitServe(t, errc)
 }
 
-// TestPipelinedDupWhileInFlight re-runs the PR-2 at-most-once pin with the
-// batched path: a retry landing while the original SET is parked inside a
-// pipeline stage must be dropped, not re-executed — batching must not reopen
-// the in-flight hole.
+// TestPipelinedDupWhileInFlight pins at-most-once under batching: a retry
+// landing while the original SET is parked inside a pipeline stage must be
+// dropped, not re-executed.
 func TestPipelinedDupWhileInFlight(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
 	gb := &gatedBackend{
@@ -169,9 +185,9 @@ func TestPipelinedDupWhileInFlight(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// TestPipelinedChaosAtMostOnce is the chaos e2e on the batched path: under
-// drop/dup/reorder every acknowledged SET executed exactly once and every
-// GET returns the value written — identical guarantees to -pipeline=off.
+// TestPipelinedChaosAtMostOnce is the chaos e2e with explicit pipeline
+// options: under drop/dup/reorder every acknowledged SET executed exactly
+// once and every GET returns the value written.
 func TestPipelinedChaosAtMostOnce(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
 	cb := &countingBackend{inner: st}
@@ -251,16 +267,15 @@ func TestPipelinedChaosAtMostOnce(t *testing.T) {
 	if cs := c.Stats(); cs.Retries == 0 {
 		t.Fatal("no retries under 10%% drop — faults not exercised")
 	}
-	ps, _ := srv.PipelineStats()
 	ss := srv.Stats()
 	t.Logf("pipelined chaos: faults=%+v pipe=%+v server={served:%d replayed:%d dup-dropped:%d}",
-		fs, ps, ss.Served, ss.Replayed, ss.DupDropped)
+		fs, srv.PipelineStats(), ss.Served, ss.Replayed, ss.DupDropped)
 	srv.Close()
 	waitServe(t, errc)
 }
 
-// TestPipelinedOverloadSheds checks StatusBusy shedding still bounds
-// admission on the batched path (tokens are held from admission to SD).
+// TestPipelinedOverloadSheds checks StatusBusy shedding bounds admission
+// with explicit pipeline options (tokens are held from admission to SD).
 func TestPipelinedOverloadSheds(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
 	slow := faults.WrapBackend(st, faults.BackendConfig{Seed: 5, StallRate: 1, Stall: 5 * time.Millisecond})
@@ -322,8 +337,9 @@ func TestPipelinedOverloadSheds(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// TestPipelinedPanicAllowsRetry checks per-frame panic containment inside a
-// batch clears the in-flight marker so the client's retry is re-admitted.
+// TestPipelinedPanicAllowsRetry checks that containing a panic to its frame
+// inside a batch clears the in-flight marker, so the client's retry is
+// re-admitted.
 func TestPipelinedPanicAllowsRetry(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
 	pb := &panicOnceBackend{inner: st}
@@ -422,7 +438,7 @@ func TestPipelinedAdaptReplans(t *testing.T) {
 	if replans == 0 {
 		t.Fatal("adaptation never re-planned despite measured profiles")
 	}
-	ps, _ := srv.PipelineStats()
+	ps := srv.PipelineStats()
 	if ps.Batches == 0 {
 		t.Fatalf("no batches completed: %+v", ps)
 	}
@@ -437,7 +453,7 @@ func TestPipelinedAdaptReplans(t *testing.T) {
 // ReadCandidatesBatch / GetBatch carried real traffic.
 func TestPipelinedWidePath(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20, Shards: 4})
-	srv := pipelinedServer(st, ServerOptions{Pipeline: &PipelineOptions{
+	srv := NewServerOpts(st, ServerOptions{Pipeline: &PipelineOptions{
 		BatchInterval: 200 * time.Microsecond,
 		WideMinGets:   1,
 	}})
@@ -477,13 +493,73 @@ func TestPipelinedWidePath(t *testing.T) {
 		}
 	}
 
-	ps, ok := srv.PipelineStats()
-	if !ok {
-		t.Fatal("PipelineStats reports the pipeline off")
-	}
-	if ps.WideBatches == 0 {
+	if ps := srv.PipelineStats(); ps.WideBatches == 0 {
 		t.Fatalf("WideBatches = 0 with WideMinGets=1: the wide path never served traffic (%+v)", ps)
 	}
 	srv.Close()
 	waitServe(t, errc)
+}
+
+// TestBatchOrderingContract pins the server's one ordering contract end to
+// end on a default server: inside a batch writes run before reads, so a UDP
+// frame's GETs all observe the frame's SET, wherever they sit; RESP keeps
+// Redis order because every read↔write switch seals a new frame.
+func TestBatchOrderingContract(t *testing.T) {
+	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
+	srv := NewServer(st)
+	udpAddr, udpErrc := startServer(t, srv)
+	respAddr, respErrc := startRESP(t, srv)
+	defer srv.Close()
+	k := []byte("k")
+	if err := st.Set(k, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Dial(udpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resps, err := c.Do([]Query{
+		{Op: OpGet, Key: k},
+		{Op: OpSet, Key: k, Value: []byte("v2")},
+		{Op: OpGet, Key: k},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resps[1].Status != StatusOK {
+		t.Fatalf("UDP SET = %+v", resps[1])
+	}
+	for _, i := range []int{0, 2} {
+		if resps[i].Status != StatusOK || string(resps[i].Value) != "v2" {
+			t.Fatalf("UDP GET %d = %d %q, want the frame's own write v2", i, resps[i].Status, resps[i].Value)
+		}
+	}
+
+	rc, err := frontend.DialRESP(respAddr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	resps, err = rc.Do([]Query{
+		{Op: OpGet, Key: k},
+		{Op: OpSet, Key: k, Value: []byte("v3")},
+		{Op: OpGet, Key: k},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resps[0].Status != StatusOK || string(resps[0].Value) != "v2" {
+		t.Fatalf("RESP GET before SET = %d %q, want v2", resps[0].Status, resps[0].Value)
+	}
+	if resps[1].Status != StatusOK {
+		t.Fatalf("RESP SET = %+v", resps[1])
+	}
+	if resps[2].Status != StatusOK || string(resps[2].Value) != "v3" {
+		t.Fatalf("RESP GET after SET = %d %q, want v3", resps[2].Status, resps[2].Value)
+	}
+	srv.Close()
+	waitServe(t, udpErrc)
+	waitServe(t, respErrc)
 }

@@ -66,125 +66,116 @@ func activeQueues(srv *Server) (active, total int) {
 // reorder on every socket) must behave exactly like the single-queue one
 // under the same chaos — zero client-visible errors, every value correct,
 // and every acked SET executed at most once even though duplicates and
-// retries may enter through any queue. Runs on both execution paths.
+// retries may enter through any queue.
 func TestMultiQueueChaosEquivalence(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		if pipelined {
-			name = "pipelined"
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
+		cb := &countingBackend{inner: st}
+		qi := &queueInjectors{}
+		srv := NewServerOpts(cb, ServerOptions{
+			NetQueues: 4,
+			Pipeline:  po,
+			WrapConn: qi.wrap(faults.Profile{
+				Drop:    0.10,
+				Dup:     0.05,
+				Reorder: 0.10,
+			}),
+		})
+		addr, errc := startServer(t, srv)
+		defer srv.Close()
+
+		if want := srv.NetQueues(); qi.count() != want {
+			t.Fatalf("injector wrapped %d sockets, server reports %d queues", qi.count(), want)
 		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-			cb := &countingBackend{inner: st}
-			qi := &queueInjectors{}
-			opts := ServerOptions{
-				NetQueues: 4,
-				WrapConn: qi.wrap(faults.Profile{
-					Drop:    0.10,
-					Dup:     0.05,
-					Reorder: 0.10,
-				}),
-			}
-			if pipelined {
-				opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-			}
-			srv := NewServerOpts(cb, opts)
-			addr, errc := startServer(t, srv)
-			defer srv.Close()
 
-			if want := srv.NetQueues(); qi.count() != want {
-				t.Fatalf("injector wrapped %d sockets, server reports %d queues", qi.count(), want)
-			}
-
-			// Each client is its own source socket, so the kernel hashes the
-			// clients across the REUSEPORT queues.
-			const clients = 6
-			const rounds = 12
-			const batch = 4
-			var wg sync.WaitGroup
-			var totalSets atomic.Int64
-			for ci := 0; ci < clients; ci++ {
-				wg.Add(1)
-				go func(ci int) {
-					defer wg.Done()
-					c, err := DialOpts(addr, ClientOptions{
-						Timeout:    50 * time.Millisecond,
-						Retries:    30,
-						Backoff:    2 * time.Millisecond,
-						MaxBackoff: 20 * time.Millisecond,
-						Seed:       int64(ci + 1),
-					})
+		// Each client is its own source socket, so the kernel hashes the
+		// clients across the REUSEPORT queues.
+		const clients = 6
+		const rounds = 12
+		const batch = 4
+		var wg sync.WaitGroup
+		var totalSets atomic.Int64
+		for ci := 0; ci < clients; ci++ {
+			wg.Add(1)
+			go func(ci int) {
+				defer wg.Done()
+				c, err := DialOpts(addr, ClientOptions{
+					Timeout:    50 * time.Millisecond,
+					Retries:    30,
+					Backoff:    2 * time.Millisecond,
+					MaxBackoff: 20 * time.Millisecond,
+					Seed:       int64(ci + 1),
+				})
+				if err != nil {
+					t.Errorf("client %d dial: %v", ci, err)
+					return
+				}
+				defer c.Close()
+				for r := 0; r < rounds; r++ {
+					var sets []Query
+					for i := 0; i < batch; i++ {
+						sets = append(sets, Query{
+							Op:    OpSet,
+							Key:   []byte(fmt.Sprintf("c%d:r%02d:k%d", ci, r, i)),
+							Value: []byte(fmt.Sprintf("val-%d-%d-%d", ci, r, i)),
+						})
+					}
+					resps, err := c.Do(sets)
 					if err != nil {
-						t.Errorf("client %d dial: %v", ci, err)
+						t.Errorf("client %d round %d SET: %v", ci, r, err)
 						return
 					}
-					defer c.Close()
-					for r := 0; r < rounds; r++ {
-						var sets []Query
-						for i := 0; i < batch; i++ {
-							sets = append(sets, Query{
-								Op:    OpSet,
-								Key:   []byte(fmt.Sprintf("c%d:r%02d:k%d", ci, r, i)),
-								Value: []byte(fmt.Sprintf("val-%d-%d-%d", ci, r, i)),
-							})
-						}
-						resps, err := c.Do(sets)
-						if err != nil {
-							t.Errorf("client %d round %d SET: %v", ci, r, err)
+					totalSets.Add(int64(len(sets)))
+					for i, resp := range resps {
+						if resp.Status != StatusOK {
+							t.Errorf("client %d round %d SET %d status %d", ci, r, i, resp.Status)
 							return
-						}
-						totalSets.Add(int64(len(sets)))
-						for i, resp := range resps {
-							if resp.Status != StatusOK {
-								t.Errorf("client %d round %d SET %d status %d", ci, r, i, resp.Status)
-								return
-							}
-						}
-						var gets []Query
-						for i := 0; i < batch; i++ {
-							gets = append(gets, Query{Op: OpGet, Key: sets[i].Key})
-						}
-						resps, err = c.Do(gets)
-						if err != nil {
-							t.Errorf("client %d round %d GET: %v", ci, r, err)
-							return
-						}
-						for i, resp := range resps {
-							want := fmt.Sprintf("val-%d-%d-%d", ci, r, i)
-							if resp.Status != StatusOK || string(resp.Value) != want {
-								t.Errorf("client %d round %d GET %d = %d %q, want OK %q",
-									ci, r, i, resp.Status, resp.Value, want)
-								return
-							}
 						}
 					}
-				}(ci)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
+					var gets []Query
+					for i := 0; i < batch; i++ {
+						gets = append(gets, Query{Op: OpGet, Key: sets[i].Key})
+					}
+					resps, err = c.Do(gets)
+					if err != nil {
+						t.Errorf("client %d round %d GET: %v", ci, r, err)
+						return
+					}
+					for i, resp := range resps {
+						want := fmt.Sprintf("val-%d-%d-%d", ci, r, i)
+						if resp.Status != StatusOK || string(resp.Value) != want {
+							t.Errorf("client %d round %d GET %d = %d %q, want OK %q",
+								ci, r, i, resp.Status, resp.Value, want)
+							return
+						}
+					}
+				}
+			}(ci)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
 
-			// At-most-once across queues: duplicated datagrams and retried
-			// frames may arrive on any queue, yet each unique SET executed
-			// exactly once against the backend.
-			if got, want := int64(cb.setCount()), totalSets.Load(); got != want {
-				t.Fatalf("backend executed %d SETs for %d unique requests — dedupe broke across queues", got, want)
-			}
+		// At-most-once across queues: duplicated datagrams and retried
+		// frames may arrive on any queue, yet each unique SET executed
+		// exactly once against the backend.
+		if got, want := int64(cb.setCount()), totalSets.Load(); got != want {
+			t.Fatalf("backend executed %d SETs for %d unique requests — dedupe broke across queues", got, want)
+		}
 
-			fs := qi.stats()
-			if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
-				t.Fatalf("injectors idle: %+v", fs)
-			}
-			if active, total := activeQueues(srv); total > 1 && active < 2 {
-				t.Fatalf("kernel did not spread %d clients across %d queues", clients, total)
-			} else {
-				t.Logf("chaos over %d/%d active queues: faults=%+v server=%+v", active, total, fs, srv.Stats())
-			}
-			srv.Close()
-			waitServe(t, errc)
-		})
-	}
+		fs := qi.stats()
+		if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
+			t.Fatalf("injectors idle: %+v", fs)
+		}
+		if active, total := activeQueues(srv); total > 1 && active < 2 {
+			t.Fatalf("kernel did not spread %d clients across %d queues", clients, total)
+		} else {
+			t.Logf("chaos over %d/%d active queues: faults=%+v server=%+v", active, total, fs, srv.Stats())
+		}
+		srv.Close()
+		waitServe(t, errc)
+	})
 }
 
 // TestMultiQueueDurableRecovery pins commit-before-ack on the sharded
@@ -197,7 +188,6 @@ func TestMultiQueueDurableRecovery(t *testing.T) {
 	srv := NewServerOpts(st, ServerOptions{
 		NetQueues:  4,
 		Durability: &DurabilityOptions{Dir: dir},
-		Pipeline:   &PipelineOptions{BatchInterval: 200 * time.Microsecond},
 	})
 	addr, errc := startServer(t, srv)
 
@@ -256,64 +246,54 @@ func TestMultiQueueDurableRecovery(t *testing.T) {
 // queue's reader, wait for in-flight frames, and return cleanly — no hang,
 // no panic, and Serve returns nil.
 func TestMultiQueueCloseDrains(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		if pipelined {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-			opts := ServerOptions{NetQueues: 4}
-			if pipelined {
-				opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-			}
-			srv := NewServerOpts(st, opts)
-			addr, errc := startServer(t, srv)
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
+		srv := NewServerOpts(st, ServerOptions{NetQueues: 4, Pipeline: po})
+		addr, errc := startServer(t, srv)
 
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for ci := 0; ci < 6; ci++ {
-				wg.Add(1)
-				go func(ci int) {
-					defer wg.Done()
-					c, err := DialOpts(addr, ClientOptions{
-						Timeout: 20 * time.Millisecond,
-						Retries: 0,
-						Seed:    int64(ci + 1),
-					})
-					if err != nil {
-						return
-					}
-					defer c.Close()
-					for i := 0; !stop.Load(); i++ {
-						// Errors are expected once Close lands; the point is
-						// the server side must drain without hanging.
-						c.Set([]byte(fmt.Sprintf("dr%d:%d", ci, i)), []byte("v")) //nolint:errcheck
-					}
-				}(ci)
-			}
-
-			// Let traffic flow, then close mid-stream.
-			deadline := time.Now().Add(2 * time.Second)
-			for srv.Served() == 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if srv.Served() == 0 {
-				t.Fatal("no traffic before Close")
-			}
-			closed := make(chan error, 1)
-			go func() { closed <- srv.Close() }()
-			select {
-			case err := <-closed:
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for ci := 0; ci < 6; ci++ {
+			wg.Add(1)
+			go func(ci int) {
+				defer wg.Done()
+				c, err := DialOpts(addr, ClientOptions{
+					Timeout: 20 * time.Millisecond,
+					Retries: 0,
+					Seed:    int64(ci + 1),
+				})
 				if err != nil {
-					t.Fatalf("close: %v", err)
+					return
 				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("Close hung draining multi-queue readers")
+				defer c.Close()
+				for i := 0; !stop.Load(); i++ {
+					// Errors are expected once Close lands; the point is
+					// the server side must drain without hanging.
+					c.Set([]byte(fmt.Sprintf("dr%d:%d", ci, i)), []byte("v")) //nolint:errcheck
+				}
+			}(ci)
+		}
+
+		// Let traffic flow, then close mid-stream.
+		deadline := time.Now().Add(2 * time.Second)
+		for srv.Served() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if srv.Served() == 0 {
+			t.Fatal("no traffic before Close")
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- srv.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("close: %v", err)
 			}
-			waitServe(t, errc)
-			stop.Store(true)
-			wg.Wait()
-		})
-	}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close hung draining multi-queue readers")
+		}
+		waitServe(t, errc)
+		stop.Store(true)
+		wg.Wait()
+	})
 }

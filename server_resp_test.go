@@ -27,33 +27,25 @@ func startRESP(t *testing.T, srv *Server) (string, chan error) {
 	return "", nil
 }
 
-// respPaths runs fn against a fresh server on the per-frame and the pipelined
-// serving path, so every RESP behavior is pinned on both execution paths.
-func respPaths(t *testing.T, fn func(t *testing.T, srv *Server, addr string)) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		// Deep alternating read/write pipelines seal into many small frames;
-		// lift the per-conn queue cap so these tests exercise semantics, not
-		// admission (TestServeRESPPerConnInFlight covers the cap).
-		opts := ServerOptions{RESPConnInFlight: -1}
-		if pipelined {
-			name = "pipelined"
-			opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-			srv := NewServerOpts(st, opts)
-			addr, errc := startRESP(t, srv)
-			defer srv.Close()
-			fn(t, srv, addr)
-			srv.Close()
-			waitServe(t, errc)
-		})
-	}
+// startRESPServer serves a fresh store over RESP with pipeline options po
+// and returns the address; the server is closed, and its serve loop checked,
+// when the test ends. Deep alternating read/write pipelines seal into many
+// small frames, so the per-conn queue cap is lifted: these tests exercise
+// semantics, not admission (TestServeRESPPerConnInFlight covers the cap).
+func startRESPServer(t *testing.T, po *PipelineOptions) string {
+	t.Helper()
+	srv := NewServerOpts(NewStore(StoreConfig{MemoryBytes: 8 << 20}), ServerOptions{RESPConnInFlight: -1, Pipeline: po})
+	addr, errc := startRESP(t, srv)
+	t.Cleanup(func() {
+		srv.Close()
+		waitServe(t, errc)
+	})
+	return addr
 }
 
 func TestServeRESPBasic(t *testing.T) {
-	respPaths(t, func(t *testing.T, srv *Server, addr string) {
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		addr := startRESPServer(t, po)
 		c, err := frontend.DialRESP(addr, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +92,8 @@ func TestServeRESPBasic(t *testing.T) {
 // duplicate keys and duplicate whole commands in one TCP write; RESP has no
 // request IDs, so every command must be executed and answered, in order.
 func TestServeRESPPipelinedDuplicates(t *testing.T) {
-	respPaths(t, func(t *testing.T, srv *Server, addr string) {
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		addr := startRESPServer(t, po)
 		c, err := frontend.DialRESP(addr, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -131,35 +124,29 @@ func TestServeRESPPipelinedDuplicates(t *testing.T) {
 	})
 }
 
-// TestServeRESPFaultyConn drives the server through a stream fault injector on
-// both serving paths, in two regimes. "torn" (stalls + 1-byte short reads)
-// must be invisible: the parser reassembles commands across arbitrary read
-// boundaries, so every batch must come back exactly right. "corrupt" adds bit
-// flips to the server's reads; a flipped byte may poison the connection or
-// even mangle a command into a different valid one, so the assertion there is
-// robustness — no panics, and the server keeps serving new connections.
+// TestServeRESPFaultyConn drives the server through a stream fault injector
+// in two regimes. "torn" (stalls + 1-byte short reads) must be invisible:
+// the parser reassembles commands across arbitrary read boundaries, so every
+// batch must come back exactly right. "corrupt" adds bit flips to the
+// server's reads; a flipped byte may poison the connection or even mangle a
+// command into a different valid one, so the assertion there is robustness —
+// no panics, and the server keeps serving new connections.
 func TestServeRESPFaultyConn(t *testing.T) {
-	regimes := []struct {
-		name    string
-		cfg     faults.StreamConfig
-		corrupt bool
-	}{
-		{"torn", faults.StreamConfig{Seed: 7, StallRate: 0.05, Stall: time.Millisecond, ShortRate: 0.7}, false},
-		{"corrupt", faults.StreamConfig{Seed: 11, StallRate: 0.05, Stall: time.Millisecond, ShortRate: 0.5, CorruptRate: 0.01}, true},
-	}
-	for _, pipelined := range []bool{false, true} {
-		path := "per-frame"
-		if pipelined {
-			path = "pipelined"
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		regimes := []struct {
+			name    string
+			cfg     faults.StreamConfig
+			corrupt bool
+		}{
+			{"torn", faults.StreamConfig{Seed: 7, StallRate: 0.05, Stall: time.Millisecond, ShortRate: 0.7}, false},
+			{"corrupt", faults.StreamConfig{Seed: 11, StallRate: 0.05, Stall: time.Millisecond, ShortRate: 0.5, CorruptRate: 0.01}, true},
 		}
 		for _, rg := range regimes {
 			rg := rg
-			t.Run(path+"/"+rg.name, func(t *testing.T) {
+			t.Run(rg.name, func(t *testing.T) {
 				opts := ServerOptions{
 					WrapStreamConn: func(c net.Conn) net.Conn { return faults.WrapStream(c, rg.cfg) },
-				}
-				if pipelined {
-					opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
+					Pipeline:       po,
 				}
 				st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
 				srv := NewServerOpts(st, opts)
@@ -233,7 +220,7 @@ func TestServeRESPFaultyConn(t *testing.T) {
 				waitServe(t, errc)
 			})
 		}
-	}
+	})
 }
 
 // TestServeRESPOversizedCommand regression-tests a remotely triggerable spin:
@@ -243,7 +230,8 @@ func TestServeRESPFaultyConn(t *testing.T) {
 // zero-length-read loop at 100% CPU. The server must instead answer with a
 // protocol error, close the connection, and keep serving others.
 func TestServeRESPOversizedCommand(t *testing.T) {
-	respPaths(t, func(t *testing.T, srv *Server, addr string) {
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		addr := startRESPServer(t, po)
 		// ~550 complete 2KB args of a declared 1024-arg MGET: > 1.09MB of
 		// prefix, every byte of it ending on an arg boundary.
 		payload := []byte("*1024\r\n$4\r\nMGET\r\n")

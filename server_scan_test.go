@@ -12,36 +12,16 @@ import (
 	"repro/internal/frontend"
 )
 
-// scanPaths runs fn against a fresh ordered-store server on the per-frame and
-// the pipelined serving path with both front ends bound, so every SCAN
-// behavior is pinned on both execution paths and both protocols.
-func scanPaths(t *testing.T, fn func(t *testing.T, srv *Server, udpAddr, respAddr string)) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		opts := ServerOptions{RESPConnInFlight: -1}
-		if pipelined {
-			name = "pipelined"
-			opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 8 << 20, Ordered: true})
-			srv := NewServerOpts(st, opts)
-			udpAddr, udpErrc := startServer(t, srv)
-			respAddr, respErrc := startRESP(t, srv)
-			defer srv.Close()
-			fn(t, srv, udpAddr, respAddr)
-			srv.Close()
-			waitServe(t, udpErrc)
-			waitServe(t, respErrc)
-		})
-	}
-}
-
 // TestServeScanEndToEnd drives SCAN through the full stack: keys in, ordered
 // results out, identical across the UDP binary protocol and RESP, with limit
 // clamping and cursor pagination (start = last key + "\x00").
 func TestServeScanEndToEnd(t *testing.T) {
-	scanPaths(t, func(t *testing.T, srv *Server, udpAddr, respAddr string) {
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		st := NewStore(StoreConfig{MemoryBytes: 8 << 20, Ordered: true})
+		srv := NewServerOpts(st, ServerOptions{RESPConnInFlight: -1, Pipeline: po})
+		udpAddr, udpErrc := startServer(t, srv)
+		respAddr, respErrc := startRESP(t, srv)
+		defer srv.Close()
 		c, err := Dial(udpAddr)
 		if err != nil {
 			t.Fatal(err)
@@ -121,56 +101,51 @@ func TestServeScanEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(rpage, want[10:15])
+		srv.Close()
+		waitServe(t, udpErrc)
+		waitServe(t, respErrc)
 	})
 }
 
 // TestServeScanUnordered pins the rejection path: a store built without the
-// ordered index answers SCAN with StatusError on both front ends, on both
-// execution paths, without disturbing point ops.
+// ordered index answers SCAN with StatusError on both front ends without
+// disturbing point ops.
 func TestServeScanUnordered(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		opts := ServerOptions{RESPConnInFlight: -1}
-		if pipelined {
-			name = "pipelined"
-			opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
+		srv := NewServerOpts(st, ServerOptions{RESPConnInFlight: -1, Pipeline: po})
+		udpAddr, udpErrc := startServer(t, srv)
+		respAddr, respErrc := startRESP(t, srv)
+		defer srv.Close()
+
+		c, err := Dial(udpAddr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-			srv := NewServerOpts(st, opts)
-			udpAddr, udpErrc := startServer(t, srv)
-			respAddr, respErrc := startRESP(t, srv)
-			defer srv.Close()
+		defer c.Close()
+		if err := c.Set([]byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Scan(nil, nil, 0); err == nil {
+			t.Fatal("SCAN on an unordered store succeeded")
+		}
+		// Point ops keep working around the rejected scan.
+		if v, ok, err := c.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
+			t.Fatalf("GET after rejected SCAN = %q %v %v", v, ok, err)
+		}
 
-			c, err := Dial(udpAddr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.Set([]byte("k"), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Scan(nil, nil, 0); err == nil {
-				t.Fatal("SCAN on an unordered store succeeded")
-			}
-			// Point ops keep working around the rejected scan.
-			if v, ok, err := c.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
-				t.Fatalf("GET after rejected SCAN = %q %v %v", v, ok, err)
-			}
-
-			rc, err := frontend.DialRESP(respAddr, 2*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rc.Close()
-			if _, err := rc.Scan(nil, nil, 0); err == nil {
-				t.Fatal("RESP SCAN on an unordered store succeeded")
-			}
-			srv.Close()
-			waitServe(t, udpErrc)
-			waitServe(t, respErrc)
-		})
-	}
+		rc, err := frontend.DialRESP(respAddr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		if _, err := rc.Scan(nil, nil, 0); err == nil {
+			t.Fatal("RESP SCAN on an unordered store succeeded")
+		}
+		srv.Close()
+		waitServe(t, udpErrc)
+		waitServe(t, respErrc)
+	})
 }
 
 // TestServeScanRESPErrors pins the RESP-level argument validation: wrong
@@ -218,183 +193,174 @@ func TestServeScanRESPErrors(t *testing.T) {
 }
 
 // TestScanChaosEquivalence mixes SCAN into the drop/dup/reorder injector
-// workload on both execution paths (the SCAN arm of the multi-queue chaos
-// suite): under datagram loss, duplication and reordering — with churn
-// writers running — every scan reply must be sorted, duplicate-free and
+// workload (the SCAN arm of the multi-queue chaos suite): under datagram
+// loss, duplication and reordering — with churn writers running — every
+// scan reply must be sorted, duplicate-free and
 // value-correct, duplicate SCAN retries are answered from the reply cache
 // without re-execution mattering (scans are read-only, so replay is
 // invisible; the pin is that retried pages stay coherent), and cursor
 // pagination over a stable key region reassembles that region exactly.
 func TestScanChaosEquivalence(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		if pipelined {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 16 << 20, Ordered: true})
-			qi := &queueInjectors{}
-			opts := ServerOptions{
-				NetQueues: 4,
-				WrapConn: qi.wrap(faults.Profile{
-					Drop:    0.10,
-					Dup:     0.05,
-					Reorder: 0.10,
-				}),
-			}
-			if pipelined {
-				opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-			}
-			srv := NewServerOpts(st, opts)
-			addr, errc := startServer(t, srv)
-			defer srv.Close()
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		st := NewStore(StoreConfig{MemoryBytes: 16 << 20, Ordered: true})
+		qi := &queueInjectors{}
+		srv := NewServerOpts(st, ServerOptions{
+			NetQueues: 4,
+			Pipeline:  po,
+			WrapConn: qi.wrap(faults.Profile{
+				Drop:    0.10,
+				Dup:     0.05,
+				Reorder: 0.10,
+			}),
+		})
+		addr, errc := startServer(t, srv)
+		defer srv.Close()
 
-			// Stable region: loaded before the chaos, never written again, so
-			// every scan of it — whatever the interleaving — must return it
-			// exactly.
-			const stable = 64
-			var stableKeys []string
-			{
+		// Stable region: loaded before the chaos, never written again, so
+		// every scan of it — whatever the interleaving — must return it
+		// exactly.
+		const stable = 64
+		var stableKeys []string
+		{
+			c, err := DialOpts(addr, ClientOptions{
+				Timeout: 50 * time.Millisecond, Retries: 30,
+				Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < stable; i++ {
+				k := fmt.Sprintf("scan:%03d", i)
+				stableKeys = append(stableKeys, k)
+				if err := c.Set([]byte(k), []byte("sv-"+k)); err != nil {
+					t.Fatalf("warm %s: %v", k, err)
+				}
+			}
+			c.Close()
+		}
+
+		const clients = 4
+		const rounds = 10
+		var wg sync.WaitGroup
+		for ci := 0; ci < clients; ci++ {
+			wg.Add(1)
+			go func(ci int) {
+				defer wg.Done()
 				c, err := DialOpts(addr, ClientOptions{
-					Timeout: 50 * time.Millisecond, Retries: 30,
-					Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
+					Timeout:    50 * time.Millisecond,
+					Retries:    30,
+					Backoff:    2 * time.Millisecond,
+					MaxBackoff: 20 * time.Millisecond,
+					Seed:       int64(ci + 1),
 				})
 				if err != nil {
-					t.Fatal(err)
+					t.Errorf("client %d dial: %v", ci, err)
+					return
 				}
-				for i := 0; i < stable; i++ {
-					k := fmt.Sprintf("scan:%03d", i)
-					stableKeys = append(stableKeys, k)
-					if err := c.Set([]byte(k), []byte("sv-"+k)); err != nil {
-						t.Fatalf("warm %s: %v", k, err)
+				defer c.Close()
+				for r := 0; r < rounds; r++ {
+					// Churn: write and delete keys in a separate region
+					// while other clients scan.
+					for i := 0; i < 4; i++ {
+						k := fmt.Sprintf("churn:%d:%d", ci, i)
+						if err := c.Set([]byte(k), []byte("cv:"+k)); err != nil {
+							t.Errorf("client %d churn SET: %v", ci, err)
+							return
+						}
 					}
-				}
-				c.Close()
-			}
+					if r%2 == 1 {
+						if _, err := c.Delete([]byte(fmt.Sprintf("churn:%d:%d", ci, r%4))); err != nil {
+							t.Errorf("client %d churn DEL: %v", ci, err)
+							return
+						}
+					}
 
-			const clients = 4
-			const rounds = 10
-			var wg sync.WaitGroup
-			for ci := 0; ci < clients; ci++ {
-				wg.Add(1)
-				go func(ci int) {
-					defer wg.Done()
-					c, err := DialOpts(addr, ClientOptions{
-						Timeout:    50 * time.Millisecond,
-						Retries:    30,
-						Backoff:    2 * time.Millisecond,
-						MaxBackoff: 20 * time.Millisecond,
-						Seed:       int64(ci + 1),
-					})
+					// Full stable-region scan: exact contents, every time.
+					entries, err := c.Scan([]byte("scan:"), []byte("scan;"), 0)
 					if err != nil {
-						t.Errorf("client %d dial: %v", ci, err)
+						t.Errorf("client %d round %d SCAN: %v", ci, r, err)
 						return
 					}
-					defer c.Close()
-					for r := 0; r < rounds; r++ {
-						// Churn: write and delete keys in a separate region
-						// while other clients scan.
-						for i := 0; i < 4; i++ {
-							k := fmt.Sprintf("churn:%d:%d", ci, i)
-							if err := c.Set([]byte(k), []byte("cv:"+k)); err != nil {
-								t.Errorf("client %d churn SET: %v", ci, err)
-								return
-							}
-						}
-						if r%2 == 1 {
-							if _, err := c.Delete([]byte(fmt.Sprintf("churn:%d:%d", ci, r%4))); err != nil {
-								t.Errorf("client %d churn DEL: %v", ci, err)
-								return
-							}
-						}
-
-						// Full stable-region scan: exact contents, every time.
-						entries, err := c.Scan([]byte("scan:"), []byte("scan;"), 0)
-						if err != nil {
-							t.Errorf("client %d round %d SCAN: %v", ci, r, err)
+					if len(entries) != stable {
+						t.Errorf("client %d round %d: scan saw %d stable keys, want %d", ci, r, len(entries), stable)
+						return
+					}
+					for i, e := range entries {
+						if string(e.Key) != stableKeys[i] || string(e.Value) != "sv-"+stableKeys[i] {
+							t.Errorf("client %d round %d entry %d = %q=%q, want %q", ci, r, i, e.Key, e.Value, stableKeys[i])
 							return
-						}
-						if len(entries) != stable {
-							t.Errorf("client %d round %d: scan saw %d stable keys, want %d", ci, r, len(entries), stable)
-							return
-						}
-						for i, e := range entries {
-							if string(e.Key) != stableKeys[i] || string(e.Value) != "sv-"+stableKeys[i] {
-								t.Errorf("client %d round %d entry %d = %q=%q, want %q", ci, r, i, e.Key, e.Value, stableKeys[i])
-								return
-							}
-						}
-
-						// Paginated stable-region scan: pages (each its own
-						// retryable request through the chaos) reassemble the
-						// region exactly — the cursor is stable across retries.
-						var paged [][]byte
-						cursor := []byte("scan:")
-						for {
-							page, err := c.Scan(cursor, []byte("scan;"), 7)
-							if err != nil {
-								t.Errorf("client %d round %d page: %v", ci, r, err)
-								return
-							}
-							if len(page) == 0 {
-								break
-							}
-							for _, e := range page {
-								paged = append(paged, append([]byte(nil), e.Key...))
-							}
-							cursor = append(append([]byte(nil), page[len(page)-1].Key...), 0)
-						}
-						if len(paged) != stable {
-							t.Errorf("client %d round %d: pagination yielded %d keys, want %d", ci, r, len(paged), stable)
-							return
-						}
-						for i, k := range paged {
-							if string(k) != stableKeys[i] {
-								t.Errorf("client %d round %d: page key %d = %q, want %q", ci, r, i, k, stableKeys[i])
-								return
-							}
-						}
-
-						// Churn-region scan: contents race with writers, so only
-						// the structure is pinned — sorted, duplicate-free, and
-						// every value matches its key.
-						churn, err := c.Scan([]byte("churn:"), []byte("churn;"), 0)
-						if err != nil {
-							t.Errorf("client %d round %d churn SCAN: %v", ci, r, err)
-							return
-						}
-						if !sort.SliceIsSorted(churn, func(a, b int) bool {
-							return bytes.Compare(churn[a].Key, churn[b].Key) < 0
-						}) {
-							t.Errorf("client %d round %d: churn scan unsorted", ci, r)
-							return
-						}
-						for i, e := range churn {
-							if i > 0 && bytes.Equal(churn[i-1].Key, e.Key) {
-								t.Errorf("client %d round %d: duplicate churn key %q", ci, r, e.Key)
-								return
-							}
-							if want := "cv:" + string(e.Key); string(e.Value) != want {
-								t.Errorf("client %d round %d: churn %q=%q, want %q", ci, r, e.Key, e.Value, want)
-								return
-							}
 						}
 					}
-				}(ci)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
 
-			fs := qi.stats()
-			if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
-				t.Fatalf("injectors idle: %+v", fs)
-			}
-			ss := srv.Stats()
-			t.Logf("scan chaos: faults=%+v server=%+v store-scans=%d", fs, ss, st.Stats().Scans)
-			srv.Close()
-			waitServe(t, errc)
-		})
-	}
+					// Paginated stable-region scan: pages (each its own
+					// retryable request through the chaos) reassemble the
+					// region exactly — the cursor is stable across retries.
+					var paged [][]byte
+					cursor := []byte("scan:")
+					for {
+						page, err := c.Scan(cursor, []byte("scan;"), 7)
+						if err != nil {
+							t.Errorf("client %d round %d page: %v", ci, r, err)
+							return
+						}
+						if len(page) == 0 {
+							break
+						}
+						for _, e := range page {
+							paged = append(paged, append([]byte(nil), e.Key...))
+						}
+						cursor = append(append([]byte(nil), page[len(page)-1].Key...), 0)
+					}
+					if len(paged) != stable {
+						t.Errorf("client %d round %d: pagination yielded %d keys, want %d", ci, r, len(paged), stable)
+						return
+					}
+					for i, k := range paged {
+						if string(k) != stableKeys[i] {
+							t.Errorf("client %d round %d: page key %d = %q, want %q", ci, r, i, k, stableKeys[i])
+							return
+						}
+					}
+
+					// Churn-region scan: contents race with writers, so only
+					// the structure is pinned — sorted, duplicate-free, and
+					// every value matches its key.
+					churn, err := c.Scan([]byte("churn:"), []byte("churn;"), 0)
+					if err != nil {
+						t.Errorf("client %d round %d churn SCAN: %v", ci, r, err)
+						return
+					}
+					if !sort.SliceIsSorted(churn, func(a, b int) bool {
+						return bytes.Compare(churn[a].Key, churn[b].Key) < 0
+					}) {
+						t.Errorf("client %d round %d: churn scan unsorted", ci, r)
+						return
+					}
+					for i, e := range churn {
+						if i > 0 && bytes.Equal(churn[i-1].Key, e.Key) {
+							t.Errorf("client %d round %d: duplicate churn key %q", ci, r, e.Key)
+							return
+						}
+						if want := "cv:" + string(e.Key); string(e.Value) != want {
+							t.Errorf("client %d round %d: churn %q=%q, want %q", ci, r, e.Key, e.Value, want)
+							return
+						}
+					}
+				}
+			}(ci)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+
+		fs := qi.stats()
+		if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
+			t.Fatalf("injectors idle: %+v", fs)
+		}
+		ss := srv.Stats()
+		t.Logf("scan chaos: faults=%+v server=%+v store-scans=%d", fs, ss, st.Stats().Scans)
+		srv.Close()
+		waitServe(t, errc)
+	})
 }

@@ -13,75 +13,65 @@ import (
 )
 
 // TestStatsDuringServing hammers Stats() (and the pipeline stats accessors)
-// from several goroutines while the server is actively serving, on both
-// serving paths. Run under -race this pins that snapshotting is safe against
-// concurrent counter updates; it also checks the documented per-field
-// monotonicity (Served never goes backwards across snapshots).
+// from several goroutines while the server is actively serving. Run under
+// -race this pins that snapshotting is safe against concurrent counter
+// updates; it also checks the documented per-field monotonicity (Served
+// never goes backwards across snapshots).
 func TestStatsDuringServing(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "per-frame"
-		if pipelined {
-			name = "pipelined"
+	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
+		st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
+		srv := NewServerOpts(st, ServerOptions{Pipeline: po})
+		addr, errc := startServer(t, srv)
+		defer srv.Close()
+
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+
+		// Stats readers.
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var lastServed uint64
+				for !stop.Load() {
+					ss := srv.Stats()
+					if ss.Served < lastServed {
+						t.Errorf("Served went backwards: %d → %d", lastServed, ss.Served)
+						return
+					}
+					lastServed = ss.Served
+					srv.PipelineStats()
+					srv.PipelineStageQuantiles(0.5, 0.99)
+					srv.PipelineReplans()
+				}
+			}()
 		}
-		t.Run(name, func(t *testing.T) {
-			st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-			opts := ServerOptions{}
-			if pipelined {
-				opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
-			}
-			srv := NewServerOpts(st, opts)
-			addr, errc := startServer(t, srv)
-			defer srv.Close()
 
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-
-			// Stats readers.
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var lastServed uint64
-					for !stop.Load() {
-						ss := srv.Stats()
-						if ss.Served < lastServed {
-							t.Errorf("Served went backwards: %d → %d", lastServed, ss.Served)
-							return
-						}
-						lastServed = ss.Served
-						srv.PipelineStats()
-						srv.PipelineStageQuantiles(0.5, 0.99)
-						srv.PipelineReplans()
-					}
-				}()
-			}
-
-			// Traffic.
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			for i := 0; i < 64; i++ {
-				key := []byte(fmt.Sprintf("s%d", i%32))
-				if i%4 == 0 {
-					if err := c.Set(key, []byte("v")); err != nil {
-						t.Fatal(err)
-					}
-				} else if _, _, err := c.Get(key); err != nil {
+		// Traffic.
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < 64; i++ {
+			key := []byte(fmt.Sprintf("s%d", i%32))
+			if i%4 == 0 {
+				if err := c.Set(key, []byte("v")); err != nil {
 					t.Fatal(err)
 				}
+			} else if _, _, err := c.Get(key); err != nil {
+				t.Fatal(err)
 			}
-			stop.Store(true)
-			wg.Wait()
+		}
+		stop.Store(true)
+		wg.Wait()
 
-			if ss := srv.Stats(); ss.Served == 0 {
-				t.Fatalf("no queries served: %+v", ss)
-			}
-			srv.Close()
-			waitServe(t, errc)
-		})
-	}
+		if ss := srv.Stats(); ss.Served == 0 {
+			t.Fatalf("no queries served: %+v", ss)
+		}
+		srv.Close()
+		waitServe(t, errc)
+	})
 }
 
 // parseExposition parses Prometheus text format into sample name (with
