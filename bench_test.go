@@ -306,144 +306,6 @@ func reportQueueSpread(b *testing.B, srv *dido.Server, name string, requested in
 	b.Logf("%s queue spread: %d queues, frames min=%d max=%d", name, len(qs), qmin, qmax)
 }
 
-// benchmarkServeSkew measures the pipeline at saturation under a
-// configurable key-popularity distribution, A/B-ing the PR's two skew
-// responses: chunk-granular work stealing (-steal) and the hot-key fast path
-// (-hot-keys). skew is the Zipf exponent (0 = uniform, 0.99 = YCSB/paper
-// default). stealMode selects how stealing is engaged:
-//
-//	"off"    fixed assignment — the baseline.
-//	"on"     forced: a static WorkStealing config plus LiveOptions.Steal,
-//	         so every saturated batch runs its stealable phases chunked.
-//	"adapt"  the real deployment shape: -adapt -steal, where the cost
-//	         model's Eq-3/Eq-4 comparison decides per plan whether a
-//	         WorkStealing config is worth installing. On flat workloads it
-//	         should gate stealing off (StealBatches stays ~0).
-//
-// Alongside kqops it reports tmax_p99_us — the p99 wall time of the slowest
-// stage, the live analog of the paper's T_max bottleneck term that stealing
-// exists to shrink — and logs the steal/hot counters so the A/B's mechanism
-// (not just its end-to-end effect) is visible in bench_results.txt.
-func benchmarkServeSkew(b *testing.B, skew float64, stealMode string, hotKeys int) {
-	const (
-		keys       = 64 << 10
-		frameQs    = 64
-		valueBytes = 64
-	)
-	st := dido.NewStore(dido.StoreConfig{MemoryBytes: 64 << 20, HotKeys: hotKeys})
-	val := make([]byte, valueBytes)
-	keyName := make([][]byte, keys)
-	for i := 0; i < keys; i++ {
-		keyName[i] = []byte(fmt.Sprintf("bench-key-%06d", i))
-		if err := st.Set(keyName[i], val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	po := &dido.PipelineOptions{BatchInterval: 100 * time.Microsecond}
-	switch stealMode {
-	case "off", "on":
-		po.Steal = stealMode == "on"
-		po.Provider = &pipeline.StaticProvider{
-			Config:   pipeline.Config{GPUDepth: 0, WorkStealing: stealMode == "on"},
-			Interval: 100 * time.Microsecond,
-			MinBatch: pipeline.DefaultLiveMinBatch,
-			MaxBatch: pipeline.DefaultLiveMaxBatch,
-		}
-	case "adapt":
-		po.Adapt = true
-		po.Steal = true
-	default:
-		b.Fatalf("unknown stealMode %q", stealMode)
-	}
-	srv := dido.NewServerOpts(st, dido.ServerOptions{Pipeline: po})
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve("127.0.0.1:0") }()
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	addr := srv.Addr().String()
-	defer func() {
-		srv.Close()
-		if err := <-errc; err != nil {
-			b.Fatal(err)
-		}
-	}()
-
-	b.SetParallelism(32)
-	var cursor atomic.Int64
-	var failed atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c, err := dido.Dial(addr)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer c.Close()
-		// Per-goroutine generator: zipf.Generator is not safe for concurrent
-		// use, and distinct seeds keep the clients from sampling in lockstep.
-		zg := zipf.NewGenerator(keys, skew, 7919*cursor.Add(1))
-		qs := make([]dido.Query, frameQs)
-		for pb.Next() {
-			for i := range qs {
-				k := keyName[zg.Next()%keys]
-				if i%20 == 19 { // 5% SET
-					qs[i] = dido.Query{Op: dido.OpSet, Key: k, Value: val}
-				} else {
-					qs[i] = dido.Query{Op: dido.OpGet, Key: k}
-				}
-			}
-			if _, err := c.Do(qs); err != nil {
-				if errors.Is(err, dido.ErrBusy) || errors.Is(err, dido.ErrTimeout) {
-					failed.Add(1)
-					continue
-				}
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	served := float64(b.N) - float64(failed.Load())
-	b.ReportMetric(served*frameQs/b.Elapsed().Seconds()/1000, "kqops")
-	tmax := 0.0
-	for _, q := range srv.PipelineStageQuantiles(0.99) {
-		tmax = max(tmax, q[0])
-	}
-	b.ReportMetric(tmax, "tmax_p99_us")
-	if ps := srv.PipelineStats(); ps.Batches > 0 {
-		b.Logf("pipeline config: %v  batches=%d q/batch=%.0f steal[batches=%d chunks=%d queries=%d]",
-			ps.Config, ps.Batches, float64(ps.Queries)/float64(ps.Batches),
-			ps.StealBatches, ps.StolenChunks, ps.StolenQueries)
-	}
-	if ss := st.Stats(); hotKeys > 0 {
-		b.Logf("hot-key fast path: hot=%d of gets=%d (%.1f%%)",
-			ss.HotHits, ss.Gets, 100*float64(ss.HotHits)/float64(ss.Gets))
-	}
-	if n := failed.Load(); n > 0 {
-		b.Logf("%d of %d frames failed their retry budget (busy/timeout)", n, b.N)
-	}
-}
-
-// The Zipf A/B quartet behind ISSUE 7's acceptance row: skewed saturation
-// with stealing off/on and the hot-key table off/on, plus the uniform
-// control where -adapt -steal should keep stealing gated off. On a 1-CPU
-// host all stage groups share one core, so the steal deltas here measure
-// protocol overhead more than parallel speedup — bench_results.txt records
-// both runs and the caveat.
-func BenchmarkServeZipfPinned(b *testing.B) { benchmarkServeSkew(b, 0.99, "off", 0) }
-func BenchmarkServeZipfSteal(b *testing.B)  { benchmarkServeSkew(b, 0.99, "on", 0) }
-func BenchmarkServeZipfHotKeys(b *testing.B) {
-	benchmarkServeSkew(b, 0.99, "off", 1024)
-}
-func BenchmarkServeZipfStealHotKeys(b *testing.B) {
-	benchmarkServeSkew(b, 0.99, "on", 1024)
-}
-func BenchmarkServeUniformPinned(b *testing.B) { benchmarkServeSkew(b, 0, "off", 0) }
-func BenchmarkServeUniformAdaptSteal(b *testing.B) {
-	benchmarkServeSkew(b, 0, "adapt", 0)
-}
-
 func BenchmarkServePipelined(b *testing.B) { benchmarkServe(b, serveBenchConfig{}) }
 
 // The Q4 variants shard ingestion across 4 SO_REUSEPORT queues (each with its

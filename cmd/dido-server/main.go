@@ -78,9 +78,6 @@ func main() {
 
 	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "max wait before a partial batch executes")
 	adapt := flag.Bool("adapt", false, "online pipeline reconfiguration from measured per-batch profiles")
-	wideMin := flag.Int("wide-min", 0, "min GETs per batch for the wide batched index path (0 = default, negative = disable)")
-	steal := flag.Bool("steal", false, "chunk-granular work stealing across stage groups (with -adapt the cost model gates it per plan)")
-	hotKeys := flag.Int("hot-keys", 0, "hot-key fast-path slots: sampled hot GETs served before the index probe (0 disables)")
 	ordered := flag.Bool("ordered", true, "maintain the ordered index beside the cuckoo table (enables SCAN; a write costs one in-place B-tree descent, and copies nodes only while a scan holds a snapshot)")
 
 	adminAddr := flag.String("admin", "", "HTTP observability address, e.g. :9090 (/metrics, /config, /trace, /slowlog, /debug/pprof; empty disables)")
@@ -116,7 +113,7 @@ func main() {
 		log.Fatal("-text cannot be combined with -wal: text-protocol writes bypass the write-ahead log")
 	}
 
-	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Shards: *shards, HotKeys: *hotKeys, Ordered: *ordered})
+	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Shards: *shards, Ordered: *ordered})
 	opts := dido.ServerOptions{
 		MaxInFlight:      *maxInflight,
 		ReplyCacheSize:   *replyCache,
@@ -180,7 +177,7 @@ func main() {
 	if *adminAddr != "" && *adapt {
 		trace = obs.NewTraceRing(0)
 	}
-	opts.Pipeline = &dido.PipelineOptions{BatchInterval: *batchInterval, Adapt: *adapt, WideMinGets: *wideMin, Steal: *steal, Trace: trace}
+	opts.Pipeline = &dido.PipelineOptions{BatchInterval: *batchInterval, Adapt: *adapt, Trace: trace}
 
 	profile := faults.Profile{
 		Drop:    *faultDrop,
@@ -293,9 +290,6 @@ func main() {
 				// ServerStats.String the /metrics parity tests pin.
 				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f",
 					ss, s.LiveObjects, s.Hits, s.Misses, s.Evictions, s.IndexLoadFactor)
-				if *hotKeys > 0 {
-					line += fmt.Sprintf(" hot=%d", s.HotHits)
-				}
 				injectorMu.Lock()
 				var fs faults.Stats
 				for _, inj := range injectors {
@@ -318,12 +312,8 @@ func main() {
 						ds.WAL.WriteErrs+ds.WAL.SyncErrs, ds.DroppedAcks, ds.Snapshots.Snapshots)
 				}
 				ps := srv.PipelineStats()
-				line += fmt.Sprintf(" | pipe batches=%d wide=%d target=%d reconfigs=%d shed=%d panics=%d",
-					ps.Batches, ps.WideBatches, ps.Target, ps.Reconfigs, ps.SubmitShed, ps.Panics)
-				if *steal {
-					line += fmt.Sprintf(" steal[batches=%d chunks=%d queries=%d]",
-						ps.StealBatches, ps.StolenChunks, ps.StolenQueries)
-				}
+				line += fmt.Sprintf(" | pipe batches=%d target=%d reconfigs=%d shed=%d panics=%d",
+					ps.Batches, ps.Target, ps.Reconfigs, ps.SubmitShed, ps.Panics)
 				if replans, ok := srv.PipelineReplans(); ok {
 					line += fmt.Sprintf(" replans=%d", replans)
 				}

@@ -27,30 +27,14 @@ import (
 // under 1%, so only a real shift replans, about one window after it starts.
 // The batch size feedback (Sizer) and the /trace events stay per batch.
 //
-// Work stealing is layered on as a separate, gated decision rather than
-// searched with the shapes: the base search runs over non-stealing configs,
-// and when AllowStealing is set (the live workers implement chunked
-// stealing, LiveOptions.Steal) the winner's stealing variant is priced with
-// Eq 3 and adopted only when the predicted bottleneck improvement — realized
-// as Eq 4 throughput at the interval-solved batch size — clears
-// StealThreshold.
-// The threshold keeps flat workloads honest — when stages are balanced,
-// stealing's predicted gain is ~0 and the claim-index overhead would be pure
-// cost, so the controller gates it off.
+// The searched space is pipeline shapes and index assignments only: the
+// live runner does not steal work (stealing is the simulator's, Fig 15), so
+// a plan priced with Eq 3's stolen-work rebalance would promise a batch size
+// the executor cannot deliver.
 type Controller struct {
 	Planner  *Planner
 	Profiler *profiler.Profiler
 	Sizer    *pipeline.BatchSizer
-	// AllowStealing advertises that the executor implements work stealing
-	// (chunk-granular claim/help on the live path); without it the searched
-	// space is pipeline shapes and index assignments only, because
-	// advertising a stolen-batch size the executor cannot deliver would be
-	// dishonest.
-	AllowStealing bool
-	// StealThreshold is the minimum fractional Tmax improvement Eq 3 must
-	// predict before WorkStealing is turned on; ≤ 0 means
-	// DefaultStealBenefitThreshold.
-	StealThreshold float64
 	// Trace, when set, receives one event per batch-boundary decision —
 	// replans and keeps alike — making the adaptation loop auditable from
 	// the admin endpoint (/trace). Appending is O(1) and allocation-free,
@@ -97,39 +81,9 @@ func NewController(pl *Planner, prof *profiler.Profiler, initial pipeline.Config
 	return &Controller{Planner: pl, Profiler: prof, Sizer: sizer, cfg: initial}
 }
 
-// DefaultStealBenefitThreshold is the fractional predicted-Tmax improvement
-// work stealing must clear before the controller enables it (5%: below that
-// the chunk claim overhead and lost wide-search pipelining eat the gain).
-const DefaultStealBenefitThreshold = 0.05
-
-// keep filters the base search to non-stealing variants; stealing is layered
-// on afterwards as an explicitly gated decision (see maybeSteal).
+// keep filters the search to non-stealing configs: the live runner executes
+// a WorkStealing config as fixed assignment, so its Eq 3 price would be a lie.
 func (c *Controller) keep(cfg pipeline.Config) bool { return !cfg.WorkStealing }
-
-// maybeSteal prices best's work-stealing variant (Eq 3 via applyStealing
-// inside the planner's stage times) and returns it when the predicted
-// benefit clears the threshold; otherwise best stands and stealing stays
-// off. Because EvaluateConfig solves the batch size so Tmax sits at the
-// scheduling interval, a lower bottleneck time surfaces as a larger solved
-// batch at the same Tmax — i.e. as Eq 4 throughput — so that is what the
-// gate compares. On balanced stages (flat workloads) Eq 3 moves nothing and
-// the gain is exactly 0: stealing gates itself off.
-func (c *Controller) maybeSteal(best Prediction, prof task.Profile) Prediction {
-	if !c.AllowStealing || best.Config.GPUDepth == 0 || best.ThroughputOPS <= 0 {
-		return best // single-stage configs have no second group to steal from
-	}
-	ws := best.Config
-	ws.WorkStealing = true
-	wsPred := c.Planner.EvaluateConfig(ws, prof)
-	thr := c.StealThreshold
-	if thr <= 0 {
-		thr = DefaultStealBenefitThreshold
-	}
-	if wsPred.ThroughputOPS >= best.ThroughputOPS*(1+thr) {
-		return wsPred
-	}
-	return best
-}
 
 // NextConfig implements pipeline.ConfigProvider. The live runner serializes
 // calls (one per batch boundary), so the only concurrency to guard is the
@@ -167,7 +121,6 @@ func (c *Controller) NextConfig(prev *pipeline.Batch) (pipeline.Config, int) {
 	if replan {
 		pp := c.plannerProfile(measured)
 		best, _ := c.Planner.BestFiltered(pp, c.keep)
-		best = c.maybeSteal(best, pp)
 		if best.ThroughputOPS > 0 {
 			c.cfg = best.Config
 			c.Sizer.Set(best.Batch)

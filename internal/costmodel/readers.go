@@ -12,10 +12,8 @@ import "repro/internal/task"
 // one while predicted throughput still improves by a real margin.
 
 // DefaultReaderBenefitThreshold is the minimum predicted throughput gain
-// (fractional) an additional ingestion reader must buy before it is opened
-// — the same 5% bar maybeSteal applies before adopting a work-stealing
-// variant, for the same reason: model error around a flat optimum should
-// not flap a structural decision.
+// (fractional) an additional ingestion reader must buy before it is opened:
+// model error around a flat optimum should not flap a structural decision.
 const DefaultReaderBenefitThreshold = 0.05
 
 // DefaultIngestProfile is the workload shape SizeReaders prices before any

@@ -51,9 +51,13 @@ type Table struct {
 	mask    uint64
 	seed    uint64
 
-	// muts advances on every successful Insert or Delete; readers use it to
-	// detect overwrites that raced their search (see Version).
+	// muts advances on every successful Insert or Delete and on every
+	// displacement kick; readers use it to detect mutations that raced their
+	// search (see Version).
 	muts atomic.Uint64
+	// testKick, when set by a test, runs between a kick's copy into the
+	// victim's alternate bucket and the clear of its old slot.
+	testKick func()
 	// entries is the occupied-slot count, kept beside muts: +1 per
 	// successful Insert, −1 per successful Delete. Kicks move an entry
 	// without changing it, so Len is O(1).
@@ -297,6 +301,14 @@ func (t *Table) executePath(nodes []pathNode, endIdx int32, emptySlot int, b1, b
 			return false
 		}
 		t.kicks.Inc()
+		// A kick is a mutation readers must see: a search that scanned the
+		// victim's new bucket before the copy and its old one after the
+		// clear would miss a resident key, and only a version change makes
+		// it retry. Advance before the clear.
+		t.muts.Add(1)
+		if t.testKick != nil {
+			t.testKick()
+		}
 		if !victim.CompareAndSwap(e, 0) {
 			// Someone deleted/changed the victim concurrently after we copied
 			// it; undo the copy to avoid a duplicate and retry.
@@ -346,10 +358,10 @@ func (t *Table) Delete(key []byte, loc Location) bool {
 }
 
 // Version returns a counter that advances on every successful Insert or
-// Delete. A searcher that found no live match can compare the version from
-// before its probe: unchanged means the miss is genuine; changed means a
-// concurrent overwrite may have hidden the key mid-probe and the search
-// should be retried.
+// Delete and on every displacement kick. A searcher that found no live match
+// can compare the version from before its probe: unchanged means the miss is
+// genuine; changed means a concurrent overwrite or kick may have hidden the
+// key mid-probe and the search should be retried.
 func (t *Table) Version() uint64 { return t.muts.Load() }
 
 func (t *Table) clearEntry(b uint64, want uint64) bool {

@@ -449,3 +449,31 @@ func TestLenMatchesSlotScanConcurrent(t *testing.T) {
 		t.Fatalf("Len %d, slot scan %d, writers kept %d", got, scan, want)
 	}
 }
+
+// TestKickAdvancesVersionBeforeClear pins the miss proof against
+// displacement: between a kick's copy of a victim into its alternate bucket
+// and the clear of its old slot, Version must already be above its value
+// before the Insert began. Otherwise a reader that scanned the new bucket
+// before the copy and the old one after the clear sees an unchanged version
+// and reports a resident key as a genuine miss.
+func TestKickAdvancesVersionBeforeClear(t *testing.T) {
+	tbl := New(8, 3) // 64 slots: inserts near full must displace
+	var pre uint64
+	kicks, stale := 0, 0
+	tbl.testKick = func() {
+		kicks++
+		if tbl.Version() <= pre {
+			stale++
+		}
+	}
+	for id := 1; id <= 64 && kicks < 8; id++ {
+		pre = tbl.Version()
+		tbl.Insert(key(id), Location(id))
+	}
+	if kicks == 0 {
+		t.Fatal("no insert displaced a victim; the table is too roomy to test kicks")
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d kicks cleared the victim's old slot with Version unchanged since the insert began", stale, kicks)
+	}
+}

@@ -21,16 +21,25 @@ import (
 
 // LiveStore is the store surface the live pipeline executes against, split
 // along the paper's task boundaries so each piece can run in its own stage.
+// Reads are batched: a stage gathers every GET key of its batch and makes
+// one store call over them — the batch-parallel execution the paper's IN
+// stage gets from the GPU (§V). Value spans are offset pairs into the shared
+// vals arena; vlo[i] = -1 marks a miss.
 type LiveStore interface {
-	// Search performs IN(Search): append candidate locations for key to dst.
-	// Implementations without a task-granular index may return dst unchanged
-	// and resolve the read entirely in ReadCandidates.
-	Search(key []byte, dst []cuckoo.Location) []cuckoo.Location
-	// ReadCandidates performs the fused KC+RD tasks: verify the candidates
-	// against key and append the live value to dst. When every candidate is
-	// stale (the batch's Search raced a writer) the implementation must fall
-	// back to an authoritative lookup rather than reporting a miss.
-	ReadCandidates(key []byte, cands []cuckoo.Location, dst []byte) ([]byte, bool)
+	// SearchBatch performs IN(Search): candidates for keys[i] are appended
+	// to dst with their span recorded in lo[i]:hi[i]. Implementations
+	// without a task-granular index may record empty spans and resolve the
+	// reads entirely in ReadCandidatesBatch.
+	SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location
+	// ReadCandidatesBatch performs the fused KC+RD tasks over previously
+	// collected candidate spans, appending each live value to vals and
+	// returning the grown arena and the hit count. When every candidate of
+	// a key is stale (its search raced a writer) the implementation must
+	// fall back to an authoritative lookup rather than report a miss.
+	ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, hi []int32, vals []byte, vlo, vhi []int32) ([]byte, int)
+	// GetBatch is the fused search+read, used when IN(Search) and KC share
+	// a stage.
+	GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int)
 	// Set performs the composite MM + IN(Insert) + IN(Delete) write.
 	Set(key, value []byte) error
 	// Delete performs IN(Delete) for an explicit DELETE query.
@@ -61,35 +70,6 @@ type LiveStoreMetrics interface {
 	LiveMetrics() (liveObjects, evictions uint64, avgInsertBuckets float64)
 }
 
-// HotKeyStats is an optional LiveStore extension: stores with a hot-key fast
-// path report its cumulative hit count so the profile can expose the measured
-// HotHitPortion (the fraction of GETs skipping the index probe) to the
-// planner — that is how -adapt sees the fast path's reduced search cost.
-type HotKeyStats interface {
-	HotStats() (hits uint64, enabled bool)
-}
-
-// BatchReadStore is an optional LiveStore extension: the wide, shard-grouped
-// batched index path (the codebase's GPU-analog executor). When the store
-// implements it and a batch carries at least WideMinGets GETs, the IN stage
-// runs one SearchBatch over all the batch's GET keys and the KC+RD stage one
-// ReadCandidatesBatch / GetBatch, instead of one scalar call per key — the
-// batch-parallel execution the paper's IN stage gets from the GPU (§V).
-// Value spans use offset pairs into the shared vals arena; vlo[i] = -1 marks
-// a miss.
-type BatchReadStore interface {
-	// SearchBatch is the wide IN(Search): candidates for keys[i] are appended
-	// to dst with their span recorded in lo[i]:hi[i].
-	SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location
-	// ReadCandidatesBatch is the wide fused KC+RD over previously collected
-	// candidate spans; stale candidates must fall back to an authoritative
-	// lookup, exactly like the scalar ReadCandidates.
-	ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, hi []int32, vals []byte, vlo, vhi []int32) ([]byte, int)
-	// GetBatch is the fused wide search+read used when IN(Search) and KC
-	// share a stage (the batched counterpart of the search-skip fusion).
-	GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int)
-}
-
 // LiveFrame is one client frame travelling through the live pipeline. The
 // submitter fills Queries, ParseNanos and Ctx; the WR stage fills Resps; the
 // Done callback receives the frame after its batch's last stage.
@@ -118,9 +98,11 @@ const (
 	DefaultLiveMaxPending    = 4
 	DefaultLiveMinBatch      = 64
 	DefaultLiveMaxBatch      = 8192
-	// DefaultWideMinGets is the GET count at which a batch switches from the
-	// scalar per-key IN/KC+RD loops to the wide batched path: below it the
-	// gather/scatter overhead outweighs the memory-parallelism win.
+	// DefaultWideMinGets is the GET count at which the planner starts to
+	// credit the batched search with memory-level parallelism (the
+	// INSearchMLP ramp in internal/costmodel); the benchmark's replay
+	// (benchmark/replay.go) reads it as well. The runner has no threshold:
+	// every batch's reads take the batched path.
 	DefaultWideMinGets = 32
 )
 
@@ -150,18 +132,6 @@ type LiveOptions struct {
 	MaxPending int
 	// Workers sets the goroutine count per stage group; entries ≤ 0 mean 1.
 	Workers [3]int
-	// WideMinGets is the minimum number of GETs in a batch for the IN and
-	// KC+RD stages to use the store's wide batched path (BatchReadStore).
-	// 0 means DefaultWideMinGets; negative disables the wide path entirely.
-	// Ignored when the store does not implement BatchReadStore.
-	WideMinGets int
-	// Steal enables chunk-granular work stealing across the stage groups
-	// (livesteal.go): batches whose sealed Config has WorkStealing set run
-	// their stealable stage phases as fixed-size chunks behind an atomic
-	// claim index, and workers with no work of their own pull chunks from
-	// the bottleneck stage. Off, WorkStealing configs execute exactly like
-	// fixed assignment (the flag is advisory to the planner only).
-	Steal bool
 	// OnBatchDone, when set, observes every completed batch after its frames
 	// were delivered. The *Batch is recycled after the callback returns;
 	// copy what outlives it.
@@ -196,45 +166,31 @@ type liveBatch struct {
 	// nq is the total query count across frames (the flattened length).
 	nq int
 	// frameOff[i] is the index of frames[i]'s first query in the shared
-	// arenas (resps, candLo, candHi).
+	// response arena.
 	frameOff []int32
 
-	// cands is the IN(Search) result arena; query q's candidates live at
-	// cands[candLo[q]:candHi[q]]. Valid only when searched is set: when the
-	// config fuses IN(Search) into the KC stage the search is skipped and
-	// the read resolves each key in a single authoritative pass.
-	searched       bool
-	cands          []cuckoo.Location
-	candLo, candHi []int32
+	// Gather arenas (reused): getKeys/getQ list every healthy frame's GET
+	// keys and their query-arena indexes, in frame order (filled once per
+	// batch by gatherGets); getOff[i] is the index of frames[i]'s first GET
+	// in them. glo/ghi and vlo/vhi are the per-GET candidate and value spans
+	// the batched store calls populate.
+	gathered bool
+	getKeys  [][]byte
+	getQ     []int32
+	getOff   []int32
+	glo, ghi []int32
+	vlo, vhi []int32
+
+	// cands is the IN(Search) result arena; GET j's candidates live at
+	// cands[glo[j]:ghi[j]]. Valid only when searched is set: when the config
+	// fuses IN(Search) into the KC stage the search is skipped and the read
+	// resolves each key in a single authoritative pass.
+	searched bool
+	cands    []cuckoo.Location
 	// vals is the value arena the KC+RD stage appends into; resps holds one
 	// response per query, partitioned to frames by the WR stage.
 	vals  []byte
 	resps []proto.Response
-
-	// Wide-path gather arenas (reused): getKeys/getQ list every healthy
-	// frame's GET keys and their query-arena indexes (filled once per batch
-	// by gatherGets); glo/ghi and vlo/vhi are the per-GET candidate and
-	// value spans the batched store calls populate.
-	gathered bool
-	getKeys  [][]byte
-	getQ     []int32
-	glo, ghi []int32
-	vlo, vhi []int32
-
-	// Chunked (work-stealing) execution state — see livesteal.go. chunkF
-	// holds frame-index chunk boundaries shared by every frame-geometry
-	// phase of the batch (built once); wchunkF/wchunkJ hold the frame- and
-	// gather-index boundaries of the wide read phase's chunks. chunkVals is
-	// one value arena per chunk so concurrent chunk executors never contend
-	// on an append; statsMu serializes merging their accounting.
-	chunkF        []int32
-	wchunkF       []int32
-	wchunkJ       []int32
-	chunkVals     [][]byte
-	statsMu       sync.Mutex
-	stolenChunks  int
-	stolenQueries int
-	chunkedPhases int
 
 	// lastStage is the last stage the sealed config maps work onto; the
 	// batch completes there instead of traversing empty stages (stamped by
@@ -264,23 +220,16 @@ func (b *liveBatch) reset() {
 	b.frames = b.frames[:0]
 	b.nq = 0
 	b.frameOff = b.frameOff[:0]
-	b.searched = false
-	b.cands = b.cands[:0]
-	b.candLo = b.candLo[:0]
-	b.candHi = b.candHi[:0]
-	b.vals = b.vals[:0]
-	b.resps = b.resps[:0]
 	b.gathered = false
 	b.getKeys = b.getKeys[:0]
 	b.getQ = b.getQ[:0]
+	b.getOff = b.getOff[:0]
 	b.glo, b.ghi = b.glo[:0], b.ghi[:0]
 	b.vlo, b.vhi = b.vlo[:0], b.vhi[:0]
-	b.chunkF = b.chunkF[:0]
-	b.wchunkF, b.wchunkJ = b.wchunkF[:0], b.wchunkJ[:0]
-	for i := range b.chunkVals {
-		b.chunkVals[i] = b.chunkVals[i][:0]
-	}
-	b.stolenChunks, b.stolenQueries, b.chunkedPhases = 0, 0, 0
+	b.searched = false
+	b.cands = b.cands[:0]
+	b.vals = b.vals[:0]
+	b.resps = b.resps[:0]
 	b.firstAt, b.sealedAt = time.Time{}, time.Time{}
 	b.taskNanos = [task.NumTasks]int64{}
 	b.taskUnits = [task.NumTasks]int64{}
@@ -294,7 +243,7 @@ func (b *liveBatch) reset() {
 // prepare sizes the response arena once the batch is sealed (run by the
 // first stage worker, off the submitter's hot path). Reused entries are NOT
 // cleared: every valid op's response is fully assigned by exactly one stage
-// (runSets/runDeletes/runReads), and poisoned frames never deliver theirs —
+// (runWrites/runReads/runScans), and poisoned frames never deliver theirs —
 // which is why LiveFrame.Queries must only hold parser-validated ops.
 func (b *liveBatch) prepare() {
 	n := b.nq
@@ -341,10 +290,6 @@ type LiveRunner struct {
 	// wantProfile is false when the provider declared (via ProfileConsumer)
 	// that it never reads Batch.Profile; buildProfile is skipped then.
 	wantProfile bool
-	// wide is the store's batched path, nil when unsupported or disabled;
-	// wideMin is the per-batch GET count that engages it.
-	wide    BatchReadStore
-	wideMin int
 
 	mu      sync.Mutex // guards pending, cfg, target, seq, closed
 	pending *liveBatch
@@ -362,7 +307,6 @@ type LiveRunner struct {
 	cachedPop        uint64
 	cachedEvicRate   float64
 	cachedAvgIns     float64
-	lastHotHits      uint64 // cumulative HotKeyStats hits at the last batch
 
 	ch        [3]chan *liveBatch
 	stageWG   [3]sync.WaitGroup
@@ -380,11 +324,6 @@ type LiveRunner struct {
 	// seal now instead of waiting out the flush interval.
 	stage1Inflight atomic.Int32
 
-	// stealBoard publishes the currently chunk-shared stage run (livesteal.go);
-	// stealWake nudges channel-blocked workers to come help it.
-	stealBoard atomic.Pointer[stealRun]
-	stealWake  chan struct{}
-
 	// testStage1Dequeued, when set by a test, runs on the stage-1 worker
 	// immediately after a batch is received from ch[0] — the exact point the
 	// historical idle-detection race lived at (the busy flag was incremented
@@ -394,15 +333,11 @@ type LiveRunner struct {
 
 	pool sync.Pool // *liveBatch
 
-	batches      stats.Counter
-	queries      stats.Counter
-	panics       stats.Counter
-	reconfigs    stats.Counter
-	shedFull     stats.Counter
-	wideBatches  stats.Counter
-	stealBatches stats.Counter // batches that ran ≥1 phase chunk-shared
-	stolenChunks stats.Counter // chunks executed by a non-owner worker
-	stolenQs     stats.Counter // queries inside those chunks
+	batches   stats.Counter
+	queries   stats.Counter
+	panics    stats.Counter
+	reconfigs stats.Counter
+	shedFull  stats.Counter
 
 	stageHist [3]*stats.Histogram             // per-batch stage wall time, µs
 	taskHist  [task.NumTasks]*stats.Histogram // per-unit task cost, ns
@@ -440,21 +375,9 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 		flushStop:   make(chan struct{}),
 		flushDone:   make(chan struct{}),
 		drained:     make(chan struct{}),
-		// One wake token per worker: publishing a steal run nudges every
-		// channel-blocked worker at most once (livesteal.go).
-		stealWake: make(chan struct{}, opts.Workers[0]+opts.Workers[1]+opts.Workers[2]),
 	}
 	if pc, ok := opts.Provider.(ProfileConsumer); ok {
 		r.wantProfile = pc.WantsProfile()
-	}
-	r.wideMin = opts.WideMinGets
-	if r.wideMin == 0 {
-		r.wideMin = DefaultWideMinGets
-	}
-	if r.wideMin > 0 {
-		if bs, ok := s.(BatchReadStore); ok {
-			r.wide = bs
-		}
 	}
 	r.cfg, r.target = opts.Provider.NextConfig(nil)
 	if r.target < 1 {
@@ -617,20 +540,7 @@ func (r *LiveRunner) flusher() {
 
 func (r *LiveRunner) stageWorker(si int) {
 	defer r.stageWG[si].Done()
-	for {
-		var b *liveBatch
-		select {
-		case nb, ok := <-r.ch[si]:
-			if !ok {
-				return
-			}
-			b = nb
-		case <-r.stealWake:
-			// A chunk-shared run was published while this worker sat idle:
-			// go execute chunks until it drains or own work arrives.
-			r.helpSteal(si)
-			continue
-		}
+	for b := range r.ch[si] {
 		if si == 0 && r.testStage1Dequeued != nil {
 			r.testStage1Dequeued()
 		}
@@ -656,10 +566,6 @@ func (r *LiveRunner) stageWorker(si int) {
 			r.stage1Inflight.Add(-1)
 			r.trySealIdle()
 		}
-		// Before blocking on the queue again, pull chunks from any published
-		// steal run — "workers that finish their own stage's work help the
-		// bottleneck stage" (§III-B3 brought to the live path).
-		r.helpSteal(si)
 	}
 }
 
@@ -668,7 +574,9 @@ func (r *LiveRunner) stageWorker(si int) {
 // The config invariants guarantee a batch's index writes execute before its
 // reads and its searches no later than its reads, so within one batch a GET
 // observes the batch's SETs (stale candidates fall back to the authoritative
-// lookup) — see DESIGN.md §5.10 for the intra-batch ordering contract.
+// lookup) — see DESIGN.md §5.10 for the intra-batch ordering contract. A
+// batch sealed with a WorkStealing config runs exactly like fixed assignment:
+// stealing is the simulator's (exec.go), not the live runner's.
 func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 	cfg := b.b.Config
 	if s == StageCPUPre {
@@ -679,38 +587,20 @@ func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 	}
 	// When the config puts IN(Search) and KC on the same stage the separate
 	// candidate collection would walk the index twice per GET for nothing:
-	// skip it and let ReadCandidates' authoritative path resolve each key in
-	// one pass (the fused-read counterpart of the KC+RD fusion).
-	//
-	// Each phase routes through its MaybeChunked wrapper: under a sealed
-	// WorkStealing config (and LiveOptions.Steal) the phase executes as
-	// claim-indexed chunks other workers can help with; otherwise the
-	// wrappers fall straight through to the fixed-assignment loops. WR is
-	// never chunked — it stays pinned to its (NIC-adjacent) group, the live
-	// analog of stealableOn's WR rule.
+	// skip it and let GetBatch resolve each key in one pass (the fused-read
+	// counterpart of the KC+RD fusion).
 	if cfg.StageOf(task.INSearch) == s && cfg.StageOf(task.KC) != s {
-		r.runSearchMaybeChunked(b)
+		r.runSearch(b)
 	}
-	insHere := cfg.StageOf(task.INInsert) == s
-	delHere := cfg.StageOf(task.INDelete) == s
-	switch {
-	case insHere && delHere:
-		// Both write kinds on one stage (the common case): one fused pass
-		// over the queries instead of two.
-		r.runWritesMaybeChunked(b, phaseWrites)
-	case insHere:
-		r.runWritesMaybeChunked(b, phaseSets)
-	case delHere:
-		r.runWritesMaybeChunked(b, phaseDeletes)
+	if sets, dels := cfg.StageOf(task.INInsert) == s, cfg.StageOf(task.INDelete) == s; sets || dels {
+		r.runWrites(b, sets, dels)
 	}
 	if cfg.StageOf(task.KC) == s {
-		r.runReadsMaybeChunked(b)
+		r.runReads(b)
 	}
 	// SC runs after the batch's point reads on its assigned stage (CPU-pre or
-	// GPU — never CPU-post, so lastLiveStage needs no SC case). It is never
-	// chunked: all of a batch's scans share one snapshot capture, and the
-	// N-way merge is sequential-bandwidth work with nothing for a helper to
-	// claim mid-merge.
+	// GPU — never CPU-post, so lastLiveStage needs no SC case). All of a
+	// batch's scans share one snapshot capture.
 	if cfg.StageOf(task.SC) == s {
 		r.runScans(b)
 	}
@@ -723,16 +613,7 @@ func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 // a panicking frame is marked Err and skipped by later stages, so one
 // poisoned query cannot take down its batchmates.
 func (r *LiveRunner) eachFrame(b *liveBatch, fn func(fi int, f *LiveFrame)) {
-	r.eachFrameRange(b, 0, len(b.frames), fn)
-}
-
-// eachFrameRange is eachFrame over frames [flo, fhi) — the chunked executors
-// use it so a chunk's panic containment matches the scalar path's exactly.
-// Chunks partition the batch on frame boundaries, so concurrent chunk
-// executors never touch the same frame's Err flag.
-func (r *LiveRunner) eachFrameRange(b *liveBatch, flo, fhi int, fn func(fi int, f *LiveFrame)) {
-	for fi := flo; fi < fhi; fi++ {
-		f := b.frames[fi]
+	for fi, f := range b.frames {
 		if f.Err {
 			continue
 		}
@@ -769,13 +650,14 @@ func (b *liveBatch) taskDone(id task.ID, start time.Time, units int) {
 // gatherGets lists every healthy frame's GET keys (and their query-arena
 // indexes) into the batch's gather arenas, once per batch. This is the
 // scatter/gather step that turns the frame-structured batch into the flat key
-// vector the wide store calls consume.
+// vector the batched store calls consume.
 func (b *liveBatch) gatherGets() {
 	if b.gathered {
 		return
 	}
 	b.gathered = true
 	for fi, f := range b.frames {
+		b.getOff = append(b.getOff, int32(len(b.getKeys)))
 		if f.Err {
 			continue
 		}
@@ -790,83 +672,87 @@ func (b *liveBatch) gatherGets() {
 	}
 }
 
-// wideEligible reports whether b should run its GETs through the store's
-// batched path: the store supports it and the batch carries enough GETs to
-// amortize the gather/scatter overhead.
-func (r *LiveRunner) wideEligible(b *liveBatch) bool {
-	if r.wide == nil || b.nq < r.wideMin {
-		return false
+// getRange returns the half-open gather index range of frame fi's GETs.
+func (b *liveBatch) getRange(fi int) (int, int) {
+	lo := int(b.getOff[fi])
+	hi := len(b.getKeys)
+	if fi+1 < len(b.getOff) {
+		hi = int(b.getOff[fi+1])
 	}
-	b.gatherGets()
-	return len(b.getQ) >= r.wideMin
+	return lo, hi
 }
 
-// wideSearch runs one SearchBatch over the batch's gathered GET keys and
-// scatters the candidate spans back to the per-query arena. A panic inside
-// the store reports false so the caller can rerun the scalar per-frame path,
-// which re-raises inside eachFrame and poisons only the offending frame.
-func (r *LiveRunner) wideSearch(b *liveBatch) (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-		}
-	}()
-	ng := len(b.getQ)
-	b.glo = sizeI32(b.glo, ng)
-	b.ghi = sizeI32(b.ghi, ng)
-	b.cands = r.wide.SearchBatch(b.getKeys, b.cands[:0], b.glo, b.ghi)
-	for j, q := range b.getQ {
-		b.candLo[q], b.candHi[q] = b.glo[j], b.ghi[j]
+// eachGets runs fn over all of the batch's gathered GETs, [0, n), as one
+// batched store call. If that call panics it reruns fn frame by frame over
+// each healthy frame's own GETs inside eachFrame, so the frame holding the
+// poisoned key is marked Err while its batchmates are still answered by the
+// same batched call. fn must book its results only after its store call
+// returns, so a panicked call leaves nothing half-counted. It reports
+// whether the frame-by-frame rerun happened.
+func (r *LiveRunner) eachGets(b *liveBatch, fn func(j0, j1 int)) (reran bool) {
+	n := len(b.getKeys)
+	if n == 0 {
+		return false
 	}
+	if func() (ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		fn(0, n)
+		return true
+	}() {
+		return false
+	}
+	r.eachFrame(b, func(fi int, _ *LiveFrame) {
+		if j0, j1 := b.getRange(fi); j0 < j1 {
+			fn(j0, j1)
+		}
+	})
 	return true
 }
 
-// runSearch performs IN(Search) for every GET, collecting candidate
-// locations into the batch's shared arena. Large batches run the wide,
-// shard-grouped SearchBatch; small ones (and stores without the batched
-// extension) take the scalar per-key loop.
+// runSearch performs IN(Search) for every GET in one SearchBatch call,
+// collecting candidate spans into the batch's shared arena.
 func (r *LiveRunner) runSearch(b *liveBatch) {
 	start := r.taskStart()
+	b.gatherGets()
+	ng := len(b.getKeys)
 	b.searched = true
-	b.candLo = sizeI32(b.candLo, b.nq)
-	b.candHi = sizeI32(b.candHi, b.nq)
-	if r.wideEligible(b) && r.wideSearch(b) {
-		b.taskDone(task.INSearch, start, len(b.getQ))
-		return
-	}
-	b.cands = b.cands[:0] // discard any partial wide results before the rerun
-	units := 0
-	r.eachFrame(b, func(fi int, f *LiveFrame) {
-		lo := int(b.frameOff[fi])
-		for i := range f.Queries {
-			if f.Queries[i].Op != proto.OpGet {
-				continue
+	b.glo = sizeI32(b.glo, ng)
+	b.ghi = sizeI32(b.ghi, ng)
+	if r.eachGets(b, func(j0, j1 int) {
+		b.cands = r.store.SearchBatch(b.getKeys[j0:j1], b.cands, b.glo[j0:j1], b.ghi[j0:j1])
+	}) {
+		// A poisoned frame's spans may be half written by its failed call;
+		// empty them so the read stage's batch-wide call stays in bounds.
+		for fi, f := range b.frames {
+			if f.Err {
+				j0, j1 := b.getRange(fi)
+				clear(b.glo[j0:j1])
+				clear(b.ghi[j0:j1])
 			}
-			m := int32(len(b.cands))
-			b.cands = r.store.Search(f.Queries[i].Key, b.cands)
-			b.candLo[lo+i], b.candHi[lo+i] = m, int32(len(b.cands))
-			units++
 		}
-	})
-	b.taskDone(task.INSearch, start, units)
+	}
+	b.taskDone(task.INSearch, start, ng)
 }
 
-// runSets performs the composite write (MM + IN.Insert + IN.Delete) for
-// every SET in the batch.
-// runWrites performs both write kinds (SET's composite MM + IN.Insert, and
-// IN.Delete) in a single pass — the fusion of runSets and runDeletes used
-// when the config maps both onto the same stage. Measured pass time is split
+// runWrites performs the batch's index writes in one pass over its queries:
+// every SET's composite MM + IN.Insert + IN.Delete when sets is set, every
+// DELETE's IN.Delete when dels is set (each flag says whether the config
+// maps that task onto the running stage). Measured pass time is split
 // between the two tasks by unit count.
-func (r *LiveRunner) runWrites(b *liveBatch) {
+func (r *LiveRunner) runWrites(b *liveBatch, sets, dels bool) {
 	start := r.taskStart()
-	sets, dels := 0, 0
+	nsets, ndels := 0, 0
 	r.eachFrame(b, func(fi int, f *LiveFrame) {
 		lo := int(b.frameOff[fi])
 		for i := range f.Queries {
 			q := &f.Queries[i]
-			switch q.Op {
-			case proto.OpSet:
-				sets++
+			switch {
+			case q.Op == proto.OpSet && sets:
+				nsets++
 				b.keyBytes += len(q.Key)
 				b.valBytes += len(q.Value)
 				if r.wantProfile {
@@ -878,8 +764,8 @@ func (r *LiveRunner) runWrites(b *liveBatch) {
 				} else {
 					b.resps[lo+i] = proto.Response{Status: proto.StatusOK}
 				}
-			case proto.OpDelete:
-				dels++
+			case q.Op == proto.OpDelete && dels:
+				ndels++
 				b.keyBytes += len(q.Key)
 				if r.wantProfile {
 					b.wireBytes += proto.EncodedQueryLen(*q)
@@ -892,165 +778,60 @@ func (r *LiveRunner) runWrites(b *liveBatch) {
 			}
 		}
 	})
-	b.sets += sets
-	b.dels += dels
-	if !start.IsZero() && sets+dels > 0 {
+	b.sets += nsets
+	b.dels += ndels
+	if !start.IsZero() && nsets+ndels > 0 {
 		nanos := time.Since(start).Nanoseconds()
-		b.taskNanos[task.INInsert] += nanos * int64(sets) / int64(sets+dels)
-		b.taskNanos[task.INDelete] += nanos * int64(dels) / int64(sets+dels)
+		b.taskNanos[task.INInsert] += nanos * int64(nsets) / int64(nsets+ndels)
+		b.taskNanos[task.INDelete] += nanos * int64(ndels) / int64(nsets+ndels)
 	}
-	b.taskUnits[task.INInsert] += int64(sets)
-	b.taskUnits[task.INDelete] += int64(dels)
+	b.taskUnits[task.INInsert] += int64(nsets)
+	b.taskUnits[task.INDelete] += int64(ndels)
 }
 
-func (r *LiveRunner) runSets(b *liveBatch) {
+// runReads performs the fused KC+RD for every GET in one batched store call
+// — ReadCandidatesBatch over the search stage's candidate spans, or the fully
+// fused GetBatch when the search was skipped — and scatters values,
+// responses and accounting back per query. Growing the value arena keeps
+// earlier backing arrays alive, so responses already built remain valid for
+// the batch's lifetime.
+func (r *LiveRunner) runReads(b *liveBatch) {
 	start := r.taskStart()
-	units := 0
-	r.eachFrame(b, func(fi int, f *LiveFrame) {
-		lo := int(b.frameOff[fi])
-		for i := range f.Queries {
-			q := &f.Queries[i]
-			if q.Op != proto.OpSet {
-				continue
-			}
-			units++
-			b.keyBytes += len(q.Key)
-			b.valBytes += len(q.Value)
-			if r.wantProfile {
-				b.wireBytes += proto.EncodedQueryLen(*q)
-			}
-			if err := r.store.Set(q.Key, q.Value); err != nil {
-				b.resps[lo+i] = proto.Response{Status: proto.StatusError}
-				b.setErrs++
-			} else {
-				b.resps[lo+i] = proto.Response{Status: proto.StatusOK}
-			}
-		}
-	})
-	b.sets += units
-	b.taskDone(task.INInsert, start, units)
+	b.gatherGets()
+	gets := b.gets
+	b.vlo = sizeI32(b.vlo, len(b.getKeys))
+	b.vhi = sizeI32(b.vhi, len(b.getKeys))
+	r.eachGets(b, func(j0, j1 int) { r.readGets(b, j0, j1) })
+	b.taskDone(task.KC, start, b.gets-gets)
 }
 
-// runDeletes performs IN(Delete) for every DELETE in the batch.
-func (r *LiveRunner) runDeletes(b *liveBatch) {
-	start := r.taskStart()
-	units := 0
-	r.eachFrame(b, func(fi int, f *LiveFrame) {
-		lo := int(b.frameOff[fi])
-		for i := range f.Queries {
-			q := &f.Queries[i]
-			if q.Op != proto.OpDelete {
-				continue
-			}
-			units++
-			b.keyBytes += len(q.Key)
-			if r.wantProfile {
-				b.wireBytes += proto.EncodedQueryLen(*q)
-			}
-			if r.store.Delete(q.Key) {
-				b.resps[lo+i] = proto.Response{Status: proto.StatusOK}
-			} else {
-				b.resps[lo+i] = proto.Response{Status: proto.StatusNotFound}
-			}
-		}
-	})
-	b.dels += units
-	b.taskDone(task.INDelete, start, units)
-}
-
-// wideReads runs the fused KC+RD over the batch's gathered GETs in one
-// batched store call — ReadCandidatesBatch over the search stage's candidate
-// spans, or the fully-fused GetBatch when the search was skipped — then
-// scatters values, responses, and accounting back per query. All bookkeeping
-// happens after the store call returns, so a store panic (reported as false;
-// the scalar loop reruns and contains it per frame) cannot leave half-counted
-// stats behind.
-func (r *LiveRunner) wideReads(b *liveBatch) (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ok = false
-		}
-	}()
-	ng := len(b.getQ)
-	b.vlo = sizeI32(b.vlo, ng)
-	b.vhi = sizeI32(b.vhi, ng)
+// readGets reads gathered GETs [j0, j1) in one store call, then books them.
+func (r *LiveRunner) readGets(b *liveBatch, j0, j1 int) {
+	keys := b.getKeys[j0:j1]
+	vlo, vhi := b.vlo[j0:j1], b.vhi[j0:j1]
 	var hits int
 	if b.searched {
-		// Regather candidate spans from the per-query arena: the search stage
-		// may have run either wide or scalar, candLo/candHi is the contract.
-		b.glo = sizeI32(b.glo, ng)
-		b.ghi = sizeI32(b.ghi, ng)
-		for j, q := range b.getQ {
-			b.glo[j], b.ghi[j] = b.candLo[q], b.candHi[q]
-		}
-		b.vals, hits = r.wide.ReadCandidatesBatch(b.getKeys, b.cands, b.glo, b.ghi, b.vals, b.vlo, b.vhi)
+		b.vals, hits = r.store.ReadCandidatesBatch(keys, b.cands, b.glo[j0:j1], b.ghi[j0:j1], b.vals, vlo, vhi)
 	} else {
-		b.vals, hits = r.wide.GetBatch(b.getKeys, b.vals, b.vlo, b.vhi)
+		b.vals, hits = r.store.GetBatch(keys, b.vals, vlo, vhi)
 	}
-	for j, q := range b.getQ {
-		k := b.getKeys[j]
+	for j, k := range keys {
 		b.keyBytes += len(k)
 		if r.wantProfile {
 			b.wireBytes += proto.EncodedQueryLen(proto.Query{Op: proto.OpGet, Key: k})
 		}
-		if b.vlo[j] >= 0 {
-			v := b.vals[b.vlo[j]:b.vhi[j]:b.vhi[j]]
+		q := b.getQ[j0+j]
+		if vlo[j] >= 0 {
+			v := b.vals[vlo[j]:vhi[j]:vhi[j]]
 			b.resps[q] = proto.Response{Status: proto.StatusOK, Value: v}
 			b.valBytes += len(v)
 		} else {
 			b.resps[q] = proto.Response{Status: proto.StatusNotFound}
 		}
 	}
+	b.gets += len(keys)
 	b.b.Hits += hits
-	b.b.Misses += ng - hits
-	r.wideBatches.Inc()
-	return true
-}
-
-// runReads performs the fused KC+RD for every GET, appending values into the
-// batch's arena. Growing the arena keeps earlier backing arrays alive, so
-// responses already built remain valid for the batch's lifetime. Large
-// batches take the wide batched path; the scalar per-frame loop is the
-// fallback and the panic-containment path.
-func (r *LiveRunner) runReads(b *liveBatch) {
-	start := r.taskStart()
-	if r.wideEligible(b) && r.wideReads(b) {
-		b.gets += len(b.getQ)
-		b.taskDone(task.KC, start, len(b.getQ))
-		return
-	}
-	units := 0
-	r.eachFrame(b, func(fi int, f *LiveFrame) {
-		lo := int(b.frameOff[fi])
-		for i := range f.Queries {
-			q := &f.Queries[i]
-			if q.Op != proto.OpGet {
-				continue
-			}
-			units++
-			b.keyBytes += len(q.Key)
-			if r.wantProfile {
-				b.wireBytes += proto.EncodedQueryLen(*q)
-			}
-			var cands []cuckoo.Location
-			if b.searched {
-				cands = b.cands[b.candLo[lo+i]:b.candHi[lo+i]]
-			}
-			mark := len(b.vals)
-			if out, ok := r.store.ReadCandidates(q.Key, cands, b.vals); ok {
-				b.vals = out
-				v := b.vals[mark:len(b.vals):len(b.vals)]
-				b.resps[lo+i] = proto.Response{Status: proto.StatusOK, Value: v}
-				b.valBytes += len(v)
-				b.b.Hits++
-			} else {
-				b.resps[lo+i] = proto.Response{Status: proto.StatusNotFound}
-				b.b.Misses++
-			}
-		}
-	})
-	b.gets += units
-	b.taskDone(task.KC, start, units)
+	b.b.Misses += len(keys) - hits
 }
 
 // runScans performs SC for every SCAN in the batch as one batched range
@@ -1145,17 +926,6 @@ func (r *LiveRunner) complete(b *liveBatch) {
 
 	r.batches.Inc()
 	r.queries.Add(uint64(b.nq))
-	if b.chunkedPhases > 0 {
-		r.stealBatches.Inc()
-		if b.stolenChunks > 0 {
-			r.stolenChunks.Add(uint64(b.stolenChunks))
-			r.stolenQs.Add(uint64(b.stolenQueries))
-			// Live helpers are CPU workers: surface the realized rebalance
-			// where the simulator's steal loop books it, so OnBatchDone
-			// consumers (and the trace ring) see the same bookkeeping.
-			b.b.Times.StolenByCPU += b.stolenQueries
-		}
-	}
 	if r.wantProfile {
 		for id := 0; id < task.NumTasks; id++ {
 			if b.taskUnits[id] > 0 {
@@ -1259,20 +1029,6 @@ func (r *LiveRunner) buildProfile(b *liveBatch) {
 	if p.AvgInsertBuckets == 0 {
 		p.AvgInsertBuckets = 2 // analytic floor before any insert was measured
 	}
-	if hk, ok := r.store.(HotKeyStats); ok {
-		if hits, enabled := hk.HotStats(); enabled {
-			// Batches overlap across stages, so the per-batch delta of the
-			// cumulative counter is approximate; the profiler smooths it.
-			delta := hits - r.lastHotHits
-			r.lastHotHits = hits
-			if b.gets > 0 {
-				p.HotHitPortion = float64(delta) / float64(b.gets)
-				if p.HotHitPortion > 1 {
-					p.HotHitPortion = 1
-				}
-			}
-		}
-	}
 	b.b.Profile = p
 }
 
@@ -1322,12 +1078,6 @@ type LiveStats struct {
 	Reconfigs uint64
 	// SubmitShed counts frames rejected because every stage-1 slot was full.
 	SubmitShed uint64
-	// WideBatches counts KC+RD stage passes served by the wide batched path.
-	WideBatches uint64
-	// StealBatches counts batches that executed at least one phase as
-	// claim-indexed chunks; StolenChunks/StolenQueries count the chunks (and
-	// the queries inside them) actually executed by a non-owner worker.
-	StealBatches, StolenChunks, StolenQueries uint64
 	// Config and Target are the currently installed config and batch size.
 	Config Config
 	Target int
@@ -1339,17 +1089,13 @@ func (r *LiveRunner) Stats() LiveStats {
 	cfg, target := r.cfg, r.target
 	r.mu.Unlock()
 	return LiveStats{
-		Batches:       r.batches.Load(),
-		Queries:       r.queries.Load(),
-		Panics:        r.panics.Load(),
-		Reconfigs:     r.reconfigs.Load(),
-		SubmitShed:    r.shedFull.Load(),
-		WideBatches:   r.wideBatches.Load(),
-		StealBatches:  r.stealBatches.Load(),
-		StolenChunks:  r.stolenChunks.Load(),
-		StolenQueries: r.stolenQs.Load(),
-		Config:        cfg,
-		Target:        target,
+		Batches:    r.batches.Load(),
+		Queries:    r.queries.Load(),
+		Panics:     r.panics.Load(),
+		Reconfigs:  r.reconfigs.Load(),
+		SubmitShed: r.shedFull.Load(),
+		Config:     cfg,
+		Target:     target,
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cuckoo"
 	"repro/internal/proto"
 )
 
@@ -15,19 +14,12 @@ import (
 // runCoalesced submits frames so they coalesce into (at most) one big batch:
 // a dummy frame seals first and its batch parks in the testStage1Dequeued
 // hook, so everything submitted meanwhile accumulates behind the inflight
-// count and seals together on release. Returns the completed batches and the
-// runner's final stats. The dummy frame is excluded from the caller's view.
-func runCoalesced(t *testing.T, st LiveStore, opts LiveOptions, frames []*LiveFrame) ([]Batch, LiveStats) {
+// count and seals together on release. Returns the runner's final stats. The
+// dummy frame is excluded from the caller's view.
+func runCoalesced(t *testing.T, st LiveStore, opts LiveOptions, frames []*LiveFrame) LiveStats {
 	t.Helper()
 	done := make(chan *LiveFrame, len(frames)+8)
-	var obMu sync.Mutex
-	var batches []Batch
 	opts.Done = func(f *LiveFrame) { done <- f }
-	opts.OnBatchDone = func(b *Batch) {
-		obMu.Lock()
-		batches = append(batches, *b)
-		obMu.Unlock()
-	}
 	if opts.BatchInterval == 0 {
 		opts.BatchInterval = time.Hour // only explicit seals
 	}
@@ -58,9 +50,7 @@ func runCoalesced(t *testing.T, st LiveStore, opts LiveOptions, frames []*LiveFr
 	close(release)
 	collectFrames(t, done, len(frames)+1)
 	r.Close()
-	obMu.Lock()
-	defer obMu.Unlock()
-	return batches, r.Stats()
+	return r.Stats()
 }
 
 // stealWorkload builds a deterministic mixed workload: per-frame keys are
@@ -126,47 +116,34 @@ func checkStealWorkload(t *testing.T, frames []*LiveFrame, presets int) {
 	}
 }
 
-// ---- equivalence --------------------------------------------------------
+// ---- WorkStealing configs run as fixed assignment ----------------------
+//
+// Work stealing is the simulator's mechanism (exec.go, Fig 15). The live
+// runner has none: a batch sealed with a WorkStealing config must execute
+// exactly like the same config without it.
 
-// TestLiveStealEquivalence: with stealing on, a chunk-executed batch must
-// answer every query exactly once with exactly the responses the
-// fixed-assignment path produces — across a multi-stage config, the fused
-// single-stage config, and the wide batched read path.
+// TestLiveStealEquivalence: a batch sealed with a WorkStealing config must
+// answer every query exactly once, with exactly the responses the same config
+// without WorkStealing produces — across a multi-stage and the fused
+// single-stage config.
 func TestLiveStealEquivalence(t *testing.T) {
 	const nframes, presets = 24, 40
-	ws := MegaKV()
-	ws.WorkStealing = true
-	fused := Config{GPUDepth: 0, WorkStealing: true}
 	cases := []struct {
 		name string
 		cfg  Config
-		wide bool
 	}{
-		{"multi-stage", ws, false},
-		{"fused-single-stage", fused, false},
-		{"wide-path", ws, true},
+		{"multi-stage", MegaKV()},
+		{"fused-single-stage", Config{GPUDepth: 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(steal bool) []*LiveFrame {
-				var st LiveStore = stealStore(nframes, presets)
-				wideMin := -1
-				if tc.wide {
-					st = &fakeWideStore{fakeLiveStore: stealStore(nframes, presets)}
-					wideMin = 1
-				}
+				cfg := tc.cfg
+				cfg.WorkStealing = steal
 				frames := stealWorkload(nframes, presets)
-				_, stats := runCoalesced(t, st, LiveOptions{
-					Provider:    &fixedProvider{cfg: tc.cfg, n: 1 << 20},
-					Steal:       steal,
-					WideMinGets: wideMin,
+				runCoalesced(t, stealStore(nframes, presets), LiveOptions{
+					Provider: &fixedProvider{cfg: cfg, n: 1 << 20},
 				}, frames)
-				if steal && stats.StealBatches == 0 {
-					t.Fatal("steal run never executed a chunked batch")
-				}
-				if !steal && stats.StealBatches != 0 {
-					t.Fatalf("StealBatches = %d with stealing off", stats.StealBatches)
-				}
 				return frames
 			}
 			off := run(false)
@@ -185,9 +162,9 @@ func TestLiveStealEquivalence(t *testing.T) {
 	}
 }
 
-// TestLiveStealPanicContainment: a poisoned key inside a chunk must poison
-// only its own frame — chunks partition on frame boundaries, so containment
-// is identical to the fixed path's per-frame blast radius.
+// TestLiveStealPanicContainment: under a WorkStealing config a poisoned key
+// must poison exactly the frames that read it, each once, and every other
+// frame of the batch must be answered in full.
 func TestLiveStealPanicContainment(t *testing.T) {
 	const nframes, presets = 24, 40
 	st := stealStore(nframes, presets)
@@ -195,13 +172,9 @@ func TestLiveStealPanicContainment(t *testing.T) {
 	ws := MegaKV()
 	ws.WorkStealing = true
 	frames := stealWorkload(nframes, presets)
-	_, stats := runCoalesced(t, st, LiveOptions{
+	stats := runCoalesced(t, st, LiveOptions{
 		Provider: &fixedProvider{cfg: ws, n: 1 << 20},
-		Steal:    true,
 	}, frames)
-	if stats.StealBatches == 0 {
-		t.Fatal("steal run never executed a chunked batch")
-	}
 	poisoned := 0
 	for i, f := range frames {
 		hasKey := false
@@ -227,148 +200,16 @@ func TestLiveStealPanicContainment(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("workload never touched the poisoned key")
 	}
-}
-
-// TestLiveStealWidePanicFallsBackPerChunk: a panicking batched store call
-// under chunked wide reads must fall back to the scalar loop chunk-by-chunk
-// and still serve every query.
-func TestLiveStealWidePanicFallsBackPerChunk(t *testing.T) {
-	const nframes, presets = 24, 40
-	st := &fakeWideStore{fakeLiveStore: stealStore(nframes, presets)}
-	st.panicWideReads = true
-	ws := MegaKV()
-	ws.WorkStealing = true
-	frames := stealWorkload(nframes, presets)
-	_, stats := runCoalesced(t, st, LiveOptions{
-		Provider:    &fixedProvider{cfg: ws, n: 1 << 20},
-		Steal:       true,
-		WideMinGets: 1,
-	}, frames)
-	if stats.StealBatches == 0 {
-		t.Fatal("steal run never executed a chunked batch")
-	}
-	if st.scalarReads.Load() == 0 {
-		t.Fatal("scalar fallback did not serve the chunks")
-	}
-	checkStealWorkload(t, frames, presets)
-}
-
-// ---- gating -------------------------------------------------------------
-
-// TestLiveStealGating: chunking engages only when the runner opts in AND the
-// batch's sealed config asked for it AND the batch spans at least two chunks.
-func TestLiveStealGating(t *testing.T) {
-	ws := MegaKV()
-	ws.WorkStealing = true
-	const presets = 40
-	big, small := 24, 4 // 16 queries per frame: 384 vs 64 queries
-	cases := []struct {
-		name    string
-		steal   bool
-		cfg     Config
-		nframes int
-		want    bool
-	}{
-		{"on", true, ws, big, true},
-		{"runner-opt-out", false, ws, big, false},
-		{"config-off", true, MegaKV(), big, false},
-		{"batch-too-small", true, ws, small, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			frames := stealWorkload(tc.nframes, presets)
-			_, stats := runCoalesced(t, stealStore(tc.nframes, presets), LiveOptions{
-				Provider: &fixedProvider{cfg: tc.cfg, n: 1 << 20},
-				Steal:    tc.steal,
-			}, frames)
-			if got := stats.StealBatches > 0; got != tc.want {
-				t.Fatalf("StealBatches = %d, want chunked=%v", stats.StealBatches, tc.want)
-			}
-			checkStealWorkload(t, frames, presets)
-		})
+	if stats.Panics != uint64(poisoned) {
+		t.Fatalf("Panics = %d, want one per poisoned frame (%d)", stats.Panics, poisoned)
 	}
 }
 
-// ---- realized benefit ---------------------------------------------------
-
-// sleepReadStore makes every scalar read cost a fixed wall duration, so the
-// bottleneck stage's time is deterministic: sleeps overlap across workers
-// even on GOMAXPROCS=1, which is what makes this assertable on any host.
-type sleepReadStore struct {
-	*fakeLiveStore
-	d time.Duration
-}
-
-func (s *sleepReadStore) ReadCandidates(key []byte, cands []cuckoo.Location, dst []byte) ([]byte, bool) {
-	time.Sleep(s.d)
-	return s.fakeLiveStore.ReadCandidates(key, cands, dst)
-}
-
-// TestLiveStealReducesBottleneckStage is the live counterpart of the
-// simulator's TestWorkStealingReducesBottleneck: with the read stage made the
-// deterministic bottleneck, helpers from the other stage groups must claim
-// chunks (StolenByCPU > 0) and cut the stage's wall time vs fixed
-// assignment.
-func TestLiveStealReducesBottleneckStage(t *testing.T) {
-	const (
-		nframes  = 16
-		perFrame = 16
-		sleep    = 200 * time.Microsecond
-	)
-	ws := MegaKV() // reads on their own stage; two other worker groups can help
-	ws.WorkStealing = true
-	mkFrames := func() []*LiveFrame {
-		frames := make([]*LiveFrame, nframes)
-		for i := range frames {
-			f := &LiveFrame{}
-			for j := 0; j < perFrame; j++ {
-				f.Queries = append(f.Queries, proto.Query{Op: proto.OpGet, Key: []byte(fmt.Sprintf("p%03d", (i*perFrame+j)%40))})
-			}
-			frames[i] = f
-		}
-		return frames
-	}
-	run := func(steal bool) (time.Duration, Batch, LiveStats) {
-		st := &sleepReadStore{fakeLiveStore: stealStore(0, 40), d: sleep}
-		batches, stats := runCoalesced(t, st, LiveOptions{
-			Provider: &fixedProvider{cfg: ws, n: 1 << 20},
-			Steal:    steal,
-		}, mkFrames())
-		// The workload batch is the one whose bottleneck stage dwarfs the
-		// dummy's single read.
-		var best Batch
-		for _, b := range batches {
-			if b.Times.Tmax > best.Times.Tmax {
-				best = b
-			}
-		}
-		return best.Times.Tmax, best, stats
-	}
-
-	offTmax, _, _ := run(false)
-	onTmax, onBatch, onStats := run(true)
-
-	floor := time.Duration(nframes*perFrame) * sleep // 256 sequential sleeps
-	if offTmax < floor {
-		t.Fatalf("fixed-assignment Tmax = %v, below the %v sequential floor — bottleneck not where expected", offTmax, floor)
-	}
-	if onTmax >= offTmax*3/4 {
-		t.Fatalf("steal Tmax = %v vs fixed %v: helpers did not reduce the bottleneck stage", onTmax, offTmax)
-	}
-	if onBatch.Times.StolenByCPU < StealChunkQueries {
-		t.Fatalf("StolenByCPU = %d, want >= one chunk (%d)", onBatch.Times.StolenByCPU, StealChunkQueries)
-	}
-	if onStats.StolenChunks == 0 || onStats.StolenQueries != uint64(onBatch.Times.StolenByCPU) {
-		t.Fatalf("stats stolen chunks=%d queries=%d, batch StolenByCPU=%d — bookkeeping out of sync",
-			onStats.StolenChunks, onStats.StolenQueries, onBatch.Times.StolenByCPU)
-	}
-}
-
-// TestLiveStealConcurrentWriters hammers a stealing runner with concurrent
-// writer goroutines while readers stream GETs: every reader response must be
-// one of the two legal answers for its key (unwritten yet, or the writers'
-// only value), and the run must actually execute chunked batches. Run under
-// -race this is the steal path's data-race probe.
+// TestLiveStealConcurrentWriters hammers a runner installing a WorkStealing
+// config with concurrent writer goroutines while readers stream GETs: every
+// reader response must be one of the two legal answers for its key
+// (unwritten yet, or the writers' only value). Run under -race it probes the
+// batched read path against concurrent batches' writes.
 func TestLiveStealConcurrentWriters(t *testing.T) {
 	const presets = 16
 	st := stealStore(0, presets)
@@ -401,7 +242,6 @@ func TestLiveStealConcurrentWriters(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: ws, n: 256},
 		BatchInterval: time.Millisecond,
-		Steal:         true,
 		Done: func(f *LiveFrame) {
 			trMu.Lock()
 			ok := tracked[f]
@@ -435,10 +275,7 @@ func TestLiveStealConcurrentWriters(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	var readerFrames []*LiveFrame
-	for r.Stats().StealBatches < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("no chunked batches executed under load")
-		}
+	for len(readerFrames) < 64 && time.Now().Before(deadline) {
 		f := &LiveFrame{}
 		for j := 0; j < 16; j++ {
 			if j%2 == 0 {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,39 +11,70 @@ import (
 	"repro/internal/proto"
 )
 
-// fakeLiveStore is a map-backed LiveStore for runner tests. Search returns no
-// candidates (ReadCandidates resolves everything), which is exactly the
-// degenerate contract the server uses for non-*Store backends. A key listed
-// in panicOn panics on read; a non-nil gate blocks reads of gateKey until the
-// gate closes, letting tests hold a batch in a stage.
+// fakeLiveStore is a map-backed LiveStore for runner tests. SearchBatch
+// records empty candidate spans (the reads resolve everything), which is
+// exactly the contract the server uses for non-*Store backends. A key listed
+// in panicOn panics on search and read; a non-nil gate blocks reads of gateKey until the
+// gate closes, letting tests hold a batch in a stage. The counters record how
+// many calls each batched method served.
 type fakeLiveStore struct {
 	mu      sync.Mutex
 	m       map[string][]byte
 	panicOn string
 	gateKey string
 	gate    chan struct{}
+
+	searchBatches, readBatches, getBatches atomic.Int32
 }
 
 func newFakeLiveStore() *fakeLiveStore {
 	return &fakeLiveStore{m: make(map[string][]byte)}
 }
 
-func (f *fakeLiveStore) Search(_ []byte, dst []cuckoo.Location) []cuckoo.Location { return dst }
+func (f *fakeLiveStore) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location {
+	f.searchBatches.Add(1)
+	for i, key := range keys {
+		if f.panicOn != "" && string(key) == f.panicOn {
+			panic("poisoned key")
+		}
+		lo[i], hi[i] = int32(len(dst)), int32(len(dst))
+	}
+	return dst
+}
 
-func (f *fakeLiveStore) ReadCandidates(key []byte, _ []cuckoo.Location, dst []byte) ([]byte, bool) {
-	if f.panicOn != "" && string(key) == f.panicOn {
-		panic("poisoned key")
+func (f *fakeLiveStore) ReadCandidatesBatch(keys [][]byte, _ []cuckoo.Location, _, _ []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	f.readBatches.Add(1)
+	return f.read(keys, vals, vlo, vhi)
+}
+
+func (f *fakeLiveStore) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	f.getBatches.Add(1)
+	return f.read(keys, vals, vlo, vhi)
+}
+
+// read is the per-key lookup loop behind both batched reads.
+func (f *fakeLiveStore) read(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	hits := 0
+	for i, key := range keys {
+		if f.panicOn != "" && string(key) == f.panicOn {
+			panic("poisoned key")
+		}
+		if f.gate != nil && string(key) == f.gateKey {
+			<-f.gate
+		}
+		f.mu.Lock()
+		v, ok := f.m[string(key)]
+		f.mu.Unlock()
+		if !ok {
+			vlo[i], vhi[i] = -1, -1
+			continue
+		}
+		vlo[i] = int32(len(vals))
+		vals = append(vals, v...)
+		vhi[i] = int32(len(vals))
+		hits++
 	}
-	if f.gate != nil && string(key) == f.gateKey {
-		<-f.gate
-	}
-	f.mu.Lock()
-	v, ok := f.m[string(key)]
-	f.mu.Unlock()
-	if !ok {
-		return dst, false
-	}
-	return append(dst, v...), true
+	return vals, hits
 }
 
 func (f *fakeLiveStore) Set(key, value []byte) error {

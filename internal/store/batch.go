@@ -14,27 +14,14 @@ import "repro/internal/cuckoo"
 // version (see DESIGN.md §5.9) — splitting them would reopen the torn-read
 // window the seqlock closes.
 //
-// The hot-key fast path is checked before the candidate walk: a key the side
-// table caches is served with no memory traffic at all (its search stage
-// already skipped the probe via SearchServe, so its cands are empty).
-//
 // Candidates can be stale by the time this runs: a concurrent SET may have
 // retired the location IndexSearch returned. Stale candidates must not
 // manufacture a miss, so when none verifies the read falls back to the
 // authoritative version-validated lookup, which also covers the empty-cands
-// case (no index search ran, the search raced an insert, or a hot entry was
-// invalidated between the search and read stages).
+// case (no index search ran, or the search raced an insert).
 func (s *Store) ReadCandidates(key []byte, cands []cuckoo.Location, dst []byte) ([]byte, bool) {
 	s.gets.Inc()
 	si, sh, hv := s.shardFor(key)
-	var v1 uint64
-	if s.hot != nil {
-		if out, ok := s.hotServe(hv, key, dst); ok {
-			s.hits.Inc()
-			return out, true
-		}
-		v1 = sh.idx.Version() // promotion protocol: capture before the copy
-	}
 	for _, loc := range cands {
 		if shardOfLoc(loc) != si {
 			continue // foreign-shard candidate: cannot be key's object
@@ -43,11 +30,8 @@ func (s *Store) ReadCandidates(key []byte, cands []cuckoo.Location, dst []byte) 
 		if out, ok := sh.alloc.ReadIfMatch(h, key, dst); ok {
 			s.hits.Inc()
 			sh.alloc.Touch(h, s.stamp.Load())
-			if s.hot != nil {
-				s.maybePromote(si, sh, hv, key, out[len(dst):], h, v1)
-			}
 			return out, true
 		}
 	}
-	return s.readVerified(si, sh, hv, key, dst)
+	return s.readVerified(sh, hv, key, dst)
 }

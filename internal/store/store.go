@@ -81,12 +81,6 @@ type Config struct {
 	// Slab optionally overrides the slab configuration; when non-nil its
 	// TotalBytes is the whole-store budget and is divided across shards.
 	Slab *slab.Config
-	// HotKeys, when positive, enables the skew-aware hot-key fast path with a
-	// side table of that many slots (rounded up to a power of two): sampled
-	// hot GETs are served from a cache-resident table before the cuckoo
-	// probe (see hotkeys.go). 0 disables the table entirely — the read paths
-	// then run exactly as before.
-	HotKeys int
 	// Ordered maintains a per-shard ordered index (a lazily copied B-tree
 	// over key → location) beside the cuckoo table, enabling snapshot range
 	// scans (see scan.go). A write that changes the key set pays one in-place
@@ -110,7 +104,6 @@ type Store struct {
 	shardMask uint64
 	seed      uint64
 	stamp     atomic.Uint32 // current sampling-interval timestamp
-	hot       *hotTable     // nil unless Config.HotKeys > 0
 
 	gets      stats.Counter
 	sets      stats.Counter
@@ -180,9 +173,6 @@ func New(cfg Config) *Store {
 		shardMask: uint64(nShards - 1),
 		seed:      cfg.Seed,
 	}
-	if cfg.HotKeys > 0 {
-		s.hot = newHotTable(cfg.HotKeys)
-	}
 	// Every shard hashes with the same seed: a key is hashed once, shards are
 	// routed on bits 40..43 of that hash (see routeShift), and the shard's
 	// table reuses the hash for its bucket index and signature.
@@ -238,21 +228,15 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 // so a concurrent eviction reusing the chunk can never tear the result.
 func (s *Store) GetInto(key, dst []byte) ([]byte, bool) {
 	s.gets.Inc()
-	si, sh, hv := s.shardFor(key)
-	if s.hot != nil {
-		if out, ok := s.hotServe(hv, key, dst); ok {
-			s.hits.Inc()
-			return out, true
-		}
-	}
-	return s.readVerified(si, sh, hv, key, dst)
+	_, sh, hv := s.shardFor(key)
+	return s.readVerified(sh, hv, key, dst)
 }
 
 // readVerified is the version-validated search+read loop shared by GetInto
 // and the staged read path's fallback (ReadCandidates): search the shard's
 // index, verify-and-copy candidates under the slab seqlock, and reprobe when
 // an index mutation raced the probe. It maintains the hit/miss counters.
-func (s *Store) readVerified(si int, sh *shard, hv uint64, key, dst []byte) ([]byte, bool) {
+func (s *Store) readVerified(sh *shard, hv uint64, key, dst []byte) ([]byte, bool) {
 	for attempt := 0; ; attempt++ {
 		v1 := sh.idx.Version()
 		var buf [cuckoo.MaxCandidates]cuckoo.Location
@@ -262,16 +246,14 @@ func (s *Store) readVerified(si int, sh *shard, hv uint64, key, dst []byte) ([]b
 			if out, ok := sh.alloc.ReadIfMatch(h, key, dst); ok {
 				s.hits.Inc()
 				sh.alloc.Touch(h, s.stamp.Load())
-				if s.hot != nil {
-					s.maybePromote(si, sh, hv, key, out[len(dst):], h, v1)
-				}
 				return out, true
 			}
 		}
-		// A concurrent overwrite (Insert new, Delete+Free old) can hide the
-		// key from a probe that started before it: the probe collects the old
-		// location, the writer retires it, validation fails. An unchanged
-		// index version proves no such overwrite raced us — the miss is real.
+		// A concurrent overwrite (Insert new, Delete+Free old) or displacement
+		// kick can hide the key from a probe that started before it: the
+		// probe collects the old location, the writer retires or moves it,
+		// validation fails. An unchanged index version proves no such
+		// mutation raced us — the miss is real.
 		if attempt >= maxReadRetries || sh.idx.Version() == v1 {
 			s.misses.Inc()
 			return dst, false
@@ -315,12 +297,6 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 		if sh.tree != nil && !bytes.Equal(ev.Key, key) {
 			s.syncOrdered(sh, cuckoo.Hash(ev.Key, s.seed), ev.Key)
 		}
-		// The victim's chunk was reused for the new object, so a hot-table
-		// entry for it is stale the moment Alloc returned; clear it now that
-		// the index mutation is applied (writer-side ordering, hotkeys.go).
-		if s.hot != nil {
-			s.hot.invalidate(cuckoo.Hash(ev.Key, s.seed), ev.Key)
-		}
 		if hadOld && evLoc == oldLoc {
 			hadOld = false // the victim was this key's own old object
 		}
@@ -349,10 +325,6 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 	// path (scan.go); the key itself is never absent from either index
 	// (insert-before-delete above).
 	s.syncOrdered(sh, hv, key)
-	// Hot-table invalidation is the LAST step: it must follow every index
-	// mutation of this key so a racing promotion either lands before it (and
-	// is cleared here) or rechecks against the fully-applied new state.
-	s.hotInvalidate(hv, key)
 	return inserts, deletes, nil
 }
 
@@ -389,7 +361,6 @@ func (s *Store) Delete(key []byte) bool {
 	}
 	sh.alloc.FreeIfMatch(handleOf(loc), key)
 	s.syncOrdered(sh, hv, key)
-	s.hotInvalidate(hv, key)
 	return true
 }
 
@@ -423,21 +394,11 @@ func (s *Store) IndexSearch(key []byte, dst []cuckoo.Location) []cuckoo.Location
 	return cands
 }
 
-// SearchServe is IndexSearch for the GET serving path: a key currently
-// cached by the hot-key table skips the index probe entirely — the fused
-// KC+RD stage (ReadCandidates) serves it from the table, and if the entry is
-// invalidated in between, the empty candidate list falls back to the
-// authoritative lookup there. With no hot table it is exactly IndexSearch.
-// Only GET pipelines may use it; the task-granular IndexSearch keeps its
-// always-probe contract for callers that need real candidates (simulator,
-// write paths).
+// SearchServe is IndexSearch's twin, kept because the benchmark module's
+// replay (benchmark/replay.go) calls it by name for the per-key search of a
+// small batch. The serving pipeline runs SearchBatch.
 func (s *Store) SearchServe(key []byte, dst []cuckoo.Location) []cuckoo.Location {
-	_, sh, hv := s.shardFor(key)
-	if s.hot != nil && s.hot.lookup(hv, key) != nil {
-		return dst
-	}
-	cands, _ := sh.idx.Search(key, dst)
-	return cands
+	return s.IndexSearch(key, dst)
 }
 
 // KeyCompare performs the KC task: it reports whether the object at loc is
@@ -501,9 +462,6 @@ func (s *Store) IndexInsert(key []byte, h slab.Handle) bool {
 	ok := sh.idx.Insert(key, cuckoo.Location(h))
 	if ok {
 		s.syncOrdered(sh, hv, key)
-		// A new binding supersedes any cached value (writer-side ordering:
-		// invalidate after the index mutation, hotkeys.go).
-		s.hotInvalidate(hv, key)
 	}
 	return ok
 }
@@ -519,11 +477,7 @@ func (s *Store) IndexDelete(key []byte, loc cuckoo.Location) bool {
 		return false
 	}
 	sh.alloc.FreeIfMatch(handleOf(loc), key)
-	hv := cuckoo.Hash(key, s.seed)
-	s.syncOrdered(sh, hv, key)
-	if s.hot != nil {
-		s.hot.invalidate(hv, key)
-	}
+	s.syncOrdered(sh, cuckoo.Hash(key, s.seed), key)
 	return true
 }
 
@@ -583,7 +537,6 @@ type Stats struct {
 	Hits, Misses           uint64
 	Evictions              uint64
 	EvictScan              uint64 // chunks the slab CLOCK hands examined to find victims
-	HotHits                uint64 // GETs served by the hot-key fast path
 	Scans                  uint64 // range scans started
 	ScanEntries            uint64 // entries returned across all scans
 	ScanBytes              uint64 // key+value bytes returned across all scans
@@ -620,9 +573,6 @@ func (s *Store) StatsSnapshot() Stats {
 		ScanEntries:   s.scanEntries.Load(),
 		ScanBytes:     s.scanBytes.Load(),
 		ScanFallbacks: s.scanFallbacks.Load(),
-	}
-	if s.hot != nil {
-		st.HotHits = s.hot.hits.Load()
 	}
 	var inserts, insertBuckets float64
 	var loadSum float64

@@ -46,6 +46,14 @@ type batchScratch struct {
 	sc     cuckoo.SearchScratch
 }
 
+// identity fills idx with 0..n-1 (every key of the batch) and returns it.
+func (sc *batchScratch) identity(n int) []int32 {
+	for i := range sc.idx[:n] {
+		sc.idx[i] = int32(i)
+	}
+	return sc.idx[:n]
+}
+
 // grow sizes the arrays for n keys.
 func (sc *batchScratch) grow(n int) {
 	if cap(sc.hv) < n {
@@ -121,20 +129,7 @@ func (s *Store) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32
 	sc := scratchPool.Get().(*batchScratch)
 	sc.grow(n)
 	s.hashAll(keys, sc)
-	// Hot keys skip the probe entirely (empty candidate span): the read
-	// stage serves them from the side table, or falls back to the
-	// authoritative lookup if the entry is invalidated in between — the same
-	// contract SearchServe gives the scalar path.
-	m := 0
-	for i := 0; i < n; i++ {
-		if s.hot != nil && s.hot.lookup(sc.hv[i], keys[i]) != nil {
-			lo[i], hi[i] = int32(len(dst)), int32(len(dst))
-			continue
-		}
-		sc.idx[m] = int32(i)
-		m++
-	}
-	s.groupByShard(sc.idx[:m], sc)
+	s.groupByShard(sc.identity(n), sc)
 	for si := range s.shards {
 		glo, ghi := sc.start[si], sc.start[si+1]
 		if glo == ghi {
@@ -144,7 +139,7 @@ func (s *Store) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32
 			sc.cands[int(glo)*cuckoo.MaxCandidates:int(ghi)*cuckoo.MaxCandidates],
 			sc.counts[glo:ghi])
 	}
-	for j := 0; j < m; j++ {
+	for j := 0; j < n; j++ {
 		i := sc.order[j]
 		base := j * cuckoo.MaxCandidates
 		lo[i] = int32(len(dst))
@@ -189,9 +184,6 @@ func (s *Store) sweepShard(si int, glo, ghi int32, keys [][]byte, sc *batchScrat
 				vals = out
 				vlo[i], vhi[i] = mark, int32(len(vals))
 				sh.alloc.Touch(h, stamp)
-				if s.hot != nil {
-					s.maybePromote(si, sh, sc.hv[i], keys[i], vals[mark:], h, v1)
-				}
 				hits++
 				hit = true
 				break
@@ -219,7 +211,7 @@ func (s *Store) sweepShard(si int, glo, ghi int32, keys [][]byte, sc *batchScrat
 	// scalar reprobe (readVerified maintains hit/miss counters itself).
 	for _, i := range sc.miss[:nmiss] {
 		mark := int32(len(vals))
-		if out, ok := s.readVerified(si, sh, sc.hv[i], keys[i], vals); ok {
+		if out, ok := s.readVerified(sh, sc.hv[i], keys[i], vals); ok {
 			vals = out
 			vlo[i], vhi[i] = mark, int32(len(vals))
 			hits++
@@ -246,27 +238,8 @@ func (s *Store) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, 
 	sc := scratchPool.Get().(*batchScratch)
 	sc.grow(n)
 	s.hashAll(keys, sc)
-	// Hot pre-pass: keys the side table caches are served without entering
-	// the sweep at all (no probe, no verify); the rest form the sweep subset.
 	hits := 0
-	m := 0
-	for i := 0; i < n; i++ {
-		if s.hot != nil {
-			mark := int32(len(vals))
-			if out, ok := s.hotServe(sc.hv[i], keys[i], vals); ok {
-				vals = out
-				vlo[i], vhi[i] = mark, int32(len(vals))
-				hits++
-				continue
-			}
-		}
-		sc.idx[m] = int32(i)
-		m++
-	}
-	if hits > 0 {
-		s.hits.Add(uint64(hits)) // sweepShard counts only its own hits
-	}
-	s.groupByShard(sc.idx[:m], sc)
+	s.groupByShard(sc.identity(n), sc)
 	for si := range s.shards {
 		var h int
 		vals, h = s.sweepShard(si, sc.start[si], sc.start[si+1], keys, sc, vals, vlo, vhi)
@@ -303,16 +276,6 @@ func (s *Store) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, 
 		si := int(sc.si[i])
 		sh := s.shards[si]
 		mark := int32(len(vals))
-		var v1 uint64
-		if s.hot != nil {
-			if out, ok := s.hotServe(sc.hv[i], keys[i], vals); ok {
-				vals = out
-				vlo[i], vhi[i] = mark, int32(len(vals))
-				hits++
-				continue
-			}
-			v1 = sh.idx.Version() // promotion protocol: capture before the copy
-		}
 		hit := false
 		for _, loc := range cands[lo[i]:hi[i]] {
 			if shardOfLoc(loc) != si {
@@ -323,9 +286,6 @@ func (s *Store) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, 
 				vals = out
 				vlo[i], vhi[i] = mark, int32(len(vals))
 				sh.alloc.Touch(h, stamp)
-				if s.hot != nil {
-					s.maybePromote(si, sh, sc.hv[i], keys[i], vals[mark:], h, v1)
-				}
 				hits++
 				hit = true
 				break

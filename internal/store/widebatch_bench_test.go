@@ -49,15 +49,18 @@ func benchFixture(b *testing.B) (*Store, [][]byte, []uint32) {
 }
 
 // BenchmarkSearchBatch compares the wide, shard-grouped batched GET path
-// (GetBatch: SearchBatch waves + fused verify) against the scalar per-key
-// path (GetInto, what the per-frame pipeline stages run) on the paper's
-// serving workload: 95% GET / 5% SET with zipf(0.99)-skewed keys. Both
-// sub-benchmarks process the identical operation stream in batches of the
-// given size; ns/op is per query. The index is sized to a low load factor so
-// the 5% overwrite SETs stay on the cuckoo fast path in both variants.
+// (GetBatch: SearchBatch waves + fused verify, the live pipeline's only read
+// path) against the scalar per-key path (GetInto) on the paper's serving
+// workload: 95% GET / 5% SET with zipf(0.99)-skewed keys. Both sub-benchmarks
+// process the identical operation stream in batches of the given size; ns/op
+// is per query. Every 20th query is a SET, so batches of 1 and 4 are
+// GET-only. The index is sized to a low load factor so the overwrite SETs
+// stay on the cuckoo fast path in both variants. The batch=1 and batch=4
+// rows price the batched path where a small-batch cutoff would have sent
+// reads down the per-key loop.
 func BenchmarkSearchBatch(b *testing.B) {
 	val := bytes.Repeat([]byte{0xcd}, benchValSize)
-	for _, n := range []int{8, 32, 128, 512} {
+	for _, n := range []int{1, 4, 8, 32, 128, 512} {
 		b.Run(fmt.Sprintf("wide/batch=%d", n), func(b *testing.B) {
 			s, keys, ringIdx := benchFixture(b)
 			batchKeys := make([][]byte, 0, n)

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cuckoo"
@@ -259,4 +260,90 @@ func TestBatchPathZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("ReadCandidatesBatch allocs/op = %v, want 0", avg)
 	}
+}
+
+// TestReadNeverServesStale is the read-linearizability hammer: one writer
+// overwrites a key with rising versions while readers alternate Get, GetBatch
+// and SearchBatch followed by ReadCandidatesBatch — the live pipeline's only
+// read path, split across two stages. Every read must return at least the
+// version whose Set had completed before the read began, and must never
+// miss: Set indexes the new object before it retires the old one, and the
+// version-checked miss proof must see any overwrite that raced the probe.
+func TestReadNeverServesStale(t *testing.T) {
+	s := New(Config{MemoryBytes: 1 << 20, IndexEntries: 4096, Seed: 5})
+	key := []byte("contended")
+	val := func(v uint64) []byte { return []byte(fmt.Sprintf("v%08d", v)) }
+	if _, _, err := s.Set(key, val(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	var completed atomic.Uint64
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for v := uint64(1); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, _, err := s.Set(key, val(v)); err != nil {
+				t.Errorf("Set: %v", err)
+				return
+			}
+			completed.Store(v)
+		}
+	}()
+
+	const readers = 4
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			keys := [][]byte{key}
+			lo, hi := make([]int32, 1), make([]int32, 1)
+			vlo, vhi := make([]int32, 1), make([]int32, 1)
+			var cands []cuckoo.Location
+			var vals []byte
+			for i := 0; i < 20000; i++ {
+				floor := completed.Load()
+				var got []byte
+				var ok bool
+				switch i % 3 {
+				case 0:
+					got, ok = s.Get(key)
+				case 1:
+					vals, _ = s.GetBatch(keys, vals[:0], vlo, vhi)
+					ok = vlo[0] >= 0
+				case 2:
+					cands = s.SearchBatch(keys, cands[:0], lo, hi)
+					vals, _ = s.ReadCandidatesBatch(keys, cands, lo, hi, vals[:0], vlo, vhi)
+					ok = vlo[0] >= 0
+				}
+				if !ok {
+					t.Errorf("read %d (path %d) missed a key that is always indexed", i, i%3)
+					return
+				}
+				if i%3 != 0 {
+					got = vals[vlo[0]:vhi[0]]
+				}
+				var v uint64
+				if _, err := fmt.Sscanf(string(got), "v%08d", &v); err != nil {
+					t.Errorf("unparseable value %q", got)
+					return
+				}
+				if v < floor {
+					t.Errorf("stale read (path %d): got version %d, but %d had completed before the read", i%3, v, floor)
+					return
+				}
+			}
+		}()
+	}
+	// The readers bound the test; stop the writer once they finish.
+	rg.Wait()
+	close(stop)
+	writer.Wait()
 }

@@ -130,13 +130,6 @@ type Profile struct {
 	// group-commit append (unit-cost profiled like RV/SD, since most of LG
 	// is syscall + fsync time no instruction model can see).
 	LGRecordsPerQuery, LGSeqBytes, LGUnitNanos float64
-	// HotHitPortion is the measured fraction of GETs served by the store's
-	// hot-key side table (store.Config.HotKeys): those GETs skip the cuckoo
-	// probe entirely, so their IN(Search) random accesses collapse to a
-	// cache-resident table lookup. Measured, like AvgInsertBuckets (the
-	// model cannot derive it: it depends on the table size, sampling and
-	// invalidation churn, not just skew). 0 when the table is disabled.
-	HotHitPortion float64
 	// ScanRatio is the fraction of queries that are ordered-index range
 	// scans (SC); GetRatio counts point GETs only, so writes are
 	// 1 − GetRatio − ScanRatio. ScanEntries is the average entry count one
@@ -176,7 +169,6 @@ func (p Profile) Merge(q Profile) Profile {
 		LGRecordsPerQuery: mix(p.LGRecordsPerQuery, q.LGRecordsPerQuery),
 		LGSeqBytes:        mix(p.LGSeqBytes, q.LGSeqBytes),
 		LGUnitNanos:       mix(p.LGUnitNanos, q.LGUnitNanos),
-		HotHitPortion:     mix(p.HotHitPortion, q.HotHitPortion),
 		ScanRatio:         mix(p.ScanRatio, q.ScanRatio),
 		ScanEntries:       mix(p.ScanEntries, q.ScanEntries),
 		ScanEntryBytes:    mix(p.ScanEntryBytes, q.ScanEntryBytes),
@@ -361,22 +353,6 @@ func ForTask(id ID, p Profile, pl Placement) Demand {
 	// the cache (§IV-B). Applies to object-touching tasks only.
 	if pl.OnCPU && (id == KC || id == RD) && p.CacheHitPortion > 0 {
 		hit := p.CacheHitPortion
-		moved := d.MemAccesses * hit
-		d.MemAccesses -= moved
-		d.CacheAccesses += moved
-	}
-	// Hot-key fast path: the measured portion H of GETs is served from the
-	// cache-resident side table before the cuckoo probe, turning their
-	// IN(Search) bucket walks into cache accesses. CPU only — the table
-	// lives in the serving cores' cache, a GPU-stage IN would still probe.
-	// Applied to IN(Search) alone: KC/RD savings for those GETs are already
-	// covered by CacheHitPortion (hot keys are exactly the ones the LRU term
-	// counts), so pricing them here too would double-count.
-	if pl.OnCPU && id == INSearch && p.HotHitPortion > 0 {
-		hit := p.HotHitPortion
-		if hit > 1 {
-			hit = 1
-		}
 		moved := d.MemAccesses * hit
 		d.MemAccesses -= moved
 		d.CacheAccesses += moved

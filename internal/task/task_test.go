@@ -142,34 +142,6 @@ func TestKeyPopularityCachePortion(t *testing.T) {
 	}
 }
 
-func TestHotHitPortionCutsSearchAccesses(t *testing.T) {
-	p := testProfile()
-	p.HotHitPortion = 0.5
-	cpu := ForTask(INSearch, p, Placement{OnCPU: true})
-	base := ForTask(INSearch, testProfile(), Placement{OnCPU: true})
-	if cpu.MemAccesses >= base.MemAccesses {
-		t.Fatal("hot-hit portion should cut IN(Search) random accesses on the CPU")
-	}
-	if want := base.MemAccesses * 0.5; math.Abs(cpu.MemAccesses-want) > 1e-9 {
-		t.Fatalf("IN(Search) random accesses = %v, want %v", cpu.MemAccesses, want)
-	}
-	// Conservation: the skipped probes became cache accesses, not free work.
-	if diff := (cpu.MemAccesses + cpu.CacheAccesses) - (base.MemAccesses + base.CacheAccesses); math.Abs(diff) > 1e-9 {
-		t.Fatalf("access conservation violated by %v", diff)
-	}
-	// GPU-stage IN still probes: the side table lives in CPU cache.
-	gpu := ForTask(INSearch, p, Placement{OnCPU: false})
-	if gpu.MemAccesses != base.MemAccesses {
-		t.Fatalf("GPU IN(Search) accesses moved: %v, want %v", gpu.MemAccesses, base.MemAccesses)
-	}
-	// Other CPU tasks are untouched (KC/RD savings belong to CacheHitPortion).
-	kc := ForTask(KC, p, Placement{OnCPU: true})
-	kcBase := ForTask(KC, testProfile(), Placement{OnCPU: true})
-	if kc.MemAccesses != kcBase.MemAccesses {
-		t.Fatal("HotHitPortion must not double-count into KC")
-	}
-}
-
 func TestSearchVsUpdateCosts(t *testing.T) {
 	// Insert touches more buckets than Search (displacement), Delete equals
 	// Search probes — matches §IV-B.

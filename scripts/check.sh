@@ -60,25 +60,24 @@ go test -count=1 -race -timeout 900s ./internal/obs
 go test -count=1 -race -timeout 900s -run 'AdminUnderChaos|SlowLogOn|SlowLogThreshold|StatsDumpMetrics|CollectMetricsNames|ControllerTrace' \
     . ./internal/costmodel
 
-# The live steal path + hot-key fast path: the chunk-claim equivalence suite
-# (chunked vs fixed execution must produce identical responses), the stage-1
-# idle-seal race regressions, the controller's Eq-3 steal gating, and the
-# hot-table promotion/invalidation protocol incl. its staleness hammer — all
+# The stage-1 idle-seal race regressions, the simulator's work-stealing
+# tests, and the read-linearizability hammer (a writer overwriting one key
+# while readers take every read path: never a stale value, never a miss) —
 # lock-free machinery, so un-cached and race-enabled every pass.
-echo "== steal + hot-key path (-race, -count=1) =="
+echo "== idle seal + read linearizability (-race, -count=1) =="
 go test -count=1 -race -timeout 900s \
-    -run 'LiveSteal|LiveIdleSeal|LiveTrySealIdle|ControllerSteal|HotKey|WorkStealing' \
-    ./internal/pipeline ./internal/costmodel ./internal/store
-# The staleness hammer once failed a few runs in a hundred (a promotion
-# servable before its recheck; an invalidate losing one CAS race): repeat it.
-go test -count=200 -timeout 900s -run TestHotKeyNeverServesStale ./internal/store
+    -run 'LiveIdleSeal|LiveTrySealIdle|WorkStealing|ReadNeverServesStale' \
+    ./internal/pipeline ./internal/store
+# A stale or missed read is a rare interleaving: repeat the hammer.
+go test -count=200 -timeout 900s -run TestReadNeverServesStale ./internal/store
 
-# The wide batched index path: cross-check SearchBatch/GetBatch against the
-# scalar search under concurrent churn (the amortized version-check fallback),
-# un-cached and race-enabled every pass.
-echo "== wide batch path (-race, -count=1) =="
+# The batched read path: cross-check SearchBatch/GetBatch against the scalar
+# search under concurrent churn (the amortized version-check fallback, and
+# the displacement kick that must advance the version it checks), un-cached
+# and race-enabled every pass.
+echo "== batched read path (-race, -count=1) =="
 go test -count=1 -race -timeout 900s \
-    -run 'SearchBatch|GetBatch|ReadCandidatesBatch|BatchPath|LiveWide|PipelinedWidePath' \
+    -run 'SearchBatch|GetBatch|ReadCandidatesBatch|BatchPath|LiveWide|PipelinedWidePath|KickAdvancesVersion' \
     ./internal/cuckoo ./internal/store ./internal/pipeline .
 
 # The durability tier: group-commit WAL, snapshot/truncate, disk fault
@@ -140,9 +139,9 @@ go run ./cmd/dido-bench -quick all | grep -v -E '^\([a-z0-9-]+ took [^)]*\)$' \
 echo "== benchmark smoke =="
 go test -run='^$' -bench=. -benchtime=1x ./internal/store ./internal/slab ./internal/cuckoo
 
-# Batched-search bench smoke: a short real run (not 1x) of the wide-vs-scalar
-# comparison, proving the wide path executes end-to-end at several batch
-# sizes and stays allocation-free (the -benchtime=8x run is long enough for
+# Batched-search bench smoke: a short real run (not 1x) of the batched-vs-
+# scalar comparison, proving the batched path executes end-to-end at every
+# batch size from 1 up and stays allocation-free (the -benchtime=8x run is long enough for
 # the alloc columns to be meaningful, short enough for CI).
 echo "== batched-search bench smoke =="
 go test -run='^$' -bench='BenchmarkSearchBatch' -benchtime=8x ./internal/store

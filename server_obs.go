@@ -84,13 +84,9 @@ func (s *Server) CollectMetrics(w *obs.MetricsWriter) {
 	ps := s.pipe.runner.Stats()
 	w.Counter("dido_pipeline_batches_total", "Batches completed by the live pipeline.", ps.Batches)
 	w.Counter("dido_pipeline_queries_total", "Queries served through the pipeline.", ps.Queries)
-	w.Counter("dido_pipeline_wide_batches_total", "KC+RD stage passes served by the wide batched path.", ps.WideBatches)
 	w.Counter("dido_pipeline_reconfigs_total", "Batch boundaries that installed a different config.", ps.Reconfigs)
 	w.Counter("dido_pipeline_submit_shed_total", "Frames rejected because every stage-1 slot was full.", ps.SubmitShed)
 	w.Counter("dido_pipeline_panics_total", "Frames poisoned inside a pipeline stage.", ps.Panics)
-	w.Counter("dido_pipeline_steal_batches_total", "Batches that ran at least one stage phase chunked for stealing.", ps.StealBatches)
-	w.Counter("dido_pipeline_stolen_chunks_total", "Work chunks executed by a worker outside the owning stage group.", ps.StolenChunks)
-	w.Counter("dido_pipeline_stolen_queries_total", "Query slots covered by stolen chunks.", ps.StolenQueries)
 	w.Gauge("dido_pipeline_batch_target", "Currently installed batch-size target in queries.", float64(ps.Target))
 	if s.pipe.ctrl != nil {
 		w.Counter("dido_pipeline_replans_total", "Times online adaptation installed a re-planned config.", s.pipe.ctrl.Replans())
@@ -172,9 +168,6 @@ type PipelineConfigView struct {
 	DeleteOn    string `json:"delete_on"`
 	// BatchTarget is the installed batch-size target in queries.
 	BatchTarget int `json:"batch_target"`
-	// WorkStealing reports whether the currently installed config runs its
-	// stealable stage phases chunked (the -steal gate, decided per plan).
-	WorkStealing bool `json:"work_stealing"`
 	// Adapt reports whether online reconfiguration is driving the plan;
 	// Replans how many times it installed a new one.
 	Adapt   bool   `json:"adapt"`
@@ -214,14 +207,13 @@ func (s *Server) ConfigView() ServerConfigView {
 	}
 	ps := s.pipe.runner.Stats()
 	v.Pipeline = PipelineConfigView{
-		Config:       ps.Config.String(),
-		GPUDepth:     ps.Config.GPUDepth,
-		CPUCoresPre:  ps.Config.CPUCoresPre,
-		InsertOn:     ps.Config.InsertOn.String(),
-		DeleteOn:     ps.Config.DeleteOn.String(),
-		BatchTarget:  ps.Target,
-		WorkStealing: ps.Config.WorkStealing,
-		Adapt:        s.pipe.ctrl != nil,
+		Config:      ps.Config.String(),
+		GPUDepth:    ps.Config.GPUDepth,
+		CPUCoresPre: ps.Config.CPUCoresPre,
+		InsertOn:    ps.Config.InsertOn.String(),
+		DeleteOn:    ps.Config.DeleteOn.String(),
+		BatchTarget: ps.Target,
+		Adapt:       s.pipe.ctrl != nil,
 	}
 	if s.pipe.ctrl != nil {
 		v.Pipeline.Replans = s.pipe.ctrl.Replans()

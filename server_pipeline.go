@@ -26,7 +26,9 @@ import (
 // client must retry).
 
 // PipelineOptions configures the server's batched pipeline. The zero value
-// gives the defaults.
+// gives the defaults. Every batch's GETs take the store's batched read path
+// (one shard-grouped search and one fused KC+RD call per stage), so there is
+// no read-path knob.
 //
 // Within one batch the pipeline executes all index writes before all reads
 // (the paper's staged semantics; see Server for the ordering contract).
@@ -47,20 +49,6 @@ type PipelineOptions struct {
 	// Requires the backend to be a *Store (the profiler reads its access
 	// counters); otherwise the static default config is used.
 	Adapt bool
-	// WideMinGets is the per-batch GET count at which the IN and KC+RD stages
-	// switch from scalar per-key loops to the store's wide, shard-grouped
-	// batched path. 0 means pipeline.DefaultWideMinGets; negative disables
-	// the wide path. Only effective when the backend is a *Store.
-	WideMinGets int
-	// Steal enables chunk-granular work stealing across the pipeline's stage
-	// groups: stage phases of batches sealed with a WorkStealing config are
-	// split into fixed-size chunks behind an atomic claim index, and idle
-	// workers from other groups pull chunks from the bottleneck stage
-	// (paper §III-B3). With Adapt the controller decides per batch whether
-	// stealing's predicted Eq 3 benefit clears the gate; without Adapt the
-	// static default config keeps WorkStealing off, so the flag only takes
-	// effect combined with a Provider that turns it on.
-	Steal bool
 	// Provider overrides the config provider entirely (tests); when set,
 	// Adapt is ignored.
 	Provider pipeline.ConfigProvider
@@ -118,12 +106,10 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 			pl := costmodel.NewPlanner(apu.KaveriPlatform(), interval)
 			pl.MinBatch = pipeline.DefaultLiveMinBatch
 			pl.MaxBatch = maxBatch
-			if po.WideMinGets >= 0 {
-				// The wide batched executor serves IN(Search); let the planner
-				// price its memory-level parallelism so it prefers wide IN
-				// stages at large batch sizes.
-				pl.INSearchMLP = costmodel.DefaultINSearchMLP
-			}
+			// The batched executor serves IN(Search); let the planner price
+			// its memory-level parallelism so it prefers wide IN stages at
+			// large batch sizes.
+			pl.INSearchMLP = costmodel.DefaultINSearchMLP
 			if s.netQueues > 1 {
 				// Reader parallelism is a socket-open-time decision (a parked
 				// REUSEPORT socket would strand its kernel-hashed flows), so
@@ -139,7 +125,6 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 			sizer := &pipeline.BatchSizer{Interval: interval, Min: pl.MinBatch, Max: maxBatch}
 			sizer.Set(pipeline.DefaultInitialBatch)
 			pipe.ctrl = costmodel.NewController(pl, profiler.New(inner), pipeline.DefaultLiveConfig(), sizer)
-			pipe.ctrl.AllowStealing = po.Steal
 			pipe.ctrl.Trace = po.Trace
 			provider = pipe.ctrl
 		} else {
@@ -156,8 +141,6 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 		Provider:      provider,
 		BatchInterval: interval,
 		Workers:       po.Workers,
-		WideMinGets:   po.WideMinGets,
-		Steal:         po.Steal,
 		DoneBatch:     s.pipelineBatchDone,
 	}
 	if s.dur != nil {
@@ -290,12 +273,11 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 	}
 }
 
-// newLiveStore adapts the server's Backend to the pipeline's task-granular
-// store surface. A real *Store exposes its index search and fused KC+RD
-// directly (and its metrics for the adaptation profile); any other backend —
-// test fakes, the fault injector — is wrapped so every query still flows
-// through it, with Search degenerating to a no-op and ReadCandidates to a
-// plain lookup.
+// newLiveStore adapts the server's Backend to the pipeline's batched store
+// surface. A real *Store exposes its shard-grouped batched search and fused
+// KC+RD directly (and its metrics for the adaptation profile); any other
+// backend — test fakes, the fault injector — is wrapped so every query still
+// flows through it, one key at a time.
 func newLiveStore(b Backend) (pipeline.LiveStore, *store.Store) {
 	if st, ok := b.(*Store); ok {
 		return storeLive{st.inner}, st.inner
@@ -307,15 +289,16 @@ func newLiveStore(b Backend) (pipeline.LiveStore, *store.Store) {
 
 type storeLive struct{ s *store.Store }
 
-func (l storeLive) Search(key []byte, dst []cuckoo.Location) []cuckoo.Location {
-	// SearchServe, not IndexSearch: the GET serving path lets keys cached by
-	// the hot-key side table skip the index probe (ReadCandidates serves
-	// them, or falls back authoritatively if the entry is invalidated).
-	return l.s.SearchServe(key, dst)
+func (l storeLive) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location {
+	return l.s.SearchBatch(keys, dst, lo, hi)
 }
 
-func (l storeLive) ReadCandidates(key []byte, cands []cuckoo.Location, dst []byte) ([]byte, bool) {
-	return l.s.ReadCandidates(key, cands, dst)
+func (l storeLive) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, hi []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	return l.s.ReadCandidatesBatch(keys, cands, lo, hi, vals, vlo, vhi)
+}
+
+func (l storeLive) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	return l.s.GetBatch(keys, vals, vlo, vhi)
 }
 
 func (l storeLive) Set(key, value []byte) error {
@@ -337,29 +320,10 @@ func (l storeLive) NewScanner() pipeline.LiveScanner {
 	return nil
 }
 
-// The wide batched path (pipeline.BatchReadStore) delegates straight to the
-// store's shard-grouped executors.
-
-func (l storeLive) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location {
-	return l.s.SearchBatch(keys, dst, lo, hi)
-}
-
-func (l storeLive) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, hi []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
-	return l.s.ReadCandidatesBatch(keys, cands, lo, hi, vals, vlo, vhi)
-}
-
-func (l storeLive) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
-	return l.s.GetBatch(keys, vals, vlo, vhi)
-}
-
 func (l storeLive) LiveMetrics() (liveObjects, evictions uint64, avgInsertBuckets float64) {
 	st := l.s.StatsSnapshot()
 	return uint64(st.LiveObjects), st.Evictions, st.AvgInsertBucketsProbed
 }
-
-// HotStats satisfies pipeline.HotKeyStats so the measured hot-hit portion
-// reaches the adaptation profile.
-func (l storeLive) HotStats() (hits uint64, enabled bool) { return l.s.HotStats() }
 
 type backendLive struct {
 	b  Backend
@@ -367,17 +331,38 @@ type backendLive struct {
 	sb ScanBackend
 }
 
-func (l backendLive) Search(_ []byte, dst []cuckoo.Location) []cuckoo.Location { return dst }
+// SearchBatch records empty candidate spans: a wrapped backend has no index
+// to probe, so every key resolves in the read stage.
+func (l backendLive) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location {
+	for i := range keys {
+		lo[i], hi[i] = int32(len(dst)), int32(len(dst))
+	}
+	return dst
+}
 
-func (l backendLive) ReadCandidates(key []byte, _ []cuckoo.Location, dst []byte) ([]byte, bool) {
-	if l.gi != nil {
-		return l.gi.GetInto(key, dst)
+func (l backendLive) ReadCandidatesBatch(keys [][]byte, _ []cuckoo.Location, _, _ []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	return l.GetBatch(keys, vals, vlo, vhi)
+}
+
+// GetBatch looks the keys up one at a time through the wrapped backend.
+func (l backendLive) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	hits := 0
+	for i, key := range keys {
+		mark := len(vals)
+		ok := false
+		if l.gi != nil {
+			vals, ok = l.gi.GetInto(key, vals)
+		} else if v, found := l.b.Get(key); found {
+			vals, ok = append(vals, v...), true
+		}
+		if !ok {
+			vlo[i], vhi[i] = -1, -1
+			continue
+		}
+		vlo[i], vhi[i] = int32(mark), int32(len(vals))
+		hits++
 	}
-	v, ok := l.b.Get(key)
-	if !ok {
-		return dst, false
-	}
-	return append(dst, v...), true
+	return vals, hits
 }
 
 func (l backendLive) Set(key, value []byte) error { return l.b.Set(key, value) }

@@ -447,15 +447,15 @@ func TestPipelinedAdaptReplans(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// TestPipelinedWidePath forces the wide batched index path (WideMinGets: 1)
-// through the real sharded store and checks end-to-end answers plus the
-// WideBatches counter — the server-level proof that SearchBatch /
-// ReadCandidatesBatch / GetBatch carried real traffic.
+// TestPipelinedWidePath drives small batches of GETs, hits and a miss,
+// through the batched read path over the real sharded store and checks the
+// end-to-end answers and that the store counted every GET — the
+// server-level proof that SearchBatch / ReadCandidatesBatch / GetBatch carry
+// real traffic at any batch size.
 func TestPipelinedWidePath(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20, Shards: 4})
 	srv := NewServerOpts(st, ServerOptions{Pipeline: &PipelineOptions{
 		BatchInterval: 200 * time.Microsecond,
-		WideMinGets:   1,
 	}})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
@@ -493,8 +493,9 @@ func TestPipelinedWidePath(t *testing.T) {
 		}
 	}
 
-	if ps := srv.PipelineStats(); ps.WideBatches == 0 {
-		t.Fatalf("WideBatches = 0 with WideMinGets=1: the wide path never served traffic (%+v)", ps)
+	// A client retry may re-execute a frame, so these are lower bounds.
+	if ss := st.Stats(); ss.Gets < 10*21 || ss.Misses < 10 {
+		t.Fatalf("store counted %d GETs / %d misses, want at least 210 / 10", ss.Gets, ss.Misses)
 	}
 	srv.Close()
 	waitServe(t, errc)

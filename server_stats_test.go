@@ -1,6 +1,7 @@
 package dido
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -190,7 +191,9 @@ func TestStatsDumpMetricsParityLive(t *testing.T) {
 
 // TestCollectMetricsNames pins the full metric-name surface of a pipelined
 // adaptive server + store — renames or removals break dashboards, so they
-// must be deliberate.
+// must be deliberate. The series of deleted mechanisms (live work stealing,
+// the hot-key table, the wide/scalar read split) and /config's work_stealing
+// field must stay gone.
 func TestCollectMetricsNames(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
 	srv := NewServerOpts(st, ServerOptions{
@@ -226,17 +229,15 @@ func TestCollectMetricsNames(t *testing.T) {
 		`dido_frontend_send_errors_total{frontend="udp"}`,
 		`dido_frontend_queues{frontend="udp"}`,
 		"dido_pipeline_batches_total", "dido_pipeline_queries_total",
-		"dido_pipeline_wide_batches_total", "dido_pipeline_reconfigs_total",
+		"dido_pipeline_reconfigs_total",
 		"dido_pipeline_submit_shed_total", "dido_pipeline_panics_total",
-		"dido_pipeline_steal_batches_total", "dido_pipeline_stolen_chunks_total",
-		"dido_pipeline_stolen_queries_total",
 		"dido_pipeline_batch_target", "dido_pipeline_replans_total",
 		"dido_planner_error_ratio",
 		`dido_pipeline_stage_micros{stage="1",quantile="0.5"}`,
 		`dido_pipeline_stage_micros{stage="3",quantile="0.999"}`,
 		"dido_store_gets_total", "dido_store_sets_total", "dido_store_deletes_total",
 		"dido_store_hits_total", "dido_store_misses_total", "dido_store_evictions_total",
-		"dido_store_evict_scan_total", "dido_store_hot_hits_total",
+		"dido_store_evict_scan_total",
 		"dido_scan_requests_total", "dido_scan_entries_total",
 		"dido_scan_bytes_total", "dido_scan_fallbacks_total",
 		"dido_store_live_objects", "dido_store_ordered_keys",
@@ -245,6 +246,18 @@ func TestCollectMetricsNames(t *testing.T) {
 		if !strings.Contains(got, name) {
 			t.Errorf("metric %s missing from exposition", name)
 		}
+	}
+	for _, name := range []string{
+		"dido_pipeline_wide_batches_total", "dido_pipeline_steal_batches_total",
+		"dido_pipeline_stolen_chunks_total", "dido_pipeline_stolen_queries_total",
+		"dido_store_hot_hits_total",
+	} {
+		if strings.Contains(got, name) {
+			t.Errorf("removed metric %s is still exported", name)
+		}
+	}
+	if view, err := json.Marshal(srv.ConfigView()); err != nil || strings.Contains(string(view), "work_stealing") {
+		t.Errorf("/config view %s (err %v) still carries work_stealing", view, err)
 	}
 	srv.Close()
 	waitServe(t, errc)

@@ -21,12 +21,6 @@ type StoreConfig struct {
 	// same slab-class locks; the memory budget is divided evenly, so very
 	// small arenas should stay at 1.
 	Shards int
-	// HotKeys, when positive, enables the skew-aware hot-key fast path: a
-	// cache-resident side table of that many slots (rounded up to a power of
-	// two) serves sampled hot GETs before the cuckoo probe. Worth a few
-	// hundred to a few thousand slots under Zipf-skewed read traffic; 0
-	// (default) disables it with zero read-path overhead.
-	HotKeys int
 	// Ordered maintains an ordered index (a lazily copied B-tree per shard)
 	// beside the cuckoo table, enabling Scan. Writes pay one in-place tree
 	// descent each, plus an insert or delete when the key set changes;
@@ -50,7 +44,6 @@ func NewStore(cfg StoreConfig) *Store {
 		IndexEntries: cfg.IndexEntries,
 		Seed:         cfg.Seed,
 		Shards:       cfg.Shards,
-		HotKeys:      cfg.HotKeys,
 		Ordered:      cfg.Ordered,
 	})}
 }
@@ -115,7 +108,6 @@ type StoreStats struct {
 	Hits, Misses        uint64
 	Evictions           uint64
 	EvictScan           uint64 // chunks the eviction CLOCK hand examined
-	HotHits             uint64 // GETs served by the hot-key fast path
 	// Range-scan counters (all zero unless StoreConfig.Ordered).
 	Scans           uint64 // SCAN operations executed
 	ScanEntries     uint64 // entries returned across all scans
@@ -138,7 +130,6 @@ func (s *Store) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_store_misses_total", "GETs that missed.", st.Misses)
 	w.Counter("dido_store_evictions_total", "Objects evicted to fit new SETs.", st.Evictions)
 	w.Counter("dido_store_evict_scan_total", "Chunks the eviction CLOCK hand examined, victims included; over evictions_total, chunks examined per eviction.", st.EvictScan)
-	w.Counter("dido_store_hot_hits_total", "GETs served by the hot-key fast path before the index probe.", st.HotHits)
 	w.Counter("dido_scan_requests_total", "SCAN operations executed.", st.Scans)
 	w.Counter("dido_scan_entries_total", "Entries returned across all SCANs.", st.ScanEntries)
 	w.Counter("dido_scan_bytes_total", "Key+value bytes returned across all SCANs.", st.ScanBytes)
@@ -159,7 +150,6 @@ func (s *Store) Stats() StoreStats {
 		Misses:          st.Misses,
 		Evictions:       st.Evictions,
 		EvictScan:       st.EvictScan,
-		HotHits:         st.HotHits,
 		Scans:           st.Scans,
 		ScanEntries:     st.ScanEntries,
 		ScanBytes:       st.ScanBytes,
