@@ -288,8 +288,8 @@ func main() {
 				ss := srv.Stats()
 				// The server half of the line renders through the same
 				// ServerStats.String the /metrics parity tests pin.
-				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f",
-					ss, s.LiveObjects, s.Hits, s.Misses, s.Evictions, s.IndexLoadFactor)
+				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f ordered-splits=%d ordered-merges=%d",
+					ss, s.LiveObjects, s.Hits, s.Misses, s.Evictions, s.IndexLoadFactor, s.OrderedSplits, s.OrderedMerges)
 				injectorMu.Lock()
 				var fs faults.Stats
 				for _, inj := range injectors {

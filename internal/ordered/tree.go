@@ -29,9 +29,17 @@ import (
 
 const (
 	maxItems = 31           // per node: fanout 32
-	minItems = maxItems / 2 // per node other than the root
-	// maxDepth bounds an iterator's stack: a tree of minimum fanout 16 and
-	// this depth holds 2^48 keys.
+	splitAt  = maxItems / 2 // a full node splits into splitAt | median | splitAt
+	// minItems is the fewest items a node other than the root holds: remove
+	// rebalances a child only below splitAt. A merge therefore yields at most
+	// 2*minItems+1 = maxItems-2 items, two inserts short of a split, and each
+	// half of a split can lose an item before it is rebalanced. A minimum of
+	// splitAt would let one delete merge two fresh halves back into a full
+	// node for the next insert to split again, over and over at a one-item
+	// root under delete+insert churn.
+	minItems = splitAt - 1
+	// maxDepth bounds an iterator's stack: a tree of minimum fanout
+	// minItems+1 = 15 and this depth holds 15^12 ≈ 2^47 keys.
 	maxDepth = 12
 )
 
@@ -162,6 +170,8 @@ type Tree struct {
 	epoch uint64
 	len   atomic.Int64
 	ver   atomic.Uint64
+
+	splits, merges atomic.Uint64
 }
 
 // New returns an empty tree.
@@ -173,6 +183,11 @@ func (t *Tree) Len() int { return int(t.len.Load()) }
 // Version returns the number of key-set changes (inserts and deletes) so
 // far. Overwriting a resident key's payload is not a new version.
 func (t *Tree) Version() uint64 { return t.ver.Load() }
+
+// Churn returns the number of node splits (the root's included) and node
+// merges so far: the tree's structural changes, each a node allocated or
+// dropped.
+func (t *Tree) Churn() (splits, merges uint64) { return t.splits.Load(), t.merges.Load() }
 
 // Get returns the payload currently stored under key.
 func (t *Tree) Get(key []byte) (uint64, bool) {
@@ -310,14 +325,15 @@ func (t *Tree) splitChild(p *node, i int) {
 	if c.kids != nil {
 		r.kids = new([maxItems + 1]*node)
 	}
-	r.appendItems(c, minItems+1)
-	p.insertItem(i, c.item(minItems))
+	r.appendItems(c, splitAt+1)
+	p.insertItem(i, c.item(splitAt))
 	p.insertKid(i+1, r)
-	clear(c.keys[minItems:])
+	clear(c.keys[splitAt:])
 	if c.kids != nil {
-		clear(c.kids[minItems+1:])
+		clear(c.kids[splitAt+1:])
 	}
-	c.n = minItems
+	c.n = splitAt
+	t.splits.Add(1)
 }
 
 func (t *Tree) deleteLocked(key []byte) bool {
@@ -395,6 +411,7 @@ func (t *Tree) grow(p *node, i int) {
 		l.insertItem(l.n, p.removeItem(i))
 		p.removeKid(i + 1)
 		l.appendItems(r, 0)
+		t.merges.Add(1)
 	}
 }
 

@@ -2,6 +2,7 @@ package ordered
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -12,7 +13,7 @@ import (
 	"time"
 )
 
-var seedFlag = flag.Int64("ordered.seed", 0, "seed for the randomized tree tests (0 = from the clock)")
+var seedFlag = flag.Int64("ordered.seed", 0, "seed for the randomized tree tests (0 = from the clock, or 1 for TestEvictChurnKeepsRoot)")
 
 // newRand returns the randomized tests' source and logs its seed, which a
 // failing run prints; -ordered.seed feeds it back.
@@ -515,6 +516,65 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	checkTree(t, tr)
 }
 
+// churnKeys returns n distinct 32-byte keys in rng's order, shaped like the
+// serving benchmark's: a little-endian rank, then a filler derived from it.
+func churnKeys(rng *rand.Rand, n int) [][]byte {
+	keys := make([][]byte, n)
+	for i, r := range rng.Perm(n) {
+		k := make([]byte, 32)
+		binary.LittleEndian.PutUint64(k, uint64(r))
+		for j := 8; j < len(k); j++ {
+			k[j] = byte('k' + (r+j)%13)
+		}
+		keys[i] = k
+	}
+	return keys
+}
+
+// evictChurn runs pairs rounds of what an evicting SET does to the index at
+// a steady key count — delete a resident key (keys[:resident]), insert an
+// absent one (keys[resident:]) — and returns how many rounds ended with a
+// different root node.
+func evictChurn(tr *Tree, rng *rand.Rand, keys [][]byte, resident, pairs int) (rootReplaced int) {
+	for p := 0; p < pairs; p++ {
+		root := tr.root
+		del, add := rng.Intn(resident), resident+rng.Intn(len(keys)-resident)
+		tr.Delete(keys[del])
+		tr.Set(keys[add], uint64(p))
+		keys[del], keys[add] = keys[add], keys[del]
+		if tr.root != root {
+			rootReplaced++
+		}
+	}
+	return rootReplaced
+}
+
+// TestEvictChurnKeepsRoot pins the split/merge hysteresis. Were a merge of
+// two splitAt-item children full, a delete could collapse a one-item root
+// into one node and the next insert split it again, pair after pair. Whether
+// a size starts in that shape depends on the insertion order, so the order
+// is fixed (seed 1, under which both sizes start with a one-item root over
+// two splitAt-item children) unless -ordered.seed picks another.
+func TestEvictChurnKeepsRoot(t *testing.T) {
+	const pairs = 5000
+	seed := *seedFlag
+	if seed == 0 {
+		seed = 1
+	}
+	for _, resident := range []int{300000, 340000} {
+		rng := rand.New(rand.NewSource(seed))
+		keys := churnKeys(rng, 2*resident)
+		tr := New()
+		for i, k := range keys[:resident] {
+			tr.Set(k, uint64(i))
+		}
+		if n := evictChurn(tr, rng, keys, resident, pairs); n > pairs/100 {
+			t.Fatalf("%d keys: root replaced in %d of %d delete+insert pairs (seed %d)", resident, n, pairs, seed)
+		}
+		checkTree(t, tr)
+	}
+}
+
 // benchKeys returns 2^20 shuffled 16-byte keys: hashed ids, which differ
 // within their first eight bytes, or, with shared set, ids behind one
 // eight-byte prefix, which the nodes' inlined prefixes cannot tell apart.
@@ -568,6 +628,26 @@ func BenchmarkTreeOverwrite(b *testing.B) {
 // One op is a delete plus the insert that puts the key back.
 func BenchmarkTreeDelete(b *testing.B) {
 	benchOp(b, func(tr *Tree, k []byte, i int) { tr.Delete(k); tr.Set(k, uint64(i)) })
+}
+
+// One op is what an evicting SET does to the index: delete a resident key,
+// insert a different, absent one — two descents down unrelated paths, 32-byte
+// keys, 300 000 resident of 600 000.
+func BenchmarkTreeEvictChurn(b *testing.B) {
+	const resident = 300000
+	rng := rand.New(rand.NewSource(1))
+	keys := churnKeys(rng, 2*resident)
+	tr := New()
+	for i, k := range keys[:resident] {
+		tr.Set(k, uint64(i))
+	}
+	splits, merges := tr.Churn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	evictChurn(tr, rng, keys, resident, b.N)
+	s, m := tr.Churn()
+	b.ReportMetric(float64(s-splits)/float64(b.N), "splits/op")
+	b.ReportMetric(float64(m-merges)/float64(b.N), "merges/op")
 }
 
 // The lazy copy at its most expensive: a snapshot before every delete+insert

@@ -376,68 +376,75 @@ func (c *class) writeObject(idx uint64, key, value []byte, now uint32) {
 }
 
 // storeChunkBytes packs key then value into the data words (word 3+),
-// little-endian, via atomic stores so concurrent seqlock readers never race.
+// little-endian and zero-padded, via atomic stores so concurrent seqlock
+// readers never race. The key starts on a word; the value starts wherever
+// the key ends, so one word may hold the key's tail and the value's head.
 func storeChunkBytes(w []atomic.Uint64, key, value []byte) {
 	wi := headerWords
-	var cur uint64
-	var shift uint
-	put := func(bs []byte) {
-		for _, b := range bs {
-			cur |= uint64(b) << shift
-			shift += 8
-			if shift == 64 {
-				w[wi].Store(cur)
-				wi++
-				cur, shift = 0, 0
-			}
-		}
+	for ; len(key) >= 8; key = key[8:] {
+		w[wi].Store(binary.LittleEndian.Uint64(key))
+		wi++
 	}
-	put(key)
-	put(value)
-	if shift > 0 {
-		w[wi].Store(cur)
+	var shared [8]byte
+	k := copy(shared[:], key)
+	v := copy(shared[k:], value)
+	if k+v == 0 {
+		return
+	}
+	w[wi].Store(binary.LittleEndian.Uint64(shared[:]))
+	wi++
+	for value = value[v:]; len(value) >= 8; value = value[8:] {
+		w[wi].Store(binary.LittleEndian.Uint64(value))
+		wi++
+	}
+	if len(value) > 0 {
+		var tail [8]byte
+		copy(tail[:], value)
+		w[wi].Store(binary.LittleEndian.Uint64(tail[:]))
 	}
 }
 
 // appendChunkBytes appends n bytes starting at byte offset off of the chunk
 // to dst, loading whole words atomically.
 func appendChunkBytes(dst []byte, w []atomic.Uint64, off, n int) []byte {
-	var tmp [8]byte
+	if n == 0 {
+		return dst
+	}
 	end := off + n
-	for pos := off; pos < end; {
-		wi := pos >> 3
+	wi := off >> 3
+	var tmp [8]byte
+	if lo := off & 7; lo != 0 { // a head that starts mid-word
 		binary.LittleEndian.PutUint64(tmp[:], w[wi].Load())
-		lo := pos & 7
-		hi := 8
-		if wordEnd := (wi + 1) << 3; wordEnd > end {
-			hi = 8 - (wordEnd - end)
-		}
-		dst = append(dst, tmp[lo:hi]...)
-		pos += hi - lo
+		dst = append(dst, tmp[lo:min(8, end-wi<<3)]...)
+		wi++
+	}
+	for ; (wi+1)<<3 <= end; wi++ {
+		dst = binary.LittleEndian.AppendUint64(dst, w[wi].Load())
+	}
+	if rem := end - wi<<3; rem > 0 { // a tail that ends mid-word
+		binary.LittleEndian.PutUint64(tmp[:], w[wi].Load())
+		dst = append(dst, tmp[:rem]...)
 	}
 	return dst
 }
 
-// chunkBytesEqual reports whether the n=len(want) bytes at byte offset off of
-// the chunk equal want, loading whole words atomically.
+// chunkBytesEqual reports whether the len(want) bytes at byte offset off of
+// the chunk equal want, comparing whole words loaded atomically. off must be
+// a multiple of 8: every caller compares a key, which starts on a word.
 func chunkBytesEqual(w []atomic.Uint64, off int, want []byte) bool {
-	var tmp [8]byte
-	i := 0
-	for i < len(want) {
-		pos := off + i
-		wi := pos >> 3
-		binary.LittleEndian.PutUint64(tmp[:], w[wi].Load())
-		lo := pos & 7
-		n := 8 - lo
-		if rem := len(want) - i; n > rem {
-			n = rem
-		}
-		if !bytes.Equal(tmp[lo:lo+n], want[i:i+n]) {
+	wi := off >> 3
+	for ; len(want) >= 8; want = want[8:] {
+		if w[wi].Load() != binary.LittleEndian.Uint64(want) {
 			return false
 		}
-		i += n
+		wi++
 	}
-	return true
+	if len(want) == 0 {
+		return true
+	}
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], w[wi].Load())
+	return bytes.Equal(tmp[:len(want)], want)
 }
 
 // loadLens reads and sanity-checks the length word. A torn read can yield

@@ -266,13 +266,76 @@ func TestEvictionChurnProperty(t *testing.T) {
 	}
 }
 
+// TestObjectBytesAtEveryWordOffset round-trips key and value bytes through
+// every read path for every key length 1..17 and value length 0..41, so the
+// value starts, and key and value end, at every offset within a word. Every
+// byte depends on its position, and all objects are written before any is
+// read, so a byte misplaced or dropped, or a write into a neighbouring
+// chunk, shows.
+func TestObjectBytesAtEveryWordOffset(t *testing.T) {
+	a := NewAllocator(DefaultConfig(8 << 20))
+	type obj struct {
+		h          Handle
+		key, value []byte
+	}
+	var objs []obj
+	for kl := 1; kl <= 17; kl++ {
+		for vl := 0; vl <= 41; vl++ {
+			o := obj{key: make([]byte, kl), value: make([]byte, vl)}
+			for i := range o.key {
+				o.key[i] = byte(vl*17 + kl*5 + i*3 + 1)
+			}
+			for i := range o.value {
+				o.value[i] = byte(kl*29 + vl*7 + i*13 + 2)
+			}
+			h, ev, err := a.Alloc(o.key, o.value, 1)
+			if err != nil || ev != nil {
+				t.Fatalf("K%d/V%d: alloc err=%v evicted=%v", kl, vl, err, ev)
+			}
+			o.h = h
+			objs = append(objs, o)
+		}
+	}
+	for _, o := range objs {
+		name := fmt.Sprintf("K%d/V%d", len(o.key), len(o.value))
+		if k, v, ok := a.Object(o.h); !ok || !bytes.Equal(k, o.key) || !bytes.Equal(v, o.value) {
+			t.Fatalf("%s: Object = %x/%x ok=%v, want %x/%x", name, k, v, ok, o.key, o.value)
+		}
+		if v, ok := a.ReadInto(o.h, []byte("pre")); !ok || string(v[:3]) != "pre" || !bytes.Equal(v[3:], o.value) {
+			t.Fatalf("%s: ReadInto = %x ok=%v, want pre+%x", name, v, ok, o.value)
+		}
+		if v, ok := a.ReadIfMatch(o.h, o.key, nil); !ok || !bytes.Equal(v, o.value) {
+			t.Fatalf("%s: ReadIfMatch = %x ok=%v, want %x", name, v, ok, o.value)
+		}
+		if !a.MatchKey(o.h, o.key) {
+			t.Fatalf("%s: MatchKey missed its own key", name)
+		}
+		other := bytes.Clone(o.key)
+		other[len(other)-1] ^= 0x80
+		if a.MatchKey(o.h, other) {
+			t.Fatalf("%s: MatchKey matched a key differing in its last byte", name)
+		}
+		if _, ok := a.ReadIfMatch(o.h, other, nil); ok {
+			t.Fatalf("%s: ReadIfMatch hit a key differing in its last byte", name)
+		}
+	}
+}
+
+// BenchmarkAllocEvictCycle allocates into a full class, so every Alloc evicts
+// a victim and writes the new object over it: K32/V256 is the shape of the
+// serving benchmark's evicting SETs.
 func BenchmarkAllocEvictCycle(b *testing.B) {
-	cfg := Config{TotalBytes: 1 << 20, SlabBytes: 1 << 20, MinChunk: 128, MaxChunk: 128 << 2, Growth: 2}
-	a := NewAllocator(cfg)
-	val := make([]byte, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := []byte{byte(i), byte(i >> 8), byte(i >> 16)}
-		a.Alloc(key, val, uint32(i))
+	for _, shape := range []struct{ key, value int }{{3, 64}, {32, 256}} {
+		b.Run(fmt.Sprintf("K%d/V%d", shape.key, shape.value), func(b *testing.B) {
+			cfg := Config{TotalBytes: 1 << 20, SlabBytes: 1 << 20, MinChunk: 128, MaxChunk: 128 << 2, Growth: 2}
+			a := NewAllocator(cfg)
+			key, val := make([]byte, shape.key), make([]byte, shape.value)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key[0], key[1], key[2] = byte(i), byte(i>>8), byte(i>>16)
+				a.Alloc(key, val, uint32(i))
+			}
+		})
 	}
 }

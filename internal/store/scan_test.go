@@ -94,6 +94,16 @@ func TestScanMatchesModelQuiescent(t *testing.T) {
 			t.Fatalf("pagination order broken at %d: %q vs %q", i, k, sorted[i])
 		}
 	}
+
+	// Every shard's tree outgrew one node, so it split on the way up and
+	// must merge on the way back down to empty.
+	for _, k := range sorted {
+		s.Delete([]byte(k))
+	}
+	if st := s.StatsSnapshot(); st.OrderedKeys != 0 || st.OrderedSplits < 4 || st.OrderedMerges < 4 {
+		t.Fatalf("emptied store: %d ordered keys, %d splits, %d merges; want 0 keys and ≥ 4 of each",
+			st.OrderedKeys, st.OrderedSplits, st.OrderedMerges)
+	}
 }
 
 // TestScanDisabled: a store without Config.Ordered refuses scans cleanly.

@@ -542,6 +542,8 @@ type Stats struct {
 	ScanBytes              uint64 // key+value bytes returned across all scans
 	ScanFallbacks          uint64 // stale snapshot locations re-resolved live
 	OrderedKeys            int    // live keys in the ordered index (0 if disabled)
+	OrderedSplits          uint64 // ordered-index node splits
+	OrderedMerges          uint64 // ordered-index node merges
 	LiveObjects            int
 	IndexLoadFactor        float64
 	AvgInsertBucketsProbed float64
@@ -583,6 +585,9 @@ func (s *Store) StatsSnapshot() Stats {
 		st.EvictScan += as.EvictScan
 		if sh.tree != nil {
 			st.OrderedKeys += sh.tree.Len()
+			splits, merges := sh.tree.Churn()
+			st.OrderedSplits += splits
+			st.OrderedMerges += merges
 		}
 		loadSum += sh.idx.LoadFactor()
 		inserts += float64(is.Inserts)

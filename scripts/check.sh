@@ -137,7 +137,7 @@ go run ./cmd/dido-bench -quick all | grep -v -E '^\([a-z0-9-]+ took [^)]*\)$' \
 # Benchmark smoke: one iteration each, just proving the benchmarks still
 # compile and run (allocation regressions show up in the full bench runs).
 echo "== benchmark smoke =="
-go test -run='^$' -bench=. -benchtime=1x ./internal/store ./internal/slab ./internal/cuckoo
+go test -run='^$' -bench=. -benchtime=1x ./internal/store ./internal/slab ./internal/cuckoo ./internal/ordered
 
 # Batched-search bench smoke: a short real run (not 1x) of the batched-vs-
 # scalar comparison, proving the batched path executes end-to-end at every

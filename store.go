@@ -114,7 +114,9 @@ type StoreStats struct {
 	ScanBytes       uint64 // key+value bytes returned across all scans
 	ScanFallbacks   uint64 // snapshot locations gone stale, re-resolved via the index
 	LiveObjects     int
-	OrderedKeys     int // keys in the ordered index (tracks LiveObjects)
+	OrderedKeys     int    // keys in the ordered index (tracks LiveObjects)
+	OrderedSplits   uint64 // ordered-index node splits
+	OrderedMerges   uint64 // ordered-index node merges
 	IndexLoadFactor float64
 }
 
@@ -136,6 +138,8 @@ func (s *Store) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_scan_fallbacks_total", "Scan snapshot locations re-resolved through the index after going stale.", st.ScanFallbacks)
 	w.Gauge("dido_store_live_objects", "Objects currently stored.", float64(st.LiveObjects))
 	w.Gauge("dido_store_ordered_keys", "Keys in the MVCC ordered index (0 when disabled).", float64(st.OrderedKeys))
+	w.Counter("dido_store_ordered_splits_total", "Ordered-index B-tree node splits, root splits included.", st.OrderedSplits)
+	w.Counter("dido_store_ordered_merges_total", "Ordered-index B-tree node merges.", st.OrderedMerges)
 	w.Gauge("dido_store_index_load_factor", "Cuckoo index occupancy in [0,1].", st.IndexLoadFactor)
 }
 
@@ -156,6 +160,8 @@ func (s *Store) Stats() StoreStats {
 		ScanFallbacks:   st.ScanFallbacks,
 		LiveObjects:     st.LiveObjects,
 		OrderedKeys:     st.OrderedKeys,
+		OrderedSplits:   st.OrderedSplits,
+		OrderedMerges:   st.OrderedMerges,
 		IndexLoadFactor: st.IndexLoadFactor,
 	}
 }
