@@ -496,13 +496,13 @@ func benchmarkServeRESP(b *testing.B, netQueues int) {
 func BenchmarkServeRESPPipelined(b *testing.B) { benchmarkServeRESP(b, 1) }
 
 // BenchmarkServeRESPPipelinedQ4 shards the RESP accept path across 4
-// REUSEPORT listeners sharing one ConnGate; each per-goroutine client is its
+// REUSEPORT listeners sharing one connection gate; each per-goroutine client is its
 // own TCP connection, so the kernel spreads accepts across the listeners.
 func BenchmarkServeRESPPipelinedQ4(b *testing.B) { benchmarkServeRESP(b, 4) }
 
 // BenchmarkServePipelinedObserved is BenchmarkServePipelined with the full
 // observability layer attached: slow-query log on every frame completion and
-// an admin endpoint scraped every 50ms during the run.
+// an admin endpoint scraped once a second during the run.
 func BenchmarkServePipelinedObserved(b *testing.B) {
 	benchmarkServe(b, serveBenchConfig{observed: true})
 }

@@ -1,5 +1,6 @@
 // Command dido-server runs the real (non-simulated) in-memory key-value
-// store as a UDP server speaking the batched binary protocol.
+// store as a UDP server speaking the batched binary protocol, and optionally
+// (-resp) as a RESP2 server over TCP.
 //
 // Admitted frames are served through the batched task-granular pipeline
 // (DIDO's staged execution); -adapt closes the paper's adaptation loop,
@@ -65,14 +66,12 @@ func waitForBind(name string, addr func() net.Addr, served <-chan struct{}) net.
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11311", "UDP listen address (binary batched protocol)")
 	respAddr := flag.String("resp", "", "optional TCP listen address for the RESP2 (Redis) protocol")
-	textAddr := flag.String("text", "", "optional TCP listen address for the memcached ASCII protocol (not with -wal)")
 	mem := flag.Int64("mem", 256<<20, "key-value arena bytes")
 	shards := flag.Int("shards", 0, "store shards (power of two, 0 = 1; divides the arena budget)")
 	statsEvery := flag.Duration("stats-interval", 10*time.Second, "stats print interval (0 disables)")
 	maxInflight := flag.Int("max-inflight", dido.DefaultMaxInFlight, "frames processed concurrently before shedding with StatusBusy")
 	replyCache := flag.Int("reply-cache", dido.DefaultReplyCacheSize, "retried-request reply cache entries (negative disables)")
-	maxSessions := flag.Int("text-max-sessions", 0, "text protocol session budget (0 = share -max-conns with the RESP frontend)")
-	maxConns := flag.Int("max-conns", 0, "stream connection budget across RESP + text frontends (0 = default 1024, negative = unlimited)")
+	maxConns := flag.Int("max-conns", 0, "RESP connection budget across every RESP listener (0 = default 1024, negative = unlimited)")
 	respInflight := flag.Int("resp-conn-inflight", 0, "per-RESP-connection in-flight command-batch cap before shedding with -BUSY (0 = default)")
 	netQueues := flag.Int("net-queues", 1, "SO_REUSEPORT ingestion queues per frontend (UDP sockets / RESP listeners; clamped to 1 without kernel support, sized down by -adapt when extra readers cannot pay)")
 
@@ -107,11 +106,6 @@ func main() {
 	faultConnCorrupt := flag.Float64("fault-conn-corrupt", 0, "inject: stream read corruption rate [0,1]")
 	faultConnShort := flag.Float64("fault-conn-short", 0, "inject: stream short-read (torn command) rate [0,1]")
 	flag.Parse()
-	if *textAddr != "" && *walDir != "" {
-		// The text frontend writes to the store directly, outside the core:
-		// its SETs would be acked with no WAL record and lost on a crash.
-		log.Fatal("-text cannot be combined with -wal: text-protocol writes bypass the write-ahead log")
-	}
 
 	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Shards: *shards, Ordered: *ordered})
 	opts := dido.ServerOptions{
@@ -259,28 +253,6 @@ func main() {
 		log.Printf("admin endpoint on http://%s (/metrics /config /trace /slowlog /debug/pprof)", admin.Addr())
 	}
 
-	var textSrv *dido.TextServer
-	if *textAddr != "" {
-		textSrv = dido.NewTextServer(st)
-		if *maxSessions > 0 {
-			textSrv.MaxSessions = *maxSessions
-		} else {
-			// Share one connection budget with the RESP frontend so a flood on
-			// either protocol sheds globally.
-			textSrv.Gate = srv.ConnGate()
-		}
-		srv.AttachFrontendStats(textSrv)
-		textServed := make(chan struct{})
-		go func() {
-			defer close(textServed)
-			if err := textSrv.Serve(*textAddr); err != nil {
-				log.Fatalf("text serve: %v", err)
-			}
-		}()
-		log.Printf("memcached ASCII protocol on %s (tcp)",
-			waitForBind("text", textSrv.Addr, textServed))
-	}
-
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {
@@ -333,9 +305,6 @@ func main() {
 	fmt.Println("shutting down (draining in-flight frames)")
 	if admin != nil {
 		admin.Close()
-	}
-	if textSrv != nil {
-		textSrv.Close()
 	}
 	srv.Close()
 }

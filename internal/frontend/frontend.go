@@ -192,8 +192,8 @@ type QueueStatsSource interface {
 	QueueStats() []QueueStats
 }
 
-// StatsSource is implemented by every frontend (and the text server) so the
-// server can render per-frontend metrics with a frontend="<name>" label.
+// StatsSource is implemented by every frontend so the server can render
+// per-frontend metrics with a frontend="<name>" label.
 type StatsSource interface {
 	Name() string
 	FrontendStats() Stats
@@ -206,11 +206,11 @@ type Frontend interface {
 	StatsSource
 }
 
-// Gate is the connection-scale admission shared by the server's stream
-// frontends (RESP, memcached text): a bounded budget of concurrently open
-// connections, shedding beyond it. One Gate serves several frontends so a
-// flood on one protocol sheds globally, and its counters surface in
-// ServerStats alongside the frame-level shed accounting.
+// Gate is the connection-scale admission of the server's RESP listeners: a
+// bounded budget of concurrently open connections, shedding beyond it. One
+// Gate serves every listener of the -net-queues split, so a flood on one
+// listener sheds globally, and its counters surface in ServerStats alongside
+// the frame-level shed accounting.
 type Gate struct {
 	max      int64
 	active   atomic.Int64

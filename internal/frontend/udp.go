@@ -18,8 +18,8 @@ type UDPOptions struct {
 	// WrapConn wraps each listening socket before serving — the fault
 	// injector's hook. With multiple queues it runs once per queue socket.
 	WrapConn func(net.PacketConn) net.PacketConn
-	// Dedupe computes the frame's reply-cache address key (v2 frames with a
-	// request ID); set when the core has a reply cache.
+	// Dedupe computes the frame's reply-cache address key (frames with a
+	// nonzero request ID); set when the core has a reply cache.
 	Dedupe bool
 	// MeasureParse times RV/PP per frame for the adaptation profile.
 	MeasureParse bool
@@ -75,13 +75,12 @@ type udpQueue struct {
 
 // udpFrame is the UDP-private context of one frame: the receive buffer the
 // queries alias, the peer address, the arrival queue (replies go back out
-// through it), and the v2 framing bits the encoder needs.
+// through it), and the query count a busy reply is sized by.
 type udpFrame struct {
 	f       Frame
 	buf     []byte
 	raddr   net.Addr
 	q       *udpQueue
-	v2      bool
 	count   int
 	queries []proto.Query
 }
@@ -233,7 +232,7 @@ func (u *UDP) readErr(core Core, err error) (done bool, _ error) {
 // goroutine calls it for a given q.
 func (u *UDP) handleDatagram(core Core, q *udpQueue, buf []byte, n int, raddr net.Addr) {
 	q.bytesIn.Add(uint64(n))
-	count, reqID, v2, herr := proto.FrameHeader(buf[:n])
+	count, reqID, herr := proto.FrameHeader(buf[:n])
 	if herr != nil {
 		// Malformed or corrupted frame: drop, as a UDP service must.
 		u.malformed.Inc()
@@ -242,10 +241,10 @@ func (u *UDP) handleDatagram(core Core, q *udpQueue, buf []byte, n int, raddr ne
 		return
 	}
 	uf := u.frames.Get().(*udpFrame)
-	uf.buf, uf.raddr, uf.q, uf.v2, uf.count = buf, raddr, q, v2, count
+	uf.buf, uf.raddr, uf.q, uf.count = buf, raddr, q, count
 	f := &uf.f
 	f.ReqID = reqID
-	if u.opts.Dedupe && v2 && reqID != 0 {
+	if u.opts.Dedupe && reqID != 0 {
 		// Address keys are plain strings, equal across queues for one peer,
 		// so the reply cache dedupes retries even when the kernel hashes a
 		// retry (new source port after a client reconnect) to another queue.
@@ -308,7 +307,7 @@ const maxResponsePayload = 60 << 10
 // (the client reassembles by offset), appending each encoded frame to dst.
 // The returned frames are freshly allocated: the reply cache retains them
 // across retries.
-func AppendResponseFrames(dst [][]byte, reqID uint64, v2 bool, resps []proto.Response) [][]byte {
+func AppendResponseFrames(dst [][]byte, reqID uint64, resps []proto.Response) [][]byte {
 	start := 0
 	for {
 		end := start
@@ -322,13 +321,8 @@ func AppendResponseFrames(dst [][]byte, reqID uint64, v2 bool, resps []proto.Res
 			end++
 		}
 		// Exact capacity: grown from nil, a 5 KB frame costs ten reallocations.
-		if v2 {
-			buf := make([]byte, 0, proto.ResponseHeaderLenV2+bytes)
-			dst = append(dst, proto.EncodeResponseFrameV2(buf, reqID, start, resps[start:end]))
-		} else {
-			buf := make([]byte, 0, proto.ResponseHeaderLen+bytes)
-			dst = append(dst, proto.EncodeResponseFrame(buf, resps[start:end]))
-		}
+		buf := make([]byte, 0, proto.ResponseHeaderLenV2+bytes)
+		dst = append(dst, proto.EncodeResponseFrameV2(buf, reqID, start, resps[start:end]))
 		start = end
 		if start >= len(resps) {
 			return dst
@@ -336,10 +330,9 @@ func AppendResponseFrames(dst [][]byte, reqID uint64, v2 bool, resps []proto.Res
 	}
 }
 
-// Encode renders resps as v1/v2 response datagrams.
+// Encode renders resps as response datagrams.
 func (u *UDP) Encode(f *Frame, resps []proto.Response) [][]byte {
-	uf := f.Ctx.(*udpFrame)
-	return AppendResponseFrames(nil, f.ReqID, uf.v2, resps)
+	return AppendResponseFrames(nil, f.ReqID, resps)
 }
 
 // Deliver writes each unit to the frame's peer through its arrival queue;
@@ -411,7 +404,6 @@ func (u *UDP) Release(f *Frame) {
 	uf.buf = nil
 	uf.raddr = nil
 	uf.q = nil
-	uf.v2 = false
 	uf.count = 0
 	if len(uf.queries) > 0 {
 		uf.queries = uf.queries[:0]

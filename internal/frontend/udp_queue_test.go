@@ -200,30 +200,28 @@ func TestUDPSingleQueueFallback(t *testing.T) {
 
 // TestResponseFramesExactCapacity pins the reply buffers' sizing: every frame
 // AppendResponseFrames hands the reply cache is allocated once at its final
-// length, for both protocol versions and across a multi-datagram split, and
-// the frames still decode to the responses that went in.
+// length, across a multi-datagram split, and the frames still decode to the
+// responses that went in.
 func TestResponseFramesExactCapacity(t *testing.T) {
 	resps := make([]proto.Response, 40)
 	for i := range resps {
 		resps[i] = proto.Response{Status: proto.StatusOK, Value: make([]byte, 100*i)} // 78 KB: two datagrams
 	}
-	for _, v2 := range []bool{false, true} {
-		frames := AppendResponseFrames(nil, 7, v2, resps)
-		if len(frames) < 2 {
-			t.Fatalf("v2=%v: %d frames, want a split", v2, len(frames))
+	frames := AppendResponseFrames(nil, 7, resps)
+	if len(frames) < 2 {
+		t.Fatalf("%d frames, want a split", len(frames))
+	}
+	var back []proto.Response
+	for _, f := range frames {
+		if cap(f) != len(f) {
+			t.Errorf("frame of %d bytes has capacity %d", len(f), cap(f))
 		}
-		var back []proto.Response
-		for _, f := range frames {
-			if cap(f) != len(f) {
-				t.Errorf("v2=%v: frame of %d bytes has capacity %d", v2, len(f), cap(f))
-			}
-			var err error
-			if back, err = proto.ParseResponseFrame(f, back); err != nil {
-				t.Fatalf("v2=%v: %v", v2, err)
-			}
+		var err error
+		if back, _, _, err = proto.ParseResponseFrameID(f, back); err != nil {
+			t.Fatal(err)
 		}
-		if len(back) != len(resps) {
-			t.Fatalf("v2=%v: %d responses came back, want %d", v2, len(back), len(resps))
-		}
+	}
+	if len(back) != len(resps) {
+		t.Fatalf("%d responses came back, want %d", len(back), len(resps))
 	}
 }

@@ -1,8 +1,7 @@
 // Package integration ties the substrates together the way the real system
 // does: the SIMT gang executor driving actual index operations on the real
-// store with CPU workers stealing from the same tag array, the full query
-// path through the wire protocol, and the adaptation loop over a live
-// workload. These tests are about cross-module correctness, not timing.
+// store with CPU workers stealing from the same tag array, and the
+// adaptation loop over a live workload. These tests are about cross-module correctness, not timing.
 package integration
 
 import (
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/cuckoo"
 	"repro/internal/gpu"
-	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -124,73 +122,6 @@ func TestConcurrentIndexUpdatesFromBothSides(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d missing after concurrent inserts", i)
 		}
-	}
-}
-
-// TestFullWirePathThroughLoopback drives encoded frames through the loopback
-// link into store processing and back — the RV→…→SD path without sockets.
-func TestFullWirePathThroughLoopback(t *testing.T) {
-	st := store.New(store.Config{MemoryBytes: 8 << 20, IndexEntries: 50000, Seed: 8})
-	link := netsim.NewLoopback(0)
-
-	// Client side: batch SETs then GETs.
-	var b netsim.Batcher
-	for i := 0; i < 500; i++ {
-		b.Add(proto.Query{Op: proto.OpSet, Key: key(i), Value: []byte(fmt.Sprintf("v%d", i))})
-	}
-	for i := 0; i < 500; i++ {
-		b.Add(proto.Query{Op: proto.OpGet, Key: key(i)})
-	}
-	for _, f := range b.Frames() {
-		if !link.ClientSend(f) {
-			t.Fatal("send failed")
-		}
-	}
-
-	// Server side: parse → execute → respond.
-	for _, frame := range link.ServerRecv(0) {
-		queries, err := proto.ParseFrame(frame, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resps []proto.Response
-		for _, q := range queries {
-			switch q.Op {
-			case proto.OpSet:
-				if _, _, err := st.Set(q.Key, q.Value); err != nil {
-					resps = append(resps, proto.Response{Status: proto.StatusError})
-				} else {
-					resps = append(resps, proto.Response{Status: proto.StatusOK})
-				}
-			case proto.OpGet:
-				if v, ok := st.Get(q.Key); ok {
-					resps = append(resps, proto.Response{Status: proto.StatusOK, Value: v})
-				} else {
-					resps = append(resps, proto.Response{Status: proto.StatusNotFound})
-				}
-			}
-		}
-		link.ServerSend(proto.EncodeResponseFrame(nil, resps))
-	}
-
-	// Client side: every GET hit with the right payload.
-	var gets int
-	for _, frame := range link.ClientRecv(0) {
-		resps, err := proto.ParseResponseFrame(frame, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range resps {
-			if len(r.Value) > 0 {
-				gets++
-				if r.Status != proto.StatusOK {
-					t.Fatal("GET with value but bad status")
-				}
-			}
-		}
-	}
-	if gets != 500 {
-		t.Fatalf("answered GETs = %d, want 500", gets)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package netsim models the network front-end of the key-value store for the
-// simulated experiments: per-query receive/send unit costs (the RV and SD
+// simulated experiments: per-query receive/send unit costs of the RV and SD
 // tasks, which the paper pins to the CPU and estimates with profiled unit
-// costs, §IV-B), frame batching, and an in-memory loopback link used by
-// integration tests.
+// costs (§IV-B).
 //
 // Two cost profiles mirror the paper's §V-E distinction between Linux-kernel
 // networking (what DIDO uses; "which overhead is huge") and a DPDK-style
@@ -11,12 +10,7 @@
 // larger-key Fig 16 comparisons ("read packets from local memory").
 package netsim
 
-import (
-	"sync"
-	"time"
-
-	"repro/internal/proto"
-)
+import "time"
 
 // CostProfile gives the per-query CPU cost of the RV and SD tasks.
 type CostProfile struct {
@@ -69,118 +63,4 @@ func NoNetworking() CostProfile {
 		InstrPerQueryRV: 2,
 		InstrPerQuerySD: 2,
 	}
-}
-
-// Batcher packs queries into frames of at most MaxFrameBytes, the way the
-// evaluation batches queries into Ethernet frames (§V-A).
-type Batcher struct {
-	buf     []byte
-	queries []proto.Query
-	bytes   int
-	frames  [][]byte
-}
-
-// Add appends q to the current frame, flushing to a new frame when the size
-// limit would be exceeded.
-func (b *Batcher) Add(q proto.Query) {
-	qLen := proto.EncodedQueryLen(q)
-	if b.bytes+qLen > proto.MaxFrameBytes-64 || len(b.queries) >= 0xFFFF {
-		b.Flush()
-	}
-	b.queries = append(b.queries, q)
-	b.bytes += qLen
-}
-
-// Flush finalizes the current frame, if any.
-func (b *Batcher) Flush() {
-	if len(b.queries) == 0 {
-		return
-	}
-	frame := proto.EncodeFrame(nil, b.queries)
-	b.frames = append(b.frames, frame)
-	b.queries = b.queries[:0]
-	b.bytes = 0
-	b.buf = b.buf[:0]
-}
-
-// Frames returns and clears the accumulated frames.
-func (b *Batcher) Frames() [][]byte {
-	b.Flush()
-	out := b.frames
-	b.frames = nil
-	return out
-}
-
-// Loopback is an in-memory bidirectional link with bounded queues, used by
-// integration tests to drive a server pipeline without sockets.
-type Loopback struct {
-	mu       sync.Mutex
-	toServer [][]byte
-	toClient [][]byte
-	dropped  uint64
-	limit    int
-}
-
-// NewLoopback returns a loopback link with the given per-direction queue
-// limit (0 means unbounded).
-func NewLoopback(limit int) *Loopback {
-	return &Loopback{limit: limit}
-}
-
-// ClientSend enqueues a frame toward the server; it reports false (drop) when
-// the queue is full, as a real NIC ring would.
-func (l *Loopback) ClientSend(frame []byte) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.limit > 0 && len(l.toServer) >= l.limit {
-		l.dropped++
-		return false
-	}
-	l.toServer = append(l.toServer, frame)
-	return true
-}
-
-// ServerRecv dequeues up to max frames destined to the server.
-func (l *Loopback) ServerRecv(max int) [][]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.toServer)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := l.toServer[:n:n]
-	l.toServer = l.toServer[n:]
-	return out
-}
-
-// ServerSend enqueues a response frame toward the client.
-func (l *Loopback) ServerSend(frame []byte) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.limit > 0 && len(l.toClient) >= l.limit {
-		l.dropped++
-		return false
-	}
-	l.toClient = append(l.toClient, frame)
-	return true
-}
-
-// ClientRecv dequeues up to max frames destined to the client.
-func (l *Loopback) ClientRecv(max int) [][]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.toClient)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := l.toClient[:n:n]
-	l.toClient = l.toClient[n:]
-	return out
-}
-
-// Dropped returns the number of frames dropped to full queues.
-func (l *Loopback) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }

@@ -1,11 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"testing"
-
-	"repro/internal/proto"
-)
+import "testing"
 
 func TestCostProfiles(t *testing.T) {
 	k, d, n := KernelNetworking(), DPDKNetworking(), NoNetworking()
@@ -19,103 +14,5 @@ func TestCostProfiles(t *testing.T) {
 		if p.Name == "" || p.SDPerQuery <= 0 || p.InstrPerQueryRV <= 0 {
 			t.Fatalf("incomplete profile %+v", p)
 		}
-	}
-}
-
-func TestBatcherSingleFrame(t *testing.T) {
-	var b Batcher
-	for i := 0; i < 100; i++ {
-		b.Add(proto.Query{Op: proto.OpGet, Key: []byte(fmt.Sprintf("key-%d", i))})
-	}
-	frames := b.Frames()
-	if len(frames) != 1 {
-		t.Fatalf("frames = %d, want 1", len(frames))
-	}
-	qs, err := proto.ParseFrame(frames[0], nil)
-	if err != nil || len(qs) != 100 {
-		t.Fatalf("parse: %d queries, err %v", len(qs), err)
-	}
-}
-
-func TestBatcherSplitsOnSize(t *testing.T) {
-	var b Batcher
-	val := make([]byte, 8000)
-	for i := 0; i < 20; i++ { // 20 × ~8KB > 64KB
-		b.Add(proto.Query{Op: proto.OpSet, Key: []byte("k"), Value: val})
-	}
-	frames := b.Frames()
-	if len(frames) < 2 {
-		t.Fatalf("frames = %d, want >= 2", len(frames))
-	}
-	total := 0
-	for _, f := range frames {
-		if len(f) > proto.MaxFrameBytes {
-			t.Fatalf("frame size %d exceeds max", len(f))
-		}
-		qs, err := proto.ParseFrame(f, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(qs)
-	}
-	if total != 20 {
-		t.Fatalf("total queries = %d, want 20", total)
-	}
-}
-
-func TestBatcherEmptyFlush(t *testing.T) {
-	var b Batcher
-	if frames := b.Frames(); len(frames) != 0 {
-		t.Fatal("empty batcher produced frames")
-	}
-}
-
-func TestLoopbackRoundTrip(t *testing.T) {
-	l := NewLoopback(0)
-	l.ClientSend([]byte("req1"))
-	l.ClientSend([]byte("req2"))
-	got := l.ServerRecv(0)
-	if len(got) != 2 || string(got[0]) != "req1" {
-		t.Fatalf("server recv = %v", got)
-	}
-	l.ServerSend([]byte("resp"))
-	back := l.ClientRecv(0)
-	if len(back) != 1 || string(back[0]) != "resp" {
-		t.Fatalf("client recv = %v", back)
-	}
-	// Queues are drained.
-	if len(l.ServerRecv(0)) != 0 || len(l.ClientRecv(0)) != 0 {
-		t.Fatal("queues not drained")
-	}
-}
-
-func TestLoopbackBoundedDrops(t *testing.T) {
-	l := NewLoopback(2)
-	if !l.ClientSend([]byte("a")) || !l.ClientSend([]byte("b")) {
-		t.Fatal("sends under limit failed")
-	}
-	if l.ClientSend([]byte("c")) {
-		t.Fatal("send over limit succeeded")
-	}
-	if l.Dropped() != 1 {
-		t.Fatalf("dropped = %d", l.Dropped())
-	}
-	if !l.ServerSend([]byte("r1")) || !l.ServerSend([]byte("r2")) || l.ServerSend([]byte("r3")) {
-		t.Fatal("server-side limit not enforced")
-	}
-}
-
-func TestLoopbackRecvMax(t *testing.T) {
-	l := NewLoopback(0)
-	for i := 0; i < 5; i++ {
-		l.ClientSend([]byte{byte(i)})
-	}
-	first := l.ServerRecv(2)
-	if len(first) != 2 {
-		t.Fatalf("recv(2) = %d frames", len(first))
-	}
-	rest := l.ServerRecv(0)
-	if len(rest) != 3 {
-		t.Fatalf("rest = %d frames", len(rest))
 	}
 }

@@ -5,24 +5,33 @@ import (
 	"testing"
 )
 
-// fuzzSeeds returns valid frames of both versions plus truncations, giving
-// the fuzzer structured starting points.
+// queryFrameSeeds returns valid frames, truncations and corruptions, giving
+// the fuzzer structured starting points, and one frame of the retired v1
+// layout.
 func queryFrameSeeds() [][]byte {
 	queries := []Query{
 		{Op: OpSet, Key: []byte("alpha"), Value: []byte("one")},
 		{Op: OpGet, Key: []byte("beta")},
 		{Op: OpDelete, Key: bytes.Repeat([]byte("k"), 300)},
 	}
-	v1 := EncodeFrame(nil, queries)
 	v2 := EncodeFrameV2(nil, 0x1122334455667788, queries)
 	return [][]byte{
-		v1, v2,
-		v1[:len(v1)/2], v2[:len(v2)/2],
-		v1[:5], v2[:17],
-		EncodeFrame(nil, nil),
+		v2, v2[:len(v2)/2], v2[:17],
+		v2[:headerLenV2], // header whose count the payload cannot hold
+		flipLast(v2),     // checksum mismatch
 		EncodeFrameV2(nil, 1, nil),
-		[]byte("DKV1"), []byte("DKV2"), []byte("XXXX"), {},
+		EncodeFrameV2(nil, 0, []Query{{Op: OpSet, Key: []byte("empty")}}),
+		EncodeFrameV2(nil, 2, []Query{ScanQuery([]byte("a"), []byte("z"), 16)}),
+		v1Query(queries[0]),
+		[]byte("DKV2"), []byte("XXXX"), {},
 	}
+}
+
+// flipLast returns a copy of frame with its last byte inverted.
+func flipLast(frame []byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[len(out)-1] ^= 0xFF
+	return out
 }
 
 func FuzzParseFrame(f *testing.F) {
@@ -35,9 +44,9 @@ func FuzzParseFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		qs2, err2 := ParseFrame(frame, nil)
-		if err2 != nil || len(qs2) != len(qs) {
-			t.Fatalf("ParseFrame and ParseFrameID disagree: %d/%v vs %d", len(qs2), err2, len(qs))
+		count, id2, err2 := FrameHeader(frame)
+		if err2 != nil || count != len(qs) || id2 != id {
+			t.Fatalf("FrameHeader and ParseFrameID disagree: %d/%d/%v vs %d/%d", count, id2, err2, len(qs), id)
 		}
 		for _, q := range qs {
 			if len(q.Key) > len(frame) || len(q.Value) > len(frame) {
@@ -45,12 +54,7 @@ func FuzzParseFrame(f *testing.F) {
 			}
 		}
 		// Re-encoding the parsed queries must reparse to the same queries.
-		var again []byte
-		if _, _, v2, _ := FrameHeader(frame); v2 {
-			again = EncodeFrameV2(nil, id, qs)
-		} else {
-			again = EncodeFrame(nil, qs)
-		}
+		again := EncodeFrameV2(nil, id, qs)
 		qs3, id3, err := ParseFrameID(again, nil)
 		if err != nil || id3 != id || len(qs3) != len(qs) {
 			t.Fatalf("re-encode mismatch: %d queries id %d err %v", len(qs3), id3, err)
@@ -71,15 +75,19 @@ func respFrameSeeds() [][]byte {
 		{Status: StatusBusy},
 		{Status: StatusOK, Value: bytes.Repeat([]byte("v"), 500)},
 	}
-	v1 := EncodeResponseFrame(nil, resps)
 	v2 := EncodeResponseFrameV2(nil, 0x55AA, 3, resps)
+	scanBlock, mark := BeginScanResult(nil)
+	scanBlock = AppendScanEntry(scanBlock, []byte("a"), []byte("1"))
+	FinishScanResult(scanBlock, mark, 1)
 	return [][]byte{
-		v1, v2,
-		v1[:len(v1)/2], v2[:len(v2)/2],
-		v1[:5], v2[:19],
-		EncodeResponseFrame(nil, nil),
+		v2, v2[:len(v2)/2], v2[:19],
+		v2[:respHeaderLenV2], // header whose count the payload cannot hold
+		flipLast(v2),         // checksum mismatch
 		EncodeResponseFrameV2(nil, 1, 0, nil),
-		[]byte("DKV1"), []byte("DKV2"), {},
+		EncodeResponseFrameV2(nil, 0, 0xFFFF, []Response{{Status: StatusBusy}}),
+		EncodeResponseFrameV2(nil, 2, 0, []Response{{Status: StatusOK, Value: scanBlock}}),
+		v1Response(resps[0]),
+		[]byte("DKV2"), {},
 	}
 }
 
@@ -92,10 +100,6 @@ func FuzzParseResponseFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rs2, err2 := ParseResponseFrame(frame, nil)
-		if err2 != nil || len(rs2) != len(rs) {
-			t.Fatalf("ParseResponseFrame and ParseResponseFrameID disagree")
-		}
 		for _, r := range rs {
 			if len(r.Value) > len(frame) {
 				t.Fatalf("value slice longer than frame: %d", len(r.Value))
@@ -104,13 +108,8 @@ func FuzzParseResponseFrame(f *testing.F) {
 		if off < 0 || off > 0xFFFF {
 			t.Fatalf("offset out of range: %d", off)
 		}
-		// Round trip through the matching encoder.
-		var again []byte
-		if len(frame) >= 4 && frame[3] == '2' {
-			again = EncodeResponseFrameV2(nil, id, off, rs)
-		} else {
-			again = EncodeResponseFrame(nil, rs)
-		}
+		// Round trip through the encoder.
+		again := EncodeResponseFrameV2(nil, id, off, rs)
 		rs3, id3, off3, err := ParseResponseFrameID(again, nil)
 		if err != nil || id3 != id || off3 != off || len(rs3) != len(rs) {
 			t.Fatalf("re-encode mismatch: %d resps id %d off %d err %v", len(rs3), id3, off3, err)

@@ -1,41 +1,30 @@
 // Package proto implements the wire protocol of the key-value store: a
-// compact binary format carrying batched queries in a single datagram, the
-// way the paper's evaluation batches "queries and their responses in an
-// Ethernet frame as many as possible" (§V-A).
+// compact binary format ("DKV2") carrying batched queries in a single
+// datagram, the way the paper's evaluation batches "queries and their
+// responses in an Ethernet frame as many as possible" (§V-A).
 //
-// Frame layout:
-//
-//	[0:4)  magic "DKV1"
-//	[4:6)  query count (little endian)
-//	then per query:
-//	  [1B op] [2B key length] [4B value length] [key bytes] [value bytes]
-//
-// GET and DELETE queries carry a zero value length. Responses use the same
-// frame header with per-query records:
-//
-//	[1B status] [4B value length] [value bytes]
-//
-// Version 2 ("DKV2") extends the header for fault-tolerant serving. A query
-// frame carries a request ID so retries can be deduplicated server-side and
-// responses matched to requests, plus a payload checksum so corrupted
-// datagrams are dropped rather than misparsed:
+// A query frame carries a request ID so retries can be deduplicated
+// server-side and responses matched to requests, plus a payload checksum so
+// corrupted datagrams are dropped rather than misparsed:
 //
 //	[0:4)   magic "DKV2"
 //	[4:6)   query count (little endian)
 //	[6:14)  request ID (little endian uint64)
 //	[14:18) CRC-32 (IEEE) of the payload after the header
+//	then per query:
+//	  [1B op] [2B key length] [4B value length] [key bytes] [value bytes]
 //
-// A v2 response frame additionally carries the batch offset of its first
-// response, so response sets split across datagrams survive reordering:
+// GET and DELETE queries carry a zero value length. A response frame also
+// carries the batch offset of its first response, so response sets split
+// across datagrams survive reordering:
 //
 //	[0:4)   magic "DKV2"
 //	[4:6)   response count
 //	[6:14)  request ID
 //	[14:16) offset of the first response within the request batch
 //	[16:20) CRC-32 (IEEE) of the payload after the header
-//
-// Both versions are accepted by the parsers; v1 frames report request ID 0
-// and offset 0.
+//	then per response:
+//	  [1B status] [4B value length] [value bytes]
 //
 // Parsing is zero-copy: returned key/value slices alias the input buffer.
 package proto
@@ -54,7 +43,7 @@ type Op byte
 // (paper §II-B); SCAN is the ordered-index range read (see scan.go for its
 // argument and result encodings). Servers without an ordered index answer
 // SCAN with StatusError; pre-SCAN servers reject the whole frame (ErrBadOp),
-// which the v2 retry machinery surfaces as a timeout rather than corruption.
+// which the client retry machinery surfaces as a timeout rather than corruption.
 const (
 	OpGet Op = iota + 1
 	OpSet
@@ -104,28 +93,18 @@ type Response struct {
 	Value  []byte
 }
 
-var (
-	magic   = [4]byte{'D', 'K', 'V', '1'}
-	magicV2 = [4]byte{'D', 'K', 'V', '2'}
-)
+var magicV2 = [4]byte{'D', 'K', 'V', '2'}
 
-// Frame header: magic + uint16 count.
-const headerLen = 6
-
-// V2 query frame header: magic + uint16 count + uint64 reqID + uint32 crc.
+// Query frame header: magic + uint16 count + uint64 reqID + uint32 crc.
 const headerLenV2 = 18
 
-// V2 response frame header: magic + uint16 count + uint64 reqID +
+// Response frame header: magic + uint16 count + uint64 reqID +
 // uint16 offset + uint32 crc.
 const respHeaderLenV2 = 20
 
-// ResponseHeaderLen and ResponseHeaderLenV2 are the bytes a response frame of
-// each version carries ahead of its first response, for callers that size the
-// encoders' dst exactly.
-const (
-	ResponseHeaderLen   = headerLen
-	ResponseHeaderLenV2 = respHeaderLenV2
-)
+// ResponseHeaderLenV2 is the bytes a response frame carries ahead of its
+// first response, for callers that size the encoder's dst exactly.
+const ResponseHeaderLenV2 = respHeaderLenV2
 
 // queryHeaderLen is op + keyLen + valLen.
 const queryHeaderLen = 7
@@ -160,21 +139,7 @@ func EncodedQueryLen(q Query) int {
 	return queryHeaderLen + len(q.Key) + len(q.Value)
 }
 
-// EncodeFrame builds a frame holding queries. It panics if the batch exceeds
-// 65535 queries (the count field's range); callers split batches first.
-func EncodeFrame(dst []byte, queries []Query) []byte {
-	if len(queries) > 0xFFFF {
-		panic("proto: too many queries for one frame")
-	}
-	dst = append(dst, magic[:]...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(queries)))
-	for _, q := range queries {
-		dst = AppendQuery(dst, q)
-	}
-	return dst
-}
-
-// EncodeFrameV2 builds a v2 frame holding queries, stamped with the given
+// EncodeFrameV2 builds a frame holding queries, stamped with the given
 // request ID and a payload checksum. It panics if the batch exceeds 65535
 // queries; callers split batches first.
 func EncodeFrameV2(dst []byte, reqID uint64, queries []Query) []byte {
@@ -194,63 +159,53 @@ func EncodeFrameV2(dst []byte, reqID uint64, queries []Query) []byte {
 	return dst
 }
 
-// FrameHeader decodes just the header of a query frame (either version): the
-// query count, the request ID (0 for v1) and whether the frame is v2. For v2
-// frames the payload checksum is verified, so a positive result means the
-// frame is authentic end to end; for both versions the count is checked
-// against the payload size, so the count of a valid header can be trusted
-// for sizing a reply. This is the cheap pre-parse the server's admission
-// control uses to shed a frame without decoding its queries.
-func FrameHeader(frame []byte) (count int, reqID uint64, v2 bool, err error) {
-	if len(frame) < headerLen {
-		return 0, 0, false, ErrTruncated
+// FrameHeader decodes just the header of a query frame: the query count and
+// the request ID. The payload checksum is verified, so a positive result
+// means the frame is authentic end to end, and the count is checked against
+// the payload size, so the count of a valid header can be trusted for sizing
+// a reply. This is the cheap pre-parse the server's admission control uses to
+// shed a frame without decoding its queries.
+func FrameHeader(frame []byte) (count int, reqID uint64, err error) {
+	if err := checkMagic(frame, headerLenV2); err != nil {
+		return 0, 0, err
 	}
-	switch [4]byte(frame[:4]) {
-	case magic:
-		count = int(binary.LittleEndian.Uint16(frame[4:6]))
-		if len(frame)-headerLen < count*queryHeaderLen {
-			return 0, 0, false, ErrTruncated
-		}
-		return count, 0, false, nil
-	case magicV2:
-		if len(frame) < headerLenV2 {
-			return 0, 0, false, ErrTruncated
-		}
-		count = int(binary.LittleEndian.Uint16(frame[4:6]))
-		reqID = binary.LittleEndian.Uint64(frame[6:14])
-		sum := binary.LittleEndian.Uint32(frame[14:18])
-		if crc32.ChecksumIEEE(frame[headerLenV2:]) != sum {
-			return 0, 0, false, ErrBadChecksum
-		}
-		if len(frame)-headerLenV2 < count*queryHeaderLen {
-			return 0, 0, false, ErrTruncated
-		}
-		return count, reqID, true, nil
-	default:
-		return 0, 0, false, ErrBadMagic
+	count = int(binary.LittleEndian.Uint16(frame[4:6]))
+	reqID = binary.LittleEndian.Uint64(frame[6:14])
+	sum := binary.LittleEndian.Uint32(frame[14:18])
+	if crc32.ChecksumIEEE(frame[headerLenV2:]) != sum {
+		return 0, 0, ErrBadChecksum
 	}
+	if len(frame)-headerLenV2 < count*queryHeaderLen {
+		return 0, 0, ErrTruncated
+	}
+	return count, reqID, nil
 }
 
-// ParseFrame decodes all queries in frame (either version), appending to
-// dst. Key and value slices alias frame.
-func ParseFrame(frame []byte, dst []Query) ([]Query, error) {
-	dst, _, err := ParseFrameID(frame, dst)
-	return dst, err
+// checkMagic returns ErrBadMagic unless frame starts with the DKV2 magic,
+// and ErrTruncated when it is too short for the magic or for a header of
+// hdrLen bytes.
+func checkMagic(frame []byte, hdrLen int) error {
+	if len(frame) < len(magicV2) {
+		return ErrTruncated
+	}
+	if [4]byte(frame[:4]) != magicV2 {
+		return ErrBadMagic
+	}
+	if len(frame) < hdrLen {
+		return ErrTruncated
+	}
+	return nil
 }
 
-// ParseFrameID decodes all queries in frame (either version), appending to
-// dst, and returns the frame's request ID (0 for v1 frames). Key and value
-// slices alias frame. V2 checksums are verified before any query is parsed.
+// ParseFrameID decodes all queries in frame, appending to dst, and returns
+// the frame's request ID. Key and value slices alias frame. The checksum is
+// verified before any query is parsed.
 func ParseFrameID(frame []byte, dst []Query) ([]Query, uint64, error) {
-	count, reqID, v2, err := FrameHeader(frame)
+	count, reqID, err := FrameHeader(frame)
 	if err != nil {
 		return dst, 0, err
 	}
-	off := headerLen
-	if v2 {
-		off = headerLenV2
-	}
-	dst, err = parseQueries(frame, off, count, dst)
+	dst, err = parseQueries(frame, headerLenV2, count, dst)
 	return dst, reqID, err
 }
 
@@ -292,20 +247,7 @@ func AppendResponse(dst []byte, r Response) []byte {
 	return dst
 }
 
-// EncodeResponseFrame builds a response frame.
-func EncodeResponseFrame(dst []byte, resps []Response) []byte {
-	if len(resps) > 0xFFFF {
-		panic("proto: too many responses for one frame")
-	}
-	dst = append(dst, magic[:]...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(resps)))
-	for _, r := range resps {
-		dst = AppendResponse(dst, r)
-	}
-	return dst
-}
-
-// EncodeResponseFrameV2 builds a v2 response frame echoing the request ID,
+// EncodeResponseFrameV2 builds a response frame echoing the request ID,
 // carrying the batch offset of its first response and a payload checksum.
 func EncodeResponseFrameV2(dst []byte, reqID uint64, offset int, resps []Response) []byte {
 	if len(resps) > 0xFFFF {
@@ -328,44 +270,22 @@ func EncodeResponseFrameV2(dst []byte, reqID uint64, offset int, resps []Respons
 	return dst
 }
 
-// ParseResponseFrame decodes a response frame (either version), appending to
-// dst. Value slices alias frame.
-func ParseResponseFrame(frame []byte, dst []Response) ([]Response, error) {
-	dst, _, _, err := ParseResponseFrameID(frame, dst)
-	return dst, err
-}
-
-// ParseResponseFrameID decodes a response frame (either version), appending
-// to dst, and returns the echoed request ID and the batch offset of the
-// frame's first response (both 0 for v1 frames). Value slices alias frame.
-// V2 checksums are verified before any response is parsed.
+// ParseResponseFrameID decodes a response frame, appending to dst, and
+// returns the echoed request ID and the batch offset of the frame's first
+// response. Value slices alias frame. The checksum is verified before any
+// response is parsed.
 func ParseResponseFrameID(frame []byte, dst []Response) ([]Response, uint64, int, error) {
-	if len(frame) < headerLen {
-		return dst, 0, 0, ErrTruncated
+	if err := checkMagic(frame, respHeaderLenV2); err != nil {
+		return dst, 0, 0, err
 	}
-	var (
-		count, off, offset int
-		reqID              uint64
-	)
-	switch [4]byte(frame[:4]) {
-	case magic:
-		count = int(binary.LittleEndian.Uint16(frame[4:6]))
-		off = headerLen
-	case magicV2:
-		if len(frame) < respHeaderLenV2 {
-			return dst, 0, 0, ErrTruncated
-		}
-		count = int(binary.LittleEndian.Uint16(frame[4:6]))
-		reqID = binary.LittleEndian.Uint64(frame[6:14])
-		offset = int(binary.LittleEndian.Uint16(frame[14:16]))
-		sum := binary.LittleEndian.Uint32(frame[16:20])
-		if crc32.ChecksumIEEE(frame[respHeaderLenV2:]) != sum {
-			return dst, 0, 0, ErrBadChecksum
-		}
-		off = respHeaderLenV2
-	default:
-		return dst, 0, 0, ErrBadMagic
+	count := int(binary.LittleEndian.Uint16(frame[4:6]))
+	reqID := binary.LittleEndian.Uint64(frame[6:14])
+	offset := int(binary.LittleEndian.Uint16(frame[14:16]))
+	sum := binary.LittleEndian.Uint32(frame[16:20])
+	if crc32.ChecksumIEEE(frame[respHeaderLenV2:]) != sum {
+		return dst, 0, 0, ErrBadChecksum
 	}
+	off := respHeaderLenV2
 	for i := 0; i < count; i++ {
 		if len(frame)-off < respHeaderLen {
 			return dst, 0, 0, ErrTruncated

@@ -2,9 +2,17 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
+
+// reseal recomputes a query frame's payload checksum after a test edits the
+// payload, so the edit reaches the query parser instead of failing the CRC.
+func reseal(frame []byte) {
+	binary.LittleEndian.PutUint32(frame[14:18], crc32.ChecksumIEEE(frame[headerLenV2:]))
+}
 
 func TestOpString(t *testing.T) {
 	if OpGet.String() != "GET" || OpSet.String() != "SET" || OpDelete.String() != "DELETE" {
@@ -22,10 +30,10 @@ func TestQueryRoundTrip(t *testing.T) {
 		{Op: OpDelete, Key: []byte("user:1002")},
 		{Op: OpSet, Key: []byte("empty-value-key")},
 	}
-	frame := EncodeFrame(nil, in)
-	out, err := ParseFrame(frame, nil)
-	if err != nil {
-		t.Fatal(err)
+	frame := EncodeFrameV2(nil, 5, in)
+	out, id, err := ParseFrameID(frame, nil)
+	if err != nil || id != 5 {
+		t.Fatalf("parse: id %d, %v", id, err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("parsed %d queries, want %d", len(out), len(in))
@@ -38,36 +46,41 @@ func TestQueryRoundTrip(t *testing.T) {
 }
 
 func TestEmptyFrame(t *testing.T) {
-	frame := EncodeFrame(nil, nil)
-	out, err := ParseFrame(frame, nil)
+	frame := EncodeFrameV2(nil, 1, nil)
+	out, _, err := ParseFrameID(frame, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty frame: %v %v", out, err)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := ParseFrame([]byte{1, 2}, nil); err != ErrTruncated {
+	if _, _, err := ParseFrameID([]byte{1, 2}, nil); err != ErrTruncated {
 		t.Fatalf("short frame err = %v", err)
 	}
-	if _, err := ParseFrame([]byte("XXXX\x01\x00"), nil); err != ErrBadMagic {
+	if _, _, err := ParseFrameID([]byte("XXXX\x01\x00"), nil); err != ErrBadMagic {
 		t.Fatalf("bad magic err = %v", err)
 	}
+	if _, _, err := ParseFrameID([]byte("DKV2\x00\x00"), nil); err != ErrTruncated {
+		t.Fatalf("short header err = %v", err)
+	}
 	// Valid header claiming one query but no body.
-	frame := EncodeFrame(nil, nil)
+	frame := EncodeFrameV2(nil, 1, nil)
 	frame[4] = 1
-	if _, err := ParseFrame(frame, nil); err != ErrTruncated {
+	if _, _, err := ParseFrameID(frame, nil); err != ErrTruncated {
 		t.Fatalf("truncated query err = %v", err)
 	}
 	// Bad op byte.
-	frame = EncodeFrame(nil, []Query{{Op: OpGet, Key: []byte("k")}})
-	frame[6] = 77
-	if _, err := ParseFrame(frame, nil); err != ErrBadOp {
+	frame = EncodeFrameV2(nil, 1, []Query{{Op: OpGet, Key: []byte("k")}})
+	frame[headerLenV2] = 77
+	reseal(frame)
+	if _, _, err := ParseFrameID(frame, nil); err != ErrBadOp {
 		t.Fatalf("bad op err = %v", err)
 	}
 	// Key length pointing past the end.
-	frame = EncodeFrame(nil, []Query{{Op: OpGet, Key: []byte("k")}})
-	frame[7] = 0xFF
-	if _, err := ParseFrame(frame, nil); err != ErrTruncated {
+	frame = EncodeFrameV2(nil, 1, []Query{{Op: OpGet, Key: []byte("k")}})
+	frame[headerLenV2+1] = 0xFF
+	reseal(frame)
+	if _, _, err := ParseFrameID(frame, nil); err != ErrTruncated {
 		t.Fatalf("overlong key err = %v", err)
 	}
 }
@@ -78,10 +91,10 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusNotFound},
 		{Status: StatusError},
 	}
-	frame := EncodeResponseFrame(nil, in)
-	out, err := ParseResponseFrame(frame, nil)
-	if err != nil {
-		t.Fatal(err)
+	frame := EncodeResponseFrameV2(nil, 9, 4, in)
+	out, id, off, err := ParseResponseFrameID(frame, nil)
+	if err != nil || id != 9 || off != 4 {
+		t.Fatalf("parse: id %d, off %d, %v", id, off, err)
 	}
 	if len(out) != 3 {
 		t.Fatalf("parsed %d responses", len(out))
@@ -94,15 +107,15 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestResponseParseErrors(t *testing.T) {
-	if _, err := ParseResponseFrame([]byte{1}, nil); err != ErrTruncated {
+	if _, _, _, err := ParseResponseFrameID([]byte{1}, nil); err != ErrTruncated {
 		t.Fatal("short response frame")
 	}
-	if _, err := ParseResponseFrame([]byte("YYYY\x00\x00"), nil); err != ErrBadMagic {
+	if _, _, _, err := ParseResponseFrameID([]byte("YYYY\x00\x00"), nil); err != ErrBadMagic {
 		t.Fatal("bad response magic")
 	}
-	frame := EncodeResponseFrame(nil, nil)
+	frame := EncodeResponseFrameV2(nil, 1, 0, nil)
 	frame[4] = 1
-	if _, err := ParseResponseFrame(frame, nil); err != ErrTruncated {
+	if _, _, _, err := ParseResponseFrameID(frame, nil); err != ErrTruncated {
 		t.Fatal("truncated response")
 	}
 }
@@ -112,8 +125,8 @@ func TestEncodedQueryLen(t *testing.T) {
 	if got := EncodedQueryLen(q); got != 7+3+5 {
 		t.Fatalf("len = %d", got)
 	}
-	frame := EncodeFrame(nil, []Query{q})
-	if len(frame) != 6+EncodedQueryLen(q) {
+	frame := EncodeFrameV2(nil, 1, []Query{q})
+	if len(frame) != headerLenV2+EncodedQueryLen(q) {
 		t.Fatal("frame length disagrees with EncodedQueryLen")
 	}
 }
@@ -128,7 +141,7 @@ func TestTooManyQueriesPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	EncodeFrame(nil, qs)
+	EncodeFrameV2(nil, 1, qs)
 }
 
 func TestTooManyResponsesPanics(t *testing.T) {
@@ -138,7 +151,7 @@ func TestTooManyResponsesPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	EncodeResponseFrame(nil, rs)
+	EncodeResponseFrameV2(nil, 1, 0, rs)
 }
 
 func TestRoundTripProperty(t *testing.T) {
@@ -168,9 +181,9 @@ func TestRoundTripProperty(t *testing.T) {
 		if len(in) > 1000 {
 			in = in[:1000]
 		}
-		frame := EncodeFrame(nil, in)
-		out, err := ParseFrame(frame, nil)
-		if err != nil || len(out) != len(in) {
+		frame := EncodeFrameV2(nil, uint64(len(in)), in)
+		out, id, err := ParseFrameID(frame, nil)
+		if err != nil || id != uint64(len(in)) || len(out) != len(in) {
 			return false
 		}
 		for i := range in {

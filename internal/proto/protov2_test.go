@@ -14,9 +14,9 @@ func TestV2FrameRoundTrip(t *testing.T) {
 	}
 	frame := EncodeFrameV2(nil, 0xDEADBEEFCAFE, queries)
 
-	count, id, v2, err := FrameHeader(frame)
-	if err != nil || !v2 || count != 3 || id != 0xDEADBEEFCAFE {
-		t.Fatalf("header = %d, %x, %v, %v", count, id, v2, err)
+	count, id, err := FrameHeader(frame)
+	if err != nil || count != 3 || id != 0xDEADBEEFCAFE {
+		t.Fatalf("header = %d, %x, %v", count, id, err)
 	}
 
 	got, gotID, err := ParseFrameID(frame, nil)
@@ -26,23 +26,32 @@ func TestV2FrameRoundTrip(t *testing.T) {
 	if len(got) != 3 || string(got[0].Value) != "one" || string(got[2].Key) != "gamma" {
 		t.Fatalf("queries = %+v", got)
 	}
-
-	// The version-agnostic parser accepts v2 too.
-	got2, err := ParseFrame(frame, nil)
-	if err != nil || len(got2) != 3 {
-		t.Fatalf("ParseFrame(v2) = %d, %v", len(got2), err)
-	}
 }
 
-func TestV1FrameReportsZeroID(t *testing.T) {
-	frame := EncodeFrame(nil, []Query{{Op: OpGet, Key: []byte("k")}})
-	qs, id, err := ParseFrameID(frame, nil)
-	if err != nil || id != 0 || len(qs) != 1 {
-		t.Fatalf("v1 parse = %d queries, id %d, %v", len(qs), id, err)
+// v1Header is the header of a one-entry frame in the retired version-1
+// layout: magic 'D','K','V','1' and a count, with no request ID and no
+// checksum. v1Query and v1Response hand-build such frames.
+var v1Header = []byte{'D', 'K', 'V', '1', 1, 0}
+
+func v1Query(q Query) []byte {
+	return AppendQuery(append([]byte(nil), v1Header...), q)
+}
+
+func v1Response(r Response) []byte {
+	return AppendResponse(append([]byte(nil), v1Header...), r)
+}
+
+func TestV1FrameRejected(t *testing.T) {
+	frame := v1Query(Query{Op: OpGet, Key: []byte("k")})
+	if _, _, err := FrameHeader(frame); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("FrameHeader(v1) err = %v, want ErrBadMagic", err)
 	}
-	count, id, v2, err := FrameHeader(frame)
-	if err != nil || v2 || count != 1 || id != 0 {
-		t.Fatalf("v1 header = %d, %d, %v, %v", count, id, v2, err)
+	if _, _, err := ParseFrameID(frame, nil); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("ParseFrameID(v1) err = %v, want ErrBadMagic", err)
+	}
+	resp := v1Response(Response{Status: StatusOK, Value: []byte("v")})
+	if _, _, _, err := ParseResponseFrameID(resp, nil); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("ParseResponseFrameID(v1) err = %v, want ErrBadMagic", err)
 	}
 }
 
@@ -51,7 +60,7 @@ func TestV2ChecksumDetectsCorruption(t *testing.T) {
 	for i := headerLenV2; i < len(frame); i++ {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
-		if _, _, _, err := FrameHeader(bad); !errors.Is(err, ErrBadChecksum) {
+		if _, _, err := FrameHeader(bad); !errors.Is(err, ErrBadChecksum) {
 			t.Fatalf("flip at %d: err = %v, want ErrBadChecksum", i, err)
 		}
 		if _, _, err := ParseFrameID(bad, nil); !errors.Is(err, ErrBadChecksum) {
@@ -74,11 +83,6 @@ func TestV2ResponseFrameRoundTrip(t *testing.T) {
 	if len(got) != 3 || !bytes.Equal(got[0].Value, []byte("hello")) || got[2].Status != StatusBusy {
 		t.Fatalf("resps = %+v", got)
 	}
-	// The version-agnostic parser accepts v2 responses too.
-	got2, err := ParseResponseFrame(frame, nil)
-	if err != nil || len(got2) != 3 {
-		t.Fatalf("ParseResponseFrame(v2) = %d, %v", len(got2), err)
-	}
 }
 
 func TestV2ResponseChecksumDetectsCorruption(t *testing.T) {
@@ -93,10 +97,10 @@ func TestV2ResponseChecksumDetectsCorruption(t *testing.T) {
 func TestFrameHeaderRejectsLyingCount(t *testing.T) {
 	// A header claiming more queries than the payload can possibly hold must
 	// be rejected, so the count of a valid header is safe to size replies by.
-	frame := EncodeFrame(nil, []Query{{Op: OpGet, Key: []byte("k")}})
+	frame := EncodeFrameV2(nil, 1, []Query{{Op: OpGet, Key: []byte("k")}})
 	frame[4] = 0xFF
 	frame[5] = 0xFF
-	if _, _, _, err := FrameHeader(frame); !errors.Is(err, ErrTruncated) {
+	if _, _, err := FrameHeader(frame); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }

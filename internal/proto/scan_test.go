@@ -93,7 +93,7 @@ func TestOpScanString(t *testing.T) {
 // block — and every decoded slice must alias the input.
 func FuzzScanOpcode(f *testing.F) {
 	f.Add(EncodeFrameV2(nil, 7, []Query{ScanQuery([]byte("a"), []byte("q"), 10)}))
-	f.Add(EncodeFrame(nil, []Query{ScanQuery(nil, nil, 0)}))
+	f.Add(EncodeFrameV2(nil, 8, []Query{ScanQuery(nil, nil, 0)}))
 	f.Add(EncodeFrameV2(nil, 9, []Query{
 		{Op: OpSet, Key: []byte("k"), Value: []byte("v")},
 		ScanQuery([]byte("k"), nil, 3),

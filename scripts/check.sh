@@ -108,12 +108,12 @@ go test -count=1 -race -timeout 900s \
 
 # The transport front ends: RESP parser/framer unit + fuzz corpus, command-run
 # sealing, per-connection ordered dispatch, reply sequencing, and the
-# root-package RESP e2e (faulty conns, per-conn caps, the shared stream gate
-# with the text server) — all socket-facing concurrency, so un-cached under
-# the race detector every pass.
+# root-package RESP e2e (faulty conns, per-conn caps, the connection gate) —
+# all socket-facing concurrency, so un-cached under the race detector every
+# pass.
 echo "== frontend (-race, -count=1) =="
 go test -count=1 -race -timeout 900s ./internal/frontend
-go test -count=1 -race -timeout 900s -run 'TestServeRESP|TestTextServerSharedGate' .
+go test -count=1 -race -timeout 900s -run 'TestServeRESP' .
 
 # The sharded ingestion tier: SO_REUSEPORT listen helpers and kernel spread,
 # the multi-queue UDP frontend (per-queue readers/senders/addr caches,

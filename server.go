@@ -23,21 +23,6 @@ type Backend interface {
 	Delete(key []byte) bool
 }
 
-// GetIntoBackend is an optional Backend extension. When the backend provides
-// it (as *Store does), the pipeline serves GETs by appending values into its
-// batch value arena instead of allocating a copy per query.
-type GetIntoBackend interface {
-	GetInto(key, dst []byte) ([]byte, bool)
-}
-
-// ScanBackend is an optional Backend extension for range scans. When the
-// backend provides it (as *Store does when built with StoreConfig.Ordered),
-// the server answers SCAN queries; otherwise SCANs get StatusError. ok=false
-// means the backend exists but its ordered index is disabled.
-type ScanBackend interface {
-	Scan(start, end []byte, limit int, fn func(key, value []byte) bool) (int, bool)
-}
-
 // ServerOptions tunes the fault-tolerance behavior of a Server. The zero
 // value gives production defaults.
 type ServerOptions struct {
@@ -47,10 +32,9 @@ type ServerOptions struct {
 	// latency of admitted frames bounded under overload. 0 means
 	// DefaultMaxInFlight.
 	MaxInFlight int
-	// MaxConns bounds concurrently open stream connections across all stream
-	// frontends (RESP, memcached text when it shares the gate): connection-
-	// scale admission, the stream analogue of MaxInFlight. 0 means
-	// DefaultMaxConns; negative disables the limit.
+	// MaxConns bounds concurrently open RESP connections across every RESP
+	// listener: connection-scale admission, the stream analogue of
+	// MaxInFlight. 0 means DefaultMaxConns; negative disables the limit.
 	MaxConns int
 	// RESPConnInFlight caps frames in flight per RESP connection; beyond it
 	// the frontend sheds with -BUSY without consuming MaxInFlight tokens.
@@ -113,7 +97,7 @@ const (
 // sealing a new frame at every switch between reads and writes.
 //
 // The serving path is hardened for lossy networks and overload: admission is
-// bounded (excess load is shed with StatusBusy), v2 request IDs deduplicate
+// bounded (excess load is shed with StatusBusy), request IDs deduplicate
 // retried frames through a reply cache, a poisoned frame cannot kill a serve
 // loop (the pipeline contains panics per frame), and Close drains in-flight
 // frames before sockets are torn down.
@@ -121,14 +105,13 @@ type Server struct {
 	store Backend
 	opts  ServerOptions
 
-	mu        sync.Mutex
-	fes       []frontend.Frontend    // registered, running frontends
-	udpFE     *frontend.UDP          // set by Serve
-	respFE    *frontend.RESP         // set by ServeRESP
-	statsSrcs []frontend.StatsSource // frontends + attached stream servers
-	closed    atomic.Bool
+	mu     sync.Mutex
+	fes    []frontend.Frontend // registered, running frontends
+	udpFE  *frontend.UDP       // set by Serve
+	respFE *frontend.RESP      // set by ServeRESP
+	closed atomic.Bool
 
-	gate *frontend.Gate // connection-scale admission, shared across streams
+	gate *frontend.Gate // connection-scale admission, shared by the RESP listeners
 
 	// netQueues is the effective ingestion queue count: the request after
 	// platform clamping and (under -adapt) cost-model sizing. Fixed before
@@ -227,7 +210,6 @@ func (s *Server) register(fe frontend.Frontend) bool {
 		return false
 	}
 	s.fes = append(s.fes, fe)
-	s.statsSrcs = append(s.statsSrcs, fe)
 	s.mu.Unlock()
 	return true
 }
@@ -405,19 +387,6 @@ func (s *Server) RESPAddr() net.Addr {
 	return fe.Addr()
 }
 
-// ConnGate exposes the server's connection-scale admission gate so other
-// stream servers (the memcached text frontend) can share its budget and
-// surface their sheds in ServerStats.
-func (s *Server) ConnGate() *frontend.Gate { return s.gate }
-
-// AttachFrontendStats registers an external per-frontend stats source (e.g.
-// the text server) for the /metrics frontend breakdown.
-func (s *Server) AttachFrontendStats(src frontend.StatsSource) {
-	s.mu.Lock()
-	s.statsSrcs = append(s.statsSrcs, src)
-	s.mu.Unlock()
-}
-
 // NetQueues reports the effective ingestion queue count the frontends shard
 // across: the configured request after platform clamping and, under
 // adaptive pipelining, cost-model sizing.
@@ -429,14 +398,14 @@ func (s *Server) NetQueues() int { return s.netQueues }
 // spread flows across queues.
 func (s *Server) FrontendQueueStats(name string) []frontend.QueueStats {
 	s.mu.Lock()
-	srcs := make([]frontend.StatsSource, len(s.statsSrcs))
-	copy(srcs, s.statsSrcs)
+	fes := make([]frontend.Frontend, len(s.fes))
+	copy(fes, s.fes)
 	s.mu.Unlock()
-	for _, src := range srcs {
-		if src.Name() != name {
+	for _, fe := range fes {
+		if fe.Name() != name {
 			continue
 		}
-		if qs, ok := src.(frontend.QueueStatsSource); ok {
+		if qs, ok := fe.(frontend.QueueStatsSource); ok {
 			return qs.QueueStats()
 		}
 	}
@@ -464,8 +433,8 @@ type ServerStats struct {
 	Malformed uint64
 	// Panics counts frames whose processing panicked (and was contained).
 	Panics uint64
-	// ConnsShed counts stream connections rejected over the MaxConns budget
-	// (across every frontend sharing the gate).
+	// ConnsShed counts RESP connections rejected over the MaxConns budget
+	// (across every RESP listener).
 	ConnsShed uint64
 	// InFlight is the number of frames currently being processed.
 	InFlight int
@@ -711,12 +680,6 @@ var (
 	ErrBusy = errors.New("dido: server busy")
 )
 
-// ErrShortResponse reports a response frame with fewer entries than queries.
-//
-// Deprecated: the v2 protocol reassembles responses by offset and retries
-// missing ones; Do now returns ErrTimeout instead. Kept for API stability.
-var ErrShortResponse = errors.New("dido: response frame shorter than query frame")
-
 // ClientStats is a snapshot of the client's resilience counters. Like
 // ServerStats, each field is individually monotonic but the struct is not a
 // consistent cut across fields.
@@ -738,7 +701,7 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// Do sends queries as one v2 frame and returns the per-query responses, in
+// Do sends queries as one frame and returns the per-query responses, in
 // query order. The server may split large response sets across several
 // datagrams and the network may drop, duplicate or reorder them; Do
 // reassembles by offset and resends the frame (same request ID) with

@@ -220,7 +220,7 @@ type retryingResponder struct {
 }
 
 func (r *retryingResponder) Encode(f *frontend.Frame, resps []proto.Response) [][]byte {
-	return frontend.AppendResponseFrames(nil, f.ReqID, true, resps)
+	return frontend.AppendResponseFrames(nil, f.ReqID, resps)
 }
 
 func (r *retryingResponder) Deliver(f *frontend.Frame, units [][]byte) bool {

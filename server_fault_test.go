@@ -199,7 +199,7 @@ func TestChaosRetryAbsorbsFaults(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// TestChaosWithCorruption adds datagram corruption: the v2 checksum must
+// TestChaosWithCorruption adds datagram corruption: the frame checksum must
 // turn corrupted frames into drops (absorbed by retry), never into wrong
 // answers.
 func TestChaosWithCorruption(t *testing.T) {
@@ -242,6 +242,53 @@ func TestChaosWithCorruption(t *testing.T) {
 	}
 	if ss := srv.Stats(); ss.Malformed == 0 {
 		t.Fatal("server never saw a corrupted frame — checksum path not exercised")
+	}
+	srv.Close()
+	waitServe(t, errc)
+}
+
+// TestV1FrameDroppedAsMalformed pins that the server speaks only DKV2: a
+// frame in the retired version-1 layout (magic 'D','K','V','1' and a count,
+// with no request ID and no checksum) gets no reply and counts as one
+// malformed frame, and the server goes on answering DKV2.
+func TestV1FrameDroppedAsMalformed(t *testing.T) {
+	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
+	srv := NewServer(st)
+	addr, errc := startServer(t, srv)
+	defer srv.Close()
+
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, proto.MaxFrameBytes)
+	get := proto.Query{Op: proto.OpGet, Key: []byte("k")}
+
+	v1 := proto.AppendQuery([]byte{'D', 'K', 'V', '1', 1, 0}, get)
+	before := srv.Stats().Malformed
+	if _, err := conn.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if n, err := conn.Read(buf); err == nil {
+		t.Fatalf("v1 frame answered with %d bytes", n)
+	}
+	if got := srv.Stats().Malformed - before; got != 1 {
+		t.Fatalf("malformed rose by %d, want 1", got)
+	}
+
+	if _, err := conn.Write(proto.EncodeFrameV2(nil, 42, []proto.Query{get})); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatalf("DKV2 frame after a v1 one: %v", err)
+	}
+	rs, id, _, err := proto.ParseResponseFrameID(buf[:n], nil)
+	if err != nil || id != 42 || len(rs) != 1 || rs[0].Status != proto.StatusNotFound {
+		t.Fatalf("DKV2 reply = %+v id %d, %v", rs, id, err)
 	}
 	srv.Close()
 	waitServe(t, errc)

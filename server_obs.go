@@ -38,12 +38,12 @@ func writeServerMetrics(w *obs.MetricsWriter, ss ServerStats) {
 	w.Gauge("dido_inflight_frames", "Frames currently being processed.", float64(ss.InFlight))
 }
 
-// collectFrontendMetrics emits the per-frontend breakdown (udp / resp / text),
-// one labelled series per counter, from each registered StatsSource.
+// collectFrontendMetrics emits the per-frontend breakdown (udp / resp), one
+// labelled series per counter, from each registered frontend.
 func (s *Server) collectFrontendMetrics(w *obs.MetricsWriter) {
 	s.mu.Lock()
-	srcs := make([]frontend.StatsSource, len(s.statsSrcs))
-	copy(srcs, s.statsSrcs)
+	srcs := make([]frontend.Frontend, len(s.fes))
+	copy(srcs, s.fes)
 	s.mu.Unlock()
 	for _, src := range srcs {
 		fs := src.FrontendStats()

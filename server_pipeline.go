@@ -277,14 +277,12 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 // surface. A real *Store exposes its shard-grouped batched search and fused
 // KC+RD directly (and its metrics for the adaptation profile); any other
 // backend — test fakes, the fault injector — is wrapped so every query still
-// flows through it, one key at a time.
+// flows through it, one key at a time, and SCANs answer StatusError.
 func newLiveStore(b Backend) (pipeline.LiveStore, *store.Store) {
 	if st, ok := b.(*Store); ok {
 		return storeLive{st.inner}, st.inner
 	}
-	gi, _ := b.(GetIntoBackend)
-	sb, _ := b.(ScanBackend)
-	return backendLive{b: b, gi: gi, sb: sb}, nil
+	return backendLive{b}, nil
 }
 
 type storeLive struct{ s *store.Store }
@@ -325,11 +323,7 @@ func (l storeLive) LiveMetrics() (liveObjects, evictions uint64, avgInsertBucket
 	return uint64(st.LiveObjects), st.Evictions, st.AvgInsertBucketsProbed
 }
 
-type backendLive struct {
-	b  Backend
-	gi GetIntoBackend
-	sb ScanBackend
-}
+type backendLive struct{ b Backend }
 
 // SearchBatch records empty candidate spans: a wrapped backend has no index
 // to probe, so every key resolves in the read stage.
@@ -348,17 +342,13 @@ func (l backendLive) ReadCandidatesBatch(keys [][]byte, _ []cuckoo.Location, _, 
 func (l backendLive) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
 	hits := 0
 	for i, key := range keys {
-		mark := len(vals)
-		ok := false
-		if l.gi != nil {
-			vals, ok = l.gi.GetInto(key, vals)
-		} else if v, found := l.b.Get(key); found {
-			vals, ok = append(vals, v...), true
-		}
+		v, ok := l.b.Get(key)
 		if !ok {
 			vlo[i], vhi[i] = -1, -1
 			continue
 		}
+		mark := len(vals)
+		vals = append(vals, v...)
 		vlo[i], vhi[i] = int32(mark), int32(len(vals))
 		hits++
 	}
@@ -368,24 +358,6 @@ func (l backendLive) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]b
 func (l backendLive) Set(key, value []byte) error { return l.b.Set(key, value) }
 
 func (l backendLive) Delete(key []byte) bool { return l.b.Delete(key) }
-
-// backendScanner adapts a ScanBackend to the pipeline's per-batch scanner.
-// Each Scan takes its own snapshot (the wrapped backend decides), which is
-// weaker than storeLive's batch-wide snapshot but preserves the per-scan
-// contract for wrapped backends.
-type backendScanner struct{ sb ScanBackend }
-
-func (a backendScanner) Scan(start, end []byte, limit int, fn func(key, value []byte) bool) int {
-	n, _ := a.sb.Scan(start, end, limit, fn)
-	return n
-}
-
-func (l backendLive) NewScanner() pipeline.LiveScanner {
-	if l.sb == nil {
-		return nil
-	}
-	return backendScanner{sb: l.sb}
-}
 
 // LivePipelineStats re-exports the live runner's counter snapshot.
 type LivePipelineStats = pipeline.LiveStats

@@ -451,51 +451,3 @@ func TestServeRESPDurable(t *testing.T) {
 	srv2.Close()
 	waitServe(t, errc2)
 }
-
-// TestTextServerSharedGate pins that the memcached text frontend can share the
-// core server's connection budget: with MaxConns=1 held by a RESP client, a
-// text session is shed and the shed shows up in ServerStats.
-func TestTextServerSharedGate(t *testing.T) {
-	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	srv := NewServerOpts(st, ServerOptions{MaxConns: 1})
-	addr, errc := startRESP(t, srv)
-	defer srv.Close()
-
-	ts := NewTextServer(st)
-	ts.Gate = srv.ConnGate()
-	srv.AttachFrontendStats(ts)
-	tErrc := make(chan error, 1)
-	go func() { tErrc <- ts.Serve("127.0.0.1:0") }()
-	for i := 0; ts.Addr() == nil && i < 500; i++ {
-		time.Sleep(2 * time.Millisecond)
-	}
-	defer ts.Close()
-
-	c, err := frontend.DialRESP(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	nc, err := net.DialTimeout("tcp", ts.Addr().String(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 256)
-	n, _ := nc.Read(buf)
-	if !strings.Contains(string(buf[:n]), "SERVER_ERROR busy") {
-		t.Fatalf("text conn over shared budget got %q", buf[:n])
-	}
-	if ss := srv.Stats(); ss.ConnsShed == 0 {
-		t.Fatalf("shared-gate shed missing from ServerStats: %+v", ss)
-	}
-	ts.Close()
-	waitServe(t, tErrc)
-	srv.Close()
-	waitServe(t, errc)
-}
