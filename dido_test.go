@@ -24,42 +24,6 @@ func TestPublicStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWorkloadsList(t *testing.T) {
-	ws := Workloads()
-	if len(ws) != 24 {
-		t.Fatalf("workloads = %d, want 24", len(ws))
-	}
-}
-
-func TestSimFacade(t *testing.T) {
-	opts := DefaultSimOptions(8 << 20)
-	opts.Noise = 0
-	sys := NewSim(opts)
-	res := RunWorkload(sys, "K16-G95-U", 10)
-	if res.ThroughputMOPS <= 0 {
-		t.Fatal("no throughput from sim facade")
-	}
-	if res.AvgLatency <= 0 || res.AvgLatency > 10*time.Millisecond {
-		t.Fatalf("latency = %v", res.AvgLatency)
-	}
-}
-
-func TestRunWorkloadUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	RunWorkload(NewSim(DefaultSimOptions(4<<20)), "K7-G1-U", 1)
-}
-
-func TestMegaKVPipelineShape(t *testing.T) {
-	cfg := MegaKVPipeline()
-	if cfg.GPUDepth != 1 || cfg.WorkStealing {
-		t.Fatalf("config = %+v", cfg)
-	}
-}
-
 func TestServerClientOverUDP(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
 	srv := NewServer(st)

@@ -48,8 +48,8 @@ func (w Work) bytesTouched(lineBytes int) float64 {
 // prefetching, and deterministic noise, so the planner's predictions carry a
 // realistic error (paper Fig 9).
 //
-// Model is not safe for concurrent use; the discrete-event simulator is
-// single-threaded.
+// Model is not safe for concurrent use; the simulated runner
+// (pipeline.Runner) is single-threaded.
 type Model struct {
 	Platform Platform
 	// Noise is the relative amplitude of multiplicative timing noise

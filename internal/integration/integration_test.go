@@ -1,17 +1,15 @@
 // Package integration ties the substrates together the way the real system
-// does: the SIMT gang executor driving actual index operations on the real
-// store with CPU workers stealing from the same tag array, and the
-// adaptation loop over a live workload. These tests are about cross-module correctness, not timing.
+// does: concurrent writers sharing one cuckoo index, and a live workload
+// driving the store to its eviction steady state. These tests are about
+// cross-module correctness, not timing.
 package integration
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"repro/internal/cuckoo"
-	"repro/internal/gpu"
 	"repro/internal/proto"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -23,89 +21,38 @@ func key(i int) []byte {
 	return b
 }
 
-// TestGPUGangSearchesRealStore runs the IN.Search kernel over a real batch on
-// the wavefront executor, exactly as the GPU stage does: every GET must find
-// its object via Search → KC → RD performed inside the kernel.
-func TestGPUGangSearchesRealStore(t *testing.T) {
-	st := store.New(store.Config{MemoryBytes: 16 << 20, IndexEntries: 100000, Seed: 5})
-	const n = 8192
-	for i := 0; i < n; i++ {
-		if _, _, err := st.Set(key(i), []byte(fmt.Sprintf("value-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exec := gpu.NewExecutor(8)
-	var found atomic.Int64
-	exec.Run(n, func(i int) {
-		// Per-lane scratch: no sharing between lanes.
-		cands := st.IndexSearch(key(i), nil)
-		for _, loc := range cands {
-			if st.KeyCompare(loc, key(i)) {
-				if v, ok := st.ReadValue(loc); ok && len(v) > 0 {
-					found.Add(1)
-				}
-				break
-			}
-		}
-	})
-	if got := found.Load(); got != n {
-		t.Fatalf("found %d of %d objects via GPU gang", got, n)
-	}
-}
-
-// TestWorkStealingCoRunOnStore is the paper's §III-B3 in miniature: the CPU
-// and the GPU gang process one batch of real GETs through the shared tag
-// array; every query is answered exactly once.
-func TestWorkStealingCoRunOnStore(t *testing.T) {
-	st := store.New(store.Config{MemoryBytes: 16 << 20, IndexEntries: 100000, Seed: 6})
-	const n = 4096
-	for i := 0; i < n; i++ {
-		st.Set(key(i), []byte("v"))
-	}
-	answered := make([]atomic.Int32, n)
-	gpuDone, cpuDone := gpu.CoRun(n, 4, 2, func(i int) {
-		cands := st.IndexSearch(key(i), nil)
-		for _, loc := range cands {
-			if st.KeyCompare(loc, key(i)) {
-				answered[i].Add(1)
-				break
-			}
-		}
-	})
-	if gpuDone+cpuDone != n {
-		t.Fatalf("co-run covered %d+%d of %d", gpuDone, cpuDone, n)
-	}
-	for i := range answered {
-		if answered[i].Load() != 1 {
-			t.Fatalf("query %d answered %d times", i, answered[i].Load())
-		}
-	}
-}
-
-// TestConcurrentIndexUpdatesFromBothSides mixes GPU-gang inserts with
-// CPU-side deletes on the shared cuckoo index — the coupled architecture's
-// concurrency discipline (atomic CAS both sides).
+// TestConcurrentIndexUpdatesFromBothSides mixes inserts from several writers
+// on the shared cuckoo index — the coupled architecture's concurrency
+// discipline (atomic CAS on every side).
 func TestConcurrentIndexUpdatesFromBothSides(t *testing.T) {
 	tbl := cuckoo.New(1<<14, 9)
 	const n = 4096
-	// GPU gang inserts even keys; CPU inserts odd keys concurrently.
+	// One goroutine inserts odd keys while four insert the even ones.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 1; i < n; i += 2 {
 			if !tbl.Insert(key(i), cuckoo.Location(i)) {
-				t.Errorf("cpu insert %d failed", i)
+				t.Errorf("odd insert %d failed", i)
 				return
 			}
 		}
 	}()
-	exec := gpu.NewExecutor(4)
-	exec.Run(n/2, func(j int) {
-		i := 2 * (j + 1)
-		if !tbl.Insert(key(i), cuckoo.Location(i)) {
-			t.Errorf("gpu insert %d failed", i)
-		}
-	})
+	const evenWriters = 4
+	var wg sync.WaitGroup
+	for w := 0; w < evenWriters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := w; j < n/2; j += evenWriters {
+				i := 2 * (j + 1)
+				if !tbl.Insert(key(i), cuckoo.Location(i)) {
+					t.Errorf("even insert %d failed", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	<-done
 	// Everything findable.
 	for i := 1; i <= n; i++ {

@@ -1,8 +1,9 @@
 // Package pipeline implements DIDO's query-processing pipeline: pipeline
 // configurations (which task runs on which processor, §III-B1), the
 // per-batch ground-truth executor that prices a configuration on the APU
-// timing model, work stealing (§III-B3), and the batch runner that drives
-// the discrete-event simulation.
+// timing model, work stealing priced at 64-query chunks (§III-B3), the
+// simulated-clock batch runner (one busy-until clock per stage), and the
+// live batched runner the server executes on (live.go).
 //
 // A configuration has up to three stages, mirroring every scheme the paper
 // discusses:

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/apu"
 	"repro/internal/cuckoo"
-	"repro/internal/gpu"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/store"
@@ -352,9 +351,14 @@ func stealableOn(id task.ID, helperDev apu.Kind) bool {
 	}
 }
 
+// stealChunk is the work-stealing granularity: each tag of the paper's tag
+// array guards 64 queries, one GCN wavefront (§III-B3). It is fixed rather
+// than read from the platform's GPU, whose wavefront width differs on the
+// discrete configuration.
+const stealChunk = 64
+
 // steal rebalances the bottleneck stage onto the other device at
-// wavefront-chunk granularity (64 queries per claim, §III-B3), updating
-// stage durations and stolen-query counts.
+// stealChunk granularity, updating stage durations and stolen-query counts.
 func (e *Executor) steal(times *StageTimes, cfg Config, prof task.Profile) {
 	// Identify bottleneck stage and the helper device.
 	bi := 0
@@ -441,7 +445,7 @@ func (e *Executor) steal(times *StageTimes, cfg Config, prof task.Profile) {
 	}
 
 	// Chunk-granular co-processing: both devices claim 64-query chunks.
-	chunks := (stealQueries + gpu.WavefrontWidth - 1) / gpu.WavefrontWidth
+	chunks := (stealQueries + stealChunk - 1) / stealChunk
 	perChunkOwn := stealOwn / time.Duration(chunks)
 	perChunkHelper := stealHelper / time.Duration(chunks)
 	tOwn := pinned // bottleneck device works through pinned tasks too
@@ -460,7 +464,7 @@ func (e *Executor) steal(times *StageTimes, cfg Config, prof task.Profile) {
 	if helperChunks == 0 {
 		return
 	}
-	stolen := helperChunks * gpu.WavefrontWidth
+	stolen := helperChunks * stealChunk
 	if stolen > stealQueries {
 		stolen = stealQueries
 	}

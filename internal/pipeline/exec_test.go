@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/apu"
-	"repro/internal/gpu"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/store"
@@ -143,9 +142,9 @@ func TestWorkStealingReducesBottleneck(t *testing.T) {
 			gets++
 		}
 	}
-	if stolen%gpu.WavefrontWidth != 0 && stolen != gets && stolen != len(queries) {
+	if stolen%stealChunk != 0 && stolen != gets && stolen != len(queries) {
 		t.Fatalf("stolen = %d: must be whole %d-query chunks unless clamped to the span (%d gets / %d queries)",
-			stolen, gpu.WavefrontWidth, gets, len(queries))
+			stolen, stealChunk, gets, len(queries))
 	}
 	// Only one device can be the helper for one bottleneck stage.
 	if withWS.Times.StolenByCPU > 0 && withWS.Times.StolenByGPU > 0 {

@@ -13,11 +13,11 @@ import (
 
 // This file is the live (wall-clock) counterpart of runner.go: the same
 // Batch / Config / ConfigProvider abstractions, executed against a real
-// store on goroutine stage groups instead of the discrete-event engine.
+// store on one goroutine per stage group instead of the simulated clock.
 // RV/PP happen at the submitter (the server's socket reader parses the frame
 // before Submit); IN(Search), IN(Insert), IN(Delete), the fused KC+RD, and
 // WR run on whichever stage group the batch's sealed Config maps them to;
-// SD is the Done callback delivering each frame's responses.
+// SD is the DoneBatch callback delivering each batch's responses.
 
 // LiveStore is the store surface the live pipeline executes against, split
 // along the paper's task boundaries so each piece can run in its own stage.
@@ -72,14 +72,14 @@ type LiveStoreMetrics interface {
 
 // LiveFrame is one client frame travelling through the live pipeline. The
 // submitter fills Queries, ParseNanos and Ctx; the WR stage fills Resps; the
-// Done callback receives the frame after its batch's last stage.
+// DoneBatch callback receives the frame after its batch's last stage.
 type LiveFrame struct {
 	// Queries must hold only valid ops (GET/SET/DELETE/SCAN — what the
 	// server's parser admits): the response arena is recycled without clearing
 	// on the strength of every valid op's response being written by its stage.
 	Queries []proto.Query
 	// Resps holds one response per query after the WR stage. Values alias
-	// the batch's value arena and are only valid inside the Done callback.
+	// the batch's value arena and are only valid inside the DoneBatch callback.
 	Resps []proto.Response
 	// Err reports that this frame's execution died (a stage panicked on one
 	// of its queries): Resps is empty and the client is answered by retry.
@@ -130,21 +130,15 @@ type LiveOptions struct {
 	// rejects new work (shed upstream) when stage 1's queue is full.
 	// Default DefaultLiveMaxPending.
 	MaxPending int
-	// Workers sets the goroutine count per stage group; entries ≤ 0 mean 1.
-	Workers [3]int
 	// OnBatchDone, when set, observes every completed batch after its frames
 	// were delivered. The *Batch is recycled after the callback returns;
 	// copy what outlives it.
 	OnBatchDone func(*Batch)
-	// Done delivers each completed frame (the SD task). It runs on a stage
-	// worker, so it must not block indefinitely.
-	Done func(*LiveFrame)
-	// DoneBatch, when set, replaces Done: it is called once per completed
-	// batch with the batch's frames in submission order, letting the
-	// consumer amortize per-frame delivery costs (e.g. one batched send
-	// syscall for all response datagrams). The slice is reused by the
-	// runner; the consumer must not retain it. One of Done / DoneBatch is
-	// required.
+	// DoneBatch delivers each completed batch's frames in submission order
+	// (the SD task), letting the consumer amortize per-frame delivery costs
+	// (e.g. one batched send syscall for all response datagrams). It runs on
+	// a stage worker, so it must not block indefinitely. The slice is reused
+	// by the runner; the consumer must not retain it. Required.
 	DoneBatch func(frames []*LiveFrame)
 	// LogBatch, when set, is the durability tier's LG task: it runs once per
 	// completed batch, after the WR stage and before frame delivery, and
@@ -278,7 +272,8 @@ func (b *liveBatch) frameRange(fi int) (int, int) {
 // LiveRunner executes the real serving path as DIDO's batched, staged
 // pipeline: submitted frames accumulate into a pending batch; sealing stamps
 // the currently-installed (Config, size) pair into the batch; three stage
-// worker groups execute each batch's tasks under its own sealed config; and
+// workers, one goroutine each, execute each batch's tasks under its own
+// sealed config; and
 // at every batch boundary the ConfigProvider may install a new pair for
 // future batches — in-flight batches always complete under the scheme they
 // started with (§III-B1).
@@ -298,7 +293,7 @@ type LiveRunner struct {
 	seq     uint64
 	closed  bool
 
-	provMu sync.Mutex // serializes provider calls across stage-3 workers
+	provMu sync.Mutex // serializes provider calls across the stage workers
 	// LiveMetrics cache (under provMu): buildProfile refreshes it at most
 	// every liveMetricsRefresh and reuses the cached values in between.
 	lastEvic         uint64 // cumulative eviction count at the last poll
@@ -346,8 +341,8 @@ type LiveRunner struct {
 // NewLiveRunner starts a live runner over s: its stage workers and batch
 // flusher run from construction until Close.
 func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
-	if opts.Done == nil && opts.DoneBatch == nil {
-		panic("pipeline: one of LiveOptions.Done / DoneBatch is required")
+	if opts.DoneBatch == nil {
+		panic("pipeline: LiveOptions.DoneBatch is required")
 	}
 	if opts.BatchInterval <= 0 {
 		opts.BatchInterval = DefaultLiveBatchInterval
@@ -361,11 +356,6 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 			Interval: opts.BatchInterval,
 			MinBatch: DefaultLiveMinBatch,
 			MaxBatch: DefaultLiveMaxBatch,
-		}
-	}
-	for i := range opts.Workers {
-		if opts.Workers[i] <= 0 {
-			opts.Workers[i] = 1
 		}
 	}
 	r := &LiveRunner{
@@ -387,10 +377,8 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 	for si := 0; si < 3; si++ {
 		r.ch[si] = make(chan *liveBatch, opts.MaxPending)
 		r.stageHist[si] = stats.NewHistogram(stats.LatencyBoundsMicros()...)
-		r.stageWG[si].Add(opts.Workers[si])
-		for w := 0; w < opts.Workers[si]; w++ {
-			go r.stageWorker(si)
-		}
+		r.stageWG[si].Add(1)
+		go r.stageWorker(si)
 	}
 	for t := range r.taskHist {
 		r.taskHist[t] = stats.NewHistogram(stats.UnitCostBoundsNanos()...)
@@ -483,8 +471,8 @@ func lastLiveStage(c Config) Stage {
 func (r *LiveRunner) dispatch(b *liveBatch) { r.ch[0] <- b }
 
 // trySealIdle seals the pending batch when stage 1 has gone idle (nothing
-// queued, no worker executing). Called by stage-1 workers after handing off a
-// batch: frames that arrived while the stage was busy start immediately
+// queued, no worker executing). Called by the stage-1 worker after handing
+// off a batch: frames that arrived while the stage was busy start immediately
 // instead of waiting for the next Submit or flush tick.
 func (r *LiveRunner) trySealIdle() {
 	r.mu.Lock()
@@ -914,13 +902,7 @@ func (r *LiveRunner) complete(b *liveBatch) {
 		b.lgBytes += int64(bytes)
 	}
 	sdStart := r.taskStart()
-	if r.opts.DoneBatch != nil {
-		r.opts.DoneBatch(b.frames)
-	} else {
-		for _, f := range b.frames {
-			r.opts.Done(f)
-		}
-	}
+	r.opts.DoneBatch(b.frames)
 	b.taskDone(task.SD, sdStart, len(b.frames))
 	b.b.Wall = time.Since(b.sealedAt)
 

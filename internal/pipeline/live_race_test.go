@@ -23,7 +23,7 @@ func TestLiveIdleSealBusyWorkerCoalesces(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: MegaKV(), n: 1 << 20}, // size never seals
 		BatchInterval: time.Hour,                                 // the tick never seals
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 	})
 	defer r.Close()
 
@@ -81,7 +81,7 @@ func TestLiveTrySealIdleRevertClearsStamps(t *testing.T) {
 		Provider:      &fixedProvider{cfg: MegaKV(), n: 1 << 20},
 		BatchInterval: time.Hour,
 		MaxPending:    1, // cap-1 stage-1 queue: one injected batch fills it
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 		OnBatchDone: func(b *Batch) {
 			obMu.Lock()
 			obs = append(obs, *b)

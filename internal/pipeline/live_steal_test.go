@@ -19,7 +19,7 @@ import (
 func runCoalesced(t *testing.T, st LiveStore, opts LiveOptions, frames []*LiveFrame) LiveStats {
 	t.Helper()
 	done := make(chan *LiveFrame, len(frames)+8)
-	opts.Done = func(f *LiveFrame) { done <- f }
+	opts.DoneBatch = deliverTo(done)
 	if opts.BatchInterval == 0 {
 		opts.BatchInterval = time.Hour // only explicit seals
 	}
@@ -242,15 +242,17 @@ func TestLiveStealConcurrentWriters(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: ws, n: 256},
 		BatchInterval: time.Millisecond,
-		Done: func(f *LiveFrame) {
-			trMu.Lock()
-			ok := tracked[f]
-			if ok {
-				check(f)
-			}
-			trMu.Unlock()
-			if ok {
-				done <- f
+		DoneBatch: func(fs []*LiveFrame) {
+			for _, f := range fs {
+				trMu.Lock()
+				ok := tracked[f]
+				if ok {
+					check(f)
+				}
+				trMu.Unlock()
+				if ok {
+					done <- f
+				}
 			}
 		},
 	})

@@ -144,6 +144,15 @@ func getFrame(keys ...string) *LiveFrame {
 	return f
 }
 
+// deliverTo is a DoneBatch callback forwarding each completed frame to done.
+func deliverTo(done chan<- *LiveFrame) func([]*LiveFrame) {
+	return func(fs []*LiveFrame) {
+		for _, f := range fs {
+			done <- f
+		}
+	}
+}
+
 func collectFrames(t *testing.T, done chan *LiveFrame, n int) []*LiveFrame {
 	t.Helper()
 	out := make([]*LiveFrame, 0, n)
@@ -165,7 +174,7 @@ func TestLiveRunnerBasic(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: MegaKV(), n: 4},
 		BatchInterval: time.Millisecond,
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 	})
 	defer r.Close()
 
@@ -217,7 +226,7 @@ func TestLiveRunnerIdleSeal(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: MegaKV(), n: 1 << 20}, // never fills
 		BatchInterval: time.Hour,                                 // the tick will not help
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 	})
 	defer r.Close()
 
@@ -243,7 +252,7 @@ func TestLiveRunnerFlushInterval(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 1 << 20},
 		BatchInterval: 2 * time.Millisecond,
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 	})
 	defer r.Close()
 
@@ -293,7 +302,7 @@ func TestLiveRunnerBatchBoundaryReconfig(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &flipProvider{before: c0, after: c1, n: 1},
 		BatchInterval: time.Hour, // seal by size only: deterministic batches
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 		OnBatchDone: func(b *Batch) {
 			mu.Lock()
 			seen = append(seen, b.Config)
@@ -354,7 +363,7 @@ func TestLiveRunnerPanicContainment(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 2},
 		BatchInterval: time.Hour,
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 	})
 	defer r.Close()
 
@@ -397,7 +406,7 @@ func TestLiveRunnerCloseDrains(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 1 << 20},
 		BatchInterval: time.Hour, // the flusher will not help; Close must
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 	})
 	// Park stage 1 on a gated SET so f below is still pending when Close
 	// runs (an idle pipeline would seal it immediately).
@@ -433,7 +442,7 @@ func TestLiveRunnerProfileMeasured(t *testing.T) {
 	r := NewLiveRunner(st, LiveOptions{
 		Provider:      &fixedProvider{cfg: MegaKV(), n: 4},
 		BatchInterval: time.Hour,
-		Done:          func(f *LiveFrame) { done <- f },
+		DoneBatch:     deliverTo(done),
 		OnBatchDone: func(b *Batch) {
 			mu.Lock()
 			cp := *b

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/proto"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -87,8 +86,29 @@ type Result struct {
 	Batches uint64
 }
 
-// Runner drives batches through the three pipeline stages on a discrete-event
-// engine, with per-stage resources providing pipelining and back-pressure.
+// stageClock is one pipeline stage's occupancy on the simulated clock: the
+// stage serves batches FIFO, one at a time, each for its priced duration.
+type stageClock struct {
+	busyUntil time.Duration // when all accepted work completes
+	busyTotal time.Duration // cumulative service time accepted
+}
+
+// acquireAt queues a service of the given length that cannot start before
+// earliest and returns its completion time. A negative service is clamped to
+// zero.
+func (c *stageClock) acquireAt(earliest, service time.Duration) time.Duration {
+	if service < 0 {
+		service = 0
+	}
+	start := max(earliest, c.busyUntil)
+	c.busyUntil = start + service
+	c.busyTotal += service
+	return c.busyUntil
+}
+
+// Runner drives batches through the three pipeline stages on a simulated
+// clock, with one stageClock per stage providing pipelining and
+// back-pressure.
 type Runner struct {
 	Exec *Executor
 	// TraceEvery, when positive, records a throughput sample each window.
@@ -99,10 +119,8 @@ type Runner struct {
 // via provider. It returns aggregate metrics; the simulated clock starts at
 // zero for each call.
 func (r *Runner) Run(src Source, provider ConfigProvider, nBatches int) Result {
-	eng := sim.NewEngine()
-	resCPUPre := sim.NewResource(eng)
-	resGPU := sim.NewResource(eng)
-	resCPUPost := sim.NewResource(eng)
+	var now time.Duration // simulated time: when stage 1 admits the next batch
+	var cpuPre, gpu, cpuPost stageClock
 
 	var res Result
 	var latSum time.Duration
@@ -125,16 +143,16 @@ func (r *Runner) Run(src Source, provider ConfigProvider, nBatches int) Result {
 		b := &Batch{Seq: uint64(i), Queries: src.Batch(n), Config: cfg}
 		r.Exec.ExecuteBatch(b)
 
-		arrival := eng.Now()
-		// Stage 1 (CPU-pre) admits the batch when its resource frees.
-		t1 := resCPUPre.Acquire(b.Times.Dur[StageCPUPre])
+		arrival := now
+		// Stage 1 (CPU-pre) admits the batch when its clock frees.
+		t1 := cpuPre.acquireAt(now, b.Times.Dur[StageCPUPre])
 		t2 := t1
 		if b.Times.Dur[StageGPU] > 0 {
-			t2 = resGPU.AcquireAt(t1, b.Times.Dur[StageGPU])
+			t2 = gpu.acquireAt(t1, b.Times.Dur[StageGPU])
 		}
 		t3 := t2
 		if b.Times.Dur[StageCPUPost] > 0 {
-			t3 = resCPUPost.AcquireAt(t2, b.Times.Dur[StageCPUPost])
+			t3 = cpuPost.acquireAt(t2, b.Times.Dur[StageCPUPost])
 		}
 		done := t3
 		if done > lastDone {
@@ -158,11 +176,11 @@ func (r *Runner) Run(src Source, provider ConfigProvider, nBatches int) Result {
 
 		// Advance the clock to when stage 1 can admit the next batch
 		// (back-pressure: the pipeline is saturated, not open-loop).
-		eng.Run(resCPUPre.BusyUntil())
+		now = cpuPre.busyUntil
 
 		if r.TraceEvery > 0 {
 			windowOps += uint64(len(b.Queries))
-			for eng.Now()-windowStart >= r.TraceEvery {
+			for now-windowStart >= r.TraceEvery {
 				// A batch can span several windows; emit a point only for
 				// windows in which work completed.
 				if windowOps > 0 {
@@ -183,7 +201,7 @@ func (r *Runner) Run(src Source, provider ConfigProvider, nBatches int) Result {
 	if res.Elapsed > 0 {
 		res.ThroughputMOPS = stats.MOPS(res.Queries, res.Elapsed)
 		res.CPUUtilization = clamp01(cpuCoreBusy / (res.Elapsed.Seconds() * float64(nCores)))
-		res.GPUUtilization = clamp01(float64(resGPU.BusyTotal()) / float64(res.Elapsed))
+		res.GPUUtilization = clamp01(float64(gpu.busyTotal) / float64(res.Elapsed))
 	}
 	if res.Batches > 0 {
 		res.AvgLatency = latSum / time.Duration(res.Batches)

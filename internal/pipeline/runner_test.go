@@ -117,6 +117,36 @@ func TestStaticProviderClamps(t *testing.T) {
 	}
 }
 
+func TestStageClock(t *testing.T) {
+	const us = time.Microsecond
+	type req struct{ earliest, service, wantDone time.Duration }
+	for _, tc := range []struct {
+		name      string
+		reqs      []req
+		wantTotal time.Duration
+	}{
+		{"fifo serialization", []req{{0, 10 * us, 10 * us}, {0, 5 * us, 15 * us}}, 15 * us},
+		{"idle gap", []req{{0, us, us}, {10 * us, 2 * us, 12 * us}}, 3 * us},
+		{"earliest start", []req{{5 * us, 3 * us, 8 * us}, {us, us, 9 * us}}, 4 * us},
+		{"negative service clamped", []req{{0, -time.Second, 0}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c stageClock
+			for i, r := range tc.reqs {
+				if done := c.acquireAt(r.earliest, r.service); done != r.wantDone {
+					t.Fatalf("request %d: done = %v, want %v", i, done, r.wantDone)
+				}
+			}
+			if c.busyUntil != tc.reqs[len(tc.reqs)-1].wantDone {
+				t.Fatalf("busyUntil = %v, want the last completion", c.busyUntil)
+			}
+			if c.busyTotal != tc.wantTotal {
+				t.Fatalf("busyTotal = %v, want %v", c.busyTotal, tc.wantTotal)
+			}
+		})
+	}
+}
+
 func TestRunnerSingleStageCPUOnly(t *testing.T) {
 	r, gen := newRunner(t, "K16-G50-U")
 	provider := &StaticProvider{Config: Config{GPUDepth: 0}, Interval: 300 * time.Microsecond, MinBatch: 128, MaxBatch: 1 << 14}

@@ -20,8 +20,8 @@ func runWideBatch(t *testing.T, st LiveStore, cfg Config, ngets int) []*LiveFram
 	t.Helper()
 	done := make(chan *LiveFrame, 8)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider: &fixedProvider{cfg: cfg, n: 1},
-		Done:     func(f *LiveFrame) { done <- f },
+		Provider:  &fixedProvider{cfg: cfg, n: 1},
+		DoneBatch: deliverTo(done),
 	})
 	r.Submit(wideGetFrame(ngets))
 	frames := collectFrames(t, done, 1)
@@ -126,8 +126,8 @@ func TestLiveWideSeesSameBatchWrites(t *testing.T) {
 	st := newFakeLiveStore()
 	done := make(chan *LiveFrame, 8)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider: &fixedProvider{cfg: Config{GPUDepth: 0}, n: 100000},
-		Done:     func(f *LiveFrame) { done <- f },
+		Provider:  &fixedProvider{cfg: Config{GPUDepth: 0}, n: 100000},
+		DoneBatch: deliverTo(done),
 	})
 	// One frame carrying the SET and 32 GETs of the same key, sealed as a
 	// single batch.

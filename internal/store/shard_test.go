@@ -71,9 +71,9 @@ func TestShardedTaskGranularRoundTrip(t *testing.T) {
 		var found bool
 		for _, loc := range s.IndexSearch(k, nil) {
 			if s.KeyCompare(loc, k) {
-				v, ok := s.ReadValue(loc)
+				v, ok := s.ReadValueInto(loc, nil)
 				if !ok || string(v) != fmt.Sprintf("tv-%04d", i) {
-					t.Fatalf("ReadValue(%q) = %q/%v", k, v, ok)
+					t.Fatalf("ReadValueInto(%q) = %q/%v", k, v, ok)
 				}
 				found = true
 			}

@@ -1,13 +1,15 @@
 // Package store assembles the cuckoo index and the slab arena into a
-// key-value object store. It exposes two API levels:
+// key-value object store. It exposes three API levels:
 //
-//   - Composite operations (Get / GetInto / Set / Delete) for direct use —
-//     this is what the real UDP server and the examples run on.
+//   - Composite operations (Get / GetInto / Set / Delete / Scan) for direct
+//     use — the server's write path and the examples run on these.
 //
-//   - Task-granular operations (IndexSearch, KeyCompare, ReadValue,
-//     AllocForSet, IndexInsert, IndexDelete) matching the DIDO pipeline's
-//     fine-grained task decomposition (paper §III-A: MM, IN, KC, RD), so the
-//     pipeline engine can place each step on either processor independently.
+//   - Batched reads (SearchBatch, GetBatch, ReadCandidatesBatch in
+//     widebatch.go) — the serving pipeline's read path.
+//
+//   - Task-granular GET steps (IndexSearch, KeyCompare, ReadValueInto)
+//     matching the DIDO pipeline's task decomposition (paper §III-A: IN, KC,
+//     RD), which the simulator's executor runs one query at a time.
 //
 // The store is sharded N-way by key hash (N a power of two, up to 16): each
 // shard owns its own cuckoo table and slab arena with a 1/N budget, so
@@ -16,7 +18,7 @@
 // occupy bits 0..43), which keeps the task-granular API shard-oblivious:
 // locations returned by IndexSearch are globally resolvable.
 //
-// Reads never take a lock on the data path: KeyCompare, ReadValue and the
+// Reads never take a lock on the data path: KeyCompare, ReadValueInto and the
 // composite GET validate their copies against the slab's per-chunk seqlock
 // versions, so a concurrent SET that evicts and reuses a chunk can never
 // tear the bytes a reader returns.
@@ -387,7 +389,7 @@ func (sh *shard) lookupLoc(hv uint64, key []byte) (cuckoo.Location, bool) {
 
 // IndexSearch performs the IN(Search) task: it returns candidate locations
 // for key, appending to dst. Returned locations carry their shard id and can
-// be passed to KeyCompare / ReadValue / IndexDelete directly.
+// be passed to KeyCompare / ReadValueInto directly.
 func (s *Store) IndexSearch(key []byte, dst []cuckoo.Location) []cuckoo.Location {
 	_, sh, _ := s.shardFor(key)
 	cands, _ := sh.idx.Search(key, dst)
@@ -411,19 +413,10 @@ func (s *Store) KeyCompare(loc cuckoo.Location, key []byte) bool {
 	return s.shards[si].alloc.MatchKey(handleOf(loc), key)
 }
 
-// ReadValue performs the RD task: it returns a copy of the value bytes at
-// loc and touches the object for CLOCK/sampling. Unlike earlier revisions the
-// returned slice never aliases the arena — it stays valid after eviction.
-func (s *Store) ReadValue(loc cuckoo.Location) ([]byte, bool) {
-	v, ok := s.ReadValueInto(loc, nil)
-	if !ok {
-		return nil, false
-	}
-	return v, true
-}
-
-// ReadValueInto is ReadValue appending into dst (the allocation-free form).
-// On a miss dst is returned unchanged.
+// ReadValueInto performs the RD task: it appends a copy of the value bytes at
+// loc to dst and touches the object for CLOCK/sampling. The result never
+// aliases the arena, so it stays valid after eviction. On a miss dst is
+// returned unchanged.
 func (s *Store) ReadValueInto(loc cuckoo.Location, dst []byte) ([]byte, bool) {
 	si := shardOfLoc(loc)
 	if si >= len(s.shards) {
@@ -437,58 +430,6 @@ func (s *Store) ReadValueInto(loc cuckoo.Location, dst []byte) ([]byte, bool) {
 	}
 	sh.alloc.Touch(h, s.stamp.Load())
 	return out, true
-}
-
-// AllocForSet performs the MM task for a SET: allocate and fill a chunk in
-// the key's shard. The returned handle and any Evicted.Handle carry the
-// shard id (pass them to IndexInsert / IndexDelete / FreeHandle as-is). A
-// non-nil evicted descriptor obliges the caller to issue an IndexDelete for
-// the victim.
-func (s *Store) AllocForSet(key, value []byte) (slab.Handle, *slab.Evicted, error) {
-	si, sh, _ := s.shardFor(key)
-	h, ev, err := sh.alloc.Alloc(key, value, s.stamp.Load())
-	if err != nil {
-		return slab.NoHandle, nil, err
-	}
-	if ev != nil {
-		ev.Handle = slab.Handle(locOf(si, ev.Handle))
-	}
-	return slab.Handle(locOf(si, h)), ev, nil
-}
-
-// IndexInsert performs the IN(Insert) task. h must come from AllocForSet.
-func (s *Store) IndexInsert(key []byte, h slab.Handle) bool {
-	_, sh, hv := s.shardFor(key)
-	ok := sh.idx.Insert(key, cuckoo.Location(h))
-	if ok {
-		s.syncOrdered(sh, hv, key)
-	}
-	return ok
-}
-
-// IndexDelete performs the IN(Delete) task.
-func (s *Store) IndexDelete(key []byte, loc cuckoo.Location) bool {
-	si := shardOfLoc(loc)
-	if si >= len(s.shards) {
-		return false
-	}
-	sh := s.shards[si]
-	if !sh.idx.Delete(key, loc) {
-		return false
-	}
-	sh.alloc.FreeIfMatch(handleOf(loc), key)
-	s.syncOrdered(sh, cuckoo.Hash(key, s.seed), key)
-	return true
-}
-
-// FreeHandle releases an allocation that never made it into the index.
-func (s *Store) FreeHandle(h slab.Handle) {
-	loc := cuckoo.Location(h)
-	si := shardOfLoc(loc)
-	if si >= len(s.shards) {
-		return
-	}
-	s.shards[si].alloc.Free(handleOf(loc))
 }
 
 // ---- Profiling hooks ----
@@ -526,10 +467,6 @@ func (s *Store) Len() int {
 // Index exposes the first shard's cuckoo table (read-mostly: stats,
 // capacity). With the default single shard this is the whole index.
 func (s *Store) Index() *cuckoo.Table { return s.shards[0].idx }
-
-// Arena exposes the first shard's allocator (stats). With the default single
-// shard this is the whole arena.
-func (s *Store) Arena() *slab.Allocator { return s.shards[0].alloc }
 
 // Stats is a snapshot of store-level counters.
 type Stats struct {

@@ -119,7 +119,7 @@ func TestTaskGranularGetPath(t *testing.T) {
 	var found bool
 	for _, loc := range cands {
 		if s.KeyCompare(loc, []byte("pipeline-key")) {
-			v, ok := s.ReadValue(loc)
+			v, ok := s.ReadValueInto(loc, nil)
 			if !ok || string(v) != "pipeline-value" {
 				t.Fatalf("RD = %q/%v", v, ok)
 			}
@@ -128,48 +128,6 @@ func TestTaskGranularGetPath(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("KC rejected the real object")
-	}
-}
-
-func TestTaskGranularSetPath(t *testing.T) {
-	// MM(alloc) → IN(Insert), with the eviction-delete obligation.
-	s := newTestStore()
-	h, ev, err := s.AllocForSet([]byte("k"), []byte("v"))
-	if err != nil || ev != nil {
-		t.Fatalf("alloc: %v %v", ev, err)
-	}
-	if !s.IndexInsert([]byte("k"), h) {
-		t.Fatal("index insert failed")
-	}
-	v, ok := s.Get([]byte("k"))
-	if !ok || string(v) != "v" {
-		t.Fatalf("get = %q/%v", v, ok)
-	}
-	// IN(Delete) via task API.
-	cands := s.IndexSearch([]byte("k"), nil)
-	deleted := false
-	for _, loc := range cands {
-		if s.KeyCompare(loc, []byte("k")) && s.IndexDelete([]byte("k"), loc) {
-			deleted = true
-		}
-	}
-	if !deleted {
-		t.Fatal("task-level delete failed")
-	}
-	if _, ok := s.Get([]byte("k")); ok {
-		t.Fatal("key readable after task-level delete")
-	}
-}
-
-func TestFreeHandleOnAbortedSet(t *testing.T) {
-	s := newTestStore()
-	h, _, err := s.AllocForSet([]byte("k"), []byte("v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.FreeHandle(h)
-	if s.Arena().StatsSnapshot().LiveObjects != 0 {
-		t.Fatal("aborted set leaked an object")
 	}
 }
 

@@ -19,6 +19,16 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# The server is the product, the simulator the reproduction: the figure
+# machinery (the simulated system in internal/dido and its workload
+# generators) must never be linked into cmd/dido-server again.
+echo "== server dependency guard =="
+SERVER_DEPS="$(go list -deps ./cmd/dido-server)"
+if grep -E -x 'repro/internal/(gpu|sim|dido|workload)' <<<"$SERVER_DEPS"; then
+    echo "cmd/dido-server links the simulator packages listed above" >&2
+    exit 1
+fi
+
 # benchmark/ is a nested module: the root `go build ./...` and `go test ./...`
 # never see it, so API drift against it would go unnoticed until the gate runs
 # it. Vet, build and unit-test it here (no sockets, no server). A change that
@@ -61,7 +71,7 @@ go test -count=1 -race -timeout 900s -run 'AdminUnderChaos|SlowLogOn|SlowLogThre
     . ./internal/costmodel
 
 # The stage-1 idle-seal race regressions, the simulator's work-stealing
-# tests, and the read-linearizability hammer (a writer overwriting one key
+# pricing tests, and the read-linearizability hammer (a writer overwriting one key
 # while readers take every read path: never a stale value, never a miss) —
 # lock-free machinery, so un-cached and race-enabled every pass.
 echo "== idle seal + read linearizability (-race, -count=1) =="

@@ -17,8 +17,8 @@ import (
 
 // This file routes admitted frames — from any frontend — through the
 // task-granular live pipeline (internal/pipeline.LiveRunner): the frontend
-// readers perform RV/PP (parse) and the core submits, stage worker groups
-// execute IN/KC+RD/WR batched under each batch's sealed config, and the SD
+// readers perform RV/PP (parse) and the core submits, one goroutine per
+// stage group executes IN/KC+RD/WR batched under each batch's sealed config, and the SD
 // callback encodes and delivers responses through each frame's Responder and
 // releases the frame's admission token. A frame passes the reply-cache begin
 // / token gate before it ever reaches the pipeline, and its in-flight marker
@@ -41,8 +41,6 @@ type PipelineOptions struct {
 	// MaxBatch caps the batch size in queries (even when adaptation would
 	// prefer more, latency stays bounded). Default pipeline.DefaultLiveMaxBatch.
 	MaxBatch int
-	// Workers sets goroutines per pipeline stage group; entries ≤ 0 mean 1.
-	Workers [3]int
 	// Adapt turns on online reconfiguration: per-batch measured profiles feed
 	// the workload profiler and cost model, and a new (config, batch size)
 	// pair is installed at batch boundaries when the workload shifts >10%.
@@ -140,7 +138,6 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 	lopts := pipeline.LiveOptions{
 		Provider:      provider,
 		BatchInterval: interval,
-		Workers:       po.Workers,
 		DoneBatch:     s.pipelineBatchDone,
 	}
 	if s.dur != nil {

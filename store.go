@@ -7,9 +7,9 @@ import (
 
 // StoreConfig configures an embeddable Store.
 type StoreConfig struct {
-	// MemoryBytes is the key-value arena budget. When it fills, the least
-	// recently used object of the needed size class is evicted, exactly as
-	// in the paper's memory-management task.
+	// MemoryBytes is the key-value arena budget. When it fills, a SET evicts
+	// from its own size class with a per-class CLOCK (second-chance) sweep,
+	// the paper's memory-management task.
 	MemoryBytes int64
 	// IndexEntries sizes the cuckoo index; defaults to MemoryBytes/256.
 	IndexEntries int
@@ -53,17 +53,9 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 	return s.inner.Get(key)
 }
 
-// GetInto appends the value stored under key to dst, returning the extended
-// slice; on a miss dst is returned unchanged. With a reused dst of
-// sufficient capacity the lookup performs no allocations — this is the
-// server's GET hot path.
-func (s *Store) GetInto(key, dst []byte) ([]byte, bool) {
-	return s.inner.GetInto(key, dst)
-}
-
 // Set stores value under key, overwriting any prior value. Under memory
-// pressure it evicts the least recently used object of the same size class.
-// It returns an error when the object exceeds the largest slab class or the
+// pressure the size class's CLOCK hand evicts an object not referenced since
+// the hand last passed it. It returns an error when the object exceeds the largest slab class or the
 // arena cannot hold it.
 func (s *Store) Set(key, value []byte) error {
 	_, _, err := s.inner.Set(key, value)
