@@ -10,12 +10,16 @@ import (
 // cross-checks every observable — membership, length, full iteration order,
 // bounded iteration, and the explicit-stack iterator — against a sorted-slice
 // oracle, then re-verifies a snapshot taken mid-tape after the remaining ops
-// ran: same key sequence, payloads no older than when it was taken.
+// ran: same key sequence, payloads no older than when it was taken. An op
+// byte 0x40–0x7f bulk-builds the tree from the oracle's contents (Load, fed
+// in descending order so it has to sort them), and the tape runs on against
+// the oracle from there.
 func FuzzOrderedTree(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 'a', 0x01, 'b', 0x81, 'a'})
 	f.Add([]byte{0x03, 'a', 'b', 'c', 0x83, 'a', 'b', 'c', 0x03, 'a', 'b', 'c'})
 	f.Add(bytes.Repeat([]byte{0x02, 'x', 'y'}, 40))
+	f.Add(append(bytes.Repeat([]byte{0x02, 'x', 'y', 0x01, 'z'}, 40), 0x40, 0x02, 'x', 'a', 0x81, 'z'))
 
 	type kv struct {
 		k string
@@ -77,6 +81,16 @@ func FuzzOrderedTree(f *testing.F) {
 			}
 			key := tape[:kl]
 			tape = tape[kl:]
+			if op&0xc0 == 0x40 {
+				tr.Load(func(add func([]byte, uint64)) {
+					for i := len(oracle) - 1; i >= 0; i-- {
+						add([]byte(oracle[i].k), oracle[i].v)
+					}
+				})
+				checkTree(t, tr)
+				check()
+				continue
+			}
 			if len(key) == 0 {
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,11 @@ func checkInvariants(t *testing.T, root *node, wantLen int) {
 	walk = func(n *node, isRoot bool) int {
 		if n.n > maxItems || n.n < 1 || (!isRoot && n.n < minItems) {
 			t.Fatalf("node fill %d outside bounds (root=%v)", n.n, isRoot)
+		}
+		for i, k := range n.keys[:n.n] {
+			if n.pfx[i] != prefix(k) {
+				t.Fatalf("key %q carries prefix %#x", k, n.pfx[i])
+			}
 		}
 		for _, k := range n.keys[n.n:] {
 			if k != nil {
@@ -365,6 +371,88 @@ func TestNoWriteReachesSharedNode(t *testing.T) {
 	checkInvariants(t, snap.root, snap.Len())
 }
 
+// TestLoad bulk-builds trees at sizes around every height boundary from
+// shuffled entries with duplicates, and once from keys whose first eight
+// bytes are all equal: the shape invariants hold, the contents
+// are the distinct keys in order, a snapshot taken before the load keeps its
+// version, writes after it never reach a node a later snapshot shares, and
+// random ops after it keep agreeing with a map.
+func TestLoad(t *testing.T) {
+	rng := newRand(t)
+	for _, size := range []int{0, 1, 2, 31, 32, 33, 63, 64, 500, 1023, 1024, 1025, 1056, 32767, 32768, 32769, 40000, -6000} {
+		format := "k%07d"
+		if size < 0 {
+			size, format = -size, "sharedpfx-%07d"
+		}
+		tr := New()
+		tr.Set([]byte("old"), 7)
+		before := tr.Snapshot()
+		want := map[string]uint64{}
+		var adds []string
+		for i := 0; i < size; i++ {
+			r := rng.Intn(4 * size)
+			k := fmt.Sprintf(format, r)
+			want[k] = uint64(r) // one payload per key, as Load requires
+			adds = append(adds, k)
+		}
+		tr.Load(func(add func([]byte, uint64)) {
+			buf := []byte{}
+			for _, k := range adds {
+				buf = append(buf[:0], k...) // add must copy: the buffer is reused
+				add(buf, want[k])
+			}
+		})
+		checkTree(t, tr)
+		if tr.Len() != len(want) {
+			t.Fatalf("size %d: Len %d, want %d distinct", size, tr.Len(), len(want))
+		}
+		keys, vals := collect(tr.Snapshot(), nil, nil)
+		for i, k := range sortedKeys(want) {
+			if keys[i] != k || vals[i] != want[k] {
+				t.Fatalf("size %d: entry %d is %q/%d, want %q/%d", size, i, keys[i], vals[i], k, want[k])
+			}
+		}
+		if k, _ := collect(before, nil, nil); len(k) != 1 || k[0] != "old" {
+			t.Fatalf("size %d: the snapshot before Load now holds %q", size, k)
+		}
+
+		snap := tr.Snapshot()
+		frozen := freeze(snap.root, nil)
+		for i := 0; i < 3*size+50; i++ {
+			k := fmt.Sprintf(format, rng.Intn(4*size+1))
+			if rng.Intn(2) == 0 {
+				tr.Delete([]byte(k))
+				delete(want, k)
+			} else {
+				tr.Set([]byte(k), uint64(i))
+				want[k] = uint64(i)
+			}
+		}
+		checkTree(t, tr)
+		for _, f := range frozen {
+			if f.n.n != len(f.keys) {
+				t.Fatalf("size %d: a loaded node shared with a snapshot was written", size)
+			}
+		}
+		checkInvariants(t, snap.root, snap.Len())
+		keys, vals = collect(tr.Snapshot(), nil, nil)
+		if len(keys) != len(want) {
+			t.Fatalf("size %d: %d keys after the ops, want %d", size, len(keys), len(want))
+		}
+		for i, k := range sortedKeys(want) {
+			if keys[i] != k || vals[i] != want[k] {
+				t.Fatalf("size %d: after the ops entry %d is %q/%d, want %q/%d", size, i, keys[i], vals[i], k, want[k])
+			}
+		}
+
+		v := tr.Version()
+		tr.Load(nil)
+		if tr.Len() != 0 || tr.root != nil || tr.Version() == v {
+			t.Fatalf("size %d: Load(nil) left %d keys, version %d -> %d", size, tr.Len(), v, tr.Version())
+		}
+	}
+}
+
 // TestSnapshotsOfDifferentAges keeps several snapshots outstanding while the
 // key set churns; each must keep replaying exactly the key sequence, Len and
 // Version it was taken at, however many versions behind it is.
@@ -648,6 +736,60 @@ func BenchmarkTreeEvictChurn(b *testing.B) {
 	s, m := tr.Churn()
 	b.ReportMetric(float64(s-splits)/float64(b.N), "splits/op")
 	b.ReportMetric(float64(m-merges)/float64(b.N), "merges/op")
+}
+
+// BenchmarkTreeApplySorted is the per-shard sorted delta, measured before
+// building it: the index work of an evicting SET workload — thirds of
+// overwrite, victim delete and insert over 340 000 resident 32-byte keys —
+// applied in batches sorted by key (stably, so the ops on one key keep their
+// order) against applied one at a time (batch=1). The sort is timed with the
+// batch; generating the ops is not.
+func BenchmarkTreeApplySorted(b *testing.B) {
+	const resident = 340000
+	type op struct {
+		key []byte
+		del bool
+	}
+	for _, batch := range []int{1, 64, 512, 4096, 64 << 10} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			keys := churnKeys(rng, 2*resident)
+			tr := New()
+			for i, k := range keys[:resident] {
+				tr.Set(k, uint64(i))
+			}
+			ops := make([]op, b.N)
+			for i := range ops {
+				switch i % 3 {
+				case 0: // overwrite a resident key
+					ops[i] = op{key: keys[rng.Intn(resident)]}
+				case 1: // delete a resident key, which leaves the resident set
+					j, k := rng.Intn(resident), resident+rng.Intn(resident)
+					ops[i] = op{key: keys[j], del: true}
+					keys[j], keys[k] = keys[k], keys[j]
+				case 2: // insert an absent key, which joins it
+					j, k := resident+rng.Intn(resident), rng.Intn(resident)
+					ops[i] = op{key: keys[j]}
+					keys[j], keys[k] = keys[k], keys[j]
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for lo := 0; lo < len(ops); lo += batch {
+				run := ops[lo:min(lo+batch, len(ops))]
+				if batch > 1 {
+					slices.SortStableFunc(run, func(x, y op) int { return bytes.Compare(x.key, y.key) })
+				}
+				for i, o := range run {
+					if o.del {
+						tr.Delete(o.key)
+					} else {
+						tr.Set(o.key, uint64(i))
+					}
+				}
+			}
+		})
+	}
 }
 
 // The lazy copy at its most expensive: a snapshot before every delete+insert

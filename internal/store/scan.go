@@ -9,10 +9,18 @@
 // object regardless of value size and never pins value memory. It is written
 // in place; only nodes a scan's snapshot can still reach are copied first.
 //
+// Upkeep is paid only while scans read the tree. A shard that takes more than
+// 2 × its live keys + 64 Ki tree updates between two scans drops its tree
+// (O(1)), and its writes skip the tree from then on; the next scan rebuilds
+// it from the shard's arena, resolving every key through the cuckoo index,
+// and pays about a third of a microsecond per key once (see dropOrdered and
+// orderedSnapshot in store.go).
+//
 // A Scanner captures every shard's tree snapshot once (O(1) under the tree's
 // writer lock, and the same snapshot as last time while the shard's key set
-// has not changed) and merges them in key order; writers never wait for a
-// scan to finish. The consistency contract is:
+// has not changed; a dropped tree is rebuilt first) and merges them in key
+// order; writers never wait for a scan to finish, except on a shard whose
+// tree it is rebuilding. The consistency contract is:
 //
 //   - The KEY SET a scan iterates is a point-in-time snapshot per shard
 //     (cross-shard atomicity is not promised — a scan spanning shards may see
@@ -67,7 +75,7 @@ func (s *Store) NewScanner() *Scanner {
 	}
 	sc := &Scanner{s: s, snaps: make([]ordered.Snapshot, len(s.shards))}
 	for i, sh := range s.shards {
-		sc.snaps[i] = sh.tree.Snapshot()
+		sc.snaps[i] = s.orderedSnapshot(sh)
 	}
 	return sc
 }

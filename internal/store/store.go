@@ -30,6 +30,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"bytes"
@@ -83,11 +84,15 @@ type Config struct {
 	// Slab optionally overrides the slab configuration; when non-nil its
 	// TotalBytes is the whole-store budget and is divided across shards.
 	Slab *slab.Config
-	// Ordered maintains a per-shard ordered index (a lazily copied B-tree
-	// over key → location) beside the cuckoo table, enabling snapshot range
-	// scans (see scan.go). A write that changes the key set pays one in-place
-	// tree insert or delete, an overwrite one descent and an atomic store;
-	// point reads are unaffected.
+	// Ordered keeps a per-shard ordered index (a lazily copied B-tree over
+	// key → location) beside the cuckoo table, enabling snapshot range scans
+	// (see scan.go); without it Scan reports the store unordered. While a
+	// shard's tree is maintained, a write that changes the key set pays one
+	// in-place tree insert or delete, an overwrite one descent and an atomic
+	// store. A shard that takes more than 2 × its live keys + 64 Ki writes
+	// with no scan drops its tree and writes stop paying; the next scan
+	// rebuilds it from the arena (see dropOrdered). Point reads are
+	// unaffected.
 	Ordered bool
 }
 
@@ -97,6 +102,11 @@ type shard struct {
 	idx   *cuckoo.Table
 	alloc *slab.Allocator
 	tree  *ordered.Tree
+
+	// Ordered-index upkeep (see dropOrdered).
+	upkeep   atomic.Int64 // tree Updates since the last scan snapshot
+	dropped  atomic.Bool  // the tree is empty and writes skip it until a scan rebuilds it
+	upkeepMu sync.Mutex   // orders drop, rebuild and snapshot; a write takes it only to drop
 }
 
 // Store is a concurrent in-memory key-value store. All methods are safe for
@@ -118,6 +128,9 @@ type Store struct {
 	scanEntries   stats.Counter // entries returned across all scans
 	scanBytes     stats.Counter // key+value bytes returned across all scans
 	scanFallbacks stats.Counter // snapshot locations resolved via point lookup
+
+	orderedDrops    stats.Counter // shard trees dropped for lack of scans
+	orderedRebuilds stats.Counter // dropped shard trees rebuilt by a scan
 }
 
 // normalizeShards rounds n up to a power of two in [1, MaxShards].
@@ -291,12 +304,13 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 		if sh.idx.Delete(ev.Key, evLoc) {
 			deletes++
 		}
-		// Reconcile the victim's ordered-index binding — unless the victim is
-		// this very key's old object, in which case the sync at the end of the
-		// SET repoints it and the key never vanishes from concurrent
-		// snapshots. (A racing overwrite of the victim key is safe either
-		// way: syncOrdered re-reads the cuckoo state under the tree lock.)
-		if sh.tree != nil && !bytes.Equal(ev.Key, key) {
+		// Reconcile the victim's ordered-index binding — unless the tree is
+		// dropped, or the victim is this very key's old object, in which case
+		// the sync at the end of the SET repoints it and the key never
+		// vanishes from concurrent snapshots. (A racing overwrite of the
+		// victim key is safe either way: syncOrdered re-reads the cuckoo
+		// state under the tree lock.)
+		if sh.tree != nil && !sh.dropped.Load() && !bytes.Equal(ev.Key, key) {
 			s.syncOrdered(sh, cuckoo.Hash(ev.Key, s.seed), ev.Key)
 		}
 		if hadOld && evLoc == oldLoc {
@@ -339,15 +353,90 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 // entries. For a key the tree already holds (every overwrite) that is one
 // descent and one atomic store of the new location: no node is copied and
 // concurrent scans keep their snapshot. No-op on stores without
-// Config.Ordered.
+// Config.Ordered, and on a shard whose tree is dropped.
 func (s *Store) syncOrdered(sh *shard, hv uint64, key []byte) {
-	if sh.tree == nil {
+	if sh.tree == nil || sh.dropped.Load() {
+		return
+	}
+	if sh.upkeep.Add(1) > sh.upkeepLimit() && s.dropOrdered(sh) {
 		return
 	}
 	sh.tree.Update(key, func() (uint64, bool) {
+		if sh.dropped.Load() {
+			// A drop raced this write: the tree is empty, or about to be, and
+			// removing the key from it does nothing.
+			return 0, false
+		}
 		loc, ok := sh.lookupLoc(hv, key)
 		return uint64(loc), ok
 	})
+}
+
+// upkeepFloor is the slack in upkeepLimit. It keeps small shards, and a store
+// that is still loading, on the maintained path.
+const upkeepFloor = 64 << 10
+
+// upkeepLimit is how many tree Updates a shard pays for between two scans
+// before it drops its tree: 2 × its live keys + upkeepFloor. Upkeep is rent,
+// a rebuild the price of buying. On a 2-vCPU AMD EPYC VM upkeep costs
+// U ≈ 0.8 µs per Update (BenchmarkTreeApplySorted batch=1: overwrites,
+// victim deletes and inserts over 340 000 resident keys) and a rebuild
+// R ≈ 0.3 µs per key (BenchmarkOrderedRebuild). A scan gap that drops the
+// tree has already paid 2N·U, about 5 × the N·R its rebuild costs, and a
+// pure load, one Update per key, never crosses the limit.
+func (sh *shard) upkeepLimit() int64 { return 2*int64(sh.idx.Len()) + upkeepFloor }
+
+// dropOrdered is called by a write whose Update crossed upkeepLimit. It
+// empties the shard's tree in O(1) and sets the dropped bit, so writes skip
+// the tree until the next scan rebuilds it (orderedSnapshot). It reports
+// whether the tree is dropped; false means a scan restarted the count since
+// the caller crossed the limit, and the caller's write must be synced.
+//
+// The bit is set before the tree is emptied, and a write re-checks it under
+// the tree lock, so no write that raced the drop puts a key back.
+func (s *Store) dropOrdered(sh *shard) bool {
+	sh.upkeepMu.Lock()
+	defer sh.upkeepMu.Unlock()
+	if sh.dropped.Load() {
+		return true
+	}
+	if sh.upkeep.Load() <= sh.upkeepLimit() {
+		return false
+	}
+	sh.dropped.Store(true)
+	sh.tree.Load(nil)
+	s.orderedDrops.Inc()
+	return true
+}
+
+// orderedSnapshot returns the shard's ordered-index snapshot for a scan,
+// first rebuilding a dropped tree, and restarts the shard's upkeep count.
+//
+// The rebuild runs under the tree lock (Tree.Load). It clears the dropped bit
+// before it walks the arena, and a write checks the bit only after its cuckoo
+// mutations. A write that finds the bit clear therefore syncs after the
+// rebuild, resolving under the lock as usual, and a write that found it set
+// had finished its mutations before the walk began, which sees them (Go
+// atomics are sequentially consistent). Each object the walk meets is
+// resolved through the cuckoo index, so a deleted key is left out and a key
+// with a stranded duplicate object is bound to its indexed location, once.
+func (s *Store) orderedSnapshot(sh *shard) ordered.Snapshot {
+	sh.upkeepMu.Lock()
+	defer sh.upkeepMu.Unlock()
+	if sh.dropped.Load() {
+		sh.tree.Load(func(add func(key []byte, val uint64)) {
+			sh.dropped.Store(false)
+			sh.alloc.Range(func(key, _ []byte) bool {
+				if loc, ok := sh.lookupLoc(cuckoo.Hash(key, s.seed), key); ok {
+					add(key, uint64(loc))
+				}
+				return true
+			})
+		})
+		s.orderedRebuilds.Inc()
+	}
+	sh.upkeep.Store(0)
+	return sh.tree.Snapshot()
 }
 
 // Delete removes key. It reports whether an object was removed.
@@ -478,9 +567,12 @@ type Stats struct {
 	ScanEntries            uint64 // entries returned across all scans
 	ScanBytes              uint64 // key+value bytes returned across all scans
 	ScanFallbacks          uint64 // stale snapshot locations re-resolved live
-	OrderedKeys            int    // live keys in the ordered index (0 if disabled)
+	OrderedKeys            int    // keys in the maintained ordered-index trees (0 if disabled)
 	OrderedSplits          uint64 // ordered-index node splits
 	OrderedMerges          uint64 // ordered-index node merges
+	OrderedMaintained      int    // shards whose ordered index is maintained, not dropped
+	OrderedDrops           uint64 // shard trees dropped after a write-only stretch
+	OrderedRebuilds        uint64 // dropped shard trees rebuilt by a scan
 	LiveObjects            int
 	IndexLoadFactor        float64
 	AvgInsertBucketsProbed float64
@@ -512,6 +604,9 @@ func (s *Store) StatsSnapshot() Stats {
 		ScanEntries:   s.scanEntries.Load(),
 		ScanBytes:     s.scanBytes.Load(),
 		ScanFallbacks: s.scanFallbacks.Load(),
+
+		OrderedDrops:    s.orderedDrops.Load(),
+		OrderedRebuilds: s.orderedRebuilds.Load(),
 	}
 	var inserts, insertBuckets float64
 	var loadSum float64
@@ -525,6 +620,9 @@ func (s *Store) StatsSnapshot() Stats {
 			splits, merges := sh.tree.Churn()
 			st.OrderedSplits += splits
 			st.OrderedMerges += merges
+			if !sh.dropped.Load() {
+				st.OrderedMaintained++
+			}
 		}
 		loadSum += sh.idx.LoadFactor()
 		inserts += float64(is.Inserts)

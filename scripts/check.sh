@@ -107,14 +107,17 @@ go test -count=1 -race -timeout 900s -run 'TestDurable|TestCrash' .
 # cuckoo index, incl. eviction-victim retirement and the key-checked free),
 # the scan-vs-model equivalence and torn/reclaimed-value suites over the
 # seqlock slab, the index-equals-cuckoo key-set check after eviction churn,
-# and the root-package scan e2e + chaos pins — snapshot isolation is exactly
-# the kind of guarantee only the race detector keeps honest, so un-cached and
-# race-enabled every pass, the in-place tree ten times over.
+# the upkeep drop/rebuild cycle, and the root-package scan e2e + chaos pins —
+# snapshot isolation is exactly the kind of guarantee only the race detector
+# keeps honest, so un-cached and race-enabled every pass, the in-place tree
+# ten times over, and writers racing a tree's drop and its rebuild twenty
+# times over.
 echo "== ordered index (-race, -count=10) + scan path (-race, -count=1) =="
 go test -count=10 -race -timeout 900s ./internal/ordered
 go test -count=1 -race -timeout 900s \
     -run 'Scan|Ordered|SnapshotIsolation|FreeIfMatch' \
     ./internal/store ./internal/slab ./internal/pipeline ./internal/task .
+go test -count=20 -race -timeout 900s -run TestOrderedUpkeepDropRebuildRace ./internal/store
 
 # The transport front ends: RESP parser/framer unit + fuzz corpus, command-run
 # sealing, per-connection ordered dispatch, reply sequencing, and the

@@ -61,6 +61,33 @@ func activeQueues(srv *Server) (active, total int) {
 	return active, len(qs)
 }
 
+// dialSpread dials n clients to srv, one at a time, and sends one probe GET
+// from each, so that between them they reach at least two of its REUSEPORT
+// queues. The kernel picks a socket's queue by hashing its address, so n
+// clients of a 4-queue server all land on one queue in 1 run of 4^(n-1).
+// While the probes have reached only one queue, dialSpread replaces the last
+// client with a fresh socket, up to 32 dials in all. opts gives client i's
+// options.
+func dialSpread(t *testing.T, srv *Server, addr string, n int, opts func(i int) ClientOptions) []*Client {
+	t.Helper()
+	var clients []*Client
+	for dials := 1; len(clients) < n; dials++ {
+		c, err := DialOpts(addr, opts(len(clients)))
+		if err != nil {
+			t.Fatalf("client %d dial: %v", len(clients), err)
+		}
+		if _, _, err := c.Get([]byte("dial-spread-probe")); err != nil {
+			t.Fatalf("client %d probe: %v", len(clients), err)
+		}
+		clients = append(clients, c)
+		if active, total := activeQueues(srv); len(clients) == n && total > 1 && active < 2 && dials < 32 {
+			c.Close()
+			clients = clients[:n-1]
+		}
+	}
+	return clients
+}
+
 // TestMultiQueueChaosEquivalence is the multi-queue acceptance test: a
 // 4-queue server behind per-queue fault injectors (drop + duplicate +
 // reorder on every socket) must behave exactly like the single-queue one
@@ -93,23 +120,21 @@ func TestMultiQueueChaosEquivalence(t *testing.T) {
 		const clients = 6
 		const rounds = 12
 		const batch = 4
+		conns := dialSpread(t, srv, addr, clients, func(ci int) ClientOptions {
+			return ClientOptions{
+				Timeout:    50 * time.Millisecond,
+				Retries:    30,
+				Backoff:    2 * time.Millisecond,
+				MaxBackoff: 20 * time.Millisecond,
+				Seed:       int64(ci + 1),
+			}
+		})
 		var wg sync.WaitGroup
 		var totalSets atomic.Int64
-		for ci := 0; ci < clients; ci++ {
+		for ci, c := range conns {
 			wg.Add(1)
-			go func(ci int) {
+			go func(ci int, c *Client) {
 				defer wg.Done()
-				c, err := DialOpts(addr, ClientOptions{
-					Timeout:    50 * time.Millisecond,
-					Retries:    30,
-					Backoff:    2 * time.Millisecond,
-					MaxBackoff: 20 * time.Millisecond,
-					Seed:       int64(ci + 1),
-				})
-				if err != nil {
-					t.Errorf("client %d dial: %v", ci, err)
-					return
-				}
 				defer c.Close()
 				for r := 0; r < rounds; r++ {
 					var sets []Query
@@ -150,7 +175,7 @@ func TestMultiQueueChaosEquivalence(t *testing.T) {
 						}
 					}
 				}
-			}(ci)
+			}(ci, c)
 		}
 		wg.Wait()
 		if t.Failed() {
@@ -193,16 +218,14 @@ func TestMultiQueueDurableRecovery(t *testing.T) {
 
 	const clients = 4
 	const perClient = 16
+	conns := dialSpread(t, srv, addr, clients, func(ci int) ClientOptions {
+		return ClientOptions{Seed: int64(ci + 1)}
+	})
 	var wg sync.WaitGroup
-	for ci := 0; ci < clients; ci++ {
+	for ci, c := range conns {
 		wg.Add(1)
-		go func(ci int) {
+		go func(ci int, c *Client) {
 			defer wg.Done()
-			c, err := DialOpts(addr, ClientOptions{Seed: int64(ci + 1)})
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
 			defer c.Close()
 			for i := 0; i < perClient; i++ {
 				key := []byte(fmt.Sprintf("d%d:%d", ci, i))
@@ -211,7 +234,7 @@ func TestMultiQueueDurableRecovery(t *testing.T) {
 					return
 				}
 			}
-		}(ci)
+		}(ci, c)
 	}
 	wg.Wait()
 	if t.Failed() {

@@ -242,6 +242,8 @@ func TestCollectMetricsNames(t *testing.T) {
 		"dido_scan_bytes_total", "dido_scan_fallbacks_total",
 		"dido_store_live_objects", "dido_store_ordered_keys",
 		"dido_store_ordered_splits_total", "dido_store_ordered_merges_total",
+		"dido_store_ordered_maintained_shards", "dido_store_ordered_drops_total",
+		"dido_store_ordered_rebuilds_total",
 		"dido_store_index_load_factor",
 	} {
 		if !strings.Contains(got, name) {

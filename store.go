@@ -21,11 +21,15 @@ type StoreConfig struct {
 	// same slab-class locks; the memory budget is divided evenly, so very
 	// small arenas should stay at 1.
 	Shards int
-	// Ordered maintains an ordered index (a lazily copied B-tree per shard)
-	// beside the cuckoo table, enabling Scan. Writes pay one in-place tree
-	// descent each, plus an insert or delete when the key set changes;
-	// scans never block writers. False (default) keeps the point-op-only
-	// store with zero overhead.
+	// Ordered keeps an ordered index (a lazily copied B-tree per shard)
+	// beside the cuckoo table, enabling Scan; scans never block writers.
+	// While a shard's tree is maintained, a write pays one in-place tree
+	// descent, plus an insert or delete when the key set changes. A shard
+	// that takes more than 2 × its live keys + 64 Ki writes with no scan
+	// drops its tree, so its writes pay nothing for it, and the next Scan
+	// rebuilds the tree from the arena. False, the zero value, keeps the
+	// point-op-only store, where Scan reports ok=false; dido-server turns
+	// it on unless started with -ordered=false.
 	Ordered bool
 }
 
@@ -106,10 +110,16 @@ type StoreStats struct {
 	ScanBytes       uint64 // key+value bytes returned across all scans
 	ScanFallbacks   uint64 // snapshot locations gone stale, re-resolved via the index
 	LiveObjects     int
-	OrderedKeys     int    // keys in the ordered index (tracks LiveObjects)
+	OrderedKeys     int    // keys in the maintained shard trees (LiveObjects while none is dropped)
 	OrderedSplits   uint64 // ordered-index node splits
 	OrderedMerges   uint64 // ordered-index node merges
 	IndexLoadFactor float64
+
+	// Ordered-index upkeep: a shard drops its tree after more than 2 × its
+	// live keys + 64 Ki writes with no scan, and the next scan rebuilds it.
+	OrderedMaintained int    // shards whose tree is maintained, not dropped
+	OrderedDrops      uint64 // shard trees dropped
+	OrderedRebuilds   uint64 // dropped shard trees rebuilt by a scan
 }
 
 // CollectMetrics appends the store's counters to w — the store's half of the
@@ -129,9 +139,12 @@ func (s *Store) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_scan_bytes_total", "Key+value bytes returned across all SCANs.", st.ScanBytes)
 	w.Counter("dido_scan_fallbacks_total", "Scan snapshot locations re-resolved through the index after going stale.", st.ScanFallbacks)
 	w.Gauge("dido_store_live_objects", "Objects currently stored.", float64(st.LiveObjects))
-	w.Gauge("dido_store_ordered_keys", "Keys in the MVCC ordered index (0 when disabled).", float64(st.OrderedKeys))
+	w.Gauge("dido_store_ordered_keys", "Keys in the maintained ordered-index trees (0 when disabled; a dropped shard counts none).", float64(st.OrderedKeys))
 	w.Counter("dido_store_ordered_splits_total", "Ordered-index B-tree node splits, root splits included.", st.OrderedSplits)
 	w.Counter("dido_store_ordered_merges_total", "Ordered-index B-tree node merges.", st.OrderedMerges)
+	w.Gauge("dido_store_ordered_maintained_shards", "Shards whose ordered index is maintained; the others dropped it after a write-only stretch.", float64(st.OrderedMaintained))
+	w.Counter("dido_store_ordered_drops_total", "Shard ordered indexes dropped after more than 2 x live keys + 64 Ki writes with no scan.", st.OrderedDrops)
+	w.Counter("dido_store_ordered_rebuilds_total", "Dropped shard ordered indexes rebuilt from the arena by a scan.", st.OrderedRebuilds)
 	w.Gauge("dido_store_index_load_factor", "Cuckoo index occupancy in [0,1].", st.IndexLoadFactor)
 }
 
@@ -155,5 +168,9 @@ func (s *Store) Stats() StoreStats {
 		OrderedSplits:   st.OrderedSplits,
 		OrderedMerges:   st.OrderedMerges,
 		IndexLoadFactor: st.IndexLoadFactor,
+
+		OrderedMaintained: st.OrderedMaintained,
+		OrderedDrops:      st.OrderedDrops,
+		OrderedRebuilds:   st.OrderedRebuilds,
 	}
 }
