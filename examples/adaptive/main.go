@@ -8,7 +8,6 @@ import (
 	"time"
 
 	idido "repro/internal/dido"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -50,7 +49,7 @@ func main() {
 	fmt.Printf("total re-plans this run: %d\n", sys.Replans())
 }
 
-func report(res pipeline.Result, sys *idido.System) {
+func report(res idido.Result, sys *idido.System) {
 	fmt.Printf("  %.2f MOPS, latency %v, CPU %.0f%%, GPU %.0f%%\n",
 		res.ThroughputMOPS, res.AvgLatency.Round(time.Microsecond),
 		res.CPUUtilization*100, res.GPUUtilization*100)

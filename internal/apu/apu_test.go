@@ -357,3 +357,26 @@ func TestDiscretePlatformSanity(t *testing.T) {
 		t.Fatal("discrete GPU should be faster than APU GPU")
 	}
 }
+
+func TestAtomicDisruptionBounds(t *testing.T) {
+	if got := AtomicDisruption(0, time.Millisecond); got != 0 {
+		t.Fatalf("no atomics → %v", got)
+	}
+	if got := AtomicDisruption(1000, 0); got != 0 {
+		t.Fatalf("zero window → %v", got)
+	}
+	// 600 atomics at 150ns over 300µs = 2M/s x 150ns = 0.3 extra µ.
+	got := AtomicDisruption(600, 300*time.Microsecond)
+	if got < 0.29 || got > 0.31 {
+		t.Fatalf("disruption = %v, want ~0.3", got)
+	}
+	// The GPU's own CAS serialization caps the issue rate (3.1M/s), bounding
+	// the added µ at ~0.465 no matter how many atomics a batch carries.
+	capVal := AtomicDisruption(1e9, time.Microsecond)
+	if capVal < 0.46 || capVal > 0.47 {
+		t.Fatalf("capped disruption = %v, want ~0.465", capVal)
+	}
+	if AtomicDisruption(1e12, time.Microsecond) != capVal {
+		t.Fatal("disruption not capped")
+	}
+}

@@ -1,6 +1,9 @@
 package apu
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // InterferenceTable is the tabulated µ factor produced by the calibration
 // microbenchmark, indexed by (CPU bandwidth demand, GPU bandwidth demand)
@@ -91,9 +94,27 @@ func (t *InterferenceTable) String() string {
 	return fmt.Sprintf("InterferenceTable(%d levels, peak-relative 0..1.2)", len(t.Demands))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// AtomicDisruptionNanos is the CPU memory-path stall caused by one GPU
+// platform atomic (the hUMA coherence transaction each compare-exchange
+// triggers). GPU-resident Insert/Delete kernels therefore poison co-running
+// CPU stages out of proportion to their bandwidth — the effect behind the
+// paper's flexible index-operation assignment (§V-D1).
+const AtomicDisruptionNanos = 150.0
+
+// AtomicDisruption converts the GPU platform atomics a batch issues within
+// its bottleneck time tmax into the additive µ term for CPU stages, capped to
+// keep the interference fixed point stable. The simulator's executor and the
+// planner add the same term.
+func AtomicDisruption(atomics float64, tmax time.Duration) float64 {
+	if atomics <= 0 || tmax <= 0 {
+		return 0
 	}
-	return b
+	rate := atomics / tmax.Seconds()
+	// The GPU's own CAS serialization (~320ns per atomic) bounds how fast it
+	// can issue platform atomics, which in turn bounds the damage to the CPU.
+	const maxAtomicRate = 3.1e6
+	if rate > maxAtomicRate {
+		rate = maxAtomicRate
+	}
+	return rate * AtomicDisruptionNanos * 1e-9
 }

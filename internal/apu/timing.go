@@ -49,7 +49,7 @@ func (w Work) bytesTouched(lineBytes int) float64 {
 // realistic error (paper Fig 9).
 //
 // Model is not safe for concurrent use; the simulated runner
-// (pipeline.Runner) is single-threaded.
+// (dido.Runner) is single-threaded.
 type Model struct {
 	Platform Platform
 	// Noise is the relative amplitude of multiplicative timing noise

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/dido"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -209,12 +208,12 @@ func prepare(sys *dido.System, spec workload.Spec, sc Scale) *workload.Generator
 }
 
 // measure runs the measured phase.
-func measure(sys *dido.System, gen *workload.Generator, sc Scale) pipeline.Result {
+func measure(sys *dido.System, gen *workload.Generator, sc Scale) dido.Result {
 	return sys.Run(gen, sc.Batches)
 }
 
 // runWorkload builds, warms and measures one system on one workload.
-func runWorkload(opts dido.Options, build func(dido.Options) *dido.System, spec workload.Spec, sc Scale) pipeline.Result {
+func runWorkload(opts dido.Options, build func(dido.Options) *dido.System, spec workload.Spec, sc Scale) dido.Result {
 	sys := build(opts)
 	gen := prepare(sys, spec, sc)
 	return measure(sys, gen, sc)

@@ -120,13 +120,10 @@ func Fig10(sc Scale) []*Table {
 }
 
 // prunedConfigs is the ground-truth sweep space for Fig 10: every pipeline
-// shape and index assignment, with stealing off and the balanced core split.
+// shape and index assignment at the balanced core split.
 func prunedConfigs() []pipeline.Config {
 	var out []pipeline.Config
 	for _, c := range pipeline.Enumerate(4) {
-		if c.WorkStealing {
-			continue
-		}
 		if c.GPUDepth > 0 && c.CPUCoresPre != 2 {
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dido"
 	"repro/internal/megakv"
 	"repro/internal/netsim"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -32,7 +31,7 @@ func fig16Nets(spec workload.Spec) (apuNet, discreteNet netsim.CostProfile) {
 }
 
 // fig16Run measures the three systems on one workload.
-func fig16Run(spec workload.Spec, sc Scale) (discrete, coupled, didoRes pipeline.Result) {
+func fig16Run(spec workload.Spec, sc Scale) (discrete, coupled, didoRes dido.Result) {
 	apuNet, dNet := fig16Nets(spec)
 
 	oD := buildOpts(sc, time.Millisecond)
@@ -126,4 +125,4 @@ func Fig18(sc Scale) []*Table {
 }
 
 // kops converts a result to thousands of ops/sec.
-func kops(r pipeline.Result) float64 { return r.ThroughputMOPS * 1000 }
+func kops(r dido.Result) float64 { return r.ThroughputMOPS * 1000 }

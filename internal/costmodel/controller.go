@@ -27,10 +27,12 @@ import (
 // under 1%, so only a real shift replans, about one window after it starts.
 // The batch size feedback (Sizer) and the /trace events stay per batch.
 //
-// The searched space is pipeline shapes and index assignments only: the
-// live runner does not steal work (stealing is the simulator's, Fig 15), so
-// a plan priced with Eq 3's stolen-work rebalance would promise a batch size
-// the executor cannot deliver.
+// The searched space (pipeline.Enumerate) is pipeline shapes and index
+// assignments only, and unlike the simulated system the controller never
+// layers stealing on the winner: the live runner does not steal work
+// (stealing is the simulator's, Fig 15), so a plan priced with Eq 3's
+// stolen-work rebalance would promise a batch size the executor cannot
+// deliver.
 type Controller struct {
 	Planner  *Planner
 	Profiler *profiler.Profiler
@@ -81,10 +83,6 @@ func NewController(pl *Planner, prof *profiler.Profiler, initial pipeline.Config
 	return &Controller{Planner: pl, Profiler: prof, Sizer: sizer, cfg: initial}
 }
 
-// keep filters the search to non-stealing configs: the live runner executes
-// a WorkStealing config as fixed assignment, so its Eq 3 price would be a lie.
-func (c *Controller) keep(cfg pipeline.Config) bool { return !cfg.WorkStealing }
-
 // NextConfig implements pipeline.ConfigProvider. The live runner serializes
 // calls (one per batch boundary), so the only concurrency to guard is the
 // accessor methods.
@@ -120,7 +118,7 @@ func (c *Controller) NextConfig(prev *pipeline.Batch) (pipeline.Config, int) {
 	var target int
 	if replan {
 		pp := c.plannerProfile(measured)
-		best, _ := c.Planner.BestFiltered(pp, c.keep)
+		best, _ := c.Planner.Best(pp)
 		if best.ThroughputOPS > 0 {
 			c.cfg = best.Config
 			c.Sizer.Set(best.Batch)

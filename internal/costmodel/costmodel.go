@@ -11,7 +11,7 @@
 //	Eq 4:  S = N / Tmax, with N chosen so Tmax ≤ I (periodic scheduling)
 //
 // This is the *planner*, deliberately simpler than the ground-truth simulator
-// in internal/apu + internal/pipeline: it prices sequential streams at cache
+// in internal/apu + internal/dido: it prices sequential streams at cache
 // latency (perfect prefetch), ignores bandwidth saturation floors, computes
 // the key-popularity cache-hit portion P analytically from Zipf's law instead
 // of simulating an LRU, and reads µ from the calibrated interference table.
@@ -276,8 +276,8 @@ func (pl *Planner) bytesTouched(id task.ID, prof task.Profile, cfg pipeline.Conf
 
 // stageTimes prices all three stages at batch size n, applying Eq 2's µ via
 // a busy-overlap-weighted fixed point: each device sees the other's
-// instantaneous bandwidth (bytes over busy time, GPU atomics weighted by
-// the shared AtomicInterferenceWeight) scaled by the overlap fraction.
+// instantaneous bandwidth (bytes over busy time) scaled by the overlap
+// fraction, plus apu.AtomicDisruption's term for GPU atomics on the CPU side.
 func (pl *Planner) stageTimes(cfg pipeline.Config, prof task.Profile, n int) [3]time.Duration {
 	var base [3]time.Duration
 	var bytes [3]float64
@@ -297,7 +297,7 @@ func (pl *Planner) stageTimes(cfg pipeline.Config, prof task.Profile, n int) [3]
 	}
 	out := base
 	for iter := 0; iter < 2; iter++ {
-		tmax := maxDur(out[:])
+		tmax := max(out[0], out[1], out[2])
 		if tmax <= 0 {
 			break
 		}
@@ -310,10 +310,10 @@ func (pl *Planner) stageTimes(cfg pipeline.Config, prof task.Profile, n int) [3]
 		if cpuBusy > 0 {
 			cpuInstBW = (bytes[pipeline.StageCPUPre] + bytes[pipeline.StageCPUPost]) / cpuBusy.Seconds()
 		}
-		overlapOnCPU := clampFrac(float64(gpuBusy) / float64(tmax))
-		overlapOnGPU := clampFrac(float64(cpuBusy) / float64(tmax))
+		overlapOnCPU := min(max(float64(gpuBusy)/float64(tmax), 0), 1)
+		overlapOnGPU := min(max(float64(cpuBusy)/float64(tmax), 0), 1)
 		muCPU := 1 + (pl.Mu.Lookup(apu.CPU, cpuInstBW, gpuInstBW)-1)*overlapOnCPU
-		muCPU += atomicDisruption(gpuAtomics, tmax)
+		muCPU += apu.AtomicDisruption(gpuAtomics, tmax)
 		muGPU := 1 + (pl.Mu.Lookup(apu.GPU, cpuInstBW, gpuInstBW)-1)*overlapOnGPU
 		out[pipeline.StageCPUPre] = time.Duration(float64(base[pipeline.StageCPUPre]) * muCPU)
 		out[pipeline.StageCPUPost] = time.Duration(float64(base[pipeline.StageCPUPost]) * muCPU)
@@ -323,30 +323,6 @@ func (pl *Planner) stageTimes(cfg pipeline.Config, prof task.Profile, n int) [3]
 		pl.applyStealing(cfg, prof, n, &out)
 	}
 	return out
-}
-
-// atomicDisruption converts GPU atomic counts into the additive CPU-side µ
-// term (shared constant with the simulator).
-func atomicDisruption(atomics float64, tmax time.Duration) float64 {
-	if atomics <= 0 || tmax <= 0 {
-		return 0
-	}
-	rate := atomics / tmax.Seconds()
-	const maxAtomicRate = 3.1e6 // bounded by the GPU's own CAS serialization
-	if rate > maxAtomicRate {
-		rate = maxAtomicRate
-	}
-	return rate * pipeline.AtomicDisruptionNanos * 1e-9
-}
-
-func clampFrac(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // applyStealing applies Eq 3 to the bottleneck stage. T^CPU_A (the
@@ -548,7 +524,7 @@ func (pl *Planner) EvaluateConfig(cfg pipeline.Config, prof task.Profile) Predic
 		best = pl.MaxBatch
 	}
 	times := pl.stageTimes(cfg, prof, best)
-	p := Prediction{Config: cfg, Batch: best, StageTimes: times, Tmax: maxDur(times[:])}
+	p := Prediction{Config: cfg, Batch: best, StageTimes: times, Tmax: max(times[0], times[1], times[2])}
 	if p.Tmax > 0 {
 		p.ThroughputOPS = float64(best) / p.Tmax.Seconds()
 	}
@@ -582,21 +558,4 @@ func (pl *Planner) BestFiltered(prof task.Profile, keep func(pipeline.Config) bo
 		}
 	}
 	return best, preds
-}
-
-func maxDur(ds []time.Duration) time.Duration {
-	var m time.Duration
-	for _, d := range ds {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

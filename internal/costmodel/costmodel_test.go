@@ -32,12 +32,6 @@ func profileFor(keySize, valSize float64, getRatio, skew float64) task.Profile {
 	}
 }
 
-// searchShapes mirrors DIDO's planning discipline: the shape search excludes
-// work-stealing variants (stealing is layered on afterwards, §V-D3).
-func searchShapes(pl *Planner, prof task.Profile) (Prediction, []Prediction) {
-	return pl.BestFiltered(prof, func(c pipeline.Config) bool { return !c.WorkStealing })
-}
-
 func TestCacheHitPortion(t *testing.T) {
 	pl := newPlanner()
 	uniform := profileFor(16, 64, 0.95, 0)
@@ -100,10 +94,7 @@ func TestBestPrefersCPUIndexUpdatesForReadHeavy(t *testing.T) {
 	// optimal config assigns Insert and Delete to the CPU (§V-C).
 	pl := newPlanner()
 	prof := profileFor(16, 64, 0.95, 0)
-	best, all := searchShapes(pl, prof)
-	if len(all) == 0 || len(all) >= len(pipeline.Enumerate(4)) {
-		t.Fatalf("evaluated %d configs", len(all))
-	}
+	best, _ := pl.Best(prof)
 	if best.Config.GPUDepth == 0 {
 		t.Fatal("best config should use the GPU for a read-heavy workload")
 	}
@@ -117,7 +108,7 @@ func TestBestDeepensGPUChainForSmallKV(t *testing.T) {
 	// RD onto the GPU ([IN,KC,RD]GPU, §V-C "Impact of Key-Value Size").
 	pl := newPlanner()
 	prof := profileFor(8, 8, 0.95, 0)
-	best, _ := searchShapes(pl, prof)
+	best, _ := pl.Best(prof)
 	if best.Config.GPUDepth < 2 {
 		t.Fatalf("small-KV best config should deepen the GPU chain: %v", best.Config)
 	}
@@ -132,7 +123,7 @@ func TestBestShallowForLargeKV(t *testing.T) {
 	// big-gap deep shapes (WR on GPU) clearly lose.
 	pl := newPlanner()
 	prof := profileFor(128, 1024, 0.95, 0)
-	best, all := searchShapes(pl, prof)
+	best, all := pl.Best(prof)
 	shallowBest := 0.0
 	deepestWorst := best.ThroughputOPS
 	for _, p := range all {

@@ -56,8 +56,8 @@ func TestINSearchMLPRaisesCPUSearchThroughput(t *testing.T) {
 			pWide.ThroughputOPS, pBase.ThroughputOPS)
 	}
 
-	bestBase, _ := searchShapes(base, prof)
-	bestWide, _ := searchShapes(wide, prof)
+	bestBase, _ := base.Best(prof)
+	bestWide, _ := wide.Best(prof)
 	if bestWide.ThroughputOPS < bestBase.ThroughputOPS {
 		t.Fatalf("best plan regressed: wide %v < scalar %v",
 			bestWide.ThroughputOPS, bestBase.ThroughputOPS)

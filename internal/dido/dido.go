@@ -1,8 +1,13 @@
-// Package dido assembles the full DIDO system (paper Fig 7): the query
+// Package dido assembles the simulated DIDO system (paper Fig 7): the query
 // processing pipeline, the workload profiler, and the APU-aware cost model,
 // closed into the adaptation loop of §III-A — profile each batch, and when
 // the workload moves more than the trigger threshold, search the
 // configuration space and install the best pipeline for subsequent batches.
+//
+// The package also holds the simulator the figures run on: the ground-truth
+// Executor, which applies each batch to a real store and prices its stages on
+// the APU timing model (work stealing included, exec.go), and the Runner,
+// which drives batches through the stages on a simulated clock (runner.go).
 //
 // The same machinery, with adaptation switched off and the configuration
 // pinned, is the Mega-KV baseline (see internal/megakv).
@@ -46,7 +51,8 @@ type Options struct {
 	// DisableIndexAssignment forces all three index operations to the GPU,
 	// as in Mega-KV.
 	DisableIndexAssignment bool
-	// DisableWorkStealing removes stealing configs from the search space.
+	// DisableWorkStealing stops the adaptation loop layering work stealing
+	// on the shape it chose.
 	DisableWorkStealing bool
 	// StaticConfig, when non-nil, disables adaptation entirely and runs the
 	// given configuration forever (the Mega-KV baseline).
@@ -70,10 +76,10 @@ func DefaultOptions(memBytes int64) Options {
 // System is a runnable DIDO instance.
 type System struct {
 	Store    *store.Store
-	Exec     *pipeline.Executor
+	Exec     *Executor
 	Planner  *costmodel.Planner
 	Profiler *profiler.Profiler
-	Runner   *pipeline.Runner
+	Runner   *Runner
 
 	opts Options
 
@@ -102,7 +108,7 @@ func New(opts Options) *System {
 		Seed:         opts.Seed,
 	})
 	model := apu.NewModel(opts.Platform, opts.Noise, opts.Seed)
-	exec := pipeline.NewExecutor(model, st, opts.Net)
+	exec := NewExecutor(model, st, opts.Net)
 	interval := opts.LatencyBudget / 3 // three-stage pipeline depth
 	planner := costmodel.NewPlanner(opts.Platform, interval)
 	s := &System{
@@ -110,7 +116,7 @@ func New(opts Options) *System {
 		Exec:     exec,
 		Planner:  planner,
 		Profiler: profiler.New(st),
-		Runner:   &pipeline.Runner{Exec: exec},
+		Runner:   &Runner{Exec: exec},
 		opts:     opts,
 		cfg:      pipeline.MegaKV(),
 		sizer:    pipeline.BatchSizer{Interval: interval, Min: planner.MinBatch, Max: planner.MaxBatch},
@@ -132,13 +138,9 @@ func (s *System) Replans() uint64 { return s.replans }
 func (s *System) CurrentConfig() pipeline.Config { return s.cfg }
 
 // keep implements the ablation filters over the configuration space. The
-// shape search always excludes work-stealing variants: the paper layers
-// stealing on top of the chosen partitioning at runtime (§V-D3), so the
-// searched space is pipeline shapes and index assignments only.
+// space itself holds no work-stealing variants: the paper layers stealing on
+// top of the chosen partitioning at runtime (§V-D3), which NextConfig does.
 func (s *System) keep(cfg pipeline.Config) bool {
-	if cfg.WorkStealing {
-		return false
-	}
 	mega := pipeline.MegaKV()
 	if s.opts.DisableDynamicPipeline {
 		if cfg.GPUDepth != mega.GPUDepth || cfg.CPUCoresPre != mega.CPUCoresPre {
@@ -203,7 +205,7 @@ func (s *System) plannerProfile(p task.Profile) task.Profile {
 
 // Run drives nBatches from src through the system and returns the aggregate
 // result.
-func (s *System) Run(src pipeline.Source, nBatches int) pipeline.Result {
+func (s *System) Run(src Source, nBatches int) Result {
 	return s.Runner.Run(src, s, nBatches)
 }
 

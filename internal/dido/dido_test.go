@@ -184,3 +184,39 @@ func TestNetworkProfilePropagates(t *testing.T) {
 		t.Fatal("net profile not propagated")
 	}
 }
+
+// TestAdaptationLayersStealing: the searched space holds no stealing configs
+// (pipeline.Enumerate), so stealing reaches a simulated run only by the
+// adaptation loop switching it on for the shape it chose — and not at all
+// with DisableWorkStealing. On K8-G50-U the Eq 3 rebalance pays (Fig 15: 1.22×).
+func TestAdaptationLayersStealing(t *testing.T) {
+	spec, _ := workload.SpecByName("K8-G50-U")
+	run := func(disable bool) pipeline.Config {
+		opts := smallOpts()
+		opts.DisableWorkStealing = disable
+		s := newSystem(t, opts)
+		gen := workload.NewGenerator(spec, 50000, 17)
+		warmFor(s, gen, 30000)
+		s.Run(gen, 20)
+		if s.Replans() == 0 {
+			t.Fatal("no replan")
+		}
+		return s.CurrentConfig()
+	}
+	ws := run(false)
+	if !ws.WorkStealing {
+		t.Fatalf("stealing not layered on the chosen shape: %v", ws)
+	}
+	shape := ws
+	shape.WorkStealing = false
+	found := false
+	for _, c := range pipeline.Enumerate(4) {
+		found = found || c == shape
+	}
+	if !found {
+		t.Fatalf("installed shape %v is not in the searched space", shape)
+	}
+	if plain := run(true); plain.WorkStealing {
+		t.Fatalf("DisableWorkStealing installed a stealing config: %v", plain)
+	}
+}

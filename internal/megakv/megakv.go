@@ -42,6 +42,6 @@ func NewDiscrete(opts dido.Options) *dido.System {
 	cfg.CPUCoresPre = 8
 	opts.StaticConfig = &cfg
 	sys := dido.New(opts)
-	sys.Exec.PCIe = pipeline.PCIeGen3x16()
+	sys.Exec.PCIe = dido.PCIeGen3x16()
 	return sys
 }

@@ -86,7 +86,7 @@ func TestPCIeCostVisible(t *testing.T) {
 	a.Warm(genA.KeyAt, 20000, genA.Spec.ValueSize)
 
 	b := NewCoupled(opts())
-	b.Exec.PCIe = pipeline.PCIeGen3x16()
+	b.Exec.PCIe = dido.PCIeGen3x16()
 	genB := workload.NewGenerator(spec, 30000, 5)
 	b.Warm(genB.KeyAt, 20000, genB.Spec.ValueSize)
 

@@ -1,9 +1,9 @@
-// Package pipeline implements DIDO's query-processing pipeline: pipeline
-// configurations (which task runs on which processor, §III-B1), the
-// per-batch ground-truth executor that prices a configuration on the APU
-// timing model, work stealing priced at 64-query chunks (§III-B3), the
-// simulated-clock batch runner (one busy-until clock per stage), and the
-// live batched runner the server executes on (live.go).
+// Package pipeline is DIDO's query-processing pipeline as the server runs it:
+// the plan vocabulary — pipeline configurations (which task runs on which
+// processor, §III-B1), the batch that carries one, the ConfigProvider that
+// picks it, and the feedback batch sizer — plus the live batched runner that
+// executes batches on a real store (live.go). The simulated system's priced
+// executor and clocked runner build on the same vocabulary in internal/dido.
 //
 // A configuration has up to three stages, mirroring every scheme the paper
 // discusses:
@@ -68,8 +68,9 @@ var gpuChain = []task.ID{task.INSearch, task.KC, task.RD, task.WR}
 const MaxGPUDepth = 4
 
 // Config is one pipeline partitioning scheme plus index-operation assignment
-// and work-stealing switch — everything the cost model searches over (§IV-B
-// "finding the optimal pipeline configuration").
+// — everything the cost model searches over (§IV-B "finding the optimal
+// pipeline configuration") — and the work-stealing switch the simulated
+// system layers on the chosen scheme.
 type Config struct {
 	// GPUDepth is how many of [IN.S, KC, RD, WR] run on the GPU stage; 0
 	// means a pure-CPU single-stage pipeline.
@@ -84,7 +85,9 @@ type Config struct {
 	// GPUDepth 0 scans are forced to the CPU like the index ops.
 	ScanOn apu.Kind
 	// WorkStealing enables CPU↔GPU stealing on the bottleneck stage
-	// (§III-B3).
+	// (§III-B3). Enumerate never sets it: the simulated system switches it
+	// on for the shape it chose (Fig 15), and the live runner executes a
+	// stealing config as fixed assignment.
 	WorkStealing bool
 	// CPUCoresPre is how many CPU cores stage 1 gets; the remainder go to
 	// stage 3. Ignored for GPUDepth 0 (single stage uses all cores).
@@ -240,7 +243,9 @@ func MegaKV() Config {
 
 // Enumerate returns every valid configuration for a CPU with nCores,
 // including the pure-CPU pipeline. This is the space the cost model searches
-// exhaustively (§IV-B: "we search the entire configuration space").
+// exhaustively (§IV-B: "we search the entire configuration space"): pipeline
+// shapes and index assignments. No enumerated config steals work; the
+// simulated system layers stealing on the shape it chose (§V-D3).
 func Enumerate(nCores int) []Config {
 	var out []Config
 	out = append(out, Config{GPUDepth: 0}) // pure CPU
@@ -252,17 +257,14 @@ func Enumerate(nCores int) []Config {
 				// identically, and Best keeps the earlier-enumerated config,
 				// so scan-free workloads keep their pre-SCAN winners.
 				for _, scan := range kinds {
-					for _, ws := range []bool{false, true} {
-						for split := 1; split < nCores; split++ {
-							out = append(out, Config{
-								GPUDepth:     depth,
-								InsertOn:     ins,
-								DeleteOn:     del,
-								ScanOn:       scan,
-								WorkStealing: ws,
-								CPUCoresPre:  split,
-							})
-						}
+					for split := 1; split < nCores; split++ {
+						out = append(out, Config{
+							GPUDepth:    depth,
+							InsertOn:    ins,
+							DeleteOn:    del,
+							ScanOn:      scan,
+							CPUCoresPre: split,
+						})
 					}
 				}
 			}

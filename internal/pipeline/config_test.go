@@ -149,8 +149,8 @@ func TestTasksPartition(t *testing.T) {
 
 func TestEnumerate(t *testing.T) {
 	configs := Enumerate(4)
-	// 1 pure CPU + depth(4) × insert(2) × delete(2) × scan(2) × ws(2) × split(3).
-	want := 1 + 4*2*2*2*2*3
+	// 1 pure CPU + depth(4) × insert(2) × delete(2) × scan(2) × split(3).
+	want := 1 + 4*2*2*2*3
 	if len(configs) != want {
 		t.Fatalf("enumerated %d configs, want %d", len(configs), want)
 	}
@@ -158,6 +158,9 @@ func TestEnumerate(t *testing.T) {
 	for _, c := range configs {
 		if err := c.Validate(4); err != nil {
 			t.Fatalf("invalid enumerated config %+v: %v", c, err)
+		}
+		if c.WorkStealing {
+			t.Fatalf("enumerated a work-stealing config %v", c)
 		}
 		key := c.String()
 		// String() omits the core split, so add it for uniqueness checking.

@@ -11,9 +11,10 @@ import (
 	"repro/internal/task"
 )
 
-// This file is the live (wall-clock) counterpart of runner.go: the same
-// Batch / Config / ConfigProvider abstractions, executed against a real
-// store on one goroutine per stage group instead of the simulated clock.
+// This file is the live (wall-clock) counterpart of the simulated system's
+// runner (internal/dido): the same Batch / Config / ConfigProvider
+// abstractions, executed against a real store on one goroutine per stage
+// group instead of priced on a simulated clock.
 // RV/PP happen at the submitter (the server's socket reader parses the frame
 // before Submit); IN(Search), IN(Insert), IN(Delete), the fused KC+RD, and
 // WR run on whichever stage group the batch's sealed Config maps them to;
@@ -564,7 +565,7 @@ func (r *LiveRunner) stageWorker(si int) {
 // observes the batch's SETs (stale candidates fall back to the authoritative
 // lookup) — see DESIGN.md §5.10 for the intra-batch ordering contract. A
 // batch sealed with a WorkStealing config runs exactly like fixed assignment:
-// stealing is the simulator's (exec.go), not the live runner's.
+// stealing is the simulator's (internal/dido), not the live runner's.
 func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 	cfg := b.b.Config
 	if s == StageCPUPre {

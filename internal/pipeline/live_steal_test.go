@@ -118,7 +118,7 @@ func checkStealWorkload(t *testing.T, frames []*LiveFrame, presets int) {
 
 // ---- WorkStealing configs run as fixed assignment ----------------------
 //
-// Work stealing is the simulator's mechanism (exec.go, Fig 15). The live
+// Work stealing is the simulator's mechanism (internal/dido, Fig 15). The live
 // runner has none: a batch sealed with a WorkStealing config must execute
 // exactly like the same config without it.
 

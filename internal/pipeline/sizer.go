@@ -2,11 +2,12 @@ package pipeline
 
 import "time"
 
-// BatchSizer is the multiplicative-feedback batch-size controller shared by
-// the simulated runner (StaticProvider — Mega-KV's periodic scheduling) and
-// the live serving pipeline: the batch grows until the bottleneck stage fills
-// the scheduling interval (Tmax ≈ Interval), with the per-step growth ratio
-// dampened to avoid oscillation and the result clamped to [Min, Max].
+// BatchSizer is the multiplicative-feedback batch-size controller behind
+// every ConfigProvider (StaticProvider — Mega-KV's periodic scheduling — the
+// simulated system's adaptation loop and the live controller): the batch
+// grows until the bottleneck stage fills the scheduling interval
+// (Tmax ≈ Interval), with the per-step growth ratio dampened to avoid
+// oscillation and the result clamped to [Min, Max].
 //
 // BatchSizer is not safe for concurrent use; callers serialize it (the live
 // runner consults its provider under a mutex).
@@ -72,3 +73,29 @@ func (z *BatchSizer) clamp(n int) int {
 	}
 	return n
 }
+
+// StaticProvider always returns the same config and uses a BatchSizer
+// targeting the scheduling interval (the periodic scheduling of Mega-KV: the
+// batch grows until the bottleneck stage fills the interval). It is the live
+// runner's provider when none is given (a server without -adapt).
+type StaticProvider struct {
+	Config   Config
+	Interval time.Duration
+	// MinBatch/MaxBatch clamp the controller.
+	MinBatch, MaxBatch int
+
+	sizer *BatchSizer
+}
+
+// NextConfig implements ConfigProvider, delegating sizing to the shared
+// BatchSizer (multiplicative feedback toward the interval).
+func (p *StaticProvider) NextConfig(prev *Batch) (Config, int) {
+	if p.sizer == nil {
+		p.sizer = &BatchSizer{Interval: p.Interval, Min: p.MinBatch, Max: p.MaxBatch}
+	}
+	return p.Config, p.sizer.Observe(prev)
+}
+
+// WantsProfile reports that the static provider only reads batch timings
+// (for the sizer), never the measured workload profile.
+func (p *StaticProvider) WantsProfile() bool { return false }

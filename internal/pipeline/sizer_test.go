@@ -69,3 +69,27 @@ func TestBatchSizerFeedback(t *testing.T) {
 		t.Fatalf("Observe(nil) = %d, want unchanged 1024", got)
 	}
 }
+
+func TestStaticProviderClamps(t *testing.T) {
+	p := &StaticProvider{Config: MegaKV(), Interval: time.Millisecond, MinBatch: 100, MaxBatch: 200}
+	cfg, n := p.NextConfig(nil)
+	if n < 100 || n > 200 {
+		t.Fatalf("initial batch %d outside clamps", n)
+	}
+	if cfg.GPUDepth != 1 {
+		t.Fatal("config not passed through")
+	}
+	// A batch that took far too long must shrink the next one (but not
+	// below MinBatch).
+	prev := &Batch{Times: StageTimes{Tmax: 100 * time.Millisecond}}
+	_, n2 := p.NextConfig(prev)
+	if n2 > n || n2 < 100 {
+		t.Fatalf("batch after overlong Tmax = %d (was %d)", n2, n)
+	}
+	// A fast batch must grow the next one (but not above MaxBatch).
+	prev = &Batch{Times: StageTimes{Tmax: time.Microsecond}}
+	_, n3 := p.NextConfig(prev)
+	if n3 < n2 || n3 > 200 {
+		t.Fatalf("batch after fast Tmax = %d", n3)
+	}
+}

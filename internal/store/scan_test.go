@@ -396,10 +396,3 @@ func TestScanEvictionSafety(t *testing.T) {
 		t.Fatalf("quiescent scan of %d keys fell back %d times: tree locations are stale", n, fb)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -20,12 +20,19 @@ echo "== go build =="
 go build ./...
 
 # The server is the product, the simulator the reproduction: the figure
-# machinery (the simulated system in internal/dido and its workload
-# generators) must never be linked into cmd/dido-server again.
+# machinery (the simulated system in internal/dido, its workload generators
+# and network cost profiles) must never be linked into cmd/dido-server again,
+# and internal/pipeline — the plan vocabulary plus the live runner — must not
+# pull in the store or the simulator's inputs.
 echo "== server dependency guard =="
 SERVER_DEPS="$(go list -deps ./cmd/dido-server)"
-if grep -E -x 'repro/internal/(gpu|sim|dido|workload)' <<<"$SERVER_DEPS"; then
+if grep -E -x 'repro/internal/(gpu|sim|dido|workload|netsim)' <<<"$SERVER_DEPS"; then
     echo "cmd/dido-server links the simulator packages listed above" >&2
+    exit 1
+fi
+PIPELINE_DEPS="$(go list -deps ./internal/pipeline)"
+if grep -E -x 'repro/internal/(store|netsim|workload)' <<<"$PIPELINE_DEPS"; then
+    echo "internal/pipeline imports the packages listed above" >&2
     exit 1
 fi
 
@@ -59,7 +66,7 @@ go test -race -count=20 -timeout 900s -run 'Clock|Touch|Evict|AccessCount' ./int
 # UDP send/recv) is the other concurrency-heavy surface; run it un-cached
 # under the race detector every pass too.
 echo "== pipeline concurrency (-race, -count=1) =="
-go test -count=1 -race -timeout 900s ./internal/pipeline ./internal/costmodel ./internal/udpbatch
+go test -count=1 -race -timeout 900s ./internal/pipeline ./internal/dido ./internal/costmodel ./internal/udpbatch
 
 # The observability layer is scraped concurrently with serving (trace ring and
 # slow log appended from the hot path, read from HTTP handlers); run it
@@ -71,13 +78,13 @@ go test -count=1 -race -timeout 900s -run 'AdminUnderChaos|SlowLogOn|SlowLogThre
     . ./internal/costmodel
 
 # The stage-1 idle-seal race regressions, the simulator's work-stealing
-# pricing tests, and the read-linearizability hammer (a writer overwriting one key
+# pricing tests (internal/dido), and the read-linearizability hammer (a writer overwriting one key
 # while readers take every read path: never a stale value, never a miss) —
 # lock-free machinery, so un-cached and race-enabled every pass.
 echo "== idle seal + read linearizability (-race, -count=1) =="
 go test -count=1 -race -timeout 900s \
     -run 'LiveIdleSeal|LiveTrySealIdle|WorkStealing|ReadNeverServesStale' \
-    ./internal/pipeline ./internal/store
+    ./internal/pipeline ./internal/dido ./internal/store
 # A stale or missed read is a rare interleaving: repeat the hammer.
 go test -count=200 -timeout 900s -run TestReadNeverServesStale ./internal/store
 
