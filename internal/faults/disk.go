@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"sync"
@@ -16,6 +17,10 @@ import (
 // packet-level Conn wrapper: seeded, deterministic, counting everything it
 // does. The interface is structural (wal.File satisfies FileLike and
 // *DiskFile satisfies wal.File) so neither package imports the other.
+
+// ErrInjected is the error DiskFile returns from injected write and sync
+// failures.
+var ErrInjected = errors.New("faults: injected disk error")
 
 // FileLike is the write-handle surface DiskFile wraps. *os.File and wal.File
 // both satisfy it.

@@ -1,7 +1,8 @@
 // Package faults provides a deterministic, seedable fault injector for the
 // real (non-simulated) serving path: a net.PacketConn wrapper that drops,
 // duplicates, reorders, corrupts and delays datagrams with configurable
-// per-direction rates, and a store wrapper that injects errors and stalls.
+// per-direction rates (this file), the same faults for stream connections
+// (stream.go), and a WAL file wrapper for disk failures (disk.go).
 //
 // The injector exists so the fault-tolerance machinery (request IDs, retries,
 // admission control) can be exercised both in tests and from the command-line
@@ -319,82 +320,3 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.pc.SetReadDeadline(
 
 // SetWriteDeadline delegates to the wrapped conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.pc.SetWriteDeadline(t) }
-
-// Backend is the store surface the server serves; it matches dido.Store
-// structurally so either side can be wrapped without an import cycle.
-type Backend interface {
-	Get(key []byte) ([]byte, bool)
-	Set(key, value []byte) error
-	Delete(key []byte) bool
-}
-
-// ErrInjected is the error FaultyBackend returns from failed Sets.
-var ErrInjected = errors.New("faults: injected store error")
-
-// BackendConfig configures store-level fault injection.
-type BackendConfig struct {
-	Seed int64
-	// ErrRate makes Set fail with ErrInjected.
-	ErrRate float64
-	// StallRate makes any operation sleep Stall first, modeling a stalled
-	// allocator or a page fault storm.
-	StallRate float64
-	Stall     time.Duration
-}
-
-// FaultyBackend wraps a Backend with injected errors and stalls. It is safe
-// for concurrent use when the wrapped backend is.
-type FaultyBackend struct {
-	inner Backend
-	cfg   BackendConfig
-
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	errs, stalls stats.Counter
-}
-
-// WrapBackend returns b behind a fault injector configured by cfg.
-func WrapBackend(b Backend, cfg BackendConfig) *FaultyBackend {
-	return &FaultyBackend{inner: b, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// roll draws the stall and error decisions for one operation.
-func (f *FaultyBackend) roll() (stall bool, fail bool) {
-	f.mu.Lock()
-	stall = f.cfg.StallRate > 0 && f.rng.Float64() < f.cfg.StallRate
-	fail = f.cfg.ErrRate > 0 && f.rng.Float64() < f.cfg.ErrRate
-	f.mu.Unlock()
-	if stall {
-		f.stalls.Inc()
-		time.Sleep(f.cfg.Stall)
-	}
-	return stall, fail
-}
-
-// Get delegates to the wrapped backend, possibly stalling first.
-func (f *FaultyBackend) Get(key []byte) ([]byte, bool) {
-	f.roll()
-	return f.inner.Get(key)
-}
-
-// Set delegates to the wrapped backend, possibly stalling or failing.
-func (f *FaultyBackend) Set(key, value []byte) error {
-	if _, fail := f.roll(); fail {
-		f.errs.Inc()
-		return ErrInjected
-	}
-	return f.inner.Set(key, value)
-}
-
-// Delete delegates to the wrapped backend, possibly stalling first.
-func (f *FaultyBackend) Delete(key []byte) bool {
-	f.roll()
-	return f.inner.Delete(key)
-}
-
-// InjectedErrors returns the number of Sets failed by injection.
-func (f *FaultyBackend) InjectedErrors() uint64 { return f.errs.Load() }
-
-// Stalls returns the number of injected stalls.
-func (f *FaultyBackend) Stalls() uint64 { return f.stalls.Load() }

@@ -191,55 +191,3 @@ func TestDeterministicSequence(t *testing.T) {
 		t.Fatalf("expected every fault type at these rates: %+v", a)
 	}
 }
-
-type memBackend struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func (b *memBackend) Get(key []byte) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.m[string(key)]
-	return v, ok
-}
-
-func (b *memBackend) Set(key, value []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m[string(key)] = append([]byte(nil), value...)
-	return nil
-}
-
-func (b *memBackend) Delete(key []byte) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.m[string(key)]
-	delete(b.m, string(key))
-	return ok
-}
-
-func TestFaultyBackendInjectsErrors(t *testing.T) {
-	fb := WrapBackend(&memBackend{m: map[string][]byte{}}, BackendConfig{Seed: 1, ErrRate: 1})
-	if err := fb.Set([]byte("k"), []byte("v")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	if fb.InjectedErrors() != 1 {
-		t.Fatalf("injected = %d", fb.InjectedErrors())
-	}
-	if _, ok := fb.Get([]byte("k")); ok {
-		t.Fatal("failed Set stored a value")
-	}
-}
-
-func TestFaultyBackendStalls(t *testing.T) {
-	fb := WrapBackend(&memBackend{m: map[string][]byte{}}, BackendConfig{Seed: 1, StallRate: 1, Stall: 10 * time.Millisecond})
-	start := time.Now()
-	fb.Get([]byte("k"))
-	if d := time.Since(start); d < 10*time.Millisecond {
-		t.Fatalf("stall lasted only %v", d)
-	}
-	if fb.Stalls() != 1 {
-		t.Fatalf("stalls = %d", fb.Stalls())
-	}
-}

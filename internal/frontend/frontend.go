@@ -212,10 +212,9 @@ type Frontend interface {
 // listener sheds globally, and its counters surface in ServerStats alongside
 // the frame-level shed accounting.
 type Gate struct {
-	max      int64
-	active   atomic.Int64
-	accepted stats.Counter
-	shed     stats.Counter
+	max    int64
+	active atomic.Int64
+	shed   stats.Counter
 }
 
 // NewGate returns a connection gate admitting at most max concurrent
@@ -232,18 +231,11 @@ func (g *Gate) Acquire() bool {
 		g.shed.Inc()
 		return false
 	}
-	g.accepted.Inc()
 	return true
 }
 
 // Release returns a slot claimed by Acquire.
 func (g *Gate) Release() { g.active.Add(-1) }
-
-// Active is the number of currently held slots.
-func (g *Gate) Active() int { return int(g.active.Load()) }
-
-// Accepted is the total connections admitted.
-func (g *Gate) Accepted() uint64 { return g.accepted.Load() }
 
 // Shed is the total connections rejected over the budget.
 func (g *Gate) Shed() uint64 { return g.shed.Load() }

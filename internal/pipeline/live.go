@@ -45,6 +45,10 @@ type LiveStore interface {
 	Set(key, value []byte) error
 	// Delete performs IN(Delete) for an explicit DELETE query.
 	Delete(key []byte) bool
+	// NewScanner captures one MVCC snapshot of the ordered index for the
+	// SC task. It returns nil when the store has no ordered index
+	// (store.Config.Ordered off); SCAN queries then answer StatusError.
+	NewScanner() LiveScanner
 }
 
 // LiveScanner serves one batch's SCAN queries from a single MVCC snapshot
@@ -53,14 +57,6 @@ type LiveStore interface {
 // between entries; the callback must copy what it keeps.
 type LiveScanner interface {
 	Scan(start, end []byte, limit int, fn func(key, value []byte) bool) int
-}
-
-// RangeScanner is an optional LiveStore extension: stores with an ordered
-// index (store.Config.Ordered) expose MVCC range scans and the SC pipeline
-// task executes against them. NewScanner must return nil when the ordered
-// index is disabled — SCAN queries then answer StatusError.
-type RangeScanner interface {
-	NewScanner() LiveScanner
 }
 
 // LiveStoreMetrics is an optional LiveStore extension supplying the workload
@@ -335,8 +331,7 @@ type LiveRunner struct {
 	reconfigs stats.Counter
 	shedFull  stats.Counter
 
-	stageHist [3]*stats.Histogram             // per-batch stage wall time, µs
-	taskHist  [task.NumTasks]*stats.Histogram // per-unit task cost, ns
+	stageHist [3]*stats.Histogram // per-batch stage wall time, µs
 }
 
 // NewLiveRunner starts a live runner over s: its stage workers and batch
@@ -380,9 +375,6 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 		r.stageHist[si] = stats.NewHistogram(stats.LatencyBoundsMicros()...)
 		r.stageWG[si].Add(1)
 		go r.stageWorker(si)
-	}
-	for t := range r.taskHist {
-		r.taskHist[t] = stats.NewHistogram(stats.UnitCostBoundsNanos()...)
 	}
 	go r.flusher()
 	return r
@@ -827,9 +819,9 @@ func (r *LiveRunner) readGets(b *liveBatch, j0, j1 int) {
 // merge: the first scan captures a Scanner (one MVCC snapshot of every
 // shard's ordered index) and every scan in the batch runs against it, so a
 // batch observes a single key-set version. Result blocks are built directly
-// in the value arena (same lifetime contract as the KC+RD values). Without a
-// RangeScanner store — or with the ordered index disabled — every SCAN
-// answers StatusError, keeping the never-cleared response arena sound.
+// in the value arena (same lifetime contract as the KC+RD values). When the
+// store has no ordered index (NewScanner returns nil) every SCAN answers
+// StatusError, keeping the never-cleared response arena sound.
 func (r *LiveRunner) runScans(b *liveBatch) {
 	start := r.taskStart()
 	var sc LiveScanner
@@ -854,9 +846,7 @@ func (r *LiveRunner) runScans(b *liveBatch) {
 			}
 			if !scannerTried {
 				scannerTried = true
-				if rs, ok := r.store.(RangeScanner); ok {
-					sc = rs.NewScanner()
-				}
+				sc = r.store.NewScanner()
 			}
 			if sc == nil {
 				b.resps[lo+i] = proto.Response{Status: proto.StatusError}
@@ -909,14 +899,6 @@ func (r *LiveRunner) complete(b *liveBatch) {
 
 	r.batches.Inc()
 	r.queries.Add(uint64(b.nq))
-	if r.wantProfile {
-		for id := 0; id < task.NumTasks; id++ {
-			if b.taskUnits[id] > 0 {
-				r.taskHist[id].Observe(float64(b.taskNanos[id]) / float64(b.taskUnits[id]))
-			}
-		}
-	}
-
 	// The provider is consulted one batch at a time (it keeps state), and
 	// the installed pair takes effect at the next seal — never on batches
 	// already in flight.
@@ -1106,7 +1088,3 @@ func (r *LiveRunner) StageQuantiles(qs ...float64) [3][]float64 {
 
 // StageHistogram exposes the per-batch wall-time histogram of stage s (µs).
 func (r *LiveRunner) StageHistogram(s Stage) *stats.Histogram { return r.stageHist[s] }
-
-// TaskHistogram exposes the measured per-unit cost histogram of task id (ns
-// per query for IN/KC/WR, ns per frame for SD).
-func (r *LiveRunner) TaskHistogram(id task.ID) *stats.Histogram { return r.taskHist[id] }

@@ -12,8 +12,8 @@ import (
 )
 
 // fakeLiveStore is a map-backed LiveStore for runner tests. SearchBatch
-// records empty candidate spans (the reads resolve everything), which is
-// exactly the contract the server uses for non-*Store backends. A key listed
+// records empty candidate spans (the reads resolve everything), and it has
+// no ordered index, so every SCAN answers StatusError. A key listed
 // in panicOn panics on search and read; a non-nil gate blocks reads of gateKey until the
 // gate closes, letting tests hold a batch in a stage. The counters record how
 // many calls each batched method served.
@@ -94,6 +94,8 @@ func (f *fakeLiveStore) Delete(key []byte) bool {
 	f.mu.Unlock()
 	return ok
 }
+
+func (f *fakeLiveStore) NewScanner() LiveScanner { return nil }
 
 // fixedProvider always hands out the same (config, size) pair.
 type fixedProvider struct {

@@ -49,17 +49,6 @@ func LatencyBoundsMicros() []float64 {
 	return b
 }
 
-// UnitCostBoundsNanos returns a bucket layout for nanosecond-scale per-unit
-// costs (1 ns .. ~4 ms, roughly ×2 per bucket) — the range measured per-task
-// unit costs live in on the live serving pipeline.
-func UnitCostBoundsNanos() []float64 {
-	var b []float64
-	for v := 1.0; v <= 4_194_304; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()

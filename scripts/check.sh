@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# check.sh — the repo's CI gate: vet, build, race-enabled tests, a focused
+# check.sh — the repo's CI gate: gofmt, vet, build, race-enabled tests, a focused
 # concurrency pass over the store/slab read path, a benchmark smoke, and a
 # short protocol-parser fuzz smoke.
 #
@@ -12,6 +12,14 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${1:-10s}"
 BASE="${2:-$(git merge-base HEAD main 2>/dev/null || echo HEAD)}"
+
+echo "== gofmt (tracked Go files) =="
+UNFORMATTED="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "not gofmt-clean (run gofmt -w):" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...

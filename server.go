@@ -10,18 +10,11 @@ import (
 
 	"repro/internal/frontend"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/udpbatch"
 )
-
-// Backend is the store surface the server serves. *Store implements it;
-// tests and the fault injector substitute their own.
-type Backend interface {
-	Get(key []byte) ([]byte, bool)
-	Set(key, value []byte) error
-	Delete(key []byte) bool
-}
 
 // ServerOptions tunes the fault-tolerance behavior of a Server. The zero
 // value gives production defaults.
@@ -102,8 +95,7 @@ const (
 // loop (the pipeline contains panics per frame), and Close drains in-flight
 // frames before sockets are torn down.
 type Server struct {
-	store Backend
-	opts  ServerOptions
+	opts ServerOptions
 
 	mu     sync.Mutex
 	fes    []frontend.Frontend // registered, running frontends
@@ -134,31 +126,35 @@ type Server struct {
 	panics     stats.Counter
 }
 
-// NewServer returns a server over b with default options.
-func NewServer(b Backend) *Server {
-	return NewServerOpts(b, ServerOptions{})
+// NewServer returns a server over st with default options.
+func NewServer(st *Store) *Server {
+	return NewServerOpts(st, ServerOptions{})
 }
 
-// NewServerOpts returns a server over b with the given options. When
+// NewServerOpts returns a server over st with the given options. When
 // opts.Durability is set, opening the tier can fail; this constructor panics
 // on that error — use NewServerDurable to handle it.
-func NewServerOpts(b Backend, opts ServerOptions) *Server {
-	s, err := newServer(b, opts)
+func NewServerOpts(st *Store, opts ServerOptions) *Server {
+	s, err := NewServerDurable(st, opts)
 	if err != nil {
 		panic("dido: " + err.Error() + " (use NewServerDurable)")
 	}
 	return s
 }
 
-// NewServerDurable returns a server over b, running startup recovery and
+// NewServerDurable returns a server over st, running startup recovery and
 // opening the write-ahead log when opts.Durability is set. It is the
 // error-returning form of NewServerOpts for durable servers: recovery reads
 // disk state and can fail.
-func NewServerDurable(b Backend, opts ServerOptions) (*Server, error) {
-	return newServer(b, opts)
+func NewServerDurable(st *Store, opts ServerOptions) (*Server, error) {
+	return newServer(st, storeLive{st.inner}, opts)
 }
 
-func newServer(b Backend, opts ServerOptions) (*Server, error) {
+// newServer builds a server whose pipeline executes against ls, a batched
+// view of st; the exported constructors pass st's own (storeLive), and tests
+// pass it with one method overridden to inject a fault. Recovery, snapshots
+// and the adaptation profile read st directly.
+func newServer(st *Store, ls pipeline.LiveStore, opts ServerOptions) (*Server, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = DefaultMaxInFlight
 	}
@@ -170,7 +166,6 @@ func newServer(b Backend, opts ServerOptions) (*Server, error) {
 		cacheSize = DefaultReplyCacheSize
 	}
 	s := &Server{
-		store:  b,
 		opts:   opts,
 		tokens: make(chan struct{}, opts.MaxInFlight),
 		gate:   frontend.NewGate(opts.MaxConns),
@@ -185,7 +180,7 @@ func newServer(b Backend, opts ServerOptions) (*Server, error) {
 	// frame can execute, and initPipeline arms its LG hook only when s.dur
 	// is already set.
 	if opts.Durability != nil && opts.Durability.Dir != "" {
-		dur, err := openDurability(b, s.replies, *opts.Durability)
+		dur, err := openDurability(st, s.replies, *opts.Durability)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +190,7 @@ func newServer(b Backend, opts ServerOptions) (*Server, error) {
 	if po == nil {
 		po = &PipelineOptions{}
 	}
-	s.initPipeline(po)
+	s.initPipeline(po, st, ls)
 	return s, nil
 }
 
@@ -542,8 +537,15 @@ func (rc *replyCache) finish(addr string, id uint64, frames [][]byte) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	delete(rc.inflight, k)
+	rc.put(k, frames)
+}
+
+// put records frames under k, evicting the oldest replies beyond max. A key
+// already cached (a reply recomputed after its eviction, or recovered twice)
+// keeps its FIFO position. Callers hold rc.mu.
+func (rc *replyCache) put(k replyKey, frames [][]byte) {
 	if _, ok := rc.m[k]; ok {
-		rc.m[k] = frames // recomputed after cache eviction: same reply
+		rc.m[k] = frames
 		return
 	}
 	rc.m[k] = frames

@@ -11,10 +11,10 @@ import (
 	"repro/internal/proto"
 )
 
-// gatedBackend parks every Set on a gate so a test can hold a request
+// gatedStore parks every Set on a gate so a test can hold a request
 // in-flight for as long as it likes, and counts executions.
-type gatedBackend struct {
-	inner   Backend
+type gatedStore struct {
+	storeLive
 	entered chan struct{} // signaled once per Set call, before blocking
 	release chan struct{} // closed to let parked Sets proceed
 
@@ -22,9 +22,7 @@ type gatedBackend struct {
 	sets int
 }
 
-func (b *gatedBackend) Get(key []byte) ([]byte, bool) { return b.inner.Get(key) }
-func (b *gatedBackend) Delete(key []byte) bool        { return b.inner.Delete(key) }
-func (b *gatedBackend) Set(key, value []byte) error {
+func (b *gatedStore) Set(key, value []byte) error {
 	select {
 	case b.entered <- struct{}{}:
 	default:
@@ -33,9 +31,9 @@ func (b *gatedBackend) Set(key, value []byte) error {
 	b.mu.Lock()
 	b.sets++
 	b.mu.Unlock()
-	return b.inner.Set(key, value)
+	return b.storeLive.Set(key, value)
 }
-func (b *gatedBackend) setCount() int {
+func (b *gatedStore) setCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sets
@@ -49,12 +47,12 @@ func (b *gatedBackend) setCount() int {
 // the cache.
 func TestDuplicateWhileInFlightExecutesOnce(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	gb := &gatedBackend{
-		inner:   st,
-		entered: make(chan struct{}, 8),
-		release: make(chan struct{}),
+	gb := &gatedStore{
+		storeLive: storeLive{st.inner},
+		entered:   make(chan struct{}, 8),
+		release:   make(chan struct{}),
 	}
-	srv := NewServer(gb)
+	srv := faultyServer(t, st, gb, ServerOptions{})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 
@@ -75,10 +73,10 @@ func TestDuplicateWhileInFlightExecutesOnce(t *testing.T) {
 	select {
 	case <-gb.entered:
 	case <-time.After(2 * time.Second):
-		t.Fatal("original SET never reached the backend")
+		t.Fatal("original SET never reached the store")
 	}
 
-	// Retry while the original is parked inside the backend. The server must
+	// Retry while the original is parked inside the store. The server must
 	// drop it rather than execute the SET a second time.
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
@@ -133,12 +131,12 @@ func TestDuplicateWhileInFlightExecutesOnce(t *testing.T) {
 }
 
 // TestAbortedFrameAllowsRetry checks that a tracked frame whose processing
-// dies without producing a reply (here: a panicking backend) clears its
+// dies without producing a reply (here: a panicking store) clears its
 // in-flight marker, so a retry is admitted instead of dropped forever.
 func TestAbortedFrameAllowsRetry(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	pb := &panicOnceBackend{inner: st}
-	srv := NewServer(pb)
+	pb := &panicOnceStore{storeLive: storeLive{st.inner}}
+	srv := faultyServer(t, st, pb, ServerOptions{})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 
@@ -186,16 +184,14 @@ func TestAbortedFrameAllowsRetry(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// panicOnceBackend panics on the first Set and behaves normally after.
-type panicOnceBackend struct {
-	inner Backend
+// panicOnceStore panics on the first Set and behaves normally after.
+type panicOnceStore struct {
+	storeLive
 	mu    sync.Mutex
 	calls int
 }
 
-func (b *panicOnceBackend) Get(key []byte) ([]byte, bool) { return b.inner.Get(key) }
-func (b *panicOnceBackend) Delete(key []byte) bool        { return b.inner.Delete(key) }
-func (b *panicOnceBackend) Set(key, value []byte) error {
+func (b *panicOnceStore) Set(key, value []byte) error {
 	b.mu.Lock()
 	b.calls++
 	first := b.calls == 1
@@ -203,7 +199,7 @@ func (b *panicOnceBackend) Set(key, value []byte) error {
 	if first {
 		panic("injected")
 	}
-	return b.inner.Set(key, value)
+	return b.storeLive.Set(key, value)
 }
 
 // retryingResponder is a frontend whose client resends its request the

@@ -23,14 +23,6 @@ import (
 // durable per the sync policy — so every acked SET/DELETE survives kill -9,
 // and a lost ack at worst makes the client retry an idempotent operation.
 
-// RangeBackend is the optional Backend extension snapshots need: a walk over
-// every live object. *Store implements it via the seqlock slab iterator;
-// backends without it get a WAL-only durability tier (no snapshots, so the
-// log is never truncated).
-type RangeBackend interface {
-	Range(fn func(key, value []byte) bool)
-}
-
 // DurabilityOptions configures the server's durability tier. The zero Dir
 // disables durability entirely.
 type DurabilityOptions struct {
@@ -59,7 +51,7 @@ type DurabilityOptions struct {
 type durability struct {
 	opts DurabilityOptions
 	log  *wal.Log
-	snap *snapshot.Manager // non-nil only when the backend supports Range
+	snap *snapshot.Manager
 
 	snapStop chan struct{}
 	snapDone chan struct{}
@@ -73,18 +65,18 @@ type durability struct {
 	recoveredEntries  int   // snapshot entries applied at startup
 	recoveredRecords  int   // WAL records replayed at startup
 	recoveredTornTail int64 // torn bytes truncated off the recovered wal.log
-	recoveryDropped   int   // recovered SETs the backend rejected (e.g. arena too small)
+	recoveryDropped   int   // recovered SETs the store rejected (e.g. arena too small)
 
 	recBufs sync.Pool // *[]byte: pooled record-encoding buffers
 }
 
-// openDurability recovers the durable state into b and replies, then opens
+// openDurability recovers the durable state into st and replies, then opens
 // the WAL for appending and arms the snapshotter. Recovery order is
 // snapshot.snap, then wal.old (present only when a crash interrupted the
 // snapshot/truncate protocol), then the wal.log tail; SET/DELETE records are
 // absolute and idempotent, so replaying an older segment over a newer
 // snapshot converges on the same state.
-func openDurability(b Backend, replies *replyCache, opts DurabilityOptions) (*durability, error) {
+func openDurability(st *Store, replies *replyCache, opts DurabilityOptions) (*durability, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durability: %w", err)
 	}
@@ -102,7 +94,7 @@ func openDurability(b Backend, replies *replyCache, opts DurabilityOptions) (*du
 	// acked, durable SET into a miss, so every rejection is counted and
 	// surfaced through DurabilityStats and the startup log line.
 	applyKV := func(key, value []byte) {
-		if err := b.Set(key, value); err != nil {
+		if err := st.Set(key, value); err != nil {
 			d.recoveryDropped++
 		}
 	}
@@ -124,7 +116,7 @@ func openDurability(b Backend, replies *replyCache, opts DurabilityOptions) (*du
 
 	h := wal.Handler{
 		Set:    applyKV,
-		Delete: func(key []byte) { b.Delete(key) },
+		Delete: func(key []byte) { st.Delete(key) },
 		Reply: func(addr []byte, id uint64, frames [][]byte) {
 			applyReply(string(addr), id, frames)
 		},
@@ -160,23 +152,21 @@ func openDurability(b Backend, replies *replyCache, opts DurabilityOptions) (*du
 		return nil, fmt.Errorf("durability: %w", err)
 	}
 
-	if rb, ok := b.(RangeBackend); ok {
-		d.snap = &snapshot.Manager{
-			Dir: opts.Dir,
-			Log: d.log,
-			KV:  rb.Range,
-		}
-		if replies != nil {
-			d.snap.Replies = replies.snapshotIter
-		}
-		if opts.SnapshotInterval > 0 {
-			d.snapStop = make(chan struct{})
-			d.snapDone = make(chan struct{})
-			go func() {
-				defer close(d.snapDone)
-				d.snap.Run(opts.SnapshotInterval, d.snapStop)
-			}()
-		}
+	d.snap = &snapshot.Manager{
+		Dir: opts.Dir,
+		Log: d.log,
+		KV:  st.Range,
+	}
+	if replies != nil {
+		d.snap.Replies = replies.snapshotIter
+	}
+	if opts.SnapshotInterval > 0 {
+		d.snapStop = make(chan struct{})
+		d.snapDone = make(chan struct{})
+		go func() {
+			defer close(d.snapDone)
+			d.snap.Run(opts.SnapshotInterval, d.snapStop)
+		}()
 	}
 	return d, nil
 }
@@ -284,14 +274,10 @@ func (s *Server) pipelineLogBatch(lfs []*pipeline.LiveFrame) (records, bytes int
 }
 
 // SnapshotNow runs one snapshot/truncate cycle immediately. It returns an
-// error when durability is off or the backend cannot be walked (no
-// RangeBackend).
+// error when durability is off.
 func (s *Server) SnapshotNow() error {
 	if s.dur == nil {
 		return errors.New("dido: durability not enabled")
-	}
-	if s.dur.snap == nil {
-		return errors.New("dido: backend does not support snapshots (no Range)")
 	}
 	return s.dur.snap.SnapshotOnce()
 }
@@ -300,8 +286,7 @@ func (s *Server) SnapshotNow() error {
 type DurabilityStats struct {
 	// WAL is the write-ahead log's counters.
 	WAL wal.Stats
-	// Snapshots is the snapshot manager's counters (zero when the backend
-	// cannot be walked).
+	// Snapshots is the snapshot manager's counters.
 	Snapshots snapshot.ManagerStats
 	// DroppedAcks counts frames whose ack was dropped because their records
 	// could not be committed; the client retries them.
@@ -311,7 +296,7 @@ type DurabilityStats struct {
 	RecoveredSnapshotEntries int
 	RecoveredWALRecords      int
 	RecoveredTornBytes       int64
-	// RecoveryDroppedApplies counts recovered SETs the backend rejected
+	// RecoveryDroppedApplies counts recovered SETs the store rejected
 	// (e.g. the configured arena cannot hold the recovered state). Non-zero
 	// means previously durable keys are missing from the live store.
 	RecoveryDroppedApplies int
@@ -325,37 +310,24 @@ func (s *Server) DurabilityStats() (DurabilityStats, bool) {
 	if s.dur == nil {
 		return DurabilityStats{}, false
 	}
-	ds := DurabilityStats{
+	return DurabilityStats{
 		WAL:                      s.dur.log.Stats(),
+		Snapshots:                s.dur.snap.Stats(),
 		DroppedAcks:              s.dur.walDrops.Load(),
 		RecoveredSnapshotEntries: s.dur.recoveredEntries,
 		RecoveredWALRecords:      s.dur.recoveredRecords,
 		RecoveredTornBytes:       s.dur.recoveredTornTail,
 		RecoveryDroppedApplies:   s.dur.recoveryDropped,
 		RecoveryDuration:         s.dur.recoveryDuration,
-	}
-	if s.dur.snap != nil {
-		ds.Snapshots = s.dur.snap.Stats()
-	}
-	return ds, true
+	}, true
 }
 
 // restore inserts a recovered reply without an in-flight marker; recovery
 // refills the at-most-once cache with it before serving starts.
 func (rc *replyCache) restore(addr string, id uint64, frames [][]byte) {
-	k := replyKey{addr, id}
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if _, ok := rc.m[k]; ok {
-		rc.m[k] = frames
-		return
-	}
-	rc.m[k] = frames
-	rc.fifo = append(rc.fifo, k)
-	for len(rc.fifo) > rc.max {
-		delete(rc.m, rc.fifo[0])
-		rc.fifo = rc.fifo[1:]
-	}
+	rc.put(replyKey{addr, id}, frames)
+	rc.mu.Unlock()
 }
 
 // snapshotIter walks the cached replies for the snapshotter. The map is

@@ -1,7 +1,7 @@
 package dido
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -462,13 +462,7 @@ func TestCollectMetricsNamesDurable(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// failSetBackend rejects every Set, modeling an arena too small to hold the
-// recovered state.
-type failSetBackend struct{ Backend }
-
-func (failSetBackend) Set(key, value []byte) error { return errors.New("arena full") }
-
-// TestRecoveryCountsDroppedApplies pins the recovery accounting for a backend
+// TestRecoveryCountsDroppedApplies pins the recovery accounting for a store
 // that cannot hold the durable state: rejected SET applications must surface
 // in DurabilityStats instead of silently reading as misses.
 func TestRecoveryCountsDroppedApplies(t *testing.T) {
@@ -489,6 +483,11 @@ func TestRecoveryCountsDroppedApplies(t *testing.T) {
 			t.Fatalf("set %d: %v", i, err)
 		}
 	}
+	// Last in the log, and in a larger slab class than the small values.
+	big := bytes.Repeat([]byte("b"), 4<<10)
+	if err := c.Set([]byte("durable-big"), big); err != nil {
+		t.Fatalf("set big: %v", err)
+	}
 	c.Close()
 	srv.Close()
 	waitServe(t, errc)
@@ -504,17 +503,30 @@ func TestRecoveryCountsDroppedApplies(t *testing.T) {
 	}
 	srv2.Close()
 
-	// A backend that rejects Sets must report every dropped application.
-	srv3, err := NewServerDurable(failSetBackend{NewStore(StoreConfig{MemoryBytes: 8 << 20})}, durableOpts(dir))
+	// A 1 MiB store is one slab page: the small values replayed first claim
+	// it for their class, so the big value's Set finds no memory and must be
+	// reported as a dropped application.
+	st3 := NewStore(StoreConfig{MemoryBytes: 1 << 20})
+	srv3, err := NewServerDurable(st3, durableOpts(dir))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer srv3.Close()
 	ds, ok := srv3.DurabilityStats()
-	if !ok || ds.RecoveryDroppedApplies != keys {
-		t.Fatalf("dropped applies = %d, want %d (stats: %+v ok=%v)", ds.RecoveryDroppedApplies, keys, ds, ok)
+	if !ok || ds.RecoveryDroppedApplies != 1 {
+		t.Fatalf("dropped applies = %d, want 1 (stats: %+v ok=%v)", ds.RecoveryDroppedApplies, ds, ok)
+	}
+	if _, ok := st3.Get([]byte("durable-big")); ok {
+		t.Fatal("dropped value is readable")
+	}
+	for i := 0; i < keys; i++ {
+		if v, ok := st3.Get(keyN(i)); !ok || !bytes.Equal(v, valN(i)) {
+			t.Fatalf("key %d after recovery = %q/%v", i, v, ok)
+		}
 	}
 }
 
 func keyN(i int) []byte { return []byte(fmt.Sprintf("durable-key-%04d", i)) }
-func valN(i int) []byte { return []byte(fmt.Sprintf("durable-val-%04d-%s", i, strings.Repeat("x", 32))) }
+func valN(i int) []byte {
+	return []byte(fmt.Sprintf("durable-val-%04d-%s", i, strings.Repeat("x", 32)))
+}

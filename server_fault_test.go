@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cuckoo"
 	"repro/internal/faults"
+	"repro/internal/pipeline"
 	"repro/internal/proto"
 )
 
@@ -61,24 +63,43 @@ func TestCloseBeforeServe(t *testing.T) {
 	}
 }
 
-// panicBackend poisons one key to prove the pipeline contains a panic to
-// its frame.
-type panicBackend struct {
-	inner Backend
+// faultyServer builds a server over st whose pipeline executes against ls:
+// st's batched surface (storeLive) with one method overridden to gate,
+// count, stall or poison.
+func faultyServer(t *testing.T, st *Store, ls pipeline.LiveStore, opts ServerOptions) *Server {
+	t.Helper()
+	srv, err := newServer(st, ls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
-func (p panicBackend) Get(key []byte) ([]byte, bool) {
-	if string(key) == "boom" {
-		panic("poisoned frame")
+// panicStore poisons one key to prove the pipeline contains a panic to its
+// frame: a batched read that includes it panics.
+type panicStore struct{ storeLive }
+
+func (p panicStore) poison(keys [][]byte) {
+	for _, key := range keys {
+		if string(key) == "boom" {
+			panic("poisoned frame")
+		}
 	}
-	return p.inner.Get(key)
 }
-func (p panicBackend) Set(key, value []byte) error { return p.inner.Set(key, value) }
-func (p panicBackend) Delete(key []byte) bool      { return p.inner.Delete(key) }
+
+func (p panicStore) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, hi []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	p.poison(keys)
+	return p.storeLive.ReadCandidatesBatch(keys, cands, lo, hi, vals, vlo, vhi)
+}
+
+func (p panicStore) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	p.poison(keys)
+	return p.storeLive.GetBatch(keys, vals, vlo, vhi)
+}
 
 func TestServeLoopSurvivesPanickedFrame(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	srv := NewServer(panicBackend{inner: st})
+	srv := faultyServer(t, st, panicStore{storeLive{st.inner}}, ServerOptions{})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 
@@ -113,9 +134,9 @@ func TestServeLoopSurvivesPanickedFrame(t *testing.T) {
 // below, and every acknowledged SET must have executed exactly once).
 func TestChaosRetryAbsorbsFaults(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-	cb := &countingBackend{inner: st}
+	cb := &countingStore{storeLive: storeLive{st.inner}}
 	var injector *faults.Conn
-	srv := NewServerOpts(cb, ServerOptions{
+	srv := faultyServer(t, st, cb, ServerOptions{
 		WrapConn: func(pc net.PacketConn) net.PacketConn {
 			injector = faults.Wrap(pc, faults.Symmetric(1234, faults.Profile{
 				Drop:    0.10,
@@ -182,7 +203,7 @@ func TestChaosRetryAbsorbsFaults(t *testing.T) {
 	// At-most-once: despite duplicated and retried frames, each distinct
 	// acknowledged SET ran exactly once.
 	if n := cb.setCount(); n != totalSets {
-		t.Fatalf("backend executed %d SETs for %d distinct acknowledged SETs", n, totalSets)
+		t.Fatalf("store executed %d SETs for %d distinct acknowledged SETs", n, totalSets)
 	}
 	fs := injector.Stats()
 	if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
@@ -300,10 +321,10 @@ func TestV1FrameDroppedAsMalformed(t *testing.T) {
 // requests stays bounded.
 func TestOverloadShedsWithBusy(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-	// Every store op stalls 5ms, so two in-flight frames saturate the
-	// server while requests arrive from eight clients at once.
-	slow := faults.WrapBackend(st, faults.BackendConfig{Seed: 5, StallRate: 1, Stall: 5 * time.Millisecond})
-	srv := NewServerOpts(slow, ServerOptions{MaxInFlight: 2})
+	// Every SET stalls 5ms, so two in-flight frames saturate the server
+	// while requests arrive from eight clients at once.
+	slow := stallStore{storeLive{st.inner}, 5 * time.Millisecond}
+	srv := faultyServer(t, st, slow, ServerOptions{MaxInFlight: 2})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 
@@ -379,22 +400,31 @@ func TestOverloadShedsWithBusy(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// countingBackend counts Set executions to prove at-most-once retries.
-type countingBackend struct {
-	inner Backend
-	sets  int
-	mu    sync.Mutex
+// stallStore sleeps before every Set, modeling a stalled allocator.
+type stallStore struct {
+	storeLive
+	stall time.Duration
 }
 
-func (b *countingBackend) Get(key []byte) ([]byte, bool) { return b.inner.Get(key) }
-func (b *countingBackend) Set(key, value []byte) error {
+func (b stallStore) Set(key, value []byte) error {
+	time.Sleep(b.stall)
+	return b.storeLive.Set(key, value)
+}
+
+// countingStore counts Set executions to prove at-most-once retries.
+type countingStore struct {
+	storeLive
+	sets int
+	mu   sync.Mutex
+}
+
+func (b *countingStore) Set(key, value []byte) error {
 	b.mu.Lock()
 	b.sets++
 	b.mu.Unlock()
-	return b.inner.Set(key, value)
+	return b.storeLive.Set(key, value)
 }
-func (b *countingBackend) Delete(key []byte) bool { return b.inner.Delete(key) }
-func (b *countingBackend) setCount() int {
+func (b *countingStore) setCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sets
@@ -405,8 +435,8 @@ func (b *countingBackend) setCount() int {
 // reply cache.
 func TestRetriedSetExecutesOnce(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	cb := &countingBackend{inner: st}
-	srv := NewServer(cb)
+	cb := &countingStore{storeLive: storeLive{st.inner}}
+	srv := faultyServer(t, st, cb, ServerOptions{})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 

@@ -122,7 +122,7 @@ func (s *Server) collectDurabilityMetrics(w *obs.MetricsWriter) {
 	w.Gauge("dido_snapshot_last_entries", "Entries in the newest snapshot.", float64(ds.Snapshots.LastEntries))
 	w.Gauge("dido_recovery_duration_seconds", "Startup recovery time (snapshot load + WAL replay).", ds.RecoveryDuration.Seconds())
 	w.Gauge("dido_recovery_wal_records", "WAL records replayed by startup recovery.", float64(ds.RecoveredWALRecords))
-	w.Gauge("dido_recovery_dropped_applies", "Recovered SETs the backend rejected at startup (non-zero = durable keys missing).", float64(ds.RecoveryDroppedApplies))
+	w.Gauge("dido_recovery_dropped_applies", "Recovered SETs the store rejected at startup (non-zero = durable keys missing).", float64(ds.RecoveryDroppedApplies))
 }
 
 // ServerConfigView is the admin /config payload: the serving configuration as
@@ -153,7 +153,8 @@ type DurabilityConfigView struct {
 	SyncIntervalMicros float64 `json:"sync_interval_micros,omitempty"`
 	// SnapshotIntervalSeconds is 0 when periodic snapshots are off.
 	SnapshotIntervalSeconds float64 `json:"snapshot_interval_seconds"`
-	// Snapshots reports whether the backend supports snapshotting (Range).
+	// Snapshots reports whether the tier snapshots the store; always true,
+	// since every server's store can be walked.
 	Snapshots bool `json:"snapshots"`
 }
 
@@ -194,7 +195,7 @@ func (s *Server) ConfigView() ServerConfigView {
 			Dir:                     s.dur.opts.Dir,
 			Sync:                    s.dur.opts.Sync.String(),
 			SnapshotIntervalSeconds: s.dur.opts.SnapshotInterval.Seconds(),
-			Snapshots:               s.dur.snap != nil,
+			Snapshots:               true,
 		}
 		if s.dur.opts.Sync == wal.SyncInterval {
 			iv := s.dur.opts.SyncInterval

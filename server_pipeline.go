@@ -44,8 +44,6 @@ type PipelineOptions struct {
 	// Adapt turns on online reconfiguration: per-batch measured profiles feed
 	// the workload profiler and cost model, and a new (config, batch size)
 	// pair is installed at batch boundaries when the workload shifts >10%.
-	// Requires the backend to be a *Store (the profiler reads its access
-	// counters); otherwise the static default config is used.
 	Adapt bool
 	// Provider overrides the config provider entirely (tests); when set,
 	// Adapt is ignored.
@@ -84,10 +82,11 @@ func (sl *liveSlot) reset() {
 	sl.walRecords, sl.walFailed = false, false
 }
 
-// initPipeline wires the live runner into s; called from every server
-// constructor. The runner's workers start here — a server must be Closed
-// even if Serve is never called.
-func (s *Server) initPipeline(po *PipelineOptions) {
+// initPipeline wires the live runner over ls into s; called from every
+// server constructor. Under Adapt the workload profiler reads st's access
+// counters. The runner's workers start here — a server must be Closed even
+// if Serve is never called.
+func (s *Server) initPipeline(po *PipelineOptions, st *Store, ls pipeline.LiveStore) {
 	interval := po.BatchInterval
 	if interval <= 0 {
 		interval = pipeline.DefaultLiveBatchInterval
@@ -96,11 +95,10 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 	if maxBatch <= 0 {
 		maxBatch = pipeline.DefaultLiveMaxBatch
 	}
-	ls, inner := newLiveStore(s.store)
 	pipe := &serverPipeline{}
 	provider := po.Provider
 	if provider == nil {
-		if po.Adapt && inner != nil {
+		if po.Adapt {
 			pl := costmodel.NewPlanner(apu.KaveriPlatform(), interval)
 			pl.MinBatch = pipeline.DefaultLiveMinBatch
 			pl.MaxBatch = maxBatch
@@ -122,7 +120,7 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 			pl.RVReaders = s.netQueues
 			sizer := &pipeline.BatchSizer{Interval: interval, Min: pl.MinBatch, Max: maxBatch}
 			sizer.Set(pipeline.DefaultInitialBatch)
-			pipe.ctrl = costmodel.NewController(pl, profiler.New(inner), pipeline.DefaultLiveConfig(), sizer)
+			pipe.ctrl = costmodel.NewController(pl, profiler.New(st.inner), pipeline.DefaultLiveConfig(), sizer)
 			pipe.ctrl.Trace = po.Trace
 			provider = pipe.ctrl
 		} else {
@@ -270,18 +268,9 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 	}
 }
 
-// newLiveStore adapts the server's Backend to the pipeline's batched store
-// surface. A real *Store exposes its shard-grouped batched search and fused
-// KC+RD directly (and its metrics for the adaptation profile); any other
-// backend — test fakes, the fault injector — is wrapped so every query still
-// flows through it, one key at a time, and SCANs answer StatusError.
-func newLiveStore(b Backend) (pipeline.LiveStore, *store.Store) {
-	if st, ok := b.(*Store); ok {
-		return storeLive{st.inner}, st.inner
-	}
-	return backendLive{b}, nil
-}
-
+// storeLive is the pipeline's batched surface over a *Store: the
+// shard-grouped batched search, the fused KC+RD, and the store's metrics for
+// the adaptation profile.
 type storeLive struct{ s *store.Store }
 
 func (l storeLive) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location {
@@ -303,11 +292,11 @@ func (l storeLive) Set(key, value []byte) error {
 
 func (l storeLive) Delete(key []byte) bool { return l.s.Delete(key) }
 
-// NewScanner satisfies pipeline.RangeScanner: one MVCC snapshot set per
-// batch, so every SCAN in the batch merges the same key-set version. The
-// typed-nil guard matters — a store without the ordered index returns a nil
-// *store.Scanner, which must surface as a nil interface so the runner
-// answers StatusError instead of calling through it.
+// NewScanner captures one MVCC snapshot set per batch, so every SCAN in the
+// batch merges the same key-set version. The typed-nil guard matters — a
+// store without the ordered index returns a nil *store.Scanner, which must
+// surface as a nil interface so the runner answers StatusError instead of
+// calling through it.
 func (l storeLive) NewScanner() pipeline.LiveScanner {
 	if sc := l.s.NewScanner(); sc != nil {
 		return sc
@@ -319,42 +308,6 @@ func (l storeLive) LiveMetrics() (liveObjects, evictions uint64, avgInsertBucket
 	st := l.s.StatsSnapshot()
 	return uint64(st.LiveObjects), st.Evictions, st.AvgInsertBucketsProbed
 }
-
-type backendLive struct{ b Backend }
-
-// SearchBatch records empty candidate spans: a wrapped backend has no index
-// to probe, so every key resolves in the read stage.
-func (l backendLive) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location {
-	for i := range keys {
-		lo[i], hi[i] = int32(len(dst)), int32(len(dst))
-	}
-	return dst
-}
-
-func (l backendLive) ReadCandidatesBatch(keys [][]byte, _ []cuckoo.Location, _, _ []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
-	return l.GetBatch(keys, vals, vlo, vhi)
-}
-
-// GetBatch looks the keys up one at a time through the wrapped backend.
-func (l backendLive) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
-	hits := 0
-	for i, key := range keys {
-		v, ok := l.b.Get(key)
-		if !ok {
-			vlo[i], vhi[i] = -1, -1
-			continue
-		}
-		mark := len(vals)
-		vals = append(vals, v...)
-		vlo[i], vhi[i] = int32(mark), int32(len(vals))
-		hits++
-	}
-	return vals, hits
-}
-
-func (l backendLive) Set(key, value []byte) error { return l.b.Set(key, value) }
-
-func (l backendLive) Delete(key []byte) bool { return l.b.Delete(key) }
 
 // LivePipelineStats re-exports the live runner's counter snapshot.
 type LivePipelineStats = pipeline.LiveStats

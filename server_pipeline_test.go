@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/frontend"
+	"repro/internal/pipeline"
 	"repro/internal/proto"
 )
 
@@ -35,21 +36,22 @@ func forEachBatchShape(t *testing.T, fn func(t *testing.T, po *PipelineOptions))
 	}
 }
 
-// pipelinedServer builds a server with explicit pipeline options — a batch
-// interval short enough for request/response tests — where the default
-// server tests leave ServerOptions.Pipeline nil.
-func pipelinedServer(b Backend, opts ServerOptions) *Server {
+// pipelinedServer builds a server over st, executing against ls, with
+// explicit pipeline options — a batch interval short enough for
+// request/response tests — where the default server tests leave
+// ServerOptions.Pipeline nil.
+func pipelinedServer(t *testing.T, st *Store, ls pipeline.LiveStore, opts ServerOptions) *Server {
 	if opts.Pipeline == nil {
 		opts.Pipeline = &PipelineOptions{BatchInterval: 200 * time.Microsecond}
 	}
-	return NewServerOpts(b, opts)
+	return faultyServer(t, st, ls, opts)
 }
 
 // TestPipelinedServeBasic drives mixed operations through a server with
 // explicit pipeline options against a real store.
 func TestPipelinedServeBasic(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-	srv := pipelinedServer(st, ServerOptions{})
+	srv := pipelinedServer(t, st, storeLive{st.inner}, ServerOptions{})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 
@@ -109,12 +111,12 @@ func TestPipelinedServeBasic(t *testing.T) {
 // dropped, not re-executed.
 func TestPipelinedDupWhileInFlight(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	gb := &gatedBackend{
-		inner:   st,
-		entered: make(chan struct{}, 8),
-		release: make(chan struct{}),
+	gb := &gatedStore{
+		storeLive: storeLive{st.inner},
+		entered:   make(chan struct{}, 8),
+		release:   make(chan struct{}),
 	}
-	srv := pipelinedServer(gb, ServerOptions{})
+	srv := pipelinedServer(t, st, gb, ServerOptions{})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 
@@ -135,7 +137,7 @@ func TestPipelinedDupWhileInFlight(t *testing.T) {
 	select {
 	case <-gb.entered:
 	case <-time.After(2 * time.Second):
-		t.Fatal("original SET never reached the backend through the pipeline")
+		t.Fatal("original SET never reached the store through the pipeline")
 	}
 
 	if _, err := conn.Write(frame); err != nil {
@@ -190,9 +192,9 @@ func TestPipelinedDupWhileInFlight(t *testing.T) {
 // once and every GET returns the value written.
 func TestPipelinedChaosAtMostOnce(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-	cb := &countingBackend{inner: st}
+	cb := &countingStore{storeLive: storeLive{st.inner}}
 	var injector *faults.Conn
-	srv := pipelinedServer(cb, ServerOptions{
+	srv := pipelinedServer(t, st, cb, ServerOptions{
 		WrapConn: func(pc net.PacketConn) net.PacketConn {
 			injector = faults.Wrap(pc, faults.Symmetric(42, faults.Profile{
 				Drop:    0.10,
@@ -258,7 +260,7 @@ func TestPipelinedChaosAtMostOnce(t *testing.T) {
 	// The at-most-once acceptance: despite duplicated and retried frames,
 	// each distinct acknowledged SET ran exactly once.
 	if n := cb.setCount(); n != totalSets {
-		t.Fatalf("backend executed %d SETs for %d distinct acknowledged SETs", n, totalSets)
+		t.Fatalf("store executed %d SETs for %d distinct acknowledged SETs", n, totalSets)
 	}
 	fs := injector.Stats()
 	if fs.Dropped == 0 || fs.Duplicated == 0 {
@@ -278,8 +280,8 @@ func TestPipelinedChaosAtMostOnce(t *testing.T) {
 // with explicit pipeline options (tokens are held from admission to SD).
 func TestPipelinedOverloadSheds(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-	slow := faults.WrapBackend(st, faults.BackendConfig{Seed: 5, StallRate: 1, Stall: 5 * time.Millisecond})
-	srv := pipelinedServer(slow, ServerOptions{MaxInFlight: 2})
+	slow := stallStore{storeLive{st.inner}, 5 * time.Millisecond}
+	srv := pipelinedServer(t, st, slow, ServerOptions{MaxInFlight: 2})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 
@@ -342,8 +344,8 @@ func TestPipelinedOverloadSheds(t *testing.T) {
 // re-admitted.
 func TestPipelinedPanicAllowsRetry(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	pb := &panicOnceBackend{inner: st}
-	srv := pipelinedServer(pb, ServerOptions{})
+	pb := &panicOnceStore{storeLive: storeLive{st.inner}}
+	srv := pipelinedServer(t, st, pb, ServerOptions{})
 	addr, errc := startServer(t, srv)
 	defer srv.Close()
 

@@ -97,9 +97,9 @@ func dialSpread(t *testing.T, srv *Server, addr string, n int, opts func(i int) 
 func TestMultiQueueChaosEquivalence(t *testing.T) {
 	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
 		st := NewStore(StoreConfig{MemoryBytes: 16 << 20})
-		cb := &countingBackend{inner: st}
+		cb := &countingStore{storeLive: storeLive{st.inner}}
 		qi := &queueInjectors{}
-		srv := NewServerOpts(cb, ServerOptions{
+		srv := faultyServer(t, st, cb, ServerOptions{
 			NetQueues: 4,
 			Pipeline:  po,
 			WrapConn: qi.wrap(faults.Profile{
@@ -184,9 +184,9 @@ func TestMultiQueueChaosEquivalence(t *testing.T) {
 
 		// At-most-once across queues: duplicated datagrams and retried
 		// frames may arrive on any queue, yet each unique SET executed
-		// exactly once against the backend.
+		// exactly once against the store.
 		if got, want := int64(cb.setCount()), totalSets.Load(); got != want {
-			t.Fatalf("backend executed %d SETs for %d unique requests — dedupe broke across queues", got, want)
+			t.Fatalf("store executed %d SETs for %d unique requests — dedupe broke across queues", got, want)
 		}
 
 		fs := qi.stats()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cuckoo"
 	"repro/internal/faults"
 	"repro/internal/frontend"
 )
@@ -328,27 +329,29 @@ func TestServeRESPMaxConns(t *testing.T) {
 	waitServe(t, errc)
 }
 
-// slowBackend delays GETs so a frame stays in flight long enough to pile a
-// second one onto the same connection. Deliberately not embedding *Store:
-// promotion would expose GetInto and bypass the delay.
-type slowBackend struct {
-	st    *Store
+// slowReadStore delays every batched read so a frame stays in flight long
+// enough to pile a second one onto the same connection.
+type slowReadStore struct {
+	storeLive
 	delay time.Duration
 }
 
-func (b *slowBackend) Get(key []byte) ([]byte, bool) {
+func (b slowReadStore) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, hi []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
 	time.Sleep(b.delay)
-	return b.st.Get(key)
+	return b.storeLive.ReadCandidatesBatch(keys, cands, lo, hi, vals, vlo, vhi)
 }
-func (b *slowBackend) Set(key, value []byte) error { return b.st.Set(key, value) }
-func (b *slowBackend) Delete(key []byte) bool      { return b.st.Delete(key) }
+
+func (b slowReadStore) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, int) {
+	time.Sleep(b.delay)
+	return b.storeLive.GetBatch(keys, vals, vlo, vhi)
+}
 
 // TestServeRESPPerConnInFlight pins the per-connection frame cap: a second
 // frame submitted while the first is executing is shed in-band with -BUSY and
 // the connection stays usable.
 func TestServeRESPPerConnInFlight(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	srv := NewServerOpts(&slowBackend{st: st, delay: 300 * time.Millisecond}, ServerOptions{RESPConnInFlight: 1})
+	srv := faultyServer(t, st, slowReadStore{storeLive{st.inner}, 300 * time.Millisecond}, ServerOptions{RESPConnInFlight: 1})
 	addr, errc := startRESP(t, srv)
 	defer srv.Close()
 
@@ -360,7 +363,7 @@ func TestServeRESPPerConnInFlight(t *testing.T) {
 	if _, err := nc.Write([]byte("GET slow\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	// Let the first frame reach the backend, then submit a second one.
+	// Let the first frame reach the store, then submit a second one.
 	time.Sleep(100 * time.Millisecond)
 	if _, err := nc.Write([]byte("GET slow\r\n")); err != nil {
 		t.Fatal(err)
