@@ -9,13 +9,21 @@ package cuckoo
 // dependent cache misses — SearchBatch sweeps the whole batch in waves:
 //
 //	wave 1: split every key's hash into (bucket, signature)
+//	touch:  load one word of every key's primary and alternate bucket line
 //	wave 2: scan every key's primary bucket
 //	wave 3: scan every key's alternate bucket
 //
-// Within a wave the iterations carry no data dependencies, so an
-// out-of-order core keeps many independent bucket-line misses in flight at
-// once (the batched-probe design of the coupled-architecture hash-join
-// literature). Output uses a fixed stride per key — the flat, GPU-friendly
+// The scan waves alone do not overlap their misses. Each slot test branches
+// on the word just loaded (empty? signature match?), and a cold bucket's
+// branches cannot resolve until its line arrives; when one mispredicts, the
+// core squashes every later key's load it had started past it, so the sweep
+// pays about one DRAM round trip per key, like the scalar probe. The touch
+// wave is the fix: it loads one word per home-bucket line and branches on
+// none of them (the words are summed into the scratch), so nothing is
+// squashed and the whole batch's line fetches are in flight at once. The
+// scan waves that follow then mispredict on cached lines, which is cheap.
+// This is the batched-probe design of the coupled-architecture hash-join
+// literature. Output uses a fixed stride per key — the flat, GPU-friendly
 // result layout — so no per-key compaction serializes the waves.
 //
 // Concurrency: each slot is still read with a single atomic load, exactly
@@ -32,6 +40,9 @@ package cuckoo
 type SearchScratch struct {
 	b1, b2 []uint64
 	sig    []uint16
+	// sink takes the touch wave's loads, so they have a use and write
+	// nothing shared.
+	sink uint64
 }
 
 // grow sizes the wave arrays for n keys.
@@ -47,7 +58,7 @@ func (sc *SearchScratch) grow(n int) {
 }
 
 // SearchBatch probes the table for len(hashes) precomputed key hashes (see
-// Hash) in three software-pipelined waves. Key i's candidate locations are
+// Hash) in software-pipelined waves. Key i's candidate locations are
 // written to cands[i*MaxCandidates : i*MaxCandidates+counts[i]] — candidate
 // order per key matches SearchBufHash exactly (primary bucket slots in
 // order, then alternate bucket slots). cands must have length ≥
@@ -64,17 +75,23 @@ func (t *Table) SearchBatch(hashes []uint64, sc *SearchScratch, cands []Location
 	sc.grow(n)
 	b1, b2, sigs := sc.b1, sc.b2, sc.sig
 	// Wave 1 — hash split: pure arithmetic, no memory traffic. Materializing
-	// every key's home buckets up front is what lets the scan waves issue
+	// every key's home buckets up front is what lets the touch wave make
 	// only independent loads.
 	for i, h := range hashes {
 		b, sig := t.split(h)
 		b1[i], sigs[i] = b, sig
 		b2[i] = t.altBucket(b, sig)
 	}
+	// Touch wave: one atomic load per home-bucket line, with no branch on
+	// what it loads, so every key's fetches are in flight together.
+	var sink uint64
+	for i := 0; i < n; i++ {
+		sink += t.buckets[b1[i]].slots[0].Load() + t.buckets[b2[i]].slots[0].Load()
+	}
+	sc.sink = sink
 	probed = n
-	// Wave 2 — primary buckets. Each iteration touches one 64-byte bucket
-	// line chosen by an already-computed index; misses from different keys
-	// overlap in the core's load buffers instead of serializing.
+	// Wave 2 — primary buckets, now mostly cached: a slot test that
+	// mispredicts costs a pipeline refill, not a DRAM round trip.
 	for i := 0; i < n; i++ {
 		counts[i] = int32(t.scanBucketStride(b1[i], sigs[i], cands, i*MaxCandidates, 0))
 	}

@@ -153,3 +153,41 @@ func BenchmarkReadIfMatch(b *testing.B) {
 		dst = out[:0]
 	}
 }
+
+// TestPrefetchBadHandles: Prefetch resolves its handle through the same
+// bounds-checked snapshot as ReadIfMatch, so no handle a stale or garbage
+// candidate can carry makes it panic, and it changes nothing it loads.
+func TestPrefetchBadHandles(t *testing.T) {
+	a := NewAllocator(DefaultConfig(4 << 20))
+	h, _, err := a.Alloc([]byte("alpha"), []byte("one"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, _, err := a.Alloc([]byte("big"), bytes.Repeat([]byte{7}, 4000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed, _, err := a.Alloc([]byte("gone"), []byte("x"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Free(freed)
+	for name, bad := range map[string]Handle{
+		"NoHandle":           NoHandle,
+		"class out of range": makeHandle(a.Classes(), 0),
+		"beyond the arena":   makeHandle(0, indexMask),
+	} {
+		if got := a.Prefetch(bad); got != 0 {
+			t.Errorf("Prefetch(%s) = %d, want 0", name, got)
+		}
+	}
+	for _, live := range []Handle{h, big, freed} {
+		a.Prefetch(live)
+	}
+	if v, ok := a.ReadIfMatch(h, []byte("alpha"), nil); !ok || string(v) != "one" {
+		t.Fatalf("ReadIfMatch after Prefetch = %q/%v", v, ok)
+	}
+	if _, ok := a.ReadIfMatch(freed, []byte("gone"), nil); ok {
+		t.Fatal("a freed chunk verified after Prefetch")
+	}
+}

@@ -162,7 +162,8 @@ type class struct {
 
 // Allocator is a slab allocator with per-class CLOCK eviction. Alloc and Free
 // take a per-class lock; reads (Object, ReadInto, MatchKey, ReadIfMatch,
-// AccessCount) are lock-free seqlock copies and Touch is one lock-free CAS.
+// AccessCount) are lock-free seqlock copies, Touch is one lock-free CAS and
+// Prefetch is plain loads.
 // It is safe for concurrent use.
 type Allocator struct {
 	cfg     Config
@@ -559,6 +560,32 @@ func (a *Allocator) ReadIfMatch(h Handle, key, dst []byte) ([]byte, bool) {
 			return dst, true
 		}
 	}
+}
+
+// prefetchLines caps how many of a chunk's cache lines Prefetch loads: the
+// header, key and value of a small object, not the whole of a large chunk.
+const prefetchLines = 4
+
+// Prefetch loads one word from each 64-byte line of h's chunk, up to
+// prefetchLines lines, and returns their sum. It resolves h through the same
+// snapshot ReadIfMatch uses, so a handle that is NoHandle, malformed, beyond
+// the arena or freed is safe (it returns 0, or loads a dead chunk's words).
+// It validates nothing and branches on none of the words it loads: a batch
+// that prefetches every key's chunk before verifying any keeps all their
+// misses in flight at once. The caller discards the sum (it only gives the
+// loads a use).
+func (a *Allocator) Prefetch(h Handle) uint64 {
+	_, w, ok := a.snapshot(h)
+	if !ok {
+		return 0
+	}
+	n := min(len(w), prefetchLines*8)
+	var sum uint64
+	for i := 0; i < n; i += 8 {
+		sum += w[i].Load()
+	}
+	// The last word covers a tail line when the chunk does not start on one.
+	return sum + w[n-1].Load()
 }
 
 // Touch marks h as accessed at sampling timestamp now: it sets the object's

@@ -11,8 +11,16 @@ package store
 //	group:  counting-sort the key indices by shard — each shard's keys
 //	        become one contiguous sub-batch
 //	per shard:
-//	  wave 1-3: cuckoo.SearchBatch (split / primary / alternate waves)
-//	  verify:   fused KC+RD — seqlock-verify candidates and copy values
+//	  waves:  cuckoo.SearchBatch (split / touch / primary / alternate)
+//	  touch:  load every key's first candidate chunk (slab Prefetch)
+//	  verify: fused KC+RD — seqlock-verify candidates and copy values
+//
+// The touch before the verify does for the slab what cuckoo.SearchBatch's
+// touch wave does for the buckets: the verify branches on every word it
+// loads (seqlock, lengths, key), so on cold chunks it would pay one DRAM
+// round trip per key; the touch loads each chunk's lines with no branch on
+// them first, so the batch's chunk misses overlap and the verify reads cache.
+// It changes no check: every seqlock and version test runs as before.
 //
 // Shard grouping matters twice: the sub-batch walks one table's buckets
 // (better locality, no shard pointer chasing inside the wave), and the
@@ -44,6 +52,7 @@ type batchScratch struct {
 	cands  []cuckoo.Location // fixed-stride candidate arena (MaxCandidates per key)
 	start  [MaxShards + 1]int32
 	sc     cuckoo.SearchScratch
+	sink   uint64 // takes the chunk touch's loads (see Allocator.Prefetch)
 }
 
 // identity fills idx with 0..n-1 (every key of the batch) and returns it.
@@ -78,15 +87,25 @@ func (sc *batchScratch) grow(n int) {
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// hashAll is wave 0: hash every key once (the same hash the shard's table
-// reuses for bucket index and signature) and route it to its shard.
-func (s *Store) hashAll(keys [][]byte, sc *batchScratch) {
+// hashKeys is wave 0: hash the keys idxs names once (the same hash the
+// shard's table reuses for bucket index and signature) and route each to
+// its shard.
+func (s *Store) hashKeys(keys [][]byte, idxs []int32, sc *batchScratch) {
 	mask := s.shardMask
-	for i, k := range keys {
-		hv := cuckoo.Hash(k, s.seed)
+	for _, i := range idxs {
+		hv := cuckoo.Hash(keys[i], s.seed)
 		sc.hv[i] = hv
 		sc.si[i] = uint8((hv >> routeShift) & mask)
 	}
+}
+
+// shardOf returns the shard loc names, or nil when loc's shard id is out of
+// range (not a location of this store).
+func (s *Store) shardOf(loc cuckoo.Location) *shard {
+	if si := shardOfLoc(loc); si < len(s.shards) {
+		return s.shards[si]
+	}
+	return nil
 }
 
 // groupByShard counting-sorts the key indices in idxs into sc.order so each
@@ -128,8 +147,9 @@ func (s *Store) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32
 	}
 	sc := scratchPool.Get().(*batchScratch)
 	sc.grow(n)
-	s.hashAll(keys, sc)
-	s.groupByShard(sc.identity(n), sc)
+	all := sc.identity(n)
+	s.hashKeys(keys, all, sc)
+	s.groupByShard(all, sc)
 	for si := range s.shards {
 		glo, ghi := sc.start[si], sc.start[si+1]
 		if glo == ghi {
@@ -152,14 +172,14 @@ func (s *Store) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32
 
 // sweepShard runs the authoritative wide search + fused KC+RD verify for one
 // shard's grouped keys (positions glo..ghi of sc.order): one Version() read,
-// the three search waves, then a verify wave that seqlock-reads each key's
-// candidates into vals. Keys that miss every candidate are genuine misses if
-// the shard's index version did not move during the sweep — one amortized
-// check for the whole sub-batch; otherwise only they retry through the
-// scalar version-validated lookup. Hit values are appended to vals with
-// spans in vlo/vhi; vlo[i] = -1 marks a miss. Returns the grown vals and the
-// shard's hit count. Counters: hits/misses are maintained here (the caller
-// counts gets).
+// the search waves, a touch of each key's first candidate chunk, then a
+// verify wave that seqlock-reads each key's candidates into vals. Keys that
+// miss every candidate are genuine misses if the shard's index version did
+// not move during the sweep — one amortized check for the whole sub-batch;
+// otherwise only they retry through the scalar version-validated lookup.
+// Hit values are appended to vals with spans in vlo/vhi; vlo[i] = -1 marks a
+// miss. Returns the grown vals and the shard's hit count. Counters:
+// hits/misses are maintained here (the caller counts gets).
 func (s *Store) sweepShard(si int, glo, ghi int32, keys [][]byte, sc *batchScratch, vals []byte, vlo, vhi []int32) ([]byte, int) {
 	m := int(ghi - glo)
 	if m == 0 {
@@ -172,6 +192,14 @@ func (s *Store) sweepShard(si int, glo, ghi int32, keys [][]byte, sc *batchScrat
 	sh.idx.SearchBatch(sc.subH[glo:ghi], &sc.sc,
 		sc.cands[int(glo)*cuckoo.MaxCandidates:int(ghi)*cuckoo.MaxCandidates],
 		sc.counts[glo:ghi])
+	// Touch each key's first candidate chunk before verifying any.
+	var sink uint64
+	for j := glo; j < ghi; j++ {
+		if sc.counts[j] > 0 {
+			sink += sh.alloc.Prefetch(handleOf(sc.cands[int(j)*cuckoo.MaxCandidates]))
+		}
+	}
+	sc.sink = sink
 	nmiss := 0
 	for j := 0; j < m; j++ {
 		i := sc.order[int(glo)+j]
@@ -237,9 +265,10 @@ func (s *Store) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, 
 	s.gets.Add(uint64(n))
 	sc := scratchPool.Get().(*batchScratch)
 	sc.grow(n)
-	s.hashAll(keys, sc)
+	all := sc.identity(n)
+	s.hashKeys(keys, all, sc)
 	hits := 0
-	s.groupByShard(sc.identity(n), sc)
+	s.groupByShard(all, sc)
 	for si := range s.shards {
 		var h int
 		vals, h = s.sweepShard(si, sc.start[si], sc.start[si+1], keys, sc, vals, vlo, vhi)
@@ -255,11 +284,16 @@ func (s *Store) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([]byte, 
 // vals with spans in vlo/vhi (vlo[i] = -1 marks a miss); it returns the
 // grown vals and the hit count.
 //
+// Each candidate is verified in the shard its location names (bits 44..47),
+// so the keys are not hashed again here; a location whose shard id is out
+// of range is skipped, and one from another shard fails the key compare,
+// since a key only ever lives in its own shard.
+//
 // Like the scalar ReadCandidates, stale candidates must not manufacture a
-// miss: every key whose candidates all fail verification is re-resolved
-// through the authoritative wide sweep (fresh search + verify under an
-// amortized version check), which also covers keys with no candidates at
-// all.
+// miss: every key whose candidates all fail verification is hashed and
+// re-resolved through the authoritative wide sweep (fresh search + verify
+// under an amortized version check), which also covers keys with no
+// candidates at all.
 func (s *Store) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, hi []int32, vals []byte, vlo, vhi []int32) ([]byte, int) {
 	n := len(keys)
 	if n == 0 {
@@ -268,18 +302,28 @@ func (s *Store) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, 
 	s.gets.Add(uint64(n))
 	sc := scratchPool.Get().(*batchScratch)
 	sc.grow(n)
-	s.hashAll(keys, sc)
 	stamp := s.stamp.Load()
+	// Touch each key's first candidate chunk before verifying any (see the
+	// file comment).
+	var sink uint64
+	for i := 0; i < n; i++ {
+		if lo[i] == hi[i] {
+			continue
+		}
+		if sh := s.shardOf(cands[lo[i]]); sh != nil {
+			sink += sh.alloc.Prefetch(handleOf(cands[lo[i]]))
+		}
+	}
+	sc.sink = sink
 	hits := 0
 	stale := 0
 	for i := 0; i < n; i++ {
-		si := int(sc.si[i])
-		sh := s.shards[si]
 		mark := int32(len(vals))
 		hit := false
 		for _, loc := range cands[lo[i]:hi[i]] {
-			if shardOfLoc(loc) != si {
-				continue // foreign-shard candidate: cannot be key i's object
+			sh := s.shardOf(loc)
+			if sh == nil {
+				continue
 			}
 			h := handleOf(loc)
 			if out, ok := sh.alloc.ReadIfMatch(h, keys[i], vals); ok {
@@ -298,8 +342,9 @@ func (s *Store) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, 
 	}
 	s.hits.Add(uint64(hits))
 	if stale > 0 {
-		// Re-resolve the candidate-stale keys wide: group the subset by
-		// shard and run the authoritative sweep over it.
+		// Re-resolve the candidate-stale keys wide: hash the subset, group
+		// it by shard and run the authoritative sweep over it.
+		s.hashKeys(keys, sc.idx[:stale], sc)
 		s.groupByShard(sc.idx[:stale], sc)
 		for si := range s.shards {
 			var h int

@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
+	"repro/internal/cuckoo"
 	"repro/internal/zipf"
 )
 
@@ -109,4 +112,70 @@ func BenchmarkSearchBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReadBatchUniform prices the batched read at the serving shape of
+// the RESP GET workload with the server's defaults: 1 Mi K8/V8 keys in a
+// 256 MiB one-shard store, uniform keys, batches of 256 GETs whose keys are
+// sub-slices of one frame-like buffer (as the front end parses them), so the
+// harness itself adds no cold key headers. "staged" is what the default plan
+// runs (SearchBatch, then ReadCandidatesBatch on the candidates); "fused" is
+// GetBatch. ns/op is per GET.
+func BenchmarkReadBatchUniform(b *testing.B) {
+	const (
+		pop   = 1 << 20
+		batch = 256
+		kw    = 8
+	)
+	s := New(Config{MemoryBytes: 256 << 20, Seed: 1})
+	var key [kw]byte
+	for i := 0; i < pop; i++ {
+		binary.LittleEndian.PutUint64(key[:], uint64(i))
+		if _, _, err := s.Set(key[:], key[:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame := make([]byte, batch*kw)
+	keys := make([][]byte, batch)
+	for i := range keys {
+		keys[i] = frame[i*kw : (i+1)*kw : (i+1)*kw]
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	fill := func() {
+		for i := range keys {
+			binary.LittleEndian.PutUint64(keys[i], rng.Uint64N(pop))
+		}
+	}
+	vlo, vhi := make([]int32, batch), make([]int32, batch)
+	vals := make([]byte, 0, batch*kw)
+	// measure runs read once untimed, so the scratch pool and the arenas are
+	// warm and even a -benchtime=8x smoke reports steady-state allocations,
+	// then once per batch of b.N GETs.
+	measure := func(b *testing.B, read func() int) {
+		fill()
+		read()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += batch {
+			fill()
+			if hits := read(); hits != batch {
+				b.Fatalf("hits = %d, want %d", hits, batch)
+			}
+		}
+	}
+	b.Run("staged", func(b *testing.B) {
+		lo, hi := make([]int32, batch), make([]int32, batch)
+		cands := make([]cuckoo.Location, 0, batch*cuckoo.MaxCandidates)
+		measure(b, func() (hits int) {
+			cands = s.SearchBatch(keys, cands[:0], lo, hi)
+			vals, hits = s.ReadCandidatesBatch(keys, cands, lo, hi, vals[:0], vlo, vhi)
+			return hits
+		})
+	})
+	b.Run("fused", func(b *testing.B) {
+		measure(b, func() (hits int) {
+			vals, hits = s.GetBatch(keys, vals[:0], vlo, vhi)
+			return hits
+		})
+	})
 }

@@ -145,8 +145,8 @@ func TestReadCandidatesBatchEmptyFallsBack(t *testing.T) {
 }
 
 // TestReadCandidatesBatchForeignShardSkipped: candidates carrying another
-// shard's id must be skipped (they cannot be this key's object), with the
-// fallback still resolving the right value.
+// shard's id cannot verify as this key's object, and the fallback still
+// resolves the right value.
 func TestReadCandidatesBatchForeignShardSkipped(t *testing.T) {
 	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 4096, Seed: 3, Shards: 4})
 	if _, _, err := s.Set([]byte("alpha"), []byte("one")); err != nil {
@@ -165,6 +165,78 @@ func TestReadCandidatesBatchForeignShardSkipped(t *testing.T) {
 	vals, hits := s.ReadCandidatesBatch(keys, wrong, lo, hi, nil, vlo, vhi)
 	if hits != 1 || string(vals[vlo[0]:vhi[0]]) != "one" {
 		t.Fatalf("alpha with foreign cands = %q hits=%d, want one/1", vals[vlo[0]:vhi[0]], hits)
+	}
+}
+
+// TestReadCandidatesBatchRoutesByLocation: ReadCandidatesBatch verifies each
+// candidate in the shard its location names. Whatever the candidates — a
+// shard id out of range, a live object of another shard, none at all, or
+// the key's own — every key must read exactly what GetBatch reads for it.
+func TestReadCandidatesBatchRoutesByLocation(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		s := newWideStore(shards)
+		for i := 0; i < 3000; i++ {
+			if _, _, err := s.Set(wideKey(i), []byte(fmt.Sprintf("val-%06d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const n = 200
+		keys := make([][]byte, n)
+		for i := range keys {
+			keys[i] = wideKey((i * 37) % 4000) // hits and misses
+		}
+		// other returns a present key's candidates from a shard other than
+		// key's (the same shard when there is only one).
+		other := func(key []byte) []cuckoo.Location {
+			si, _, _ := s.shardFor(key)
+			for j := 0; ; j++ {
+				k := wideKey(j)
+				if sj, _, _ := s.shardFor(k); sj != si || shards == 1 {
+					if string(k) != string(key) {
+						return s.IndexSearch(k, nil)
+					}
+				}
+			}
+		}
+		var cands []cuckoo.Location
+		lo, hi := make([]int32, n), make([]int32, n)
+		for i, k := range keys {
+			own := s.IndexSearch(k, nil)
+			lo[i] = int32(len(cands))
+			switch i % 4 {
+			case 0:
+				cands = append(cands, own...)
+			case 1: // shard ids out of range, then the key's own
+				for _, si := range []uint64{uint64(shards), MaxShards - 1, 1 << 19} {
+					if si >= uint64(shards) {
+						cands = append(cands, cuckoo.Location(si<<shardShift|1))
+					}
+				}
+				for _, loc := range own {
+					cands = append(cands, cuckoo.Location(uint64(shards)<<shardShift|uint64(handleOf(loc))))
+				}
+				cands = append(cands, own...)
+			case 2: // another shard's live object, then nothing of its own
+				cands = append(cands, other(k)...)
+			case 3: // no candidates
+			}
+			hi[i] = int32(len(cands))
+		}
+		vlo, vhi := make([]int32, n), make([]int32, n)
+		vals, hits := s.ReadCandidatesBatch(keys, cands, lo, hi, nil, vlo, vhi)
+		wlo, whi := make([]int32, n), make([]int32, n)
+		want, wantHits := s.GetBatch(keys, nil, wlo, whi)
+		if hits != wantHits {
+			t.Fatalf("shards=%d: hits = %d, GetBatch hits = %d", shards, hits, wantHits)
+		}
+		for i := range keys {
+			if (vlo[i] < 0) != (wlo[i] < 0) {
+				t.Fatalf("shards=%d key %d (case %d): vlo = %d, GetBatch vlo = %d", shards, i, i%4, vlo[i], wlo[i])
+			}
+			if vlo[i] >= 0 && string(vals[vlo[i]:vhi[i]]) != string(want[wlo[i]:whi[i]]) {
+				t.Fatalf("shards=%d key %d (case %d): %q, GetBatch %q", shards, i, i%4, vals[vlo[i]:vhi[i]], want[wlo[i]:whi[i]])
+			}
+		}
 	}
 }
 

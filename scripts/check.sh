@@ -168,11 +168,12 @@ echo "== benchmark smoke =="
 go test -run='^$' -bench=. -benchtime=1x ./internal/store ./internal/slab ./internal/cuckoo ./internal/ordered
 
 # Batched-search bench smoke: a short real run (not 1x) of the batched-vs-
-# scalar comparison, proving the batched path executes end-to-end at every
-# batch size from 1 up and stays allocation-free (the -benchtime=8x run is long enough for
-# the alloc columns to be meaningful, short enough for CI).
+# scalar comparison and of the serving-shape batched read (staged and
+# fused), proving the batched path executes end-to-end at every batch size
+# from 1 up and stays allocation-free (the -benchtime=8x run is long enough
+# for the alloc columns to be meaningful, short enough for CI).
 echo "== batched-search bench smoke =="
-go test -run='^$' -bench='BenchmarkSearchBatch' -benchtime=8x ./internal/store
+go test -run='^$' -bench='BenchmarkSearchBatch|BenchmarkReadBatchUniform' -benchtime=8x ./internal/store
 
 # End-to-end smoke of the real binaries: a dido-server with -adapt and the
 # admin endpoint serving a short dido-loadgen run must finish with zero
