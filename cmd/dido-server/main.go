@@ -67,7 +67,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:11311", "UDP listen address (binary batched protocol)")
 	respAddr := flag.String("resp", "", "optional TCP listen address for the RESP2 (Redis) protocol")
 	mem := flag.Int64("mem", 256<<20, "key-value arena bytes")
-	shards := flag.Int("shards", 0, "store shards (power of two, 0 = 1; divides the arena budget)")
 	statsEvery := flag.Duration("stats-interval", 10*time.Second, "stats print interval (0 disables)")
 	maxInflight := flag.Int("max-inflight", dido.DefaultMaxInFlight, "frames processed concurrently before shedding with StatusBusy")
 	replyCache := flag.Int("reply-cache", dido.DefaultReplyCacheSize, "retried-request reply cache entries (negative disables)")
@@ -77,7 +76,7 @@ func main() {
 
 	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "max wait before a partial batch executes")
 	adapt := flag.Bool("adapt", false, "online pipeline reconfiguration from measured per-batch profiles")
-	ordered := flag.Bool("ordered", true, "keep the ordered index beside the cuckoo table (enables SCAN; while a shard's index is maintained a write costs one in-place B-tree descent; a shard that takes 2x its live keys + 64Ki writes with no SCAN drops its index and the next SCAN rebuilds it)")
+	ordered := flag.Bool("ordered", true, "keep the ordered index beside the cuckoo table (enables SCAN; while the index is maintained a write costs one in-place B-tree descent; a store that takes 2x its live keys + 64Ki writes with no SCAN drops its index and the next SCAN rebuilds it)")
 
 	adminAddr := flag.String("admin", "", "HTTP observability address, e.g. :9090 (/metrics, /config, /trace, /slowlog, /debug/pprof; empty disables)")
 	slowQuery := flag.Duration("slow-query", 0, "record frames slower than this (0 disables the slow-query log)")
@@ -107,7 +106,7 @@ func main() {
 	faultConnShort := flag.Float64("fault-conn-short", 0, "inject: stream short-read (torn command) rate [0,1]")
 	flag.Parse()
 
-	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Shards: *shards, Ordered: *ordered})
+	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Ordered: *ordered})
 	opts := dido.ServerOptions{
 		MaxInFlight:      *maxInflight,
 		ReplyCacheSize:   *replyCache,

@@ -124,9 +124,7 @@ func (t *Table) hash(key []byte) (uint64, uint16) {
 }
 
 // split derives the bucket index (low bits) and signature (top 16 bits) from
-// a precomputed Hash(key, seed). Bits between the two are unused, so callers
-// may route on them (the sharded store uses bits 40..43) without correlating
-// with bucket placement.
+// a precomputed Hash(key, seed).
 func (t *Table) split(h uint64) (uint64, uint16) {
 	sig := uint16(h >> 48)
 	if sig == 0 {
@@ -165,8 +163,7 @@ func (t *Table) SearchBuf(key []byte, buf *[MaxCandidates]Location) (n, probed i
 }
 
 // SearchBufHash is SearchBuf for callers that already computed
-// Hash(key, t seed) — e.g. for shard routing — saving a second key hash on
-// the GET hot path.
+// Hash(key, t seed), saving a second key hash on the GET hot path.
 func (t *Table) SearchBufHash(h uint64, buf *[MaxCandidates]Location) (n, probed int) {
 	b1, sig := t.split(h)
 	probed = 1
@@ -423,7 +420,8 @@ func SearchProbesTheoretical(nHash int) float64 {
 }
 
 // Hash exposes the table's hash function for callers that need a consistent
-// key hash outside a table — the store uses it to route keys to shards.
+// key hash outside a table — the store hashes a key once and hands the hash
+// to its table's *Hash methods.
 func Hash(key []byte, seed uint64) uint64 { return hash64(key, seed) }
 
 // hash64 is a fast 64-bit hash (FNV-1a with a 64-bit avalanche finisher). It

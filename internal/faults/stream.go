@@ -113,7 +113,8 @@ func (c *StreamConn) Read(b []byte) (int, error) {
 
 // Write writes to the wrapped conn, possibly stalling first. Written bytes
 // are never altered or dropped: a TCP peer's kernel would not corrupt
-// acknowledged data, and tearing the reply stream is the WriteTimeout's job.
+// acknowledged data, and tearing the reply stream is the RESP frontend's
+// write timeout's job.
 func (c *StreamConn) Write(b []byte) (int, error) {
 	if !c.cfg.active() {
 		return c.Conn.Write(b)

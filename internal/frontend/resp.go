@@ -29,12 +29,16 @@ import (
 // connection in command order and flushed with one write per completed frame
 // or batch.
 
-// Defaults for RESPOptions zero values.
 const (
+	// defaultMaxConnInFlight is RESPOptions.MaxConnInFlight's zero value.
 	defaultMaxConnInFlight = 16
+	// defaultMaxCmdsPerFrame caps how many pipelined commands coalesce into
+	// one core frame.
 	defaultMaxCmdsPerFrame = 256
-	defaultWriteTimeout    = 5 * time.Second
-	respReadBufSize        = 64 << 10
+	// defaultWriteTimeout bounds one reply flush; a connection that stalls
+	// its receive window longer (slowloris) is torn down.
+	defaultWriteTimeout = 5 * time.Second
+	respReadBufSize     = 64 << 10
 )
 
 // RESPOptions configures the TCP/RESP2 frontend.
@@ -47,12 +51,6 @@ type RESPOptions struct {
 	// -BUSY without consuming core admission tokens. 0 = default (16),
 	// negative = unlimited.
 	MaxConnInFlight int
-	// MaxCmdsPerFrame caps how many pipelined commands coalesce into one core
-	// frame. 0 = default (256).
-	MaxCmdsPerFrame int
-	// WriteTimeout bounds one reply flush; a connection that stalls its
-	// receive window longer (slowloris) is torn down. 0 = default (5s).
-	WriteTimeout time.Duration
 	// WrapConn wraps each accepted connection — the stream fault injector's
 	// hook.
 	WrapConn func(net.Conn) net.Conn
@@ -73,8 +71,6 @@ type RESPOptions struct {
 type RESP struct {
 	opts            RESPOptions
 	maxConnInFlight int
-	maxCmdsPerFrame int
-	writeTimeout    time.Duration
 
 	mu    sync.Mutex
 	lns   []*respListener // set by Listen, sockets closed (slice kept) by Shutdown
@@ -110,19 +106,11 @@ func NewRESP(opts RESPOptions) *RESP {
 	r := &RESP{
 		opts:            opts,
 		maxConnInFlight: opts.MaxConnInFlight,
-		maxCmdsPerFrame: opts.MaxCmdsPerFrame,
-		writeTimeout:    opts.WriteTimeout,
 		conns:           make(map[*respConn]struct{}),
 		runDone:         make(chan struct{}),
 	}
 	if r.maxConnInFlight == 0 {
 		r.maxConnInFlight = defaultMaxConnInFlight
-	}
-	if r.maxCmdsPerFrame <= 0 {
-		r.maxCmdsPerFrame = defaultMaxCmdsPerFrame
-	}
-	if r.writeTimeout <= 0 {
-		r.writeTimeout = defaultWriteTimeout
 	}
 	r.frames.New = func() any {
 		rf := &respFrame{fe: r}
@@ -217,7 +205,7 @@ func (r *RESP) acceptLoop(core Core, q *respListener) error {
 		}
 		if g := r.opts.Gate; g != nil && !g.Acquire() {
 			q.shed.Inc()
-			nc.SetWriteDeadline(time.Now().Add(r.writeTimeout)) //nolint:errcheck
+			nc.SetWriteDeadline(time.Now().Add(defaultWriteTimeout)) //nolint:errcheck
 			nc.Write([]byte("-ERR max number of clients reached\r\n"))
 			nc.Close()
 			continue
@@ -412,9 +400,9 @@ func (r *RESP) Deliver(f *Frame, units [][]byte) bool {
 // DeliverBatch stages every frame, dispatches each touched connection's next
 // frame, then hands each connection's flush to its own goroutine: the
 // pipeline's batch-done callback must not block behind one stalled
-// (slowloris) client's socket for up to WriteTimeout, and per-connection
-// write serialization (flushConn's writing flag) bounds the goroutines to
-// one blocked writer per connection.
+// (slowloris) client's socket for up to defaultWriteTimeout, and
+// per-connection write serialization (flushConn's writing flag) bounds the
+// goroutines to one blocked writer per connection.
 func (r *RESP) DeliverBatch(fs []*Frame) {
 	var touched []*respConn
 	for _, f := range fs {
@@ -548,9 +536,9 @@ func (r *RESP) stage(rf *respFrame, payload []byte) {
 // under the lock, marks itself the active writer (c.writing) and writes
 // unlocked, so concurrent stage() calls — other frames completing for this
 // connection — never block behind a stalled (slowloris) client for up to
-// WriteTimeout. At most one writer is active per connection; a flush that
-// finds one already active returns immediately and the active writer's loop
-// picks up whatever was staged meanwhile.
+// defaultWriteTimeout. At most one writer is active per connection; a flush
+// that finds one already active returns immediately and the active writer's
+// loop picks up whatever was staged meanwhile.
 func (r *RESP) flushConn(c *respConn) bool {
 	c.mu.Lock()
 	for {
@@ -577,7 +565,7 @@ func (r *RESP) flushConn(c *respConn) bool {
 		c.writing = true
 		c.mu.Unlock()
 
-		c.nc.SetWriteDeadline(time.Now().Add(r.writeTimeout)) //nolint:errcheck
+		c.nc.SetWriteDeadline(time.Now().Add(defaultWriteTimeout)) //nolint:errcheck
 		n, err := c.nc.Write(buf)
 		c.q.bytesOut.Add(uint64(n))
 
@@ -747,9 +735,9 @@ func respCmdClass(name []byte) int {
 }
 
 // consume turns every complete command already buffered into frames and
-// submits them. A frame is one command run: it seals at MaxCmdsPerFrame and
-// at every read↔write boundary. Returns false when the reader must stop
-// (QUIT, protocol error).
+// submits them. A frame is one command run: it seals at
+// defaultMaxCmdsPerFrame and at every read↔write boundary. Returns false when
+// the reader must stop (QUIT, protocol error).
 func (c *respConn) consume(core Core) bool {
 	fe := c.fe
 	rf := fe.frames.Get().(*respFrame)
@@ -792,7 +780,7 @@ func (c *respConn) consume(core Core) bool {
 		}
 		cl := respCmdClass(args[0])
 		if len(rf.cmds) > 0 &&
-			(len(rf.cmds) >= fe.maxCmdsPerFrame ||
+			(len(rf.cmds) >= defaultMaxCmdsPerFrame ||
 				(cl != 0 && frameClass != 0 && cl != frameClass)) {
 			seal()
 		}

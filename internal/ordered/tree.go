@@ -577,9 +577,8 @@ func (s Snapshot) Ascend(start, end []byte, fn func(key []byte, val uint64) bool
 	}
 }
 
-// Iter is an in-order iterator over one snapshot, used by the store's N-way
-// shard merge (a callback can't be paused; this can). It allocates nothing
-// and is not safe for concurrent use.
+// Iter is an in-order iterator over one snapshot, used by the store's range
+// scan. It allocates nothing and is not safe for concurrent use.
 type Iter struct {
 	// stack[:depth] is the path to the next item: stack[depth-1] yields its
 	// item i next, every frame above it resumes at its item i once the

@@ -738,7 +738,7 @@ func BenchmarkTreeEvictChurn(b *testing.B) {
 	b.ReportMetric(float64(m-merges)/float64(b.N), "merges/op")
 }
 
-// BenchmarkTreeApplySorted is the per-shard sorted delta, measured before
+// BenchmarkTreeApplySorted is the sorted update delta, measured before
 // building it: the index work of an evicting SET workload — thirds of
 // overwrite, victim delete and insert over 340 000 resident 32-byte keys —
 // applied in batches sorted by key (stably, so the ops on one key keep their

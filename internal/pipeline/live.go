@@ -52,8 +52,8 @@ type LiveStore interface {
 }
 
 // LiveScanner serves one batch's SCAN queries from a single MVCC snapshot
-// capture: every scan in the batch merges over the same per-shard tree
-// versions (the batched range merge). The slices passed to fn are reused
+// capture: every scan in the batch reads the same tree version (the batched
+// range merge). The slices passed to fn are reused
 // between entries; the callback must copy what it keeps.
 type LiveScanner interface {
 	Scan(start, end []byte, limit int, fn func(key, value []byte) bool) int
@@ -816,8 +816,8 @@ func (r *LiveRunner) readGets(b *liveBatch, j0, j1 int) {
 }
 
 // runScans performs SC for every SCAN in the batch as one batched range
-// merge: the first scan captures a Scanner (one MVCC snapshot of every
-// shard's ordered index) and every scan in the batch runs against it, so a
+// merge: the first scan captures a Scanner (one MVCC snapshot of the
+// ordered index) and every scan in the batch runs against it, so a
 // batch observes a single key-set version. Result blocks are built directly
 // in the value arena (same lifetime contract as the KC+RD values). When the
 // store has no ordered index (NewScanner returns nil) every SCAN answers

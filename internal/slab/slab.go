@@ -51,8 +51,7 @@ const (
 )
 
 // MaxClasses bounds the class count so a Handle always fits in 44 bits
-// (class<<40 | index, classes 0..15), leaving bits 44..47 of a 48-bit cuckoo
-// location free for the store's shard id.
+// (class<<40 | index, classes 0..15), inside a 48-bit cuckoo location.
 const MaxClasses = 16
 
 func makeHandle(class int, index uint64) Handle {

@@ -1,6 +1,6 @@
 // Package stats provides lightweight metric primitives used across the DIDO
-// reproduction: monotonic counters, gauges, fixed-bucket histograms, rate
-// meters and small numeric helpers.
+// reproduction: monotonic counters, gauges, fixed-bucket histograms and
+// small numeric helpers.
 //
 // All types are safe for concurrent use unless documented otherwise. The
 // package deliberately avoids any external dependency so that it can be used

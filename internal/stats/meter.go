@@ -1,65 +1,6 @@
 package stats
 
-import (
-	"sync"
-	"time"
-)
-
-// RateMeter measures an event rate over a sliding window of fixed-size time
-// slots. It is driven by an external clock (simulated or wall time) passed to
-// Mark, so the same meter works in both execution modes.
-type RateMeter struct {
-	mu       sync.Mutex
-	slot     time.Duration
-	nslots   int
-	counts   []uint64
-	slotBase int64 // index of the slot at ring position 0
-}
-
-// NewRateMeter returns a meter with nslots slots of width slot each.
-func NewRateMeter(slot time.Duration, nslots int) *RateMeter {
-	if slot <= 0 || nslots <= 0 {
-		panic("stats: RateMeter requires positive slot and nslots")
-	}
-	return &RateMeter{slot: slot, nslots: nslots, counts: make([]uint64, nslots), slotBase: -1}
-}
-
-// Mark records n events at time now.
-func (m *RateMeter) Mark(now time.Duration, n uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := int64(now / m.slot)
-	m.advance(idx)
-	m.counts[idx%int64(m.nslots)] += n
-}
-
-// advance rolls the ring forward to include slot idx, zeroing skipped slots.
-func (m *RateMeter) advance(idx int64) {
-	if m.slotBase < 0 {
-		m.slotBase = idx
-		return
-	}
-	for s := m.slotBase + 1; s <= idx; s++ {
-		m.counts[s%int64(m.nslots)] = 0
-	}
-	if idx > m.slotBase {
-		m.slotBase = idx
-	}
-}
-
-// Rate returns events/second over the whole window ending at now.
-func (m *RateMeter) Rate(now time.Duration) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := int64(now / m.slot)
-	m.advance(idx)
-	var total uint64
-	for _, c := range m.counts {
-		total += c
-	}
-	window := time.Duration(m.nslots) * m.slot
-	return float64(total) / window.Seconds()
-}
+import "time"
 
 // Throughput converts an operation count and elapsed simulated/real duration
 // into operations per second. It returns 0 for non-positive durations.

@@ -228,13 +228,12 @@ func TestHistogramExportConsistent(t *testing.T) {
 
 // TestConcurrentWritersAndSnapshots hammers every concurrent-safe primitive
 // with parallel writers while readers take snapshots; run under -race this
-// pins that the snapshot paths (Load, Rate, Export, Quantiles) are safe
+// pins that the snapshot paths (Load, Export, Quantiles) are safe
 // against concurrent updates, and that counters remain exact.
 func TestConcurrentWritersAndSnapshots(t *testing.T) {
 	var c Counter
 	var g Gauge
 	var fg FloatGauge
-	m := NewRateMeter(time.Millisecond, 8)
 	h := NewHistogram(LatencyBoundsMicros()...)
 
 	const writers, per = 8, 2000
@@ -243,16 +242,15 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
 				c.Inc()
 				g.Add(1)
 				fg.Set(float64(j))
-				m.Mark(time.Duration(id*per+j)*time.Microsecond, 1)
 				h.Observe(float64(j % 512))
 			}
-		}(i)
+		}()
 	}
 
 	// Snapshot readers: every accessor a scraper would touch.
@@ -273,7 +271,6 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 				}
 				g.Load()
 				fg.Load()
-				m.Rate(time.Duration(writers*per) * time.Microsecond)
 				s := h.Export()
 				if s.N < lastN {
 					t.Errorf("histogram count went backwards: %d → %d", lastN, s.N)
@@ -309,28 +306,6 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 	if got := h.Count(); got != writers*per {
 		t.Fatalf("histogram count = %d, want %d", got, writers*per)
 	}
-}
-
-func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(100*time.Millisecond, 10) // 1s window
-	m.Mark(0, 100)
-	m.Mark(500*time.Millisecond, 100)
-	if got := m.Rate(900 * time.Millisecond); got != 200 {
-		t.Fatalf("rate = %v, want 200", got)
-	}
-	// After the window slides past the first mark, only the second remains.
-	if got := m.Rate(1100 * time.Millisecond); got != 100 {
-		t.Fatalf("rate after slide = %v, want 100", got)
-	}
-}
-
-func TestRateMeterPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRateMeter(0, 1)
 }
 
 func TestThroughputAndMOPS(t *testing.T) {

@@ -1,6 +1,9 @@
 package store
 
-import "repro/internal/cuckoo"
+import (
+	"repro/internal/cuckoo"
+	"repro/internal/slab"
+)
 
 // ReadCandidates performs the fused KC+RD tasks of the staged serving path:
 // verify cands (previously collected by IndexSearch for key, possibly in an
@@ -18,20 +21,18 @@ import "repro/internal/cuckoo"
 // retired the location IndexSearch returned. Stale candidates must not
 // manufacture a miss, so when none verifies the read falls back to the
 // authoritative version-validated lookup, which also covers the empty-cands
-// case (no index search ran, or the search raced an insert).
+// case (no index search ran, or the search raced an insert). A location the
+// store never issued fails verification in the slab's bounds-checked lookup
+// and takes the same fallback.
 func (s *Store) ReadCandidates(key []byte, cands []cuckoo.Location, dst []byte) ([]byte, bool) {
 	s.gets.Inc()
-	si, sh, hv := s.shardFor(key)
 	for _, loc := range cands {
-		if shardOfLoc(loc) != si {
-			continue // foreign-shard candidate: cannot be key's object
-		}
-		h := handleOf(loc)
-		if out, ok := sh.alloc.ReadIfMatch(h, key, dst); ok {
+		h := slab.Handle(loc)
+		if out, ok := s.alloc.ReadIfMatch(h, key, dst); ok {
 			s.hits.Inc()
-			sh.alloc.Touch(h, s.stamp.Load())
+			s.alloc.Touch(h, s.stamp.Load())
 			return out, true
 		}
 	}
-	return s.readVerified(sh, hv, key, dst)
+	return s.readVerified(s.hash(key), key, dst)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cuckoo"
+	"repro/internal/slab"
 )
 
 func TestReadCandidatesHit(t *testing.T) {
@@ -71,21 +72,41 @@ func TestReadCandidatesMiss(t *testing.T) {
 	}
 }
 
+// foreignLocs returns locations s never issued, each decoded by the slab's
+// handle layout ((class<<40 | index) + 1): NoHandle, a class beyond the
+// allocator's, an index beyond the arena, and a bit above the 44-bit handle.
+func foreignLocs(s *Store) []cuckoo.Location {
+	return []cuckoo.Location{
+		cuckoo.Location(slab.NoHandle),
+		cuckoo.Location(uint64(s.alloc.Classes())<<40 + 1),
+		cuckoo.Location(1<<40 - 1),
+		cuckoo.Location(1<<47 | 1),
+	}
+}
+
+// TestReadCandidatesForeignShardSkipped (named for the sharded store it was
+// written for): candidates that cannot be the key's object — another key's
+// live object and locations the store never issued — fail verification
+// without a panic, and the authoritative fallback resolves the right value.
 func TestReadCandidatesForeignShardSkipped(t *testing.T) {
-	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 4096, Seed: 3, Shards: 4})
+	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 4096, Seed: 3})
 	if _, _, err := s.Set([]byte("alpha"), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Set([]byte("beta"), []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	// Hand alpha's read the candidates of a key from (likely) another shard
-	// mixed with garbage: only same-shard candidates may be considered, and
-	// the verified fallback still resolves the right value.
-	wrong := s.IndexSearch([]byte("beta"), nil)
-	wrong = append(wrong, cuckoo.Location(0))
+	wrong := append(s.IndexSearch([]byte("beta"), nil), foreignLocs(s)...)
 	out, ok := s.ReadCandidates([]byte("alpha"), wrong, nil)
 	if !ok || string(out) != "one" {
 		t.Fatalf("ReadCandidates with foreign cands = %q/%v, want one/true", out, ok)
+	}
+	for _, loc := range foreignLocs(s) {
+		if s.KeyCompare(loc, []byte("alpha")) {
+			t.Fatalf("KeyCompare(%#x) verified a location the store never issued", loc)
+		}
+		if _, ok := s.ReadValueInto(loc, nil); ok {
+			t.Fatalf("ReadValueInto(%#x) read a location the store never issued", loc)
+		}
 	}
 }

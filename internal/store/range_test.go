@@ -10,7 +10,7 @@ import (
 // TestRangeSeesAllLiveObjects populates a quiescent store and checks the walk
 // returns exactly the live set.
 func TestRangeSeesAllLiveObjects(t *testing.T) {
-	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12, Shards: 4})
+	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12})
 	want := map[string]string{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%04d", i)
@@ -65,7 +65,7 @@ func TestRangeEarlyStop(t *testing.T) {
 // this pins the lock-free seqlock iteration. Every observed object must be
 // internally consistent (value matches the key it was written with).
 func TestRangeUnderChurn(t *testing.T) {
-	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12, Shards: 2})
+	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12})
 	const keys = 256
 	for i := 0; i < keys; i++ {
 		if _, _, err := s.Set([]byte(fmt.Sprintf("ck%03d", i)), []byte(fmt.Sprintf("ck%03d-val-0", i))); err != nil {

@@ -20,7 +20,7 @@ func orderedStore(t *testing.T, cfg Config) *Store {
 // ascending order, [start,end) bounds, limit, and pagination via
 // last-key+\x00 cursors — against a sorted reference model.
 func TestScanMatchesModelQuiescent(t *testing.T) {
-	s := orderedStore(t, Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12, Shards: 4})
+	s := orderedStore(t, Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12})
 	model := map[string]string{}
 	for i := 0; i < 400; i++ {
 		k, v := fmt.Sprintf("key-%04d", i), fmt.Sprintf("val-%04d", i)
@@ -95,7 +95,7 @@ func TestScanMatchesModelQuiescent(t *testing.T) {
 		}
 	}
 
-	// Every shard's tree outgrew one node, so it split on the way up and
+	// The tree outgrew one node, so it split on the way up and
 	// must merge on the way back down to empty.
 	for _, k := range sorted {
 		s.Delete([]byte(k))
@@ -129,7 +129,7 @@ func TestScanDisabled(t *testing.T) {
 // surviving keys read fresh values. This fails on any implementation that
 // scans the live tree instead of a snapshot.
 func TestScanSnapshotIsolation(t *testing.T) {
-	s := orderedStore(t, Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12, Shards: 2})
+	s := orderedStore(t, Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12})
 	const n = 300
 	for i := 0; i < n; i++ {
 		if _, _, err := s.Set([]byte(fmt.Sprintf("old-%04d", i)), []byte("v0")); err != nil {
@@ -198,7 +198,7 @@ func TestScanSnapshotIsolation(t *testing.T) {
 // with its exact value; and every churned value observed must be one some
 // writer actually wrote for that key (seqlock: never torn, never foreign).
 func TestScanEquivalenceUnderChurn(t *testing.T) {
-	s := orderedStore(t, Config{MemoryBytes: 16 << 20, IndexEntries: 1 << 13, Shards: 4})
+	s := orderedStore(t, Config{MemoryBytes: 16 << 20, IndexEntries: 1 << 13})
 	const stable, churn = 200, 200
 	stableVals := map[string]string{}
 	for i := 0; i < stable; i++ {
@@ -277,7 +277,7 @@ func TestScanEquivalenceUnderChurn(t *testing.T) {
 // read (half old bytes, half new) is a mixed-byte value — scans must never
 // produce one.
 func TestScanUniformValuesNeverTorn(t *testing.T) {
-	s := orderedStore(t, Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12, Shards: 2})
+	s := orderedStore(t, Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12})
 	const keys = 32
 	const valLen = 512
 	for i := 0; i < keys; i++ {
@@ -326,7 +326,7 @@ func TestScanUniformValuesNeverTorn(t *testing.T) {
 // scan reading reclaimed-and-reused memory would surface a mismatched
 // prefix. Exercises the ReadIfMatch → point-lookup fallback path.
 func TestScanEvictionSafety(t *testing.T) {
-	s := orderedStore(t, Config{MemoryBytes: 256 << 10, IndexEntries: 1 << 10, Shards: 2})
+	s := orderedStore(t, Config{MemoryBytes: 256 << 10, IndexEntries: 1 << 10})
 	// Pre-fill far past the arena budget so eviction pressure exists from the
 	// first concurrent pass (4096 keys × ~210 B ≫ 256 KiB).
 	for i := 0; i < 4096; i++ {

@@ -11,12 +11,9 @@
 //     matching the DIDO pipeline's task decomposition (paper §III-A: IN, KC,
 //     RD), which the simulator's executor runs one query at a time.
 //
-// The store is sharded N-way by key hash (N a power of two, up to 16): each
-// shard owns its own cuckoo table and slab arena with a 1/N budget, so
-// writers on one shard never contend with readers or writers on another. A
-// shard id is folded into bits 44..47 of every cuckoo Location (slab handles
-// occupy bits 0..43), which keeps the task-granular API shard-oblivious:
-// locations returned by IndexSearch are globally resolvable.
+// The store is one cuckoo table over one slab arena: a cuckoo Location is the
+// object's slab handle, so locations returned by IndexSearch resolve directly
+// in the arena.
 //
 // Reads never take a lock on the data path: KeyCompare, ReadValueInto and the
 // composite GET validate their copies against the slab's per-chunk seqlock
@@ -29,11 +26,10 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"bytes"
 
 	"repro/internal/cuckoo"
 	"repro/internal/ordered"
@@ -41,81 +37,41 @@ import (
 	"repro/internal/stats"
 )
 
-// MaxShards is the largest supported shard count: locations carry the shard
-// id in bits 44..47 (cuckoo locations are 48-bit).
-const MaxShards = 16
-
-const (
-	shardShift = 44
-	handleMask = 1<<shardShift - 1
-)
-
-// locOf folds shard si into a shard-local slab handle, yielding the global
-// location stored in that shard's index.
-func locOf(si int, h slab.Handle) cuckoo.Location {
-	return cuckoo.Location(uint64(si)<<shardShift | uint64(h))
-}
-
-// handleOf strips the shard bits from a global location.
-func handleOf(loc cuckoo.Location) slab.Handle {
-	return slab.Handle(uint64(loc) & handleMask)
-}
-
-// shardOfLoc extracts the shard id from a global location.
-func shardOfLoc(loc cuckoo.Location) int {
-	return int(uint64(loc) >> shardShift)
-}
-
 // Config parameterizes a Store.
 type Config struct {
-	// MemoryBytes is the arena budget for key-value objects, divided evenly
-	// across shards.
+	// MemoryBytes is the arena budget for key-value objects.
 	MemoryBytes int64
-	// IndexEntries is the expected object count, used to size the index
-	// (divided evenly across shards).
+	// IndexEntries is the expected object count, used to size the index.
 	IndexEntries int
 	// Seed makes hashing deterministic for reproducible experiments.
 	Seed uint64
-	// Shards is the number of independent shards (rounded up to a power of
-	// two, clamped to [1, MaxShards]; 0 means 1). More shards reduce lock and
-	// cache-line contention between concurrent writers at the cost of
-	// fragmenting the arena budget N ways.
-	Shards int
 	// Slab optionally overrides the slab configuration; when non-nil its
-	// TotalBytes is the whole-store budget and is divided across shards.
+	// TotalBytes is the arena budget.
 	Slab *slab.Config
-	// Ordered keeps a per-shard ordered index (a lazily copied B-tree over
-	// key → location) beside the cuckoo table, enabling snapshot range scans
-	// (see scan.go); without it Scan reports the store unordered. While a
-	// shard's tree is maintained, a write that changes the key set pays one
-	// in-place tree insert or delete, an overwrite one descent and an atomic
-	// store. A shard that takes more than 2 × its live keys + 64 Ki writes
-	// with no scan drops its tree and writes stop paying; the next scan
-	// rebuilds it from the arena (see dropOrdered). Point reads are
-	// unaffected.
+	// Ordered keeps an ordered index (a lazily copied B-tree over key →
+	// location) beside the cuckoo table, enabling snapshot range scans (see
+	// scan.go); without it Scan reports the store unordered. While the tree
+	// is maintained, a write that changes the key set pays one in-place tree
+	// insert or delete, an overwrite one descent and an atomic store. A
+	// store that takes more than 2 × its live keys + 64 Ki writes with no
+	// scan drops its tree and writes stop paying; the next scan rebuilds it
+	// from the arena (see dropOrdered). Point reads are unaffected.
 	Ordered bool
-}
-
-// shard is one independent index+arena pair, plus the optional ordered index
-// the scan path merges over (nil unless Config.Ordered).
-type shard struct {
-	idx   *cuckoo.Table
-	alloc *slab.Allocator
-	tree  *ordered.Tree
-
-	// Ordered-index upkeep (see dropOrdered).
-	upkeep   atomic.Int64 // tree Updates since the last scan snapshot
-	dropped  atomic.Bool  // the tree is empty and writes skip it until a scan rebuilds it
-	upkeepMu sync.Mutex   // orders drop, rebuild and snapshot; a write takes it only to drop
 }
 
 // Store is a concurrent in-memory key-value store. All methods are safe for
 // concurrent use.
 type Store struct {
-	shards    []*shard
-	shardMask uint64
-	seed      uint64
-	stamp     atomic.Uint32 // current sampling-interval timestamp
+	idx   *cuckoo.Table
+	alloc *slab.Allocator
+	tree  *ordered.Tree // nil unless Config.Ordered
+	seed  uint64
+	stamp atomic.Uint32 // current sampling-interval timestamp
+
+	// Ordered-index upkeep (see dropOrdered).
+	upkeep   atomic.Int64 // tree Updates since the last scan snapshot
+	dropped  atomic.Bool  // the tree is empty and writes skip it until a scan rebuilds it
+	upkeepMu sync.Mutex   // orders drop, rebuild and snapshot; a write takes it only to drop
 
 	gets      stats.Counter
 	sets      stats.Counter
@@ -129,23 +85,8 @@ type Store struct {
 	scanBytes     stats.Counter // key+value bytes returned across all scans
 	scanFallbacks stats.Counter // snapshot locations resolved via point lookup
 
-	orderedDrops    stats.Counter // shard trees dropped for lack of scans
-	orderedRebuilds stats.Counter // dropped shard trees rebuilt by a scan
-}
-
-// normalizeShards rounds n up to a power of two in [1, MaxShards].
-func normalizeShards(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	if n > MaxShards {
-		n = MaxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+	orderedDrops    stats.Counter // trees dropped for lack of scans
+	orderedRebuilds stats.Counter // dropped trees rebuilt by a scan
 }
 
 // New returns a store for cfg.
@@ -153,7 +94,6 @@ func New(cfg Config) *Store {
 	if cfg.MemoryBytes <= 0 {
 		panic("store: MemoryBytes must be positive")
 	}
-	nShards := normalizeShards(cfg.Shards)
 	if cfg.IndexEntries <= 0 {
 		// The arena can hold at most MemoryBytes / MinChunk objects (64-byte
 		// minimum slab class); size the index for that worst case so small
@@ -167,63 +107,35 @@ func New(cfg Config) *Store {
 	if cfg.Slab != nil {
 		scfg = *cfg.Slab
 	}
-	// Divide the budget; shrink the slab granularity when a shard's slice is
-	// smaller than one slab so every shard can hold at least one.
-	scfg.TotalBytes /= int64(nShards)
+	// Shrink the slab granularity when the arena is smaller than one slab so
+	// it can hold at least one.
 	if int64(scfg.SlabBytes) > scfg.TotalBytes {
 		scfg.SlabBytes = int(scfg.TotalBytes) &^ 7
 		if scfg.MaxChunk > scfg.SlabBytes {
 			scfg.MaxChunk = scfg.SlabBytes
 		}
 	}
-	perShardEntries := cfg.IndexEntries / nShards
-	if perShardEntries < 64 {
-		perShardEntries = 64
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x51ab1e5eed // tables reject nothing, but keep it non-zero
 	}
 	s := &Store{
-		shards:    make([]*shard, nShards),
-		shardMask: uint64(nShards - 1),
-		seed:      cfg.Seed,
+		idx:   cuckoo.NewForCapacity(cfg.IndexEntries, 0.85, cfg.Seed),
+		alloc: slab.NewAllocator(scfg),
+		seed:  cfg.Seed,
 	}
-	// Every shard hashes with the same seed: a key is hashed once, shards are
-	// routed on bits 40..43 of that hash (see routeShift), and the shard's
-	// table reuses the hash for its bucket index and signature.
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			idx:   cuckoo.NewForCapacity(perShardEntries, 0.85, cfg.Seed),
-			alloc: slab.NewAllocator(scfg),
-		}
-		if cfg.Ordered {
-			s.shards[i].tree = ordered.New()
-		}
+	if cfg.Ordered {
+		s.tree = ordered.New()
 	}
-	if n := s.shards[0].alloc.Classes(); n > slab.MaxClasses {
+	if n := s.alloc.Classes(); n > slab.MaxClasses {
 		panic(fmt.Sprintf("store: %d slab classes exceed the location's class field", n))
 	}
 	s.stamp.Store(1)
 	return s
 }
 
-// Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// routeShift positions the shard-routing bits inside the key hash: above any
-// realistic bucket index (low bits), below the 16-bit signature (top bits).
-const routeShift = 40
-
-// shardFor routes key to its shard. The returned hash is reusable by the
-// shard's table (same seed), so the hot read path hashes each key once.
-func (s *Store) shardFor(key []byte) (int, *shard, uint64) {
-	hv := cuckoo.Hash(key, s.seed)
-	if s.shardMask == 0 {
-		return 0, s.shards[0], hv
-	}
-	si := int((hv >> routeShift) & s.shardMask)
-	return si, s.shards[si], hv
-}
+// hash is key's hash under the table's seed: the store hashes a key once and
+// the table's SearchBufHash / SearchBatch reuse it for bucket and signature.
+func (s *Store) hash(key []byte) uint64 { return cuckoo.Hash(key, s.seed) }
 
 // ---- Composite operations ----
 
@@ -239,28 +151,27 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 // GetInto appends the value stored under key to dst and returns the extended
 // slice. On a miss dst is returned unchanged. The read is lock-free and,
 // given a dst with sufficient capacity, allocation-free: candidates from the
-// shard's index are verified and copied under the slab's per-chunk seqlock,
-// so a concurrent eviction reusing the chunk can never tear the result.
+// index are verified and copied under the slab's per-chunk seqlock, so a
+// concurrent eviction reusing the chunk can never tear the result.
 func (s *Store) GetInto(key, dst []byte) ([]byte, bool) {
 	s.gets.Inc()
-	_, sh, hv := s.shardFor(key)
-	return s.readVerified(sh, hv, key, dst)
+	return s.readVerified(s.hash(key), key, dst)
 }
 
 // readVerified is the version-validated search+read loop shared by GetInto
-// and the staged read path's fallback (ReadCandidates): search the shard's
-// index, verify-and-copy candidates under the slab seqlock, and reprobe when
-// an index mutation raced the probe. It maintains the hit/miss counters.
-func (s *Store) readVerified(sh *shard, hv uint64, key, dst []byte) ([]byte, bool) {
+// and the staged read path's fallback (ReadCandidates): search the index,
+// verify-and-copy candidates under the slab seqlock, and reprobe when an
+// index mutation raced the probe. It maintains the hit/miss counters.
+func (s *Store) readVerified(hv uint64, key, dst []byte) ([]byte, bool) {
 	for attempt := 0; ; attempt++ {
-		v1 := sh.idx.Version()
+		v1 := s.idx.Version()
 		var buf [cuckoo.MaxCandidates]cuckoo.Location
-		n, _ := sh.idx.SearchBufHash(hv, &buf)
+		n, _ := s.idx.SearchBufHash(hv, &buf)
 		for _, loc := range buf[:n] {
-			h := handleOf(loc)
-			if out, ok := sh.alloc.ReadIfMatch(h, key, dst); ok {
+			h := slab.Handle(loc)
+			if out, ok := s.alloc.ReadIfMatch(h, key, dst); ok {
 				s.hits.Inc()
-				sh.alloc.Touch(h, s.stamp.Load())
+				s.alloc.Touch(h, s.stamp.Load())
 				return out, true
 			}
 		}
@@ -269,7 +180,7 @@ func (s *Store) readVerified(sh *shard, hv uint64, key, dst []byte) ([]byte, boo
 		// probe collects the old location, the writer retires or moves it,
 		// validation fails. An unchanged index version proves no such
 		// mutation raced us — the miss is real.
-		if attempt >= maxReadRetries || sh.idx.Version() == v1 {
+		if attempt >= maxReadRetries || s.idx.Version() == v1 {
 			s.misses.Inc()
 			return dst, false
 		}
@@ -277,7 +188,7 @@ func (s *Store) readVerified(sh *shard, hv uint64, key, dst []byte) ([]byte, boo
 }
 
 // maxReadRetries bounds the reprobe loop for reads that race overwrites, so
-// unrelated write churn on the shard cannot livelock a genuine miss.
+// unrelated write churn cannot livelock a genuine miss.
 const maxReadRetries = 8
 
 // Set stores value under key, overwriting any existing object. It returns
@@ -291,17 +202,17 @@ const maxReadRetries = 8
 // a window where neither version is indexed.
 func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 	s.sets.Inc()
-	si, sh, hv := s.shardFor(key)
-	oldLoc, hadOld := sh.lookupLoc(hv, key)
-	h, ev, err := sh.alloc.Alloc(key, value, s.stamp.Load())
+	hv := s.hash(key)
+	oldLoc, hadOld := s.lookupLoc(hv, key)
+	h, ev, err := s.alloc.Alloc(key, value, s.stamp.Load())
 	if err != nil {
 		return 0, 0, err
 	}
 	if ev != nil {
 		// The eviction victim's index entry must go too (paper §II-C2).
 		s.evictions.Inc()
-		evLoc := locOf(si, ev.Handle)
-		if sh.idx.Delete(ev.Key, evLoc) {
+		evLoc := cuckoo.Location(ev.Handle)
+		if s.idx.Delete(ev.Key, evLoc) {
 			deletes++
 		}
 		// Reconcile the victim's ordered-index binding — unless the tree is
@@ -310,17 +221,17 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 		// vanishes from concurrent snapshots. (A racing overwrite of the
 		// victim key is safe either way: syncOrdered re-reads the cuckoo
 		// state under the tree lock.)
-		if sh.tree != nil && !sh.dropped.Load() && !bytes.Equal(ev.Key, key) {
-			s.syncOrdered(sh, cuckoo.Hash(ev.Key, s.seed), ev.Key)
+		if s.tree != nil && !s.dropped.Load() && !bytes.Equal(ev.Key, key) {
+			s.syncOrdered(s.hash(ev.Key), ev.Key)
 		}
 		if hadOld && evLoc == oldLoc {
 			hadOld = false // the victim was this key's own old object
 		}
 	}
-	if !sh.idx.Insert(key, locOf(si, h)) {
+	if !s.idx.Insert(key, cuckoo.Location(h)) {
 		// Index full: undo the allocation and report no memory. The old
 		// object (if any) is still indexed — the SET failed cleanly.
-		sh.alloc.FreeIfMatch(h, key)
+		s.alloc.FreeIfMatch(h, key)
 		return inserts, deletes, slab.ErrNoMemory
 	}
 	inserts++
@@ -330,8 +241,8 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 		// may not have removed the entry yet, so Delete can still succeed):
 		// the chunk then holds another writer's live object, which a blind
 		// Free would kill after its owner had indexed it.
-		if sh.idx.Delete(key, oldLoc) {
-			sh.alloc.FreeIfMatch(handleOf(oldLoc), key)
+		if s.idx.Delete(key, oldLoc) {
+			s.alloc.FreeIfMatch(slab.Handle(oldLoc), key)
 			deletes++
 		}
 	}
@@ -340,43 +251,43 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 	// through the seqlock verify + point-lookup fallback on the scan read
 	// path (scan.go); the key itself is never absent from either index
 	// (insert-before-delete above).
-	s.syncOrdered(sh, hv, key)
+	s.syncOrdered(hv, key)
 	return inserts, deletes, nil
 }
 
-// syncOrdered reconciles key's ordered-index binding with the shard's cuckoo
-// index: under the tree's writer lock it re-resolves the key's live location
-// and upserts or removes the binding. Re-reading inside the lock (rather than
+// syncOrdered reconciles key's ordered-index binding with the cuckoo index:
+// under the tree's writer lock it re-resolves the key's live location and
+// upserts or removes the binding. Re-reading inside the lock (rather than
 // pushing a value observed earlier) means racing writers can interleave in
 // any order and the tree still converges to the cuckoo state — including the
 // nasty cases where racing overwrites leave short-lived duplicate index
 // entries. For a key the tree already holds (every overwrite) that is one
 // descent and one atomic store of the new location: no node is copied and
 // concurrent scans keep their snapshot. No-op on stores without
-// Config.Ordered, and on a shard whose tree is dropped.
-func (s *Store) syncOrdered(sh *shard, hv uint64, key []byte) {
-	if sh.tree == nil || sh.dropped.Load() {
+// Config.Ordered, and while the tree is dropped.
+func (s *Store) syncOrdered(hv uint64, key []byte) {
+	if s.tree == nil || s.dropped.Load() {
 		return
 	}
-	if sh.upkeep.Add(1) > sh.upkeepLimit() && s.dropOrdered(sh) {
+	if s.upkeep.Add(1) > s.upkeepLimit() && s.dropOrdered() {
 		return
 	}
-	sh.tree.Update(key, func() (uint64, bool) {
-		if sh.dropped.Load() {
+	s.tree.Update(key, func() (uint64, bool) {
+		if s.dropped.Load() {
 			// A drop raced this write: the tree is empty, or about to be, and
 			// removing the key from it does nothing.
 			return 0, false
 		}
-		loc, ok := sh.lookupLoc(hv, key)
+		loc, ok := s.lookupLoc(hv, key)
 		return uint64(loc), ok
 	})
 }
 
-// upkeepFloor is the slack in upkeepLimit. It keeps small shards, and a store
+// upkeepFloor is the slack in upkeepLimit. It keeps small stores, and a store
 // that is still loading, on the maintained path.
 const upkeepFloor = 64 << 10
 
-// upkeepLimit is how many tree Updates a shard pays for between two scans
+// upkeepLimit is how many tree Updates the store pays for between two scans
 // before it drops its tree: 2 × its live keys + upkeepFloor. Upkeep is rent,
 // a rebuild the price of buying. On a 2-vCPU AMD EPYC VM upkeep costs
 // U ≈ 0.8 µs per Update (BenchmarkTreeApplySorted batch=1: overwrites,
@@ -384,33 +295,33 @@ const upkeepFloor = 64 << 10
 // R ≈ 0.3 µs per key (BenchmarkOrderedRebuild). A scan gap that drops the
 // tree has already paid 2N·U, about 5 × the N·R its rebuild costs, and a
 // pure load, one Update per key, never crosses the limit.
-func (sh *shard) upkeepLimit() int64 { return 2*int64(sh.idx.Len()) + upkeepFloor }
+func (s *Store) upkeepLimit() int64 { return 2*int64(s.idx.Len()) + upkeepFloor }
 
 // dropOrdered is called by a write whose Update crossed upkeepLimit. It
-// empties the shard's tree in O(1) and sets the dropped bit, so writes skip
+// empties the tree in O(1) and sets the dropped bit, so writes skip
 // the tree until the next scan rebuilds it (orderedSnapshot). It reports
 // whether the tree is dropped; false means a scan restarted the count since
 // the caller crossed the limit, and the caller's write must be synced.
 //
 // The bit is set before the tree is emptied, and a write re-checks it under
 // the tree lock, so no write that raced the drop puts a key back.
-func (s *Store) dropOrdered(sh *shard) bool {
-	sh.upkeepMu.Lock()
-	defer sh.upkeepMu.Unlock()
-	if sh.dropped.Load() {
+func (s *Store) dropOrdered() bool {
+	s.upkeepMu.Lock()
+	defer s.upkeepMu.Unlock()
+	if s.dropped.Load() {
 		return true
 	}
-	if sh.upkeep.Load() <= sh.upkeepLimit() {
+	if s.upkeep.Load() <= s.upkeepLimit() {
 		return false
 	}
-	sh.dropped.Store(true)
-	sh.tree.Load(nil)
+	s.dropped.Store(true)
+	s.tree.Load(nil)
 	s.orderedDrops.Inc()
 	return true
 }
 
-// orderedSnapshot returns the shard's ordered-index snapshot for a scan,
-// first rebuilding a dropped tree, and restarts the shard's upkeep count.
+// orderedSnapshot returns the ordered-index snapshot for a scan, first
+// rebuilding a dropped tree, and restarts the upkeep count.
 //
 // The rebuild runs under the tree lock (Tree.Load). It clears the dropped bit
 // before it walks the arena, and a write checks the bit only after its cuckoo
@@ -420,14 +331,14 @@ func (s *Store) dropOrdered(sh *shard) bool {
 // atomics are sequentially consistent). Each object the walk meets is
 // resolved through the cuckoo index, so a deleted key is left out and a key
 // with a stranded duplicate object is bound to its indexed location, once.
-func (s *Store) orderedSnapshot(sh *shard) ordered.Snapshot {
-	sh.upkeepMu.Lock()
-	defer sh.upkeepMu.Unlock()
-	if sh.dropped.Load() {
-		sh.tree.Load(func(add func(key []byte, val uint64)) {
-			sh.dropped.Store(false)
-			sh.alloc.Range(func(key, _ []byte) bool {
-				if loc, ok := sh.lookupLoc(cuckoo.Hash(key, s.seed), key); ok {
+func (s *Store) orderedSnapshot() ordered.Snapshot {
+	s.upkeepMu.Lock()
+	defer s.upkeepMu.Unlock()
+	if s.dropped.Load() {
+		s.tree.Load(func(add func(key []byte, val uint64)) {
+			s.dropped.Store(false)
+			s.alloc.Range(func(key, _ []byte) bool {
+				if loc, ok := s.lookupLoc(s.hash(key), key); ok {
 					add(key, uint64(loc))
 				}
 				return true
@@ -435,40 +346,39 @@ func (s *Store) orderedSnapshot(sh *shard) ordered.Snapshot {
 		})
 		s.orderedRebuilds.Inc()
 	}
-	sh.upkeep.Store(0)
-	return sh.tree.Snapshot()
+	s.upkeep.Store(0)
+	return s.tree.Snapshot()
 }
 
 // Delete removes key. It reports whether an object was removed.
 func (s *Store) Delete(key []byte) bool {
 	s.dels.Inc()
-	_, sh, hv := s.shardFor(key)
-	loc, ok := sh.lookupLoc(hv, key)
+	hv := s.hash(key)
+	loc, ok := s.lookupLoc(hv, key)
 	if !ok {
 		return false
 	}
-	if !sh.idx.Delete(key, loc) {
+	if !s.idx.Delete(key, loc) {
 		return false
 	}
-	sh.alloc.FreeIfMatch(handleOf(loc), key)
-	s.syncOrdered(sh, hv, key)
+	s.alloc.FreeIfMatch(slab.Handle(loc), key)
+	s.syncOrdered(hv, key)
 	return true
 }
 
-// lookupLoc finds the live global location for key within this shard, with
-// the same miss-reprobe discipline as GetInto. hv is the key's precomputed
-// hash from shardFor.
-func (sh *shard) lookupLoc(hv uint64, key []byte) (cuckoo.Location, bool) {
+// lookupLoc finds the live location for key, with the same miss-reprobe
+// discipline as GetInto. hv is the key's precomputed hash.
+func (s *Store) lookupLoc(hv uint64, key []byte) (cuckoo.Location, bool) {
 	for attempt := 0; ; attempt++ {
-		v1 := sh.idx.Version()
+		v1 := s.idx.Version()
 		var buf [cuckoo.MaxCandidates]cuckoo.Location
-		n, _ := sh.idx.SearchBufHash(hv, &buf)
+		n, _ := s.idx.SearchBufHash(hv, &buf)
 		for _, loc := range buf[:n] {
-			if sh.alloc.MatchKey(handleOf(loc), key) {
+			if s.alloc.MatchKey(slab.Handle(loc), key) {
 				return loc, true
 			}
 		}
-		if attempt >= maxReadRetries || sh.idx.Version() == v1 {
+		if attempt >= maxReadRetries || s.idx.Version() == v1 {
 			return 0, false
 		}
 	}
@@ -477,11 +387,10 @@ func (sh *shard) lookupLoc(hv uint64, key []byte) (cuckoo.Location, bool) {
 // ---- Task-granular operations (pipeline building blocks) ----
 
 // IndexSearch performs the IN(Search) task: it returns candidate locations
-// for key, appending to dst. Returned locations carry their shard id and can
-// be passed to KeyCompare / ReadValueInto directly.
+// for key, appending to dst. Returned locations can be passed to KeyCompare /
+// ReadValueInto directly.
 func (s *Store) IndexSearch(key []byte, dst []cuckoo.Location) []cuckoo.Location {
-	_, sh, _ := s.shardFor(key)
-	cands, _ := sh.idx.Search(key, dst)
+	cands, _ := s.idx.Search(key, dst)
 	return cands
 }
 
@@ -495,11 +404,7 @@ func (s *Store) SearchServe(key []byte, dst []cuckoo.Location) []cuckoo.Location
 // KeyCompare performs the KC task: it reports whether the object at loc is
 // live and stores exactly key. The compare is lock-free and seqlock-safe.
 func (s *Store) KeyCompare(loc cuckoo.Location, key []byte) bool {
-	si := shardOfLoc(loc)
-	if si >= len(s.shards) {
-		return false
-	}
-	return s.shards[si].alloc.MatchKey(handleOf(loc), key)
+	return s.alloc.MatchKey(slab.Handle(loc), key)
 }
 
 // ReadValueInto performs the RD task: it appends a copy of the value bytes at
@@ -507,55 +412,32 @@ func (s *Store) KeyCompare(loc cuckoo.Location, key []byte) bool {
 // aliases the arena, so it stays valid after eviction. On a miss dst is
 // returned unchanged.
 func (s *Store) ReadValueInto(loc cuckoo.Location, dst []byte) ([]byte, bool) {
-	si := shardOfLoc(loc)
-	if si >= len(s.shards) {
-		return dst, false
-	}
-	sh := s.shards[si]
-	h := handleOf(loc)
-	out, ok := sh.alloc.ReadInto(h, dst)
+	h := slab.Handle(loc)
+	out, ok := s.alloc.ReadInto(h, dst)
 	if !ok {
 		return dst, false
 	}
-	sh.alloc.Touch(h, s.stamp.Load())
+	s.alloc.Touch(h, s.stamp.Load())
 	return out, true
 }
 
 // ---- Profiling hooks ----
 
 // AdvanceSampleInterval begins a new skewness-sampling interval and returns
-// the access counters collected during the one that just ended (paper §IV-B),
-// gathered across all shards.
+// the access counters collected during the one that just ended (paper §IV-B).
 func (s *Store) AdvanceSampleInterval(limit int) []uint32 {
 	old := s.stamp.Load()
-	var counts []uint32
-	for _, sh := range s.shards {
-		rem := 0
-		if limit > 0 {
-			rem = limit - len(counts)
-			if rem <= 0 {
-				break
-			}
-		}
-		counts = append(counts, sh.alloc.CollectAccessCounts(old, rem)...)
-	}
+	counts := s.alloc.CollectAccessCounts(old, limit)
 	s.stamp.Store(old + 1)
 	return counts
 }
 
-// Len returns the number of live index entries across shards, the live-object
-// count, in O(1) per shard.
-func (s *Store) Len() int {
-	var n int
-	for _, sh := range s.shards {
-		n += sh.idx.Len()
-	}
-	return n
-}
+// Len returns the number of live index entries, the live-object count, in
+// O(1).
+func (s *Store) Len() int { return s.idx.Len() }
 
-// Index exposes the first shard's cuckoo table (read-mostly: stats,
-// capacity). With the default single shard this is the whole index.
-func (s *Store) Index() *cuckoo.Table { return s.shards[0].idx }
+// Index exposes the cuckoo table (read-mostly: stats, capacity).
+func (s *Store) Index() *cuckoo.Table { return s.idx }
 
 // Stats is a snapshot of store-level counters.
 type Stats struct {
@@ -567,31 +449,25 @@ type Stats struct {
 	ScanEntries            uint64 // entries returned across all scans
 	ScanBytes              uint64 // key+value bytes returned across all scans
 	ScanFallbacks          uint64 // stale snapshot locations re-resolved live
-	OrderedKeys            int    // keys in the maintained ordered-index trees (0 if disabled)
+	OrderedKeys            int    // keys in the ordered index (0 if disabled or dropped)
 	OrderedSplits          uint64 // ordered-index node splits
 	OrderedMerges          uint64 // ordered-index node merges
-	OrderedMaintained      int    // shards whose ordered index is maintained, not dropped
-	OrderedDrops           uint64 // shard trees dropped after a write-only stretch
-	OrderedRebuilds        uint64 // dropped shard trees rebuilt by a scan
+	OrderedMaintained      int    // 1 while the ordered index is maintained, 0 if disabled or dropped
+	OrderedDrops           uint64 // trees dropped after a write-only stretch
+	OrderedRebuilds        uint64 // dropped trees rebuilt by a scan
 	LiveObjects            int
 	IndexLoadFactor        float64
 	AvgInsertBucketsProbed float64
 }
 
-// Range iterates every live object across all shards, calling fn(key, value)
-// for each until fn returns false. It is lock-free (per-chunk seqlock reads
+// Range iterates every live object, calling fn(key, value) for each until fn
+// returns false. It is lock-free (per-chunk seqlock reads
 // in the slab arena) and safe to run concurrently with the serving path —
 // the durability tier's snapshotter walks the store this way while writes
 // continue. The slices passed to fn are reused; fn must copy what it keeps.
-func (s *Store) Range(fn func(key, value []byte) bool) {
-	for _, sh := range s.shards {
-		if !sh.alloc.Range(fn) {
-			return
-		}
-	}
-}
+func (s *Store) Range(fn func(key, value []byte) bool) { s.alloc.Range(fn) }
 
-// StatsSnapshot returns current counters, aggregated across shards.
+// StatsSnapshot returns current counters.
 func (s *Store) StatsSnapshot() Stats {
 	st := Stats{
 		Gets:          s.gets.Load(),
@@ -608,29 +484,17 @@ func (s *Store) StatsSnapshot() Stats {
 		OrderedDrops:    s.orderedDrops.Load(),
 		OrderedRebuilds: s.orderedRebuilds.Load(),
 	}
-	var inserts, insertBuckets float64
-	var loadSum float64
-	for _, sh := range s.shards {
-		is := sh.idx.StatsSnapshot()
-		as := sh.alloc.StatsSnapshot()
-		st.LiveObjects += as.LiveObjects
-		st.EvictScan += as.EvictScan
-		if sh.tree != nil {
-			st.OrderedKeys += sh.tree.Len()
-			splits, merges := sh.tree.Churn()
-			st.OrderedSplits += splits
-			st.OrderedMerges += merges
-			if !sh.dropped.Load() {
-				st.OrderedMaintained++
-			}
+	as := s.alloc.StatsSnapshot()
+	st.LiveObjects = as.LiveObjects
+	st.EvictScan = as.EvictScan
+	if s.tree != nil {
+		st.OrderedKeys = s.tree.Len()
+		st.OrderedSplits, st.OrderedMerges = s.tree.Churn()
+		if !s.dropped.Load() {
+			st.OrderedMaintained = 1
 		}
-		loadSum += sh.idx.LoadFactor()
-		inserts += float64(is.Inserts)
-		insertBuckets += is.AvgInsertBuckets * float64(is.Inserts)
 	}
-	st.IndexLoadFactor = loadSum / float64(len(s.shards))
-	if inserts > 0 {
-		st.AvgInsertBucketsProbed = insertBuckets / inserts
-	}
+	st.IndexLoadFactor = s.idx.LoadFactor()
+	st.AvgInsertBucketsProbed = s.idx.StatsSnapshot().AvgInsertBuckets
 	return st
 }

@@ -53,83 +53,84 @@ func checkOrderedExact(t *testing.T, s *Store) {
 	if fb := st.ScanFallbacks - fallbacks; fb != 0 {
 		t.Fatalf("quiescent scan of %d keys fell back %d times: tree locations are stale", n, fb)
 	}
-	if st.OrderedKeys != len(live) || st.OrderedMaintained != s.Shards() {
-		t.Fatalf("after the scan: %d ordered keys in %d maintained shards, want %d in %d",
-			st.OrderedKeys, st.OrderedMaintained, len(live), s.Shards())
+	if st.OrderedKeys != len(live) || st.OrderedMaintained != 1 {
+		t.Fatalf("after the scan: %d ordered keys, maintained = %d; want %d, 1",
+			st.OrderedKeys, st.OrderedMaintained, len(live))
 	}
 }
 
-// TestOrderedUpkeepDropAndRebuild walks one shard set through the rent-or-buy
-// cycle: loading never drops a tree; more than 2 × live keys + upkeepFloor
-// writes with no scan drop every shard's (and nothing is left in them); the
-// next scan rebuilds them to exactly the live key set; and writes from then
-// on keep them exact, because that scan restarted the count.
+// TestOrderedUpkeepDropAndRebuild walks the store through the rent-or-buy
+// cycle: loading never drops the tree; more than 2 × live keys + upkeepFloor
+// writes with no scan drop it (and nothing is left in it); the next scan
+// rebuilds it to exactly the live key set; and writes from then on keep it
+// exact, because that scan restarted the count.
 func TestOrderedUpkeepDropAndRebuild(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// 512 KiB holds about 8 000 of these objects, so a SET to a key
-			// outside the 12 000-key universe's resident part evicts.
-			const universe = 12000
-			s := orderedStore(t, Config{MemoryBytes: 512 << 10, IndexEntries: 1 << 14, Shards: shards})
-			rng := rand.New(rand.NewSource(int64(shards)))
-			key := func(i int) []byte { return []byte(fmt.Sprintf("up-%06d", i)) }
-			set := func(k []byte) {
-				if _, _, err := s.Set(k, upkeepValue(k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < universe; i++ {
-				set(key(i))
-			}
-			if st := s.StatsSnapshot(); st.Evictions == 0 || st.OrderedDrops != 0 {
-				t.Fatalf("load: %d evictions, %d drops; want evictions and no drop", st.Evictions, st.OrderedDrops)
-			}
-			checkOrderedExact(t, s)
+	// The subtest keeps the name it had when the store could be sharded:
+	// one tree per store is now the only configuration.
+	t.Run("shards=1", testOrderedUpkeepDropAndRebuild)
+}
 
-			// Overwrites, evicting SETs and deletes, no scan: each shard
-			// crosses its limit once the store has taken about shards ×
-			// upkeepFloor + 2 × live writes.
-			write := func() {
-				k := key(rng.Intn(universe))
-				if rng.Intn(8) == 0 {
-					s.Delete(k)
-				} else {
-					set(k)
-				}
-			}
-			limit := shards*upkeepFloor + 2*s.Len()
-			for i := 0; i < 2*limit && (i%256 != 0 || s.StatsSnapshot().OrderedDrops < uint64(shards)); i++ {
-				write()
-			}
-			st := s.StatsSnapshot()
-			if st.OrderedDrops != uint64(shards) || st.OrderedKeys != 0 || st.OrderedMaintained != 0 {
-				t.Fatalf("after a write-only stretch: %d drops, %d ordered keys, %d maintained shards; want %d, 0, 0",
-					st.OrderedDrops, st.OrderedKeys, st.OrderedMaintained, shards)
-			}
-			for i := 0; i < 5000; i++ { // writes to a dropped tree leave it empty
-				write()
-			}
-			if st := s.StatsSnapshot(); st.OrderedKeys != 0 || st.OrderedRebuilds != 0 {
-				t.Fatalf("dropped trees took keys: %d ordered keys, %d rebuilds", st.OrderedKeys, st.OrderedRebuilds)
-			}
-			checkOrderedExact(t, s)
-			if st := s.StatsSnapshot(); st.OrderedRebuilds != uint64(shards) {
-				t.Fatalf("the scan rebuilt %d trees, want %d", st.OrderedRebuilds, shards)
-			}
+func testOrderedUpkeepDropAndRebuild(t *testing.T) {
+	// 512 KiB holds about 8 000 of these objects, so a SET to a key outside
+	// the 12 000-key universe's resident part evicts.
+	const universe = 12000
+	s := orderedStore(t, Config{MemoryBytes: 512 << 10, IndexEntries: 1 << 14})
+	rng := rand.New(rand.NewSource(1))
+	key := func(i int) []byte { return []byte(fmt.Sprintf("up-%06d", i)) }
+	set := func(k []byte) {
+		if _, _, err := s.Set(k, upkeepValue(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < universe; i++ {
+		set(key(i))
+	}
+	if st := s.StatsSnapshot(); st.Evictions == 0 || st.OrderedDrops != 0 {
+		t.Fatalf("load: %d evictions, %d drops; want evictions and no drop", st.Evictions, st.OrderedDrops)
+	}
+	checkOrderedExact(t, s)
 
-			for i := 0; i < universe; i++ {
-				write()
-			}
-			checkOrderedExact(t, s)
-			if st := s.StatsSnapshot(); st.OrderedDrops != uint64(shards) || st.OrderedRebuilds != uint64(shards) {
-				t.Fatalf("maintained stretch: %d drops, %d rebuilds; want %d of each", st.OrderedDrops, st.OrderedRebuilds, shards)
-			}
-		})
+	// Overwrites, evicting SETs and deletes, no scan: the store crosses its
+	// limit once it has taken about upkeepFloor + 2 × live writes.
+	write := func() {
+		k := key(rng.Intn(universe))
+		if rng.Intn(8) == 0 {
+			s.Delete(k)
+		} else {
+			set(k)
+		}
+	}
+	limit := upkeepFloor + 2*s.Len()
+	for i := 0; i < 2*limit && (i%256 != 0 || s.StatsSnapshot().OrderedDrops == 0); i++ {
+		write()
+	}
+	st := s.StatsSnapshot()
+	if st.OrderedDrops != 1 || st.OrderedKeys != 0 || st.OrderedMaintained != 0 {
+		t.Fatalf("after a write-only stretch: %d drops, %d ordered keys, maintained = %d; want 1, 0, 0",
+			st.OrderedDrops, st.OrderedKeys, st.OrderedMaintained)
+	}
+	for i := 0; i < 5000; i++ { // writes to a dropped tree leave it empty
+		write()
+	}
+	if st := s.StatsSnapshot(); st.OrderedKeys != 0 || st.OrderedRebuilds != 0 {
+		t.Fatalf("the dropped tree took keys: %d ordered keys, %d rebuilds", st.OrderedKeys, st.OrderedRebuilds)
+	}
+	checkOrderedExact(t, s)
+	if st := s.StatsSnapshot(); st.OrderedRebuilds != 1 {
+		t.Fatalf("the scan rebuilt %d trees, want 1", st.OrderedRebuilds)
+	}
+
+	for i := 0; i < universe; i++ {
+		write()
+	}
+	checkOrderedExact(t, s)
+	if st := s.StatsSnapshot(); st.OrderedDrops != 1 || st.OrderedRebuilds != 1 {
+		t.Fatalf("maintained stretch: %d drops, %d rebuilds; want 1 of each", st.OrderedDrops, st.OrderedRebuilds)
 	}
 }
 
 // TestOrderedUpkeepDropRebuildRace runs three writers — overwrites, evicting
-// SETs of new keys, deletes — while a scanner lets the shard drop its tree,
+// SETs of new keys, deletes — while a scanner lets the store drop its tree,
 // rebuilds it with a scan under the writers' feet, and repeats. Writes race
 // both the drop and the rebuild's arena walk; once they stop, one scan must
 // see exactly the live key set with no stale location, which is the
@@ -190,7 +191,7 @@ func TestOrderedUpkeepDropRebuildRace(t *testing.T) {
 
 // BenchmarkOrderedRebuild times the rebuild a scan pays after a drop — walk
 // the arena, resolve each key through the cuckoo index, sort, bulk-build — on
-// one shard holding n 32-byte keys, in ns per key.
+// a store holding n 32-byte keys, in ns per key.
 func BenchmarkOrderedRebuild(b *testing.B) {
 	for _, n := range []int{262144, 1 << 20} {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
@@ -206,12 +207,11 @@ func BenchmarkOrderedRebuild(b *testing.B) {
 			if s.Len() != n {
 				b.Fatalf("store holds %d keys, want %d", s.Len(), n)
 			}
-			sh := s.shards[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sh.upkeep.Store(math.MaxInt64 / 2)
-				s.dropOrdered(sh)
+				s.upkeep.Store(math.MaxInt64 / 2)
+				s.dropOrdered()
 				b.StartTimer()
 				s.NewScanner()
 			}

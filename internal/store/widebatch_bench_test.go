@@ -33,7 +33,7 @@ var (
 func benchFixture(b *testing.B) (*Store, [][]byte, []uint32) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSt = New(Config{MemoryBytes: 256 << 20, IndexEntries: 1 << 21, Seed: 11, Shards: 8})
+		benchSt = New(Config{MemoryBytes: 256 << 20, IndexEntries: 1 << 21, Seed: 11})
 		benchKeys = make([][]byte, benchPop)
 		val := bytes.Repeat([]byte{0xcd}, benchValSize)
 		for i := range benchKeys {
@@ -51,7 +51,7 @@ func benchFixture(b *testing.B) (*Store, [][]byte, []uint32) {
 	return benchSt, benchKeys, benchIdx
 }
 
-// BenchmarkSearchBatch compares the wide, shard-grouped batched GET path
+// BenchmarkSearchBatch compares the wide batched GET path
 // (GetBatch: SearchBatch waves + fused verify, the live pipeline's only read
 // path) against the scalar per-key path (GetInto) on the paper's serving
 // workload: 95% GET / 5% SET with zipf(0.99)-skewed keys. Both sub-benchmarks
@@ -116,7 +116,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 
 // BenchmarkReadBatchUniform prices the batched read at the serving shape of
 // the RESP GET workload with the server's defaults: 1 Mi K8/V8 keys in a
-// 256 MiB one-shard store, uniform keys, batches of 256 GETs whose keys are
+// 256 MiB store, uniform keys, batches of 256 GETs whose keys are
 // sub-slices of one frame-like buffer (as the front end parses them), so the
 // harness itself adds no cold key headers. "staged" is what the default plan
 // runs (SearchBatch, then ReadCandidatesBatch on the candidates); "fused" is

@@ -11,39 +11,37 @@ import (
 
 func wideKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 
-func newWideStore(shards int) *Store {
-	return New(Config{MemoryBytes: 32 << 20, IndexEntries: 1 << 15, Seed: 11, Shards: shards})
+func newWideStore() *Store {
+	return New(Config{MemoryBytes: 32 << 20, IndexEntries: 1 << 15, Seed: 11})
 }
 
-// TestSearchBatchMatchesIndexSearch checks the shard-grouped wide search
-// returns exactly the scalar per-key candidate lists, across shard counts and
-// batch sizes, for present and absent keys alike.
+// TestSearchBatchMatchesIndexSearch checks the wide search returns exactly
+// the scalar per-key candidate lists, across batch sizes, for present and
+// absent keys alike.
 func TestSearchBatchMatchesIndexSearch(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s := newWideStore(shards)
-		for i := 0; i < 5000; i++ {
-			if _, _, err := s.Set(wideKey(i), wideKey(i)); err != nil {
-				t.Fatal(err)
-			}
+	s := newWideStore()
+	for i := 0; i < 5000; i++ {
+		if _, _, err := s.Set(wideKey(i), wideKey(i)); err != nil {
+			t.Fatal(err)
 		}
-		for _, n := range []int{1, 8, 64, 300} {
-			keys := make([][]byte, n)
-			for i := range keys {
-				keys[i] = wideKey((i * 2711) % 7000) // hits and misses
+	}
+	for _, n := range []int{1, 8, 64, 300} {
+		keys := make([][]byte, n)
+		for i := range keys {
+			keys[i] = wideKey((i * 2711) % 7000) // hits and misses
+		}
+		lo := make([]int32, n)
+		hi := make([]int32, n)
+		cands := s.SearchBatch(keys, nil, lo, hi)
+		for i, k := range keys {
+			want := s.IndexSearch(k, nil)
+			got := cands[lo[i]:hi[i]]
+			if len(got) != len(want) {
+				t.Fatalf("n=%d key %d: %v != %v", n, i, got, want)
 			}
-			lo := make([]int32, n)
-			hi := make([]int32, n)
-			cands := s.SearchBatch(keys, nil, lo, hi)
-			for i, k := range keys {
-				want := s.IndexSearch(k, nil)
-				got := cands[lo[i]:hi[i]]
-				if len(got) != len(want) {
-					t.Fatalf("shards=%d n=%d key %d: %v != %v", shards, n, i, got, want)
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("shards=%d n=%d key %d: %v != %v", shards, n, i, got, want)
-					}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("n=%d key %d: %v != %v", n, i, got, want)
 				}
 			}
 		}
@@ -54,36 +52,34 @@ func TestSearchBatchMatchesIndexSearch(t *testing.T) {
 // GetInto for every key of a mixed hit/miss batch, and that the hit count and
 // miss convention (vlo = -1) are right.
 func TestGetBatchMatchesGetInto(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s := newWideStore(shards)
-		for i := 0; i < 4000; i++ {
-			if _, _, err := s.Set(wideKey(i), []byte(fmt.Sprintf("val-%06d", i))); err != nil {
-				t.Fatal(err)
+	s := newWideStore()
+	for i := 0; i < 4000; i++ {
+		if _, _, err := s.Set(wideKey(i), []byte(fmt.Sprintf("val-%06d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 257
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = wideKey((i * 31) % 6000)
+	}
+	vlo := make([]int32, n)
+	vhi := make([]int32, n)
+	vals, hits := s.GetBatch(keys, nil, vlo, vhi)
+	wantHits := 0
+	for i, k := range keys {
+		want, ok := s.GetInto(k, nil)
+		if ok {
+			wantHits++
+			if vlo[i] < 0 || string(vals[vlo[i]:vhi[i]]) != string(want) {
+				t.Fatalf("key %d: batch %q (lo=%d) != scalar %q", i, vals[vlo[i]:vhi[i]], vlo[i], want)
 			}
+		} else if vlo[i] != -1 {
+			t.Fatalf("key %d: batch hit %q but scalar missed", i, vals[vlo[i]:vhi[i]])
 		}
-		n := 257
-		keys := make([][]byte, n)
-		for i := range keys {
-			keys[i] = wideKey((i * 31) % 6000)
-		}
-		vlo := make([]int32, n)
-		vhi := make([]int32, n)
-		vals, hits := s.GetBatch(keys, nil, vlo, vhi)
-		wantHits := 0
-		for i, k := range keys {
-			want, ok := s.GetInto(k, nil)
-			if ok {
-				wantHits++
-				if vlo[i] < 0 || string(vals[vlo[i]:vhi[i]]) != string(want) {
-					t.Fatalf("shards=%d key %d: batch %q (lo=%d) != scalar %q", shards, i, vals[vlo[i]:vhi[i]], vlo[i], want)
-				}
-			} else if vlo[i] != -1 {
-				t.Fatalf("shards=%d key %d: batch hit %q but scalar missed", shards, i, vals[vlo[i]:vhi[i]])
-			}
-		}
-		if hits != wantHits {
-			t.Fatalf("shards=%d: hits = %d, want %d", shards, hits, wantHits)
-		}
+	}
+	if hits != wantHits {
+		t.Fatalf("hits = %d, want %d", hits, wantHits)
 	}
 }
 
@@ -91,7 +87,7 @@ func TestGetBatchMatchesGetInto(t *testing.T) {
 // contract: candidates collected before an overwrite must still resolve the
 // new value through the authoritative re-sweep, not report a miss.
 func TestReadCandidatesBatchStaleFallsBack(t *testing.T) {
-	s := newWideStore(4)
+	s := newWideStore()
 	keys := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
 	for _, k := range keys {
 		if _, _, err := s.Set(k, append([]byte("old-"), k...)); err != nil {
@@ -126,7 +122,7 @@ func TestReadCandidatesBatchStaleFallsBack(t *testing.T) {
 // TestReadCandidatesBatchEmptyFallsBack: keys with no candidates at all (a
 // same-batch insert the search ran before) must resolve authoritatively.
 func TestReadCandidatesBatchEmptyFallsBack(t *testing.T) {
-	s := newWideStore(2)
+	s := newWideStore()
 	if _, _, err := s.Set([]byte("alpha"), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +140,19 @@ func TestReadCandidatesBatchEmptyFallsBack(t *testing.T) {
 	}
 }
 
-// TestReadCandidatesBatchForeignShardSkipped: candidates carrying another
-// shard's id cannot verify as this key's object, and the fallback still
-// resolves the right value.
+// TestReadCandidatesBatchForeignShardSkipped (named for the sharded store it
+// was written for): candidates that cannot be the key's object — another
+// key's live object and locations the store never issued — fail
+// verification without a panic, and the fallback resolves the right value.
 func TestReadCandidatesBatchForeignShardSkipped(t *testing.T) {
-	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 4096, Seed: 3, Shards: 4})
+	s := New(Config{MemoryBytes: 8 << 20, IndexEntries: 4096, Seed: 3})
 	if _, _, err := s.Set([]byte("alpha"), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Set([]byte("beta"), []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	wrong := s.IndexSearch([]byte("beta"), nil)
-	wrong = append(wrong, cuckoo.Location(0))
+	wrong := append(s.IndexSearch([]byte("beta"), nil), foreignLocs(s)...)
 	keys := [][]byte{[]byte("alpha")}
 	lo := []int32{0}
 	hi := []int32{int32(len(wrong))}
@@ -168,74 +164,54 @@ func TestReadCandidatesBatchForeignShardSkipped(t *testing.T) {
 	}
 }
 
-// TestReadCandidatesBatchRoutesByLocation: ReadCandidatesBatch verifies each
-// candidate in the shard its location names. Whatever the candidates — a
-// shard id out of range, a live object of another shard, none at all, or
-// the key's own — every key must read exactly what GetBatch reads for it.
+// TestReadCandidatesBatchRoutesByLocation: whatever the candidates — the
+// key's own, locations the store never issued (first, so the chunk touch
+// meets them), another key's live object, or none at all — every key must
+// read exactly what GetBatch reads for it.
 func TestReadCandidatesBatchRoutesByLocation(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s := newWideStore(shards)
-		for i := 0; i < 3000; i++ {
-			if _, _, err := s.Set(wideKey(i), []byte(fmt.Sprintf("val-%06d", i))); err != nil {
-				t.Fatal(err)
-			}
+	s := newWideStore()
+	for i := 0; i < 3000; i++ {
+		if _, _, err := s.Set(wideKey(i), []byte(fmt.Sprintf("val-%06d", i))); err != nil {
+			t.Fatal(err)
 		}
-		const n = 200
-		keys := make([][]byte, n)
-		for i := range keys {
-			keys[i] = wideKey((i * 37) % 4000) // hits and misses
+	}
+	const n = 200
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = wideKey((i * 37) % 4000) // hits and misses
+	}
+	var cands []cuckoo.Location
+	lo, hi := make([]int32, n), make([]int32, n)
+	for i, k := range keys {
+		own := s.IndexSearch(k, nil)
+		lo[i] = int32(len(cands))
+		switch i % 5 {
+		case 0:
+			cands = append(cands, own...)
+		case 1: // never-issued locations, then the key's own
+			cands = append(cands, foreignLocs(s)...)
+			cands = append(cands, own...)
+		case 2: // another key's live object, nothing of its own
+			cands = append(cands, s.IndexSearch(wideKey((i*37+1)%3000), nil)...)
+		case 3: // never-issued locations only
+			cands = append(cands, foreignLocs(s)...)
+		case 4: // no candidates
 		}
-		// other returns a present key's candidates from a shard other than
-		// key's (the same shard when there is only one).
-		other := func(key []byte) []cuckoo.Location {
-			si, _, _ := s.shardFor(key)
-			for j := 0; ; j++ {
-				k := wideKey(j)
-				if sj, _, _ := s.shardFor(k); sj != si || shards == 1 {
-					if string(k) != string(key) {
-						return s.IndexSearch(k, nil)
-					}
-				}
-			}
+		hi[i] = int32(len(cands))
+	}
+	vlo, vhi := make([]int32, n), make([]int32, n)
+	vals, hits := s.ReadCandidatesBatch(keys, cands, lo, hi, nil, vlo, vhi)
+	wlo, whi := make([]int32, n), make([]int32, n)
+	want, wantHits := s.GetBatch(keys, nil, wlo, whi)
+	if hits != wantHits {
+		t.Fatalf("hits = %d, GetBatch hits = %d", hits, wantHits)
+	}
+	for i := range keys {
+		if (vlo[i] < 0) != (wlo[i] < 0) {
+			t.Fatalf("key %d (case %d): vlo = %d, GetBatch vlo = %d", i, i%5, vlo[i], wlo[i])
 		}
-		var cands []cuckoo.Location
-		lo, hi := make([]int32, n), make([]int32, n)
-		for i, k := range keys {
-			own := s.IndexSearch(k, nil)
-			lo[i] = int32(len(cands))
-			switch i % 4 {
-			case 0:
-				cands = append(cands, own...)
-			case 1: // shard ids out of range, then the key's own
-				for _, si := range []uint64{uint64(shards), MaxShards - 1, 1 << 19} {
-					if si >= uint64(shards) {
-						cands = append(cands, cuckoo.Location(si<<shardShift|1))
-					}
-				}
-				for _, loc := range own {
-					cands = append(cands, cuckoo.Location(uint64(shards)<<shardShift|uint64(handleOf(loc))))
-				}
-				cands = append(cands, own...)
-			case 2: // another shard's live object, then nothing of its own
-				cands = append(cands, other(k)...)
-			case 3: // no candidates
-			}
-			hi[i] = int32(len(cands))
-		}
-		vlo, vhi := make([]int32, n), make([]int32, n)
-		vals, hits := s.ReadCandidatesBatch(keys, cands, lo, hi, nil, vlo, vhi)
-		wlo, whi := make([]int32, n), make([]int32, n)
-		want, wantHits := s.GetBatch(keys, nil, wlo, whi)
-		if hits != wantHits {
-			t.Fatalf("shards=%d: hits = %d, GetBatch hits = %d", shards, hits, wantHits)
-		}
-		for i := range keys {
-			if (vlo[i] < 0) != (wlo[i] < 0) {
-				t.Fatalf("shards=%d key %d (case %d): vlo = %d, GetBatch vlo = %d", shards, i, i%4, vlo[i], wlo[i])
-			}
-			if vlo[i] >= 0 && string(vals[vlo[i]:vhi[i]]) != string(want[wlo[i]:whi[i]]) {
-				t.Fatalf("shards=%d key %d (case %d): %q, GetBatch %q", shards, i, i%4, vals[vlo[i]:vhi[i]], want[wlo[i]:whi[i]])
-			}
+		if vlo[i] >= 0 && string(vals[vlo[i]:vhi[i]]) != string(want[wlo[i]:whi[i]]) {
+			t.Fatalf("key %d (case %d): %q, GetBatch %q", i, i%5, vals[vlo[i]:vhi[i]], want[wlo[i]:whi[i]])
 		}
 	}
 }
@@ -245,7 +221,7 @@ func TestReadCandidatesBatchRoutesByLocation(t *testing.T) {
 // always read their exact value (the amortized version check may send them
 // through the scalar fallback, never to a wrong answer).
 func TestGetBatchConcurrentChurn(t *testing.T) {
-	s := newWideStore(4)
+	s := newWideStore()
 	const stable = 512
 	for i := 0; i < stable; i++ {
 		if _, _, err := s.Set(wideKey(i), wideKey(i)); err != nil {
@@ -300,7 +276,7 @@ func TestBatchPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by race-detector instrumentation")
 	}
-	s := newWideStore(4)
+	s := newWideStore()
 	const n = 256
 	for i := 0; i < 4000; i++ {
 		if _, _, err := s.Set(wideKey(i), wideKey(i)); err != nil {

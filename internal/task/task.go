@@ -305,9 +305,9 @@ func ForTask(id ID, p Profile, pl Placement) Demand {
 			d.CacheAccesses = objectLines(objBytes) - 1
 		}
 	case SC:
-		// Ordered range scan: one snapshot load, a root-to-leaf descent per
-		// shard tree (random accesses ∝ log₂ population), then a sequential
-		// merge that touches one tree node per returned entry and streams the
+		// Ordered range scan: one snapshot load, a root-to-leaf descent of
+		// the tree (random accesses ∝ log₂ population), then a sequential
+		// walk that touches one tree node per returned entry and streams the
 		// entry's key+value bytes through the seqlock read into the result
 		// block. The stream term dominates for any realistic entry count —
 		// scans are bandwidth-bound where probes are latency-bound, which is
@@ -321,7 +321,7 @@ func ForTask(id ID, p Profile, pl Placement) Demand {
 		d.MemAccesses = depth + p.ScanEntries // descent + one node hop per entry
 		d.CacheAccesses = 2 * p.ScanEntries   // iterator stack + entry header writes
 		d.SeqBytes = 2 * scanBytes            // slab value read + result-block write
-		// The N-way merge advances one entry at a time: a GPU wave's lanes
+		// The in-order walk advances one entry at a time: a GPU wave's lanes
 		// serialize on the shared cursor (same mechanism as Fig 6's CAS).
 		d.GPUSerialFrac = 0.35
 	case WR:

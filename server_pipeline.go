@@ -27,7 +27,7 @@ import (
 
 // PipelineOptions configures the server's batched pipeline. The zero value
 // gives the defaults. Every batch's GETs take the store's batched read path
-// (one shard-grouped search and one fused KC+RD call per stage), so there is
+// (one wave search and one fused KC+RD call per stage), so there is
 // no read-path knob.
 //
 // Within one batch the pipeline executes all index writes before all reads
@@ -268,8 +268,8 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 	}
 }
 
-// storeLive is the pipeline's batched surface over a *Store: the
-// shard-grouped batched search, the fused KC+RD, and the store's metrics for
+// storeLive is the pipeline's batched surface over a *Store: the batched
+// wave search, the fused KC+RD, and the store's metrics for
 // the adaptation profile.
 type storeLive struct{ s *store.Store }
 

@@ -450,12 +450,12 @@ func TestPipelinedAdaptReplans(t *testing.T) {
 }
 
 // TestPipelinedWidePath drives small batches of GETs, hits and a miss,
-// through the batched read path over the real sharded store and checks the
+// through the batched read path over a default store and checks the
 // end-to-end answers and that the store counted every GET — the
 // server-level proof that SearchBatch / ReadCandidatesBatch / GetBatch carry
 // real traffic at any batch size.
 func TestPipelinedWidePath(t *testing.T) {
-	st := NewStore(StoreConfig{MemoryBytes: 8 << 20, Shards: 4})
+	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
 	srv := NewServerOpts(st, ServerOptions{Pipeline: &PipelineOptions{
 		BatchInterval: 200 * time.Microsecond,
 	}})

@@ -11,23 +11,19 @@ type StoreConfig struct {
 	// from its own size class with a per-class CLOCK (second-chance) sweep,
 	// the paper's memory-management task.
 	MemoryBytes int64
-	// IndexEntries sizes the cuckoo index; defaults to MemoryBytes/256.
+	// IndexEntries sizes the cuckoo index; 0 sizes it for the most objects
+	// the arena can hold, MemoryBytes/64 (the smallest slab chunk), with a
+	// floor of 1024.
 	IndexEntries int
 	// Seed makes hashing deterministic (0 picks a fixed default).
 	Seed uint64
-	// Shards splits the store into independent index+arena pairs routed by
-	// key hash (rounded up to a power of two, clamped to [1, 16]; 0 means 1).
-	// More shards let concurrent writers proceed without contending on the
-	// same slab-class locks; the memory budget is divided evenly, so very
-	// small arenas should stay at 1.
-	Shards int
-	// Ordered keeps an ordered index (a lazily copied B-tree per shard)
-	// beside the cuckoo table, enabling Scan; scans never block writers.
-	// While a shard's tree is maintained, a write pays one in-place tree
-	// descent, plus an insert or delete when the key set changes. A shard
-	// that takes more than 2 × its live keys + 64 Ki writes with no scan
-	// drops its tree, so its writes pay nothing for it, and the next Scan
-	// rebuilds the tree from the arena. False, the zero value, keeps the
+	// Ordered keeps an ordered index (a lazily copied B-tree) beside the
+	// cuckoo table, enabling Scan; scans never block writers. While the tree
+	// is maintained, a write pays one in-place tree descent, plus an insert
+	// or delete when the key set changes. A store that takes more than 2 ×
+	// its live keys + 64 Ki writes with no scan drops its tree, so its
+	// writes pay nothing for it, and the next Scan rebuilds the tree from
+	// the arena. False, the zero value, keeps the
 	// point-op-only store, where Scan reports ok=false; dido-server turns
 	// it on unless started with -ordered=false.
 	Ordered bool
@@ -47,7 +43,6 @@ func NewStore(cfg StoreConfig) *Store {
 		MemoryBytes:  cfg.MemoryBytes,
 		IndexEntries: cfg.IndexEntries,
 		Seed:         cfg.Seed,
-		Shards:       cfg.Shards,
 		Ordered:      cfg.Ordered,
 	})}
 }
@@ -81,8 +76,8 @@ func (s *Store) Ordered() bool { return s.inner.Ordered() }
 // smallest key; a nil/empty end means unbounded; limit <= 0 means unlimited.
 // It returns the number of entries visited and whether the store is ordered
 // (ok=false means the scan did not run — build the store with
-// StoreConfig.Ordered). The key set iterated is a per-shard snapshot
-// taken at the call; values are read live through the slab seqlock, so a
+// StoreConfig.Ordered). The key set iterated is a snapshot of the whole
+// store taken at the call; values are read live through the slab seqlock, so a
 // scan never observes torn or reclaimed bytes (see internal/store/scan.go
 // for the full contract). The slices passed to fn are reused; fn must copy
 // what it keeps.
@@ -110,16 +105,17 @@ type StoreStats struct {
 	ScanBytes       uint64 // key+value bytes returned across all scans
 	ScanFallbacks   uint64 // snapshot locations gone stale, re-resolved via the index
 	LiveObjects     int
-	OrderedKeys     int    // keys in the maintained shard trees (LiveObjects while none is dropped)
+	OrderedKeys     int    // keys in the ordered index (LiveObjects while it is maintained)
 	OrderedSplits   uint64 // ordered-index node splits
 	OrderedMerges   uint64 // ordered-index node merges
 	IndexLoadFactor float64
 
-	// Ordered-index upkeep: a shard drops its tree after more than 2 × its
-	// live keys + 64 Ki writes with no scan, and the next scan rebuilds it.
-	OrderedMaintained int    // shards whose tree is maintained, not dropped
-	OrderedDrops      uint64 // shard trees dropped
-	OrderedRebuilds   uint64 // dropped shard trees rebuilt by a scan
+	// Ordered-index upkeep: the store drops its tree after more than 2 ×
+	// its live keys + 64 Ki writes with no scan, and the next scan rebuilds
+	// it.
+	OrderedMaintained int    // 1 while the tree is maintained, 0 if disabled or dropped
+	OrderedDrops      uint64 // trees dropped
+	OrderedRebuilds   uint64 // dropped trees rebuilt by a scan
 }
 
 // CollectMetrics appends the store's counters to w — the store's half of the
@@ -139,12 +135,12 @@ func (s *Store) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_scan_bytes_total", "Key+value bytes returned across all SCANs.", st.ScanBytes)
 	w.Counter("dido_scan_fallbacks_total", "Scan snapshot locations re-resolved through the index after going stale.", st.ScanFallbacks)
 	w.Gauge("dido_store_live_objects", "Objects currently stored.", float64(st.LiveObjects))
-	w.Gauge("dido_store_ordered_keys", "Keys in the maintained ordered-index trees (0 when disabled; a dropped shard counts none).", float64(st.OrderedKeys))
+	w.Gauge("dido_store_ordered_keys", "Keys in the ordered index (0 when disabled or dropped).", float64(st.OrderedKeys))
 	w.Counter("dido_store_ordered_splits_total", "Ordered-index B-tree node splits, root splits included.", st.OrderedSplits)
 	w.Counter("dido_store_ordered_merges_total", "Ordered-index B-tree node merges.", st.OrderedMerges)
-	w.Gauge("dido_store_ordered_maintained_shards", "Shards whose ordered index is maintained; the others dropped it after a write-only stretch.", float64(st.OrderedMaintained))
-	w.Counter("dido_store_ordered_drops_total", "Shard ordered indexes dropped after more than 2 x live keys + 64 Ki writes with no scan.", st.OrderedDrops)
-	w.Counter("dido_store_ordered_rebuilds_total", "Dropped shard ordered indexes rebuilt from the arena by a scan.", st.OrderedRebuilds)
+	w.Gauge("dido_store_ordered_maintained_shards", "1 while the ordered index is maintained; 0 when it is disabled or was dropped after a write-only stretch.", float64(st.OrderedMaintained))
+	w.Counter("dido_store_ordered_drops_total", "Ordered indexes dropped after more than 2 x live keys + 64 Ki writes with no scan.", st.OrderedDrops)
+	w.Counter("dido_store_ordered_rebuilds_total", "Dropped ordered indexes rebuilt from the arena by a scan.", st.OrderedRebuilds)
 	w.Gauge("dido_store_index_load_factor", "Cuckoo index occupancy in [0,1].", st.IndexLoadFactor)
 }
 
