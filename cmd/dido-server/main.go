@@ -76,7 +76,7 @@ func main() {
 
 	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "max wait before a partial batch executes")
 	adapt := flag.Bool("adapt", false, "online pipeline reconfiguration from measured per-batch profiles")
-	ordered := flag.Bool("ordered", true, "keep the ordered index beside the cuckoo table (enables SCAN; while the index is maintained a write costs one in-place B-tree descent; a store that takes 2x its live keys + 64Ki writes with no SCAN drops its index and the next SCAN rebuilds it)")
+	ordered := flag.Bool("ordered", true, "keep the ordered index beside the cuckoo table (enables SCAN; the index is built by the first SCAN, so a load pays nothing for it; while it is maintained a write costs one in-place B-tree descent; a store that takes 2x its live keys + 64Ki writes with no SCAN drops its index and the next SCAN rebuilds it)")
 
 	adminAddr := flag.String("admin", "", "HTTP observability address, e.g. :9090 (/metrics, /config, /trace, /slowlog, /debug/pprof; empty disables)")
 	slowQuery := flag.Duration("slow-query", 0, "record frames slower than this (0 disables the slow-query log)")
@@ -259,9 +259,9 @@ func main() {
 				ss := srv.Stats()
 				// The server half of the line renders through the same
 				// ServerStats.String the /metrics parity tests pin.
-				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f ordered-splits=%d ordered-merges=%d ordered-maintained=%d ordered-drops=%d ordered-rebuilds=%d",
+				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f ordered-splits=%d ordered-merges=%d ordered-maintained=%d ordered-drops=%d ordered-rebuilds=%d ordered-build=%v",
 					ss, s.LiveObjects, s.Hits, s.Misses, s.Evictions, s.IndexLoadFactor, s.OrderedSplits, s.OrderedMerges,
-					s.OrderedMaintained, s.OrderedDrops, s.OrderedRebuilds)
+					s.OrderedMaintained, s.OrderedDrops, s.OrderedRebuilds, time.Duration(s.OrderedBuildNanos).Round(time.Millisecond))
 				injectorMu.Lock()
 				var fs faults.Stats
 				for _, inj := range injectors {

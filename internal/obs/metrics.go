@@ -63,6 +63,13 @@ func (w *MetricsWriter) Counter(name, help string, v uint64) {
 	fmt.Fprintf(&w.buf, "%s %d\n", name, v)
 }
 
+// CounterFloat emits one unlabelled counter sample with a fractional value,
+// such as seconds spent.
+func (w *MetricsWriter) CounterFloat(name, help string, v float64) {
+	w.header(name, help, "counter")
+	fmt.Fprintf(&w.buf, "%s %s\n", name, fmtFloat(v))
+}
+
 // CounterL emits one labelled counter sample. labels is the raw inner label
 // list, e.g. `stage="1"`.
 func (w *MetricsWriter) CounterL(name, help, labels string, v uint64) {

@@ -82,7 +82,7 @@ func FuzzOrderedTree(f *testing.F) {
 			key := tape[:kl]
 			tape = tape[kl:]
 			if op&0xc0 == 0x40 {
-				tr.Load(func(add func([]byte, uint64)) {
+				tr.Load(len(oracle), func(add func([]byte, uint64)) {
 					for i := len(oracle) - 1; i >= 0; i-- {
 						add([]byte(oracle[i].k), oracle[i].v)
 					}

@@ -263,13 +263,15 @@ func (t *Tree) Snapshot() Snapshot {
 // copies the key; entries may come in any order, and of equal keys one is
 // kept, so a key added twice must carry one payload. The tree is then built
 // bottom-up from the sorted entries, every node but the root at least half
-// full. A nil fill empties the tree in O(1). Snapshots taken before Load keep
-// their version.
-func (t *Tree) Load(fill func(add func(key []byte, val uint64))) {
+// full. hint is the expected entry count (0 if unknown): the entry array is
+// sized for it once instead of growing by doubling. A nil fill empties the
+// tree in O(1). Snapshots taken before Load keep their version.
+func (t *Tree) Load(hint int, fill func(add func(key []byte, val uint64))) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var items []item
 	if fill != nil {
+		items = make([]item, 0, max(hint, 0))
 		var block []byte // keys are copied into shared blocks, not one allocation each
 		fill(func(key []byte, val uint64) {
 			if len(key) > cap(block)-len(block) {

@@ -395,7 +395,7 @@ func TestLoad(t *testing.T) {
 			want[k] = uint64(r) // one payload per key, as Load requires
 			adds = append(adds, k)
 		}
-		tr.Load(func(add func([]byte, uint64)) {
+		tr.Load(len(want), func(add func([]byte, uint64)) {
 			buf := []byte{}
 			for _, k := range adds {
 				buf = append(buf[:0], k...) // add must copy: the buffer is reused
@@ -446,7 +446,7 @@ func TestLoad(t *testing.T) {
 		}
 
 		v := tr.Version()
-		tr.Load(nil)
+		tr.Load(0, nil)
 		if tr.Len() != 0 || tr.root != nil || tr.Version() == v {
 			t.Fatalf("size %d: Load(nil) left %d keys, version %d -> %d", size, tr.Len(), v, tr.Version())
 		}

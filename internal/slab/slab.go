@@ -713,6 +713,20 @@ type Stats struct {
 // the combination converge regardless. The key/value slices are reused
 // between calls; fn must not retain them.
 func (a *Allocator) Range(fn func(key, value []byte) bool) bool {
+	return a.rangeObjects(true, fn)
+}
+
+// RangeKeys is Range without the values: it calls fn(key) with each live
+// object's key, copied under the chunk's seqlock, and never reads a value
+// byte. It is how the store builds its ordered index. The key slice is reused
+// between calls; fn must not retain it.
+func (a *Allocator) RangeKeys(fn func(key []byte) bool) bool {
+	return a.rangeObjects(false, func(key, _ []byte) bool { return fn(key) })
+}
+
+// rangeObjects is Range, copying each value only when values is set (fn
+// gets an empty value otherwise).
+func (a *Allocator) rangeObjects(values bool, fn func(key, value []byte) bool) bool {
 	var kbuf, vbuf []byte
 	for _, c := range a.classes {
 		p := c.arena.Load()
@@ -731,7 +745,9 @@ func (a *Allocator) Range(fn func(key, value []byte) bool) bool {
 				kl, vl, valid := loadLens(w, c.chunkSize)
 				if valid {
 					kbuf = appendChunkBytes(kbuf[:0], w, headerBytes, kl)
-					vbuf = appendChunkBytes(vbuf[:0], w, headerBytes+kl, vl)
+					if values {
+						vbuf = appendChunkBytes(vbuf[:0], w, headerBytes+kl, vl)
+					}
 				}
 				if w[0].Load() == s1 {
 					if valid && !fn(kbuf, vbuf) {

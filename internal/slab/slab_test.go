@@ -181,6 +181,33 @@ func TestMultipleClassesIndependentEviction(t *testing.T) {
 	}
 }
 
+// TestRangeKeysMatchesRange: RangeKeys yields exactly the keys Range does,
+// in the same order — live objects of every class, freed ones skipped.
+func TestRangeKeysMatchesRange(t *testing.T) {
+	a := NewAllocator(Config{TotalBytes: 1 << 20, SlabBytes: 32 << 10, MinChunk: 64, MaxChunk: 1024, Growth: 2})
+	var hs []Handle
+	for i := 0; i < 300; i++ {
+		h, _, err := a.Alloc([]byte(fmt.Sprintf("rk-%03d", i)), bytes.Repeat([]byte{'v'}, i%200), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	for i := 0; i < len(hs); i += 3 {
+		a.Free(hs[i])
+	}
+	var want, got []string
+	a.Range(func(k, _ []byte) bool { want = append(want, string(k)); return true })
+	a.RangeKeys(func(k []byte) bool { got = append(got, string(k)); return true })
+	if len(want) != 200 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("RangeKeys saw %d keys, Range %d (want 200), or in another order", len(got), len(want))
+	}
+	n := 0
+	if a.RangeKeys(func([]byte) bool { n++; return n < 5 }) || n != 5 {
+		t.Fatalf("RangeKeys went on after fn returned false: %d calls", n)
+	}
+}
+
 func TestStatsSnapshot(t *testing.T) {
 	a := NewAllocator(smallConfig())
 	a.Alloc([]byte("k"), []byte("v"), 1)

@@ -1,25 +1,27 @@
 // scan.go implements the range-scan read path over the ordered index kept
 // beside the cuckoo table.
 //
-// The store optionally carries a B-tree (internal/ordered) that the write
-// path keeps in sync with the cuckoo index: a SET of a new key inserts it with
-// its location, a SET of a resident key stores the new location into the
-// existing entry, a DELETE (and an eviction victim's retirement) removes it.
-// The tree stores locations, not values, so it costs ~40 bytes per live
-// object regardless of value size and never pins value memory. It is written
-// in place; only nodes a scan's snapshot can still reach are copied first.
+// The store optionally carries a B-tree (internal/ordered), built by the
+// first scan, that the write path then keeps in sync with the cuckoo index: a
+// SET of a new key inserts it with its location, a SET of a resident key
+// stores the new location into the existing entry, a DELETE (and an eviction
+// victim's retirement) removes it. The tree stores locations, not values, so
+// it costs ~40 bytes per live object regardless of value size and never pins
+// value memory. It is written in place; only nodes a scan's snapshot can
+// still reach are copied first.
 //
-// Upkeep is paid only while scans read the tree. A store that takes more than
+// Upkeep is paid only while scans read the tree. Until the first scan there
+// is no tree, so a load pays nothing for it. A store that takes more than
 // 2 × its live keys + 64 Ki tree updates between two scans drops its tree
-// (O(1)), and its writes skip the tree from then on; the next scan rebuilds
-// it from the arena, resolving every key through the cuckoo index, and pays
-// about a third of a microsecond per key once (see dropOrdered and
-// orderedSnapshot in store.go).
+// (O(1)), and its writes skip the tree from then on. A scan that finds no
+// tree builds one from the arena, resolving the keys through the cuckoo
+// index in wave sweeps, and pays about half a microsecond per key once (see
+// dropOrdered, orderedSnapshot and buildOrdered in store.go).
 //
 // A Scanner captures the tree's snapshot once (O(1) under the tree's writer
 // lock, and the same snapshot as last time while the key set has not
-// changed; a dropped tree is rebuilt first) and walks it in key order;
-// writers never wait for a scan to finish, except while it rebuilds the
+// changed; a missing tree is built first) and walks it in key order;
+// writers never wait for a scan to finish, except while it builds the
 // tree. The consistency contract is:
 //
 //   - The KEY SET a scan iterates is one point-in-time snapshot of the whole
@@ -78,7 +80,7 @@ func (sc *Scanner) Scan(start, end []byte, limit int, fn func(key, value []byte)
 		limit = int(^uint(0) >> 1)
 	}
 	it := sc.snap.Iter(start, end)
-	n := 0
+	n, size := 0, 0
 	for n < limit {
 		key, loc, ok := it.Next()
 		if !ok {
@@ -89,12 +91,14 @@ func (sc *Scanner) Scan(start, end []byte, limit int, fn func(key, value []byte)
 			continue // deleted since the snapshot
 		}
 		n++
-		s.scanEntries.Inc()
-		s.scanBytes.Add(uint64(len(key) + len(val)))
+		size += len(key) + len(val)
 		if !fn(key, val) {
 			break
 		}
 	}
+	// One add per scan, not per entry: the counters are shared lines.
+	s.scanEntries.Add(uint64(n))
+	s.scanBytes.Add(uint64(size))
 	return n
 }
 

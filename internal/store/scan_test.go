@@ -21,6 +21,9 @@ func orderedStore(t *testing.T, cfg Config) *Store {
 // last-key+\x00 cursors — against a sorted reference model.
 func TestScanMatchesModelQuiescent(t *testing.T) {
 	s := orderedStore(t, Config{MemoryBytes: 8 << 20, IndexEntries: 1 << 12})
+	// The first scan builds the tree; scanning the empty store makes the
+	// load below maintain it, so its splits and merges are counted.
+	s.Scan(nil, nil, 0, func(k, v []byte) bool { return true })
 	model := map[string]string{}
 	for i := 0; i < 400; i++ {
 		k, v := fmt.Sprintf("key-%04d", i), fmt.Sprintf("val-%04d", i)
@@ -103,6 +106,37 @@ func TestScanMatchesModelQuiescent(t *testing.T) {
 	if st := s.StatsSnapshot(); st.OrderedKeys != 0 || st.OrderedSplits < 4 || st.OrderedMerges < 4 {
 		t.Fatalf("emptied store: %d ordered keys, %d splits, %d merges; want 0 keys and ≥ 4 of each",
 			st.OrderedKeys, st.OrderedSplits, st.OrderedMerges)
+	}
+}
+
+// TestScanCounters: each Scan adds the entries it visited and their key and
+// value bytes to the store's counters, including the entry its fn stopped
+// at, and a scan that visits nothing adds nothing.
+func TestScanCounters(t *testing.T) {
+	s := orderedStore(t, Config{MemoryBytes: 4 << 20})
+	for i := 0; i < 100; i++ {
+		k := []byte(fmt.Sprintf("sc-%03d", i))
+		if _, _, err := s.Set(k, bytes.Repeat([]byte{'v'}, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		start       string
+		limit, stop int // stop: fn returns false at this entry (0: never)
+	}{{"", 0, 0}, {"sc-050", 10, 0}, {"sc-020", 0, 7}, {"sc-zzz", 0, 0}} {
+		before := s.StatsSnapshot()
+		seen, nbytes := 0, 0
+		n, _ := s.Scan([]byte(tc.start), nil, tc.limit, func(k, v []byte) bool {
+			seen++
+			nbytes += len(k) + len(v)
+			return seen != tc.stop
+		})
+		st := s.StatsSnapshot()
+		if n != seen || st.Scans-before.Scans != 1 ||
+			st.ScanEntries-before.ScanEntries != uint64(seen) || st.ScanBytes-before.ScanBytes != uint64(nbytes) {
+			t.Fatalf("scan from %q: returned %d, fn saw %d entries / %d bytes; counters moved %d scans, %d entries, %d bytes",
+				tc.start, n, seen, nbytes, st.Scans-before.Scans, st.ScanEntries-before.ScanEntries, st.ScanBytes-before.ScanBytes)
+		}
 	}
 }
 

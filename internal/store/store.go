@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cuckoo"
 	"repro/internal/ordered"
@@ -50,12 +51,14 @@ type Config struct {
 	Slab *slab.Config
 	// Ordered keeps an ordered index (a lazily copied B-tree over key →
 	// location) beside the cuckoo table, enabling snapshot range scans (see
-	// scan.go); without it Scan reports the store unordered. While the tree
-	// is maintained, a write that changes the key set pays one in-place tree
-	// insert or delete, an overwrite one descent and an atomic store. A
-	// store that takes more than 2 × its live keys + 64 Ki writes with no
-	// scan drops its tree and writes stop paying; the next scan rebuilds it
-	// from the arena (see dropOrdered). Point reads are unaffected.
+	// scan.go); without it Scan reports the store unordered. The tree is
+	// built by the first scan, from the arena, so a load and any writes
+	// before that scan pay nothing for it. While the tree is maintained, a
+	// write that changes the key set pays one in-place tree insert or
+	// delete, an overwrite one descent and an atomic store. A store that
+	// takes more than 2 × its live keys + 64 Ki writes with no scan drops
+	// its tree and writes stop paying again; the next scan rebuilds it (see
+	// dropOrdered). Point reads are unaffected.
 	Ordered bool
 }
 
@@ -70,8 +73,8 @@ type Store struct {
 
 	// Ordered-index upkeep (see dropOrdered).
 	upkeep   atomic.Int64 // tree Updates since the last scan snapshot
-	dropped  atomic.Bool  // the tree is empty and writes skip it until a scan rebuilds it
-	upkeepMu sync.Mutex   // orders drop, rebuild and snapshot; a write takes it only to drop
+	dropped  atomic.Bool  // the tree is empty and writes skip it until a scan builds it
+	upkeepMu sync.Mutex   // orders drop, build and snapshot; a write takes it only to drop
 
 	gets      stats.Counter
 	sets      stats.Counter
@@ -85,8 +88,9 @@ type Store struct {
 	scanBytes     stats.Counter // key+value bytes returned across all scans
 	scanFallbacks stats.Counter // snapshot locations resolved via point lookup
 
-	orderedDrops    stats.Counter // trees dropped for lack of scans
-	orderedRebuilds stats.Counter // dropped trees rebuilt by a scan
+	orderedDrops      stats.Counter // trees dropped for lack of scans
+	orderedRebuilds   stats.Counter // trees built by a scan: the first, and one after each drop
+	orderedBuildNanos stats.Counter // time spent in those builds
 }
 
 // New returns a store for cfg.
@@ -124,7 +128,9 @@ func New(cfg Config) *Store {
 		seed:  cfg.Seed,
 	}
 	if cfg.Ordered {
+		// The tree starts unbuilt, as if dropped: the first scan builds it.
 		s.tree = ordered.New()
+		s.dropped.Store(true)
 	}
 	if n := s.alloc.Classes(); n > slab.MaxClasses {
 		panic(fmt.Sprintf("store: %d slab classes exceed the location's class field", n))
@@ -283,18 +289,19 @@ func (s *Store) syncOrdered(hv uint64, key []byte) {
 	})
 }
 
-// upkeepFloor is the slack in upkeepLimit. It keeps small stores, and a store
-// that is still loading, on the maintained path.
+// upkeepFloor is the slack in upkeepLimit. It keeps small stores, whose
+// builds cost little, on the maintained path once a scan has built the tree.
 const upkeepFloor = 64 << 10
 
 // upkeepLimit is how many tree Updates the store pays for between two scans
 // before it drops its tree: 2 × its live keys + upkeepFloor. Upkeep is rent,
-// a rebuild the price of buying. On a 2-vCPU AMD EPYC VM upkeep costs
-// U ≈ 0.8 µs per Update (BenchmarkTreeApplySorted batch=1: overwrites,
-// victim deletes and inserts over 340 000 resident keys) and a rebuild
-// R ≈ 0.3 µs per key (BenchmarkOrderedRebuild). A scan gap that drops the
-// tree has already paid 2N·U, about 5 × the N·R its rebuild costs, and a
-// pure load, one Update per key, never crosses the limit.
+// a build the price of buying. The count starts at the first scan, which
+// builds the tree: before it nothing is maintained, so a load pays no rent.
+// On a 2-vCPU Intel Xeon VM keeping the tree made a load of 1 Mi K16/V64
+// keys cost about 1.7 µs more per key (2.3 against 0.6, BenchmarkStoreLoad),
+// and a build costs about 0.55 µs per key (BenchmarkOrderedRebuild). A scan
+// gap that drops the tree has already paid for 2N updates, several times
+// the N-key build its rebuild costs.
 func (s *Store) upkeepLimit() int64 { return 2*int64(s.idx.Len()) + upkeepFloor }
 
 // dropOrdered is called by a write whose Update crossed upkeepLimit. It
@@ -315,39 +322,91 @@ func (s *Store) dropOrdered() bool {
 		return false
 	}
 	s.dropped.Store(true)
-	s.tree.Load(nil)
+	s.tree.Load(0, nil)
 	s.orderedDrops.Inc()
 	return true
 }
 
 // orderedSnapshot returns the ordered-index snapshot for a scan, first
-// rebuilding a dropped tree, and restarts the upkeep count.
+// building the tree if it is unbuilt (the first scan) or dropped, and
+// restarts the upkeep count.
 //
-// The rebuild runs under the tree lock (Tree.Load). It clears the dropped bit
+// The build runs under the tree lock (Tree.Load). It clears the dropped bit
 // before it walks the arena, and a write checks the bit only after its cuckoo
 // mutations. A write that finds the bit clear therefore syncs after the
-// rebuild, resolving under the lock as usual, and a write that found it set
+// build, resolving under the lock as usual, and a write that found it set
 // had finished its mutations before the walk began, which sees them (Go
 // atomics are sequentially consistent). Each object the walk meets is
-// resolved through the cuckoo index, so a deleted key is left out and a key
-// with a stranded duplicate object is bound to its indexed location, once.
+// resolved through the cuckoo index (buildOrdered), so a deleted key is left
+// out and a key with a stranded duplicate object is bound to its indexed
+// location, once.
 func (s *Store) orderedSnapshot() ordered.Snapshot {
 	s.upkeepMu.Lock()
 	defer s.upkeepMu.Unlock()
 	if s.dropped.Load() {
-		s.tree.Load(func(add func(key []byte, val uint64)) {
+		start := time.Now()
+		s.tree.Load(s.idx.Len(), func(add func(key []byte, val uint64)) {
 			s.dropped.Store(false)
-			s.alloc.Range(func(key, _ []byte) bool {
-				if loc, ok := s.lookupLoc(s.hash(key), key); ok {
-					add(key, uint64(loc))
-				}
-				return true
-			})
+			s.buildOrdered(add)
 		})
 		s.orderedRebuilds.Inc()
+		s.orderedBuildNanos.Add(uint64(time.Since(start)))
 	}
 	s.upkeep.Store(0)
 	return s.tree.Snapshot()
+}
+
+// buildChunk is how many keys buildOrdered resolves per wave sweep: enough
+// for the sweep to overlap many bucket misses, few enough that the chunks
+// the walk just read are still cached when their keys are verified.
+const buildChunk = 256
+
+// buildOrdered passes add every key the arena holds that the cuckoo index
+// resolves, with its location. It walks the arena for keys (slab
+// RangeKeys, no value bytes) and resolves them a chunk at a time with
+// the batched read's hash + SearchBatch waves: each key binds to the first
+// of its candidates that verifies (matchLoc, as lookupLoc chooses). A
+// key with no verifying candidate (deleted since the walk, or hidden by a
+// racing displacement) falls back to lookupLoc itself, and is left out if
+// that misses too.
+func (s *Store) buildOrdered(add func(key []byte, val uint64)) {
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	sc.grow(buildChunk)
+	keys := make([][]byte, 0, buildChunk)
+	ends := make([]int, 0, buildChunk)
+	var buf []byte
+	flush := func() {
+		keys = keys[:0]
+		start := 0
+		for _, end := range ends {
+			keys = append(keys, buf[start:end:end])
+			start = end
+		}
+		s.search(keys, sc.identity(len(keys)), sc)
+		for j, key := range keys {
+			base := j * cuckoo.MaxCandidates
+			loc, ok := s.matchLoc(sc.cands[base:base+int(sc.counts[j])], key)
+			if !ok {
+				loc, ok = s.lookupLoc(sc.hv[j], key)
+			}
+			if ok {
+				add(key, uint64(loc))
+			}
+		}
+		buf, ends = buf[:0], ends[:0]
+	}
+	s.alloc.RangeKeys(func(key []byte) bool {
+		buf = append(buf, key...)
+		ends = append(ends, len(buf))
+		if len(ends) == buildChunk {
+			flush()
+		}
+		return true
+	})
+	if len(ends) > 0 {
+		flush()
+	}
 }
 
 // Delete removes key. It reports whether an object was removed.
@@ -373,15 +432,23 @@ func (s *Store) lookupLoc(hv uint64, key []byte) (cuckoo.Location, bool) {
 		v1 := s.idx.Version()
 		var buf [cuckoo.MaxCandidates]cuckoo.Location
 		n, _ := s.idx.SearchBufHash(hv, &buf)
-		for _, loc := range buf[:n] {
-			if s.alloc.MatchKey(slab.Handle(loc), key) {
-				return loc, true
-			}
+		if loc, ok := s.matchLoc(buf[:n], key); ok {
+			return loc, true
 		}
 		if attempt >= maxReadRetries || s.idx.Version() == v1 {
 			return 0, false
 		}
 	}
+}
+
+// matchLoc returns the first of cands whose object stores key.
+func (s *Store) matchLoc(cands []cuckoo.Location, key []byte) (cuckoo.Location, bool) {
+	for _, loc := range cands {
+		if s.alloc.MatchKey(slab.Handle(loc), key) {
+			return loc, true
+		}
+	}
+	return 0, false
 }
 
 // ---- Task-granular operations (pipeline building blocks) ----
@@ -449,12 +516,13 @@ type Stats struct {
 	ScanEntries            uint64 // entries returned across all scans
 	ScanBytes              uint64 // key+value bytes returned across all scans
 	ScanFallbacks          uint64 // stale snapshot locations re-resolved live
-	OrderedKeys            int    // keys in the ordered index (0 if disabled or dropped)
+	OrderedKeys            int    // keys in the ordered index (0 if disabled, not yet built or dropped)
 	OrderedSplits          uint64 // ordered-index node splits
 	OrderedMerges          uint64 // ordered-index node merges
-	OrderedMaintained      int    // 1 while the ordered index is maintained, 0 if disabled or dropped
+	OrderedMaintained      int    // 1 while the ordered index is maintained, 0 if disabled, not yet built or dropped
 	OrderedDrops           uint64 // trees dropped after a write-only stretch
-	OrderedRebuilds        uint64 // dropped trees rebuilt by a scan
+	OrderedRebuilds        uint64 // trees built by a scan: the first, and one after each drop
+	OrderedBuildNanos      uint64 // nanoseconds spent in those builds
 	LiveObjects            int
 	IndexLoadFactor        float64
 	AvgInsertBucketsProbed float64
@@ -481,8 +549,9 @@ func (s *Store) StatsSnapshot() Stats {
 		ScanBytes:     s.scanBytes.Load(),
 		ScanFallbacks: s.scanFallbacks.Load(),
 
-		OrderedDrops:    s.orderedDrops.Load(),
-		OrderedRebuilds: s.orderedRebuilds.Load(),
+		OrderedDrops:      s.orderedDrops.Load(),
+		OrderedRebuilds:   s.orderedRebuilds.Load(),
+		OrderedBuildNanos: s.orderedBuildNanos.Load(),
 	}
 	as := s.alloc.StatsSnapshot()
 	st.LiveObjects = as.LiveObjects

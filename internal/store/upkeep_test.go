@@ -59,11 +59,56 @@ func checkOrderedExact(t *testing.T, s *Store) {
 	}
 }
 
+// TestOrderedTreeBuiltByFirstScan loads more than upkeepFloor keys into an
+// ordered store with no scan: the tree stays unbuilt, so the load made no
+// tree update. The first scan builds it to exactly the live key set, and
+// writes from then on keep it exact.
+func TestOrderedTreeBuiltByFirstScan(t *testing.T) {
+	const n = upkeepFloor + 16<<10
+	s := orderedStore(t, Config{MemoryBytes: 16 << 20})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("fs-%07d", i)) }
+	for i := 0; i < n; i++ {
+		k := key(i)
+		if _, _, err := s.Set(k, upkeepValue(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.StatsSnapshot()
+	if st.LiveObjects != n || st.Evictions != 0 {
+		t.Fatalf("load: %d live, %d evictions; want %d, 0", st.LiveObjects, st.Evictions, n)
+	}
+	if st.OrderedMaintained != 0 || st.OrderedKeys != 0 || st.OrderedSplits != 0 || st.OrderedRebuilds != 0 {
+		t.Fatalf("before any scan: maintained = %d, %d ordered keys, %d splits, %d builds; want all 0",
+			st.OrderedMaintained, st.OrderedKeys, st.OrderedSplits, st.OrderedRebuilds)
+	}
+	checkOrderedExact(t, s)
+	if st := s.StatsSnapshot(); st.OrderedRebuilds != 1 || st.OrderedBuildNanos == 0 {
+		t.Fatalf("the first scan: %d builds taking %d ns; want 1 build, some ns", st.OrderedRebuilds, st.OrderedBuildNanos)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		switch k := key(rng.Intn(n + n/4)); rng.Intn(4) {
+		case 0:
+			s.Delete(k)
+		default: // overwrite, or insert past the loaded keys
+			if _, _, err := s.Set(k, upkeepValue(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkOrderedExact(t, s)
+	if st := s.StatsSnapshot(); st.OrderedRebuilds != 1 || st.OrderedDrops != 0 {
+		t.Fatalf("after the writes: %d builds, %d drops; want 1, 0", st.OrderedRebuilds, st.OrderedDrops)
+	}
+}
+
 // TestOrderedUpkeepDropAndRebuild walks the store through the rent-or-buy
-// cycle: loading never drops the tree; more than 2 × live keys + upkeepFloor
-// writes with no scan drop it (and nothing is left in it); the next scan
-// rebuilds it to exactly the live key set; and writes from then on keep it
-// exact, because that scan restarted the count.
+// cycle: a load into a store whose tree a scan has built never drops it;
+// more than 2 × live keys + upkeepFloor writes with no scan drop it (and
+// nothing is left in it); the next scan rebuilds it to exactly the live key
+// set; and writes from then on keep it exact, because that scan restarted
+// the count.
 func TestOrderedUpkeepDropAndRebuild(t *testing.T) {
 	// The subtest keeps the name it had when the store could be sharded:
 	// one tree per store is now the only configuration.
@@ -82,6 +127,8 @@ func testOrderedUpkeepDropAndRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The first scan builds the (empty) tree, so the load maintains it.
+	s.Scan(nil, nil, 0, func(k, v []byte) bool { return true })
 	for i := 0; i < universe; i++ {
 		set(key(i))
 	}
@@ -112,20 +159,21 @@ func testOrderedUpkeepDropAndRebuild(t *testing.T) {
 	for i := 0; i < 5000; i++ { // writes to a dropped tree leave it empty
 		write()
 	}
-	if st := s.StatsSnapshot(); st.OrderedKeys != 0 || st.OrderedRebuilds != 0 {
-		t.Fatalf("the dropped tree took keys: %d ordered keys, %d rebuilds", st.OrderedKeys, st.OrderedRebuilds)
+	if st := s.StatsSnapshot(); st.OrderedKeys != 0 || st.OrderedRebuilds != 1 {
+		t.Fatalf("the dropped tree took keys: %d ordered keys, %d builds (want 0, the first scan's 1)",
+			st.OrderedKeys, st.OrderedRebuilds)
 	}
 	checkOrderedExact(t, s)
-	if st := s.StatsSnapshot(); st.OrderedRebuilds != 1 {
-		t.Fatalf("the scan rebuilt %d trees, want 1", st.OrderedRebuilds)
+	if st := s.StatsSnapshot(); st.OrderedRebuilds != 2 {
+		t.Fatalf("%d trees built, want 2: the first scan's and this scan's rebuild", st.OrderedRebuilds)
 	}
 
 	for i := 0; i < universe; i++ {
 		write()
 	}
 	checkOrderedExact(t, s)
-	if st := s.StatsSnapshot(); st.OrderedDrops != 1 || st.OrderedRebuilds != 1 {
-		t.Fatalf("maintained stretch: %d drops, %d rebuilds; want 1 of each", st.OrderedDrops, st.OrderedRebuilds)
+	if st := s.StatsSnapshot(); st.OrderedDrops != 1 || st.OrderedRebuilds != 2 {
+		t.Fatalf("maintained stretch: %d drops, %d builds; want 1, 2", st.OrderedDrops, st.OrderedRebuilds)
 	}
 }
 
@@ -145,6 +193,9 @@ func TestOrderedUpkeepDropRebuildRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The first scan builds the tree; the writers then maintain it until
+	// they take enough writes to drop it.
+	s.Scan(nil, nil, 0, func(k, v []byte) bool { return true })
 	var stop atomic.Bool
 	var writers sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -183,15 +234,17 @@ func TestOrderedUpkeepDropRebuildRace(t *testing.T) {
 	stop.Store(true)
 	writers.Wait()
 	st := s.StatsSnapshot()
-	if st.OrderedDrops < 2 || st.OrderedRebuilds < 2 {
-		t.Fatalf("%d drops and %d rebuilds in 30 s; want at least 2 of each", st.OrderedDrops, st.OrderedRebuilds)
+	if st.OrderedDrops < 2 || st.OrderedRebuilds < 3 {
+		t.Fatalf("%d drops and %d builds in 30 s; want at least 2 drops and 3 builds (the first scan's and 2 rebuilds)",
+			st.OrderedDrops, st.OrderedRebuilds)
 	}
 	checkOrderedExact(t, s)
 }
 
-// BenchmarkOrderedRebuild times the rebuild a scan pays after a drop — walk
-// the arena, resolve each key through the cuckoo index, sort, bulk-build — on
-// a store holding n 32-byte keys, in ns per key.
+// BenchmarkOrderedRebuild times the build a scan pays, the first scan's or
+// one after a drop — walk the arena's keys, resolve them through the cuckoo
+// index in wave sweeps, sort, bulk-build — on a store holding n 32-byte
+// keys, in ns per key.
 func BenchmarkOrderedRebuild(b *testing.B) {
 	for _, n := range []int{262144, 1 << 20} {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
@@ -218,6 +271,36 @@ func BenchmarkOrderedRebuild(b *testing.B) {
 			b.StopTimer()
 			if got := s.StatsSnapshot().OrderedKeys; got != n {
 				b.Fatalf("rebuilt tree holds %d keys, want %d", got, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+		})
+	}
+}
+
+// BenchmarkStoreLoad times a load of 1 Mi K16/V64 keys into a fresh store
+// with no scan, with and without Config.Ordered, in ns per key. The ordered
+// store's tree is unbuilt until the first scan, so the two should match.
+func BenchmarkStoreLoad(b *testing.B) {
+	const n = 1 << 20
+	for _, ordered := range []bool{false, true} {
+		b.Run(fmt.Sprintf("ordered=%v", ordered), func(b *testing.B) {
+			k, v := make([]byte, 16), make([]byte, 64)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := New(Config{MemoryBytes: n * 128, Ordered: ordered})
+				b.StartTimer()
+				for j := 0; j < n; j++ {
+					binary.LittleEndian.PutUint64(k, uint64(j)*0x9e3779b97f4a7c15)
+					if _, _, err := s.Set(k, v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if st := s.StatsSnapshot(); s.Len() != n || st.Evictions != 0 || st.OrderedKeys != 0 {
+					b.Fatalf("store holds %d keys after %d evictions, %d ordered; want %d, 0, 0",
+						s.Len(), st.Evictions, st.OrderedKeys, n)
+				}
+				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
 		})

@@ -243,7 +243,7 @@ func TestCollectMetricsNames(t *testing.T) {
 		"dido_store_live_objects", "dido_store_ordered_keys",
 		"dido_store_ordered_splits_total", "dido_store_ordered_merges_total",
 		"dido_store_ordered_maintained_shards", "dido_store_ordered_drops_total",
-		"dido_store_ordered_rebuilds_total",
+		"dido_store_ordered_rebuilds_total", "dido_store_ordered_build_seconds_total",
 		"dido_store_index_load_factor",
 	} {
 		if !strings.Contains(got, name) {

@@ -18,12 +18,14 @@ type StoreConfig struct {
 	// Seed makes hashing deterministic (0 picks a fixed default).
 	Seed uint64
 	// Ordered keeps an ordered index (a lazily copied B-tree) beside the
-	// cuckoo table, enabling Scan; scans never block writers. While the tree
-	// is maintained, a write pays one in-place tree descent, plus an insert
-	// or delete when the key set changes. A store that takes more than 2 ×
-	// its live keys + 64 Ki writes with no scan drops its tree, so its
-	// writes pay nothing for it, and the next Scan rebuilds the tree from
-	// the arena. False, the zero value, keeps the
+	// cuckoo table, enabling Scan; scans never block writers. The tree is
+	// built by the first Scan, from the arena, so a load and any writes
+	// before it pay nothing for it; that Scan pauses about half a second
+	// per million keys. While the tree is maintained, a write pays one
+	// in-place tree descent, plus an insert or delete when the key set
+	// changes. A store that takes more than 2 × its live keys + 64 Ki
+	// writes with no scan drops its tree, so its writes pay nothing for it
+	// again, and the next Scan rebuilds it. False, the zero value, keeps the
 	// point-op-only store, where Scan reports ok=false; dido-server turns
 	// it on unless started with -ordered=false.
 	Ordered bool
@@ -105,17 +107,18 @@ type StoreStats struct {
 	ScanBytes       uint64 // key+value bytes returned across all scans
 	ScanFallbacks   uint64 // snapshot locations gone stale, re-resolved via the index
 	LiveObjects     int
-	OrderedKeys     int    // keys in the ordered index (LiveObjects while it is maintained)
+	OrderedKeys     int    // keys in the ordered index (LiveObjects while it is maintained, 0 before the first scan)
 	OrderedSplits   uint64 // ordered-index node splits
 	OrderedMerges   uint64 // ordered-index node merges
 	IndexLoadFactor float64
 
-	// Ordered-index upkeep: the store drops its tree after more than 2 ×
-	// its live keys + 64 Ki writes with no scan, and the next scan rebuilds
-	// it.
-	OrderedMaintained int    // 1 while the tree is maintained, 0 if disabled or dropped
+	// Ordered-index upkeep: the first scan builds the tree, the store drops
+	// it after more than 2 × its live keys + 64 Ki writes with no scan, and
+	// the next scan rebuilds it.
+	OrderedMaintained int    // 1 while the tree is maintained, 0 if disabled, not yet built or dropped
 	OrderedDrops      uint64 // trees dropped
-	OrderedRebuilds   uint64 // dropped trees rebuilt by a scan
+	OrderedRebuilds   uint64 // trees built by a scan: the first, and one after each drop
+	OrderedBuildNanos uint64 // time spent in those builds
 }
 
 // CollectMetrics appends the store's counters to w — the store's half of the
@@ -135,12 +138,13 @@ func (s *Store) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_scan_bytes_total", "Key+value bytes returned across all SCANs.", st.ScanBytes)
 	w.Counter("dido_scan_fallbacks_total", "Scan snapshot locations re-resolved through the index after going stale.", st.ScanFallbacks)
 	w.Gauge("dido_store_live_objects", "Objects currently stored.", float64(st.LiveObjects))
-	w.Gauge("dido_store_ordered_keys", "Keys in the ordered index (0 when disabled or dropped).", float64(st.OrderedKeys))
+	w.Gauge("dido_store_ordered_keys", "Keys in the ordered index (0 when disabled, before the first SCAN, or dropped).", float64(st.OrderedKeys))
 	w.Counter("dido_store_ordered_splits_total", "Ordered-index B-tree node splits, root splits included.", st.OrderedSplits)
 	w.Counter("dido_store_ordered_merges_total", "Ordered-index B-tree node merges.", st.OrderedMerges)
-	w.Gauge("dido_store_ordered_maintained_shards", "1 while the ordered index is maintained; 0 when it is disabled or was dropped after a write-only stretch.", float64(st.OrderedMaintained))
+	w.Gauge("dido_store_ordered_maintained_shards", "1 while the ordered index is maintained; 0 when it is disabled, until the first SCAN builds it, and after it was dropped after a write-only stretch.", float64(st.OrderedMaintained))
 	w.Counter("dido_store_ordered_drops_total", "Ordered indexes dropped after more than 2 x live keys + 64 Ki writes with no scan.", st.OrderedDrops)
-	w.Counter("dido_store_ordered_rebuilds_total", "Dropped ordered indexes rebuilt from the arena by a scan.", st.OrderedRebuilds)
+	w.Counter("dido_store_ordered_rebuilds_total", "Ordered indexes built from the arena by a SCAN: the first SCAN's, and one after each drop.", st.OrderedRebuilds)
+	w.CounterFloat("dido_store_ordered_build_seconds_total", "Seconds SCANs spent building ordered indexes (see rebuilds_total).", float64(st.OrderedBuildNanos)/1e9)
 	w.Gauge("dido_store_index_load_factor", "Cuckoo index occupancy in [0,1].", st.IndexLoadFactor)
 }
 
@@ -168,5 +172,6 @@ func (s *Store) Stats() StoreStats {
 		OrderedMaintained: st.OrderedMaintained,
 		OrderedDrops:      st.OrderedDrops,
 		OrderedRebuilds:   st.OrderedRebuilds,
+		OrderedBuildNanos: st.OrderedBuildNanos,
 	}
 }
