@@ -74,7 +74,7 @@ func main() {
 	respInflight := flag.Int("resp-conn-inflight", 0, "per-RESP-connection in-flight command-batch cap before shedding with -BUSY (0 = default)")
 	netQueues := flag.Int("net-queues", 1, "SO_REUSEPORT ingestion queues per frontend (UDP sockets / RESP listeners; clamped to 1 without kernel support, sized down by -adapt when extra readers cannot pay)")
 
-	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "max wait before a partial batch executes")
+	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "scheduling interval the batch size is chosen for (a sizing target, not a timer: stage 1 seals a partial batch as soon as it is free)")
 	adapt := flag.Bool("adapt", false, "online pipeline reconfiguration from measured per-batch profiles")
 	ordered := flag.Bool("ordered", true, "keep the ordered index beside the cuckoo table (enables SCAN; the index is built by the first SCAN, so a load pays nothing for it; while it is maintained a write costs one in-place B-tree descent; a store that takes 2x its live keys + 64Ki writes with no SCAN drops its index and the next SCAN rebuilds it)")
 

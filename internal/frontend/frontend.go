@@ -85,10 +85,10 @@ type Responder interface {
 	// are freshly allocated: the core's reply cache and WAL REPLY records
 	// retain them past Release.
 	Encode(f *Frame, resps []proto.Response) [][]byte
-	// Deliver sends encoded units for one frame and reports whether every
-	// unit was written. The core has cached the reply by then: a send that
-	// fails is answered by replaying it to the client's retry.
-	Deliver(f *Frame, units [][]byte) bool
+	// Deliver sends encoded units for one frame. The core has cached the
+	// reply by then: a send that fails is answered by replaying it to the
+	// client's retry.
+	Deliver(f *Frame, units [][]byte)
 	// DeliverBatch sends one completed pipeline batch's frames (each with
 	// f.Units already encoded) in as few kernel crossings as the transport
 	// allows — sendmmsg for UDP, one coalesced write per connection for TCP.

@@ -38,7 +38,10 @@ const (
 	// defaultWriteTimeout bounds one reply flush; a connection that stalls
 	// its receive window longer (slowloris) is torn down.
 	defaultWriteTimeout = 5 * time.Second
-	respReadBufSize     = 64 << 10
+	// shutdownWriteTimeout bounds each flush still running or started once
+	// Shutdown began, so a stalled client cannot hold up process exit.
+	shutdownWriteTimeout = time.Second
+	respReadBufSize      = 64 << 10
 )
 
 // RESPOptions configures the TCP/RESP2 frontend.
@@ -78,8 +81,16 @@ type RESP struct {
 
 	started  atomic.Bool
 	stopping atomic.Bool
+	// shutdown, set by Shutdown, shortens every flush's write deadline to
+	// shutdownWriteTimeout.
+	shutdown atomic.Bool
 	runDone  chan struct{}
 	readers  sync.WaitGroup
+	// flushes counts reply flushes running on their own goroutines; Shutdown
+	// waits for them before it closes any socket. Every flush starts from a
+	// delivery that precedes its frame's release, so all have started by the
+	// time the core has drained and calls Shutdown.
+	flushes sync.WaitGroup
 
 	frames sync.Pool // *respFrame
 	rbufs  sync.Pool // *rbuf of respReadBufSize
@@ -253,16 +264,27 @@ func (r *RESP) Interrupt() {
 	r.readers.Wait()
 }
 
-// Shutdown tears down every remaining connection. The listener slice
-// survives so stats remain readable.
+// Shutdown waits for every reply flush still running, giving each at most
+// shutdownWriteTimeout from here, then tears down every remaining
+// connection. The listener slice survives so stats remain readable.
 func (r *RESP) Shutdown() {
 	r.closeListeners()
+	r.shutdown.Store(true)
 	r.mu.Lock()
 	conns := make([]*respConn, 0, len(r.conns))
 	for c := range r.conns {
 		conns = append(conns, c)
 	}
 	r.mu.Unlock()
+	deadline := time.Now().Add(shutdownWriteTimeout)
+	for _, c := range conns {
+		// Under c.mu, so a flush either set its deadline before this one
+		// (and is cut short by it) or sees shutdown and sets the short one.
+		c.mu.Lock()
+		c.nc.SetWriteDeadline(deadline) //nolint:errcheck
+		c.mu.Unlock()
+	}
+	r.flushes.Wait()
 	for _, c := range conns {
 		c.teardown()
 	}
@@ -385,24 +407,17 @@ func (r *RESP) Encode(f *Frame, resps []proto.Response) [][]byte {
 }
 
 // Deliver stages the frame's reply in connection order, dispatches the
-// connection's next queued frame, and flushes. The flush is synchronous
-// because the result reports whether the reply was written, but it runs
-// after dispatch and outside the connection lock, so a stalled client pins
-// only this goroutine, not the connection's pipeline.
-func (r *RESP) Deliver(f *Frame, units [][]byte) bool {
+// connection's next queued frame, and flushes on its own goroutine.
+func (r *RESP) Deliver(f *Frame, units [][]byte) {
 	rf := f.Ctx.(*respFrame)
 	c := rf.c
 	r.stage(rf, flattenUnits(units))
 	r.dispatchNext(c)
-	return r.flushConn(c)
+	r.flushAsync(c)
 }
 
-// DeliverBatch stages every frame, dispatches each touched connection's next
-// frame, then hands each connection's flush to its own goroutine: the
-// pipeline's batch-done callback must not block behind one stalled
-// (slowloris) client's socket for up to defaultWriteTimeout, and
-// per-connection write serialization (flushConn's writing flag) bounds the
-// goroutines to one blocked writer per connection.
+// DeliverBatch stages every frame, then dispatches each touched connection's
+// next frame and flushes it on its own goroutine.
 func (r *RESP) DeliverBatch(fs []*Frame) {
 	var touched []*respConn
 	for _, f := range fs {
@@ -421,7 +436,7 @@ func (r *RESP) DeliverBatch(fs []*Frame) {
 	}
 	for _, c := range touched {
 		r.dispatchNext(c)
-		go r.flushConn(c)
+		r.flushAsync(c)
 	}
 }
 
@@ -431,9 +446,7 @@ func (r *RESP) Busy(f *Frame) {
 	c := rf.c
 	r.stage(rf, appendRESPBusy(nil, rf.cmds))
 	r.dispatchNext(c)
-	// No caller consumes a delivery result for sheds, so the flush need not
-	// block this goroutine (often the conn reader, via Admit→Busy).
-	go r.flushConn(c)
+	r.flushAsync(c)
 }
 
 // Fail answers every command with -ERR <reason>: a stream frontend must emit
@@ -444,7 +457,20 @@ func (r *RESP) Fail(f *Frame, reason string) {
 	c := rf.c
 	r.stage(rf, appendRESPFail(nil, rf.cmds, reason))
 	r.dispatchNext(c)
-	go r.flushConn(c)
+	r.flushAsync(c)
+}
+
+// flushAsync runs c's flush on its own goroutine, counted in r.flushes: the
+// caller — a pipeline batch-done callback or a connection reader — must not
+// block behind one stalled (slowloris) client's socket, and per-connection
+// write serialization (flushConn's writing flag) bounds the goroutines to one
+// blocked writer per connection.
+func (r *RESP) flushAsync(c *respConn) {
+	r.flushes.Add(1)
+	go func() {
+		defer r.flushes.Done()
+		r.flushConn(c)
+	}()
 }
 
 // dispatchNext hands the connection's next queued frame to the core once no
@@ -530,7 +556,6 @@ func (r *RESP) stage(rf *respFrame, payload []byte) {
 
 // flushConn writes the connection's staged replies, tearing the connection
 // down on write error/stall or once its close-marked reply has flushed.
-// Returns false when the connection is (now) gone.
 //
 // The socket write runs outside c.mu: the caller swaps the staged buffer out
 // under the lock, marks itself the active writer (c.writing) and writes
@@ -539,12 +564,12 @@ func (r *RESP) stage(rf *respFrame, payload []byte) {
 // defaultWriteTimeout. At most one writer is active per connection; a flush
 // that finds one already active returns immediately and the active writer's
 // loop picks up whatever was staged meanwhile.
-func (r *RESP) flushConn(c *respConn) bool {
+func (r *RESP) flushConn(c *respConn) {
 	c.mu.Lock()
 	for {
 		if c.tornDown {
 			c.mu.Unlock()
-			return false
+			return
 		}
 		if c.writing || len(c.wbuf) == 0 {
 			// Nothing for this caller to write: either the active writer will
@@ -556,16 +581,19 @@ func (r *RESP) flushConn(c *respConn) bool {
 			c.mu.Unlock()
 			if closeNow {
 				c.teardown()
-				return false
 			}
-			return true
+			return
 		}
 		buf := c.wbuf
 		c.wbuf = nil
 		c.writing = true
+		timeout := defaultWriteTimeout
+		if r.shutdown.Load() {
+			timeout = shutdownWriteTimeout
+		}
+		c.nc.SetWriteDeadline(time.Now().Add(timeout)) //nolint:errcheck
 		c.mu.Unlock()
 
-		c.nc.SetWriteDeadline(time.Now().Add(defaultWriteTimeout)) //nolint:errcheck
 		n, err := c.nc.Write(buf)
 		c.q.bytesOut.Add(uint64(n))
 
@@ -575,7 +603,7 @@ func (r *RESP) flushConn(c *respConn) bool {
 			c.mu.Unlock()
 			c.q.sendErrs.Inc()
 			c.teardown()
-			return false
+			return
 		}
 		if !c.tornDown && len(c.wbuf) == 0 {
 			c.wbuf = buf[:0] // recycle the detached buffer's capacity

@@ -335,20 +335,19 @@ func (u *UDP) Encode(f *Frame, resps []proto.Response) [][]byte {
 	return AppendResponseFrames(nil, f.ReqID, resps)
 }
 
-// Deliver writes each unit to the frame's peer through its arrival queue;
-// ok is false on the first write error (oversized single value or transient
-// failure: rest dropped, error counted on the queue).
-func (u *UDP) Deliver(f *Frame, units [][]byte) bool {
+// Deliver writes each unit to the frame's peer through its arrival queue.
+// The first write error (oversized single value or transient failure) drops
+// the rest and is counted on the queue.
+func (u *UDP) Deliver(f *Frame, units [][]byte) {
 	uf := f.Ctx.(*udpFrame)
 	q := uf.q
 	for _, out := range units {
 		if _, err := q.pc.WriteTo(out, uf.raddr); err != nil {
 			q.sendErrs.Inc()
-			return false
+			return
 		}
 		q.bytesOut.Add(uint64(len(out)))
 	}
-	return true
 }
 
 // DeliverBatch transmits one completed batch's datagrams in as few batched

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cuckoo"
@@ -89,7 +88,10 @@ type LiveFrame struct {
 	Ctx any
 }
 
-// Defaults for LiveOptions zero fields.
+// Live runner defaults. DefaultLiveBatchInterval is the scheduling interval
+// the default provider sizes batches for. Submit sheds a frame that would
+// open a new batch once DefaultLiveMaxPending size-sealed batches wait for
+// stage 1; it is also the queue depth ahead of each later stage.
 const (
 	DefaultLiveBatchInterval = 500 * time.Microsecond
 	DefaultLiveMaxPending    = 4
@@ -118,15 +120,9 @@ func DefaultLiveConfig() Config { return MegaKV() }
 type LiveOptions struct {
 	// Provider chooses the (config, batch size) installed at each batch
 	// boundary; in-flight batches keep the config they were sealed with.
-	// Defaults to a StaticProvider running DefaultLiveConfig.
+	// Defaults to a StaticProvider running DefaultLiveConfig, sized for
+	// DefaultLiveBatchInterval.
 	Provider ConfigProvider
-	// BatchInterval bounds how long a partially-filled batch may wait before
-	// it is sealed anyway. Default DefaultLiveBatchInterval.
-	BatchInterval time.Duration
-	// MaxPending bounds sealed batches queued ahead of each stage; Submit
-	// rejects new work (shed upstream) when stage 1's queue is full.
-	// Default DefaultLiveMaxPending.
-	MaxPending int
 	// OnBatchDone, when set, observes every completed batch after its frames
 	// were delivered. The *Batch is recycled after the callback returns;
 	// copy what outlives it.
@@ -188,18 +184,17 @@ type liveBatch struct {
 	// sealLocked).
 	lastStage Stage
 
-	firstAt  time.Time
 	sealedAt time.Time
-	// taskNanos/taskUnits accumulate measured per-task cost and unit counts.
-	taskNanos [task.NumTasks]int64
-	taskUnits [task.NumTasks]int64
 
 	gets, sets, dels   int
 	setErrs            int
 	keyBytes, valBytes int
 	wireBytes          int
-	parseNanos         int64
-	lgBytes            int64
+	// parseNanos is the frames' summed RV+PP cost; sdNanos, lgNanos time the
+	// SD delivery and the LG commit of the batch (measured only when the
+	// provider reads profiles). lgRecords/lgBytes are what LG committed.
+	parseNanos, sdNanos, lgNanos int64
+	lgRecords, lgBytes           int64
 	// SCAN accounting: query count, entries returned, and result-block bytes.
 	// Kept apart from valBytes so the profile's ValueSize (a point-op average)
 	// is not skewed by streaming range reads.
@@ -221,13 +216,11 @@ func (b *liveBatch) reset() {
 	b.cands = b.cands[:0]
 	b.vals = b.vals[:0]
 	b.resps = b.resps[:0]
-	b.firstAt, b.sealedAt = time.Time{}, time.Time{}
-	b.taskNanos = [task.NumTasks]int64{}
-	b.taskUnits = [task.NumTasks]int64{}
+	b.sealedAt = time.Time{}
 	b.gets, b.sets, b.dels, b.setErrs = 0, 0, 0, 0
 	b.keyBytes, b.valBytes, b.wireBytes = 0, 0, 0
-	b.parseNanos = 0
-	b.lgBytes = 0
+	b.parseNanos, b.sdNanos, b.lgNanos = 0, 0, 0
+	b.lgRecords, b.lgBytes = 0, 0
 	b.scans, b.scanEntries, b.scanBytes = 0, 0, 0
 }
 
@@ -270,12 +263,16 @@ func (b *liveBatch) frameRange(fi int) (int, int) {
 // pipeline: submitted frames accumulate into a pending batch; sealing stamps
 // the currently-installed (Config, size) pair into the batch; three stage
 // workers, one goroutine each, execute each batch's tasks under its own
-// sealed config; and
-// at every batch boundary the ConfigProvider may install a new pair for
-// future batches — in-flight batches always complete under the scheme they
-// started with (§III-B1).
+// sealed config; and at every batch boundary the ConfigProvider may install
+// a new pair for future batches — in-flight batches always complete under
+// the scheme they started with (§III-B1).
 //
-// Submit must not be called concurrently with or after Close.
+// A batch seals in one of two places, both under mu: in Submit when it
+// reaches the size target (it joins the ready list), or in take, when the
+// stage-1 worker is free and nothing is ready (the pending batch seals as
+// is). No timer seals: an idle stage 1 starts a lone frame at once, and every
+// frame that arrives while stage 1 is busy joins the one batch it seals when
+// it is free.
 type LiveRunner struct {
 	store LiveStore
 	opts  LiveOptions
@@ -283,12 +280,19 @@ type LiveRunner struct {
 	// that it never reads Batch.Profile; buildProfile is skipped then.
 	wantProfile bool
 
-	mu      sync.Mutex // guards pending, cfg, target, seq, closed
+	mu sync.Mutex // guards pending, ready, cfg, target, seq, closed
+	// work wakes the stage-1 worker (waiting in take) on Submit and Close.
+	work    *sync.Cond
 	pending *liveBatch
-	cfg     Config
-	target  int
-	seq     uint64
-	closed  bool
+	// ready holds size-sealed batches awaiting stage 1, oldest first. Submit
+	// sheds once it holds DefaultLiveMaxPending and no batch is pending; a
+	// batch opened below that bound may still seal into it, so it holds at
+	// most DefaultLiveMaxPending+1.
+	ready  []*liveBatch
+	cfg    Config
+	target int
+	seq    uint64
+	closed bool
 
 	provMu sync.Mutex // serializes provider calls across the stage workers
 	// LiveMetrics cache (under provMu): buildProfile refreshes it at most
@@ -300,27 +304,15 @@ type LiveRunner struct {
 	cachedEvicRate   float64
 	cachedAvgIns     float64
 
-	ch        [3]chan *liveBatch
-	stageWG   [3]sync.WaitGroup
-	flushStop chan struct{}
-	flushDone chan struct{}
-	drained   chan struct{}
-	// stage1Inflight counts batches that have been sealed but have not yet
-	// finished stage-1 execution. It is incremented inside sealLocked (under
-	// mu) and decremented by the stage-1 worker only after the batch has left
-	// the stage, so there is no instant at which a batch is neither queued
-	// nor counted — the window the old two-part check (len(ch[0])==0 &&
-	// busy==0) left open between a worker's channel receive and its busy
-	// increment, during which Submit would seal degenerate one-frame batches.
-	// Zero means stage 1 is genuinely starving and the pending batch should
-	// seal now instead of waiting out the flush interval.
-	stage1Inflight atomic.Int32
+	// ch[s] feeds stage s for s = 1, 2; stage 1 (index 0) takes its batches
+	// from pending/ready instead, so ch[0] stays nil.
+	ch      [3]chan *liveBatch
+	stageWG [3]sync.WaitGroup
+	drained chan struct{}
 
 	// testStage1Dequeued, when set by a test, runs on the stage-1 worker
-	// immediately after a batch is received from ch[0] — the exact point the
-	// historical idle-detection race lived at (the busy flag was incremented
-	// only after the receive returned). The regression test parks the worker
-	// here and asserts concurrent Submits keep coalescing.
+	// right after take returns a batch. The coalescing tests park the worker
+	// here and assert that concurrent Submits accumulate into one batch.
 	testStage1Dequeued func()
 
 	pool sync.Pool // *liveBatch
@@ -334,22 +326,16 @@ type LiveRunner struct {
 	stageHist [3]*stats.Histogram // per-batch stage wall time, µs
 }
 
-// NewLiveRunner starts a live runner over s: its stage workers and batch
-// flusher run from construction until Close.
+// NewLiveRunner starts a live runner over s: its three stage workers run
+// from construction until Close.
 func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 	if opts.DoneBatch == nil {
 		panic("pipeline: LiveOptions.DoneBatch is required")
 	}
-	if opts.BatchInterval <= 0 {
-		opts.BatchInterval = DefaultLiveBatchInterval
-	}
-	if opts.MaxPending <= 0 {
-		opts.MaxPending = DefaultLiveMaxPending
-	}
 	if opts.Provider == nil {
 		opts.Provider = &StaticProvider{
 			Config:   DefaultLiveConfig(),
-			Interval: opts.BatchInterval,
+			Interval: DefaultLiveBatchInterval,
 			MinBatch: DefaultLiveMinBatch,
 			MaxBatch: DefaultLiveMaxBatch,
 		}
@@ -358,10 +344,10 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 		store:       s,
 		opts:        opts,
 		wantProfile: true,
-		flushStop:   make(chan struct{}),
-		flushDone:   make(chan struct{}),
+		ready:       make([]*liveBatch, 0, DefaultLiveMaxPending+1),
 		drained:     make(chan struct{}),
 	}
+	r.work = sync.NewCond(&r.mu)
 	if pc, ok := opts.Provider.(ProfileConsumer); ok {
 		r.wantProfile = pc.WantsProfile()
 	}
@@ -371,19 +357,22 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 	}
 	r.pool.New = func() any { return &liveBatch{} }
 	for si := 0; si < 3; si++ {
-		r.ch[si] = make(chan *liveBatch, opts.MaxPending)
+		if si > 0 {
+			r.ch[si] = make(chan *liveBatch, DefaultLiveMaxPending)
+		}
 		r.stageHist[si] = stats.NewHistogram(stats.LatencyBoundsMicros()...)
 		r.stageWG[si].Add(1)
 		go r.stageWorker(si)
 	}
-	go r.flusher()
 	return r
 }
 
-// Submit hands a parsed frame to the pipeline. It reports false when the
-// runner is closed or saturated (every stage-1 slot already holds a sealed
-// batch); the caller sheds the frame upstream (StatusBusy), which keeps
-// admission latency bounded.
+// Submit hands a parsed frame to the pipeline. The frame joins the pending
+// batch, which seals into the ready list once it reaches the size target;
+// otherwise the stage-1 worker seals it when it next takes work. Submit
+// reports false when the runner is closed or saturated (no batch pending and
+// DefaultLiveMaxPending sealed batches already waiting); the caller sheds
+// the frame upstream (StatusBusy), which keeps admission latency bounded.
 func (r *LiveRunner) Submit(f *LiveFrame) bool {
 	r.mu.Lock()
 	if r.closed {
@@ -391,7 +380,7 @@ func (r *LiveRunner) Submit(f *LiveFrame) bool {
 		return false
 	}
 	if r.pending == nil {
-		if len(r.ch[0]) == cap(r.ch[0]) {
+		if len(r.ready) >= DefaultLiveMaxPending {
 			r.mu.Unlock()
 			r.shedFull.Inc()
 			return false
@@ -401,29 +390,40 @@ func (r *LiveRunner) Submit(f *LiveFrame) bool {
 		r.pending = b
 	}
 	b := r.pending
-	if len(b.frames) == 0 {
-		b.firstAt = time.Now()
-	}
 	b.frameOff = append(b.frameOff, int32(b.nq))
 	b.frames = append(b.frames, f)
 	b.nq += len(f.Queries)
 	b.parseNanos += f.ParseNanos
-	var sealed *liveBatch
-	// Seal at the size target — or immediately when stage 1 is starving
-	// (no sealed batch queued or executing): batching only pays while the
-	// pipeline is busy, and making an idle stage wait for the flush tick
-	// would trade latency AND throughput for nothing (adaptive batching).
-	// The timer below remains the bound for frames that arrive while stage 1
-	// is busy. stage1Inflight covers a batch from seal to end of stage-1
-	// execution, so "busy" here cannot miss a batch mid-handoff.
-	if b.nq >= r.target || r.stage1Inflight.Load() == 0 {
-		sealed = r.sealLocked()
+	if b.nq >= r.target {
+		r.ready = append(r.ready, r.sealLocked())
 	}
+	r.work.Signal()
 	r.mu.Unlock()
-	if sealed != nil {
-		r.dispatch(sealed)
-	}
 	return true
+}
+
+// take returns stage 1's next batch: the oldest ready batch, else the
+// pending batch sealed now, else it waits for Submit or Close. It returns
+// nil once the runner is closed and both are drained.
+func (r *LiveRunner) take() *liveBatch {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for {
+		if len(r.ready) > 0 {
+			b := r.ready[0]
+			n := copy(r.ready, r.ready[1:])
+			r.ready[n] = nil
+			r.ready = r.ready[:n]
+			return b
+		}
+		if r.pending != nil {
+			return r.sealLocked()
+		}
+		if r.closed {
+			return nil
+		}
+		r.work.Wait()
+	}
 }
 
 // sealLocked stamps the pending batch with the installed config and removes
@@ -437,9 +437,6 @@ func (r *LiveRunner) sealLocked() *liveBatch {
 	b.b.Config = r.cfg
 	b.lastStage = lastLiveStage(r.cfg)
 	b.sealedAt = time.Now()
-	// Counted from this instant: the batch is stage-1 work whether it is
-	// still awaiting dispatch, queued, or executing (see stage1Inflight).
-	r.stage1Inflight.Add(1)
 	return b
 }
 
@@ -457,74 +454,21 @@ func lastLiveStage(c Config) Stage {
 	return StageCPUPost
 }
 
-// dispatch may block when stage 1's queue is momentarily full; total work is
-// bounded by the server's admission tokens, and Submit refuses to open a new
-// batch while the queue is full, so the wait is short and deadlock-free
-// (stage workers never call back into Submit).
-func (r *LiveRunner) dispatch(b *liveBatch) { r.ch[0] <- b }
-
-// trySealIdle seals the pending batch when stage 1 has gone idle (nothing
-// queued, no worker executing). Called by the stage-1 worker after handing
-// off a batch: frames that arrived while the stage was busy start immediately
-// instead of waiting for the next Submit or flush tick.
-func (r *LiveRunner) trySealIdle() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.pending == nil || len(r.pending.frames) == 0 ||
-		r.stage1Inflight.Load() != 0 {
-		return
+// next returns stage si's next batch, or nil once the stage has drained.
+func (r *LiveRunner) next(si int) *liveBatch {
+	if si > 0 {
+		return <-r.ch[si] // nil once Close closed the channel
 	}
-	sealed := r.sealLocked()
-	select {
-	case r.ch[0] <- sealed:
-	default:
-		// Lost the queue slot to a concurrent dispatch (Submit or the
-		// flusher, which send outside the lock). Revert the seal — stage 1
-		// has work again, so the batch can keep accumulating. The revert
-		// must undo everything sealLocked stamped: the seq (numbers stay
-		// dense), the inflight count, and the config/stage/time stamps —
-		// the eventual real seal restamps them, and Batch.Wall must be
-		// measured from that final seal, not this aborted one.
-		r.seq--
-		r.stage1Inflight.Add(-1)
-		sealed.b.Seq = 0
-		sealed.b.Config = Config{}
-		sealed.lastStage = 0
-		sealed.sealedAt = time.Time{}
-		r.pending = sealed
+	b := r.take()
+	if b != nil && r.testStage1Dequeued != nil {
+		r.testStage1Dequeued()
 	}
-}
-
-// flusher seals partially-filled batches on a BatchInterval cadence, so a
-// trickle of traffic is never parked waiting for a full batch.
-func (r *LiveRunner) flusher() {
-	defer close(r.flushDone)
-	t := time.NewTicker(r.opts.BatchInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.flushStop:
-			return
-		case <-t.C:
-			r.mu.Lock()
-			var sealed *liveBatch
-			if !r.closed && r.pending != nil && len(r.pending.frames) > 0 {
-				sealed = r.sealLocked()
-			}
-			r.mu.Unlock()
-			if sealed != nil {
-				r.dispatch(sealed)
-			}
-		}
-	}
+	return b
 }
 
 func (r *LiveRunner) stageWorker(si int) {
 	defer r.stageWG[si].Done()
-	for b := range r.ch[si] {
-		if si == 0 && r.testStage1Dequeued != nil {
-			r.testStage1Dequeued()
-		}
+	for b := r.next(si); b != nil; b = r.next(si) {
 		start := time.Now()
 		r.runStage(b, Stage(si))
 		d := time.Since(start)
@@ -537,15 +481,6 @@ func (r *LiveRunner) stageWorker(si int) {
 			r.ch[si+1] <- b
 		} else {
 			r.complete(b)
-		}
-		if si == 0 {
-			// The batch has fully left stage 1: only now does it stop
-			// counting as inflight (it was counted from its seal, closing
-			// the historical dequeue-to-busy race window). If that starved
-			// the stage, promote whatever accumulated meanwhile instead of
-			// letting it wait out the flush tick with an idle worker.
-			r.stage1Inflight.Add(-1)
-			r.trySealIdle()
 		}
 	}
 }
@@ -562,9 +497,6 @@ func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 	cfg := b.b.Config
 	if s == StageCPUPre {
 		b.prepare()
-		// RV/PP already happened at the submitter; book their measured cost.
-		b.taskNanos[task.RV] += b.parseNanos
-		b.taskUnits[task.RV] += int64(b.nq)
 	}
 	// When the config puts IN(Search) and KC on the same stage the separate
 	// candidate collection would walk the index twice per GET for nothing:
@@ -610,22 +542,16 @@ func (r *LiveRunner) eachFrame(b *liveBatch, fn func(fi int, f *LiveFrame)) {
 	}
 }
 
-// taskStart returns the start time for a per-task cost measurement, or the
-// zero time when no provider consumes profiles — the clock reads and per-task
-// bookkeeping are pure overhead then.
-func (r *LiveRunner) taskStart() time.Time {
-	if r.wantProfile {
-		return time.Now()
+// timed runs fn and returns its wall time in nanoseconds, or 0 without
+// reading the clock when no provider consumes profiles.
+func (r *LiveRunner) timed(fn func()) int64 {
+	if !r.wantProfile {
+		fn()
+		return 0
 	}
-	return time.Time{}
-}
-
-// taskDone books a task's unit count and (when measuring) its elapsed cost.
-func (b *liveBatch) taskDone(id task.ID, start time.Time, units int) {
-	b.taskUnits[id] += int64(units)
-	if !start.IsZero() {
-		b.taskNanos[id] += time.Since(start).Nanoseconds()
-	}
+	start := time.Now()
+	fn()
+	return time.Since(start).Nanoseconds()
 }
 
 // gatherGets lists every healthy frame's GET keys (and their query-arena
@@ -697,7 +623,6 @@ func (r *LiveRunner) eachGets(b *liveBatch, fn func(j0, j1 int)) (reran bool) {
 // runSearch performs IN(Search) for every GET in one SearchBatch call,
 // collecting candidate spans into the batch's shared arena.
 func (r *LiveRunner) runSearch(b *liveBatch) {
-	start := r.taskStart()
 	b.gatherGets()
 	ng := len(b.getKeys)
 	b.searched = true
@@ -716,16 +641,13 @@ func (r *LiveRunner) runSearch(b *liveBatch) {
 			}
 		}
 	}
-	b.taskDone(task.INSearch, start, ng)
 }
 
 // runWrites performs the batch's index writes in one pass over its queries:
 // every SET's composite MM + IN.Insert + IN.Delete when sets is set, every
 // DELETE's IN.Delete when dels is set (each flag says whether the config
-// maps that task onto the running stage). Measured pass time is split
-// between the two tasks by unit count.
+// maps that task onto the running stage).
 func (r *LiveRunner) runWrites(b *liveBatch, sets, dels bool) {
-	start := r.taskStart()
 	nsets, ndels := 0, 0
 	r.eachFrame(b, func(fi int, f *LiveFrame) {
 		lo := int(b.frameOff[fi])
@@ -761,13 +683,6 @@ func (r *LiveRunner) runWrites(b *liveBatch, sets, dels bool) {
 	})
 	b.sets += nsets
 	b.dels += ndels
-	if !start.IsZero() && nsets+ndels > 0 {
-		nanos := time.Since(start).Nanoseconds()
-		b.taskNanos[task.INInsert] += nanos * int64(nsets) / int64(nsets+ndels)
-		b.taskNanos[task.INDelete] += nanos * int64(ndels) / int64(nsets+ndels)
-	}
-	b.taskUnits[task.INInsert] += int64(nsets)
-	b.taskUnits[task.INDelete] += int64(ndels)
 }
 
 // runReads performs the fused KC+RD for every GET in one batched store call
@@ -777,13 +692,10 @@ func (r *LiveRunner) runWrites(b *liveBatch, sets, dels bool) {
 // earlier backing arrays alive, so responses already built remain valid for
 // the batch's lifetime.
 func (r *LiveRunner) runReads(b *liveBatch) {
-	start := r.taskStart()
 	b.gatherGets()
-	gets := b.gets
 	b.vlo = sizeI32(b.vlo, len(b.getKeys))
 	b.vhi = sizeI32(b.vhi, len(b.getKeys))
 	r.eachGets(b, func(j0, j1 int) { r.readGets(b, j0, j1) })
-	b.taskDone(task.KC, start, b.gets-gets)
 }
 
 // readGets reads gathered GETs [j0, j1) in one store call, then books them.
@@ -823,7 +735,6 @@ func (r *LiveRunner) readGets(b *liveBatch, j0, j1 int) {
 // store has no ordered index (NewScanner returns nil) every SCAN answers
 // StatusError, keeping the never-cleared response arena sound.
 func (r *LiveRunner) runScans(b *liveBatch) {
-	start := r.taskStart()
 	var sc LiveScanner
 	scannerTried := false
 	units := 0
@@ -869,17 +780,14 @@ func (r *LiveRunner) runScans(b *liveBatch) {
 		}
 	})
 	b.scans += units
-	b.taskDone(task.SC, start, units)
 }
 
 // runRespond is WR: partition the response arena back to the frames.
 func (r *LiveRunner) runRespond(b *liveBatch) {
-	start := r.taskStart()
 	r.eachFrame(b, func(fi int, f *LiveFrame) {
 		lo, hi := b.frameRange(fi)
 		f.Resps = b.resps[lo:hi:hi]
 	})
-	b.taskDone(task.WR, start, b.nq)
 }
 
 // complete delivers b's frames (the SD task), measures the batch profile,
@@ -887,14 +795,11 @@ func (r *LiveRunner) runRespond(b *liveBatch) {
 // future seals, and recycles the batch.
 func (r *LiveRunner) complete(b *liveBatch) {
 	if r.opts.LogBatch != nil {
-		lgStart := r.taskStart()
-		records, bytes := r.opts.LogBatch(b.frames)
-		b.taskDone(task.LG, lgStart, records)
-		b.lgBytes += int64(bytes)
+		var records, bytes int
+		b.lgNanos = r.timed(func() { records, bytes = r.opts.LogBatch(b.frames) })
+		b.lgRecords, b.lgBytes = int64(records), int64(bytes)
 	}
-	sdStart := r.taskStart()
-	r.opts.DoneBatch(b.frames)
-	b.taskDone(task.SD, sdStart, len(b.frames))
+	b.sdNanos = r.timed(func() { r.opts.DoneBatch(b.frames) })
 	b.b.Wall = time.Since(b.sealedAt)
 
 	r.batches.Inc()
@@ -960,16 +865,14 @@ func (r *LiveRunner) buildProfile(b *liveBatch) {
 	if ops := b.gets + b.sets + b.dels + b.scans; ops > 0 {
 		p.WireQueryBytes = float64(b.wireBytes) / float64(ops)
 	}
-	if b.taskUnits[task.RV] > 0 {
-		p.RVUnitNanos = float64(b.taskNanos[task.RV]) / float64(b.taskUnits[task.RV])
+	if n > 0 {
+		p.RVUnitNanos = float64(b.parseNanos) / float64(n)
+		p.SDUnitNanos = float64(b.sdNanos) / float64(n)
 	}
-	if b.taskUnits[task.SD] > 0 && n > 0 {
-		p.SDUnitNanos = float64(b.taskNanos[task.SD]) / float64(n)
-	}
-	if lg := b.taskUnits[task.LG]; lg > 0 && n > 0 {
+	if lg := b.lgRecords; lg > 0 && n > 0 {
 		p.LGRecordsPerQuery = float64(lg) / float64(n)
 		p.LGSeqBytes = float64(b.lgBytes) / float64(lg)
-		p.LGUnitNanos = float64(b.taskNanos[task.LG]) / float64(lg)
+		p.LGUnitNanos = float64(b.lgNanos) / float64(lg)
 	}
 	if m, ok := r.store.(LiveStoreMetrics); ok {
 		r.setsSinceMetrics += b.sets
@@ -997,9 +900,9 @@ func (r *LiveRunner) buildProfile(b *liveBatch) {
 	b.b.Profile = p
 }
 
-// Close seals whatever is pending, drains every in-flight batch through the
-// stages (their frames are still delivered), and stops the workers. It must
-// not race Submit: the server stops admitting and drains its frames first.
+// Close stops admission, lets stage 1 drain the ready batches and then the
+// pending one through the stages (their frames are still delivered), and
+// stops the workers. Submit after Close reports false.
 func (r *LiveRunner) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -1008,24 +911,10 @@ func (r *LiveRunner) Close() {
 		return
 	}
 	r.closed = true
+	r.work.Broadcast()
 	r.mu.Unlock()
-	close(r.flushStop)
-	<-r.flushDone
-	r.mu.Lock()
-	var sealed *liveBatch
-	if r.pending != nil {
-		if len(r.pending.frames) > 0 {
-			sealed = r.sealLocked()
-		} else {
-			r.pool.Put(r.pending)
-			r.pending = nil
-		}
-	}
-	r.mu.Unlock()
-	if sealed != nil {
-		r.dispatch(sealed)
-	}
-	for si := 0; si < 3; si++ {
+	r.stageWG[0].Wait()
+	for si := 1; si < 3; si++ {
 		close(r.ch[si])
 		r.stageWG[si].Wait()
 	}

@@ -13,16 +13,13 @@ import (
 
 // runCoalesced submits frames so they coalesce into (at most) one big batch:
 // a dummy frame seals first and its batch parks in the testStage1Dequeued
-// hook, so everything submitted meanwhile accumulates behind the inflight
-// count and seals together on release. Returns the runner's final stats. The
+// hook, so everything submitted meanwhile stays pending and seals together
+// when the worker next takes work. Returns the runner's final stats. The
 // dummy frame is excluded from the caller's view.
 func runCoalesced(t *testing.T, st LiveStore, opts LiveOptions, frames []*LiveFrame) LiveStats {
 	t.Helper()
 	done := make(chan *LiveFrame, len(frames)+8)
 	opts.DoneBatch = deliverTo(done)
-	if opts.BatchInterval == 0 {
-		opts.BatchInterval = time.Hour // only explicit seals
-	}
 	r := NewLiveRunner(st, opts)
 	defer r.Close()
 	entered := make(chan struct{}, 1)
@@ -240,8 +237,7 @@ func TestLiveStealConcurrentWriters(t *testing.T) {
 		}
 	}
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: ws, n: 256},
-		BatchInterval: time.Millisecond,
+		Provider: &fixedProvider{cfg: ws, n: 256},
 		DoneBatch: func(fs []*LiveFrame) {
 			for _, f := range fs {
 				trMu.Lock()

@@ -174,9 +174,8 @@ func TestLiveRunnerBasic(t *testing.T) {
 	st.m["k1"] = []byte("v1")
 	done := make(chan *LiveFrame, 16)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: MegaKV(), n: 4},
-		BatchInterval: time.Millisecond,
-		DoneBatch:     deliverTo(done),
+		Provider:  &fixedProvider{cfg: MegaKV(), n: 4},
+		DoneBatch: deliverTo(done),
 	})
 	defer r.Close()
 
@@ -185,19 +184,27 @@ func TestLiveRunnerBasic(t *testing.T) {
 		{Op: proto.OpSet, Key: []byte("k2"), Value: []byte("v2")},
 		{Op: proto.OpDelete, Key: []byte("nope")},
 	}}
-	if !r.Submit(f1) || !r.Submit(f2) {
-		t.Fatal("Submit rejected while open")
+	// Responses alias the batch's arena, which the next batch reuses: check
+	// f1's before f2 is submitted.
+	if !r.Submit(f1) {
+		t.Fatal("Submit f1 rejected while open")
 	}
-	collectFrames(t, done, 2)
-
-	if f1.Err || f2.Err {
-		t.Fatalf("unexpected frame errors: %v %v", f1.Err, f2.Err)
+	collectFrames(t, done, 1)
+	if f1.Err {
+		t.Fatal("f1 marked Err")
 	}
 	if got := f1.Resps[0]; got.Status != proto.StatusOK || string(got.Value) != "v1" {
 		t.Fatalf("GET k1 = %+v, want OK v1", got)
 	}
 	if f1.Resps[1].Status != proto.StatusNotFound {
 		t.Fatalf("GET absent = %+v, want NotFound", f1.Resps[1])
+	}
+	if !r.Submit(f2) {
+		t.Fatal("Submit f2 rejected while open")
+	}
+	collectFrames(t, done, 1)
+	if f2.Err {
+		t.Fatal("f2 marked Err")
 	}
 	if f2.Resps[0].Status != proto.StatusOK {
 		t.Fatalf("SET k2 = %+v, want OK", f2.Resps[0])
@@ -210,8 +217,8 @@ func TestLiveRunnerBasic(t *testing.T) {
 	}
 	r.Close() // settle the counters: complete() increments after delivery
 	s := r.Stats()
-	// An idle pipeline seals each frame immediately (adaptive batching), so
-	// the two frames execute as two batches.
+	// An idle stage 1 takes each frame as soon as it arrives, and f2 arrives
+	// only after f1 was delivered, so the two frames execute as two batches.
 	if s.Batches != 2 || s.Queries != 4 {
 		t.Fatalf("Stats = %+v, want 2 batches / 4 queries", s)
 	}
@@ -219,16 +226,14 @@ func TestLiveRunnerBasic(t *testing.T) {
 
 // TestLiveRunnerIdleSeal: a lone frame on an idle pipeline is sealed and
 // executed immediately — batching only pays while the pipeline is busy, so
-// neither the unreachable size target nor the (here: one hour) flush tick may
-// delay it.
+// the unreachable size target must not delay it.
 func TestLiveRunnerIdleSeal(t *testing.T) {
 	st := newFakeLiveStore()
 	st.m["k"] = []byte("v")
 	done := make(chan *LiveFrame, 1)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: MegaKV(), n: 1 << 20}, // never fills
-		BatchInterval: time.Hour,                                 // the tick will not help
-		DoneBatch:     deliverTo(done),
+		Provider:  &fixedProvider{cfg: MegaKV(), n: 1 << 20}, // never fills
+		DoneBatch: deliverTo(done),
 	})
 	defer r.Close()
 
@@ -242,34 +247,41 @@ func TestLiveRunnerIdleSeal(t *testing.T) {
 	}
 }
 
-// TestLiveRunnerFlushInterval: with stage 1 held busy the idle-seal path is
-// unavailable, so a sub-target pending batch must be sealed by the flush
-// tick — observed as the next submitted frame opening a batch of its own.
-func TestLiveRunnerFlushInterval(t *testing.T) {
+// TestLiveSealTakeCoalescesWhileBusy: no timer seals a partial batch. With
+// stage 1 held on a gated SET for forty default scheduling intervals, frames
+// f and g submitted on either side of the wait stay pending and run as the
+// one batch stage 1 seals when it is free.
+func TestLiveSealTakeCoalescesWhileBusy(t *testing.T) {
 	st := newFakeLiveStore()
 	st.m["k"] = []byte("v")
 	st.gateKey = "hold"
 	st.gate = make(chan struct{})
 	done := make(chan *LiveFrame, 4)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 1 << 20},
-		BatchInterval: 2 * time.Millisecond,
-		DoneBatch:     deliverTo(done),
+		Provider:  &fixedProvider{cfg: cpuInsertMegaKV(), n: 1 << 20},
+		DoneBatch: deliverTo(done),
 	})
 	defer r.Close()
 
+	entered := make(chan struct{}, 1)
+	r.testStage1Dequeued = func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+	}
 	if !r.Submit(setFrame("hold", "x")) {
 		t.Fatal("Submit hold rejected")
 	}
-	time.Sleep(time.Millisecond) // let the stage-1 worker park on the gate
+	<-entered // stage 1 took the hold batch and runs into the gate
 	f := getFrame("k")
-	if !r.Submit(f) { // stage 1 busy: f stays pending, only the tick seals it
-		t.Fatal("Submit rejected")
+	if !r.Submit(f) {
+		t.Fatal("Submit f rejected")
 	}
-	time.Sleep(20 * time.Millisecond) // several ticks: the flusher seals f
+	time.Sleep(40 * DefaultLiveBatchInterval)
 	g := getFrame("k")
 	if !r.Submit(g) {
-		t.Fatal("Submit rejected")
+		t.Fatal("Submit g rejected")
 	}
 	close(st.gate)
 	collectFrames(t, done, 3)
@@ -277,10 +289,8 @@ func TestLiveRunnerFlushInterval(t *testing.T) {
 		t.Fatalf("GETs = %+v / %+v, want OK", f.Resps[0], g.Resps[0])
 	}
 	r.Close()
-	// hold, f and g each completed as their own batch: had the tick not
-	// sealed f while the stage was busy, f and g would have shared one.
-	if s := r.Stats(); s.Batches != 3 {
-		t.Fatalf("Batches = %d, want 3", s.Batches)
+	if s := r.Stats(); s.Batches != 2 {
+		t.Fatalf("Batches = %d, want 2 ({hold} then {f, g})", s.Batches)
 	}
 }
 
@@ -302,9 +312,8 @@ func TestLiveRunnerBatchBoundaryReconfig(t *testing.T) {
 	var seen []Config
 	done := make(chan *LiveFrame, 16)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &flipProvider{before: c0, after: c1, n: 1},
-		BatchInterval: time.Hour, // seal by size only: deterministic batches
-		DoneBatch:     deliverTo(done),
+		Provider:  &flipProvider{before: c0, after: c1, n: 1}, // every frame seals at Submit
+		DoneBatch: deliverTo(done),
 		OnBatchDone: func(b *Batch) {
 			mu.Lock()
 			seen = append(seen, b.Config)
@@ -363,9 +372,8 @@ func TestLiveRunnerPanicContainment(t *testing.T) {
 	st.gate = make(chan struct{})
 	done := make(chan *LiveFrame, 4)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 2},
-		BatchInterval: time.Hour,
-		DoneBatch:     deliverTo(done),
+		Provider:  &fixedProvider{cfg: cpuInsertMegaKV(), n: 2},
+		DoneBatch: deliverTo(done),
 	})
 	defer r.Close()
 
@@ -406,12 +414,11 @@ func TestLiveRunnerCloseDrains(t *testing.T) {
 	st.gate = make(chan struct{})
 	done := make(chan *LiveFrame, 4)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 1 << 20},
-		BatchInterval: time.Hour, // the flusher will not help; Close must
-		DoneBatch:     deliverTo(done),
+		Provider:  &fixedProvider{cfg: cpuInsertMegaKV(), n: 1 << 20},
+		DoneBatch: deliverTo(done),
 	})
 	// Park stage 1 on a gated SET so f below is still pending when Close
-	// runs (an idle pipeline would seal it immediately).
+	// runs (an idle stage 1 would take it immediately).
 	if !r.Submit(setFrame("hold", "x")) {
 		t.Fatal("Submit hold rejected")
 	}
@@ -442,9 +449,8 @@ func TestLiveRunnerProfileMeasured(t *testing.T) {
 	var prof *Batch
 	done := make(chan *LiveFrame, 4)
 	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: MegaKV(), n: 4},
-		BatchInterval: time.Hour,
-		DoneBatch:     deliverTo(done),
+		Provider:  &fixedProvider{cfg: MegaKV(), n: 4},
+		DoneBatch: deliverTo(done),
 		OnBatchDone: func(b *Batch) {
 			mu.Lock()
 			cp := *b

@@ -55,7 +55,7 @@ const (
 	// SyncBatch (default) fsyncs before Commit returns: group commit, no
 	// acked write is ever lost to a crash.
 	SyncBatch SyncPolicy = iota
-	// SyncInterval fsyncs from a background flusher every Options.Interval;
+	// SyncInterval fsyncs from a background goroutine every Options.Interval;
 	// Commit returns after the write. Bounded loss window, higher throughput.
 	SyncInterval
 	// SyncOff never fsyncs during serving (Close/Rotate still do). The OS
@@ -78,7 +78,7 @@ func (p SyncPolicy) String() string {
 // Options configures Open.
 type Options struct {
 	Policy   SyncPolicy
-	Interval time.Duration // SyncInterval flusher period; default 10ms
+	Interval time.Duration // SyncInterval fsync period; default 10ms
 	// OpenFile opens the append handle for a segment path. Defaults to
 	// O_CREATE|O_WRONLY|O_APPEND on the real filesystem; tests and the
 	// --fault-disk-* flags substitute instrumented or faulty handles.

@@ -350,7 +350,7 @@ func TestIntervalSync(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("interval flusher never synced the tail")
+			t.Fatal("interval fsync goroutine never synced the tail")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -85,14 +85,19 @@ go test -count=1 -race -timeout 900s ./internal/obs
 go test -count=1 -race -timeout 900s -run 'AdminUnderChaos|SlowLogOn|SlowLogThreshold|StatsDumpMetrics|CollectMetricsNames|ControllerTrace' \
     . ./internal/costmodel
 
-# The stage-1 idle-seal race regressions, the simulator's work-stealing
-# pricing tests (internal/dido), and the read-linearizability hammer (a writer overwriting one key
-# while readers take every read path: never a stale value, never a miss) —
-# lock-free machinery, so un-cached and race-enabled every pass.
-echo "== idle seal + read linearizability (-race, -count=1) =="
+# The stage-1 seal hand-off (Submit's size seal and the worker's take,
+# coalescing while stage 1 is busy, ready-before-pending order, shedding,
+# drain on Close), the simulator's work-stealing pricing tests
+# (internal/dido), and the read-linearizability hammer (a writer overwriting
+# one key while readers take every read path: never a stale value, never a
+# miss) — concurrent machinery, so un-cached and race-enabled every pass.
+echo "== stage-1 seal + read linearizability (-race, -count=1) =="
 go test -count=1 -race -timeout 900s \
-    -run 'LiveIdleSeal|LiveTrySealIdle|WorkStealing|ReadNeverServesStale' \
+    -run 'LiveIdleSeal|LiveSeal|WorkStealing|ReadNeverServesStale' \
     ./internal/pipeline ./internal/dido ./internal/store
+# The whole live runner, repeated: a rare seal/take/Close interleaving gets
+# twenty chances to show.
+go test -race -count=20 -timeout 900s ./internal/pipeline
 # A stale or missed read is a rare interleaving: repeat the hammer.
 go test -count=200 -timeout 900s -run TestReadNeverServesStale ./internal/store
 

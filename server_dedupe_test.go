@@ -219,7 +219,7 @@ func (r *retryingResponder) Encode(f *frontend.Frame, resps []proto.Response) []
 	return frontend.AppendResponseFrames(nil, f.ReqID, resps)
 }
 
-func (r *retryingResponder) Deliver(f *frontend.Frame, units [][]byte) bool {
+func (r *retryingResponder) Deliver(f *frontend.Frame, units [][]byte) {
 	r.mu.Lock()
 	r.sent = append(r.sent, units)
 	first := !r.retried
@@ -231,7 +231,6 @@ func (r *retryingResponder) Deliver(f *frontend.Frame, units [][]byte) bool {
 			r.srv.Cancel(dup) // admitted for a second execution: the counters below catch it
 		}
 	}
-	return true
 }
 
 func (r *retryingResponder) DeliverBatch(fs []*frontend.Frame) {

@@ -35,8 +35,11 @@ import (
 // Clients that need read-then-write ordering for the same key put the
 // operations in separate requests.
 type PipelineOptions struct {
-	// BatchInterval bounds how long a partial batch waits before execution.
-	// Default pipeline.DefaultLiveBatchInterval.
+	// BatchInterval is the scheduling interval I the batch size is chosen
+	// for: the batch sizer and the planner aim for a batch whose slowest
+	// stage takes about this long. It is a sizing target, not a timer — a
+	// partial batch never waits for it: stage 1 seals whatever is pending
+	// as soon as it is free. Default pipeline.DefaultLiveBatchInterval.
 	BatchInterval time.Duration
 	// MaxBatch caps the batch size in queries (even when adaptation would
 	// prefer more, latency stays bounded). Default pipeline.DefaultLiveMaxBatch.
@@ -134,9 +137,8 @@ func (s *Server) initPipeline(po *PipelineOptions, st *Store, ls pipeline.LiveSt
 	}
 	pipe.slots.New = func() any { return &liveSlot{} }
 	lopts := pipeline.LiveOptions{
-		Provider:      provider,
-		BatchInterval: interval,
-		DoneBatch:     s.pipelineBatchDone,
+		Provider:  provider,
+		DoneBatch: s.pipelineBatchDone,
 	}
 	if s.dur != nil {
 		// Durable server: the LG task group-commits each batch's WAL records

@@ -3,8 +3,11 @@ package dido
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,3 +457,147 @@ func TestServeRESPDurable(t *testing.T) {
 	srv2.Close()
 	waitServe(t, errc2)
 }
+
+// heldWriteConn holds the server's first reply write until release closes,
+// and reports on events whether Close or SetWriteDeadline reached the
+// connection while that write was held.
+type heldWriteConn struct {
+	net.Conn
+	once    sync.Once
+	held    chan struct{} // closed once the first Write is being held
+	release chan struct{}
+	holding atomic.Bool
+	events  chan string // "close" or "deadline", sent while holding
+}
+
+func (c *heldWriteConn) Write(b []byte) (int, error) {
+	c.once.Do(func() {
+		c.holding.Store(true)
+		close(c.held)
+		<-c.release
+		c.holding.Store(false)
+	})
+	return c.Conn.Write(b)
+}
+
+func (c *heldWriteConn) note(ev string) {
+	if c.holding.Load() {
+		select {
+		case c.events <- ev:
+		default:
+		}
+	}
+}
+
+func (c *heldWriteConn) SetWriteDeadline(t time.Time) error {
+	c.note("deadline")
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *heldWriteConn) Close() error {
+	c.note("close")
+	return c.Conn.Close()
+}
+
+// TestRESPCloseWaitsForReplyFlush: Server.Close that runs while a frame's
+// reply is mid-flush must let the flush finish before it closes the socket;
+// the client still reads its reply.
+func TestRESPCloseWaitsForReplyFlush(t *testing.T) {
+	conns := make(chan *heldWriteConn, 1)
+	srv := NewServerOpts(NewStore(StoreConfig{MemoryBytes: 8 << 20}), ServerOptions{
+		WrapStreamConn: func(nc net.Conn) net.Conn {
+			hc := &heldWriteConn{Conn: nc, held: make(chan struct{}),
+				release: make(chan struct{}), events: make(chan string, 1)}
+			conns <- hc
+			return hc
+		},
+	})
+	addr, errc := startRESP(t, srv)
+	defer srv.Close()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write([]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	hc := <-conns
+	select {
+	case <-hc.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reply was never written")
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	var ev string
+	select {
+	case ev = <-hc.events:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never reached the connection")
+	}
+	close(hc.release)
+	if ev == "close" {
+		t.Error("Close closed the connection while its reply was mid-flush")
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	got := make([]byte, 5)
+	if _, err := io.ReadFull(c, got); err != nil || string(got) != "+OK\r\n" {
+		t.Fatalf("client read %q, %v; want the full reply +OK", got, err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the flush")
+	}
+	waitServe(t, errc)
+}
+
+// TestRESPCloseBoundsStalledFlush: a client that never reads its replies
+// cannot hold Server.Close for the full write timeout — Shutdown cuts every
+// running flush to shutdownWriteTimeout.
+func TestRESPCloseBoundsStalledFlush(t *testing.T) {
+	srv := NewServerOpts(NewStore(StoreConfig{MemoryBytes: 8 << 20}), ServerOptions{})
+	addr, errc := startRESP(t, srv)
+	defer srv.Close()
+	c, err := frontend.DialRESP(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	val := bytes.Repeat([]byte("v"), 15000)
+	if rs, err := c.Do([]Query{{Op: OpSet, Key: []byte("big"), Value: val}}); err != nil || rs[0].Status != StatusOK {
+		t.Fatalf("SET big: %v %+v", err, rs)
+	}
+	// One MGET of the key 1000 times: ~15 MB of reply, far more than the
+	// socket buffers hold, and the client never reads it.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var cmd bytes.Buffer
+	fmt.Fprintf(&cmd, "*1001\r\n$4\r\nMGET\r\n")
+	for i := 0; i < 1000; i++ {
+		cmd.WriteString("$3\r\nbig\r\n")
+	}
+	if _, err := raw.Write(cmd.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	// Let the reply fill the socket buffers and the flush block.
+	time.Sleep(200 * time.Millisecond)
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d > shutdownBound {
+		t.Fatalf("Close took %v with a stalled client, want < %v", d, shutdownBound)
+	}
+	waitServe(t, errc)
+}
+
+// shutdownBound is what a stalled flush may add to Server.Close: the RESP
+// shutdown write timeout (1 s) plus scheduling slack, well under the 3 s a
+// supervisor gives a server between SIGTERM and SIGKILL.
+const shutdownBound = 2500 * time.Millisecond
