@@ -71,7 +71,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", dido.DefaultMaxInFlight, "frames processed concurrently before shedding with StatusBusy")
 	replyCache := flag.Int("reply-cache", dido.DefaultReplyCacheSize, "retried-request reply cache entries (negative disables)")
 	maxConns := flag.Int("max-conns", 0, "RESP connection budget across every RESP listener (0 = default 1024, negative = unlimited)")
-	respInflight := flag.Int("resp-conn-inflight", 0, "per-RESP-connection in-flight command-batch cap before shedding with -BUSY (0 = default)")
 	netQueues := flag.Int("net-queues", 1, "SO_REUSEPORT ingestion queues per frontend (UDP sockets / RESP listeners; clamped to 1 without kernel support, sized down by -adapt when extra readers cannot pay)")
 
 	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "scheduling interval the batch size is chosen for (a sizing target, not a timer: stage 1 seals a partial batch as soon as it is free)")
@@ -108,11 +107,10 @@ func main() {
 
 	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Ordered: *ordered})
 	opts := dido.ServerOptions{
-		MaxInFlight:      *maxInflight,
-		ReplyCacheSize:   *replyCache,
-		MaxConns:         *maxConns,
-		RESPConnInFlight: *respInflight,
-		NetQueues:        *netQueues,
+		MaxInFlight:    *maxInflight,
+		ReplyCacheSize: *replyCache,
+		MaxConns:       *maxConns,
+		NetQueues:      *netQueues,
 	}
 	streamFaults := faults.StreamConfig{
 		Seed:        *faultSeed,

@@ -12,11 +12,12 @@
 //
 // Contract (DESIGN.md §5.15): for every Frame a frontend hands to
 // Core.Admit/Submit, the core calls exactly one terminal delivery on the
-// frame's Responder — Deliver (success), Busy (shed) or Fail (poisoned or
-// durability-dropped) — followed by exactly one Release. Stream frontends
-// rely on that accounting to keep per-connection reply ordering and buffer
-// lifetimes correct; the core relies on Deliver running only after the
-// durability tier committed the frame's records (commit-before-ack).
+// frame's Responder — DeliverBatch (success), Busy (shed) or Fail (poisoned
+// or durability-dropped) — followed by exactly one Release. The RESP
+// frontend's reader waits for that Release before it reads, parses or
+// answers anything more on the connection; the core relies on DeliverBatch
+// running only after the durability tier committed the frame's records
+// (commit-before-ack).
 package frontend
 
 import (
@@ -52,9 +53,10 @@ type Frame struct {
 	// ParseNanos is the frontend's measured RV/PP cost, feeding the pipeline's
 	// adaptation profile when the core asked for measurement.
 	ParseNanos int64
-	// Units holds the encoded response units once Encode ran (the pipeline
-	// encodes before batched delivery; the reply cache retains them, so they
-	// are freshly allocated and never pooled).
+	// Units holds the frame's encoded reply: set by the core from Encode (or
+	// the reply cache) before DeliverBatch, or by a frontend's own Busy/Fail.
+	// The reply cache retains them, so they are freshly allocated and never
+	// pooled.
 	Units [][]byte
 	// R is the responder that delivers this frame's outcome — always the
 	// frame's owning frontend.
@@ -76,22 +78,22 @@ func (f *Frame) reset() {
 }
 
 // Responder is the delivery half of a frontend: how the core answers a frame.
-// Exactly one of Deliver, Busy or Fail runs per frame, then exactly one
-// Release. All methods must be safe for concurrent use across frames: the
-// core answers from concurrent batch completions, and from the frontend's
-// own reader goroutines for replays, sheds and query-less frames.
+// Exactly one of DeliverBatch (with the frame in its slice), Busy or Fail
+// runs per frame, then exactly one Release. All methods must be safe for
+// concurrent use across frames: the core answers from concurrent batch
+// completions, and from the frontend's own reader goroutines for replays,
+// sheds and query-less frames.
 type Responder interface {
 	// Encode renders resps into the frame's wire units. The returned slices
 	// are freshly allocated: the core's reply cache and WAL REPLY records
 	// retain them past Release.
 	Encode(f *Frame, resps []proto.Response) [][]byte
-	// Deliver sends encoded units for one frame. The core has cached the
-	// reply by then: a send that fails is answered by replaying it to the
-	// client's retry.
-	Deliver(f *Frame, units [][]byte)
-	// DeliverBatch sends one completed pipeline batch's frames (each with
-	// f.Units already encoded) in as few kernel crossings as the transport
-	// allows — sendmmsg for UDP, one coalesced write per connection for TCP.
+	// DeliverBatch sends the frames' encoded replies (f.Units): one
+	// completed pipeline batch's frames, or a single frame answered outside
+	// the pipeline (a replay, a query-less frame), in as few kernel
+	// crossings as the transport allows — sendmmsg for UDP, the connection's
+	// writer for RESP. The core has cached each reply by then: a send that
+	// fails is answered by replaying it to the client's retry.
 	DeliverBatch(fs []*Frame)
 	// Busy answers a shed frame with per-query busy errors so the client
 	// backs off instead of timing out. Never cached by the core.

@@ -12,26 +12,29 @@ import (
 	"repro/internal/udpbatch"
 )
 
-// RESP frontend: RESP2 over TCP. Reads are readiness-driven — one kernel read
-// drains whatever the client pipelined, and every complete command already
-// buffered coalesces into a core frame (the RESP analogue of the UDP
+// RESP frontend: RESP2 over TCP, served Redis style. Each connection has one
+// reader goroutine and one writer goroutine. The reader is the connection's
+// dispatcher: it parses one frame from its buffered input — every complete
+// command already buffered coalesces into it (the RESP analogue of the UDP
 // protocol's client-side query batching), so a pipelining client feeds the
-// LiveRunner real batches instead of single-query frames.
+// LiveRunner real batches — admits and submits it, waits for the core to
+// release it, hands the frame's reply to the writer, and only then parses
+// the next.
 //
 // Unlike the UDP protocol, RESP promises redis's pipelining semantics:
 // commands on one connection behave as if executed sequentially. The batch
 // pipeline applies a batch's writes before its reads, so a frame never mixes
-// the two — coalescing seals a frame at every read↔write boundary (a "command
-// run") — and a connection's frames are dispatched to the core one at a time,
-// in order. Parsing still runs ahead of execution (up to MaxConnInFlight
-// frames queue per connection, beyond which the frontend sheds with -BUSY),
-// and different connections execute concurrently. Replies are staged per
-// connection in command order and flushed with one write per completed frame
-// or batch.
+// the two — it seals at every read↔write switch (a "command run") and at
+// defaultMaxCmdsPerFrame — and since a connection has at most one frame at
+// the core, its frames execute, and its replies leave, in command order by
+// construction. Different connections execute concurrently. Backpressure is
+// TCP's: a connection's input is read only as fast as its frames execute,
+// and nothing is shed per connection (-BUSY comes only from the core's
+// admission). No reply write runs on the reader: a client that writes a deep
+// pipeline before reading any reply keeps its frames executing while the
+// writer waits on the client's receive window.
 
 const (
-	// defaultMaxConnInFlight is RESPOptions.MaxConnInFlight's zero value.
-	defaultMaxConnInFlight = 16
 	// defaultMaxCmdsPerFrame caps how many pipelined commands coalesce into
 	// one core frame.
 	defaultMaxCmdsPerFrame = 256
@@ -42,6 +45,10 @@ const (
 	// Shutdown began, so a stalled client cannot hold up process exit.
 	shutdownWriteTimeout = time.Second
 	respReadBufSize      = 64 << 10
+	// maxIdleWriteBuf is the largest flush buffer a writer keeps for reuse;
+	// one big reply (an MGET of large values) is not held for the
+	// connection's lifetime.
+	maxIdleWriteBuf = 1 << 20
 )
 
 // RESPOptions configures the TCP/RESP2 frontend.
@@ -49,11 +56,6 @@ type RESPOptions struct {
 	// Gate is the shared connection-scale admission (nil = unlimited). One
 	// gate can serve several stream frontends.
 	Gate *Gate
-	// MaxConnInFlight caps frames in flight per connection (one executing,
-	// the rest parsed ahead and queued); beyond it the frontend sheds with
-	// -BUSY without consuming core admission tokens. 0 = default (16),
-	// negative = unlimited.
-	MaxConnInFlight int
 	// WrapConn wraps each accepted connection — the stream fault injector's
 	// hook.
 	WrapConn func(net.Conn) net.Conn
@@ -72,8 +74,7 @@ type RESPOptions struct {
 // RESP is the TCP/RESP2 frontend, served from one or more REUSEPORT
 // listeners bound to one address.
 type RESP struct {
-	opts            RESPOptions
-	maxConnInFlight int
+	opts RESPOptions
 
 	mu    sync.Mutex
 	lns   []*respListener // set by Listen, sockets closed (slice kept) by Shutdown
@@ -86,14 +87,10 @@ type RESP struct {
 	shutdown atomic.Bool
 	runDone  chan struct{}
 	readers  sync.WaitGroup
-	// flushes counts reply flushes running on their own goroutines; Shutdown
-	// waits for them before it closes any socket. Every flush starts from a
-	// delivery that precedes its frame's release, so all have started by the
-	// time the core has drained and calls Shutdown.
-	flushes sync.WaitGroup
-
-	frames sync.Pool // *respFrame
-	rbufs  sync.Pool // *rbuf of respReadBufSize
+	// writers counts connection writers; Shutdown waits for them. A writer
+	// exits once its reader has exited and every handed-over reply is
+	// written (or a write failed), so after Interrupt none waits on input.
+	writers sync.WaitGroup
 
 	malformed stats.Counter // shared: the reject path is rare enough not to shard
 	active    stats.Gauge   // shared: the Gate already owns the scale decision
@@ -114,23 +111,11 @@ type respListener struct {
 
 // NewRESP returns an unbound RESP frontend.
 func NewRESP(opts RESPOptions) *RESP {
-	r := &RESP{
-		opts:            opts,
-		maxConnInFlight: opts.MaxConnInFlight,
-		conns:           make(map[*respConn]struct{}),
-		runDone:         make(chan struct{}),
+	return &RESP{
+		opts:    opts,
+		conns:   make(map[*respConn]struct{}),
+		runDone: make(chan struct{}),
 	}
-	if r.maxConnInFlight == 0 {
-		r.maxConnInFlight = defaultMaxConnInFlight
-	}
-	r.frames.New = func() any {
-		rf := &respFrame{fe: r}
-		rf.f.R = r
-		rf.f.Ctx = rf
-		return rf
-	}
-	r.rbufs.New = func() any { return &rbuf{b: make([]byte, respReadBufSize)} }
-	return r
 }
 
 func (r *RESP) Name() string { return "resp" }
@@ -170,10 +155,10 @@ func (r *RESP) listeners() []*respListener {
 
 // Run accepts connections on every listener until Interrupt — listener 0 on
 // the calling goroutine, keeping the blocking contract. Each accepted
-// connection gets a reader goroutine; over-budget connections are told why
-// and closed. All listeners share the one Gate, so the connection budget
-// stays global. A hard accept error on one listener closes the others so
-// Run can report it.
+// connection gets a reader and a writer goroutine; over-budget connections
+// are told why and closed. All listeners share the one Gate, so the
+// connection budget stays global. A hard accept error on one listener closes
+// the others so Run can report it.
 func (r *RESP) Run(core Core) error {
 	qs := r.listeners()
 	r.started.Store(true)
@@ -226,7 +211,7 @@ func (r *RESP) acceptLoop(core Core, q *respListener) error {
 		if r.opts.WrapConn != nil {
 			nc = r.opts.WrapConn(nc)
 		}
-		c := &respConn{fe: r, q: q, nc: nc, core: core, rb: r.getRbuf(respReadBufSize), closeSeq: ^uint64(0)}
+		c := r.newConn(q, nc)
 		r.mu.Lock()
 		r.conns[c] = struct{}{}
 		r.mu.Unlock()
@@ -235,7 +220,9 @@ func (r *RESP) acceptLoop(core Core, q *respListener) error {
 			nc.SetReadDeadline(time.Now()) //nolint:errcheck
 		}
 		r.readers.Add(1)
+		r.writers.Add(1)
 		go c.readLoop(core)
+		go c.writeLoop()
 	}
 }
 
@@ -248,8 +235,9 @@ func (r *RESP) closeListeners() {
 }
 
 // Interrupt stops the accept loops and every connection reader, returning
-// once no further frame can reach the core. Connections stay open so
-// in-flight replies still flush.
+// once no further frame can reach the core. A reader exits only after its
+// frame's Release, with the reply handed to its writer, which flushes it
+// before closing the connection.
 func (r *RESP) Interrupt() {
 	r.stopping.Store(true)
 	r.closeListeners()
@@ -264,42 +252,36 @@ func (r *RESP) Interrupt() {
 	r.readers.Wait()
 }
 
-// Shutdown waits for every reply flush still running, giving each at most
-// shutdownWriteTimeout from here, then tears down every remaining
-// connection. The listener slice survives so stats remain readable.
+// Shutdown waits for every connection's writer to flush the replies its
+// reader handed over and close the connection, cutting each write to at most
+// shutdownWriteTimeout from here. It runs after Interrupt, so no reader is
+// left to hand over more. The listener slice survives so stats remain
+// readable.
 func (r *RESP) Shutdown() {
 	r.closeListeners()
 	r.shutdown.Store(true)
-	r.mu.Lock()
-	conns := make([]*respConn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
 	deadline := time.Now().Add(shutdownWriteTimeout)
-	for _, c := range conns {
-		// Under c.mu, so a flush either set its deadline before this one
+	r.mu.Lock()
+	for c := range r.conns {
+		// Under c.mu, so a write either set its deadline before this one
 		// (and is cut short by it) or sees shutdown and sets the short one.
 		c.mu.Lock()
 		c.nc.SetWriteDeadline(deadline) //nolint:errcheck
 		c.mu.Unlock()
 	}
-	r.flushes.Wait()
-	for _, c := range conns {
-		c.teardown()
-	}
+	r.mu.Unlock()
+	r.writers.Wait()
 }
 
+// removeConn forgets a closed connection and returns its gate slot; the
+// connection's writer calls it once, as it exits.
 func (r *RESP) removeConn(c *respConn) {
 	r.mu.Lock()
-	_, ok := r.conns[c]
 	delete(r.conns, c)
 	r.mu.Unlock()
-	if ok {
-		r.active.Add(-1)
-		if g := r.opts.Gate; g != nil {
-			g.Release()
-		}
+	r.active.Add(-1)
+	if g := r.opts.Gate; g != nil {
+		g.Release()
 	}
 }
 
@@ -337,348 +319,90 @@ func (r *RESP) QueueStats() []QueueStats {
 	return out
 }
 
-// --- read buffers ---
+// --- delivery ---
 
-// rbuf is a refcounted read buffer: the connection reader holds one
-// reference, and every submitted frame whose queries alias it holds another,
-// so the buffer outlives out-of-order pipeline completion without copying
-// keys and values on the hot path.
-type rbuf struct {
-	b    []byte
-	refs atomic.Int32
-}
-
-func (r *RESP) getRbuf(size int) *rbuf {
-	var rb *rbuf
-	if size == respReadBufSize {
-		rb = r.rbufs.Get().(*rbuf)
-	} else {
-		rb = &rbuf{b: make([]byte, size)}
-	}
-	rb.refs.Store(1)
-	return rb
-}
-
-func (rb *rbuf) retain() { rb.refs.Add(1) }
-
-func (r *RESP) putRbuf(rb *rbuf) {
-	if rb.refs.Add(-1) == 0 && len(rb.b) == respReadBufSize {
-		r.rbufs.Put(rb)
-	}
-}
-
-// --- frames ---
-
-// respFrame is the RESP-private context of one frame: the commands it holds,
-// the buffer its args alias, and its position in the connection's reply order.
-type respFrame struct {
-	f          Frame
-	fe         *RESP
-	c          *respConn
-	rb         *rbuf
-	seq        uint64
-	closeAfter bool
-	cmds       []respCmd
-	queries    []proto.Query
-	args       [][]byte // parser scratch
-}
-
-// Release returns the frame and drops its read-buffer reference.
+// Release wakes the frame's reader, which hands the frame's reply (f.Units)
+// to the connection's writer and reuses the frame for its next command run.
 func (r *RESP) Release(f *Frame) {
-	rf := f.Ctx.(*respFrame)
-	if rf.rb != nil {
-		r.putRbuf(rf.rb)
-		rf.rb = nil
-	}
-	rf.c = nil
-	rf.seq = 0
-	rf.closeAfter = false
-	rf.cmds = rf.cmds[:0]
-	rf.queries = rf.queries[:0]
-	f.reset()
-	r.frames.Put(rf)
+	f.Ctx.(*respConn).released <- struct{}{}
 }
 
 // Encode renders resps as one contiguous RESP reply run for the frame's
 // commands. Freshly allocated per the Responder contract.
 func (r *RESP) Encode(f *Frame, resps []proto.Response) [][]byte {
-	rf := f.Ctx.(*respFrame)
-	return [][]byte{appendRESPReplies(nil, rf.cmds, resps)}
+	c := f.Ctx.(*respConn)
+	return [][]byte{appendRESPReplies(nil, c.cmds, resps)}
 }
 
-// Deliver stages the frame's reply in connection order, dispatches the
-// connection's next queued frame, and flushes on its own goroutine.
-func (r *RESP) Deliver(f *Frame, units [][]byte) {
-	rf := f.Ctx.(*respFrame)
-	c := rf.c
-	r.stage(rf, flattenUnits(units))
-	r.dispatchNext(c)
-	r.flushAsync(c)
-}
-
-// DeliverBatch stages every frame, then dispatches each touched connection's
-// next frame and flushes it on its own goroutine.
-func (r *RESP) DeliverBatch(fs []*Frame) {
-	var touched []*respConn
-	for _, f := range fs {
-		rf := f.Ctx.(*respFrame)
-		r.stage(rf, flattenUnits(f.Units))
-		seen := false
-		for _, c := range touched {
-			if c == rf.c {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			touched = append(touched, rf.c)
-		}
-	}
-	for _, c := range touched {
-		r.dispatchNext(c)
-		r.flushAsync(c)
-	}
-}
+// DeliverBatch has nothing to send: each frame's reader hands f.Units to the
+// connection's writer once the core releases the frame.
+func (r *RESP) DeliverBatch(fs []*Frame) {}
 
 // Busy answers every command in a shed frame with -BUSY.
 func (r *RESP) Busy(f *Frame) {
-	rf := f.Ctx.(*respFrame)
-	c := rf.c
-	r.stage(rf, appendRESPBusy(nil, rf.cmds))
-	r.dispatchNext(c)
-	r.flushAsync(c)
+	c := f.Ctx.(*respConn)
+	f.Units = [][]byte{appendRESPBusy(nil, c.cmds)}
 }
 
 // Fail answers every command with -ERR <reason>: a stream frontend must emit
 // one reply per command even when execution produced nothing, or the
 // connection's reply stream would desynchronise from its command stream.
 func (r *RESP) Fail(f *Frame, reason string) {
-	rf := f.Ctx.(*respFrame)
-	c := rf.c
-	r.stage(rf, appendRESPFail(nil, rf.cmds, reason))
-	r.dispatchNext(c)
-	r.flushAsync(c)
-}
-
-// flushAsync runs c's flush on its own goroutine, counted in r.flushes: the
-// caller — a pipeline batch-done callback or a connection reader — must not
-// block behind one stalled (slowloris) client's socket, and per-connection
-// write serialization (flushConn's writing flag) bounds the goroutines to one
-// blocked writer per connection.
-func (r *RESP) flushAsync(c *respConn) {
-	r.flushes.Add(1)
-	go func() {
-		defer r.flushes.Done()
-		r.flushConn(c)
-	}()
-}
-
-// dispatchNext hands the connection's next queued frame to the core once no
-// frame is running, preserving per-connection execution order. The loop is
-// reentrancy-guarded: a synchronous shed inside Admit (which calls Busy →
-// dispatchNext on this same goroutine) returns immediately and the outer loop
-// moves on to the following frame, so a run of sheds cannot recurse.
-func (r *RESP) dispatchNext(c *respConn) {
-	c.mu.Lock()
-	if c.dispatching {
-		c.mu.Unlock()
-		return
-	}
-	c.dispatching = true
-	for {
-		if c.running != nil || c.tornDown || len(c.pending) == 0 {
-			break
-		}
-		rf := c.pending[0]
-		c.pending = c.pending[1:]
-		c.running = rf
-		c.mu.Unlock()
-		if c.core.Admit(&rf.f) {
-			c.core.Submit(&rf.f)
-		}
-		// On shed, Admit already answered (-BUSY) and released the frame,
-		// clearing c.running via stage; loop to try the next one.
-		c.mu.Lock()
-	}
-	c.dispatching = false
-	c.mu.Unlock()
-}
-
-func flattenUnits(units [][]byte) []byte {
-	if len(units) == 1 {
-		return units[0]
-	}
-	var out []byte
-	for _, u := range units {
-		out = append(out, u...)
-	}
-	return out
-}
-
-// stage slots one frame's rendered reply into the connection's in-order write
-// buffer: consecutive-from-wnext replies append directly, out-of-order ones
-// are held until their predecessors complete.
-func (r *RESP) stage(rf *respFrame, payload []byte) {
-	c := rf.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inflight--
-	if c.running == rf {
-		// Terminal delivery of the dispatched frame: its store effects are
-		// complete, so the next queued frame may execute.
-		c.running = nil
-	}
-	if c.tornDown {
-		return
-	}
-	if rf.closeAfter && rf.seq < c.closeSeq {
-		c.closeSeq = rf.seq
-	}
-	if rf.seq != c.wnext {
-		if c.held == nil {
-			c.held = make(map[uint64][]byte)
-		}
-		c.held[rf.seq] = payload
-		return
-	}
-	c.wbuf = append(c.wbuf, payload...)
-	c.wnext++
-	for {
-		p, ok := c.held[c.wnext]
-		if !ok {
-			break
-		}
-		delete(c.held, c.wnext)
-		c.wbuf = append(c.wbuf, p...)
-		c.wnext++
-	}
-}
-
-// flushConn writes the connection's staged replies, tearing the connection
-// down on write error/stall or once its close-marked reply has flushed.
-//
-// The socket write runs outside c.mu: the caller swaps the staged buffer out
-// under the lock, marks itself the active writer (c.writing) and writes
-// unlocked, so concurrent stage() calls — other frames completing for this
-// connection — never block behind a stalled (slowloris) client for up to
-// defaultWriteTimeout. At most one writer is active per connection; a flush
-// that finds one already active returns immediately and the active writer's
-// loop picks up whatever was staged meanwhile.
-func (r *RESP) flushConn(c *respConn) {
-	c.mu.Lock()
-	for {
-		if c.tornDown {
-			c.mu.Unlock()
-			return
-		}
-		if c.writing || len(c.wbuf) == 0 {
-			// Nothing for this caller to write: either the active writer will
-			// drain what we staged (and re-check close conditions after), or
-			// the buffer is empty and only the close check remains.
-			closeNow := !c.writing &&
-				((c.closeSeq != ^uint64(0) && c.wnext > c.closeSeq) ||
-					(c.readerDone && c.inflight == 0))
-			c.mu.Unlock()
-			if closeNow {
-				c.teardown()
-			}
-			return
-		}
-		buf := c.wbuf
-		c.wbuf = nil
-		c.writing = true
-		timeout := defaultWriteTimeout
-		if r.shutdown.Load() {
-			timeout = shutdownWriteTimeout
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(timeout)) //nolint:errcheck
-		c.mu.Unlock()
-
-		n, err := c.nc.Write(buf)
-		c.q.bytesOut.Add(uint64(n))
-
-		c.mu.Lock()
-		c.writing = false
-		if err != nil {
-			c.mu.Unlock()
-			c.q.sendErrs.Inc()
-			c.teardown()
-			return
-		}
-		if !c.tornDown && len(c.wbuf) == 0 {
-			c.wbuf = buf[:0] // recycle the detached buffer's capacity
-		}
-		// Loop: drain anything staged during the write, then settle close.
-	}
+	c := f.Ctx.(*respConn)
+	f.Units = [][]byte{appendRESPFail(nil, c.cmds, reason)}
 }
 
 // --- connections ---
 
-// respConn is one client connection: reader-owned parse state plus the
-// mu-guarded reply-ordering state shared with deliveries.
+// respConn is one client connection: the reader's input buffer and the one
+// frame the connection has at the core at a time, plus the reply bytes the
+// reader hands to the writer.
 type respConn struct {
 	fe *RESP
 	q  *respListener // the accept queue that produced this connection
 	nc net.Conn
 
-	// Reader-only.
-	rb      *rbuf
-	pos     int
-	fill    int
-	nextSeq uint64
+	// Reader-owned. The frame's queries and commands alias rb, which the
+	// reader neither reads into nor moves until the core releases the frame.
+	rb       []byte
+	pos      int
+	fill     int
+	f        Frame
+	cmds     []respCmd
+	queries  []proto.Query
+	args     [][]byte      // parser scratch
+	released chan struct{} // Release's signal to the waiting reader
 
-	core Core
-
-	mu          sync.Mutex
-	wnext       uint64            // next seq to write
-	held        map[uint64][]byte // completed out-of-order replies
-	wbuf        []byte            // staged, unflushed reply bytes
-	inflight    int               // frames queued or submitted, not yet staged
-	pending     []*respFrame      // parsed frames awaiting their dispatch turn
-	running     *respFrame        // the frame currently at the core, if any
-	dispatching bool              // a dispatchNext loop is active on this conn
-	writing     bool              // a flushConn writer holds the socket
-	closeSeq    uint64            // seq whose flush closes the conn (^0 = none)
-	readerDone  bool
-	tornDown    bool
+	mu         sync.Mutex
+	wake       sync.Cond // on mu: out grew or the reader exited
+	out        []byte    // replies handed to the writer, not yet written
+	readerDone bool
+	closed     bool // the writer exited: later replies are dropped
 }
 
-// teardown closes the connection and releases its gate slot, exactly once.
-// Queued frames that never reached the core are released here.
-func (c *respConn) teardown() {
-	c.mu.Lock()
-	if c.tornDown {
-		c.mu.Unlock()
-		return
+func (r *RESP) newConn(q *respListener, nc net.Conn) *respConn {
+	c := &respConn{
+		fe:       r,
+		q:        q,
+		nc:       nc,
+		rb:       make([]byte, respReadBufSize),
+		released: make(chan struct{}, 1),
 	}
-	c.tornDown = true
-	c.held = nil
-	c.wbuf = nil
-	pending := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	for _, rf := range pending {
-		c.fe.Release(&rf.f)
-	}
-	c.nc.Close()
-	c.fe.removeConn(c)
+	c.f.R = r
+	c.f.Ctx = c
+	c.wake.L = &c.mu
+	return c
 }
 
-// readLoop reads, parses, coalesces and submits frames until EOF, error, a
-// close-marked command, or drain.
+// readLoop reads and dispatches frames until EOF, error, a close-marked
+// command, or drain, then lets the writer finish.
 func (c *respConn) readLoop(core Core) {
 	fe := c.fe
 	defer func() {
-		fe.putRbuf(c.rb)
 		c.mu.Lock()
 		c.readerDone = true
-		// An active writer owns the conn's last reply; its flush loop settles
-		// the readerDone close itself (flushConn) — don't yank the socket.
-		idle := c.inflight == 0 && len(c.wbuf) == 0 && !c.writing
 		c.mu.Unlock()
-		if idle {
-			c.teardown()
-		}
+		c.wake.Signal()
 		fe.readers.Done()
 	}()
 	for {
@@ -686,7 +410,7 @@ func (c *respConn) readLoop(core Core) {
 			return
 		}
 		c.ensureSpace()
-		if c.fill == len(c.rb.b) {
+		if c.fill == len(c.rb) {
 			// Defensive: ensureSpace caps the buffer above any single command
 			// the parser accepts, so a full buffer holding one incomplete
 			// command means the parser failed to bound it. Close rather than
@@ -695,7 +419,7 @@ func (c *respConn) readLoop(core Core) {
 			core.Malformed()
 			return
 		}
-		n, err := c.nc.Read(c.rb.b[c.fill:])
+		n, err := c.nc.Read(c.rb[c.fill:])
 		if n > 0 {
 			c.fill += n
 			c.q.bytesIn.Add(uint64(n))
@@ -710,42 +434,25 @@ func (c *respConn) readLoop(core Core) {
 }
 
 // ensureSpace guarantees room for the next read: reset when drained, compact
-// or reallocate when the tail of a partial command fills the buffer. The
-// buffer is only moved or replaced when no in-flight frame references it
-// (refs==1) or by copying the tail into a fresh buffer — submitted frames'
-// query slices stay valid either way.
+// or grow when the tail of a partial command fills the buffer. No frame
+// holds the buffer here — the reader reads only between frames — so it may
+// move freely.
 func (c *respConn) ensureSpace() {
 	if c.pos == c.fill {
-		if c.rb.refs.Load() == 1 {
-			c.pos, c.fill = 0, 0
-			return
-		}
-		// Frames still alias this buffer: swap to a fresh one.
-		c.fe.putRbuf(c.rb)
-		c.rb = c.fe.getRbuf(respReadBufSize)
 		c.pos, c.fill = 0, 0
 		return
 	}
-	if c.fill < len(c.rb.b) {
+	if c.fill < len(c.rb) {
 		return
 	}
 	tail := c.fill - c.pos
-	size := len(c.rb.b)
-	if tail > size/2 {
-		size *= 2
-		if max := maxRESPCommandBytes + respReadBufSize; size > max {
-			size = max
-		}
+	if max := maxRESPCommandBytes + respReadBufSize; tail > len(c.rb)/2 && len(c.rb) < max {
+		rb := make([]byte, min(2*len(c.rb), max))
+		copy(rb, c.rb[c.pos:c.fill])
+		c.rb = rb
+	} else {
+		copy(c.rb, c.rb[c.pos:c.fill])
 	}
-	if c.pos > 0 && size == len(c.rb.b) && c.rb.refs.Load() == 1 {
-		copy(c.rb.b, c.rb.b[c.pos:c.fill])
-		c.pos, c.fill = 0, tail
-		return
-	}
-	old := c.rb
-	c.rb = c.fe.getRbuf(size)
-	copy(c.rb.b, old.b[c.pos:c.fill])
-	c.fe.putRbuf(old)
 	c.pos, c.fill = 0, tail
 }
 
@@ -762,31 +469,42 @@ func respCmdClass(name []byte) int {
 	return 0 // classless: PING/ECHO/QUIT/COMMAND ride in any frame
 }
 
-// consume turns every complete command already buffered into frames and
-// submits them. A frame is one command run: it seals at
-// defaultMaxCmdsPerFrame and at every read↔write boundary. Returns false when
-// the reader must stop (QUIT, protocol error).
+// consume runs every complete command already buffered, one frame at a time.
+// It returns false when the reader must stop: after a close-marked frame
+// (QUIT, protocol error), or once the core is draining — checked before each
+// Admit, so no frame reaches the core after Interrupt returns.
 func (c *respConn) consume(core Core) bool {
+	for {
+		last := c.parseFrame(core)
+		if len(c.cmds) == 0 {
+			return true
+		}
+		if core.Draining() {
+			return false
+		}
+		c.dispatch(core)
+		if last {
+			return false
+		}
+	}
+}
+
+// parseFrame fills the connection's frame with the next command run in the
+// buffer. The run ends before a command that would make it longer than
+// defaultMaxCmdsPerFrame or switch between reads and writes (that command
+// opens the next frame), when no complete command is left, or at a QUIT or
+// protocol error — then parseFrame reports that the frame is the
+// connection's last.
+func (c *respConn) parseFrame(core Core) (last bool) {
 	fe := c.fe
-	rf := fe.frames.Get().(*respFrame)
 	var parseStart time.Time
 	if fe.opts.MeasureParse {
 		parseStart = time.Now()
 	}
 	frameClass := 0
-	stop := false
-	seal := func() {
-		if fe.opts.MeasureParse {
-			rf.f.ParseNanos = time.Since(parseStart).Nanoseconds()
-			parseStart = time.Now()
-		}
-		c.submitFrame(rf)
-		rf = fe.frames.Get().(*respFrame)
-		frameClass = 0
-	}
-	for !stop {
-		args, n, err := parseRESPCommand(c.rb.b[c.pos:c.fill], rf.args[:0])
-		rf.args = args[:0]
+	for !last {
+		args, n, err := parseRESPCommand(c.rb[c.pos:c.fill], c.args[:0])
+		c.args = args[:0]
 		if err != nil {
 			if errors.Is(err, errRESPIncomplete) {
 				break
@@ -796,72 +514,100 @@ func (c *respConn) consume(core Core) bool {
 			fe.malformed.Inc()
 			core.Malformed()
 			c.pos = c.fill
-			rf.cmds = append(rf.cmds, respCmd{kind: rcErr,
-				errMsg: "ERR " + err.Error()})
-			rf.closeAfter = true
-			stop = true
+			c.cmds = append(c.cmds, respCmd{kind: rcErr, errMsg: "ERR " + err.Error()})
+			last = true
 			break
 		}
-		c.pos += n
 		if len(args) == 0 {
+			c.pos += n
 			continue // empty inline line
 		}
 		cl := respCmdClass(args[0])
-		if len(rf.cmds) > 0 &&
-			(len(rf.cmds) >= defaultMaxCmdsPerFrame ||
-				(cl != 0 && frameClass != 0 && cl != frameClass)) {
-			seal()
+		if len(c.cmds) >= defaultMaxCmdsPerFrame || cl != 0 && frameClass != 0 && cl != frameClass {
+			break
 		}
-		if cl != 0 && frameClass == 0 {
+		c.pos += n
+		if frameClass == 0 {
 			frameClass = cl
 		}
-		cmd, qs := buildRESPCommand(args, rf.queries)
-		rf.queries = qs
-		rf.cmds = append(rf.cmds, cmd)
-		if cmd.kind == rcQuit || cmd.kind == rcErr {
-			rf.closeAfter = true
-			stop = true
-		}
+		cmd, qs := buildRESPCommand(args, c.queries)
+		c.queries = qs
+		c.cmds = append(c.cmds, cmd)
+		last = cmd.kind == rcQuit || cmd.kind == rcErr
 	}
-	if len(rf.cmds) == 0 {
-		fe.frames.Put(rf)
-	} else {
-		if fe.opts.MeasureParse {
-			rf.f.ParseNanos = time.Since(parseStart).Nanoseconds()
-		}
-		c.submitFrame(rf)
+	if fe.opts.MeasureParse && len(c.cmds) > 0 {
+		c.f.ParseNanos = time.Since(parseStart).Nanoseconds()
 	}
-	return !stop
+	return last
 }
 
-// submitFrame queues one coalesced frame for in-order dispatch, shedding with
-// -BUSY when the connection is over its in-flight cap (without consuming core
-// admission tokens).
-func (c *respConn) submitFrame(rf *respFrame) {
-	fe := c.fe
-	rf.c = c
-	rf.rb = c.rb
-	c.rb.retain()
-	rf.seq = c.nextSeq
-	c.nextSeq++
-	f := &rf.f
-	f.Queries = rf.queries
-	if fe.opts.StampStart {
+// dispatch runs the parsed frame on the core and waits for its Release — not
+// just its delivery: the core reads the frame's queries until then — then
+// hands the reply its delivery set (f.Units) to the writer.
+func (c *respConn) dispatch(core Core) {
+	f := &c.f
+	f.Queries = c.queries
+	if c.fe.opts.StampStart {
 		f.Start = time.Now()
 	}
 	c.q.frames.Inc()
-
+	if core.Admit(f) {
+		core.Submit(f)
+	}
+	<-c.released
 	c.mu.Lock()
-	over := fe.maxConnInFlight > 0 && c.inflight >= fe.maxConnInFlight
-	c.inflight++
-	if !over {
-		c.pending = append(c.pending, rf)
+	if !c.closed {
+		for _, u := range f.Units {
+			c.out = append(c.out, u...)
+		}
 	}
 	c.mu.Unlock()
-	if over {
-		fe.Busy(f)
-		fe.Release(f)
-		return
+	c.wake.Signal()
+	f.reset()
+	c.cmds = c.cmds[:0]
+	c.queries = c.queries[:0]
+}
+
+// writeLoop is the connection's one writer: it writes whatever replies the
+// reader has handed over, one socket write per wake-up, until the reader has
+// exited and everything is written or a write fails (a stalled or gone
+// client). Then it closes the connection.
+func (c *respConn) writeLoop() {
+	fe := c.fe
+	var buf []byte
+	c.mu.Lock()
+	for {
+		for len(c.out) == 0 && !c.readerDone {
+			c.wake.Wait()
+		}
+		if len(c.out) == 0 {
+			break
+		}
+		buf, c.out = c.out, buf[:0]
+		timeout := defaultWriteTimeout
+		if fe.shutdown.Load() {
+			timeout = shutdownWriteTimeout
+		}
+		c.nc.SetWriteDeadline(time.Now().Add(timeout)) //nolint:errcheck
+		c.mu.Unlock()
+
+		n, err := c.nc.Write(buf)
+		c.q.bytesOut.Add(uint64(n))
+		if cap(buf) > maxIdleWriteBuf {
+			buf = nil
+		}
+
+		c.mu.Lock()
+		if err != nil {
+			c.q.sendErrs.Inc()
+			break
+		}
 	}
-	fe.dispatchNext(c)
+	c.closed = true
+	c.out = nil
+	c.mu.Unlock()
+	// Closing the socket also ends a reader still blocked in Read.
+	c.nc.Close()
+	fe.removeConn(c)
+	fe.writers.Done()
 }

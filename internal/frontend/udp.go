@@ -335,26 +335,12 @@ func (u *UDP) Encode(f *Frame, resps []proto.Response) [][]byte {
 	return AppendResponseFrames(nil, f.ReqID, resps)
 }
 
-// Deliver writes each unit to the frame's peer through its arrival queue.
-// The first write error (oversized single value or transient failure) drops
-// the rest and is counted on the queue.
-func (u *UDP) Deliver(f *Frame, units [][]byte) {
-	uf := f.Ctx.(*udpFrame)
-	q := uf.q
-	for _, out := range units {
-		if _, err := q.pc.WriteTo(out, uf.raddr); err != nil {
-			q.sendErrs.Inc()
-			return
-		}
-		q.bytesOut.Add(uint64(len(out)))
-	}
-}
-
 // DeliverBatch transmits one completed batch's datagrams in as few batched
 // sends as the frames' arrival queues allow (Linux sendmmsg — the WR/SD
 // counterpart of batching queries into frames). Each reply leaves through
 // its own queue's sender: per-queue sendmmsg, no cross-queue lock. Frames
-// from one queue keep their order.
+// from one queue keep their order; datagrams the kernel refuses count as
+// the queue's send errors.
 func (u *UDP) DeliverBatch(fs []*Frame) {
 	rem := fs
 	for len(rem) > 0 {
@@ -374,7 +360,7 @@ func (u *UDP) DeliverBatch(fs []*Frame) {
 			}
 		}
 		if len(msgs) > 0 {
-			q.sender.Send(msgs)
+			q.sendErrs.Add(uint64(q.sender.Send(msgs)))
 			q.bytesOut.Add(uint64(total))
 		}
 		rem = rest
@@ -389,7 +375,8 @@ func (u *UDP) Busy(f *Frame) {
 	for i := range resps {
 		resps[i].Status = proto.StatusBusy
 	}
-	u.Deliver(f, u.Encode(f, resps))
+	f.Units = u.Encode(f, resps)
+	u.DeliverBatch([]*Frame{f})
 }
 
 // Fail sends nothing: a datagram client times out and retries, and the

@@ -39,7 +39,8 @@ func (c *dedupeCore) Admit(f *Frame) bool {
 	c.mu.Unlock()
 	if ok {
 		c.replays.Add(1)
-		f.R.Deliver(f, units)
+		f.Units = units
+		f.R.DeliverBatch([]*Frame{f})
 		f.R.Release(f)
 		return false
 	}
@@ -52,13 +53,13 @@ func (c *dedupeCore) Submit(f *Frame) {
 	for i := range resps {
 		resps[i].Status = proto.StatusOK
 	}
-	units := f.R.Encode(f, resps)
+	f.Units = f.R.Encode(f, resps)
 	if f.AKey != "" && f.ReqID != 0 {
 		c.mu.Lock()
-		c.cache[c.key(f)] = units
+		c.cache[c.key(f)] = f.Units
 		c.mu.Unlock()
 	}
-	f.R.Deliver(f, units)
+	f.R.DeliverBatch([]*Frame{f})
 	f.R.Release(f)
 }
 

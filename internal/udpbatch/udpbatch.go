@@ -43,10 +43,11 @@ func NewSender(pc net.PacketConn) *Sender {
 	return s
 }
 
-// Send transmits every message, best-effort. Buffers are not retained.
-func (s *Sender) Send(msgs []Message) {
+// Send transmits every message, best-effort, and returns how many the
+// kernel refused. Buffers are not retained.
+func (s *Sender) Send(msgs []Message) (failed int) {
 	if len(msgs) == 0 {
-		return
+		return 0
 	}
 	if s.batched && len(msgs) > 1 {
 		s.mu.Lock()
@@ -57,8 +58,11 @@ func (s *Sender) Send(msgs []Message) {
 		msgs = rest
 	}
 	for i := range msgs {
-		s.pc.WriteTo(msgs[i].Buf, msgs[i].Addr) //nolint:errcheck // best-effort UDP
+		if _, err := s.pc.WriteTo(msgs[i].Buf, msgs[i].Addr); err != nil {
+			failed++
+		}
 	}
+	return failed
 }
 
 // Receiver drains batches of datagrams from one packet conn in one kernel

@@ -140,13 +140,14 @@ go test -count=1 -race -timeout 900s \
 go test -count=20 -race -timeout 900s -run TestOrderedUpkeepDropRebuildRace ./internal/store
 
 # The transport front ends: RESP parser/framer unit + fuzz corpus, command-run
-# sealing, per-connection ordered dispatch, reply sequencing, and the
-# root-package RESP e2e (faulty conns, per-conn caps, the connection gate) —
-# all socket-facing concurrency, so un-cached under the race detector every
-# pass.
-echo "== frontend (-race, -count=1) =="
+# sealing, and the root-package RESP e2e (in-order pipelines, late readers,
+# faulty conns, the connection gate, shutdown flushes) — all socket-facing
+# concurrency, so un-cached under the race detector every pass, and the
+# root-package RESP tests twenty times over: a rare interleaving of a
+# connection's reader, its writer and shutdown gets twenty chances to show.
+echo "== frontend (-race; root RESP -count=20) =="
 go test -count=1 -race -timeout 900s ./internal/frontend
-go test -count=1 -race -timeout 900s -run 'TestServeRESP' .
+go test -race -count=20 -timeout 900s -run 'RESP' .
 
 # The sharded ingestion tier: SO_REUSEPORT listen helpers and kernel spread,
 # the multi-queue UDP frontend (per-queue readers/senders/addr caches,

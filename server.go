@@ -29,10 +29,6 @@ type ServerOptions struct {
 	// listener: connection-scale admission, the stream analogue of
 	// MaxInFlight. 0 means DefaultMaxConns; negative disables the limit.
 	MaxConns int
-	// RESPConnInFlight caps frames in flight per RESP connection; beyond it
-	// the frontend sheds with -BUSY without consuming MaxInFlight tokens.
-	// 0 means the frontend default (16); negative disables the cap.
-	RESPConnInFlight int
 	// ReplyCacheSize bounds how many recent request replies are retained
 	// (per client address + request ID) to answer retried frames without
 	// re-executing them. 0 means DefaultReplyCacheSize; negative disables
@@ -87,7 +83,11 @@ const (
 // configuration travels with each batch. Ordering contract: inside a batch,
 // writes run before reads, so a GET observes every SET or DELETE batched
 // with it — including ones later in its own frame. RESP keeps Redis order by
-// sealing a new frame at every switch between reads and writes.
+// sealing a new frame at every switch between reads and writes, and by each
+// connection's reader waiting for the Release of its frame before it reads
+// the next: a connection has one frame at the core at a time, its replies
+// leave in order, its backpressure is TCP's, and it is never shed with -BUSY
+// except by the admission below.
 //
 // The serving path is hardened for lossy networks and overload: admission is
 // bounded (excess load is shed with StatusBusy), request IDs deduplicate
@@ -238,12 +238,11 @@ func (s *Server) Serve(addr string) error {
 // with Serve when both protocols are wanted).
 func (s *Server) ServeRESP(addr string) error {
 	fe := frontend.NewRESP(frontend.RESPOptions{
-		Gate:            s.gate,
-		MaxConnInFlight: s.opts.RESPConnInFlight,
-		WrapConn:        s.opts.WrapStreamConn,
-		MeasureParse:    s.pipe.measureParse,
-		StampStart:      s.opts.SlowLog != nil,
-		Listeners:       s.netQueues,
+		Gate:         s.gate,
+		WrapConn:     s.opts.WrapStreamConn,
+		MeasureParse: s.pipe.measureParse,
+		StampStart:   s.opts.SlowLog != nil,
+		Listeners:    s.netQueues,
 	})
 	if err := fe.Listen(addr); err != nil {
 		return err
@@ -275,7 +274,8 @@ func (s *Server) Admit(f *frontend.Frame) bool {
 		switch state {
 		case replyCached:
 			s.replayed.Inc() // before the send, like the fill: a client holding the replay sees it counted
-			f.R.Deliver(f, frames)
+			f.Units = frames
+			f.R.DeliverBatch([]*frontend.Frame{f})
 			f.R.Release(f)
 			return false
 		case replyInFlight:
@@ -338,9 +338,9 @@ func (s *Server) Draining() bool { return s.closed.Load() }
 // pipeline: encode (the frame may still carry protocol-level replies,
 // e.g. RESP PING), settle dedupe state, deliver, release.
 func (s *Server) finishDirect(f *frontend.Frame) {
-	units := f.R.Encode(f, nil)
-	s.cacheReply(f, units)
-	f.R.Deliver(f, units)
+	f.Units = f.R.Encode(f, nil)
+	s.cacheReply(f, f.Units)
+	f.R.DeliverBatch([]*frontend.Frame{f})
 	<-s.tokens
 	s.wg.Done()
 	f.R.Release(f)

@@ -203,14 +203,14 @@ func (b *panicOnceStore) Set(key, value []byte) error {
 }
 
 // retryingResponder is a frontend whose client resends its request the
-// instant the reply reaches the socket: the first Deliver re-admits a
+// instant the reply reaches the socket: the first delivery re-admits a
 // duplicate of the frame before it returns — the retry that used to land
 // between the send and the reply-cache fill.
 type retryingResponder struct {
 	srv *Server
 
 	mu      sync.Mutex
-	sent    [][][]byte // units of every Deliver, in order
+	sent    [][][]byte // units of every delivered frame, in order
 	retried bool
 	done    chan struct{} // closed by the original frame's Release
 }
@@ -219,23 +219,19 @@ func (r *retryingResponder) Encode(f *frontend.Frame, resps []proto.Response) []
 	return frontend.AppendResponseFrames(nil, f.ReqID, resps)
 }
 
-func (r *retryingResponder) Deliver(f *frontend.Frame, units [][]byte) {
-	r.mu.Lock()
-	r.sent = append(r.sent, units)
-	first := !r.retried
-	r.retried = true
-	r.mu.Unlock()
-	if first {
-		dup := &frontend.Frame{AKey: f.AKey, ReqID: f.ReqID, R: r, Ctx: "dup"}
-		if r.srv.Admit(dup) {
-			r.srv.Cancel(dup) // admitted for a second execution: the counters below catch it
-		}
-	}
-}
-
 func (r *retryingResponder) DeliverBatch(fs []*frontend.Frame) {
 	for _, f := range fs {
-		r.Deliver(f, f.Units)
+		r.mu.Lock()
+		r.sent = append(r.sent, f.Units)
+		first := !r.retried
+		r.retried = true
+		r.mu.Unlock()
+		if first {
+			dup := &frontend.Frame{AKey: f.AKey, ReqID: f.ReqID, R: r, Ctx: "dup"}
+			if r.srv.Admit(dup) {
+				r.srv.Cancel(dup) // admitted for a second execution: the counters below catch it
+			}
+		}
 	}
 }
 func (r *retryingResponder) Busy(*frontend.Frame)         {}

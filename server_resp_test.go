@@ -32,13 +32,13 @@ func startRESP(t *testing.T, srv *Server) (string, chan error) {
 }
 
 // startRESPServer serves a fresh store over RESP with pipeline options po
-// and returns the address; the server is closed, and its serve loop checked,
-// when the test ends. Deep alternating read/write pipelines seal into many
-// small frames, so the per-conn queue cap is lifted: these tests exercise
-// semantics, not admission (TestServeRESPPerConnInFlight covers the cap).
+// and otherwise default options, and returns the address; the server is
+// closed, and its serve loop checked, when the test ends. A deep alternating
+// read/write pipeline seals into many small frames; a connection's reader
+// runs them one at a time, so none is shed and no option needs lifting.
 func startRESPServer(t *testing.T, po *PipelineOptions) string {
 	t.Helper()
-	srv := NewServerOpts(NewStore(StoreConfig{MemoryBytes: 8 << 20}), ServerOptions{RESPConnInFlight: -1, Pipeline: po})
+	srv := NewServerOpts(NewStore(StoreConfig{MemoryBytes: 8 << 20}), ServerOptions{Pipeline: po})
 	addr, errc := startRESP(t, srv)
 	t.Cleanup(func() {
 		srv.Close()
@@ -349,12 +349,13 @@ func (b slowReadStore) GetBatch(keys [][]byte, vals []byte, vlo, vhi []int32) ([
 	return b.storeLive.GetBatch(keys, vals, vlo, vhi)
 }
 
-// TestServeRESPPerConnInFlight pins the per-connection frame cap: a second
-// frame submitted while the first is executing is shed in-band with -BUSY and
-// the connection stays usable.
+// TestServeRESPPerConnInFlight pins a connection's one-frame-at-a-time
+// contract: a second frame sent while the first is executing waits for it —
+// answered after it, not shed with -BUSY — and the connection stays usable.
 func TestServeRESPPerConnInFlight(t *testing.T) {
+	const delay = 300 * time.Millisecond
 	st := NewStore(StoreConfig{MemoryBytes: 4 << 20})
-	srv := faultyServer(t, st, slowReadStore{storeLive{st.inner}, 300 * time.Millisecond}, ServerOptions{RESPConnInFlight: 1})
+	srv := faultyServer(t, st, slowReadStore{storeLive{st.inner}, delay}, ServerOptions{})
 	addr, errc := startRESP(t, srv)
 	defer srv.Close()
 
@@ -363,41 +364,161 @@ func TestServeRESPPerConnInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	start := time.Now()
 	if _, err := nc.Write([]byte("GET slow\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	// Let the first frame reach the store, then submit a second one.
+	// Let the first frame reach the store, then send a second one.
 	time.Sleep(100 * time.Millisecond)
 	if _, err := nc.Write([]byte("GET slow\r\n")); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var got []byte
-	buf := make([]byte, 512)
-	for !bytes.Contains(got, []byte("-BUSY")) || !bytes.Contains(got, []byte("$-1")) {
-		n, err := nc.Read(buf)
-		if err != nil {
-			t.Fatalf("read (have %q): %v", got, err)
-		}
-		got = append(got, buf[:n]...)
+	want := "$-1\r\n$-1\r\n"
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(nc, got); err != nil || string(got) != want {
+		t.Fatalf("read %q, %v; want %q (both GETs answered, none -BUSY)", got, err, want)
 	}
-	// In-order delivery: the executed frame's reply precedes the shed one.
-	if bytes.Index(got, []byte("$-1")) > bytes.Index(got, []byte("-BUSY")) {
-		t.Fatalf("replies out of order: %q", got)
+	// The second GET ran after the first finished, not beside it.
+	if d := time.Since(start); d < 2*delay-50*time.Millisecond {
+		t.Fatalf("both GETs answered after %v: the second did not wait for the first (%v each)", d, delay)
 	}
-	// The connection survives shedding.
 	if _, err := nc.Write([]byte("PING\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	for !bytes.Contains(got, []byte("+PONG")) {
-		n, err := nc.Read(buf)
-		if err != nil {
-			t.Fatalf("read after busy (have %q): %v", got, err)
-		}
-		got = append(got, buf[:n]...)
+	got = make([]byte, len("+PONG\r\n"))
+	if _, err := io.ReadFull(nc, got); err != nil || string(got) != "+PONG\r\n" {
+		t.Fatalf("PING read %q, %v", got, err)
 	}
 	srv.Close()
 	waitServe(t, errc)
+}
+
+// TestServeRESPPipelineNoBusy: on a default server, deep pipelines on one
+// connection — alternating SET/GET pairs that seal one frame per command,
+// then a GET burst of 128 full frames, each sent in one write — are
+// answered in full and in order, none with -BUSY.
+func TestServeRESPPipelineNoBusy(t *testing.T) {
+	addr := startRESPServer(t, nil)
+	c, err := frontend.DialRESP(addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const pairs = 100
+	val := func(i int) string { return fmt.Sprintf("v%d", i%pairs) }
+	qs := make([]Query, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		k := []byte(fmt.Sprintf("p%d", i))
+		qs = append(qs, Query{Op: OpSet, Key: k, Value: []byte(val(i))}, Query{Op: OpGet, Key: k})
+	}
+	checkNoBusy := func(what string, resps []Response, want func(i int) string) {
+		t.Helper()
+		busy, first := 0, -1
+		for i, r := range resps {
+			if r.Status == StatusBusy {
+				if busy++; first < 0 {
+					first = i
+				}
+			}
+		}
+		if busy > 0 {
+			t.Fatalf("%s: %d of %d replies were -BUSY (first at %d)", what, busy, len(resps), first)
+		}
+		for i, r := range resps {
+			if w := want(i); w == "" && r.Status != StatusOK ||
+				w != "" && (r.Status != StatusOK || string(r.Value) != w) {
+				t.Fatalf("%s: reply %d = %q (%v), want %q: in-order pipelining broken", what, i, r.Value, r.Status, w)
+			}
+		}
+	}
+	resps, err := c.Do(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoBusy("SET/GET pairs", resps, func(i int) string {
+		if i%2 == 0 {
+			return "" // SET: +OK
+		}
+		return val(i / 2)
+	})
+
+	const burst = 32768
+	qs = qs[:0]
+	for i := 0; i < burst; i++ {
+		qs = append(qs, Query{Op: OpGet, Key: []byte(fmt.Sprintf("p%d", i%pairs))})
+	}
+	if resps, err = c.Do(qs); err != nil {
+		t.Fatal(err)
+	}
+	checkNoBusy("GET burst", resps, val)
+}
+
+// TestServeRESPLateReaderNoDeadlock: a client that writes its whole pipeline
+// before reading any reply, with commands (~1.6 MB) and replies (~17 MB) far
+// beyond the socket buffers, gets every reply in order. The connection's
+// reader keeps executing frames while the writer is blocked on the client's
+// full receive window; a reader that wrote its own replies would block on
+// that write and stop reading, the client's write would block in turn, and
+// neither side would move until a write timeout tore the connection down.
+func TestServeRESPLateReaderNoDeadlock(t *testing.T) {
+	// Small buffers on both ends, so neither the commands nor the replies fit
+	// in the kernel whatever the host's TCP autotuning limits are.
+	shrink := func(nc net.Conn) net.Conn {
+		if tc, ok := nc.(*net.TCPConn); ok {
+			tc.SetReadBuffer(64 << 10)  //nolint:errcheck
+			tc.SetWriteBuffer(64 << 10) //nolint:errcheck
+		}
+		return nc
+	}
+	srv := NewServerOpts(NewStore(StoreConfig{MemoryBytes: 8 << 20}), ServerOptions{WrapStreamConn: shrink})
+	addr, errc := startRESP(t, srv)
+	defer func() {
+		srv.Close()
+		waitServe(t, errc)
+	}()
+	const keys = 16
+	sets := make([]Query, keys)
+	for j := range sets {
+		sets[j] = Query{Op: OpSet, Key: []byte(fmt.Sprintf("late%d", j)), Value: bytes.Repeat([]byte{byte('a' + j)}, 256)}
+	}
+	c, err := frontend.DialRESP(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do(sets); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shrink(nc).Close()
+	const n = 64 << 10
+	var cmds, want []byte
+	for i := 0; i < n; i++ {
+		q := sets[i%keys]
+		cmds = fmt.Appendf(cmds, "*2\r\n$3\r\nGET\r\n$%d\r\n%s\r\n", len(q.Key), q.Key)
+		want = fmt.Appendf(want, "$%d\r\n%s\r\n", len(q.Value), q.Value)
+	}
+	start := time.Now()
+	nc.SetDeadline(start.Add(10 * time.Second)) //nolint:errcheck
+	if _, err := nc.Write(cmds); err != nil {
+		t.Fatalf("writing the pipeline, after %v: %v", time.Since(start), err)
+	}
+	got := make([]byte, len(want))
+	if n, err := io.ReadFull(nc, got); err != nil {
+		t.Fatalf("read %d of %d reply bytes in %v: %v", n, len(want), time.Since(start), err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("replies differ from byte %d: got %.32q…, want %.32q…", i, got[i:], want[i:])
+	}
 }
 
 // TestServeRESPDurable pins commit-before-ack over RESP: every acked SET must

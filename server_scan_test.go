@@ -18,7 +18,7 @@ import (
 func TestServeScanEndToEnd(t *testing.T) {
 	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
 		st := NewStore(StoreConfig{MemoryBytes: 8 << 20, Ordered: true})
-		srv := NewServerOpts(st, ServerOptions{RESPConnInFlight: -1, Pipeline: po})
+		srv := NewServerOpts(st, ServerOptions{Pipeline: po})
 		udpAddr, udpErrc := startServer(t, srv)
 		respAddr, respErrc := startRESP(t, srv)
 		defer srv.Close()
@@ -113,7 +113,7 @@ func TestServeScanEndToEnd(t *testing.T) {
 func TestServeScanUnordered(t *testing.T) {
 	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
 		st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
-		srv := NewServerOpts(st, ServerOptions{RESPConnInFlight: -1, Pipeline: po})
+		srv := NewServerOpts(st, ServerOptions{Pipeline: po})
 		udpAddr, udpErrc := startServer(t, srv)
 		respAddr, respErrc := startRESP(t, srv)
 		defer srv.Close()
@@ -153,7 +153,7 @@ func TestServeScanUnordered(t *testing.T) {
 // connection's reply stream.
 func TestServeScanRESPErrors(t *testing.T) {
 	st := NewStore(StoreConfig{MemoryBytes: 8 << 20, Ordered: true})
-	srv := NewServerOpts(st, ServerOptions{RESPConnInFlight: -1})
+	srv := NewServerOpts(st, ServerOptions{})
 	respAddr, errc := startRESP(t, srv)
 	defer srv.Close()
 
