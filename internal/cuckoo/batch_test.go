@@ -35,10 +35,45 @@ func sameCands(a []Location, b []Location) bool {
 	return true
 }
 
+// scalarAndPrimary returns SearchBuf's candidates for k and, separately, the
+// matches in k's primary bucket alone.
+func scalarAndPrimary(tbl *Table, k []byte) (scalar, primary []Location) {
+	var buf, prim [MaxCandidates]Location
+	nb, _ := tbl.SearchBuf(k, &buf)
+	b1, sig := tbl.hash(k)
+	np := tbl.scanBucketInto(b1, sig, &prim, 0)
+	return buf[:nb], prim[:np]
+}
+
+// checkPrimaryFirstWant is SearchBatch's contract for one key: its
+// candidates are a prefix of the scalar probe's — exactly the primary
+// bucket's matches when it has any — and equal to the scalar probe's
+// whenever the primary bucket has no match.
+func checkPrimaryFirstWant(got, scalar, primary []Location) error {
+	want := scalar
+	if len(primary) > 0 {
+		want = primary
+	}
+	if len(want) > len(scalar) || !sameCands(want, scalar[:len(want)]) {
+		return fmt.Errorf("primary matches %v are not a prefix of scalar %v", primary, scalar)
+	}
+	if !sameCands(got, want) {
+		return fmt.Errorf("batch %v, want %v (scalar %v)", got, want, scalar)
+	}
+	return nil
+}
+
+// checkPrimaryFirst checks k's batched candidates against a table no writer
+// changes meanwhile.
+func checkPrimaryFirst(tbl *Table, k []byte, got []Location) error {
+	scalar, primary := scalarAndPrimary(tbl, k)
+	return checkPrimaryFirstWant(got, scalar, primary)
+}
+
 // TestSearchBatchMatchesSearchBuf checks, on a quiescent table, that the wide
-// wave search returns exactly the same candidate sets in exactly the same
-// order as the scalar per-key probe — present keys, absent keys, and batch
-// sizes spanning the wave-width range.
+// wave search returns the scalar per-key probe's candidates under the
+// primary-first contract (see checkPrimaryFirst) — present keys, absent keys,
+// and batch sizes spanning the wave-width range.
 func TestSearchBatchMatchesSearchBuf(t *testing.T) {
 	tbl := New(1024, 7)
 	for i := 1; i <= 3000; i++ {
@@ -55,12 +90,44 @@ func TestSearchBatchMatchesSearchBuf(t *testing.T) {
 		}
 		got := collectBatch(tbl, keys, &sc)
 		for i, k := range keys {
-			var buf [MaxCandidates]Location
-			nb, _ := tbl.SearchBuf(k, &buf)
-			if !sameCands(got[i], buf[:nb]) {
-				t.Fatalf("n=%d key %d: batch %v != scalar %v", n, i, got[i], buf[:nb])
+			if err := checkPrimaryFirst(tbl, k, got[i]); err != nil {
+				t.Fatalf("n=%d key %d: %v", n, i, err)
 			}
 		}
+	}
+}
+
+// TestSearchBatchPrimaryFirst pins the primary-first probe: a key whose
+// primary bucket holds a match is not probed in its alternate bucket, and a
+// key whose entry sits only in its alternate bucket is still found there.
+func TestSearchBatchPrimaryFirst(t *testing.T) {
+	tbl := New(64, 99)
+	// Nine entries for one key: eight fill its primary bucket, the ninth
+	// lands in the alternate.
+	k := key(32)
+	for i := 0; i < SlotsPerBucket+1; i++ {
+		if !tbl.Insert(k, Location(i+1)) {
+			t.Fatalf("insert %d failed", i)
+		}
+	}
+	var buf [MaxCandidates]Location
+	if nb, _ := tbl.SearchBuf(k, &buf); nb != SlotsPerBucket+1 {
+		t.Fatalf("scalar found %d candidates, want %d", nb, SlotsPerBucket+1)
+	}
+	var sc SearchScratch
+	got := collectBatch(tbl, [][]byte{k}, &sc)[0]
+	if !sameCands(got, buf[:SlotsPerBucket]) {
+		t.Fatalf("batch %v, want the primary bucket's %v", got, buf[:SlotsPerBucket])
+	}
+	// Empty the primary bucket: the alternate entry must now be found.
+	for i := 0; i < SlotsPerBucket; i++ {
+		if !tbl.Delete(k, buf[i]) {
+			t.Fatalf("delete %d failed", buf[i])
+		}
+	}
+	got = collectBatch(tbl, [][]byte{k}, &sc)[0]
+	if !sameCands(got, buf[SlotsPerBucket:SlotsPerBucket+1]) {
+		t.Fatalf("batch %v, want the alternate bucket's %v", got, buf[SlotsPerBucket:SlotsPerBucket+1])
 	}
 }
 
@@ -110,18 +177,17 @@ func TestSearchBatchUnderChurn(t *testing.T) {
 		v1 := tbl.Version()
 		got := collectBatch(tbl, keys, &sc)
 		want := make([][]Location, len(keys))
-		bufs := make([][MaxCandidates]Location, len(keys))
+		prims := make([][]Location, len(keys))
 		for i, k := range keys {
-			nb, _ := tbl.SearchBuf(k, &bufs[i])
-			want[i] = bufs[i][:nb]
+			want[i], prims[i] = scalarAndPrimary(tbl, k)
 		}
 		if tbl.Version() != v1 {
 			continue // a mutation raced one of the searches; not comparable
 		}
 		clean++
 		for i := range keys {
-			if !sameCands(got[i], want[i]) {
-				t.Fatalf("stable window, key %d: batch %v != scalar %v", i, got[i], want[i])
+			if err := checkPrimaryFirstWant(got[i], want[i], prims[i]); err != nil {
+				t.Fatalf("stable window, key %d: %v", i, err)
 			}
 		}
 	}
@@ -130,10 +196,8 @@ func TestSearchBatchUnderChurn(t *testing.T) {
 	// Always verifiable once quiescent.
 	got := collectBatch(tbl, keys, &sc)
 	for i, k := range keys {
-		var buf [MaxCandidates]Location
-		nb, _ := tbl.SearchBuf(k, &buf)
-		if !sameCands(got[i], buf[:nb]) {
-			t.Fatalf("quiescent key %d: batch %v != scalar %v", i, got[i], buf[:nb])
+		if err := checkPrimaryFirst(tbl, k, got[i]); err != nil {
+			t.Fatalf("quiescent key %d: %v", i, err)
 		}
 	}
 	if clean == 0 {
@@ -143,7 +207,9 @@ func TestSearchBatchUnderChurn(t *testing.T) {
 
 // FuzzSearchBatchMatchesSearchBuf drives an arbitrary insert/delete history,
 // then asserts the wide search agrees with the scalar search for every probe
-// key — including keys the history deleted or never inserted.
+// key — including keys the history deleted or never inserted — under the
+// primary-first contract: the batched candidates are a prefix of the scalar
+// ones, and equal to them whenever the primary bucket has no match.
 func FuzzSearchBatchMatchesSearchBuf(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{0x80, 0x41, 0x00, 0xff, 7, 7, 7})
@@ -164,10 +230,8 @@ func FuzzSearchBatchMatchesSearchBuf(f *testing.F) {
 		var sc SearchScratch
 		got := collectBatch(tbl, keys, &sc)
 		for i, k := range keys {
-			var buf [MaxCandidates]Location
-			nb, _ := tbl.SearchBuf(k, &buf)
-			if !sameCands(got[i], buf[:nb]) {
-				t.Fatalf("key %d: batch %v != scalar %v", i, got[i], buf[:nb])
+			if err := checkPrimaryFirst(tbl, k, got[i]); err != nil {
+				t.Fatalf("key %d: %v", i, err)
 			}
 		}
 	})

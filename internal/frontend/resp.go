@@ -32,7 +32,8 @@ import (
 // and nothing is shed per connection (-BUSY comes only from the core's
 // admission). No reply write runs on the reader: a client that writes a deep
 // pipeline before reading any reply keeps its frames executing while the
-// writer waits on the client's receive window.
+// writer waits on the client's receive window; one that stops reading is
+// disconnected once its unwritten replies pass maxPendingReplyBytes.
 
 const (
 	// defaultMaxCmdsPerFrame caps how many pipelined commands coalesce into
@@ -50,6 +51,15 @@ const (
 	// connection's lifetime.
 	maxIdleWriteBuf = 1 << 20
 )
+
+// maxPendingReplyBytes caps the replies a connection's reader may hand its
+// writer before they are written. A client that pipelines commands and
+// reads its replies late is served in full while they stay under it; one
+// that stops reading altogether is disconnected once its unwritten replies
+// pass it, rather than growing the server's heap until the write timeout.
+// Pausing the reader instead would deadlock a client that writes its whole
+// pipeline before reading. A variable only so tests can lower it.
+var maxPendingReplyBytes = 64 << 20
 
 // RESPOptions configures the TCP/RESP2 frontend.
 type RESPOptions struct {
@@ -377,7 +387,9 @@ type respConn struct {
 	wake       sync.Cond // on mu: out grew or the reader exited
 	out        []byte    // replies handed to the writer, not yet written
 	readerDone bool
-	closed     bool // the writer exited: later replies are dropped
+	// closed: the writer exited, or the reader gave up on a client that
+	// does not read; later replies are dropped.
+	closed bool
 }
 
 func (r *RESP) newConn(q *respListener, nc net.Conn) *respConn {
@@ -482,8 +494,7 @@ func (c *respConn) consume(core Core) bool {
 		if core.Draining() {
 			return false
 		}
-		c.dispatch(core)
-		if last {
+		if !c.dispatch(core) || last {
 			return false
 		}
 	}
@@ -543,8 +554,11 @@ func (c *respConn) parseFrame(core Core) (last bool) {
 
 // dispatch runs the parsed frame on the core and waits for its Release — not
 // just its delivery: the core reads the frame's queries until then — then
-// hands the reply its delivery set (f.Units) to the writer.
-func (c *respConn) dispatch(core Core) {
+// hands the reply its delivery set (f.Units) to the writer. It reports false
+// when the replies still waiting for the writer are past maxPendingReplyBytes:
+// then it has closed the connection and counted a send error, and the reader
+// must stop.
+func (c *respConn) dispatch(core Core) bool {
 	f := &c.f
 	f.Queries = c.queries
 	if c.fe.opts.StampStart {
@@ -555,8 +569,15 @@ func (c *respConn) dispatch(core Core) {
 		core.Submit(f)
 	}
 	<-c.released
+	over := false
 	c.mu.Lock()
-	if !c.closed {
+	switch {
+	case c.closed:
+	case len(c.out) > maxPendingReplyBytes:
+		// Earlier frames' replies are still unwritten past the cap: the
+		// client is not reading. This frame's reply is dropped with them.
+		c.closed, c.out, over = true, nil, true
+	default:
 		for _, u := range f.Units {
 			c.out = append(c.out, u...)
 		}
@@ -566,6 +587,12 @@ func (c *respConn) dispatch(core Core) {
 	f.reset()
 	c.cmds = c.cmds[:0]
 	c.queries = c.queries[:0]
+	if over {
+		c.q.sendErrs.Inc()
+		// Closing the socket also fails the writer's blocked Write.
+		c.nc.Close()
+	}
+	return !over
 }
 
 // writeLoop is the connection's one writer: it writes whatever replies the
@@ -599,7 +626,9 @@ func (c *respConn) writeLoop() {
 
 		c.mu.Lock()
 		if err != nil {
-			c.q.sendErrs.Inc()
+			if !c.closed { // else the reader closed it and counted it
+				c.q.sendErrs.Inc()
+			}
 			break
 		}
 	}

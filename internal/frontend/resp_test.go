@@ -56,9 +56,9 @@ func (c *stackConn) Write(b []byte) (int, error) {
 }
 
 // startHeldRESP serves a RESP frontend on a free port over core and returns
-// a connected client; the frontend is interrupted and shut down when the
-// test ends.
-func startHeldRESP(t *testing.T, core *heldCore, wrap func(net.Conn) net.Conn) net.Conn {
+// a connected client and the frontend; the frontend is interrupted and shut
+// down when the test ends.
+func startHeldRESP(t *testing.T, core *heldCore, wrap func(net.Conn) net.Conn) (net.Conn, *RESP) {
 	t.Helper()
 	r := NewRESP(RESPOptions{WrapConn: wrap})
 	if err := r.Listen("127.0.0.1:0"); err != nil {
@@ -82,7 +82,7 @@ func startHeldRESP(t *testing.T, core *heldCore, wrap func(net.Conn) net.Conn) n
 			t.Errorf("Run: %v", err)
 		}
 	})
-	return nc
+	return nc, r
 }
 
 func nextFrame(t *testing.T, core *heldCore) *Frame {
@@ -123,7 +123,7 @@ func readExactly(t *testing.T, nc net.Conn, want string) {
 func TestRESPReaderWaitsForRelease(t *testing.T) {
 	core := &heldCore{submits: make(chan *Frame, 1)}
 	var sc *stackConn
-	nc := startHeldRESP(t, core, func(c net.Conn) net.Conn {
+	nc, _ := startHeldRESP(t, core, func(c net.Conn) net.Conn {
 		sc = &stackConn{Conn: c}
 		return sc
 	})
@@ -180,7 +180,7 @@ func TestRESPReaderWaitsForRelease(t *testing.T) {
 // the connection closes.
 func TestRESPNoAdmitWhileDraining(t *testing.T) {
 	core := &heldCore{submits: make(chan *Frame, 1)}
-	nc := startHeldRESP(t, core, nil)
+	nc, _ := startHeldRESP(t, core, nil)
 	if _, err := nc.Write([]byte("GET a\r\nSET b 1\r\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +195,49 @@ func TestRESPNoAdmitWhileDraining(t *testing.T) {
 	readExactly(t, nc, "$1\r\n1\r\n")
 	if rest, err := io.ReadAll(nc); err != nil || len(rest) > 0 {
 		t.Fatalf("after the last reply: %q, %v; want EOF", rest, err)
+	}
+}
+
+// TestRESPNonReaderDisconnected: a client that pipelines GETs and never reads
+// a reply is disconnected once the replies waiting for its writer pass the
+// cap, and the listener counts one send error; its reader admits nothing
+// after that.
+func TestRESPNonReaderDisconnected(t *testing.T) {
+	defer func(old int) { maxPendingReplyBytes = old }(maxPendingReplyBytes)
+	maxPendingReplyBytes = 256 << 10
+	core := &heldCore{submits: make(chan *Frame, 1)}
+	nc, r := startHeldRESP(t, core, func(c net.Conn) net.Conn {
+		if tc, ok := c.(*net.TCPConn); ok {
+			tc.SetWriteBuffer(16 << 10) //nolint:errcheck
+		}
+		return c
+	})
+	if tc, ok := nc.(*net.TCPConn); ok {
+		tc.SetReadBuffer(16 << 10) //nolint:errcheck
+	}
+	// 64 Ki GETs: 256 frames, each answered with 64 KiB of values, far more
+	// than the socket buffers and the cap hold together.
+	go nc.Write([]byte(strings.Repeat("GET k\r\n", 64<<10))) //nolint:errcheck
+	value := make([]byte, 256)
+	frames := 0
+	for frames <= 256 {
+		var f *Frame
+		select {
+		case f = <-core.submits:
+		case <-time.After(time.Second):
+		}
+		if f == nil {
+			break
+		}
+		frames++
+		deliver(f, proto.StatusOK, value)
+		f.R.Release(f)
+	}
+	t.Logf("%d frames reached the core", frames)
+	if frames == 0 || frames > 200 {
+		t.Fatalf("%d frames reached the core, want the reader to stop well before 256", frames)
+	}
+	if n := r.FrontendStats().SendErrs; n != 1 {
+		t.Fatalf("SendErrs = %d, want 1", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -154,9 +155,11 @@ func BenchmarkReadIfMatch(b *testing.B) {
 	}
 }
 
-// TestPrefetchBadHandles: Prefetch resolves its handle through the same
-// bounds-checked snapshot as ReadIfMatch, so no handle a stale or garbage
-// candidate can carry makes it panic, and it changes nothing it loads.
+// TestPrefetchBadHandles: AppendPrefetchLines resolves its handle through
+// the same bounds-checked snapshot as ReadIfMatch, so no handle a stale or
+// garbage candidate can carry makes it panic or list a word outside the
+// arena, it lists at most prefetchLines+1 words, and loading them changes
+// nothing.
 func TestPrefetchBadHandles(t *testing.T) {
 	a := NewAllocator(DefaultConfig(4 << 20))
 	h, _, err := a.Alloc([]byte("alpha"), []byte("one"), 1)
@@ -177,17 +180,27 @@ func TestPrefetchBadHandles(t *testing.T) {
 		"class out of range": makeHandle(a.Classes(), 0),
 		"beyond the arena":   makeHandle(0, indexMask),
 	} {
-		if got := a.Prefetch(bad); got != 0 {
-			t.Errorf("Prefetch(%s) = %d, want 0", name, got)
+		if got := a.AppendPrefetchLines(nil, bad); len(got) != 0 {
+			t.Errorf("AppendPrefetchLines(%s) listed %d words, want 0", name, len(got))
 		}
 	}
+	var lines []*atomic.Uint64
 	for _, live := range []Handle{h, big, freed} {
-		a.Prefetch(live)
+		n := len(lines)
+		lines = a.AppendPrefetchLines(lines, live)
+		if got := len(lines) - n; got < 2 || got > prefetchLines+1 {
+			t.Errorf("AppendPrefetchLines(%v) listed %d words, want 2..%d", live, got, prefetchLines+1)
+		}
 	}
+	var sink uint64
+	for _, w := range lines {
+		sink += w.Load()
+	}
+	_ = sink
 	if v, ok := a.ReadIfMatch(h, []byte("alpha"), nil); !ok || string(v) != "one" {
-		t.Fatalf("ReadIfMatch after Prefetch = %q/%v", v, ok)
+		t.Fatalf("ReadIfMatch after the prefetch loads = %q/%v", v, ok)
 	}
 	if _, ok := a.ReadIfMatch(freed, []byte("gone"), nil); ok {
-		t.Fatal("a freed chunk verified after Prefetch")
+		t.Fatal("a freed chunk verified after the prefetch loads")
 	}
 }

@@ -162,7 +162,7 @@ type class struct {
 // Allocator is a slab allocator with per-class CLOCK eviction. Alloc and Free
 // take a per-class lock; reads (Object, ReadInto, MatchKey, ReadIfMatch,
 // AccessCount) are lock-free seqlock copies, Touch is one lock-free CAS and
-// Prefetch is plain loads.
+// AppendPrefetchLines only resolves addresses.
 // It is safe for concurrent use.
 type Allocator struct {
 	cfg     Config
@@ -561,30 +561,30 @@ func (a *Allocator) ReadIfMatch(h Handle, key, dst []byte) ([]byte, bool) {
 	}
 }
 
-// prefetchLines caps how many of a chunk's cache lines Prefetch loads: the
-// header, key and value of a small object, not the whole of a large chunk.
+// prefetchLines caps how many of a chunk's cache lines AppendPrefetchLines
+// lists: the header, key and value of a small object, not the whole of a
+// large chunk.
 const prefetchLines = 4
 
-// Prefetch loads one word from each 64-byte line of h's chunk, up to
-// prefetchLines lines, and returns their sum. It resolves h through the same
-// snapshot ReadIfMatch uses, so a handle that is NoHandle, malformed, beyond
-// the arena or freed is safe (it returns 0, or loads a dead chunk's words).
-// It validates nothing and branches on none of the words it loads: a batch
-// that prefetches every key's chunk before verifying any keeps all their
-// misses in flight at once. The caller discards the sum (it only gives the
-// loads a use).
-func (a *Allocator) Prefetch(h Handle) uint64 {
+// AppendPrefetchLines appends to dst the address of one word in each 64-byte
+// line of h's chunk, up to prefetchLines lines, and returns the grown list.
+// It resolves h through the same snapshot ReadIfMatch uses, so a handle that
+// is NoHandle, malformed or beyond the arena appends nothing, and a freed one
+// appends a dead chunk's words. It loads nothing from the chunk: a batch
+// gathers every key's lines first and then loads them in one tight loop, so
+// no address arithmetic sits between the loads and all their misses are in
+// flight at once. The caller only loads the words, never writes them.
+func (a *Allocator) AppendPrefetchLines(dst []*atomic.Uint64, h Handle) []*atomic.Uint64 {
 	_, w, ok := a.snapshot(h)
 	if !ok {
-		return 0
+		return dst
 	}
 	n := min(len(w), prefetchLines*8)
-	var sum uint64
 	for i := 0; i < n; i += 8 {
-		sum += w[i].Load()
+		dst = append(dst, &w[i])
 	}
 	// The last word covers a tail line when the chunk does not start on one.
-	return sum + w[n-1].Load()
+	return append(dst, &w[n-1])
 }
 
 // Touch marks h as accessed at sampling timestamp now: it sets the object's

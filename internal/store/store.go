@@ -366,9 +366,10 @@ const buildChunk = 256
 // RangeKeys, no value bytes) and resolves them a chunk at a time with
 // the batched read's hash + SearchBatch waves: each key binds to the first
 // of its candidates that verifies (matchLoc, as lookupLoc chooses). A
-// key with no verifying candidate (deleted since the walk, or hidden by a
-// racing displacement) falls back to lookupLoc itself, and is left out if
-// that misses too.
+// key with no verifying candidate (deleted since the walk, hidden by a
+// racing displacement, or behind another key's same-signature entry in
+// its primary bucket, which keeps the search from probing the alternate)
+// falls back to lookupLoc itself, and is left out if that misses too.
 func (s *Store) buildOrdered(add func(key []byte, val uint64)) {
 	sc := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(sc)

@@ -8,27 +8,34 @@ package store
 // partition the work across compute units:
 //
 //	wave 0: hash every key (pure arithmetic)
-//	waves:  cuckoo.SearchBatch (split / touch / primary / alternate)
-//	touch:  load every key's first candidate chunk (slab Prefetch)
+//	waves:  cuckoo.SearchBatch (split + gather / touch / primary scan /
+//	        alternate gather, touch and scan for keys with no primary match)
+//	touch:  gather every key's first candidate chunk lines (slab
+//	        AppendPrefetchLines), then load them (cuckoo.TouchLines)
 //	verify: fused KC+RD — seqlock-verify candidates and copy values
 //
 // The touch before the verify does for the slab what cuckoo.SearchBatch's
-// touch wave does for the buckets: the verify branches on every word it
-// loads (seqlock, lengths, key), so on cold chunks it would pay one DRAM
-// round trip per key; the touch loads each chunk's lines with no branch on
-// them first, so the batch's chunk misses overlap and the verify reads cache.
-// It changes no check: every seqlock and version test runs as before.
+// touch does for the buckets: the verify branches on every word it loads
+// (seqlock, lengths, key), so on cold chunks it would pay one DRAM round trip
+// per key; the touch first resolves every chunk line's address, then loads
+// them in a loop with nothing else in it and no branch on what it loads, so
+// the batch's chunk misses overlap and the verify reads cache. It changes no
+// check: every seqlock and version test runs as before.
 //
 // The genuine-miss proof amortizes to ONE index Version() check per sweep
-// instead of one per key — only when a mutation raced the sweep do the
-// provisionally-missing keys fall back to the scalar version-validated
-// lookup (readVerified), the same staleness contract the scalar GET obeys.
+// instead of one per key, for the keys the search found no candidate for
+// (both their buckets were probed). A key whose candidates all failed
+// verification may have had only its primary bucket probed, so it always
+// takes the scalar both-bucket, version-validated lookup (readVerified); so
+// do all the provisionally-missing keys when a mutation raced the sweep —
+// the same staleness contract the scalar GET obeys.
 //
 // All working memory comes from a pooled scratch, so the batched GET is
 // allocation-free at steady state (guarded by TestBatchPathZeroAllocs).
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cuckoo"
 	"repro/internal/slab"
@@ -44,8 +51,9 @@ type batchScratch struct {
 	counts []int32           // per listed key: candidate count from SearchBatch
 	miss   []int32           // per sweep: positions of provisionally-missing keys
 	cands  []cuckoo.Location // fixed-stride candidate arena (MaxCandidates per key)
+	lines  []*atomic.Uint64  // the chunk touch's gathered line addresses
 	sc     cuckoo.SearchScratch
-	sink   uint64 // takes the chunk touch's loads (see Allocator.Prefetch)
+	sink   uint64 // takes the chunk touch's loads
 }
 
 // identity fills idx with 0..n-1 (every key of the batch) and returns it.
@@ -90,8 +98,11 @@ func (s *Store) search(keys [][]byte, idxs []int32, sc *batchScratch) {
 // all keys up front and run them through the cuckoo table's
 // software-pipelined wave search. Key i's candidate locations are appended
 // to dst with their span recorded in lo[i]:hi[i]. lo and hi must have
-// length ≥ len(keys). Like IndexSearch, the returned locations may be stale
-// by the time they are verified; the read stage owns the staleness contract.
+// length ≥ len(keys). They are a prefix of IndexSearch's: its primary
+// bucket's matches when there are any, else its alternate bucket's. Like
+// IndexSearch, the returned locations may be stale by the time they are
+// verified; the read stage (ReadCandidatesBatch) owns the staleness contract
+// and re-probes both buckets for a key none of whose candidates verifies.
 func (s *Store) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32) []cuckoo.Location {
 	n := len(keys)
 	if n == 0 {
@@ -113,25 +124,29 @@ func (s *Store) SearchBatch(keys [][]byte, dst []cuckoo.Location, lo, hi []int32
 // sweep runs the authoritative wide search + fused KC+RD verify for the keys
 // idxs lists: one Version() read, the search waves, a touch of each key's
 // first candidate chunk, then a verify wave that seqlock-reads each key's
-// candidates into vals. Keys that miss every candidate are genuine misses if
-// the index version did not move during the sweep — one amortized check for
-// the whole list; otherwise only they retry through the scalar
-// version-validated lookup. Hit values are appended to vals with spans in
-// vlo/vhi; vlo[i] = -1 marks a miss. Returns the grown vals and the hit
-// count. Counters: hits/misses are maintained here (the caller counts gets).
+// candidates into vals. A key the search found no candidate for is a
+// genuine miss if the index version did not move during the sweep — one
+// amortized check for the whole list. A key whose candidates all failed
+// verification (its alternate bucket may never have been probed), and every
+// provisional miss when the version moved, retries through the scalar
+// both-bucket, version-validated lookup. Hit values are appended to vals
+// with spans in vlo/vhi; vlo[i] = -1 marks a miss. Returns the grown vals
+// and the hit count. Counters: hits/misses are maintained here (the caller
+// counts gets).
 func (s *Store) sweep(keys [][]byte, idxs []int32, sc *batchScratch, vals []byte, vlo, vhi []int32) ([]byte, int) {
 	stamp := s.stamp.Load()
 	hits := 0
 	v1 := s.idx.Version()
 	s.search(keys, idxs, sc)
 	// Touch each key's first candidate chunk before verifying any.
-	var sink uint64
+	lines := sc.lines[:0]
 	for j := range idxs {
 		if sc.counts[j] > 0 {
-			sink += s.alloc.Prefetch(slab.Handle(sc.cands[j*cuckoo.MaxCandidates]))
+			lines = s.alloc.AppendPrefetchLines(lines, slab.Handle(sc.cands[j*cuckoo.MaxCandidates]))
 		}
 	}
-	sc.sink = sink
+	sc.lines = lines
+	sc.sink = cuckoo.TouchLines(lines)
 	nmiss := 0
 	for j, i := range idxs {
 		base := j * cuckoo.MaxCandidates
@@ -157,20 +172,21 @@ func (s *Store) sweep(keys [][]byte, idxs []int32, sc *batchScratch, vals []byte
 	if nmiss == 0 {
 		return vals, hits
 	}
-	if s.idx.Version() == v1 {
-		// No index mutation raced the sweep: every provisional miss is
-		// genuine, proven by one version check instead of one per key.
-		for _, j := range sc.miss[:nmiss] {
-			i := idxs[j]
-			vlo[i], vhi[i] = -1, -1
-		}
-		s.misses.Add(uint64(nmiss))
-		return vals, hits
-	}
-	// A writer raced the sweep; only the provisionally-missing keys pay the
-	// scalar reprobe (readVerified maintains hit/miss counters itself).
+	raced := s.idx.Version() != v1
+	genuine := 0
 	for _, j := range sc.miss[:nmiss] {
 		i := idxs[j]
+		if !raced && sc.counts[j] == 0 {
+			// Both buckets probed and no index mutation raced the sweep:
+			// a genuine miss, proven by the one version check above.
+			vlo[i], vhi[i] = -1, -1
+			genuine++
+			continue
+		}
+		// The key's candidates all failed verification, and if they came
+		// from its primary bucket its alternate was never probed; or a
+		// writer raced the sweep. The scalar reprobe of both buckets decides
+		// (readVerified maintains hit/miss counters itself).
 		mark := int32(len(vals))
 		if out, ok := s.readVerified(sc.hv[j], keys[i], vals); ok {
 			vals = out
@@ -180,6 +196,7 @@ func (s *Store) sweep(keys [][]byte, idxs []int32, sc *batchScratch, vals []byte
 			vlo[i], vhi[i] = -1, -1
 		}
 	}
+	s.misses.Add(uint64(genuine))
 	return vals, hits
 }
 
@@ -227,13 +244,14 @@ func (s *Store) ReadCandidatesBatch(keys [][]byte, cands []cuckoo.Location, lo, 
 	stamp := s.stamp.Load()
 	// Touch each key's first candidate chunk before verifying any (see the
 	// file comment).
-	var sink uint64
+	lines := sc.lines[:0]
 	for i := 0; i < n; i++ {
 		if lo[i] != hi[i] {
-			sink += s.alloc.Prefetch(slab.Handle(cands[lo[i]]))
+			lines = s.alloc.AppendPrefetchLines(lines, slab.Handle(cands[lo[i]]))
 		}
 	}
-	sc.sink = sink
+	sc.lines = lines
+	sc.sink = cuckoo.TouchLines(lines)
 	hits := 0
 	stale := 0
 	for i := 0; i < n; i++ {

@@ -121,30 +121,54 @@ func BenchmarkSearchBatch(b *testing.B) {
 // harness itself adds no cold key headers. "staged" is what the default plan
 // runs (SearchBatch, then ReadCandidatesBatch on the candidates); "fused" is
 // GetBatch. ns/op is per GET.
-func BenchmarkReadBatchUniform(b *testing.B) {
+func BenchmarkReadBatchUniform(b *testing.B) { benchReadBatch(b, readBatchPop) }
+
+// BenchmarkReadBatchMiss is BenchmarkReadBatchUniform with keys drawn over
+// twice the population, so about half the GETs miss: it prices the miss
+// proof, where a key with no candidate probes both its buckets.
+func BenchmarkReadBatchMiss(b *testing.B) { benchReadBatch(b, 2*readBatchPop) }
+
+const readBatchPop = 1 << 20
+
+var (
+	readBatchOnce sync.Once
+	readBatchSt   *Store
+)
+
+// benchReadBatch runs the staged and fused batched reads over uniform keys
+// drawn from [0, span); keys below readBatchPop are stored.
+func benchReadBatch(b *testing.B, span uint64) {
 	const (
-		pop   = 1 << 20
 		batch = 256
 		kw    = 8
 	)
-	s := New(Config{MemoryBytes: 256 << 20, Seed: 1})
-	var key [kw]byte
-	for i := 0; i < pop; i++ {
-		binary.LittleEndian.PutUint64(key[:], uint64(i))
-		if _, _, err := s.Set(key[:], key[:]); err != nil {
-			b.Fatal(err)
+	readBatchOnce.Do(func() {
+		readBatchSt = New(Config{MemoryBytes: 256 << 20, Seed: 1})
+		var key [kw]byte
+		for i := 0; i < readBatchPop; i++ {
+			binary.LittleEndian.PutUint64(key[:], uint64(i))
+			if _, _, err := readBatchSt.Set(key[:], key[:]); err != nil {
+				panic(err)
+			}
 		}
-	}
+	})
+	s := readBatchSt
 	frame := make([]byte, batch*kw)
 	keys := make([][]byte, batch)
 	for i := range keys {
 		keys[i] = frame[i*kw : (i+1)*kw : (i+1)*kw]
 	}
 	rng := rand.New(rand.NewPCG(3, 5))
-	fill := func() {
+	// fill draws a batch and returns how many of its keys are stored.
+	fill := func() (want int) {
 		for i := range keys {
-			binary.LittleEndian.PutUint64(keys[i], rng.Uint64N(pop))
+			k := rng.Uint64N(span)
+			if k < readBatchPop {
+				want++
+			}
+			binary.LittleEndian.PutUint64(keys[i], k)
 		}
+		return want
 	}
 	vlo, vhi := make([]int32, batch), make([]int32, batch)
 	vals := make([]byte, 0, batch*kw)
@@ -157,9 +181,9 @@ func BenchmarkReadBatchUniform(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += batch {
-			fill()
-			if hits := read(); hits != batch {
-				b.Fatalf("hits = %d, want %d", hits, batch)
+			want := fill()
+			if hits := read(); hits != want {
+				b.Fatalf("hits = %d, want %d", hits, want)
 			}
 		}
 	}

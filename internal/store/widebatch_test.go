@@ -395,3 +395,112 @@ func TestReadNeverServesStale(t *testing.T) {
 	close(stop)
 	writer.Wait()
 }
+
+// primaryCollision builds, on a store with a 16-bucket index, a key whose
+// live entry sits in its alternate bucket while its primary bucket holds
+// another key's entry with the same signature — the case where the batched
+// search's primary-first probe finds only a false candidate. It brute-forces
+// keys by hash: decoy shares the key's primary bucket and signature (so its
+// alternate bucket too), seven fillers share the primary bucket, and absent
+// is a third key with the key's bucket and signature that is never stored.
+// It checks the layout it built before returning.
+func primaryCollision(t *testing.T) (s *Store, k, absent []byte) {
+	t.Helper()
+	s = New(Config{MemoryBytes: 1 << 20, IndexEntries: 64, Seed: 17})
+	mask := uint64(s.idx.Buckets() - 1)
+	// home mirrors the table's hash split: bucket = low bits, signature =
+	// top 16 bits (0 maps to 1).
+	home := func(key []byte) (uint64, uint16) {
+		h := s.hash(key)
+		sig := uint16(h >> 48)
+		if sig == 0 {
+			sig = 1
+		}
+		return h & mask, sig
+	}
+	type slot struct {
+		b   uint64
+		sig uint16
+	}
+	seen := make(map[slot][][]byte)
+	var trio [][]byte
+	for i := 0; trio == nil; i++ {
+		if i == 1<<20 {
+			t.Fatal("no three keys share a bucket and a signature")
+		}
+		key := []byte(fmt.Sprintf("pc-%d", i))
+		b, sig := home(key)
+		sl := slot{b, sig}
+		seen[sl] = append(seen[sl], key)
+		if len(seen[sl]) == 3 {
+			trio = seen[sl]
+		}
+	}
+	decoy, k, absent := trio[0], trio[1], trio[2]
+	b1, sig := home(k)
+	if _, _, err := s.Set(decoy, []byte("decoy")); err != nil {
+		t.Fatal(err)
+	}
+	for i, filled := 0, 1; filled < cuckoo.SlotsPerBucket; i++ {
+		key := []byte(fmt.Sprintf("fill-%d", i))
+		if b, fs := home(key); b != b1 || fs == sig {
+			continue
+		}
+		if _, _, err := s.Set(key, []byte("filler")); err != nil {
+			t.Fatal(err)
+		}
+		filled++
+	}
+	if _, _, err := s.Set(k, []byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	// The layout: the scalar probe sees the decoy and the key, the batched
+	// search (primary bucket only) the decoy alone.
+	own, _ := s.lookupLoc(s.hash(k), k)
+	if all := s.IndexSearch(k, nil); len(all) != 2 || all[1] != own {
+		t.Fatalf("IndexSearch = %v, want [decoy %v]", all, own)
+	}
+	lo, hi := make([]int32, 1), make([]int32, 1)
+	if got := s.SearchBatch([][]byte{k}, nil, lo, hi); len(got) != 1 || got[0] == own {
+		t.Fatalf("SearchBatch = %v, want the decoy alone", got)
+	}
+	return s, k, absent
+}
+
+// TestGetBatchPrimaryCollisionHit: a key whose only primary-bucket candidate
+// is another key's entry must still hit through its alternate bucket, both
+// fused (GetBatch) and staged (SearchBatch, then ReadCandidatesBatch).
+func TestGetBatchPrimaryCollisionHit(t *testing.T) {
+	s, k, _ := primaryCollision(t)
+	keys := [][]byte{k}
+	vlo, vhi := make([]int32, 1), make([]int32, 1)
+	vals, hits := s.GetBatch(keys, nil, vlo, vhi)
+	if hits != 1 || vlo[0] < 0 || string(vals[vlo[0]:vhi[0]]) != "live" {
+		t.Fatalf("GetBatch hits=%d vlo=%d, want the live value", hits, vlo[0])
+	}
+	lo, hi := make([]int32, 1), make([]int32, 1)
+	cands := s.SearchBatch(keys, nil, lo, hi)
+	vals, hits = s.ReadCandidatesBatch(keys, cands, lo, hi, vals[:0], vlo, vhi)
+	if hits != 1 || vlo[0] < 0 || string(vals[vlo[0]:vhi[0]]) != "live" {
+		t.Fatalf("ReadCandidatesBatch hits=%d vlo=%d, want the live value", hits, vlo[0])
+	}
+}
+
+// TestGetBatchPrimaryCollisionMiss: an absent key whose primary bucket holds
+// a same-signature entry of another key is a miss on both batched paths,
+// beside a hit in the same batch.
+func TestGetBatchPrimaryCollisionMiss(t *testing.T) {
+	s, k, absent := primaryCollision(t)
+	keys := [][]byte{absent, k}
+	vlo, vhi := make([]int32, 2), make([]int32, 2)
+	vals, hits := s.GetBatch(keys, nil, vlo, vhi)
+	if hits != 1 || vlo[0] != -1 || string(vals[vlo[1]:vhi[1]]) != "live" {
+		t.Fatalf("GetBatch hits=%d vlo=%v, want a miss then the live value", hits, vlo)
+	}
+	lo, hi := make([]int32, 2), make([]int32, 2)
+	cands := s.SearchBatch(keys, nil, lo, hi)
+	vals, hits = s.ReadCandidatesBatch(keys, cands, lo, hi, vals[:0], vlo, vhi)
+	if hits != 1 || vlo[0] != -1 || string(vals[vlo[1]:vhi[1]]) != "live" {
+		t.Fatalf("ReadCandidatesBatch hits=%d vlo=%v, want a miss then the live value", hits, vlo)
+	}
+}

@@ -104,11 +104,14 @@ go test -count=200 -timeout 900s -run TestReadNeverServesStale ./internal/store
 # The batched read path: cross-check SearchBatch/GetBatch against the scalar
 # search under concurrent churn (the amortized version-check fallback, and
 # the displacement kick that must advance the version it checks), un-cached
-# and race-enabled every pass.
-echo "== batched read path (-race, -count=1) =="
+# and race-enabled every pass; then the store and cuckoo halves repeated, so
+# the primary-first fallback (a key whose primary-bucket candidates all fail
+# verification re-probes both buckets) meets many interleavings.
+echo "== batched read path (-race, -count=1; store/cuckoo -count=20) =="
 go test -count=1 -race -timeout 900s \
     -run 'SearchBatch|GetBatch|ReadCandidatesBatch|BatchPath|LiveWide|PipelinedWidePath|KickAdvancesVersion' \
     ./internal/cuckoo ./internal/store ./internal/pipeline .
+go test -race -count=20 -timeout 900s -run 'SearchBatch|GetBatch|ReadCandidatesBatch|PrimaryCollision' ./internal/store ./internal/cuckoo
 
 # The durability tier: group-commit WAL, snapshot/truncate, disk fault
 # injection, and the kill -9 crash-recovery e2e (re-exec + SIGKILL mid-load,
@@ -174,12 +177,12 @@ echo "== benchmark smoke =="
 go test -run='^$' -bench=. -benchtime=1x ./internal/store ./internal/slab ./internal/cuckoo ./internal/ordered
 
 # Batched-search bench smoke: a short real run (not 1x) of the batched-vs-
-# scalar comparison and of the serving-shape batched read (staged and
-# fused), proving the batched path executes end-to-end at every batch size
+# scalar comparison and of the serving-shape batched reads, all hits and
+# half misses (staged and fused), proving the batched path executes end-to-end at every batch size
 # from 1 up and stays allocation-free (the -benchtime=8x run is long enough
 # for the alloc columns to be meaningful, short enough for CI).
 echo "== batched-search bench smoke =="
-go test -run='^$' -bench='BenchmarkSearchBatch|BenchmarkReadBatchUniform' -benchtime=8x ./internal/store
+go test -run='^$' -bench='BenchmarkSearchBatch|BenchmarkReadBatch' -benchtime=8x ./internal/store
 
 # End-to-end smoke of the real binaries: a dido-server with -adapt and the
 # admin endpoint serving a short dido-loadgen run must finish with zero
