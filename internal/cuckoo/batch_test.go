@@ -40,7 +40,7 @@ func sameCands(a []Location, b []Location) bool {
 func scalarAndPrimary(tbl *Table, k []byte) (scalar, primary []Location) {
 	var buf, prim [MaxCandidates]Location
 	nb, _ := tbl.SearchBuf(k, &buf)
-	b1, sig := tbl.hash(k)
+	b1, sig := tbl.split(hash64(k, tbl.seed))
 	np := tbl.scanBucketInto(b1, sig, &prim, 0)
 	return buf[:nb], prim[:np]
 }

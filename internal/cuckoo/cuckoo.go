@@ -116,15 +116,10 @@ func (t *Table) Capacity() int { return len(t.buckets) * SlotsPerBucket }
 // precompute Hash values to feed SearchBufHash or SearchBatch.
 func (t *Table) Seed() uint64 { return t.seed }
 
-// hash derives the primary bucket index and the 16-bit signature for key.
-// The alternate bucket is sig-derived (partial-key cuckoo hashing), so an
-// entry can be displaced without access to the full key.
-func (t *Table) hash(key []byte) (uint64, uint16) {
-	return t.split(hash64(key, t.seed))
-}
-
-// split derives the bucket index (low bits) and signature (top 16 bits) from
-// a precomputed Hash(key, seed).
+// split derives the primary bucket index (low bits) and the 16-bit
+// signature (top 16 bits) from a key's Hash(key, seed). The alternate bucket
+// is sig-derived (partial-key cuckoo hashing), so an entry can be displaced
+// without access to the full key.
 func (t *Table) split(h uint64) (uint64, uint16) {
 	sig := uint16(h >> 48)
 	if sig == 0 {
@@ -201,11 +196,15 @@ func (t *Table) scanBucketInto(b uint64, sig uint16, buf *[MaxCandidates]Locatio
 // Displacement uses a BFS over eviction paths (as in MemC3): the path to an
 // empty slot is found first, then entries are moved backwards along it, so no
 // entry is ever left homeless even when Insert ultimately fails.
-func (t *Table) Insert(key []byte, loc Location) bool {
+func (t *Table) Insert(key []byte, loc Location) bool { return t.InsertHash(hash64(key, t.seed), loc) }
+
+// InsertHash is Insert for callers that already computed the key's hash
+// (see Hash), saving a second hash of the key.
+func (t *Table) InsertHash(h uint64, loc Location) bool {
 	if loc == 0 || loc > maxLocation {
 		panic(fmt.Sprintf("cuckoo: invalid location %d", loc))
 	}
-	b1, sig := t.hash(key)
+	b1, sig := t.split(h)
 	t.inserts.Inc()
 	touched := 2
 	defer func() { t.insertBuckets.Add(uint64(touched)) }()
@@ -336,8 +335,12 @@ func (t *Table) tryPlace(b uint64, sig uint16, loc Location) bool {
 // Delete removes the entry (key → loc). It returns false if no such entry
 // exists. Both the signature and the exact location must match, so deleting
 // one of two colliding keys never removes the other.
-func (t *Table) Delete(key []byte, loc Location) bool {
-	b1, sig := t.hash(key)
+func (t *Table) Delete(key []byte, loc Location) bool { return t.DeleteHash(hash64(key, t.seed), loc) }
+
+// DeleteHash is Delete for callers that already computed the key's hash
+// (see Hash), saving a second hash of the key.
+func (t *Table) DeleteHash(h uint64, loc Location) bool {
+	b1, sig := t.split(h)
 	t.deletes.Inc()
 	want := pack(sig, loc)
 	if t.clearEntry(b1, want) {

@@ -76,6 +76,46 @@ func TestInsertSearchDelete(t *testing.T) {
 	}
 }
 
+// TestHashFormsMatchKeyForms: InsertHash, DeleteHash and SearchBufHash fed
+// Hash(key, seed) do exactly what Insert, Delete and SearchBuf do with the
+// key — two tables driven the two ways, past the load where displacement
+// starts, hold the same entries in the same slots and answer alike.
+func TestHashFormsMatchKeyForms(t *testing.T) {
+	const seed = 42
+	byKey, byHash := New(1024, seed), New(1024, seed)
+	same := func(when string) {
+		t.Helper()
+		for b := range byKey.buckets {
+			for s := range byKey.buckets[b].slots {
+				if k, h := byKey.buckets[b].slots[s].Load(), byHash.buckets[b].slots[s].Load(); k != h {
+					t.Fatalf("%s: bucket %d slot %d holds %#x by key, %#x by hash", when, b, s, k, h)
+				}
+			}
+		}
+	}
+	for i := 1; i <= 900; i++ {
+		if k, h := byKey.Insert(key(i), Location(i)), byHash.InsertHash(Hash(key(i), seed), Location(i)); k != h {
+			t.Fatalf("insert %d: %v by key, %v by hash", i, k, h)
+		}
+	}
+	same("after inserts")
+	for i := 1; i <= 900; i += 3 {
+		loc := Location(i + i%2) // half of them the wrong location
+		if k, h := byKey.Delete(key(i), loc), byHash.DeleteHash(Hash(key(i), seed), loc); k != h {
+			t.Fatalf("delete %d: %v by key, %v by hash", i, k, h)
+		}
+	}
+	same("after deletes")
+	for i := 1; i <= 1000; i++ {
+		var kb, hb [MaxCandidates]Location
+		kn, kp := byKey.SearchBuf(key(i), &kb)
+		hn, hp := byKey.SearchBufHash(Hash(key(i), seed), &hb)
+		if kn != hn || kp != hp || kb != hb {
+			t.Fatalf("search %d: %v/%d by key, %v/%d by hash", i, kb[:kn], kp, hb[:hn], hp)
+		}
+	}
+}
+
 func TestSearchMissingKey(t *testing.T) {
 	tbl := New(64, 1)
 	tbl.Insert(key(1), 1)

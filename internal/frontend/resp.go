@@ -338,10 +338,11 @@ func (r *RESP) Release(f *Frame) {
 }
 
 // Encode renders resps as one contiguous RESP reply run for the frame's
-// commands. Freshly allocated per the Responder contract.
+// commands. Freshly allocated per the Responder contract, at its exact size.
 func (r *RESP) Encode(f *Frame, resps []proto.Response) [][]byte {
 	c := f.Ctx.(*respConn)
-	return [][]byte{appendRESPReplies(nil, c.cmds, resps)}
+	buf := make([]byte, 0, respRepliesLen(c.cmds, resps))
+	return [][]byte{appendRESPReplies(buf, c.cmds, resps)}
 }
 
 // DeliverBatch has nothing to send: each frame's reader hands f.Units to the

@@ -362,16 +362,114 @@ func appendRESPInt(dst []byte, v int64) []byte {
 
 var respNilBulk = []byte("$-1\r\n")
 
-// appendRESPStatusErr renders a non-OK per-query status as an error reply.
-func appendRESPStatusErr(dst []byte, st proto.Status) []byte {
+// respStatusErr is the error reply for a non-OK per-query status.
+func respStatusErr(st proto.Status) string {
 	switch st {
 	case proto.StatusBusy:
-		return append(dst, "-BUSY server overloaded, retry later\r\n"...)
+		return "-BUSY server overloaded, retry later\r\n"
 	case proto.StatusNotFound:
-		return append(dst, "-ERR not found\r\n"...)
+		return "-ERR not found\r\n"
 	default:
-		return append(dst, "-ERR internal error\r\n"...)
+		return respInternalErr
 	}
+}
+
+const respInternalErr = "-ERR internal error\r\n"
+
+// appendRESPStatusErr renders a non-OK per-query status as an error reply.
+func appendRESPStatusErr(dst []byte, st proto.Status) []byte {
+	return append(dst, respStatusErr(st)...)
+}
+
+// respIntLen is the length of v in decimal, sign included.
+func respIntLen(v int64) int {
+	n := 1
+	if v < 0 {
+		n++
+		v = -v
+	}
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// respBulkLen is the length of appendRESPBulk's rendering of v.
+func respBulkLen(v []byte) int { return 5 + respIntLen(int64(len(v))) + len(v) }
+
+// respRepliesLen is the exact length of appendRESPReplies(nil, cmds, resps),
+// so a frame's reply buffer can be allocated once at its final size instead
+// of grown by doubling.
+func respRepliesLen(cmds []respCmd, resps []proto.Response) int {
+	n, qi := 0, 0
+	for _, c := range cmds {
+		switch c.kind {
+		case rcGet:
+			switch r := resps[qi]; r.Status {
+			case proto.StatusOK:
+				n += respBulkLen(r.Value)
+			case proto.StatusNotFound:
+				n += len(respNilBulk)
+			default:
+				n += len(respStatusErr(r.Status))
+			}
+		case rcSet:
+			if r := resps[qi]; r.Status == proto.StatusOK {
+				n += len("+OK\r\n")
+			} else {
+				n += len(respStatusErr(r.Status))
+			}
+		case rcDel:
+			ok := 0
+			for _, r := range resps[qi : qi+c.nq] {
+				if r.Status == proto.StatusOK {
+					ok++
+				}
+			}
+			n += 3 + respIntLen(int64(ok))
+		case rcMGet:
+			n += 3 + respIntLen(int64(c.nq))
+			for _, r := range resps[qi : qi+c.nq] {
+				if r.Status == proto.StatusOK {
+					n += respBulkLen(r.Value)
+				} else {
+					n += len(respNilBulk)
+				}
+			}
+		case rcScan:
+			r := resps[qi]
+			if r.Status != proto.StatusOK {
+				n += len(respStatusErr(r.Status))
+				break
+			}
+			size := 0
+			entries, err := proto.DecodeScanResult(r.Value, func(k, v []byte) bool {
+				size += respBulkLen(k) + respBulkLen(v)
+				return true
+			})
+			if err != nil {
+				n += len(respInternalErr)
+				break
+			}
+			n += 3 + respIntLen(int64(2*entries)) + size
+		case rcPing:
+			if c.arg == nil {
+				n += len("+PONG\r\n")
+			} else {
+				n += respBulkLen(c.arg)
+			}
+		case rcEcho:
+			n += respBulkLen(c.arg)
+		case rcQuit:
+			n += len("+OK\r\n")
+		case rcCommand:
+			n += len("*0\r\n")
+		case rcErr:
+			n += 3 + len(c.errMsg)
+		}
+		qi += c.nq
+	}
+	return n
 }
 
 // appendRESPReplies renders one frame's replies: each command consumes its nq
@@ -428,7 +526,7 @@ func appendRESPReplies(dst []byte, cmds []respCmd, resps []proto.Response) []byt
 			// (and validates) the block; second renders it.
 			n, err := proto.DecodeScanResult(r.Value, func(_, _ []byte) bool { return true })
 			if err != nil {
-				dst = append(dst, "-ERR internal error\r\n"...)
+				dst = append(dst, respInternalErr...)
 				break
 			}
 			dst = append(dst, '*')

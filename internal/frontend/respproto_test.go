@@ -211,6 +211,81 @@ func TestAppendRESPReplies(t *testing.T) {
 	}
 }
 
+// TestRESPRepliesLenExact: the sizing pass predicts the rendered length of
+// every reply shape exactly.
+func TestRESPRepliesLenExact(t *testing.T) {
+	block, mark := proto.BeginScanResult(nil)
+	for i := 0; i < 12; i++ {
+		block = proto.AppendScanEntry(block, []byte(fmt.Sprintf("key-%d", i)), bytes.Repeat([]byte{'v'}, i*40))
+	}
+	proto.FinishScanResult(block, mark, 12)
+	cmds := []respCmd{
+		{kind: rcSet, nq: 1}, {kind: rcSet, nq: 1},
+		{kind: rcGet, nq: 1}, {kind: rcGet, nq: 1}, {kind: rcGet, nq: 1}, {kind: rcGet, nq: 1},
+		{kind: rcDel, nq: 11},
+		{kind: rcMGet, nq: 3},
+		{kind: rcScan, nq: 1}, {kind: rcScan, nq: 1}, {kind: rcScan, nq: 1}, {kind: rcScan, nq: 1},
+		{kind: rcPing}, {kind: rcPing, arg: []byte("hi")}, {kind: rcEcho, arg: []byte{}},
+		{kind: rcQuit}, {kind: rcCommand}, {kind: rcErr, errMsg: "ERR unknown command 'x'"},
+	}
+	resps := []proto.Response{
+		{Status: proto.StatusOK}, {Status: proto.StatusBusy},
+		{Status: proto.StatusOK, Value: bytes.Repeat([]byte{'x'}, 12345)}, {Status: proto.StatusOK, Value: []byte{}},
+		{Status: proto.StatusNotFound}, {Status: proto.StatusError},
+	}
+	for i := 0; i < 11; i++ {
+		resps = append(resps, proto.Response{Status: proto.StatusOK})
+	}
+	resps = append(resps,
+		proto.Response{Status: proto.StatusOK, Value: []byte("mv")}, proto.Response{Status: proto.StatusNotFound},
+		proto.Response{Status: proto.StatusOK, Value: make([]byte, 100)},
+		proto.Response{Status: proto.StatusOK, Value: block},
+		proto.Response{Status: proto.StatusOK, Value: block[:len(block)-1]}, // truncated
+		proto.Response{Status: proto.StatusOK, Value: []byte{0, 0, 0, 0}},
+		proto.Response{Status: proto.StatusError})
+	for i := range cmds {
+		got := appendRESPReplies(nil, cmds[i:i+1], resps[cmdQuery(cmds, i):])
+		if n := respRepliesLen(cmds[i:i+1], resps[cmdQuery(cmds, i):]); n != len(got) {
+			t.Fatalf("command %d (%q): respRepliesLen = %d, reply is %d bytes", i, got[:min(len(got), 40)], n, len(got))
+		}
+	}
+	if n, got := respRepliesLen(cmds, resps), appendRESPReplies(nil, cmds, resps); n != len(got) {
+		t.Fatalf("respRepliesLen = %d, replies are %d bytes", n, len(got))
+	}
+}
+
+// cmdQuery returns the index of command i's first query.
+func cmdQuery(cmds []respCmd, i int) int {
+	q := 0
+	for _, c := range cmds[:i] {
+		q += c.nq
+	}
+	return q
+}
+
+// TestRESPEncodeExactSize: a 256-GET frame's replies are rendered into one
+// buffer allocated at its final size.
+func TestRESPEncodeExactSize(t *testing.T) {
+	cmds := make([]respCmd, 256)
+	resps := make([]proto.Response, 256)
+	for i := range cmds {
+		cmds[i] = respCmd{kind: rcGet, nq: 1}
+		resps[i] = proto.Response{Status: proto.StatusOK, Value: bytes.Repeat([]byte{'v'}, i)}
+		if i%7 == 0 {
+			resps[i] = proto.Response{Status: proto.StatusNotFound}
+		}
+	}
+	f := &Frame{Ctx: &respConn{cmds: cmds}}
+	var r RESP
+	out := r.Encode(f, resps)
+	if len(out) != 1 || cap(out[0]) != len(out[0]) {
+		t.Fatalf("Encode: %d units, first of len %d cap %d; want one of cap == len", len(out), len(out[0]), cap(out[0]))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.Encode(f, resps) }); allocs > 2 {
+		t.Fatalf("Encode allocates %v times, want at most 2", allocs)
+	}
+}
+
 // FuzzRESPParse pins the parser's safety contract on arbitrary bytes: it
 // never panics, never reports consuming more bytes than it was given, never
 // consumes anything alongside an error, and returned args always alias the
@@ -259,9 +334,13 @@ func FuzzRESPParse(f *testing.F) {
 			}
 			if len(args) > 0 {
 				cmd, qs := buildRESPCommand(args, nil)
-				out := appendRESPReplies(nil, []respCmd{cmd}, make([]proto.Response, len(qs)))
+				resps := make([]proto.Response, len(qs))
+				out := appendRESPReplies(nil, []respCmd{cmd}, resps)
 				if len(out) == 0 {
 					t.Fatal("command rendered an empty reply")
+				}
+				if n := respRepliesLen([]respCmd{cmd}, resps); n != len(out) {
+					t.Fatalf("respRepliesLen = %d, reply is %d bytes", n, len(out))
 				}
 			}
 			if n == 0 {

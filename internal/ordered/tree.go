@@ -591,6 +591,7 @@ type Iter struct {
 	}
 	depth int
 	end   []byte
+	sink  uint64 // takes IterBatch's touch loads
 }
 
 // Iter returns an iterator positioned at the smallest key ≥ start,
@@ -610,6 +611,72 @@ func (s Snapshot) Iter(start, end []byte) Iter {
 		n = n.kids[i]
 	}
 	return it
+}
+
+// descending marks an IterBatch frame whose node is not searched yet.
+const descending = -1
+
+// IterBatch positions its[i] exactly as s.Iter(starts[i], ends[i]) would, for
+// every i; starts and ends are as long as its. It descends for all the ranges
+// together, one tree level at a time. A descent is a chain of dependent
+// misses, one node per level, and a search branches on every prefix it
+// loads, so searching the ranges one after another pays one memory round
+// trip per range and level. At each level IterBatch therefore first loads
+// the lines every range's search will read (see touch) in a loop that
+// branches on none of them, so the whole batch's misses are in flight at
+// once, and then searches every range's node from cache. It allocates
+// nothing: each iterator's own stack holds its descent.
+func (s Snapshot) IterBatch(its []Iter, starts, ends [][]byte) {
+	for i := range its {
+		it := &its[i]
+		*it = Iter{}
+		if len(ends[i]) > 0 {
+			it.end = ends[i]
+		}
+		if s.root != nil {
+			it.push(s.root, descending)
+		}
+	}
+	for more := s.root != nil; more; {
+		for i := range its {
+			it := &its[i]
+			if f := it.stack[it.depth-1]; f.i == descending {
+				it.sink += f.n.touch()
+			}
+		}
+		more = false
+		for i := range its {
+			it := &its[i]
+			f := &it.stack[it.depth-1]
+			if f.i != descending {
+				continue
+			}
+			j, found := f.n.search(starts[i], prefix(starts[i]))
+			f.i = j
+			if !found && f.n.kids != nil {
+				it.push(f.n.kids[j], descending)
+				more = true
+			}
+		}
+	}
+}
+
+// touch loads one word of every cache line search reads from n — its header
+// (n.n and kids) and its prefix array — and, for an interior node, of its
+// child array, from which the descent takes the next node. It returns a sum
+// whose only purpose is to give the loads a use. Its one branch, on kids,
+// goes the same way for every node of a level: all leaves are equally deep.
+func (n *node) touch() uint64 {
+	s := uint64(n.n) + n.pfx[0] + n.pfx[8] + n.pfx[16] + n.pfx[24] + n.pfx[maxItems-1]
+	if k := n.kids; k != nil {
+		// Pointers cannot be summed; comparing them is a use. No compare
+		// ever matches (children are distinct and the unused slots nil), so
+		// the branch never mispredicts.
+		if k[8] == k[0] || k[16] == k[0] || k[24] == k[0] {
+			s++
+		}
+	}
+	return s
 }
 
 func (it *Iter) push(n *node, i int) {

@@ -307,6 +307,96 @@ func TestIterMatchesAscend(t *testing.T) {
 	}
 }
 
+// TestIterBatchMatchesIter checks that IterBatch positions every range's
+// iterator exactly where Iter does — the same stack and bound — over random
+// trees of every height: empty, one leaf, and deep, built by Set, by Load,
+// and thinned by deletes behind a snapshot. Keys come in groups that share
+// their first eight bytes, so starts tie on the inlined prefix; the starts
+// also include nil, present keys, and keys past the end, and the ends nil,
+// empty and random.
+func TestIterBatchMatchesIter(t *testing.T) {
+	rng := newRand(t)
+	var size int
+	key := func() []byte {
+		k := fmt.Appendf(nil, "%08d", rng.Intn(size/4+1))
+		if rng.Intn(8) == 0 {
+			return k[:rng.Intn(9)] // short keys, the empty one included
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			k = append(k, byte('a'+rng.Intn(8)))
+		}
+		return k
+	}
+	for _, size = range []int{0, 1, 20, maxItems, 600, 20000} {
+		tr := New()
+		var keys [][]byte
+		for len(keys) < size {
+			k := key()
+			if _, ok := tr.Get(k); !ok {
+				keys = append(keys, k)
+				tr.Set(k, uint64(len(keys)))
+			}
+		}
+		trees := map[string]Snapshot{"set": tr.Snapshot()}
+		loaded := New()
+		loaded.Load(len(keys), func(add func([]byte, uint64)) {
+			for i, k := range keys {
+				add(k, uint64(i))
+			}
+		})
+		trees["load"] = loaded.Snapshot()
+		for _, k := range keys[:len(keys)/3] {
+			tr.Delete(k)
+		}
+		trees["thinned"] = tr.Snapshot()
+		for name, s := range trees {
+			const n = 64
+			starts, ends := make([][]byte, n), make([][]byte, n)
+			for i := range starts {
+				switch rng.Intn(6) {
+				case 0: // nil start
+				case 1:
+					starts[i] = []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff") // past the end
+				case 2:
+					if len(keys) > 0 {
+						starts[i] = keys[rng.Intn(len(keys))]
+					}
+				default:
+					starts[i] = key()
+				}
+				switch rng.Intn(4) {
+				case 0: // unbounded
+				case 1:
+					ends[i] = []byte{}
+				default:
+					ends[i] = key()
+				}
+			}
+			its := make([]Iter, n)
+			s.IterBatch(its, starts, ends)
+			for i := range its {
+				want := s.Iter(starts[i], ends[i])
+				got := &its[i]
+				if got.depth != want.depth || got.stack != want.stack || !bytes.Equal(got.end, want.end) || (got.end == nil) != (want.end == nil) {
+					t.Fatalf("%s tree of %d keys, range %d [%q, %q): IterBatch depth %d stack %v end %q, Iter depth %d stack %v end %q",
+						name, size, i, starts[i], ends[i], got.depth, got.stack[:got.depth], got.end, want.depth, want.stack[:want.depth], want.end)
+				}
+				for {
+					gk, gv, gok := got.Next()
+					wk, wv, wok := want.Next()
+					if gok != wok || !bytes.Equal(gk, wk) || gv != wv {
+						t.Fatalf("%s tree of %d keys, range %d [%q, %q): IterBatch yields %q/%d/%v, Iter %q/%d/%v",
+							name, size, i, starts[i], ends[i], gk, gv, gok, wk, wv, wok)
+					}
+					if !gok {
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
 // frozenNode is a deep copy of what a snapshot can reach through one node.
 type frozenNode struct {
 	n    *node

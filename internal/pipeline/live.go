@@ -51,11 +51,16 @@ type LiveStore interface {
 }
 
 // LiveScanner serves one batch's SCAN queries from a single MVCC snapshot
-// capture: every scan in the batch reads the same tree version (the batched
-// range merge). The slices passed to fn are reused
-// between entries; the callback must copy what it keeps.
+// capture: every scan in the batch reads the same tree version.
 type LiveScanner interface {
-	Scan(start, end []byte, limit int, fn func(key, value []byte) bool) int
+	// ScanBatch runs one range scan per element of starts, all in one call:
+	// scan i visits keys in [starts[i], ends[i]) in ascending order (an
+	// empty end is unbounded), at most limits[i] of them (≤ 0: no limit),
+	// calling fn(i, key, value) for each; fn returning false ends scan i
+	// only. The scans run in order, each to its end before the next begins.
+	// It returns the number of entries visited in all. The slices passed to
+	// fn are reused between entries; fn must copy what it keeps.
+	ScanBatch(starts, ends [][]byte, limits []int, fn func(i int, key, value []byte) bool) int
 }
 
 // LiveStoreMetrics is an optional LiveStore extension supplying the workload
@@ -158,7 +163,7 @@ type liveBatch struct {
 
 	// Gather arenas (reused): getKeys/getQ list every healthy frame's GET
 	// keys and their query-arena indexes, in frame order (filled once per
-	// batch by gatherGets); getOff[i] is the index of frames[i]'s first GET
+	// batch by gather); getOff[i] is the index of frames[i]'s first GET
 	// in them. glo/ghi and vlo/vhi are the per-GET candidate and value spans
 	// the batched store calls populate.
 	gathered bool
@@ -167,6 +172,15 @@ type liveBatch struct {
 	getOff   []int32
 	glo, ghi []int32
 	vlo, vhi []int32
+	// The same for the SCANs whose argument parses: SCAN j covers
+	// [scanStart[j], scanEnd[j]) up to scanLimit[j] entries, answers query
+	// scanQ[j], and its result block ends at vals[scanHi[j]]. badScanQ lists
+	// the SCANs whose argument does not parse.
+	scanStart, scanEnd [][]byte
+	scanLimit          []int
+	scanQ, scanOff     []int32
+	scanHi             []int32
+	badScanQ           []int32
 
 	// cands is the IN(Search) result arena; GET j's candidates live at
 	// cands[glo[j]:ghi[j]]. Valid only when searched is set: when the config
@@ -210,6 +224,10 @@ func (b *liveBatch) reset() {
 	b.getKeys = b.getKeys[:0]
 	b.getQ = b.getQ[:0]
 	b.getOff = b.getOff[:0]
+	b.scanStart, b.scanEnd = b.scanStart[:0], b.scanEnd[:0]
+	b.scanLimit = b.scanLimit[:0]
+	b.scanQ, b.scanOff = b.scanQ[:0], b.scanOff[:0]
+	b.badScanQ = b.badScanQ[:0]
 	b.glo, b.ghi = b.glo[:0], b.ghi[:0]
 	b.vlo, b.vhi = b.vlo[:0], b.vhi[:0]
 	b.searched = false
@@ -554,50 +572,68 @@ func (r *LiveRunner) timed(fn func()) int64 {
 	return time.Since(start).Nanoseconds()
 }
 
-// gatherGets lists every healthy frame's GET keys (and their query-arena
-// indexes) into the batch's gather arenas, once per batch. This is the
-// scatter/gather step that turns the frame-structured batch into the flat key
-// vector the batched store calls consume.
-func (b *liveBatch) gatherGets() {
+// gather lists every healthy frame's GET keys and SCAN ranges (and their
+// query-arena indexes) into the batch's gather arenas, once per batch, and
+// books the SCANs' counts and bytes. This is the scatter/gather step that
+// turns the frame-structured batch into the flat vectors the batched store
+// calls consume.
+func (r *LiveRunner) gather(b *liveBatch) {
 	if b.gathered {
 		return
 	}
 	b.gathered = true
 	for fi, f := range b.frames {
 		b.getOff = append(b.getOff, int32(len(b.getKeys)))
+		b.scanOff = append(b.scanOff, int32(len(b.scanQ)))
 		if f.Err {
 			continue
 		}
 		lo := int(b.frameOff[fi])
 		for i := range f.Queries {
-			if f.Queries[i].Op != proto.OpGet {
-				continue
+			q := &f.Queries[i]
+			switch q.Op {
+			case proto.OpGet:
+				b.getKeys = append(b.getKeys, q.Key)
+				b.getQ = append(b.getQ, int32(lo+i))
+			case proto.OpScan:
+				b.scans++
+				b.keyBytes += len(q.Key)
+				if r.wantProfile {
+					b.wireBytes += proto.EncodedQueryLen(*q)
+				}
+				limit, end, err := proto.ParseScanArg(q.Value)
+				if err != nil {
+					b.badScanQ = append(b.badScanQ, int32(lo+i))
+					continue
+				}
+				b.scanStart = append(b.scanStart, q.Key)
+				b.scanEnd = append(b.scanEnd, end)
+				b.scanLimit = append(b.scanLimit, limit)
+				b.scanQ = append(b.scanQ, int32(lo+i))
 			}
-			b.getKeys = append(b.getKeys, f.Queries[i].Key)
-			b.getQ = append(b.getQ, int32(lo+i))
 		}
 	}
 }
 
-// getRange returns the half-open gather index range of frame fi's GETs.
-func (b *liveBatch) getRange(fi int) (int, int) {
-	lo := int(b.getOff[fi])
-	hi := len(b.getKeys)
-	if fi+1 < len(b.getOff) {
-		hi = int(b.getOff[fi+1])
+// gatheredRange returns the half-open gather index range of frame fi's
+// entries in a gather arena of n entries whose per-frame offsets are off.
+func gatheredRange(off []int32, n, fi int) (int, int) {
+	hi := n
+	if fi+1 < len(off) {
+		hi = int(off[fi+1])
 	}
-	return lo, hi
+	return int(off[fi]), hi
 }
 
-// eachGets runs fn over all of the batch's gathered GETs, [0, n), as one
-// batched store call. If that call panics it reruns fn frame by frame over
-// each healthy frame's own GETs inside eachFrame, so the frame holding the
-// poisoned key is marked Err while its batchmates are still answered by the
-// same batched call. fn must book its results only after its store call
-// returns, so a panicked call leaves nothing half-counted. It reports
-// whether the frame-by-frame rerun happened.
-func (r *LiveRunner) eachGets(b *liveBatch, fn func(j0, j1 int)) (reran bool) {
-	n := len(b.getKeys)
+// eachGathered runs fn over all n of the batch's gathered GETs or SCANs, [0,
+// n), as one batched store call. If that call panics it reruns fn frame by
+// frame over each healthy frame's own entries (per-frame offsets off) inside
+// eachFrame, so the frame holding the poisoned query is marked Err while its
+// batchmates are still answered by the same batched call. fn must book its
+// results only after its store call returns, so a panicked call leaves
+// nothing half-counted. It reports whether the frame-by-frame rerun
+// happened.
+func (r *LiveRunner) eachGathered(b *liveBatch, off []int32, n int, fn func(j0, j1 int)) (reran bool) {
 	if n == 0 {
 		return false
 	}
@@ -613,7 +649,7 @@ func (r *LiveRunner) eachGets(b *liveBatch, fn func(j0, j1 int)) (reran bool) {
 		return false
 	}
 	r.eachFrame(b, func(fi int, _ *LiveFrame) {
-		if j0, j1 := b.getRange(fi); j0 < j1 {
+		if j0, j1 := gatheredRange(off, n, fi); j0 < j1 {
 			fn(j0, j1)
 		}
 	})
@@ -623,19 +659,19 @@ func (r *LiveRunner) eachGets(b *liveBatch, fn func(j0, j1 int)) (reran bool) {
 // runSearch performs IN(Search) for every GET in one SearchBatch call,
 // collecting candidate spans into the batch's shared arena.
 func (r *LiveRunner) runSearch(b *liveBatch) {
-	b.gatherGets()
+	r.gather(b)
 	ng := len(b.getKeys)
 	b.searched = true
 	b.glo = sizeI32(b.glo, ng)
 	b.ghi = sizeI32(b.ghi, ng)
-	if r.eachGets(b, func(j0, j1 int) {
+	if r.eachGathered(b, b.getOff, ng, func(j0, j1 int) {
 		b.cands = r.store.SearchBatch(b.getKeys[j0:j1], b.cands, b.glo[j0:j1], b.ghi[j0:j1])
 	}) {
 		// A poisoned frame's spans may be half written by its failed call;
 		// empty them so the read stage's batch-wide call stays in bounds.
 		for fi, f := range b.frames {
 			if f.Err {
-				j0, j1 := b.getRange(fi)
+				j0, j1 := gatheredRange(b.getOff, ng, fi)
 				clear(b.glo[j0:j1])
 				clear(b.ghi[j0:j1])
 			}
@@ -692,10 +728,10 @@ func (r *LiveRunner) runWrites(b *liveBatch, sets, dels bool) {
 // earlier backing arrays alive, so responses already built remain valid for
 // the batch's lifetime.
 func (r *LiveRunner) runReads(b *liveBatch) {
-	b.gatherGets()
+	r.gather(b)
 	b.vlo = sizeI32(b.vlo, len(b.getKeys))
 	b.vhi = sizeI32(b.vhi, len(b.getKeys))
-	r.eachGets(b, func(j0, j1 int) { r.readGets(b, j0, j1) })
+	r.eachGathered(b, b.getOff, len(b.getKeys), func(j0, j1 int) { r.readGets(b, j0, j1) })
 }
 
 // readGets reads gathered GETs [j0, j1) in one store call, then books them.
@@ -727,59 +763,91 @@ func (r *LiveRunner) readGets(b *liveBatch, j0, j1 int) {
 	b.b.Misses += len(keys) - hits
 }
 
-// runScans performs SC for every SCAN in the batch as one batched range
-// merge: the first scan captures a Scanner (one MVCC snapshot of the
-// ordered index) and every scan in the batch runs against it, so a
-// batch observes a single key-set version. Result blocks are built directly
-// in the value arena (same lifetime contract as the KC+RD values). When the
-// store has no ordered index (NewScanner returns nil) every SCAN answers
-// StatusError, keeping the never-cleared response arena sound.
+// runScans performs SC for every SCAN in the batch in one ScanBatch call
+// on one Scanner (one MVCC snapshot of the ordered index), so a batch
+// observes a single key-set version. Result blocks are built directly in the
+// value arena (same lifetime contract as the KC+RD values). A SCAN whose
+// argument does not parse answers StatusError, and so does every SCAN when
+// the store has no ordered index (NewScanner returns nil), keeping the
+// never-cleared response arena sound.
 func (r *LiveRunner) runScans(b *liveBatch) {
-	var sc LiveScanner
-	scannerTried := false
-	units := 0
-	r.eachFrame(b, func(fi int, f *LiveFrame) {
-		lo := int(b.frameOff[fi])
-		for i := range f.Queries {
-			q := &f.Queries[i]
-			if q.Op != proto.OpScan {
-				continue
-			}
-			units++
-			b.keyBytes += len(q.Key)
-			if r.wantProfile {
-				b.wireBytes += proto.EncodedQueryLen(*q)
-			}
-			limit, end, err := proto.ParseScanArg(q.Value)
-			if err != nil {
-				b.resps[lo+i] = proto.Response{Status: proto.StatusError}
-				continue
-			}
-			if !scannerTried {
-				scannerTried = true
-				sc = r.store.NewScanner()
-			}
-			if sc == nil {
-				b.resps[lo+i] = proto.Response{Status: proto.StatusError}
-				continue
-			}
-			blockStart := len(b.vals)
-			dst, mark := proto.BeginScanResult(b.vals)
-			entries := 0
-			sc.Scan(q.Key, end, limit, func(k, v []byte) bool {
-				dst = proto.AppendScanEntry(dst, k, v)
-				entries++
-				return len(dst)-blockStart < proto.MaxScanResultBytes
-			})
-			proto.FinishScanResult(dst, mark, entries)
-			b.vals = dst
-			block := b.vals[blockStart:len(b.vals):len(b.vals)]
-			b.resps[lo+i] = proto.Response{Status: proto.StatusOK, Value: block}
-			b.scanEntries += entries
-			b.scanBytes += len(block)
+	r.gather(b)
+	for _, q := range b.badScanQ {
+		b.resps[q] = proto.Response{Status: proto.StatusError}
+	}
+	n := len(b.scanQ)
+	if n == 0 {
+		return
+	}
+	sc := r.store.NewScanner()
+	if sc == nil {
+		for _, q := range b.scanQ {
+			b.resps[q] = proto.Response{Status: proto.StatusError}
 		}
-	})
-	b.scans += units
+		return
+	}
+	b.scanHi = sizeI32(b.scanHi, n)
+	r.eachGathered(b, b.scanOff, n, func(j0, j1 int) { r.scanBlocks(b, sc, j0, j1) })
+}
+
+// scanBlocks runs gathered SCANs [j0, j1) in one ScanBatch call, building
+// their result blocks one after another in the value arena, then books them.
+// The arena is extended only once the call returns, so a call that panics
+// leaves no partial block behind.
+func (r *LiveRunner) scanBlocks(b *liveBatch, sc LiveScanner, j0, j1 int) {
+	blocks := resultBlocks{dst: b.vals, hi: b.scanHi[j0:j1], open: -1}
+	blocks.advance(0)
+	sc.ScanBatch(b.scanStart[j0:j1], b.scanEnd[j0:j1], b.scanLimit[j0:j1], blocks.add)
+	blocks.advance(j1 - j0 - 1)
+	blocks.finish()
+	lo := len(b.vals)
+	b.vals = blocks.dst
+	for j := j0; j < j1; j++ {
+		hi := int(b.scanHi[j])
+		block := b.vals[lo:hi:hi]
+		b.resps[b.scanQ[j]] = proto.Response{Status: proto.StatusOK, Value: block}
+		b.scanBytes += len(block)
+		lo = hi
+	}
+	b.scanEntries += blocks.total
+}
+
+// resultBlocks builds one ScanBatch call's result blocks in dst: scan i's
+// block ends at hi[i]. ScanBatch runs the scans in order, so the block open
+// is always the last one.
+type resultBlocks struct {
+	dst                        []byte
+	hi                         []int32
+	open, mark, entries, total int
+}
+
+// add is ScanBatch's callback: it appends scan i's entry to its block and
+// stops the scan once the block reaches proto.MaxScanResultBytes.
+func (sb *resultBlocks) add(i int, key, value []byte) bool {
+	sb.advance(i)
+	sb.dst = proto.AppendScanEntry(sb.dst, key, value)
+	sb.entries++
+	sb.total++
+	return len(sb.dst)-sb.mark < proto.MaxScanResultBytes
+}
+
+// advance opens the block of scan i, finishing the open one and giving the
+// scans between them empty blocks.
+func (sb *resultBlocks) advance(i int) {
+	for sb.open < i {
+		if sb.open >= 0 {
+			sb.finish()
+		}
+		sb.open++
+		sb.dst, sb.mark = proto.BeginScanResult(sb.dst)
+		sb.entries = 0
+	}
+}
+
+// finish patches the open block's entry count and records where it ends.
+func (sb *resultBlocks) finish() {
+	proto.FinishScanResult(sb.dst, sb.mark, sb.entries)
+	sb.hi[sb.open] = int32(len(sb.dst))
 }
 
 // runRespond is WR: partition the response arena back to the frames.

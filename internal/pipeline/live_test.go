@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,14 +14,17 @@ import (
 )
 
 // fakeLiveStore is a map-backed LiveStore for runner tests. SearchBatch
-// records empty candidate spans (the reads resolve everything), and it has
-// no ordered index, so every SCAN answers StatusError. A key listed
-// in panicOn panics on search and read; a non-nil gate blocks reads of gateKey until the
+// records empty candidate spans (the reads resolve everything). Unless
+// ordered is set it has no ordered index, so every SCAN answers
+// StatusError. A key listed in panicOn panics on search and read, and a
+// SCAN starting there panics after its first entry; a non-nil gate blocks
+// reads of gateKey until the
 // gate closes, letting tests hold a batch in a stage. The counters record how
 // many calls each batched method served.
 type fakeLiveStore struct {
 	mu      sync.Mutex
 	m       map[string][]byte
+	ordered bool
 	panicOn string
 	gateKey string
 	gate    chan struct{}
@@ -95,7 +100,52 @@ func (f *fakeLiveStore) Delete(key []byte) bool {
 	return ok
 }
 
-func (f *fakeLiveStore) NewScanner() LiveScanner { return nil }
+func (f *fakeLiveStore) NewScanner() LiveScanner {
+	if !f.ordered {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	keys := make([]string, 0, len(f.m))
+	for k := range f.m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return &fakeScanner{f: f, keys: keys}
+}
+
+// fakeScanner scans the keys the fake store held when it was created.
+type fakeScanner struct {
+	f    *fakeLiveStore
+	keys []string
+}
+
+func (sc *fakeScanner) ScanBatch(starts, ends [][]byte, limits []int, fn func(i int, key, value []byte) bool) int {
+	n := 0
+	for i, start := range starts {
+		visited := 0
+		for _, k := range sc.keys {
+			if k < string(start) || (len(ends[i]) > 0 && k >= string(ends[i])) {
+				continue
+			}
+			if limits[i] > 0 && visited == limits[i] {
+				break
+			}
+			visited++
+			sc.f.mu.Lock()
+			v := sc.f.m[k]
+			sc.f.mu.Unlock()
+			if !fn(i, []byte(k), v) {
+				break
+			}
+			if sc.f.panicOn != "" && string(start) == sc.f.panicOn {
+				panic("poisoned scan")
+			}
+		}
+		n += visited
+	}
+	return n
+}
 
 // fixedProvider always hands out the same (config, size) pair.
 type fixedProvider struct {
@@ -399,6 +449,73 @@ func TestLiveRunnerPanicContainment(t *testing.T) {
 	}
 	if good.Resps[0].Status != proto.StatusOK || string(good.Resps[0].Value) != "ok" {
 		t.Fatalf("batchmate GET = %+v, want OK", good.Resps[0])
+	}
+	if s := r.Stats(); s.Panics != 1 {
+		t.Fatalf("Panics = %d, want 1", s.Panics)
+	}
+}
+
+// TestLiveRunnerScanPanicContainment: a batch's SCANs run in one ScanBatch
+// call, and when it panics they rerun frame by frame, so only the poisoned
+// frame is lost. Its batchmate's SCANs still get their own result blocks —
+// a bounded one, an empty one, an unbounded one — and its malformed SCAN
+// answers StatusError.
+func TestLiveRunnerScanPanicContainment(t *testing.T) {
+	st := newFakeLiveStore()
+	st.ordered = true
+	for _, k := range []string{"a", "b", "c", "d"} {
+		st.m[k] = []byte("v" + k)
+	}
+	st.panicOn = "boom"
+	st.gateKey = "hold"
+	st.gate = make(chan struct{})
+	done := make(chan *LiveFrame, 4)
+	r := NewLiveRunner(st, LiveOptions{
+		Provider:  &fixedProvider{cfg: cpuInsertMegaKV(), n: 2},
+		DoneBatch: deliverTo(done),
+	})
+	defer r.Close()
+
+	// Hold stage 1 on a gated SET so the two frames below share one batch.
+	if !r.Submit(setFrame("hold", "x")) {
+		t.Fatal("Submit hold rejected")
+	}
+	time.Sleep(time.Millisecond) // let the stage-1 worker park on the gate
+	bad := &LiveFrame{Queries: []proto.Query{proto.ScanQuery([]byte("boom"), nil, 0)}}
+	good := &LiveFrame{Queries: []proto.Query{
+		proto.ScanQuery([]byte("a"), nil, 2),
+		proto.ScanQuery([]byte("x"), nil, 0),
+		{Op: proto.OpScan, Key: []byte("a"), Value: []byte{1}}, // argument too short
+		proto.ScanQuery([]byte("b"), []byte("d"), 0),
+	}}
+	if !r.Submit(bad) || !r.Submit(good) {
+		t.Fatal("Submit rejected")
+	}
+	close(st.gate)
+	collectFrames(t, done, 3)
+
+	if !bad.Err || good.Err {
+		t.Fatalf("Err: poisoned frame %v, batchmate %v; want true, false", bad.Err, good.Err)
+	}
+	for i, want := range []string{"[a=va b=vb]", "[]", "error", "[b=vb c=vc]"} {
+		resp := good.Resps[i]
+		got := "error"
+		if resp.Status == proto.StatusOK {
+			entries, err := proto.ParseScanResult(resp.Value)
+			if err != nil {
+				t.Fatalf("SCAN %d: %v", i, err)
+			}
+			var kv []string
+			for _, e := range entries {
+				kv = append(kv, string(e.Key)+"="+string(e.Value))
+			}
+			got = fmt.Sprint(kv)
+		} else if resp.Status != proto.StatusError {
+			t.Fatalf("SCAN %d: status %v", i, resp.Status)
+		}
+		if got != want {
+			t.Fatalf("SCAN %d = %s, want %s", i, got, want)
+		}
 	}
 	if s := r.Stats(); s.Panics != 1 {
 		t.Fatalf("Panics = %d, want 1", s.Panics)

@@ -268,10 +268,27 @@ func TestScanEquivalenceUnderChurn(t *testing.T) {
 		}(w)
 	}
 
+	// Odd passes scan the keyspace as one batch of ranges that tile it, so
+	// waves and stale entries meet range boundaries; their concatenation
+	// must pass the same checks as one unbounded scan.
+	starts := [][]byte{nil, []byte("c0050"), []byte("c0150"), []byte("s0100"), []byte("s0101")}
+	ends := [][]byte{[]byte("c0050"), []byte("c0150"), []byte("s0100"), []byte("s0101"), nil}
+	limits := make([]int, len(starts))
 	for pass := 0; pass < 30; pass++ {
 		var prev []byte
 		seenStable := 0
-		s.Scan(nil, nil, 0, func(k, v []byte) bool {
+		scan := func(fn func(k, v []byte) bool) {
+			if pass%2 == 0 {
+				s.Scan(nil, nil, 0, fn)
+				return
+			}
+			stopped := false
+			s.NewScanner().ScanBatch(starts, ends, limits, func(_ int, k, v []byte) bool {
+				stopped = stopped || !fn(k, v)
+				return !stopped
+			})
+		}
+		scan(func(k, v []byte) bool {
 			if prev != nil && bytes.Compare(prev, k) >= 0 {
 				t.Errorf("pass %d: order violation %q >= %q", pass, prev, k)
 				return false
@@ -428,5 +445,131 @@ func TestScanEvictionSafety(t *testing.T) {
 	}
 	if fb := s.StatsSnapshot().ScanFallbacks - st.ScanFallbacks; fb != 0 {
 		t.Fatalf("quiescent scan of %d keys fell back %d times: tree locations are stale", n, fb)
+	}
+}
+
+// TestScanBatchStaleEntries pins the value waves against the per-entry
+// contract: after the snapshot, keys inside the first wave are deleted and
+// overwritten (the deletes copy the snapshot's leaf, so the overwrites leave
+// its locations stale), and later writes evict others. Every scan of the
+// batch must equal the per-entry reference — each snapshot key in range
+// with its live value, the deleted and evicted ones skipped — and each
+// stale location must have taken the point-lookup fallback.
+func TestScanBatchStaleEntries(t *testing.T) {
+	s := orderedStore(t, Config{MemoryBytes: 256 << 10, IndexEntries: 1 << 12})
+	s.Scan(nil, nil, 1, func(k, v []byte) bool { return true }) // build the tree
+	value := func(k string, gen int) []byte {
+		return []byte(fmt.Sprintf("%s|%d|%s", k, gen, bytes.Repeat([]byte{'p'}, 150)))
+	}
+	var snapKeys []string
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("st-%02d", i)
+		snapKeys = append(snapKeys, k)
+		if _, _, err := s.Set([]byte(k), value(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := s.NewScanner()
+	before := s.StatsSnapshot()
+
+	deleted := map[string]bool{"st-03": true, "st-07": true, "st-11": true}
+	for k := range deleted {
+		s.Delete([]byte(k))
+	}
+	for _, k := range []string{"st-04", "st-08", "st-12"} {
+		if _, _, err := s.Set([]byte(k), value(k, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func(k string) bool { _, ok := s.lookupLoc(s.hash([]byte(k)), []byte(k)); return ok }
+	evicted := 0
+	for i := 0; evicted < 3; i++ {
+		if i == 100000 {
+			t.Fatal("no snapshot key was evicted")
+		}
+		k := fmt.Sprintf("zz-%05d", i)
+		if _, _, err := s.Set([]byte(k), value(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+		evicted = 0
+		for _, k := range snapKeys {
+			if !deleted[k] && !live(k) {
+				evicted++
+			}
+		}
+	}
+
+	starts := [][]byte{[]byte("st-"), []byte("st-02"), []byte("st-16"), []byte("st-40"), nil}
+	ends := [][]byte{[]byte("st-16"), []byte("st-30"), nil, []byte("st;"), []byte("st-10")}
+	limits := []int{0, 5, 0, 0, 7}
+	got := make([][]string, len(starts))
+	last := 0
+	n := sc.ScanBatch(starts, ends, limits, func(i int, k, v []byte) bool {
+		if i < last {
+			t.Fatalf("scan %d ran after scan %d", i, last)
+		}
+		last = i
+		got[i] = append(got[i], string(k)+"="+string(v))
+		return true
+	})
+	total, fallbacks := 0, 0
+	for i := range starts {
+		var want []string
+		for _, k := range snapKeys {
+			if k < string(starts[i]) || (len(ends[i]) > 0 && k >= string(ends[i])) {
+				continue
+			}
+			if limits[i] > 0 && len(want) == limits[i] {
+				break
+			}
+			if v, ok := s.Get([]byte(k)); ok {
+				want = append(want, k+"="+string(v))
+			} else if !deleted[k] {
+				fallbacks++ // evicted
+			}
+		}
+		if fmt.Sprint(got[i]) != fmt.Sprint(want) {
+			t.Fatalf("scan %d [%q, %q) limit %d:\n got %q\nwant %q", i, starts[i], ends[i], limits[i], got[i], want)
+		}
+		total += len(want)
+	}
+	if n != total {
+		t.Fatalf("ScanBatch returned %d, fn saw %d entries", n, total)
+	}
+	// Scans 0 and 1 cover the deletes and the overwrites: each is stale.
+	if fb := s.StatsSnapshot().ScanFallbacks - before.ScanFallbacks; fb < uint64(fallbacks+6) {
+		t.Fatalf("%d fallbacks, want at least %d: a stale location was read without one", fb, fallbacks+6)
+	}
+}
+
+// TestScanBatchZeroAllocs guards the pooled wave scratch: once warm, a batch
+// of 16 scans allocates nothing but its Scanner.
+func TestScanBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted by race-detector instrumentation")
+	}
+	s := orderedStore(t, Config{MemoryBytes: 8 << 20})
+	for i := 0; i < 4000; i++ {
+		if _, _, err := s.Set([]byte(fmt.Sprintf("za-%05d", i)), bytes.Repeat([]byte{'v'}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 16
+	starts, ends, limits := make([][]byte, n), make([][]byte, n), make([]int, n)
+	for i := range starts {
+		starts[i] = []byte(fmt.Sprintf("za-%05d", i*241))
+		limits[i] = 16
+	}
+	entries := 0
+	fn := func(_ int, k, v []byte) bool { entries++; return true }
+	s.NewScanner().ScanBatch(starts, ends, limits, fn)
+	if avg := testing.AllocsPerRun(50, func() {
+		s.NewScanner().ScanBatch(starts, ends, limits, fn)
+	}); avg > 1 {
+		t.Fatalf("a batch of %d scans allocates %v times, want at most 1 (the Scanner)", n, avg)
+	}
+	const batches = 1 + 1 + 50 // the warm-up above, AllocsPerRun's own, and its runs
+	if entries != batches*n*16 {
+		t.Fatalf("scans returned %d entries, want %d", entries, batches*n*16)
 	}
 }

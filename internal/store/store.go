@@ -140,7 +140,8 @@ func New(cfg Config) *Store {
 }
 
 // hash is key's hash under the table's seed: the store hashes a key once and
-// the table's SearchBufHash / SearchBatch reuse it for bucket and signature.
+// the table's *Hash methods and SearchBatch reuse it for bucket and
+// signature.
 func (s *Store) hash(key []byte) uint64 { return cuckoo.Hash(key, s.seed) }
 
 // ---- Composite operations ----
@@ -218,7 +219,8 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 		// The eviction victim's index entry must go too (paper §II-C2).
 		s.evictions.Inc()
 		evLoc := cuckoo.Location(ev.Handle)
-		if s.idx.Delete(ev.Key, evLoc) {
+		evHash := s.hash(ev.Key)
+		if s.idx.DeleteHash(evHash, evLoc) {
 			deletes++
 		}
 		// Reconcile the victim's ordered-index binding — unless the tree is
@@ -228,13 +230,13 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 		// victim key is safe either way: syncOrdered re-reads the cuckoo
 		// state under the tree lock.)
 		if s.tree != nil && !s.dropped.Load() && !bytes.Equal(ev.Key, key) {
-			s.syncOrdered(s.hash(ev.Key), ev.Key)
+			s.syncOrdered(evHash, ev.Key)
 		}
 		if hadOld && evLoc == oldLoc {
 			hadOld = false // the victim was this key's own old object
 		}
 	}
-	if !s.idx.Insert(key, cuckoo.Location(h)) {
+	if !s.idx.InsertHash(hv, cuckoo.Location(h)) {
 		// Index full: undo the allocation and report no memory. The old
 		// object (if any) is still indexed — the SET failed cleanly.
 		s.alloc.FreeIfMatch(h, key)
@@ -247,7 +249,7 @@ func (s *Store) Set(key, value []byte) (inserts, deletes int, err error) {
 		// may not have removed the entry yet, so Delete can still succeed):
 		// the chunk then holds another writer's live object, which a blind
 		// Free would kill after its owner had indexed it.
-		if s.idx.Delete(key, oldLoc) {
+		if s.idx.DeleteHash(hv, oldLoc) {
 			s.alloc.FreeIfMatch(slab.Handle(oldLoc), key)
 			deletes++
 		}
@@ -418,7 +420,7 @@ func (s *Store) Delete(key []byte) bool {
 	if !ok {
 		return false
 	}
-	if !s.idx.Delete(key, loc) {
+	if !s.idx.DeleteHash(hv, loc) {
 		return false
 	}
 	s.alloc.FreeIfMatch(slab.Handle(loc), key)

@@ -306,12 +306,14 @@ func ForTask(id ID, p Profile, pl Placement) Demand {
 		}
 	case SC:
 		// Ordered range scan: one snapshot load, a root-to-leaf descent of
-		// the tree (random accesses ∝ log₂ population), then a sequential
-		// walk that touches one tree node per returned entry and streams the
-		// entry's key+value bytes through the seqlock read into the result
-		// block. The stream term dominates for any realistic entry count —
-		// scans are bandwidth-bound where probes are latency-bound, which is
-		// exactly the regime split the planner exploits when placing SC.
+		// the tree (random accesses ∝ log₂ population), then a walk that
+		// touches one tree node per returned entry and streams the entry's
+		// key+value bytes through the seqlock read into the result block.
+		// This prices the stream as the dominant term, so the planner can
+		// place SC apart from the probes. On the live server each entry's
+		// value is a random slab chunk, so scans there are latency-bound
+		// like probes (DESIGN.md §5.17); re-pricing SC from measured unit
+		// costs belongs to a host-fitted cost source.
 		scanBytes := p.ScanEntries * p.ScanEntryBytes
 		d.Instr = 200 + 25*p.ScanEntries + scanBytes/16
 		depth := 1.0

@@ -133,14 +133,16 @@ go test -count=1 -race -timeout 900s -run 'TestDurable|TestCrash' .
 # the upkeep drop/rebuild cycle, and the root-package scan e2e + chaos pins —
 # snapshot isolation is exactly the kind of guarantee only the race detector
 # keeps honest, so un-cached and race-enabled every pass, the in-place tree
-# ten times over, and writers racing a tree's drop and its rebuild twenty
-# times over.
-echo "== ordered index (-race, -count=10) + scan path (-race, -count=1) =="
+# ten times over, writers racing a tree's drop and its rebuild twenty times
+# over, and the store's scans — batched seeks and value waves racing
+# deletes, overwrites and evictions — twenty times over.
+echo "== ordered index (-race, -count=10) + scan path (-race, -count=1; store scans -count=20) =="
 go test -count=10 -race -timeout 900s ./internal/ordered
 go test -count=1 -race -timeout 900s \
     -run 'Scan|Ordered|SnapshotIsolation|FreeIfMatch' \
     ./internal/store ./internal/slab ./internal/pipeline ./internal/task .
 go test -count=20 -race -timeout 900s -run TestOrderedUpkeepDropRebuildRace ./internal/store
+go test -race -count=20 -timeout 900s -run 'Scan' ./internal/store
 
 # The transport front ends: RESP parser/framer unit + fuzz corpus, command-run
 # sealing, and the root-package RESP e2e (in-order pipelines, late readers,
@@ -177,12 +179,13 @@ echo "== benchmark smoke =="
 go test -run='^$' -bench=. -benchtime=1x ./internal/store ./internal/slab ./internal/cuckoo ./internal/ordered
 
 # Batched-search bench smoke: a short real run (not 1x) of the batched-vs-
-# scalar comparison and of the serving-shape batched reads, all hits and
-# half misses (staged and fused), proving the batched path executes end-to-end at every batch size
-# from 1 up and stays allocation-free (the -benchtime=8x run is long enough
+# scalar comparison, of the serving-shape batched reads, all hits and
+# half misses (staged and fused), and of the batched scans, proving the
+# batched paths execute end-to-end at every batch size
+# from 1 up and stay allocation-free (the -benchtime=8x run is long enough
 # for the alloc columns to be meaningful, short enough for CI).
 echo "== batched-search bench smoke =="
-go test -run='^$' -bench='BenchmarkSearchBatch|BenchmarkReadBatch' -benchtime=8x ./internal/store
+go test -run='^$' -bench='BenchmarkSearchBatch|BenchmarkReadBatch|BenchmarkScanBatch' -benchtime=8x ./internal/store
 
 # End-to-end smoke of the real binaries: a dido-server with -adapt and the
 # admin endpoint serving a short dido-loadgen run must finish with zero

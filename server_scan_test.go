@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/frontend"
+	"repro/internal/proto"
 )
 
 // TestServeScanEndToEnd drives SCAN through the full stack: keys in, ordered
@@ -318,6 +319,39 @@ func TestScanChaosEquivalence(t *testing.T) {
 					for i, k := range paged {
 						if string(k) != stableKeys[i] {
 							t.Errorf("client %d round %d: page key %d = %q, want %q", ci, r, i, k, stableKeys[i])
+							return
+						}
+					}
+
+					// Several SCANs in one frame reach the store as one
+					// batch of ranges: the stable region in parts, one of
+					// them empty, reassembles the region exactly.
+					bounds := []string{"scan:", "scan:016", "scan:016", "scan:040", "scan;"}
+					var qs []proto.Query
+					for i := 0; i+1 < len(bounds); i++ {
+						qs = append(qs, proto.ScanQuery([]byte(bounds[i]), []byte(bounds[i+1]), 0))
+					}
+					resps, err := c.Do(qs)
+					if err != nil {
+						t.Errorf("client %d round %d multi-SCAN: %v", ci, r, err)
+						return
+					}
+					var parts []ScanEntry
+					for i, resp := range resps {
+						part, err := proto.ParseScanResult(resp.Value)
+						if resp.Status != proto.StatusOK || err != nil {
+							t.Errorf("client %d round %d multi-SCAN part %d: status %v, %v", ci, r, i, resp.Status, err)
+							return
+						}
+						parts = append(parts, part...)
+					}
+					if len(parts) != stable {
+						t.Errorf("client %d round %d: multi-SCAN saw %d stable keys, want %d", ci, r, len(parts), stable)
+						return
+					}
+					for i, e := range parts {
+						if string(e.Key) != stableKeys[i] || string(e.Value) != "sv-"+stableKeys[i] {
+							t.Errorf("client %d round %d multi-SCAN entry %d = %q=%q, want %q", ci, r, i, e.Key, e.Value, stableKeys[i])
 							return
 						}
 					}
