@@ -85,14 +85,10 @@ func BenchmarkFig21FluctuationCycles(b *testing.B) {
 // disables it; otherwise it names the -wal-sync policy: "batch" or
 // "interval").
 // serveBenchConfig selects the variant: attached observability/durability
-// tiers, and the ingestion tier's shape (netQueues REUSEPORT queues; adapt
-// swaps the static stage provider for the online planner, which also sizes
-// the effective reader count at startup).
+// tiers.
 type serveBenchConfig struct {
-	observed  bool
-	walSync   string
-	netQueues int
-	adapt     bool
+	observed bool
+	walSync  string
 }
 
 // staticBenchPipeline is the pipeline shape for the non-adaptive serving
@@ -131,13 +127,7 @@ func benchmarkServe(b *testing.B, cfg serveBenchConfig) {
 			b.Fatal(err)
 		}
 	}
-	opts := dido.ServerOptions{NetQueues: cfg.netQueues, Pipeline: staticBenchPipeline()}
-	if cfg.adapt {
-		// The real deployment shape for the multi-queue rows: -adapt prices
-		// RV/PP parallelism in the cost model and sizes the effective reader
-		// count at startup (a 1-CPU host gates extra queues off entirely).
-		opts.Pipeline = &dido.PipelineOptions{BatchInterval: 100 * time.Microsecond, Adapt: true}
-	}
+	opts := dido.ServerOptions{Pipeline: staticBenchPipeline()}
 	// The observed variant prices the observability layer in the hot path:
 	// slow-query checks on every completed frame plus a live admin endpoint
 	// being scraped during the measurement. Acceptance: ns/op within 2% of
@@ -276,49 +266,9 @@ func benchmarkServe(b *testing.B, cfg serveBenchConfig) {
 		b.Logf("wal: records=%d bytes=%d syncs=%d drops=%d",
 			ds.WAL.Records, ds.WAL.Bytes, ds.WAL.Syncs, ds.DroppedAcks)
 	}
-	reportQueueSpread(b, srv, "udp", cfg.netQueues)
-}
-
-// reportQueueSpread records the ingestion tier's shape in the bench output:
-// how many queues were effective (the platform can clamp and -adapt can gate
-// the requested count down) and the per-queue receive counters proving — or
-// disproving — that the kernel actually spread the load.
-func reportQueueSpread(b *testing.B, srv *dido.Server, name string, requested int) {
-	if requested <= 1 {
-		return
-	}
-	b.ReportMetric(float64(srv.NetQueues()), "queues_effective")
-	qs := srv.FrontendQueueStats(name)
-	if len(qs) <= 1 {
-		return
-	}
-	qmin, qmax := qs[0].Frames, qs[0].Frames
-	for _, q := range qs[1:] {
-		if q.Frames < qmin {
-			qmin = q.Frames
-		}
-		if q.Frames > qmax {
-			qmax = q.Frames
-		}
-	}
-	b.ReportMetric(float64(qmin)/1000, "kframes_qmin")
-	b.ReportMetric(float64(qmax)/1000, "kframes_qmax")
-	b.Logf("%s queue spread: %d queues, frames min=%d max=%d", name, len(qs), qmin, qmax)
 }
 
 func BenchmarkServePipelined(b *testing.B) { benchmarkServe(b, serveBenchConfig{}) }
-
-// The Q4 variants shard ingestion across 4 SO_REUSEPORT queues (each with its
-// own reader, sender and address cache). RunParallel's per-goroutine clients
-// are distinct source sockets, so the kernel hashes them across the queues —
-// the per-queue frame counters in the bench log prove the spread. AdaptQ4 is
-// the deployment shape: the online planner prices RV/PP parallelism and sizes
-// the effective reader count at startup, so on a 1-CPU host queues_effective
-// reports the controller gating the extra readers off.
-func BenchmarkServePipelinedQ4(b *testing.B) { benchmarkServe(b, serveBenchConfig{netQueues: 4}) }
-func BenchmarkServePipelinedAdaptQ4(b *testing.B) {
-	benchmarkServe(b, serveBenchConfig{netQueues: 4, adapt: true})
-}
 
 // benchmarkServeScan prices the range-scan path at saturation: the same
 // loopback harness as the point-op A/B, but against an ordered store with a
@@ -414,7 +364,7 @@ func BenchmarkServeScanPipelined(b *testing.B) {
 // sequential-semantics contract: command runs seal at read↔write boundaries,
 // so a 64-command batch with interleaved SETs fragments into ~7 frames where
 // the binary protocol carries it as 1 (see bench_results.txt).
-func benchmarkServeRESP(b *testing.B, netQueues int) {
+func benchmarkServeRESP(b *testing.B) {
 	const (
 		keys       = 8 << 10
 		frameQs    = 64
@@ -429,7 +379,7 @@ func benchmarkServeRESP(b *testing.B, netQueues int) {
 			b.Fatal(err)
 		}
 	}
-	srv := dido.NewServerOpts(st, dido.ServerOptions{NetQueues: netQueues, Pipeline: staticBenchPipeline()})
+	srv := dido.NewServerOpts(st, dido.ServerOptions{Pipeline: staticBenchPipeline()})
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ServeRESP("127.0.0.1:0") }()
 	for srv.RESPAddr() == nil {
@@ -490,15 +440,9 @@ func benchmarkServeRESP(b *testing.B, netQueues int) {
 	if ps := srv.PipelineStats(); ps.Batches > 0 {
 		b.ReportMetric(float64(ps.Queries)/float64(ps.Batches), "q/batch")
 	}
-	reportQueueSpread(b, srv, "resp", netQueues)
 }
 
-func BenchmarkServeRESPPipelined(b *testing.B) { benchmarkServeRESP(b, 1) }
-
-// BenchmarkServeRESPPipelinedQ4 shards the RESP accept path across 4
-// REUSEPORT listeners sharing one connection gate; each per-goroutine client is its
-// own TCP connection, so the kernel spreads accepts across the listeners.
-func BenchmarkServeRESPPipelinedQ4(b *testing.B) { benchmarkServeRESP(b, 4) }
+func BenchmarkServeRESPPipelined(b *testing.B) { benchmarkServeRESP(b) }
 
 // BenchmarkServePipelinedObserved is BenchmarkServePipelined with the full
 // observability layer attached: slow-query log on every frame completion and

@@ -51,30 +51,6 @@ type kvClient interface {
 	Close() error
 }
 
-// roundRobin cycles frames across source sockets so a REUSEPORT-sharded
-// server sees more than one 4-tuple. The driver loop is single-threaded, so
-// no lock guards next.
-type roundRobin struct {
-	conns []kvClient
-	next  int
-}
-
-func (r *roundRobin) Do(qs []dido.Query) ([]dido.Response, error) {
-	c := r.conns[r.next]
-	r.next = (r.next + 1) % len(r.conns)
-	return c.Do(qs)
-}
-
-func (r *roundRobin) Close() error {
-	var first error
-	for _, c := range r.conns {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11311", "server address (UDP binary, or TCP RESP with -resp)")
 	resp := flag.Bool("resp", false, "drive the TCP/RESP2 frontend instead of the UDP binary protocol")
@@ -82,7 +58,6 @@ func main() {
 	wl := flag.String("workload", "K16-G95-U", "standard workload name (see README)")
 	dur := flag.Duration("duration", 10*time.Second, "run duration")
 	batch := flag.Int("batch", 128, "queries per frame")
-	srcConns := flag.Int("src-conns", 1, "source sockets to round-robin frames across (use >= the server's -net-queues so SO_REUSEPORT hashing can spread load over every queue)")
 	pop := flag.Uint64("population", 100000, "key population")
 	warm := flag.Bool("warm", true, "pre-load the population before measuring")
 	seed := flag.Int64("seed", 1, "generator seed")
@@ -115,9 +90,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *srcConns < 1 {
-		*srcConns = 1
-	}
 	profile := faults.Profile{
 		Drop:    *faultDrop,
 		Dup:     *faultDup,
@@ -135,29 +107,22 @@ func main() {
 			*faultDrop, *faultDup, *faultReorder, *faultCorrupt, *faultDelay, *faultSeed)
 	}
 
-	// One client per source socket. A REUSEPORT-sharded server hashes flows
-	// by 4-tuple, so a single source socket pins every frame to one ingestion
-	// queue no matter how many queues the server opened; round-robining over
-	// -src-conns distinct sockets lets the kernel spread the load.
-	var injectors []*faults.Conn
-	var udpClients []*dido.Client
-	conns := make([]kvClient, *srcConns)
-	for i := range conns {
-		if *resp {
-			rc, err := frontend.DialRESP(*addr, *timeout)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dial resp:", err)
-				os.Exit(1)
-			}
-			conns[i] = rc
-			continue
+	var c kvClient
+	var udpClient *dido.Client
+	var injector *faults.Conn
+	if *resp {
+		rc, err := frontend.DialRESP(*addr, *timeout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dial resp:", err)
+			os.Exit(1)
 		}
-		opts := dido.ClientOptions{Timeout: *timeout, Retries: *retries, Backoff: *backoff, Seed: *seed + int64(i)}
+		c = rc
+	} else {
+		opts := dido.ClientOptions{Timeout: *timeout, Retries: *retries, Backoff: *backoff, Seed: *seed}
 		if injectFaults {
 			opts.WrapConn = func(conn *net.UDPConn) dido.ClientConn {
-				inj := faults.Wrap(conn, faults.Symmetric(*faultSeed+int64(len(injectors)), profile))
-				injectors = append(injectors, inj)
-				return inj
+				injector = faults.Wrap(conn, faults.Symmetric(*faultSeed, profile))
+				return injector
 			}
 		}
 		uc, err := dido.DialOpts(*addr, opts)
@@ -165,10 +130,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dial:", err)
 			os.Exit(1)
 		}
-		udpClients = append(udpClients, uc)
-		conns[i] = uc
+		udpClient, c = uc, uc
 	}
-	c := &roundRobin{conns: conns}
 	defer c.Close()
 
 	var before map[string]float64
@@ -211,7 +174,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("running %s for %v (batch %d, %d source conns)...\n", spec.Name, *dur, *batch, *srcConns)
+	fmt.Printf("running %s for %v (batch %d)...\n", spec.Name, *dur, *batch)
 	deadline := time.Now().Add(*dur)
 	var sent, hits, misses, failedBusy, failedTimeout uint64
 	var scansSent, scanEntriesGot, scanErrs uint64
@@ -292,14 +255,8 @@ func main() {
 	fmt.Printf("sent %d queries in %v: %.1f KOPS, GET hit rate %.3f\n",
 		sent, elapsed.Round(time.Millisecond),
 		float64(sent)/elapsed.Seconds()/1000, hitRate)
-	if len(udpClients) > 0 {
-		var cs dido.ClientStats
-		for _, uc := range udpClients {
-			s := uc.Stats()
-			cs.Retries += s.Retries
-			cs.Timeouts += s.Timeouts
-			cs.BusyRounds += s.BusyRounds
-		}
+	if udpClient != nil {
+		cs := udpClient.Stats()
 		fmt.Printf("resilience: retries=%d timeouts=%d busy-rounds=%d failed[busy=%d timeout=%d]\n",
 			cs.Retries, cs.Timeouts, cs.BusyRounds, failedBusy, failedTimeout)
 	} else {
@@ -316,16 +273,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "GET hit rate %.3f below required %.3f\n", hitRate, *assertHitRate)
 		os.Exit(1)
 	}
-	if len(injectors) > 0 {
-		var fs faults.Stats
-		for _, inj := range injectors {
-			s := inj.Stats()
-			fs.Dropped += s.Dropped
-			fs.Duplicated += s.Duplicated
-			fs.Reordered += s.Reordered
-			fs.Corrupted += s.Corrupted
-			fs.Delayed += s.Delayed
-		}
+	if injector != nil {
+		fs := injector.Stats()
 		fmt.Printf("faults injected: drop=%d dup=%d reorder=%d corrupt=%d delayed=%d\n",
 			fs.Dropped, fs.Duplicated, fs.Reordered, fs.Corrupted, fs.Delayed)
 	}

@@ -26,7 +26,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -70,8 +69,7 @@ func main() {
 	statsEvery := flag.Duration("stats-interval", 10*time.Second, "stats print interval (0 disables)")
 	maxInflight := flag.Int("max-inflight", dido.DefaultMaxInFlight, "frames processed concurrently before shedding with StatusBusy")
 	replyCache := flag.Int("reply-cache", dido.DefaultReplyCacheSize, "retried-request reply cache entries (negative disables)")
-	maxConns := flag.Int("max-conns", 0, "RESP connection budget across every RESP listener (0 = default 1024, negative = unlimited)")
-	netQueues := flag.Int("net-queues", 1, "SO_REUSEPORT ingestion queues per frontend (UDP sockets / RESP listeners; clamped to 1 without kernel support, sized down by -adapt when extra readers cannot pay)")
+	maxConns := flag.Int("max-conns", 0, "open RESP connection budget (0 = default 1024, negative = unlimited)")
 
 	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "scheduling interval the batch size is chosen for (a sizing target, not a timer: stage 1 seals a partial batch as soon as it is free)")
 	adapt := flag.Bool("adapt", false, "online pipeline reconfiguration from measured per-batch profiles")
@@ -110,7 +108,6 @@ func main() {
 		MaxInFlight:    *maxInflight,
 		ReplyCacheSize: *replyCache,
 		MaxConns:       *maxConns,
-		NetQueues:      *netQueues,
 	}
 	streamFaults := faults.StreamConfig{
 		Seed:        *faultSeed,
@@ -177,18 +174,14 @@ func main() {
 		Corrupt: *faultCorrupt,
 		Delay:   *faultDelay,
 	}
-	// With -net-queues > 1 the WrapConn hook fires once per REUSEPORT
-	// socket, so the injectors accumulate into a slice and the stats line
-	// sums them.
-	var injectorMu sync.Mutex
-	var injectors []*faults.Conn
+	// The injector wraps the UDP socket inside Serve's Listen, which returns
+	// before waitForBind sees the address, so the stats goroutine started
+	// after that reads it without a lock.
+	var injector *faults.Conn
 	if profile != (faults.Profile{}) {
 		opts.WrapConn = func(pc net.PacketConn) net.PacketConn {
-			injectorMu.Lock()
-			defer injectorMu.Unlock()
-			inj := faults.Wrap(pc, faults.Symmetric(*faultSeed+int64(len(injectors)), profile))
-			injectors = append(injectors, inj)
-			return inj
+			injector = faults.Wrap(pc, faults.Symmetric(*faultSeed, profile))
+			return injector
 		}
 		log.Printf("fault injection armed: drop=%.2f dup=%.2f reorder=%.2f corrupt=%.2f delay=%v seed=%d",
 			*faultDrop, *faultDup, *faultReorder, *faultCorrupt, *faultDelay, *faultSeed)
@@ -216,10 +209,6 @@ func main() {
 	// Wait for bind so the printed address is real.
 	log.Printf("dido-server listening on %s (arena %d MB, max-inflight %d, adapt=%v)",
 		waitForBind("udp", srv.Addr, udpServed), *mem>>20, *maxInflight, *adapt)
-	if *netQueues > 1 {
-		log.Printf("ingestion queues: requested %d, effective %d (SO_REUSEPORT sharded readers)",
-			*netQueues, srv.NetQueues())
-	}
 
 	if *respAddr != "" {
 		respServed := make(chan struct{})
@@ -260,19 +249,8 @@ func main() {
 				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f ordered-splits=%d ordered-merges=%d ordered-maintained=%d ordered-drops=%d ordered-rebuilds=%d ordered-build=%v",
 					ss, s.LiveObjects, s.Hits, s.Misses, s.Evictions, s.IndexLoadFactor, s.OrderedSplits, s.OrderedMerges,
 					s.OrderedMaintained, s.OrderedDrops, s.OrderedRebuilds, time.Duration(s.OrderedBuildNanos).Round(time.Millisecond))
-				injectorMu.Lock()
-				var fs faults.Stats
-				for _, inj := range injectors {
-					is := inj.Stats()
-					fs.Dropped += is.Dropped
-					fs.Duplicated += is.Duplicated
-					fs.Reordered += is.Reordered
-					fs.Corrupted += is.Corrupted
-					fs.Delayed += is.Delayed
-				}
-				armed := len(injectors) > 0
-				injectorMu.Unlock()
-				if armed {
+				if injector != nil {
+					fs := injector.Stats()
 					line += fmt.Sprintf(" faults[drop=%d dup=%d reorder=%d corrupt=%d]",
 						fs.Dropped, fs.Duplicated, fs.Reordered, fs.Corrupted)
 				}

@@ -48,12 +48,12 @@ type Planner struct {
 	// server sets DefaultINSearchMLP when the wide path is enabled.
 	INSearchMLP float64
 	// RVReaders, when ≥ 1, models the live ingestion tier: RV and PP run on
-	// one reader goroutine per SO_REUSEPORT queue rather than on their
-	// stage's worker group, so their time divides by the reader count
-	// (capped by physical cores) regardless of the stage's core
-	// assignment — 1 prices the single-socket frontend honestly, N > 1 the
-	// sharded tier. 0 (the default) keeps stage-group pricing, which is
-	// what the simulator's executor actually does with RV/PP.
+	// the front end's reader goroutines rather than on their stage's
+	// worker group, so their time divides by the reader count (capped by
+	// physical cores) regardless of the stage's core assignment. The live
+	// server has one reader per front end and sets 1. 0 (the default)
+	// keeps stage-group pricing, which is what the simulator's executor
+	// actually does with RV/PP.
 	RVReaders int
 
 	// phpCache memoizes CacheHitPortion per workload shape: the Zipf
@@ -201,7 +201,7 @@ func (pl *Planner) taskTime(id task.ID, prof task.Profile, cfg pipeline.Config, 
 			cores = 1
 		}
 		if id == task.PP {
-			// Parse runs on the ingestion readers (one per queue), like RV.
+			// Parse runs on the ingestion readers, like RV.
 			cores = pl.readerCores(cores)
 		}
 		// Sequential lines are served at the prefetcher's measured hit mix
@@ -247,9 +247,8 @@ func (pl *Planner) taskTime(id task.ID, prof task.Profile, cfg pipeline.Config, 
 }
 
 // readerCores is the parallelism RV and PP actually run at: the ingestion
-// reader count when the tier is sharded (each REUSEPORT queue drives its own
-// RV+PP goroutine), capped by physical cores; otherwise the stage's core
-// assignment, unchanged.
+// reader count when RVReaders is set, capped by physical cores; otherwise
+// the stage's core assignment, unchanged.
 func (pl *Planner) readerCores(stageCores int) int {
 	if pl.RVReaders < 1 {
 		return stageCores

@@ -240,3 +240,41 @@ func TestWriteHeavyFavorsCPUIndexUpdates(t *testing.T) {
 		}
 	}
 }
+
+// The RVReaders pricing term: with RVReaders set, predicted RV time shrinks
+// and whole-pipeline predicted throughput does not get worse.
+func TestRVReadersReducesPredictedRVTime(t *testing.T) {
+	pl := NewPlanner(apu.KaveriPlatform(), 200*time.Microsecond)
+	// A small-key read-heavy mix with the receive/send path saturated, so
+	// RV/PP weigh in the plan.
+	prof := task.Profile{
+		GetRatio:         0.95,
+		KeySize:          16,
+		ValueSize:        64,
+		Population:       1 << 20,
+		EvictionRate:     1,
+		SearchProbes:     1.5,
+		AvgInsertBuckets: 1.5,
+		WireQueryBytes:   32,
+		RVInstr:          15,
+		SDInstr:          15,
+		RVUnitNanos:      500,
+		SDUnitNanos:      120,
+	}
+	base, _ := pl.Best(prof)
+	pl.RVReaders = 4
+	sharded, _ := pl.Best(prof)
+	if sharded.ThroughputOPS < base.ThroughputOPS {
+		t.Fatalf("RVReaders=4 predicted %.0f ops, worse than single-reader %.0f",
+			sharded.ThroughputOPS, base.ThroughputOPS)
+	}
+	// Direct task check: price RV at batch 4096 in both modes.
+	cfg := base.Config
+	pl.RVReaders = 1
+	t1 := pl.taskTime(task.RV, prof, cfg, 4096)
+	pl.RVReaders = 4
+	t4 := pl.taskTime(task.RV, prof, cfg, 4096)
+	if t4 >= t1 {
+		t.Fatalf("RV time with 4 readers (%v) not below single reader (%v)", t4, t1)
+	}
+}

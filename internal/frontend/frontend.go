@@ -22,11 +22,9 @@ package frontend
 
 import (
 	"net"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
-	"repro/internal/stats"
 )
 
 // Frame is one parsed request travelling between a frontend and the core: a
@@ -171,29 +169,6 @@ type Stats struct {
 	SendErrs uint64
 }
 
-// QueueStats is one ingestion queue's counter snapshot: a REUSEPORT socket
-// for the UDP frontend, an accept listener for stream frontends. The A/B
-// benches and the multi-queue tests read these to prove the kernel actually
-// spread flows across queues.
-type QueueStats struct {
-	// Frames counts frames submitted to the core from this queue.
-	Frames uint64
-	// BytesIn and BytesOut count transport payload bytes through this
-	// queue's socket(s).
-	BytesIn, BytesOut uint64
-	// SendErrs counts failed reply writes on this queue.
-	SendErrs uint64
-	// Conns counts connections accepted on this queue (stream frontends;
-	// zero for datagram queues).
-	Conns uint64
-}
-
-// QueueStatsSource is implemented by frontends that shard ingestion across
-// multiple REUSEPORT queues. A single-queue frontend reports one entry.
-type QueueStatsSource interface {
-	QueueStats() []QueueStats
-}
-
 // StatsSource is implemented by every frontend so the server can render
 // per-frontend metrics with a frontend="<name>" label.
 type StatsSource interface {
@@ -207,37 +182,3 @@ type Frontend interface {
 	Responder
 	StatsSource
 }
-
-// Gate is the connection-scale admission of the server's RESP listeners: a
-// bounded budget of concurrently open connections, shedding beyond it. One
-// Gate serves every listener of the -net-queues split, so a flood on one
-// listener sheds globally, and its counters surface in ServerStats alongside
-// the frame-level shed accounting.
-type Gate struct {
-	max    int64
-	active atomic.Int64
-	shed   stats.Counter
-}
-
-// NewGate returns a connection gate admitting at most max concurrent
-// connections; max <= 0 means unlimited.
-func NewGate(max int) *Gate {
-	return &Gate{max: int64(max)}
-}
-
-// Acquire claims a connection slot, reporting false (and counting the shed)
-// when the budget is exhausted.
-func (g *Gate) Acquire() bool {
-	if n := g.active.Add(1); g.max > 0 && n > g.max {
-		g.active.Add(-1)
-		g.shed.Inc()
-		return false
-	}
-	return true
-}
-
-// Release returns a slot claimed by Acquire.
-func (g *Gate) Release() { g.active.Add(-1) }
-
-// Shed is the total connections rejected over the budget.
-func (g *Gate) Shed() uint64 { return g.shed.Load() }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/stats"
-	"repro/internal/udpbatch"
 )
 
 // RESP frontend: RESP2 over TCP, served Redis style. Each connection has one
@@ -63,9 +62,9 @@ var maxPendingReplyBytes = 64 << 20
 
 // RESPOptions configures the TCP/RESP2 frontend.
 type RESPOptions struct {
-	// Gate is the shared connection-scale admission (nil = unlimited). One
-	// gate can serve several stream frontends.
-	Gate *Gate
+	// MaxConns bounds concurrently open connections: connection-scale
+	// admission, shedding beyond it. ≤ 0 means unlimited.
+	MaxConns int
 	// WrapConn wraps each accepted connection — the stream fault injector's
 	// hook.
 	WrapConn func(net.Conn) net.Conn
@@ -73,21 +72,14 @@ type RESPOptions struct {
 	MeasureParse bool
 	// StampStart records the admission time per frame (slow-query log).
 	StampStart bool
-	// Listeners is how many SO_REUSEPORT accept sockets to open on the one
-	// address: the kernel shards connection readiness across them, and each
-	// runs its own accept loop feeding the shared Gate, so a busy accept
-	// queue on one listener does not serialize the others. ≤ 1 — and any
-	// value on a platform without SO_REUSEPORT — keeps one listener.
-	Listeners int
 }
 
-// RESP is the TCP/RESP2 frontend, served from one or more REUSEPORT
-// listeners bound to one address.
+// RESP is the TCP/RESP2 frontend, served from one listener.
 type RESP struct {
 	opts RESPOptions
 
 	mu    sync.Mutex
-	lns   []*respListener // set by Listen, sockets closed (slice kept) by Shutdown
+	ln    net.Listener // set by Listen, closed (field kept) by Interrupt and Shutdown
 	conns map[*respConn]struct{}
 
 	started  atomic.Bool
@@ -102,21 +94,16 @@ type RESP struct {
 	// written (or a write failed), so after Interrupt none waits on input.
 	writers sync.WaitGroup
 
-	malformed stats.Counter // shared: the reject path is rare enough not to shard
-	active    stats.Gauge   // shared: the Gate already owns the scale decision
-}
-
-// respListener is one accept queue: a REUSEPORT listener plus the counters
-// for the connections the kernel hashed to it.
-type respListener struct {
-	ln net.Listener
-
-	accepted stats.Counter
-	shed     stats.Counter
-	frames   stats.Counter
-	bytesIn  stats.Counter
-	bytesOut stats.Counter
-	sendErrs stats.Counter
+	// active is the open connection count. Only the accept loop raises it,
+	// so checking it against MaxConns before raising it cannot overshoot.
+	active    stats.Gauge
+	accepted  stats.Counter
+	shed      stats.Counter
+	frames    stats.Counter
+	malformed stats.Counter
+	bytesIn   stats.Counter
+	bytesOut  stats.Counter
+	sendErrs  stats.Counter
 }
 
 // NewRESP returns an unbound RESP frontend.
@@ -130,18 +117,14 @@ func NewRESP(opts RESPOptions) *RESP {
 
 func (r *RESP) Name() string { return "resp" }
 
-// Listen binds the accept socket(s).
+// Listen binds the accept socket.
 func (r *RESP) Listen(addr string) error {
-	lns, err := udpbatch.ListenTCPQueues(addr, r.opts.Listeners)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	qs := make([]*respListener, len(lns))
-	for i, ln := range lns {
-		qs[i] = &respListener{ln: ln}
-	}
 	r.mu.Lock()
-	r.lns = qs
+	r.ln = ln
 	r.mu.Unlock()
 	return nil
 }
@@ -150,52 +133,20 @@ func (r *RESP) Listen(addr string) error {
 func (r *RESP) Addr() net.Addr {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.lns) == 0 {
+	if r.ln == nil {
 		return nil
 	}
-	return r.lns[0].ln.Addr()
+	return r.ln.Addr()
 }
 
-// listeners returns the listener slice (immutable once Listen set it).
-func (r *RESP) listeners() []*respListener {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lns
-}
-
-// Run accepts connections on every listener until Interrupt — listener 0 on
-// the calling goroutine, keeping the blocking contract. Each accepted
-// connection gets a reader and a writer goroutine; over-budget connections
-// are told why and closed. All listeners share the one Gate, so the
-// connection budget stays global. A hard accept error on one listener closes
-// the others so Run can report it.
+// Run accepts connections until Interrupt or a hard accept error. Each
+// accepted connection gets a reader and a writer goroutine; connections
+// over the MaxConns budget are told why and closed.
 func (r *RESP) Run(core Core) error {
-	qs := r.listeners()
 	r.started.Store(true)
 	defer close(r.runDone)
-	errs := make([]error, len(qs))
-	var wg sync.WaitGroup
-	for i := 1; i < len(qs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = r.acceptLoop(core, qs[i])
-		}(i)
-	}
-	errs[0] = r.acceptLoop(core, qs[0])
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// acceptLoop is one listener's accept loop.
-func (r *RESP) acceptLoop(core Core, q *respListener) error {
 	for {
-		nc, err := q.ln.Accept()
+		nc, err := r.ln.Accept()
 		if err != nil {
 			if core.Draining() || r.stopping.Load() {
 				return nil
@@ -204,24 +155,21 @@ func (r *RESP) acceptLoop(core Core, q *respListener) error {
 			if errors.As(err, &ne) && ne.Timeout() {
 				continue
 			}
-			// Hard accept error: stop the sibling loops so Run returns it.
-			r.stopping.Store(true)
-			r.closeListeners()
 			return err
 		}
-		if g := r.opts.Gate; g != nil && !g.Acquire() {
-			q.shed.Inc()
+		if max := int64(r.opts.MaxConns); max > 0 && r.active.Load() >= max {
+			r.shed.Inc()
 			nc.SetWriteDeadline(time.Now().Add(defaultWriteTimeout)) //nolint:errcheck
 			nc.Write([]byte("-ERR max number of clients reached\r\n"))
 			nc.Close()
 			continue
 		}
-		q.accepted.Inc()
+		r.accepted.Inc()
 		r.active.Add(1)
 		if r.opts.WrapConn != nil {
 			nc = r.opts.WrapConn(nc)
 		}
-		c := r.newConn(q, nc)
+		c := r.newConn(nc)
 		r.mu.Lock()
 		r.conns[c] = struct{}{}
 		r.mu.Unlock()
@@ -236,21 +184,13 @@ func (r *RESP) acceptLoop(core Core, q *respListener) error {
 	}
 }
 
-// closeListeners closes every accept socket (idempotent: double Close on a
-// net.Listener just returns an error).
-func (r *RESP) closeListeners() {
-	for _, q := range r.listeners() {
-		q.ln.Close()
-	}
-}
-
-// Interrupt stops the accept loops and every connection reader, returning
+// Interrupt stops the accept loop and every connection reader, returning
 // once no further frame can reach the core. A reader exits only after its
 // frame's Release, with the reply handed to its writer, which flushes it
 // before closing the connection.
 func (r *RESP) Interrupt() {
 	r.stopping.Store(true)
-	r.closeListeners()
+	r.ln.Close()
 	if r.started.Load() {
 		<-r.runDone
 	}
@@ -265,10 +205,9 @@ func (r *RESP) Interrupt() {
 // Shutdown waits for every connection's writer to flush the replies its
 // reader handed over and close the connection, cutting each write to at most
 // shutdownWriteTimeout from here. It runs after Interrupt, so no reader is
-// left to hand over more. The listener slice survives so stats remain
-// readable.
+// left to hand over more.
 func (r *RESP) Shutdown() {
-	r.closeListeners()
+	r.ln.Close()
 	r.shutdown.Store(true)
 	deadline := time.Now().Add(shutdownWriteTimeout)
 	r.mu.Lock()
@@ -283,50 +222,27 @@ func (r *RESP) Shutdown() {
 	r.writers.Wait()
 }
 
-// removeConn forgets a closed connection and returns its gate slot; the
+// removeConn forgets a closed connection and returns its budget slot; the
 // connection's writer calls it once, as it exits.
 func (r *RESP) removeConn(c *respConn) {
 	r.mu.Lock()
 	delete(r.conns, c)
 	r.mu.Unlock()
 	r.active.Add(-1)
-	if g := r.opts.Gate; g != nil {
-		g.Release()
-	}
 }
 
-// FrontendStats snapshots the frontend's counters, summed over its
-// listeners.
+// FrontendStats snapshots the frontend's counters.
 func (r *RESP) FrontendStats() Stats {
-	st := Stats{
-		Malformed:   r.malformed.Load(),
-		ConnsActive: int(r.active.Load()),
+	return Stats{
+		Frames:        r.frames.Load(),
+		Malformed:     r.malformed.Load(),
+		BytesIn:       r.bytesIn.Load(),
+		BytesOut:      r.bytesOut.Load(),
+		ConnsAccepted: r.accepted.Load(),
+		ConnsShed:     r.shed.Load(),
+		ConnsActive:   int(r.active.Load()),
+		SendErrs:      r.sendErrs.Load(),
 	}
-	for _, q := range r.listeners() {
-		st.Frames += q.frames.Load()
-		st.BytesIn += q.bytesIn.Load()
-		st.BytesOut += q.bytesOut.Load()
-		st.ConnsAccepted += q.accepted.Load()
-		st.ConnsShed += q.shed.Load()
-		st.SendErrs += q.sendErrs.Load()
-	}
-	return st
-}
-
-// QueueStats snapshots each accept queue's counters.
-func (r *RESP) QueueStats() []QueueStats {
-	qs := r.listeners()
-	out := make([]QueueStats, len(qs))
-	for i, q := range qs {
-		out[i] = QueueStats{
-			Frames:   q.frames.Load(),
-			BytesIn:  q.bytesIn.Load(),
-			BytesOut: q.bytesOut.Load(),
-			SendErrs: q.sendErrs.Load(),
-			Conns:    q.accepted.Load(),
-		}
-	}
-	return out
 }
 
 // --- delivery ---
@@ -370,7 +286,6 @@ func (r *RESP) Fail(f *Frame, reason string) {
 // reader hands to the writer.
 type respConn struct {
 	fe *RESP
-	q  *respListener // the accept queue that produced this connection
 	nc net.Conn
 
 	// Reader-owned. The frame's queries and commands alias rb, which the
@@ -393,10 +308,9 @@ type respConn struct {
 	closed bool
 }
 
-func (r *RESP) newConn(q *respListener, nc net.Conn) *respConn {
+func (r *RESP) newConn(nc net.Conn) *respConn {
 	c := &respConn{
 		fe:       r,
-		q:        q,
 		nc:       nc,
 		rb:       make([]byte, respReadBufSize),
 		released: make(chan struct{}, 1),
@@ -435,7 +349,7 @@ func (c *respConn) readLoop(core Core) {
 		n, err := c.nc.Read(c.rb[c.fill:])
 		if n > 0 {
 			c.fill += n
-			c.q.bytesIn.Add(uint64(n))
+			fe.bytesIn.Add(uint64(n))
 			if !c.consume(core) {
 				return
 			}
@@ -565,7 +479,7 @@ func (c *respConn) dispatch(core Core) bool {
 	if c.fe.opts.StampStart {
 		f.Start = time.Now()
 	}
-	c.q.frames.Inc()
+	c.fe.frames.Inc()
 	if core.Admit(f) {
 		core.Submit(f)
 	}
@@ -589,7 +503,7 @@ func (c *respConn) dispatch(core Core) bool {
 	c.cmds = c.cmds[:0]
 	c.queries = c.queries[:0]
 	if over {
-		c.q.sendErrs.Inc()
+		c.fe.sendErrs.Inc()
 		// Closing the socket also fails the writer's blocked Write.
 		c.nc.Close()
 	}
@@ -620,7 +534,7 @@ func (c *respConn) writeLoop() {
 		c.mu.Unlock()
 
 		n, err := c.nc.Write(buf)
-		c.q.bytesOut.Add(uint64(n))
+		fe.bytesOut.Add(uint64(n))
 		if cap(buf) > maxIdleWriteBuf {
 			buf = nil
 		}
@@ -628,7 +542,7 @@ func (c *respConn) writeLoop() {
 		c.mu.Lock()
 		if err != nil {
 			if !c.closed { // else the reader closed it and counted it
-				c.q.sendErrs.Inc()
+				fe.sendErrs.Inc()
 			}
 			break
 		}

@@ -154,17 +154,6 @@ echo "== frontend (-race; root RESP -count=20) =="
 go test -count=1 -race -timeout 900s ./internal/frontend
 go test -race -count=20 -timeout 900s -run 'RESP' .
 
-# The sharded ingestion tier: SO_REUSEPORT listen helpers and kernel spread,
-# the multi-queue UDP frontend (per-queue readers/senders/addr caches,
-# cross-queue dedupe keys), the cost model's reader-parallelism sizing, and
-# the root-package multi-queue chaos/durability/drain e2e — per-queue readers
-# run concurrently against one core, so all of it goes under the race
-# detector, un-cached every pass.
-echo "== ingestion queues (-race, -count=1) =="
-go test -count=1 -race -timeout 900s -run 'ReusePort|ListenUDPQueues|ListenTCPQueues|MaxQueues' ./internal/udpbatch
-go test -count=1 -race -timeout 900s -run 'Queue' ./internal/frontend
-go test -count=1 -race -timeout 900s -run 'MultiQueue|SizeReaders|RVReaders' . ./internal/costmodel
-
 # The simulated system's figures (EXPERIMENTS.md) must not move unless a
 # change means them to: every output line of the quick suite except its
 # wall-clock "(figN took …)" lines is pinned. Regenerate the golden file only
@@ -199,12 +188,12 @@ go build -o "$SMOKE_DIR/dido-server" ./cmd/dido-server
 go build -o "$SMOKE_DIR/dido-loadgen" ./cmd/dido-loadgen
 SMOKE_ADDR="127.0.0.1:13311"
 SMOKE_ADMIN="127.0.0.1:13390"
-"$SMOKE_DIR/dido-server" -addr "$SMOKE_ADDR" -adapt -net-queues 4 -stats-interval 0 \
+"$SMOKE_DIR/dido-server" -addr "$SMOKE_ADDR" -adapt -stats-interval 0 \
     -admin "$SMOKE_ADMIN" -slow-query 1ms &
 SERVER_PID=$!
 sleep 0.3
 "$SMOKE_DIR/dido-loadgen" -addr "$SMOKE_ADDR" -workload K16-G95-S -duration 2s -population 10000 \
-    -src-conns 4 -scan-ratio 0.05 -scrape "http://$SMOKE_ADMIN" -scrape-assert
+    -scan-ratio 0.05 -scrape "http://$SMOKE_ADMIN" -scrape-assert
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 

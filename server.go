@@ -13,7 +13,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/proto"
 	"repro/internal/stats"
-	"repro/internal/udpbatch"
 )
 
 // ServerOptions tunes the fault-tolerance behavior of a Server. The zero
@@ -25,9 +24,9 @@ type ServerOptions struct {
 	// latency of admitted frames bounded under overload. 0 means
 	// DefaultMaxInFlight.
 	MaxInFlight int
-	// MaxConns bounds concurrently open RESP connections across every RESP
-	// listener: connection-scale admission, the stream analogue of
-	// MaxInFlight. 0 means DefaultMaxConns; negative disables the limit.
+	// MaxConns bounds concurrently open RESP connections: connection-scale
+	// admission, the stream analogue of MaxInFlight. 0 means
+	// DefaultMaxConns; negative disables the limit.
 	MaxConns int
 	// ReplyCacheSize bounds how many recent request replies are retained
 	// (per client address + request ID) to answer retried frames without
@@ -53,15 +52,6 @@ type ServerOptions struct {
 	// truncate the log (see server_durability.go). Opening it can fail (disk
 	// errors, corrupt snapshot) — use NewServerDurable to observe the error.
 	Durability *DurabilityOptions
-	// NetQueues is how many SO_REUSEPORT ingestion queues the UDP and RESP
-	// frontends shard across: per-queue sockets, reader goroutines and
-	// reply senders. The kernel hashes client 4-tuples over the queues, so
-	// clients must spread source sockets for the sharding to engage (see
-	// dido-loadgen's -src-conns). 0/1 means one queue; platforms without
-	// SO_REUSEPORT clamp to 1. Under Pipeline.Adapt the cost model sizes
-	// the effective count at startup — readers are placed like any other
-	// task, and a 1-CPU host gates extra readers off entirely.
-	NetQueues int
 }
 
 // Defaults for ServerOptions zero fields.
@@ -72,12 +62,12 @@ const (
 )
 
 // Server is the protocol-independent core of the key-value server: admission
-// (frame tokens and the connection gate), at-most-once dedupe through the
-// reply cache, durability commit-before-ack, and execution on the batched
-// task-granular pipeline. Transports are frontends (internal/frontend): the
-// batched UDP binary protocol (Serve) and TCP/RESP2 (ServeRESP) feed this one
-// core. Server implements frontend.Core; see the frontend package for the
-// delivery contract.
+// (frame tokens; the RESP frontend bounds connections), at-most-once dedupe
+// through the reply cache, durability commit-before-ack, and execution on
+// the batched task-granular pipeline. Transports are frontends
+// (internal/frontend): the batched UDP binary protocol (Serve) and TCP/RESP2
+// (ServeRESP) feed this one core. Server implements frontend.Core; see the
+// frontend package for the delivery contract.
 //
 // Every admitted frame that carries queries executes on the pipeline, whose
 // configuration travels with each batch. Ordering contract: inside a batch,
@@ -102,13 +92,6 @@ type Server struct {
 	udpFE  *frontend.UDP       // set by Serve
 	respFE *frontend.RESP      // set by ServeRESP
 	closed atomic.Bool
-
-	gate *frontend.Gate // connection-scale admission, shared by the RESP listeners
-
-	// netQueues is the effective ingestion queue count: the request after
-	// platform clamping and (under -adapt) cost-model sizing. Fixed before
-	// any frontend listens.
-	netQueues int
 
 	pipe *serverPipeline
 	dur  *durability // non-nil when opts.Durability is set
@@ -168,14 +151,10 @@ func newServer(st *Store, ls pipeline.LiveStore, opts ServerOptions) (*Server, e
 	s := &Server{
 		opts:   opts,
 		tokens: make(chan struct{}, opts.MaxInFlight),
-		gate:   frontend.NewGate(opts.MaxConns),
 	}
 	if cacheSize > 0 {
 		s.replies = newReplyCache(cacheSize)
 	}
-	// Clamp the queue request to the platform before initPipeline: the
-	// adaptive path re-sizes it with the cost model from there.
-	s.netQueues = udpbatch.MaxQueues(opts.NetQueues)
 	// Durability opens before the pipeline: recovery must finish before any
 	// frame can execute, and initPipeline arms its LG hook only when s.dur
 	// is already set.
@@ -218,7 +197,6 @@ func (s *Server) Serve(addr string) error {
 		Dedupe:       s.replies != nil,
 		MeasureParse: s.pipe.measureParse,
 		StampStart:   s.opts.SlowLog != nil,
-		Queues:       s.netQueues,
 	})
 	if err := fe.Listen(addr); err != nil {
 		return err
@@ -238,11 +216,10 @@ func (s *Server) Serve(addr string) error {
 // with Serve when both protocols are wanted).
 func (s *Server) ServeRESP(addr string) error {
 	fe := frontend.NewRESP(frontend.RESPOptions{
-		Gate:         s.gate,
+		MaxConns:     s.opts.MaxConns,
 		WrapConn:     s.opts.WrapStreamConn,
 		MeasureParse: s.pipe.measureParse,
 		StampStart:   s.opts.SlowLog != nil,
-		Listeners:    s.netQueues,
 	})
 	if err := fe.Listen(addr); err != nil {
 		return err
@@ -382,31 +359,6 @@ func (s *Server) RESPAddr() net.Addr {
 	return fe.Addr()
 }
 
-// NetQueues reports the effective ingestion queue count the frontends shard
-// across: the configured request after platform clamping and, under
-// adaptive pipelining, cost-model sizing.
-func (s *Server) NetQueues() int { return s.netQueues }
-
-// FrontendQueueStats returns the named frontend's per-ingestion-queue
-// counters, or nil when that frontend is not serving or does not shard.
-// The multi-queue tests and benches use it to verify the kernel actually
-// spread flows across queues.
-func (s *Server) FrontendQueueStats(name string) []frontend.QueueStats {
-	s.mu.Lock()
-	fes := make([]frontend.Frontend, len(s.fes))
-	copy(fes, s.fes)
-	s.mu.Unlock()
-	for _, fe := range fes {
-		if fe.Name() != name {
-			continue
-		}
-		if qs, ok := fe.(frontend.QueueStatsSource); ok {
-			return qs.QueueStats()
-		}
-	}
-	return nil
-}
-
 // Served returns the number of queries processed.
 func (s *Server) Served() uint64 { return s.served.Load() }
 
@@ -428,8 +380,7 @@ type ServerStats struct {
 	Malformed uint64
 	// Panics counts frames whose processing panicked (and was contained).
 	Panics uint64
-	// ConnsShed counts RESP connections rejected over the MaxConns budget
-	// (across every RESP listener).
+	// ConnsShed counts RESP connections rejected over the MaxConns budget.
 	ConnsShed uint64
 	// InFlight is the number of frames currently being processed.
 	InFlight int
@@ -445,9 +396,21 @@ func (s *Server) Stats() ServerStats {
 		DupDropped: s.dupDropped.Load(),
 		Malformed:  s.malformed.Load(),
 		Panics:     s.panics.Load(),
-		ConnsShed:  s.gate.Shed(),
+		ConnsShed:  s.respConnsShed(),
 		InFlight:   len(s.tokens),
 	}
+}
+
+// respConnsShed reads the RESP frontend's shed-connection count, 0 before
+// ServeRESP.
+func (s *Server) respConnsShed() uint64 {
+	s.mu.Lock()
+	fe := s.respFE
+	s.mu.Unlock()
+	if fe == nil {
+		return 0
+	}
+	return fe.FrontendStats().ConnsShed
 }
 
 // Close stops the server: it interrupts every frontend (no further frame can

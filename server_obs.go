@@ -56,20 +56,6 @@ func (s *Server) collectFrontendMetrics(w *obs.MetricsWriter) {
 		w.CounterL("dido_frontend_conns_shed_total", "Stream connections shed at accept.", labels, fs.ConnsShed)
 		w.GaugeL("dido_frontend_conns_active", "Stream connections currently open.", labels, float64(fs.ConnsActive))
 		w.CounterL("dido_frontend_send_errors_total", "Reply writes that failed (frames dropped or connections torn down).", labels, fs.SendErrs)
-		if qs, ok := src.(frontend.QueueStatsSource); ok {
-			queues := qs.QueueStats()
-			w.GaugeL("dido_frontend_queues", "Ingestion queues this frontend shards across.", labels, float64(len(queues)))
-			if len(queues) > 1 {
-				for qi, q := range queues {
-					ql := fmt.Sprintf("frontend=%q,queue=\"%d\"", src.Name(), qi)
-					w.CounterL("dido_frontend_queue_frames_total", "Frames decoded on this ingestion queue.", ql, q.Frames)
-					w.CounterL("dido_frontend_queue_bytes_in_total", "Transport bytes received on this queue.", ql, q.BytesIn)
-					w.CounterL("dido_frontend_queue_bytes_out_total", "Transport bytes sent on this queue.", ql, q.BytesOut)
-					w.CounterL("dido_frontend_queue_send_errors_total", "Failed reply writes on this queue.", ql, q.SendErrs)
-					w.CounterL("dido_frontend_queue_conns_total", "Connections accepted on this queue (stream frontends).", ql, q.Conns)
-				}
-			}
-		}
 	}
 }
 
@@ -131,11 +117,6 @@ func (s *Server) collectDurabilityMetrics(w *obs.MetricsWriter) {
 type ServerConfigView struct {
 	MaxInFlight    int `json:"max_inflight"`
 	ReplyCacheSize int `json:"reply_cache_size"`
-	// NetQueues is the effective ingestion queue count the frontends shard
-	// across; NetQueuesRequested appears only when the platform or the cost
-	// model gated the count below what was configured.
-	NetQueues          int `json:"net_queues"`
-	NetQueuesRequested int `json:"net_queues_requested,omitempty"`
 	// SlowQueryThresholdMicros is present when a slow-query log is attached.
 	SlowQueryThresholdMicros float64 `json:"slow_query_threshold_micros,omitempty"`
 	// Pipeline is the pipeline's currently installed plan.
@@ -182,10 +163,6 @@ func (s *Server) ConfigView() ServerConfigView {
 	v := ServerConfigView{
 		MaxInFlight:    s.opts.MaxInFlight,
 		ReplyCacheSize: s.opts.ReplyCacheSize,
-		NetQueues:      s.netQueues,
-	}
-	if s.opts.NetQueues > s.netQueues {
-		v.NetQueuesRequested = s.opts.NetQueues
 	}
 	if s.opts.SlowLog != nil {
 		v.SlowQueryThresholdMicros = float64(s.opts.SlowLog.Threshold().Microseconds())

@@ -1,7 +1,6 @@
 package dido
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -109,18 +108,9 @@ func (s *Server) initPipeline(po *PipelineOptions, st *Store, ls pipeline.LiveSt
 			// its memory-level parallelism so it prefers wide IN stages at
 			// large batch sizes.
 			pl.INSearchMLP = costmodel.DefaultINSearchMLP
-			if s.netQueues > 1 {
-				// Reader parallelism is a socket-open-time decision (a parked
-				// REUSEPORT socket would strand its kernel-hashed flows), so
-				// size it once here, like any other task placement, against
-				// the real host's schedulable cores; every later replan then
-				// prices RV/PP at the effective reader count.
-				s.netQueues = pl.SizeReaders(costmodel.DefaultIngestProfile(),
-					runtime.GOMAXPROCS(0), s.netQueues)
-			}
-			// ≥ 1 always: the live frontends run RV/PP on their reader
-			// goroutines, not on the stage worker group the simulator models.
-			pl.RVReaders = s.netQueues
+			// The live frontends run RV/PP on their one reader goroutine
+			// each, not on the stage worker group the simulator models.
+			pl.RVReaders = 1
 			sizer := &pipeline.BatchSizer{Interval: interval, Min: pl.MinBatch, Max: maxBatch}
 			sizer.Set(pipeline.DefaultInitialBatch)
 			pipe.ctrl = costmodel.NewController(pl, profiler.New(st.inner), pipeline.DefaultLiveConfig(), sizer)

@@ -3,6 +3,7 @@ package dido
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sort"
 	"sync"
 	"testing"
@@ -194,7 +195,7 @@ func TestServeScanRESPErrors(t *testing.T) {
 }
 
 // TestScanChaosEquivalence mixes SCAN into the drop/dup/reorder injector
-// workload (the SCAN arm of the multi-queue chaos suite): under datagram
+// workload (the SCAN arm of TestMultiQueueChaosEquivalence): under datagram
 // loss, duplication and reordering — with churn writers running — every
 // scan reply must be sorted, duplicate-free and
 // value-correct, duplicate SCAN retries are answered from the reply cache
@@ -204,15 +205,17 @@ func TestServeScanRESPErrors(t *testing.T) {
 func TestScanChaosEquivalence(t *testing.T) {
 	forEachBatchShape(t, func(t *testing.T, po *PipelineOptions) {
 		st := NewStore(StoreConfig{MemoryBytes: 16 << 20, Ordered: true})
-		qi := &queueInjectors{}
+		var injector *faults.Conn
 		srv := NewServerOpts(st, ServerOptions{
-			NetQueues: 4,
-			Pipeline:  po,
-			WrapConn: qi.wrap(faults.Profile{
-				Drop:    0.10,
-				Dup:     0.05,
-				Reorder: 0.10,
-			}),
+			Pipeline: po,
+			WrapConn: func(pc net.PacketConn) net.PacketConn {
+				injector = faults.Wrap(pc, faults.Symmetric(1000, faults.Profile{
+					Drop:    0.10,
+					Dup:     0.05,
+					Reorder: 0.10,
+				}))
+				return injector
+			},
 		})
 		addr, errc := startServer(t, srv)
 		defer srv.Close()
@@ -388,9 +391,9 @@ func TestScanChaosEquivalence(t *testing.T) {
 			return
 		}
 
-		fs := qi.stats()
+		fs := injector.Stats()
 		if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
-			t.Fatalf("injectors idle: %+v", fs)
+			t.Fatalf("injector idle: %+v", fs)
 		}
 		ss := srv.Stats()
 		t.Logf("scan chaos: faults=%+v server=%+v store-scans=%d", fs, ss, st.Stats().Scans)

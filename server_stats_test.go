@@ -227,7 +227,6 @@ func TestCollectMetricsNames(t *testing.T) {
 		`dido_frontend_conns_shed_total{frontend="udp"}`,
 		`dido_frontend_conns_active{frontend="udp"}`,
 		`dido_frontend_send_errors_total{frontend="udp"}`,
-		`dido_frontend_queues{frontend="udp"}`,
 		"dido_pipeline_batches_total", "dido_pipeline_queries_total",
 		"dido_pipeline_reconfigs_total",
 		"dido_pipeline_submit_shed_total", "dido_pipeline_panics_total",
@@ -253,7 +252,7 @@ func TestCollectMetricsNames(t *testing.T) {
 	for _, name := range []string{
 		"dido_pipeline_wide_batches_total", "dido_pipeline_steal_batches_total",
 		"dido_pipeline_stolen_chunks_total", "dido_pipeline_stolen_queries_total",
-		"dido_store_hot_hits_total",
+		"dido_store_hot_hits_total", "dido_frontend_queue",
 	} {
 		if strings.Contains(got, name) {
 			t.Errorf("removed metric %s is still exported", name)
