@@ -7,8 +7,6 @@
 // The client retries lost frames with exponential backoff (-timeout,
 // -retries, -backoff) and tolerates overload shedding: StatusBusy rounds are
 // retried, and exhausted requests are counted rather than aborting the run.
-// The -fault-* flags put a deterministic fault injector on the client socket
-// for chaos testing against an unmodified server.
 //
 // With -scrape, the load generator doubles as an observability smoke check:
 // it scrapes the server's admin /metrics endpoint before and after the run,
@@ -19,7 +17,7 @@
 // Usage:
 //
 //	dido-loadgen -addr 127.0.0.1:11311 -workload K16-G95-S -duration 10s
-//	dido-loadgen -fault-drop 0.1 -fault-dup 0.05 -retries 10 -timeout 100ms
+//	dido-loadgen -retries 10 -timeout 100ms
 //	dido-loadgen -scrape http://127.0.0.1:9090 -scrape-assert
 package main
 
@@ -30,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -39,7 +36,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/faults"
 	"repro/internal/frontend"
 	"repro/internal/proto"
 	"repro/internal/workload"
@@ -70,13 +66,6 @@ func main() {
 	retries := flag.Int("retries", dido.DefaultClientRetries, "resend attempts per frame (negative disables)")
 	backoff := flag.Duration("backoff", dido.DefaultClientBackoff, "initial retry backoff (doubles, jittered)")
 
-	faultDrop := flag.Float64("fault-drop", 0, "inject: datagram drop rate [0,1], both directions")
-	faultDup := flag.Float64("fault-dup", 0, "inject: datagram duplication rate [0,1]")
-	faultReorder := flag.Float64("fault-reorder", 0, "inject: datagram reorder rate [0,1]")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "inject: datagram corruption rate [0,1]")
-	faultDelay := flag.Duration("fault-delay", 0, "inject: per-datagram delay")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed (deterministic)")
-
 	scrape := flag.String("scrape", "", "admin base URL to scrape before/after the run, e.g. http://127.0.0.1:9090")
 	scrapeAssert := flag.Bool("scrape-assert", false, "exit non-zero on scrape violations (needs -scrape)")
 	flag.Parse()
@@ -90,26 +79,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	profile := faults.Profile{
-		Drop:    *faultDrop,
-		Dup:     *faultDup,
-		Reorder: *faultReorder,
-		Corrupt: *faultCorrupt,
-		Delay:   *faultDelay,
-	}
-	injectFaults := profile != (faults.Profile{})
-	if injectFaults {
-		if *resp {
-			fmt.Fprintln(os.Stderr, "-fault-* flags inject on the UDP socket and cannot combine with -resp")
-			os.Exit(2)
-		}
-		fmt.Printf("fault injection armed: drop=%.2f dup=%.2f reorder=%.2f corrupt=%.2f delay=%v seed=%d\n",
-			*faultDrop, *faultDup, *faultReorder, *faultCorrupt, *faultDelay, *faultSeed)
-	}
-
 	var c kvClient
 	var udpClient *dido.Client
-	var injector *faults.Conn
 	if *resp {
 		rc, err := frontend.DialRESP(*addr, *timeout)
 		if err != nil {
@@ -119,12 +90,6 @@ func main() {
 		c = rc
 	} else {
 		opts := dido.ClientOptions{Timeout: *timeout, Retries: *retries, Backoff: *backoff, Seed: *seed}
-		if injectFaults {
-			opts.WrapConn = func(conn *net.UDPConn) dido.ClientConn {
-				injector = faults.Wrap(conn, faults.Symmetric(*faultSeed, profile))
-				return injector
-			}
-		}
 		uc, err := dido.DialOpts(*addr, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dial:", err)
@@ -272,11 +237,6 @@ func main() {
 	if *assertHitRate > 0 && hitRate < *assertHitRate {
 		fmt.Fprintf(os.Stderr, "GET hit rate %.3f below required %.3f\n", hitRate, *assertHitRate)
 		os.Exit(1)
-	}
-	if injector != nil {
-		fs := injector.Stats()
-		fmt.Printf("faults injected: drop=%d dup=%d reorder=%d corrupt=%d delayed=%d\n",
-			fs.Dropped, fs.Duplicated, fs.Reordered, fs.Corrupted, fs.Delayed)
 	}
 
 	if *scrape != "" {

@@ -7,16 +7,13 @@
 // re-planning the pipeline online from measured per-batch profiles.
 //
 // The server sheds load with StatusBusy when more than -max-inflight frames
-// are in flight, deduplicates retried frames by request ID, and survives
-// malformed or poisoned frames. The -fault-* flags put a deterministic fault
-// injector in front of the socket (drop / duplicate / reorder / corrupt /
-// delay, both directions) for chaos testing.
+// are in flight (the only point where it refuses a frame), deduplicates
+// retried frames by request ID, and survives malformed or poisoned frames.
 //
 // Usage:
 //
 //	dido-server -addr 127.0.0.1:11311 -mem 268435456
 //	dido-server -adapt -batch-interval 500us
-//	dido-server -fault-drop 0.1 -fault-dup 0.05 -fault-reorder 0.1
 package main
 
 import (
@@ -30,7 +27,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -67,7 +63,7 @@ func main() {
 	respAddr := flag.String("resp", "", "optional TCP listen address for the RESP2 (Redis) protocol")
 	mem := flag.Int64("mem", 256<<20, "key-value arena bytes")
 	statsEvery := flag.Duration("stats-interval", 10*time.Second, "stats print interval (0 disables)")
-	maxInflight := flag.Int("max-inflight", dido.DefaultMaxInFlight, "frames processed concurrently before shedding with StatusBusy")
+	maxInflight := flag.Int("max-inflight", dido.DefaultMaxInFlight, "frames admitted at once; a frame over this budget is shed with StatusBusy (the server's only frame-shed point)")
 	replyCache := flag.Int("reply-cache", dido.DefaultReplyCacheSize, "retried-request reply cache entries (negative disables)")
 	maxConns := flag.Int("max-conns", 0, "open RESP connection budget (0 = default 1024, negative = unlimited)")
 
@@ -84,23 +80,6 @@ func main() {
 	walSync := flag.String("wal-sync", "batch", "WAL sync policy: batch (fsync before every ack), off, or a duration for interval syncing (e.g. 10ms)")
 	snapInterval := flag.Duration("snapshot-interval", time.Minute, "snapshot + WAL-truncate period (0 disables periodic snapshots)")
 
-	faultDiskShort := flag.Float64("fault-disk-short", 0, "inject: WAL short-write rate [0,1]")
-	faultDiskWriteErr := flag.Float64("fault-disk-write-err", 0, "inject: WAL write failure rate [0,1]")
-	faultDiskSyncErr := flag.Float64("fault-disk-sync-err", 0, "inject: WAL fsync failure rate [0,1]")
-	faultDiskSyncDelay := flag.Duration("fault-disk-sync-delay", 0, "inject: per-fsync delay")
-	faultDiskSeed := flag.Int64("fault-disk-seed", 1, "disk fault injector seed (deterministic)")
-
-	faultDrop := flag.Float64("fault-drop", 0, "inject: datagram drop rate [0,1], both directions")
-	faultDup := flag.Float64("fault-dup", 0, "inject: datagram duplication rate [0,1]")
-	faultReorder := flag.Float64("fault-reorder", 0, "inject: datagram reorder rate [0,1]")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "inject: datagram corruption rate [0,1]")
-	faultDelay := flag.Duration("fault-delay", 0, "inject: per-datagram delay")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed (deterministic)")
-
-	faultConnStallRate := flag.Float64("fault-conn-stall-rate", 0, "inject: per-read/write stall rate on stream conns [0,1]")
-	faultConnStall := flag.Duration("fault-conn-stall", 0, "inject: stream stall duration (with -fault-conn-stall-rate)")
-	faultConnCorrupt := flag.Float64("fault-conn-corrupt", 0, "inject: stream read corruption rate [0,1]")
-	faultConnShort := flag.Float64("fault-conn-short", 0, "inject: stream short-read (torn command) rate [0,1]")
 	flag.Parse()
 
 	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Ordered: *ordered})
@@ -108,18 +87,6 @@ func main() {
 		MaxInFlight:    *maxInflight,
 		ReplyCacheSize: *replyCache,
 		MaxConns:       *maxConns,
-	}
-	streamFaults := faults.StreamConfig{
-		Seed:        *faultSeed,
-		StallRate:   *faultConnStallRate,
-		Stall:       *faultConnStall,
-		CorruptRate: *faultConnCorrupt,
-		ShortRate:   *faultConnShort,
-	}
-	if streamFaults.StallRate > 0 || streamFaults.CorruptRate > 0 || streamFaults.ShortRate > 0 {
-		opts.WrapStreamConn = func(c net.Conn) net.Conn { return faults.WrapStream(c, streamFaults) }
-		log.Printf("stream fault injection armed: stall=%.2f×%v corrupt=%.2f short=%.2f seed=%d",
-			*faultConnStallRate, *faultConnStall, *faultConnCorrupt, *faultConnShort, *faultSeed)
 	}
 	if *walDir != "" {
 		dopts := &dido.DurabilityOptions{Dir: *walDir, SnapshotInterval: *snapInterval}
@@ -136,24 +103,6 @@ func main() {
 			dopts.Sync = wal.SyncInterval
 			dopts.SyncInterval = iv
 		}
-		disk := faults.DiskConfig{
-			Seed:       *faultDiskSeed,
-			ShortWrite: *faultDiskShort,
-			WriteErr:   *faultDiskWriteErr,
-			SyncErr:    *faultDiskSyncErr,
-			SyncDelay:  *faultDiskSyncDelay,
-		}
-		if disk.Enabled() {
-			dopts.OpenFile = func(path string) (wal.File, error) {
-				f, err := wal.DefaultOpenFile(path)
-				if err != nil {
-					return nil, err
-				}
-				return faults.WrapFile(f, disk), nil
-			}
-			log.Printf("disk fault injection armed: short=%.2f write-err=%.2f sync-err=%.2f sync-delay=%v seed=%d",
-				*faultDiskShort, *faultDiskWriteErr, *faultDiskSyncErr, *faultDiskSyncDelay, *faultDiskSeed)
-		}
 		opts.Durability = dopts
 	}
 	var slowLog *obs.SlowLog
@@ -166,26 +115,6 @@ func main() {
 		trace = obs.NewTraceRing(0)
 	}
 	opts.Pipeline = &dido.PipelineOptions{BatchInterval: *batchInterval, Adapt: *adapt, Trace: trace}
-
-	profile := faults.Profile{
-		Drop:    *faultDrop,
-		Dup:     *faultDup,
-		Reorder: *faultReorder,
-		Corrupt: *faultCorrupt,
-		Delay:   *faultDelay,
-	}
-	// The injector wraps the UDP socket inside Serve's Listen, which returns
-	// before waitForBind sees the address, so the stats goroutine started
-	// after that reads it without a lock.
-	var injector *faults.Conn
-	if profile != (faults.Profile{}) {
-		opts.WrapConn = func(pc net.PacketConn) net.PacketConn {
-			injector = faults.Wrap(pc, faults.Symmetric(*faultSeed, profile))
-			return injector
-		}
-		log.Printf("fault injection armed: drop=%.2f dup=%.2f reorder=%.2f corrupt=%.2f delay=%v seed=%d",
-			*faultDrop, *faultDup, *faultReorder, *faultCorrupt, *faultDelay, *faultSeed)
-	}
 
 	srv, err := dido.NewServerDurable(st, opts)
 	if err != nil {
@@ -249,19 +178,14 @@ func main() {
 				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f ordered-splits=%d ordered-merges=%d ordered-maintained=%d ordered-drops=%d ordered-rebuilds=%d ordered-build=%v",
 					ss, s.LiveObjects, s.Hits, s.Misses, s.Evictions, s.IndexLoadFactor, s.OrderedSplits, s.OrderedMerges,
 					s.OrderedMaintained, s.OrderedDrops, s.OrderedRebuilds, time.Duration(s.OrderedBuildNanos).Round(time.Millisecond))
-				if injector != nil {
-					fs := injector.Stats()
-					line += fmt.Sprintf(" faults[drop=%d dup=%d reorder=%d corrupt=%d]",
-						fs.Dropped, fs.Duplicated, fs.Reordered, fs.Corrupted)
-				}
 				if ds, ok := srv.DurabilityStats(); ok {
 					line += fmt.Sprintf(" | wal records=%d bytes=%d syncs=%d errs=%d drops=%d snaps=%d",
 						ds.WAL.Records, ds.WAL.Bytes, ds.WAL.Syncs,
 						ds.WAL.WriteErrs+ds.WAL.SyncErrs, ds.DroppedAcks, ds.Snapshots.Snapshots)
 				}
 				ps := srv.PipelineStats()
-				line += fmt.Sprintf(" | pipe batches=%d target=%d reconfigs=%d shed=%d panics=%d",
-					ps.Batches, ps.Target, ps.Reconfigs, ps.SubmitShed, ps.Panics)
+				line += fmt.Sprintf(" | pipe batches=%d target=%d reconfigs=%d panics=%d",
+					ps.Batches, ps.Target, ps.Reconfigs, ps.Panics)
 				if replans, ok := srv.PipelineReplans(); ok {
 					line += fmt.Sprintf(" replans=%d", replans)
 				}

@@ -2,13 +2,15 @@
 // real (non-simulated) serving path: a net.PacketConn wrapper that drops,
 // duplicates, reorders, corrupts and delays datagrams with configurable
 // per-direction rates (this file), the same faults for stream connections
-// (stream.go), and a WAL file wrapper for disk failures (disk.go).
+// (stream.go), and a WAL file wrapper for fsync failures (disk.go).
 //
-// The injector exists so the fault-tolerance machinery (request IDs, retries,
-// admission control) can be exercised both in tests and from the command-line
-// binaries (`--fault-*` flags on dido-server and dido-loadgen) without a real
-// lossy network. All randomness comes from a single seed, so a failing run
-// reproduces exactly.
+// The injector exists so the test suite can exercise the fault-tolerance
+// machinery (request IDs, retries, admission control, WAL error handling)
+// without a real lossy network or failing disk; tests install it through the
+// server's ServerOptions.WrapConn / WrapStreamConn and
+// DurabilityOptions.OpenFile hooks and the client's ClientOptions.WrapConn.
+// No binary links it. All randomness comes from a single seed, so a failing
+// run reproduces exactly.
 package faults
 
 import (

@@ -5,8 +5,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Stream fault injection: the TCP analogue of the datagram Conn wrapper.
@@ -46,27 +44,11 @@ type StreamConn struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 	cfg StreamConfig
-
-	stalls, shortReads, corrupted stats.Counter
 }
 
 // WrapStream returns c behind a stream fault injector configured by cfg.
 func WrapStream(c net.Conn, cfg StreamConfig) *StreamConn {
 	return &StreamConn{Conn: c, rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
-}
-
-// StreamStats is a snapshot of injected stream-fault counts.
-type StreamStats struct {
-	Stalls, ShortReads, Corrupted uint64
-}
-
-// Stats returns the total injected-fault counts.
-func (c *StreamConn) Stats() StreamStats {
-	return StreamStats{
-		Stalls:     c.stalls.Load(),
-		ShortReads: c.shortReads.Load(),
-		Corrupted:  c.corrupted.Load(),
-	}
 }
 
 // roll draws one fault decision set. The sleep happens outside the lock so
@@ -80,7 +62,6 @@ func (c *StreamConn) roll(read bool) (short, corrupt bool) {
 	}
 	c.mu.Unlock()
 	if stall {
-		c.stalls.Inc()
 		time.Sleep(c.cfg.Stall)
 	}
 	return short, corrupt
@@ -95,7 +76,6 @@ func (c *StreamConn) Read(b []byte) (int, error) {
 	}
 	short, corrupt := c.roll(true)
 	if short && len(b) > 1 {
-		c.shortReads.Inc()
 		b = b[:1]
 	}
 	n, err := c.Conn.Read(b)
@@ -106,7 +86,6 @@ func (c *StreamConn) Read(b []byte) (int, error) {
 			b[c.rng.Intn(n)] ^= byte(1 + c.rng.Intn(255))
 		}
 		c.mu.Unlock()
-		c.corrupted.Inc()
 	}
 	return n, err
 }

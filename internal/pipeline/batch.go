@@ -53,6 +53,7 @@ type ConfigProvider interface {
 
 // ProfileConsumer is an optional ConfigProvider extension: a provider that
 // returns false from WantsProfile never reads Batch.Profile, which lets the
-// live runner skip the per-batch workload measurement (including the
-// O(index-size) population poll) entirely.
+// live runner skip the per-batch workload measurement entirely: buildProfile,
+// the per-task clock reads, and the LiveMetrics poll every
+// liveMetricsRefresh, which takes every slab class lock to sum evictions.
 type ProfileConsumer interface{ WantsProfile() bool }

@@ -94,12 +94,9 @@ type LiveFrame struct {
 }
 
 // Live runner defaults. DefaultLiveBatchInterval is the scheduling interval
-// the default provider sizes batches for. Submit sheds a frame that would
-// open a new batch once DefaultLiveMaxPending size-sealed batches wait for
-// stage 1; it is also the queue depth ahead of each later stage.
+// the default provider sizes batches for.
 const (
 	DefaultLiveBatchInterval = 500 * time.Microsecond
-	DefaultLiveMaxPending    = 4
 	DefaultLiveMinBatch      = 64
 	DefaultLiveMaxBatch      = 8192
 	// DefaultWideMinGets is the GET count at which the planner starts to
@@ -109,6 +106,14 @@ const (
 	// every batch's reads take the batched path.
 	DefaultWideMinGets = 32
 )
+
+// liveStageQueue is the channel depth ahead of stages 2 and 3: a few
+// batches of slack let a stage run ahead of a briefly slower one without
+// blocking on every handoff, and a deeper queue would only lengthen the
+// wait between stages. A full channel holds back the stage before it, and
+// frames that arrive meanwhile gather in the pending batch; it bounds no
+// admission, which is the submitter's (the server's in-flight tokens).
+const liveStageQueue = 4
 
 // liveMetricsRefresh bounds how often buildProfile polls LiveStoreMetrics:
 // the poll takes every slab class lock to sum evictions, which is not worth
@@ -302,10 +307,9 @@ type LiveRunner struct {
 	// work wakes the stage-1 worker (waiting in take) on Submit and Close.
 	work    *sync.Cond
 	pending *liveBatch
-	// ready holds size-sealed batches awaiting stage 1, oldest first. Submit
-	// sheds once it holds DefaultLiveMaxPending and no batch is pending; a
-	// batch opened below that bound may still seal into it, so it holds at
-	// most DefaultLiveMaxPending+1.
+	// ready holds size-sealed batches awaiting stage 1, oldest first. It has
+	// no bound of its own: the submitter's admission (the server's in-flight
+	// tokens) bounds the frames, and so the batches, that can wait in it.
 	ready  []*liveBatch
 	cfg    Config
 	target int
@@ -339,7 +343,6 @@ type LiveRunner struct {
 	queries   stats.Counter
 	panics    stats.Counter
 	reconfigs stats.Counter
-	shedFull  stats.Counter
 
 	stageHist [3]*stats.Histogram // per-batch stage wall time, µs
 }
@@ -362,7 +365,6 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 		store:       s,
 		opts:        opts,
 		wantProfile: true,
-		ready:       make([]*liveBatch, 0, DefaultLiveMaxPending+1),
 		drained:     make(chan struct{}),
 	}
 	r.work = sync.NewCond(&r.mu)
@@ -376,7 +378,7 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 	r.pool.New = func() any { return &liveBatch{} }
 	for si := 0; si < 3; si++ {
 		if si > 0 {
-			r.ch[si] = make(chan *liveBatch, DefaultLiveMaxPending)
+			r.ch[si] = make(chan *liveBatch, liveStageQueue)
 		}
 		r.stageHist[si] = stats.NewHistogram(stats.LatencyBoundsMicros()...)
 		r.stageWG[si].Add(1)
@@ -387,10 +389,10 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 
 // Submit hands a parsed frame to the pipeline. The frame joins the pending
 // batch, which seals into the ready list once it reaches the size target;
-// otherwise the stage-1 worker seals it when it next takes work. Submit
-// reports false when the runner is closed or saturated (no batch pending and
-// DefaultLiveMaxPending sealed batches already waiting); the caller sheds
-// the frame upstream (StatusBusy), which keeps admission latency bounded.
+// otherwise the stage-1 worker seals it when it next takes work. The runner
+// never refuses a frame for load: bounding the frames in flight is the
+// submitter's admission (the server's in-flight tokens). Submit reports
+// false only after Close.
 func (r *LiveRunner) Submit(f *LiveFrame) bool {
 	r.mu.Lock()
 	if r.closed {
@@ -398,11 +400,6 @@ func (r *LiveRunner) Submit(f *LiveFrame) bool {
 		return false
 	}
 	if r.pending == nil {
-		if len(r.ready) >= DefaultLiveMaxPending {
-			r.mu.Unlock()
-			r.shedFull.Inc()
-			return false
-		}
 		b := r.pool.Get().(*liveBatch)
 		b.reset()
 		r.pending = b
@@ -998,8 +995,6 @@ type LiveStats struct {
 	Panics uint64
 	// Reconfigs counts batch boundaries that installed a different config.
 	Reconfigs uint64
-	// SubmitShed counts frames rejected because every stage-1 slot was full.
-	SubmitShed uint64
 	// Config and Target are the currently installed config and batch size.
 	Config Config
 	Target int
@@ -1011,13 +1006,12 @@ func (r *LiveRunner) Stats() LiveStats {
 	cfg, target := r.cfg, r.target
 	r.mu.Unlock()
 	return LiveStats{
-		Batches:    r.batches.Load(),
-		Queries:    r.queries.Load(),
-		Panics:     r.panics.Load(),
-		Reconfigs:  r.reconfigs.Load(),
-		SubmitShed: r.shedFull.Load(),
-		Config:     cfg,
-		Target:     target,
+		Batches:   r.batches.Load(),
+		Queries:   r.queries.Load(),
+		Panics:    r.panics.Load(),
+		Reconfigs: r.reconfigs.Load(),
+		Config:    cfg,
+		Target:    target,
 	}
 }
 

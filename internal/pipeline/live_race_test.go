@@ -58,9 +58,10 @@ func TestLiveIdleSealBusyWorkerCoalesces(t *testing.T) {
 
 // TestLiveSealReadyBeforePending pins the seal contract around the ready
 // list: batches sealed at the size target run before the pending batch and
-// in seal order; with no batch pending and DefaultLiveMaxPending batches
-// ready, Submit sheds (SubmitShed +1); and Close drains both the ready
-// batches and the pending one.
+// in seal order; a frame that finds batches ready and nothing pending is
+// accepted and opens the pending batch (the runner never sheds); Close
+// drains both the ready batches and the pending one; and Submit reports
+// false only after Close.
 func TestLiveSealReadyBeforePending(t *testing.T) {
 	st := newFakeLiveStore()
 	st.m["k"] = []byte("v")
@@ -99,26 +100,25 @@ func TestLiveSealReadyBeforePending(t *testing.T) {
 	}
 	waitTake() // stage 1 took {hold} and is parked
 
+	const readyN = 4
 	var full []*LiveFrame
-	for i := 0; i < DefaultLiveMaxPending; i++ {
+	for i := 0; i < readyN; i++ {
 		f := getFrame("k", "k")
 		if !r.Submit(f) {
 			t.Fatalf("Submit ready frame %d rejected", i)
 		}
 		full = append(full, f)
 	}
-	if r.Submit(getFrame("k")) {
-		t.Fatal("Submit accepted with the ready list full and nothing pending")
-	}
-	if s := r.Stats().SubmitShed; s != 1 {
-		t.Fatalf("SubmitShed = %d, want 1", s)
-	}
-
-	release <- struct{}{} // {hold} runs; stage 1 takes the oldest ready batch
-	waitTake()
-	lone := getFrame("k") // a ready slot is free: this opens the pending batch
+	lone := getFrame("k") // readyN batches wait and none is pending
 	if !r.Submit(lone) {
-		t.Fatal("Submit pending frame rejected")
+		t.Fatal("Submit rejected a frame with batches ready and nothing pending")
+	}
+	r.mu.Lock()
+	nReady, opened := len(r.ready), r.pending != nil
+	r.mu.Unlock()
+	if nReady != readyN || !opened {
+		t.Fatalf("after the lone frame: %d ready, pending open = %v; want %d ready and the lone frame pending",
+			nReady, opened, readyN)
 	}
 
 	closed := make(chan struct{})
@@ -141,6 +141,9 @@ func TestLiveSealReadyBeforePending(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return")
 	}
+	if r.Submit(getFrame("k")) {
+		t.Fatal("Submit accepted a frame after Close")
+	}
 
 	want := append(append([]*LiveFrame{hold}, full...), lone)
 	got := collectFrames(t, done, len(want))
@@ -151,8 +154,8 @@ func TestLiveSealReadyBeforePending(t *testing.T) {
 	}
 	obMu.Lock()
 	defer obMu.Unlock()
-	if len(seqs) != DefaultLiveMaxPending+2 {
-		t.Fatalf("completed %d batches, want %d", len(seqs), DefaultLiveMaxPending+2)
+	if len(seqs) != readyN+2 {
+		t.Fatalf("completed %d batches, want %d", len(seqs), readyN+2)
 	}
 	for i, s := range seqs {
 		if s != uint64(i) {

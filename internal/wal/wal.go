@@ -75,13 +75,16 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
+// DefaultSyncInterval is the SyncInterval fsync period when none is set.
+const DefaultSyncInterval = 10 * time.Millisecond
+
 // Options configures Open.
 type Options struct {
 	Policy   SyncPolicy
-	Interval time.Duration // SyncInterval fsync period; default 10ms
+	Interval time.Duration // SyncInterval fsync period; default DefaultSyncInterval
 	// OpenFile opens the append handle for a segment path. Defaults to
-	// O_CREATE|O_WRONLY|O_APPEND on the real filesystem; tests and the
-	// --fault-disk-* flags substitute instrumented or faulty handles.
+	// O_CREATE|O_WRONLY|O_APPEND on the real filesystem; tests substitute
+	// instrumented or faulty handles (internal/faults.WrapFile).
 	OpenFile func(path string) (File, error)
 }
 
@@ -151,7 +154,7 @@ func Open(path string, opts Options) (*Log, error) {
 		opts.OpenFile = DefaultOpenFile
 	}
 	if opts.Interval <= 0 {
-		opts.Interval = 10 * time.Millisecond
+		opts.Interval = DefaultSyncInterval
 	}
 	f, err := opts.OpenFile(path)
 	if err != nil {

@@ -31,11 +31,18 @@ go build ./...
 # machinery (the simulated system in internal/dido, its workload generators
 # and network cost profiles) must never be linked into cmd/dido-server again,
 # and internal/pipeline — the plan vocabulary plus the live runner — must not
-# pull in the store or the simulator's inputs.
+# pull in the store or the simulator's inputs. The fault injector
+# (internal/faults) is the test suite's tool: neither the server nor the load
+# generator links it.
 echo "== server dependency guard =="
 SERVER_DEPS="$(go list -deps ./cmd/dido-server)"
 if grep -E -x 'repro/internal/(gpu|sim|dido|workload|netsim)' <<<"$SERVER_DEPS"; then
     echo "cmd/dido-server links the simulator packages listed above" >&2
+    exit 1
+fi
+BINARY_DEPS="$(go list -deps ./cmd/dido-server ./cmd/dido-loadgen)"
+if grep -x 'repro/internal/faults' <<<"$BINARY_DEPS"; then
+    echo "cmd/dido-server or cmd/dido-loadgen links the test-only fault injector" >&2
     exit 1
 fi
 PIPELINE_DEPS="$(go list -deps ./internal/pipeline)"
@@ -86,8 +93,8 @@ go test -count=1 -race -timeout 900s -run 'AdminUnderChaos|SlowLogOn|SlowLogThre
     . ./internal/costmodel
 
 # The stage-1 seal hand-off (Submit's size seal and the worker's take,
-# coalescing while stage 1 is busy, ready-before-pending order, shedding,
-# drain on Close), the simulator's work-stealing pricing tests
+# coalescing while stage 1 is busy, ready-before-pending order, drain on
+# Close), the simulator's work-stealing pricing tests
 # (internal/dido), and the read-linearizability hammer (a writer overwriting
 # one key while readers take every read path: never a stale value, never a
 # miss) — concurrent machinery, so un-cached and race-enabled every pass.

@@ -21,8 +21,8 @@ type ServerOptions struct {
 	// MaxInFlight bounds how many frames are processed concurrently. When
 	// the budget is exhausted, new frames are shed immediately with
 	// StatusBusy responses instead of queuing unboundedly, keeping the
-	// latency of admitted frames bounded under overload. 0 means
-	// DefaultMaxInFlight.
+	// latency of admitted frames bounded under overload. It is the only
+	// point where the server refuses a frame. 0 means DefaultMaxInFlight.
 	MaxInFlight int
 	// MaxConns bounds concurrently open RESP connections: connection-scale
 	// admission, the stream analogue of MaxInFlight. 0 means

@@ -34,7 +34,8 @@ type DurabilityOptions struct {
 	// every SyncInterval), or wal.SyncOff (the OS decides; Close still
 	// syncs).
 	Sync wal.SyncPolicy
-	// SyncInterval is the wal.SyncInterval flusher period; default 10ms.
+	// SyncInterval is the wal.SyncInterval flusher period; default
+	// wal.DefaultSyncInterval.
 	SyncInterval time.Duration
 	// SnapshotInterval is how often the snapshotter dumps the store and
 	// truncates the WAL. 0 disables periodic snapshots (SnapshotNow still

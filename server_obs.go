@@ -2,7 +2,6 @@ package dido
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/frontend"
 	"repro/internal/obs"
@@ -71,7 +70,6 @@ func (s *Server) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_pipeline_batches_total", "Batches completed by the live pipeline.", ps.Batches)
 	w.Counter("dido_pipeline_queries_total", "Queries served through the pipeline.", ps.Queries)
 	w.Counter("dido_pipeline_reconfigs_total", "Batch boundaries that installed a different config.", ps.Reconfigs)
-	w.Counter("dido_pipeline_submit_shed_total", "Frames rejected because every stage-1 slot was full.", ps.SubmitShed)
 	w.Counter("dido_pipeline_panics_total", "Frames poisoned inside a pipeline stage.", ps.Panics)
 	w.Gauge("dido_pipeline_batch_target", "Currently installed batch-size target in queries.", float64(ps.Target))
 	if s.pipe.ctrl != nil {
@@ -177,7 +175,7 @@ func (s *Server) ConfigView() ServerConfigView {
 		if s.dur.opts.Sync == wal.SyncInterval {
 			iv := s.dur.opts.SyncInterval
 			if iv <= 0 {
-				iv = 10 * time.Millisecond
+				iv = wal.DefaultSyncInterval
 			}
 			dv.SyncIntervalMicros = float64(iv.Microseconds())
 		}

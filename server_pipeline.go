@@ -143,8 +143,9 @@ func (s *Server) initPipeline(po *PipelineOptions, st *Store, ls pipeline.LiveSt
 
 // submitPipelined hands an admitted, parsed frame to the pipeline. The
 // frontend already ran RV/PP; the caller has passed the dedupe gate and
-// acquired a token and a wg slot, and every exit path here or in
-// pipelineBatchDone releases all three.
+// acquired a token and a wg slot, and pipelineBatchDone releases all three.
+// The runner refuses a frame only after its Close, which Server.Close runs
+// once the frontends stopped and every admitted frame finished.
 func (s *Server) submitPipelined(f *frontend.Frame) {
 	sl := s.pipe.slots.Get().(*liveSlot)
 	sl.f = f
@@ -154,19 +155,7 @@ func (s *Server) submitPipelined(f *frontend.Frame) {
 		Ctx:        sl,
 	}
 	if !s.pipe.runner.Submit(&sl.lf) {
-		// Pipeline saturated (or closing): shed like the token path does, so
-		// the client backs off instead of timing out.
-		s.shed.Inc()
-		if f.Tracked {
-			s.replies.abort(f.AKey, f.ReqID)
-			f.Tracked = false
-		}
-		f.R.Busy(f)
-		sl.reset()
-		s.pipe.slots.Put(sl)
-		<-s.tokens
-		s.wg.Done()
-		f.R.Release(f)
+		panic("dido: pipeline closed under an admitted frame (Close drains the core before it closes the runner)")
 	}
 }
 

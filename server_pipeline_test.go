@@ -566,3 +566,59 @@ func TestBatchOrderingContract(t *testing.T) {
 	waitServe(t, udpErrc)
 	waitServe(t, respErrc)
 }
+
+// TestBurstUnderTokenBudgetIsNeverShed pins that the in-flight token gate is
+// the server's only frame-shed point: a burst of 32 frames of 64 SETs each,
+// all sent at once to a default server (256 tokens), is answered in full
+// with no StatusBusy. The clients never resend (Retries: -1), so a frame the
+// server refused would surface as ErrBusy rather than be retried away.
+func TestBurstUnderTokenBudgetIsNeverShed(t *testing.T) {
+	st := NewStore(StoreConfig{MemoryBytes: 8 << 20})
+	srv := NewServer(st)
+	addr, errc := startServer(t, srv)
+	defer srv.Close()
+
+	const clients = 32
+	const frameQs = 64
+	conns := make([]*Client, clients)
+	for ci := range conns {
+		c, err := DialOpts(addr, ClientOptions{Timeout: 5 * time.Second, Retries: -1, Seed: int64(ci + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[ci] = c
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for ci, c := range conns {
+		wg.Add(1)
+		go func(ci int, c *Client) {
+			defer wg.Done()
+			qs := make([]Query, frameQs)
+			for i := range qs {
+				qs[i] = Query{Op: OpSet, Key: []byte(fmt.Sprintf("b%d-k%d", ci, i)), Value: []byte("v")}
+			}
+			<-start
+			rs, err := c.Do(qs)
+			if err != nil {
+				t.Errorf("client %d: %v", ci, err)
+				return
+			}
+			for i, r := range rs {
+				if r.Status != StatusOK {
+					t.Errorf("client %d query %d: status %v", ci, i, r.Status)
+					return
+				}
+			}
+		}(ci, c)
+	}
+	close(start)
+	wg.Wait()
+
+	if ss := srv.Stats(); ss.Shed != 0 {
+		t.Fatalf("server shed %d of %d frames with %d tokens: %+v", ss.Shed, clients, DefaultMaxInFlight, ss)
+	}
+	srv.Close()
+	waitServe(t, errc)
+}

@@ -229,7 +229,7 @@ func TestCollectMetricsNames(t *testing.T) {
 		`dido_frontend_send_errors_total{frontend="udp"}`,
 		"dido_pipeline_batches_total", "dido_pipeline_queries_total",
 		"dido_pipeline_reconfigs_total",
-		"dido_pipeline_submit_shed_total", "dido_pipeline_panics_total",
+		"dido_pipeline_panics_total",
 		"dido_pipeline_batch_target", "dido_pipeline_replans_total",
 		"dido_planner_error_ratio",
 		`dido_pipeline_stage_micros{stage="1",quantile="0.5"}`,
